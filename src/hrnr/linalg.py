@@ -1,16 +1,14 @@
-"""Dense complex matrix arithmetic and a self-contained Hermitian eigensolver.
+"""Dense complex matrix arithmetic and a batched Hermitian eigensolver.
 
 Matrices are plain square ``numpy.ndarray`` objects with ``complex128``
 entries.  Every public operation validates its inputs and returns fresh
 arrays; nothing here mutates its arguments, so all functions are safe to
 call concurrently.
 
-The eigensolver is a cyclic complex Jacobi iteration with 2x2 unitary
-rotations.  It is deliberately dependency-free (no LAPACK) and accurate to
-roughly machine precision for matrices up to a few hundred rows, which is
-the regime this package targets.  A batched entry point diagonalises a
-whole stack of Hermitian matrices at once; the per-matrix API is the
-batch-of-one special case, so both paths share one implementation.
+The eigensolver is numpy's LAPACK driver (``eigvalsh``/``eigh``).  Its
+batched entry point diagonalises a whole stack of Hermitian matrices at
+once; the per-matrix API is the batch-of-one special case, so both paths
+share one implementation.
 """
 
 from __future__ import annotations
@@ -21,13 +19,6 @@ import numpy as np
 
 # Relative tolerance for accepting an input as Hermitian.
 HERMITIAN_RTOL = 1e-12
-# Off-diagonal Frobenius mass at which the Jacobi iteration stops,
-# relative to max(1, ||H||_F).
-JACOBI_STOP_RTOL = 1e-13
-# Rotations with |off-diagonal| below this (same scaling) are skipped.
-JACOBI_SKIP_RTOL = 1e-16
-# Hard cap on full sweeps before giving up.
-JACOBI_MAX_SWEEPS = 60
 # Eigenvalues of a nominally PSD matrix may be this negative before we
 # refuse to take a square root.
 PSD_FLOOR = -1e-10
@@ -39,10 +30,6 @@ class DimensionError(ValueError):
 
 class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Jacobi sweep cap exceeded without reaching the stopping criterion."""
 
 
 class NotPSDError(ValueError):
@@ -114,25 +101,17 @@ class HermitianEigen:
         return self.values.shape[0]
 
 
-def _round_robin_pairs(n: int):
-    """Tournament schedule: each sweep visits every index pair once."""
-    pairs = []
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            pairs.append((p, q))
-    return pairs
-
-
 def eig_hermitian_stack(stack, *, vectors: bool = True):
-    """Diagonalise a stack of Hermitian matrices by cyclic complex Jacobi.
+    """Diagonalise a stack of Hermitian matrices with LAPACK.
 
     Parameters
     ----------
     stack : array_like, shape (B, n, n)
-        Hermitian matrices.  Hermiticity is assumed, not checked; use
-        :func:`hermitian_eig` for the validated single-matrix form.
+        Hermitian matrices.  Hermiticity is assumed, not checked, and only
+        the lower triangle is read; use :func:`hermitian_eig` for the
+        validated single-matrix form.
     vectors : bool
-        Accumulate eigenvector matrices (skipping them is faster when only
+        Also return eigenvector matrices (skipping them is faster when only
         the spectrum is needed).
 
     Returns
@@ -141,101 +120,39 @@ def eig_hermitian_stack(stack, *, vectors: bool = True):
         Eigenvalues of each matrix, sorted descending.
     vectors : ndarray, shape (B, n, n) or None
 
-    Internally the stack is kept batch-last, so each row/column update is
-    a contiguous slice touched once per rotation; rotations are the exact
-    2x2 unitaries that annihilate one off-diagonal entry.
+    Raises ``numpy.linalg.LinAlgError`` when LAPACK fails to converge.
     """
     hs = np.asarray(stack, dtype=np.complex128)
     if hs.ndim != 3 or hs.shape[1] != hs.shape[2]:
         raise DimensionError(f"expected a (B, n, n) stack, got {hs.shape}")
-    nb, n = hs.shape[0], hs.shape[1]
-    if nb == 0:
+    if hs.shape[0] == 0:
         raise DimensionError("empty stack")
-    # copy unconditionally: for B == 1 the moved axis is already "contiguous"
-    # and an as-contiguous view would let the sweeps mutate the caller's data
-    a = np.moveaxis(hs, 0, 2).copy()  # (n, n, B)
-    idx = np.arange(n)
-    vmat = None
-    if vectors:
-        vmat = np.zeros((n, n, nb), dtype=np.complex128)
-        vmat[idx, idx, :] = 1.0
-    if n == 1:
-        vals = a[0, 0].real.reshape(nb, 1).copy()
-        return vals, (np.ones((nb, 1, 1), dtype=np.complex128) if vectors else None)
+    # LAPACK sorts ascending; reversing the last axis gives descending order
+    if not vectors:
+        return np.linalg.eigvalsh(hs)[:, ::-1], None
+    vals, vecs = np.linalg.eigh(hs)
+    return vals[:, ::-1], vecs[:, :, ::-1]
 
-    scale = np.maximum(1.0, np.sqrt((np.abs(a) ** 2).sum(axis=(0, 1))))
-    stop = JACOBI_STOP_RTOL * scale
-    skip = JACOBI_SKIP_RTOL * scale
-    pairs = _round_robin_pairs(n)
 
-    def off_mass():
-        mags = np.abs(a) ** 2
-        mags[idx, idx, :] = 0.0
-        return np.sqrt(mags.sum(axis=(0, 1)))
+def is_hermitian(h) -> bool:
+    """Whether ``||H - H*||_F <= 1e-12 ||H||_F``.
 
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if (off_mass() <= stop).all():
-            converged = True
-            break
-        for p, q in pairs:
-            apq = a[p, q].copy()
-            g = np.abs(apq)
-            act = g > skip
-            if not act.any():
-                continue
-            app = a[p, p].real.copy()
-            aqq = a[q, q].real.copy()
-            gs = np.where(act, g, 1.0)
-            w = np.where(act, apq / gs, 1.0)
-            tau = np.where(act, (aqq - app) / (2.0 * gs), 0.0)
-            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(tau, 1.0))
-            t *= act
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            sw = s * w
-            swc = s * w.conj()
-            # similarity by R = [[c, s w], [-s conj(w), c]] on rows/cols p, q
-            rp = a[p].copy()
-            a[p] = c * rp - sw * a[q]
-            a[q] = swc * rp + c * a[q]
-            cp = a[:, p].copy()
-            a[:, p] = c * cp - swc * a[:, q]
-            a[:, q] = sw * cp + c * a[:, q]
-            a[p, p] = np.where(act, c * c * app + s * s * aqq - 2.0 * c * s * g, app)
-            a[q, q] = np.where(act, s * s * app + c * c * aqq + 2.0 * c * s * g, aqq)
-            zeroed = np.where(act, 0.0 + 0.0j, a[p, q])
-            a[p, q] = zeroed
-            a[q, p] = zeroed.conj()
-            if vectors:
-                vp = vmat[:, p].copy()
-                vmat[:, p] = c * vp - swc * vmat[:, q]
-                vmat[:, q] = sw * vp + c * vmat[:, q]
-    if not converged and (off_mass() > stop).any():
-        raise NoConvergenceError(
-            f"Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    vals = np.moveaxis(a[idx, idx, :], 1, 0).real.copy()  # (B, n)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    out_v = None
-    if vectors:
-        out_v = np.moveaxis(vmat, 2, 0)
-        out_v = np.take_along_axis(out_v, order[:, None, :], axis=2)
-    return vals, out_v
+    The rule is purely relative, so it holds or fails alike for ``s H`` at
+    every scale ``s > 0``.
+    """
+    h = as_matrix(h)
+    return frobenius(h - h.conj().T) <= HERMITIAN_RTOL * frobenius(h)
 
 
 def hermitian_eig(h) -> HermitianEigen:
     """Eigenvalues (descending) and orthonormal eigenvectors of Hermitian H.
 
-    Raises :class:`NotHermitianError` if ``||H - H*||_F`` exceeds
-    ``1e-12 * max(1, ||H||_F)`` and :class:`NoConvergenceError` if the
-    sweep cap is hit.  Deterministic for a fixed input.
+    Raises :class:`NotHermitianError` unless :func:`is_hermitian` accepts
+    H, and ``numpy.linalg.LinAlgError`` if LAPACK fails to converge.
+    Deterministic for a fixed input.
     """
     h = as_matrix(h)
-    scale = max(1.0, frobenius(h))
-    if frobenius(h - h.conj().T) > HERMITIAN_RTOL * scale:
+    if not is_hermitian(h):
         raise NotHermitianError("matrix is not Hermitian within 1e-12 relative")
     vals, vecs = eig_hermitian_stack(h[None], vectors=True)
     return HermitianEigen(values=vals[0], vectors=vecs[0])

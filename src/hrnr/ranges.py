@@ -30,11 +30,11 @@ class BadRankError(ValueError):
     """Requested rank k outside 1..dim(T)."""
 
 
-def default_angles() -> int:
-    """Interactive angle count, overridable via the HRNR_ANGLES env var."""
+def default_angles(default: int = DEFAULT_ANGLES) -> int:
+    """Angle count from the HRNR_ANGLES env var, else ``default``."""
     raw = os.environ.get(ANGLES_ENV_VAR)
     if raw is None:
-        return DEFAULT_ANGLES
+        return default
     try:
         m = int(raw)
     except ValueError as exc:
@@ -87,16 +87,27 @@ class PencilSweep:
     def dim(self) -> int:
         return self.eigenvalues.shape[1]
 
+    def numerical_radius(self) -> float:
+        """max_j lambda_1(H_{theta_j}) / 2: the numerical radius on this grid."""
+        return float(self.eigenvalues[:, 0].max() / 2.0)
+
 
 def pencil_sweep(t, m: int) -> PencilSweep:
-    """Diagonalise all m pencils of T in one batched eigensolve."""
+    """Diagonalise all m pencils of T in one batched eigensolve.
+
+    H_{theta + pi} = -H_theta, so lambda_i(H_{theta + pi}) =
+    -lambda_{n+1-i}(H_theta).  For even m, row j + m/2 is therefore row j
+    negated and reversed, and only the first m/2 pencils are solved.
+    """
     t = as_matrix(t)
     m = _check_angles(m)
     thetas = 2.0 * np.pi * np.arange(m) / m
-    phases = np.exp(1j * thetas)
-    stack = phases[:, None, None] * t
+    solved = m // 2 if m % 2 == 0 else m
+    stack = np.exp(1j * thetas[:solved])[:, None, None] * t
     stack = stack + stack.conj().swapaxes(1, 2)
     vals, _ = eig_hermitian_stack(stack, vectors=False)
+    if solved < m:
+        vals = np.concatenate([vals, -vals[:, ::-1]])
     return PencilSweep(thetas=thetas, eigenvalues=vals, frob_norm=frobenius(t))
 
 
@@ -160,5 +171,4 @@ def rank_k_range(t, k: int, m: int | None = None) -> RangeReport:
 
 def numerical_radius(t, m: int | None = None) -> float:
     """Largest modulus over the numerical range, via max_j lambda_1/2."""
-    sweep = pencil_sweep(t, DEFAULT_ANGLES if m is None else m)
-    return float(sweep.eigenvalues[:, 0].max() / 2.0)
+    return pencil_sweep(t, DEFAULT_ANGLES if m is None else m).numerical_radius()

@@ -139,6 +139,13 @@ def test_verify_properties_hermitian_oracle_line(tmp_path, capsys):
     assert "HERMITIAN" in out
 
 
+def test_verify_properties_tiny_non_hermitian_gets_no_hermitian_oracle(tmp_path, capsys):
+    # 1e-14 S_3 is far from Hermitian relative to its own size
+    path = write_matrix(tmp_path, "tiny.json", 1e-14 * shift_matrix(3))
+    main(["verify-properties", "--input", path, "--k", "1", "--angles", "64"])
+    assert "HERMITIAN" not in capsys.readouterr().out
+
+
 def test_verify_properties_normal_oracle_line(tmp_path, capsys):
     eigs = np.exp(2j * np.pi * np.arange(4) / 4)
     path = write_matrix(tmp_path, "normal.json", np.diag(eigs))
@@ -164,6 +171,19 @@ def test_env_var_overrides_default_angles(tmp_path, shift4, monkeypatch):
     assert main(["range", "--input", shift4, "--k", "1", "--angles", "64",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["angles"] == 64
+    # a malformed or too small environment value is a usage error
+    for bad in ("many", "4"):
+        monkeypatch.setenv("HRNR_ANGLES", bad)
+        assert main(["range", "--input", shift4, "--k", "1", "--out", str(out)]) == 2
+
+
+def test_eigensolver_failure_exits_1(shift4, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert main(["range", "--input", shift4, "--k", "1", "--angles", "64"]) == 1
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2(capsys):

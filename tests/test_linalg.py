@@ -156,6 +156,14 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e-8, 1e8])
+def test_eig_rejects_non_hermitian_at_every_scale(scale):
+    # the eigensolver reads one triangle only, so a tiny non-Hermitian
+    # input must be refused rather than silently replaced by its triangle
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_eig_vectors_unitary_and_reconstruct():
     h = random_hermitian(7, 5)
     eig = hermitian_eig(h)

@@ -123,8 +123,10 @@ def test_angle_floor_enforced():
 def test_default_angles_env_override(monkeypatch):
     monkeypatch.delenv("HRNR_ANGLES", raising=False)
     assert default_angles() == 720
+    assert default_angles(2048) == 2048
     monkeypatch.setenv("HRNR_ANGLES", "256")
     assert default_angles() == 256
+    assert default_angles(2048) == 256
     monkeypatch.setenv("HRNR_ANGLES", "4")
     with pytest.raises(ValueError):
         default_angles()
@@ -182,3 +184,30 @@ def test_sweep_determinism():
     a = pencil_sweep(t, 64)
     b = pencil_sweep(t, 64)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
+
+
+# --- half-grid sweep ------------------------------------------------------------
+
+def _sweep_inputs():
+    rng = generator(2024)
+    gauss = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    bases = {"shift": shift_matrix(5), "gauss": gauss, "herm": x + x.conj().T}
+    return [pytest.param(s * t, id=f"{name}-{s:g}")
+            for name, t in bases.items() for s in (1.0, 1e-8, 1e8)]
+
+
+@pytest.mark.parametrize("m", [720, 2048, 721])
+@pytest.mark.parametrize("t", _sweep_inputs())
+def test_sweep_matches_full_grid_lapack(t, m):
+    # even m solves half the grid and mirrors it through H_{theta+pi} = -H_theta;
+    # odd m solves every angle.  Both must agree with a direct full-grid solve.
+    sweep = pencil_sweep(t, m)
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    stack = np.exp(1j * thetas)[:, None, None] * t
+    stack = stack + stack.conj().swapaxes(1, 2)
+    direct = np.linalg.eigvalsh(stack)[:, ::-1]
+    assert sweep.eigenvalues.shape == (m, t.shape[0])
+    assert np.array_equal(sweep.thetas, thetas)
+    assert np.abs(sweep.eigenvalues - direct).max() <= 1e-12 * frobenius(t)
+    assert (np.diff(sweep.eigenvalues, axis=1) <= 0).all()
