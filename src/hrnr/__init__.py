@@ -8,7 +8,7 @@ against independent oracles.
 """
 
 from .geometry import ConvexRegion, HalfPlane, hausdorff, intersect_halfplanes, support
-from .linalg import HermitianEigen, adjoint, hermitian_eig, kron, matmul, psd_sqrt
+from .linalg import HermitianEigen, hermitian_eig, psd_sqrt
 from .ranges import (
     PencilSweep,
     RangeReport,
@@ -40,10 +40,7 @@ __all__ = [
     "intersect_halfplanes",
     "support",
     "HermitianEigen",
-    "adjoint",
     "hermitian_eig",
-    "kron",
-    "matmul",
     "psd_sqrt",
     "PencilSweep",
     "RangeReport",

@@ -1,10 +1,14 @@
-"""Property suites and independent oracles cross-checking the range engine.
+"""The verification core shared by the CLI and the tests: property
+suites and independent oracles cross-checking the range engine.
 
 Each check returns a :class:`PropertyReport`; ``passed`` is always
 equivalent to ``discrepancy <= tolerance``.  Set equalities are measured
 as Hausdorff distances with a tolerance of ten times the combined outer
 approximation bounds plus 1e-8; one-sided inclusions are measured as the
 largest distance by which any vertex leaves the covering region.
+
+Checks on T take T's rank-k :class:`RangeReport` or its sweep, so a
+suite sweeps each matrix once.
 
 Oracles here do not share machinery with the engine: the Hermitian
 interval and the normal hull intersection come straight from eigenvalue
@@ -19,13 +23,32 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import ConvexRegion, HalfPlane, hausdorff, intersect_halfplanes, max_violation
-from .linalg import as_matrix, eig_hermitian_stack, frobenius, hermitian_eig, identity
-from .ranges import VERIFY_ANGLES, RangeReport, pencil_sweep, range_from_sweep, numerical_radius
-from .shifts import nilpotency_index, spectral_norm
+from .linalg import (
+    as_matrix,
+    eig_hermitian_stack,
+    frobenius,
+    hermitian_eig,
+    identity,
+    is_hermitian,
+)
+from .ranges import PencilSweep, RangeReport, pencil_sweep, range_from_sweep
+from .shifts import (
+    build_dilation,
+    closed_form_shift_range,
+    rho,
+    shift_matrix,
+    spectral_norm,
+)
 
 UNITARY_TOL = 1e-10
 NESTING_SLACK = 1e-8
+RADIUS_TOL = 5e-6  # against a closed-form disc (shift range, nilpotent bound)
 HAAGERUP_SLACK = 1e-6
+RESIDUAL_TOL = 1e-10  # dilation residuals, per dimension
+HERMITIAN_ORACLE_TOL = 1e-6
+NORMAL_ORACLE_TOL = 1e-4  # floor of 12 R tan(pi/m), see check_normal_oracle
+NORMAL_RTOL = 1e-10  # ||TT* - T*T||_F / ||T||_F^2
+NORMAL_CLUSTER_GAP = 1e-8  # relative to ||T||_F
 NORMAL_ORACLE_MAX_DIM = 8
 
 
@@ -143,59 +166,62 @@ def direct_sum(t, s) -> np.ndarray:
     return out
 
 
-def check_affine(t, k: int, a: complex, b: complex,
-                 m: int = VERIFY_ANGLES) -> PropertyReport:
+def _sibling(x, base: RangeReport) -> RangeReport:
+    """Rank-k report of another matrix on the grid and rank of ``base``."""
+    return range_from_sweep(pencil_sweep(x, base.angles), base.k)
+
+
+def check_affine(t, base: RangeReport, a: complex, b: complex) -> PropertyReport:
     """P1: the range of aT + bI is a * range(T) + b.
 
+    ``base`` is T's rank-k report; the other side is computed on its grid.
     The two sides are circumscribed on grids rotated by arg(a) relative
     to each other, so the tolerance uses the flat-edge-aware outer gaps
     rather than the disc-calibrated bounds alone.
     """
     t = as_matrix(t)
-    lhs = range_from_sweep(pencil_sweep(a * t + b * identity(t.shape[0]), m), k)
-    rhs = range_from_sweep(pencil_sweep(t, m), k)
-    tol = 10.0 * (_outer_gap(lhs) + abs(a) * _outer_gap(rhs)) + 1e-8
-    dist = _set_distance(lhs.region, transform_region(rhs.region, a, b))
-    return _report("P1", dist, tol, f"dim={t.shape[0]} k={k} a={a} b={b}")
+    lhs = _sibling(a * t + b * identity(t.shape[0]), base)
+    tol = 10.0 * (_outer_gap(lhs) + abs(a) * _outer_gap(base)) + 1e-8
+    dist = _set_distance(lhs.region, transform_region(base.region, a, b))
+    return _report("P1", dist, tol, f"dim={t.shape[0]} k={base.k} a={a} b={b}")
 
 
-def check_adjoint(t, k: int, m: int = VERIFY_ANGLES) -> PropertyReport:
+def check_adjoint(t, base: RangeReport) -> PropertyReport:
     """P2: the range of T* is the conjugate of the range of T."""
     t = as_matrix(t)
-    lhs = range_from_sweep(pencil_sweep(t.conj().T, m), k)
-    rhs = range_from_sweep(pencil_sweep(t, m), k)
-    dist = _set_distance(lhs.region, conjugate_region(rhs.region))
-    return _report("P2", dist, _equality_tol(lhs, rhs), f"dim={t.shape[0]} k={k}")
+    lhs = _sibling(t.conj().T, base)
+    dist = _set_distance(lhs.region, conjugate_region(base.region))
+    return _report("P2", dist, _equality_tol(lhs, base), f"dim={t.shape[0]} k={base.k}")
 
 
-def check_direct_sum(t, s, k: int, m: int = VERIFY_ANGLES) -> PropertyReport:
-    """P3, one-sided: range(T) and range(S) both sit inside range(T (+) S)."""
+def check_direct_sum(t, s, base_t: RangeReport, base_s: RangeReport) -> PropertyReport:
+    """P3, one-sided: range(T) and range(S) both sit inside range(T (+) S).
+
+    ``base_t`` and ``base_s`` are the rank-k reports of T and S on one grid.
+    """
     t = as_matrix(t)
     s = as_matrix(s)
-    whole = range_from_sweep(pencil_sweep(direct_sum(t, s), m), k)
-    part_t = range_from_sweep(pencil_sweep(t, m), k)
-    part_s = range_from_sweep(pencil_sweep(s, m), k)
-    tol = _equality_tol(whole, part_t, part_s)
-    gap = max(
-        _inclusion_gap(part_t.region, whole.region),
-        _inclusion_gap(part_s.region, whole.region),
-    )
-    return _report("P3", gap, tol, f"dims={t.shape[0]}+{s.shape[0]} k={k}")
+    if (base_t.k, base_t.angles) != (base_s.k, base_s.angles):
+        raise ValueError("the two reports must share k and the angle grid")
+    whole = _sibling(direct_sum(t, s), base_t)
+    tol = _equality_tol(whole, base_t, base_s)
+    gap = max(_inclusion_gap(base_t.region, whole.region),
+              _inclusion_gap(base_s.region, whole.region))
+    return _report("P3", gap, tol, f"dims={t.shape[0]}+{s.shape[0]} k={base_t.k}")
 
 
-def check_unitary(t, u, k: int, m: int = VERIFY_ANGLES) -> PropertyReport:
+def check_unitary(t, base: RangeReport, u) -> PropertyReport:
     """P4: conjugating by a unitary leaves the range unchanged."""
     t = as_matrix(t)
     u = as_matrix(u)
     if frobenius(u.conj().T @ u - identity(u.shape[0])) > UNITARY_TOL:
         raise NotUnitaryError("conjugating matrix is not unitary within 1e-10")
-    lhs = range_from_sweep(pencil_sweep(u.conj().T @ t @ u, m), k)
-    rhs = range_from_sweep(pencil_sweep(t, m), k)
-    dist = _set_distance(lhs.region, rhs.region)
-    return _report("P4", dist, _equality_tol(lhs, rhs), f"dim={t.shape[0]} k={k}")
+    lhs = _sibling(u.conj().T @ t @ u, base)
+    dist = _set_distance(lhs.region, base.region)
+    return _report("P4", dist, _equality_tol(lhs, base), f"dim={t.shape[0]} k={base.k}")
 
 
-def check_compression(t, iso, k: int, m: int = VERIFY_ANGLES) -> PropertyReport:
+def check_compression(t, base: RangeReport, iso) -> PropertyReport:
     """P5: the range of a compression is contained in the full range."""
     t = as_matrix(t)
     iso = np.asarray(iso, dtype=np.complex128)
@@ -204,21 +230,18 @@ def check_compression(t, iso, k: int, m: int = VERIFY_ANGLES) -> PropertyReport:
     p = iso.shape[1]
     if frobenius(iso.conj().T @ iso - identity(p)) > UNITARY_TOL:
         raise BadIsometryError("columns are not orthonormal within 1e-10")
-    if p < k:
-        raise BadIsometryError(f"need at least k={k} columns, got {p}")
-    small = range_from_sweep(pencil_sweep(iso.conj().T @ t @ iso, m), k)
-    full = range_from_sweep(pencil_sweep(t, m), k)
-    gap = _inclusion_gap(small.region, full.region)
-    return _report("P5", gap, _equality_tol(small, full),
-                   f"dim={t.shape[0]}->{p} k={k}")
+    if p < base.k:
+        raise BadIsometryError(f"need at least k={base.k} columns, got {p}")
+    small = _sibling(iso.conj().T @ t @ iso, base)
+    gap = _inclusion_gap(small.region, base.region)
+    return _report("P5", gap, _equality_tol(small, base),
+                   f"dim={t.shape[0]}->{p} k={base.k}")
 
 
-def check_nesting(t, k_max: int, m: int = VERIFY_ANGLES) -> PropertyReport:
-    """P6: supports of successive ranges are non-increasing in k."""
-    t = as_matrix(t)
-    if not 1 <= k_max <= t.shape[0]:
-        raise ValueError(f"k_max must be in 1..{t.shape[0]}")
-    sweep = pencil_sweep(t, m)
+def check_nesting(sweep: PencilSweep, k_max: int) -> PropertyReport:
+    """P6: supports of successive ranges of one sweep are non-increasing in k."""
+    if not 1 <= k_max <= sweep.dim:
+        raise ValueError(f"k_max must be in 1..{sweep.dim}")
     reports = [range_from_sweep(sweep, k) for k in range(1, k_max + 1)]
     worst = -np.inf
     for lo, hi in zip(reports[1:], reports[:-1]):
@@ -232,7 +255,30 @@ def check_nesting(t, k_max: int, m: int = VERIFY_ANGLES) -> PropertyReport:
             gap = (u * lo.region.vertices).real.max() - (u * hi.region.vertices).real.max()
             worst = max(worst, gap)
     worst = max(worst, 0.0)
-    return _report("P6", worst, NESTING_SLACK, f"dim={t.shape[0]} k_max={k_max}")
+    return _report("P6", worst, NESTING_SLACK, f"dim={sweep.dim} k_max={k_max}")
+
+
+def check_hermitian_oracle(t, base: RangeReport) -> PropertyReport:
+    """T's rank-k region against the eigenvalue interval of Hermitian T."""
+    t = as_matrix(t)
+    oracle = hermitian_oracle(hermitian_eig(t).values, base.k)
+    disc = _set_distance(base.region, oracle)
+    return _report("HERMITIAN", disc, HERMITIAN_ORACLE_TOL,
+                   f"dim={t.shape[0]} k={base.k}")
+
+
+def check_normal_oracle(t, base: RangeReport) -> PropertyReport:
+    """T's rank-k region against the eigenvalue-subset hulls of normal T.
+
+    Polygonal ranges protrude linearly in the grid spacing near facet
+    normals, so the tolerance scales with R tan(pi/m).
+    """
+    t = as_matrix(t)
+    eigs = normal_eigenvalues(t)
+    disc = _set_distance(base.region, normal_oracle(eigs, base.k))
+    m = base.angles
+    tol = max(NORMAL_ORACLE_TOL, 12.0 * float(np.abs(eigs).max()) * np.tan(np.pi / m))
+    return _report("NORMAL", disc, tol, f"dim={t.shape[0]} k={base.k} m={m}")
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -322,16 +368,16 @@ def hermitian_oracle(values, k: int) -> ConvexRegion:
     return ConvexRegion.segment(complex(lo, 0.0), complex(hi, 0.0))
 
 
-def haagerup_bound_check(t, m: int = VERIFY_ANGLES) -> PropertyReport:
+def haagerup_bound_check(t, sweep: PencilSweep, n: int) -> PropertyReport:
     """Numerical radius of a nilpotent T against ||T|| cos(pi/(n+1)).
 
-    The note records the slack; equality within tolerance is flagged,
-    which is the expected outcome for multiples of the shift.
+    ``sweep`` is T's pencil sweep and ``n`` its nilpotency index.  The
+    note records the slack; equality within tolerance is flagged, which
+    is the expected outcome for multiples of the shift.
     """
     t = as_matrix(t)
-    n = nilpotency_index(t)
     norm = spectral_norm(t)
-    radius = numerical_radius(t, m)
+    radius = sweep.numerical_radius()
     bound = norm * float(np.cos(np.pi / (n + 1)))
     violation = max(radius - bound, 0.0)
     slack = bound - radius
@@ -340,6 +386,91 @@ def haagerup_bound_check(t, m: int = VERIFY_ANGLES) -> PropertyReport:
         note += " equality"
     return _report("HAAGERUP", violation, HAAGERUP_SLACK,
                    f"dim={t.shape[0]} index={n} norm={norm:.6f}", note)
+
+
+# ---------------------------------------------------------------------------
+# the verify suites: one call per shift dimension, nilpotent matrix or
+# property-checked matrix
+
+def check_shift(n: int, m: int) -> PropertyReport:
+    """Every rank k of S_n against its closed form, from one m-angle sweep:
+    the worst radius deviation, infinite on a tag mismatch."""
+    sweep = pencil_sweep(shift_matrix(n), m)
+    worst = 0.0
+    misses = []
+    for k in range(1, n + 1):
+        rep = range_from_sweep(sweep, k)
+        closed = closed_form_shift_range(n, k)
+        region = rep.region
+        dev = 0.0
+        if region.kind != ("polygon" if closed.tag == "disc" else closed.tag):
+            dev = np.inf
+            misses.append(f"k={k}: want {closed.tag}, engine tag {region.kind}")
+        elif closed.tag == "disc":
+            dev = max(abs(region.max_modulus() - closed.radius),
+                      abs(rep.min_support() - closed.radius))
+        elif closed.tag == "point":
+            dev = abs(region.vertices[0])
+        if RADIUS_TOL < dev < np.inf:
+            misses.append(f"k={k}: deviation {dev:.2e}")
+        worst = max(worst, dev)
+    return _report("SHIFT", worst, RADIUS_TOL, f"n={n} m={m}", "; ".join(misses))
+
+
+def check_nilpotent(t, m: int) -> list[PropertyReport]:
+    """Dilation residuals (DILATION), the replicated-shift disc bound at
+    every admissible k (DISC) and the radius bound (HAAGERUP) of a
+    nilpotent contraction, from one m-angle sweep."""
+    t = as_matrix(t)
+    d = t.shape[0]
+    pack = build_dilation(t)
+    sweep = pencil_sweep(t, m)
+    digest = f"dim={d} index={pack.n} defect_rank={pack.r}"
+    residual = max(pack.isometry_residual, pack.intertwine_residual)
+    dilation = _report("DILATION", residual, RESIDUAL_TOL * d, digest,
+                       f"isometry={pack.isometry_residual:.2e} "
+                       f"intertwine={pack.intertwine_residual:.2e}")
+    worst, note = -np.inf, ""
+    for k in range(1, d + 1):
+        p = rho(k, pack.r)
+        if p > (pack.n + 1) // 2:
+            continue
+        region = range_from_sweep(sweep, k).region
+        if region.is_empty:
+            continue
+        excess = region.max_modulus() - float(np.cos(p * np.pi / (pack.n + 1)))
+        if excess > worst:
+            worst, note = excess, f"worst k={k} against cos({p}pi/{pack.n + 1})"
+    disc = _report("DISC", worst, RADIUS_TOL, digest, note)
+    return [dilation, disc, haagerup_bound_check(t, sweep, pack.n)]
+
+
+def property_suite(t, k: int, m: int, rng: np.random.Generator) -> list[PropertyReport]:
+    """P1-P6 on T at rank k, plus the Hermitian or normal oracle when T
+    qualifies, all from one m-angle sweep of T.  Draws a, b, then the P4
+    unitary, then the P5 isometry from ``rng``."""
+    t = as_matrix(t)
+    d = t.shape[0]
+    sweep = pencil_sweep(t, m)
+    base = range_from_sweep(sweep, k)
+    # a positive real scale keeps the affine check exact on the grid even
+    # for degenerate (segment or point) ranges; rotations are exercised
+    # by the randomised suites on full-dimensional ranges
+    a = complex(rng.uniform(0.5, 2.5), 0.0)
+    b = 0.5 * complex(rng.normal(), rng.normal())
+    reports = [
+        check_affine(t, base, a, b),
+        check_adjoint(t, base),
+        check_direct_sum(t, t, base, base),
+        check_unitary(t, base, random_unitary(d, rng)),
+        check_compression(t, base, random_isometry(d, max(k, d - 1), rng)),
+        check_nesting(sweep, min(d, 3)),
+    ]
+    if is_hermitian(t):
+        reports.append(check_hermitian_oracle(t, base))
+    elif 2 <= d <= NORMAL_ORACLE_MAX_DIM and is_normal(t):
+        reports.append(check_normal_oracle(t, base))
+    return reports
 
 
 def montecarlo_range(t, samples: int = 100_000, seed: int = 0) -> ConvexRegion:
@@ -358,20 +489,28 @@ def montecarlo_range(t, samples: int = 100_000, seed: int = 0) -> ConvexRegion:
     return ConvexRegion.polygon(hull)
 
 
-def normal_eigenvalues(t, rtol: float = 1e-10) -> np.ndarray:
+def is_normal(t) -> bool:
+    """Whether ``||TT* - T*T||_F <= 1e-10 ||T||_F^2``, a rule that holds or
+    fails alike for ``s T`` at every scale ``s > 0``."""
+    t = as_matrix(t)
+    commutator = t @ t.conj().T - t.conj().T @ t
+    return frobenius(commutator) <= NORMAL_RTOL * frobenius(t) ** 2
+
+
+def normal_eigenvalues(t) -> np.ndarray:
     """Eigenvalues of a normal matrix via its commuting Hermitian parts.
 
     Diagonalises (T + T*)/2, then diagonalises the skew part compressed
-    to each eigenvalue cluster.  Raises ValueError when T is not normal.
+    to each cluster of its eigenvalues; clusters are split at gaps above
+    1e-8 ||T||_F.  Raises ValueError unless :func:`is_normal` accepts T.
     """
     t = as_matrix(t)
-    scale = max(1.0, frobenius(t) ** 2)
-    if frobenius(t @ t.conj().T - t.conj().T @ t) > rtol * scale:
+    if not is_normal(t):
         raise ValueError("matrix is not normal within tolerance")
     re_part = (t + t.conj().T) / 2.0
     im_part = (t - t.conj().T) / 2j
     eig_re = hermitian_eig(re_part)
-    gap_tol = 1e-8 * max(1.0, float(np.abs(eig_re.values).max()))
+    gap_tol = NORMAL_CLUSTER_GAP * frobenius(t)
     eigs = []
     start = 0
     n = t.shape[0]
@@ -437,3 +576,20 @@ def random_nilpotent_contraction(
             break
     target = rng.uniform(0.3, 1.0) if norm is None else float(norm)
     return x * (target / s)
+
+
+def nilpotent_instance(dim: int, r_hint: int | None, rng: np.random.Generator) -> np.ndarray:
+    """A nilpotent-suite trial: a random contraction (of norm 1 half the
+    time), or with ``r_hint`` a hidden sum of ``r_hint`` unit shift blocks."""
+    if r_hint is None:
+        norm = 1.0 if rng.uniform() < 0.5 else None
+        return random_nilpotent_contraction(dim, rng, norm=norm)
+    sizes = np.full(r_hint, dim // r_hint)
+    sizes[: dim % r_hint] += 1
+    blocks = np.zeros((dim, dim), dtype=np.complex128)
+    at = 0
+    for size in sizes:
+        blocks[at:at + size, at:at + size] = shift_matrix(size)
+        at += size
+    u = random_unitary(dim, rng)
+    return u.conj().T @ blocks @ u

@@ -81,11 +81,6 @@ def dumps_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def save_region(path, report: RangeReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(region_to_obj(report)))
-
-
 # ---------------------------------------------------------------------------
 # SVG
 

@@ -52,9 +52,6 @@ class HalfPlane:
         if not (np.isfinite(t) and np.isfinite(self.offset)):
             raise ValueError("half-plane parameters must be finite")
 
-    def contains(self, z: complex, slack: float = 0.0) -> bool:
-        return (np.exp(1j * self.theta) * z).real <= self.offset + slack
-
 
 @dataclass(frozen=True, eq=False)
 class ConvexRegion:
@@ -94,12 +91,6 @@ class ConvexRegion:
         if self.is_empty:
             raise EmptyRegionError("empty region has no modulus")
         return float(np.abs(self.vertices).max())
-
-    def same_as(self, other: "ConvexRegion") -> bool:
-        """Exact structural equality (tag and vertex values)."""
-        return self.kind == other.kind and np.array_equal(
-            self.vertices, other.vertices
-        )
 
 
 def _signed_area2(verts: np.ndarray) -> float:

@@ -56,33 +56,6 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Complex matrix product A @ B."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose A*."""
-    return as_matrix(a).conj().T.copy()
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the standard block layout.
-
-    ``kron(A, B)[i*nb + k, j*nb + l] == A[i, j] * B[k, l]`` where ``nb``
-    is the dimension of ``B``.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    na, nb = a.shape[0], b.shape[0]
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(na * nb, na * nb)
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianEigen:
     """Spectral decomposition of a Hermitian matrix.
@@ -95,10 +68,6 @@ class HermitianEigen:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 def eig_hermitian_stack(stack, *, vectors: bool = True):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, as_matrix, frobenius, hermitian_eig, identity, kron, psd_sqrt
+from .linalg import as_matrix, frobenius, hermitian_eig, identity, psd_sqrt
 from .ranges import BadRankError
 
 # Disc radii at or below this collapse to a point at the origin.
@@ -122,14 +122,6 @@ def closed_form_replicated_range(n: int, r: int, k: int) -> ClosedFormRange:
     return ClosedFormRange.disc(float(np.cos(p * np.pi / (n + 1))))
 
 
-def matrix_power(t, p: int) -> np.ndarray:
-    t = as_matrix(t)
-    out = identity(t.shape[0])
-    for _ in range(int(p)):
-        out = out @ t
-    return out
-
-
 def nilpotency_index(t) -> int:
     """Smallest n <= dim with T^n = 0 (entrywise, scale-normalised)."""
     t = as_matrix(t)
@@ -198,7 +190,7 @@ def build_dilation(t) -> DilationPack:
         v[rows + step, :] = block
         block = block @ t
     iso = frobenius(v.conj().T @ v - identity(d))
-    inter = frobenius(v @ t - kron(identity(d), adjoint(shift_matrix(n))) @ v)
+    inter = frobenius(v @ t - np.kron(identity(d), shift_matrix(n).conj().T) @ v)
     return DilationPack(
         defect=defect,
         r=r,

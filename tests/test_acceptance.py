@@ -9,13 +9,19 @@ import numpy as np
 import pytest
 
 from hrnr.checks import (
+    HAAGERUP_SLACK,
+    RADIUS_TOL,
+    RESIDUAL_TOL,
     check_adjoint,
     check_affine,
     check_compression,
     check_direct_sum,
     check_nesting,
+    check_nilpotent,
+    check_shift,
     check_unitary,
     generator,
+    haagerup_bound_check,
     hermitian_oracle,
     normal_oracle,
     random_isometry,
@@ -26,17 +32,9 @@ from hrnr.checks import (
 from hrnr.geometry import hausdorff
 from hrnr.linalg import hermitian_eig
 from hrnr.ranges import pencil, pencil_sweep, range_from_sweep
-from hrnr.shifts import (
-    build_dilation,
-    closed_form_shift_range,
-    kth_of_replicated,
-    rho,
-    shift_matrix,
-    spectral_norm,
-)
+from hrnr.shifts import build_dilation, kth_of_replicated, shift_matrix
 
 ANGLES = 2048
-RADIUS_TOL = 5e-6
 SEED = 20240
 
 
@@ -46,7 +44,8 @@ def report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def contraction_instances():
-    """200 seeded nilpotent contractions (dims 3..6) with dilations and sweeps.
+    """200 seeded nilpotent contractions (dims 3..6), each with its dilation
+    and its DILATION, DISC and HAAGERUP reports from ``check_nilpotent``.
 
     Every other instance is scaled to spectral norm exactly 1 so the
     defect rank drops below full and the replicated-shift bound is
@@ -57,41 +56,17 @@ def contraction_instances():
     for trial in range(200):
         dim = 3 + trial % 4
         t = random_nilpotent_contraction(dim, rng, norm=1.0 if trial % 2 == 0 else None)
-        pack = build_dilation(t)
-        sweep = pencil_sweep(t, ANGLES)
-        out.append((t, pack, sweep))
+        out.append((t, build_dilation(t), check_nilpotent(t, ANGLES)))
     return out
 
 
 def test_criterion_1_shift_ranges_match_closed_form():
-    worst = 0.0
-    bad = []
-    for n in range(2, 13):
-        sweep = pencil_sweep(shift_matrix(n), ANGLES)
-        for k in range(1, n + 1):
-            rep = range_from_sweep(sweep, k)
-            closed = closed_form_shift_range(n, k)
-            region = rep.region
-            if closed.tag == "empty":
-                if not region.is_empty:
-                    bad.append((n, k, f"expected empty, got {region.kind}"))
-            elif closed.tag == "point":
-                if region.kind != "point":
-                    bad.append((n, k, f"expected point, got {region.kind}"))
-                else:
-                    worst = max(worst, abs(region.vertices[0]))
-            else:
-                if region.kind != "polygon":
-                    bad.append((n, k, f"expected polygon, got {region.kind}"))
-                    continue
-                dev = max(abs(region.max_modulus() - closed.radius),
-                          abs(rep.min_support() - closed.radius))
-                worst = max(worst, dev)
-                if dev > RADIUS_TOL:
-                    bad.append((n, k, f"radius deviation {dev:.2e}"))
-    ok = not bad and worst <= RADIUS_TOL
+    reports = [check_shift(n, ANGLES) for n in range(2, 13)]
+    bad = [(rep.digest, rep.note) for rep in reports if not rep.passed]
+    worst = max(rep.discrepancy for rep in reports)
+    ok = not bad
     report(1, ok, f"n=2..12 all k at m={ANGLES}: worst radius deviation {worst:.2e} "
-                  f"(tol {RADIUS_TOL:.0e}), {len(bad)} tag mismatches")
+                  f"(tol {RADIUS_TOL:.0e}), {len(bad)} failing n")
     assert ok, bad
 
 
@@ -139,56 +114,42 @@ def test_criterion_4_dilation_and_disc_inclusion(contraction_instances):
     worst_res = 0.0
     worst_excess = -np.inf
     bad = []
-    for idx, (t, pack, sweep) in enumerate(contraction_instances):
+    for idx, (t, pack, (dilation, disc, _)) in enumerate(contraction_instances):
         d = t.shape[0]
-        res = max(pack.isometry_residual, pack.intertwine_residual)
-        worst_res = max(worst_res, res / d)
-        if res > 1e-10 * d:
-            bad.append((idx, f"residual {res:.2e}"))
+        worst_res = max(worst_res, dilation.discrepancy / d)
         # the isometry embeds C^d into C^(r n), so k <= d never reaches the
         # k > n r emptiness regime; only disc containment is asserted here
         assert d <= pack.n * pack.r
-        half = (pack.n + 1) // 2
-        for k in range(1, d + 1):
-            p = rho(k, pack.r)
-            if p > half:
-                continue
-            region = range_from_sweep(sweep, k).region
-            if region.is_empty:
-                continue
-            bound = float(np.cos(p * np.pi / (pack.n + 1)))
-            excess = region.max_modulus() - bound
-            worst_excess = max(worst_excess, excess)
-            if excess > RADIUS_TOL:
-                bad.append((idx, f"k={k} excess {excess:.2e}"))
+        worst_excess = max(worst_excess, disc.discrepancy)
+        bad += [(idx, rep.property_id, rep.discrepancy, rep.note)
+                for rep in (dilation, disc) if not rep.passed]
     ok = not bad
     report(4, ok, f"200 contractions dims 3-6: worst residual/dim {worst_res:.2e} "
-                  f"(tol 1e-10), worst disc excess {worst_excess:.2e} (tol {RADIUS_TOL:.0e})")
+                  f"(tol {RESIDUAL_TOL:.0e}), worst disc excess {worst_excess:.2e} "
+                  f"(tol {RADIUS_TOL:.0e})")
     assert ok, bad[:5]
 
 
 def test_criterion_5_radius_bound_and_equality(contraction_instances):
-    worst_violation = -np.inf
+    worst_violation = 0.0
     bad = []
-    for idx, (t, pack, sweep) in enumerate(contraction_instances):
-        radius = float(sweep.eigenvalues[:, 0].max() / 2.0)
-        bound = spectral_norm(t) * float(np.cos(np.pi / (pack.n + 1)))
-        violation = radius - bound
-        worst_violation = max(worst_violation, violation)
-        if violation > 1e-6:
-            bad.append((idx, f"violation {violation:.2e}"))
-    worst_eq = 0.0
+    for idx, (_, _, (_, _, haagerup)) in enumerate(contraction_instances):
+        worst_violation = max(worst_violation, haagerup.discrepancy)
+        if not haagerup.passed:
+            bad.append((idx, haagerup.note))
+    equalities = 0
     for c in (0.3, 1.0):
         for n in range(2, 11):
             t = c * shift_matrix(n)
-            radius = float(pencil_sweep(t, ANGLES).eigenvalues[:, 0].max() / 2.0)
-            gap = abs(radius - c * np.cos(np.pi / (n + 1)))
-            worst_eq = max(worst_eq, gap)
-            if gap > RADIUS_TOL:
-                bad.append((c, n, f"equality gap {gap:.2e}"))
+            rep = haagerup_bound_check(t, pencil_sweep(t, ANGLES), n)
+            if rep.passed and "equality" in rep.note:
+                equalities += 1
+            else:
+                bad.append((c, n, rep.note))
     ok = not bad
-    report(5, ok, f"radius bound worst violation {worst_violation:.2e} (tol 1e-6); "
-                  f"scaled-shift equality gap {worst_eq:.2e} (tol {RADIUS_TOL:.0e})")
+    report(5, ok, f"radius bound worst violation {worst_violation:.2e} "
+                  f"(tol {HAAGERUP_SLACK:.0e}); scaled shifts at equality "
+                  f"{equalities}/18 (tol {HAAGERUP_SLACK:.0e})")
     assert ok, bad[:5]
 
 
@@ -254,13 +215,16 @@ def test_criterion_7_property_suite_on_random_matrices():
             a = complex(rng.normal(), rng.normal())
         b = 0.5 * complex(rng.normal(), rng.normal())
         partner = random_matrix(d, rng)
+        sweep = pencil_sweep(t, ANGLES)
+        base = range_from_sweep(sweep, k)
+        partner_base = range_from_sweep(pencil_sweep(partner, ANGLES), k)
         reports = [
-            check_affine(t, k, a, b, m=ANGLES),
-            check_adjoint(t, k, m=ANGLES),
-            check_direct_sum(t, partner, k, m=ANGLES),
-            check_unitary(t, random_unitary(d, rng), k, m=ANGLES),
-            check_compression(t, random_isometry(d, d - 1, rng), k, m=ANGLES),
-            check_nesting(t, min(d, 3), m=ANGLES),
+            check_affine(t, base, a, b),
+            check_adjoint(t, base),
+            check_direct_sum(t, partner, base, partner_base),
+            check_unitary(t, base, random_unitary(d, rng)),
+            check_compression(t, base, random_isometry(d, d - 1, rng)),
+            check_nesting(sweep, min(d, 3)),
         ]
         for rep in reports:
             prev = worst.get(rep.property_id, (-np.inf, None))

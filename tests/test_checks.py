@@ -10,20 +10,24 @@ from hrnr.checks import (
     check_compression,
     check_direct_sum,
     check_nesting,
+    check_nilpotent,
+    check_shift,
     check_unitary,
     generator,
     haagerup_bound_check,
     hermitian_oracle,
+    nilpotent_instance,
     normal_eigenvalues,
     normal_oracle,
+    property_suite,
     random_isometry,
     random_nilpotent_contraction,
     random_unitary,
 )
 from hrnr.geometry import ConvexRegion, hausdorff
 from hrnr.linalg import identity
-from hrnr.ranges import rank_k_range
-from hrnr.shifts import shift_matrix, spectral_norm
+from hrnr.ranges import pencil_sweep, rank_k_range
+from hrnr.shifts import nilpotency_index, shift_matrix, spectral_norm
 
 M = 720  # interactive grid is plenty for these module tests
 
@@ -33,15 +37,21 @@ def random_square(dim, seed, scale=1.0):
     return scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
+def base(t, k, m=M):
+    """T's rank-k report, the input every check on T takes."""
+    return rank_k_range(t, k, m)
+
+
 # --- P1 affine -----------------------------------------------------------------
 
 def test_affine_identity_transform():
-    rep = check_affine(shift_matrix(3), 1, 1.0, 0.0, m=M)
+    s3 = shift_matrix(3)
+    rep = check_affine(s3, base(s3, 1), 1.0, 0.0)
     assert rep.passed and rep.discrepancy <= 1e-12
 
 
 def test_affine_scaled_shifted_shift_disc():
-    rep = check_affine(shift_matrix(4), 1, 2.0, 1j, m=2048)
+    rep = check_affine(shift_matrix(4), base(shift_matrix(4), 1, 2048), 2.0, 1j)
     assert rep.passed
     # the transformed region is the radius-2cos(pi/5) disc centred at i
     report = rank_k_range(2.0 * shift_matrix(4) + 1j * identity(4), 1, 2048)
@@ -52,30 +62,31 @@ def test_affine_scaled_shifted_shift_disc():
 
 def test_affine_pure_rotation():
     t = random_square(4, 11)
-    rep = check_affine(t, 1, np.exp(1j * np.pi / 3), 0.0, m=M)
+    rep = check_affine(t, base(t, 1), np.exp(1j * np.pi / 3), 0.0)
     assert rep.passed, rep
 
 
 def test_affine_rejects_zero_scale():
     with pytest.raises(ValueError):
-        check_affine(shift_matrix(3), 1, 0.0, 1.0, m=M)
+        check_affine(shift_matrix(3), base(shift_matrix(3), 1), 0.0, 1.0)
 
 
 # --- P2 adjoint ------------------------------------------------------------------
 
 def test_adjoint_hermitian_fixed_by_reflection():
     t = np.diag([0.0, 1.0, 3.0])
-    rep = check_adjoint(t, 1, m=M)
+    rep = check_adjoint(t, base(t, 1))
     assert rep.passed and rep.discrepancy <= 1e-9
 
 
 def test_adjoint_shift_disc_symmetric():
-    rep = check_adjoint(shift_matrix(3), 1, m=2048)
+    rep = check_adjoint(shift_matrix(3), base(shift_matrix(3), 1, 2048))
     assert rep.passed and rep.discrepancy <= 5e-6
 
 
 def test_adjoint_random():
-    rep = check_adjoint(random_square(4, 21), 2, m=M)
+    t = random_square(4, 21)
+    rep = check_adjoint(t, base(t, 2))
     assert rep.passed, rep
 
 
@@ -83,16 +94,18 @@ def test_adjoint_random():
 
 def test_direct_sum_with_itself():
     t = random_square(3, 31)
-    assert check_direct_sum(t, t, 1, m=M).passed
+    assert check_direct_sum(t, t, base(t, 1), base(t, 1)).passed
 
 
 def test_direct_sum_of_shifts():
-    rep = check_direct_sum(shift_matrix(3), shift_matrix(5), 1, m=M)
+    s3, s5 = shift_matrix(3), shift_matrix(5)
+    rep = check_direct_sum(s3, s5, base(s3, 1), base(s5, 1))
     assert rep.passed
 
 
 def test_direct_sum_random_pair():
-    rep = check_direct_sum(random_square(3, 41), random_square(3, 42), 1, m=M)
+    t, s = random_square(3, 41), random_square(3, 42)
+    rep = check_direct_sum(t, s, base(t, 1), base(s, 1))
     assert rep.passed, rep
 
 
@@ -100,40 +113,41 @@ def test_direct_sum_random_pair():
 
 def test_unitary_identity_conjugation():
     t = random_square(3, 51)
-    rep = check_unitary(t, identity(3), 1, m=M)
+    rep = check_unitary(t, base(t, 1), identity(3))
     assert rep.passed and rep.discrepancy <= 1e-12
 
 
 def test_unitary_diagonal_phases_on_shift():
     rng = generator(52)
     u = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
-    rep = check_unitary(shift_matrix(4), u, 1, m=2048)
+    rep = check_unitary(shift_matrix(4), base(shift_matrix(4), 1, 2048), u)
     assert rep.passed and rep.discrepancy <= 5e-6
 
 
 def test_unitary_random_conjugation():
     rng = generator(53)
-    rep = check_unitary(random_square(4, 54), random_unitary(4, rng), 2, m=M)
+    t = random_square(4, 54)
+    rep = check_unitary(t, base(t, 2), random_unitary(4, rng))
     assert rep.passed, rep
 
 
 def test_unitary_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
-        check_unitary(shift_matrix(2), 2 * identity(2), 1, m=M)
+        check_unitary(shift_matrix(2), base(shift_matrix(2), 1), 2 * identity(2))
 
 
 # --- P5 compression ------------------------------------------------------------------
 
 def test_compression_identity_is_equality():
     t = random_square(3, 61)
-    rep = check_compression(t, identity(3), 1, m=M)
+    rep = check_compression(t, base(t, 1), identity(3))
     assert rep.passed and rep.discrepancy <= 1e-9
 
 
 def test_compression_leading_corner_of_shift():
     iso = np.zeros((5, 3), dtype=complex)
     iso[:3, :3] = np.eye(3)
-    rep = check_compression(shift_matrix(5), iso, 1, m=2048)
+    rep = check_compression(shift_matrix(5), base(shift_matrix(5), 1, 2048), iso)
     assert rep.passed
     # the corner compression is S3: its disc is strictly inside the S5 disc
     inner = rank_k_range(shift_matrix(3), 1, 720).region
@@ -143,21 +157,23 @@ def test_compression_leading_corner_of_shift():
 
 def test_compression_random_subspace():
     rng = generator(62)
-    rep = check_compression(random_square(5, 63), random_isometry(5, 3, rng), 1, m=M)
+    t = random_square(5, 63)
+    rep = check_compression(t, base(t, 1), random_isometry(5, 3, rng))
     assert rep.passed, rep
 
 
 def test_compression_rejects_bad_columns():
     with pytest.raises(BadIsometryError):
-        check_compression(shift_matrix(3), np.ones((3, 2), dtype=complex), 1, m=M)
+        check_compression(shift_matrix(3), base(shift_matrix(3), 1),
+                          np.ones((3, 2), dtype=complex))
     with pytest.raises(BadIsometryError):
-        check_compression(shift_matrix(3), identity(3)[:, :1], 2, m=M)
+        check_compression(shift_matrix(3), base(shift_matrix(3), 2), identity(3)[:, :1])
 
 
 # --- P6 nesting ---------------------------------------------------------------------
 
 def test_nesting_shift_radii():
-    rep = check_nesting(shift_matrix(6), 3, m=2048)
+    rep = check_nesting(pencil_sweep(shift_matrix(6), 2048), 3)
     assert rep.passed
     radii = [rank_k_range(shift_matrix(6), k, 720).region.max_modulus()
              for k in (1, 2, 3)]
@@ -165,12 +181,12 @@ def test_nesting_shift_radii():
 
 
 def test_nesting_hermitian_intervals():
-    rep = check_nesting(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), 2, m=M)
+    rep = check_nesting(pencil_sweep(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), M), 2)
     assert rep.passed
 
 
 def test_nesting_random():
-    rep = check_nesting(random_square(5, 71), 3, m=M)
+    rep = check_nesting(pencil_sweep(random_square(5, 71), M), 3)
     assert rep.passed, rep
 
 
@@ -232,10 +248,44 @@ def test_normal_eigenvalues_rejects_non_normal():
         normal_eigenvalues(shift_matrix(3) + np.diag([1.0, 0, 0]))
 
 
+SCALES = (1e-10, 1.0, 1e10)
+SPECTRUM = np.array([1.0, 2j, -1 + 1j])
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_normal_eigenvalues_rejects_scaled_shift(s):
+    # the normality rule is relative, so a tiny shift is as far from
+    # normal as S_3 itself
+    with pytest.raises(ValueError):
+        normal_eigenvalues(s * shift_matrix(3))
+
+
+@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("hidden", [False, True])
+def test_normal_eigenvalues_recovers_scaled_spectrum(s, hidden):
+    t = np.diag(SPECTRUM)
+    if hidden:
+        u = random_unitary(3, generator(83))
+        t = u.conj().T @ t @ u
+    got = np.sort_complex(normal_eigenvalues(s * t))
+    assert np.abs(got - s * np.sort_complex(SPECTRUM)).max() <= 1e-8 * s
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_normal_eigenvalues_hidden_skew_hermitian(s):
+    # the real parts are rounding noise; they must form one cluster at
+    # every scale, not split into noise clusters
+    u = random_unitary(4, generator(84))
+    imag = np.array([-1.5, -0.5, 0.25, 2.0])
+    got = normal_eigenvalues(s * (u.conj().T @ np.diag(1j * imag) @ u))
+    got = got[np.argsort(got.imag)]
+    assert np.abs(got - s * 1j * imag).max() <= 1e-8 * s
+
+
 # --- radius bound ------------------------------------------------------------------------
 
 def test_haagerup_equality_for_shift():
-    rep = haagerup_bound_check(shift_matrix(7))
+    rep = haagerup_bound_check(shift_matrix(7), pencil_sweep(shift_matrix(7), 2048), 7)
     assert rep.passed
     assert "equality" in rep.note
     assert abs(spectral_norm(shift_matrix(7)) * np.cos(np.pi / 8)
@@ -243,20 +293,72 @@ def test_haagerup_equality_for_shift():
 
 
 def test_haagerup_equality_for_scaled_shift():
-    rep = haagerup_bound_check(0.3 * shift_matrix(4))
+    t = 0.3 * shift_matrix(4)
+    rep = haagerup_bound_check(t, pencil_sweep(t, 2048), 4)
     assert rep.passed and "equality" in rep.note
 
 
 def test_haagerup_random_strict_inequality():
     rng = generator(91)
     t = random_nilpotent_contraction(5, rng, norm=1.0)
-    rep = haagerup_bound_check(t)
+    rep = haagerup_bound_check(t, pencil_sweep(t, 2048), nilpotency_index(t))
     assert rep.passed
     assert rep.discrepancy == 0.0
 
 
+def test_haagerup_report_of_nilpotent_suite():
+    dilation, disc, haagerup = check_nilpotent(shift_matrix(5), 2048)
+    assert [r.property_id for r in (dilation, disc, haagerup)] == \
+        ["DILATION", "DISC", "HAAGERUP"]
+    assert dilation.passed and disc.passed
+    assert haagerup.passed and "equality" in haagerup.note
+    assert haagerup == haagerup_bound_check(shift_matrix(5),
+                                            pencil_sweep(shift_matrix(5), 2048), 5)
+
+
+def test_nilpotent_suite_rejects_non_contraction():
+    with pytest.raises(ValueError):
+        check_nilpotent(2.0 * shift_matrix(3), 256)
+
+
+@pytest.mark.parametrize("r_hint", [None, 1, 2])
+def test_nilpotent_instances_pass(r_hint):
+    rng = generator(92)
+    for _ in range(3):
+        assert all(r.passed for r in check_nilpotent(nilpotent_instance(4, r_hint, rng), 2048))
+
+
+def test_shift_suite_passes_and_counts_every_rank():
+    rep = check_shift(6, 2048)
+    assert rep.property_id == "SHIFT" and rep.passed and rep.note == ""
+    assert rep.discrepancy <= 5e-6
+
+
+def test_direct_sum_rejects_reports_on_different_grids():
+    t = shift_matrix(3)
+    with pytest.raises(ValueError):
+        check_direct_sum(t, t, base(t, 1), base(t, 1, 256))
+
+
+@pytest.mark.parametrize("t, oracle", [
+    (random_square(4, 93), None),
+    (np.diag([0.0, 1.0, 2.0, 3.0]), "HERMITIAN"),
+    (np.diag(pentagon_eigs()), "NORMAL"),
+])
+def test_property_suite_ids(t, oracle):
+    reports = property_suite(t, 1, 1024, generator(94))
+    ids = [r.property_id for r in reports]
+    assert ids == ["P1", "P2", "P3", "P4", "P5", "P6"] + ([oracle] if oracle else [])
+    assert all(r.passed for r in reports), reports
+
+
+def test_property_suite_draw_order_fixed():
+    t = random_square(3, 95)
+    assert property_suite(t, 2, 256, generator(1)) == property_suite(t, 2, 256, generator(1))
+
+
 def test_report_pass_iff_within_tolerance():
-    rep = check_affine(shift_matrix(3), 1, 1.0, 0.0, m=M)
+    rep = check_affine(shift_matrix(3), base(shift_matrix(3), 1), 1.0, 0.0)
     assert rep.passed == (rep.discrepancy <= rep.tolerance)
 
 
@@ -269,6 +371,6 @@ def test_hausdorff_symmetry_of_equality_checks():
 def test_checks_deterministic_for_fixed_inputs():
     t = random_square(4, 97)
     u = random_unitary(4, generator(96))
-    first = check_unitary(t, u, 2, m=64)
-    second = check_unitary(t, u, 2, m=64)
+    first = check_unitary(t, base(t, 2, 64), u)
+    second = check_unitary(t, base(t, 2, 64), u)
     assert first == second

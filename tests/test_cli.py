@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hrnr import fileio
+from hrnr import checks, cli, fileio
 from hrnr.cli import main
 from hrnr.shifts import shift_matrix
 
@@ -144,6 +144,35 @@ def test_verify_properties_tiny_non_hermitian_gets_no_hermitian_oracle(tmp_path,
     path = write_matrix(tmp_path, "tiny.json", 1e-14 * shift_matrix(3))
     main(["verify-properties", "--input", path, "--k", "1", "--angles", "64"])
     assert "HERMITIAN" not in capsys.readouterr().out
+
+
+def test_verify_properties_tiny_non_normal_gets_no_normal_oracle(tmp_path, capsys):
+    # 1e-14 S_3 is far from normal relative to its own size
+    path = write_matrix(tmp_path, "tiny.json", 1e-14 * shift_matrix(3))
+    main(["verify-properties", "--input", path, "--k", "1", "--angles", "64"])
+    assert "NORMAL" not in capsys.readouterr().out
+
+
+def test_verify_properties_sweeps_each_input_once(tmp_path, monkeypatch, capsys):
+    rng = np.random.Generator(np.random.PCG64(5))
+    t = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    path = write_matrix(tmp_path, "gauss5.json", t / np.linalg.norm(t, 2))
+    calls = {"pencil_sweep": 0, "range_from_sweep": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(checks, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        # every binding a verify run could reach, so no call goes uncounted
+        for module in (checks, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    code = main(["verify-properties", "--input", path, "--k", "2",
+                 "--seed", "3", "--angles", "256"])
+    assert code == 0, capsys.readouterr().out
+    # T, aT + bI, T*, T (+) T, U*TU and the compression: one sweep each
+    assert calls["pencil_sweep"] <= 6, calls
+    # T at k = 2, the five other matrices, and P6 at k = 1, 2, 3
+    assert calls["range_from_sweep"] <= 9, calls
 
 
 def test_verify_properties_normal_oracle_line(tmp_path, capsys):

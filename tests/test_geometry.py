@@ -82,7 +82,7 @@ def test_clip_idempotent_exactly(seed, theta, offset):
     hp = HalfPlane(theta, offset)
     once = clip(region, hp)
     twice = clip(once, hp)
-    assert twice.same_as(once)
+    assert twice.kind == once.kind and np.array_equal(twice.vertices, once.vertices)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0, 2 * np.pi), st.floats(-2, 2))
