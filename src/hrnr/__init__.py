@@ -7,7 +7,7 @@ for nilpotent contractions, and verifier suites cross-checking everything
 against independent oracles.
 """
 
-from .geometry import ConvexRegion, HalfPlane, hausdorff, intersect_halfplanes, support
+from .geometry import ConvexRegion, hausdorff, intersect_halfplanes, support
 from .linalg import HermitianEigen, hermitian_eig, psd_sqrt
 from .ranges import (
     PencilSweep,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvexRegion",
-    "HalfPlane",
     "hausdorff",
     "intersect_halfplanes",
     "support",

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import ConvexRegion, HalfPlane, hausdorff, intersect_halfplanes, max_violation
+from .geometry import ConvexRegion, hausdorff, intersect_halfplanes, max_violation
 from .linalg import (
     as_matrix,
     eig_hermitian_stack,
@@ -308,34 +308,23 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return hull
 
 
-def _hull_halfplanes(points) -> list[HalfPlane]:
-    """Supporting half-planes of the convex hull of a few points."""
-    pts = np.asarray(points, dtype=np.complex128)
-    hull = _convex_hull(pts)
-    planes = []
+def _hull_halfplanes(points) -> tuple[np.ndarray, np.ndarray]:
+    """Supporting half-planes (angles, offsets) of the convex hull of a few
+    points: one per edge, or four around a point or segment."""
+    hull = _convex_hull(np.asarray(points, dtype=np.complex128))
     if hull.size >= 3:
-        for i in range(hull.size):
-            edge = hull[(i + 1) % hull.size] - hull[i]
-            theta = np.pi / 2 - np.angle(edge)
-            offset = (np.exp(1j * theta) * hull[i]).real
-            planes.append(HalfPlane(theta, offset))
-        return planes
-    if hull.size == 2:
-        base = -np.angle(hull[1] - hull[0])
-    else:
-        base = 0.0
-    for quarter in range(4):
-        theta = base + quarter * np.pi / 2
-        offset = (np.exp(1j * theta) * hull).real.max()
-        planes.append(HalfPlane(theta, float(offset)))
-    return planes
+        thetas = np.pi / 2 - np.angle(np.roll(hull, -1) - hull)
+        return thetas, (np.exp(1j * thetas) * hull).real
+    base = -np.angle(hull[1] - hull[0]) if hull.size == 2 else 0.0
+    thetas = base + np.arange(4) * (np.pi / 2)
+    return thetas, (np.exp(1j * thetas)[:, None] * hull).real.max(axis=1)
 
 
 def normal_oracle(eigs, k: int) -> ConvexRegion:
     """Rank-k range of a normal matrix from its eigenvalues alone.
 
     Intersects the convex hulls of all (n-k+1)-element eigenvalue
-    subsets.  Exact up to the clip relaxation; limited to n <= 8.
+    subsets.  Exact up to the cut-line relaxation; limited to n <= 8.
     """
     eigs = np.asarray(eigs, dtype=np.complex128).ravel()
     n = eigs.size
@@ -343,10 +332,10 @@ def normal_oracle(eigs, k: int) -> ConvexRegion:
         raise TooLargeError(f"normal oracle supports 2 <= n <= {NORMAL_ORACLE_MAX_DIM}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
-    planes = []
-    for subset in combinations(range(n), n - k + 1):
-        planes.extend(_hull_halfplanes(eigs[list(subset)]))
-    return intersect_halfplanes(planes, bound=float(np.abs(eigs).max()) + 1.0)
+    hulls = [_hull_halfplanes(eigs[list(subset)])
+             for subset in combinations(range(n), n - k + 1)]
+    thetas, offsets = (np.concatenate(part) for part in zip(*hulls))
+    return intersect_halfplanes(thetas, offsets, bound=float(np.abs(eigs).max()) + 1.0)
 
 
 def hermitian_oracle(values, k: int) -> ConvexRegion:
@@ -418,9 +407,9 @@ def check_shift(n: int, m: int) -> PropertyReport:
 
 
 def check_nilpotent(t, m: int) -> list[PropertyReport]:
-    """Dilation residuals (DILATION), the replicated-shift disc bound at
-    every admissible k (DISC) and the radius bound (HAAGERUP) of a
-    nilpotent contraction, from one m-angle sweep."""
+    """Dilation residuals (DILATION), the replicated-shift disc bound on
+    the rank-k support offsets at every admissible k (DISC) and the radius
+    bound (HAAGERUP) of a nilpotent contraction, from one m-angle sweep."""
     t = as_matrix(t)
     d = t.shape[0]
     pack = build_dilation(t)
@@ -435,10 +424,11 @@ def check_nilpotent(t, m: int) -> list[PropertyReport]:
         p = rho(k, pack.r)
         if p > (pack.n + 1) // 2:
             continue
-        region = range_from_sweep(sweep, k).region
-        if region.is_empty:
-            continue
-        excess = region.max_modulus() - float(np.cos(p * np.pi / (pack.n + 1)))
+        # T compresses I (x) S_n* through the dilation, so lambda_k of each
+        # pencil of T is at most 2 cos(p pi/(n+1)) by interlacing: exact at
+        # every grid angle, unlike the circumscribed polygon's vertices
+        excess = (float(sweep.eigenvalues[:, k - 1].max()) / 2.0
+                  - float(np.cos(p * np.pi / (pack.n + 1))))
         if excess > worst:
             worst, note = excess, f"worst k={k} against cos({p}pi/{pack.n + 1})"
     disc = _report("DISC", worst, RADIUS_TOL, digest, note)

@@ -1,15 +1,16 @@
-"""Convex planar geometry: half-planes, clipping, classification, Hausdorff.
+"""Convex planar geometry: half-plane intersection, classification, Hausdorff.
 
 Regions live in the complex plane.  A half-plane is the set
-``{z : Re(e^{i theta} z) <= offset}``; convex regions are tagged as one of
-``empty``, ``point``, ``segment`` or ``polygon`` (counter-clockwise vertex
-loop).
+``{z : Re(e^{i theta} z) <= offset}``; ``intersect_halfplanes`` takes
+arrays of angles and offsets and intersects them in one deque scan.
+Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
+``polygon`` (counter-clockwise vertex loop).
 
 Cut lines are relaxed outward by ``CLIP_EPS * max(1, |offset|)``.  The
 relaxation is what keeps genuinely degenerate intersections honest in
 floating point: a family of half-planes whose true intersection is a
 single point carries offset noise of order 1e-15, which would otherwise
-make the cascade return an empty region instead of that point.  Every
+make the intersection come back empty instead of that point.  Every
 result therefore sits between the exact intersection and its 1e-12-scale
 outward relaxation, far inside all stated tolerances.
 """
@@ -22,9 +23,6 @@ import numpy as np
 
 # Outward relaxation of each cut line, relative to max(1, |offset|).
 CLIP_EPS = 1e-12
-# Extra slack when testing vertices against a cut so that re-clipping an
-# already clipped region is an exact no-op.
-RETAIN_EPS = 1e-13
 # Diameter below which a region collapses to a point.
 POINT_DIAM = 1e-9
 # A polygon thinner than this (area / diameter) collapses to a segment.
@@ -36,21 +34,6 @@ TWO_PI = 2.0 * np.pi
 
 class EmptyRegionError(ValueError):
     """Operation undefined on an empty region."""
-
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """Closed half-plane {z : Re(e^{i theta} z) <= offset}."""
-
-    theta: float
-    offset: float
-
-    def __post_init__(self):
-        t = float(self.theta) % TWO_PI
-        object.__setattr__(self, "theta", t)
-        object.__setattr__(self, "offset", float(self.offset))
-        if not (np.isfinite(t) and np.isfinite(self.offset)):
-            raise ValueError("half-plane parameters must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,8 +128,8 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
     """Turn a raw vertex loop into a tagged region.
 
     A point is anything of diameter < 1e-9.  A polygon whose mean
-    thickness (area / diameter) is below 1e-9 is a segment: clip cascades
-    over noisy offsets leave slivers of width around the clip relaxation,
+    thickness (area / diameter) is below 1e-9 is a segment: relaxed cut
+    lines over noisy offsets leave slivers of width around the relaxation,
     never exactly zero, so thickness rather than raw area is the robust
     degeneracy test.
     """
@@ -171,121 +154,34 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
     return ConvexRegion.polygon(verts)
 
 
-def _cut_offset(b: float) -> float:
-    return b + CLIP_EPS * max(1.0, abs(b))
-
-
-def _retain_slack(b: float) -> float:
-    return RETAIN_EPS * max(1.0, abs(b))
-
-
-def _clip_loop(verts: np.ndarray, theta: float, b: float) -> np.ndarray:
-    """Clip a CCW vertex loop against one half-plane.
-
-    Returns the input array unchanged (same object) when every vertex is
-    already inside, which makes repeated clipping by the same plane an
-    exact no-op.
-    """
-    if verts.size == 0:
-        return verts
-    cut = _cut_offset(b)
-    u = complex(np.cos(theta), np.sin(theta))
-    s = (u * verts).real - cut
-    inside = s <= _retain_slack(b)
-    if inside.all():
-        return verts
-    if not inside.any():
-        return verts[:0]
-    n = verts.size
-
-    def crossing(e):
-        j = (e + 1) % n
-        t = s[e] / (s[e] - s[j])
-        return verts[e] + t * (verts[j] - verts[e])
-
-    flips = np.flatnonzero(inside != np.roll(inside, -1))
-    if flips.size == 2:
-        e1, e2 = int(flips[0]), int(flips[1])
-        if inside[(e1 + 1) % n]:
-            return np.concatenate(
-                [[crossing(e1)], verts[e1 + 1 : e2 + 1], [crossing(e2)]]
-            )
-        return np.concatenate(
-            [[crossing(e2)], verts[e2 + 1 :], verts[: e1 + 1], [crossing(e1)]]
-        )
-    # ragged inside/outside pattern (numerically non-convex loop): generic pass
-    out = []
-    for i in range(n):
-        if inside[i]:
-            out.append(verts[i])
-        if inside[i] != inside[(i + 1) % n]:
-            out.append(crossing(i))
-    return np.array(out, dtype=np.complex128)
-
-
-def clip(region: ConvexRegion, hp: HalfPlane) -> ConvexRegion:
-    """Intersect a region with one half-plane and reclassify."""
-    if region.is_empty:
-        return region
-    theta, b = hp.theta, hp.offset
-    u = complex(np.cos(theta), np.sin(theta))
-    slack = _cut_offset(b) + _retain_slack(b)
-    if region.kind == "point":
-        z = region.vertices[0]
-        return region if (u * z).real <= slack else ConvexRegion.empty()
-    if region.kind == "segment":
-        z1, z2 = region.vertices
-        s1 = (u * z1).real - _cut_offset(b)
-        s2 = (u * z2).real - _cut_offset(b)
-        r = _retain_slack(b)
-        if s1 <= r and s2 <= r:
-            return region
-        if s1 > r and s2 > r:
-            return ConvexRegion.empty()
-        t = s1 / (s1 - s2)
-        zc = z1 + t * (z2 - z1)
-        kept = (z1, zc) if s1 <= r else (zc, z2)
-        return _classify(np.array(kept, dtype=np.complex128))
-    clipped = _clip_loop(region.vertices, theta, b)
-    if clipped is region.vertices:
-        return region
-    return _classify(clipped)
-
-
-def _bounding_square(radius: float) -> np.ndarray:
-    r = float(radius)
-    return np.array([r + 1j * r, -r + 1j * r, -r - 1j * r, r - 1j * r])
-
-
 def _normalize_planes(thetas, offsets):
-    thetas = np.asarray(thetas, dtype=float)
-    offsets = np.asarray(offsets, dtype=float)
+    """Angles reduced mod 2 pi and sorted; planes of (numerically) equal
+    direction merge into the tightest."""
+    thetas = np.mod(thetas, TWO_PI)
     order = np.lexsort((offsets, thetas))
     thetas, offsets = thetas[order], offsets[order]
-    # merge planes with (numerically) equal direction, keeping the tightest
-    keep_t, keep_b = [thetas[0]], [offsets[0]]
-    for t, b in zip(thetas[1:], offsets[1:]):
-        if t - keep_t[-1] <= 1e-12:
-            keep_b[-1] = min(keep_b[-1], b)
-        else:
-            keep_t.append(t)
-            keep_b.append(b)
+    starts = np.flatnonzero(np.diff(thetas, prepend=-np.inf) > 1e-12)
+    thetas, offsets = thetas[starts], np.minimum.reduceat(offsets, starts)
     # wrap-around duplicate
-    if len(keep_t) > 1 and (keep_t[0] + TWO_PI) - keep_t[-1] <= 1e-12:
-        keep_b[0] = min(keep_b[0], keep_b[-1])
-        keep_t.pop()
-        keep_b.pop()
-    return np.array(keep_t), np.array(keep_b)
+    if thetas.size > 1 and (thetas[0] + TWO_PI) - thetas[-1] <= 1e-12:
+        offsets[0] = min(offsets[0], offsets[-1])
+        thetas, offsets = thetas[:-1], offsets[:-1]
+    return thetas, offsets
 
 
-def _active_chain(cos_t, sin_t, cuts):
+def _active_chain(thetas, cos_t, sin_t, cuts):
     """Deque scan over angle-sorted half-planes; returns active indices.
 
     Classical O(m) half-plane intersection: a new plane pops trailing
-    (then leading) planes whose pairwise corner it cuts away.  Returns
-    None when fewer than three planes survive, i.e. the region is empty
-    or too degenerate for this pass to certify.  Plain-float inner loop:
-    this runs once per plane and dominates large sweeps.
+    (then leading) planes whose pairwise corner it cuts away.  Corners
+    project onto a new plane in increasing order from the front of the
+    deque to its back while that plane is at most a half-turn past the
+    front plane, so there it cannot cut the front corner without first
+    popping every plane behind it.  The front test is skipped in that
+    range: only rounding could pass it, as when several grid planes meet
+    at one vertex, and it would pop a true facet.  Returns None when fewer
+    than three planes survive, i.e. the region is empty.  Plain-float
+    inner loop: this runs once per plane and dominates large sweeps.
     """
     m = len(cuts)
     dq: list[int] = []
@@ -300,31 +196,25 @@ def _active_chain(cos_t, sin_t, cuts):
             (-cuts[a] * cos_t[b] + cuts[b] * cos_t[a]) / det,
         )
 
+    def cut_away(z, i):
+        return z is not None and z[0] * cos_t[i] - z[1] * sin_t[i] > cuts[i]
+
+    half_turn = np.pi
     for i in range(m):
-        ct, st, c = cos_t[i], sin_t[i], cuts[i]
-        while len(dq) >= 2:
-            z = corner(dq[-2], dq[-1])
-            if z is not None and z[0] * ct - z[1] * st > c:
-                dq.pop()
-            else:
-                break
-        while len(dq) >= 2:
-            z = corner(dq[0], dq[1])
-            if z is not None and z[0] * ct - z[1] * st > c:
-                dq.pop(0)
-            else:
-                break
+        while len(dq) >= 2 and cut_away(corner(dq[-2], dq[-1]), i):
+            dq.pop()
+        while (len(dq) >= 2 and thetas[i] - thetas[dq[0]] > half_turn
+               and cut_away(corner(dq[0], dq[1]), i)):
+            dq.pop(0)
         dq.append(i)
     changed = True
     while changed and len(dq) >= 3:
         changed = False
-        z = corner(dq[-2], dq[-1])
-        if z is not None and z[0] * cos_t[dq[0]] - z[1] * sin_t[dq[0]] > cuts[dq[0]]:
+        if cut_away(corner(dq[-2], dq[-1]), dq[0]):
             dq.pop()
             changed = True
             continue
-        z = corner(dq[0], dq[1])
-        if z is not None and z[0] * cos_t[dq[-1]] - z[1] * sin_t[dq[-1]] > cuts[dq[-1]]:
+        if cut_away(corner(dq[0], dq[1]), dq[-1]):
             dq.pop(0)
             changed = True
     if len(dq) < 3:
@@ -343,74 +233,47 @@ def _chain_vertices(cos_t, sin_t, cuts, dq):
     return x + 1j * y
 
 
-def _chain_feasible(cos_t, sin_t, cuts, verts) -> bool:
-    """Do all vertices satisfy all planes within 1e-9?  Blocked matmul
-    keeps the planes-by-vertices product inside a fixed memory budget."""
-    tol = 1e-9 * max(1.0, float(np.abs(verts).max()))
-    normals = np.stack([cos_t, sin_t], axis=1)
-    block = max(1, (1 << 22) // max(len(cuts), 1))
-    for lo in range(0, verts.size, block):
-        v = verts[lo:lo + block]
-        s = normals @ np.stack([v.real, -v.imag])
-        if (s - cuts[:, None] > tol).any():
-            return False
-    return True
+def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
+    """Intersection of the half-planes Re(e^{i theta_j} z) <= offset_j with
+    the square [-R, R]^2, classified.
 
-
-def _cascade(thetas, offsets, radius) -> np.ndarray:
-    verts = _bounding_square(radius)
-    for t, b in zip(thetas, offsets):
-        verts = _clip_loop(verts, t, b)
-        if verts.size == 0:
-            break
-    return verts
-
-
-def intersect_halfplanes(planes, bound: float) -> ConvexRegion:
-    """Intersection of half-planes with the square [-R, R]^2, classified.
-
-    The angle-sorted deque scan produces the candidate vertex loop in
-    O(m); its output is accepted only if every candidate satisfies every
-    plane within 1e-9 slack, otherwise the sequential clip cascade from
-    the bounding square re-derives the region.  Results are independent
-    of the input order of ``planes``.
+    One angle-sorted deque scan produces the candidate vertex loop in
+    O(m).  In exact arithmetic that loop is the true intersection
+    whenever the intersection is non-empty, so a plane that the
+    classified loop violates by more than 1e-9 * max(1, |v|) certifies
+    that the intersection is empty; that check costs O((m + v) log v).
+    Results are independent of the input order of the planes.
     """
-    planes = list(planes)
-    if not planes:
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    offsets = np.asarray(offsets, dtype=float).ravel()
+    if thetas.size == 0:
         raise ValueError("need at least one half-plane")
+    if thetas.shape != offsets.shape:
+        raise ValueError("need one offset per angle")
+    if not (np.isfinite(thetas).all() and np.isfinite(offsets).all()):
+        raise ValueError("half-plane parameters must be finite")
     radius = float(bound)
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError("bound must be positive and finite")
     sq_t = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    all_t, all_b = _normalize_planes(
-        np.concatenate([[p.theta for p in planes], sq_t]),
-        np.concatenate([[p.offset for p in planes], np.full(4, radius)]),
-    )
+    all_t, all_b = _normalize_planes(np.concatenate([thetas, sq_t]),
+                                     np.concatenate([offsets, np.full(4, radius)]))
     cuts = all_b + CLIP_EPS * np.maximum(1.0, np.abs(all_b))
     cos_t, sin_t = np.cos(all_t), np.sin(all_t)
 
-    dq = _active_chain(cos_t.tolist(), sin_t.tolist(), cuts.tolist())
-    if dq is not None:
-        verts = _chain_vertices(cos_t, sin_t, cuts, dq)
-        if verts is not None and verts.size:
-            # classify first so corner clusters collapse before the
-            # all-planes verification, which is O(planes x vertices)
-            region = _classify(verts)
-            if not region.is_empty and _chain_feasible(cos_t, sin_t, cuts, region.vertices):
-                return region
-    # empty or degenerate: the chain cannot represent these.  A cascade
-    # over every stride-th plane that comes up empty certifies the full
-    # set empty (a subset of constraints is already infeasible), which
-    # keeps the full-resolution cascade for the rare degenerate survivors.
-    for stride in (64, 8, 1):
-        if stride > 1 and all_t.size < 4 * stride:
-            continue
-        verts = _cascade(all_t[::stride], all_b[::stride], radius)
-        if verts.size == 0:
-            return ConvexRegion.empty()
-        if stride == 1:
-            return _classify(verts)
-    raise AssertionError("unreachable")
+    dq = _active_chain(all_t.tolist(), cos_t.tolist(), sin_t.tolist(), cuts.tolist())
+    if dq is None:
+        return ConvexRegion.empty()
+    verts = _chain_vertices(cos_t, sin_t, cuts, dq)
+    if verts is None:
+        return ConvexRegion.empty()
+    # check the classified region, so corner clusters have collapsed and a
+    # point or segment is checked as such
+    region = _classify(verts)
+    tol = 1e-9 * max(1.0, float(np.abs(region.vertices).max()))
+    if (_support_curve(region, all_t) - cuts > tol).any():
+        return ConvexRegion.empty()
+    return region
 
 
 def support(region: ConvexRegion, theta: float) -> float:
@@ -422,9 +285,27 @@ def support(region: ConvexRegion, theta: float) -> float:
 
 
 def _support_curve(region: ConvexRegion, thetas: np.ndarray) -> np.ndarray:
+    """Support of a non-empty region at each angle, exact over vertices.
+
+    A polygon vertex supports exactly the directions between the outward
+    normals of its two edges, so a bisection of the sorted edge-normal
+    angles finds each angle's supporting vertex: O((m + v) log v).  That
+    vertex and its two neighbours are evaluated, which absorbs rounding
+    in the order of nearly parallel edges.
+    """
     v = region.vertices
-    return (np.stack([np.cos(thetas), -np.sin(thetas)], axis=1)
-            @ np.stack([v.real, v.imag])).max(axis=1)
+    thetas = np.asarray(thetas, dtype=float)
+    if v.size < 3:
+        cand = np.broadcast_to(np.arange(v.size), thetas.shape + (v.size,))
+    else:
+        normals = np.angle(-1j * (np.roll(v, -1) - v))  # outward for CCW loops
+        order = np.argsort(normals)
+        # Re(e^{i theta} z) measures z along the normal angle -theta
+        phi = np.mod(np.pi - thetas, TWO_PI) - np.pi
+        first = order[np.searchsorted(normals[order], phi) % v.size]
+        cand = (first[:, None] + np.array([-1, 0, 1])) % v.size
+    z = v[cand]
+    return (np.cos(thetas)[:, None] * z.real - np.sin(thetas)[:, None] * z.imag).max(axis=1)
 
 
 def max_violation(region: ConvexRegion, points) -> float:

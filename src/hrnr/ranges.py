@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConvexRegion, HalfPlane, intersect_halfplanes
+from .geometry import ConvexRegion, intersect_halfplanes
 from .linalg import as_matrix, eig_hermitian_stack, frobenius
 
 # Angle counts: interactive default and the denser verification default.
@@ -72,7 +72,7 @@ class PencilSweep:
     eigenvalues
         (m, n) array; row j holds the descending spectrum of H_{theta_j}.
     frob_norm
-        Frobenius norm of T, fixing the clipping bound downstream.
+        Frobenius norm of T, fixing the bounding square downstream.
     """
 
     thetas: np.ndarray
@@ -142,8 +142,7 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     if not 1 <= k <= n:
         raise BadRankError(f"k must be in 1..{n}, got {k}")
     offsets = sweep.eigenvalues[:, k - 1] / 2.0
-    planes = [HalfPlane(t, b) for t, b in zip(sweep.thetas, offsets)]
-    region = intersect_halfplanes(planes, bound=sweep.frob_norm + 1.0)
+    region = intersect_halfplanes(sweep.thetas, offsets, bound=sweep.frob_norm + 1.0)
     m = sweep.angle_count
     return RangeReport(
         k=k,
@@ -155,7 +154,8 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
 
 
 def rank_k_range(t, k: int, m: int | None = None) -> RangeReport:
-    """Rank-k numerical range of T on an m-angle grid.
+    """Rank-k numerical range of T on an m-angle grid (``default_angles()``
+    when m is None).
 
     The k pencil eigenvalue (halved) at each grid angle becomes a
     supporting half-plane; the region is their intersection inside the
@@ -165,10 +165,11 @@ def rank_k_range(t, k: int, m: int | None = None) -> RangeReport:
     t = as_matrix(t)
     if not 1 <= int(k) <= t.shape[0]:
         raise BadRankError(f"k must be in 1..{t.shape[0]}, got {k}")
-    sweep = pencil_sweep(t, DEFAULT_ANGLES if m is None else m)
+    sweep = pencil_sweep(t, default_angles() if m is None else m)
     return range_from_sweep(sweep, int(k))
 
 
 def numerical_radius(t, m: int | None = None) -> float:
-    """Largest modulus over the numerical range, via max_j lambda_1/2."""
-    return pencil_sweep(t, DEFAULT_ANGLES if m is None else m).numerical_radius()
+    """Largest modulus over the numerical range, via max_j lambda_1/2, on an
+    m-angle grid (``default_angles()`` when m is None)."""
+    return pencil_sweep(t, default_angles() if m is None else m).numerical_radius()

@@ -22,8 +22,10 @@ POINT_RADIUS = 1e-9
 # Spectral-norm slack for accepting a contraction (scaled inputs sit on
 # the boundary after rounding).
 CONTRACTION_TOL = 1e-10
-# Defect eigenvalue counts toward the rank when its square root exceeds this.
-DEFECT_RANK_TOL = 1e-8
+# An eigenvalue of I - T*T counts toward the defect rank when it exceeds
+# this.  Scale-free because T is a contraction; compared before the square
+# root, so rounding noise of 1e-16 does not become 1e-8.
+DEFECT_RANK_TOL = 1e-12
 # Entry tolerance in the nilpotency power test, on the scale-normalised matrix.
 NILPOTENT_TOL = 1e-12
 
@@ -154,8 +156,7 @@ class DilationPack:
     defect
         D_T = (I - T*T)^{1/2}.
     r
-        Numerical rank of the defect (eigenvalues of I - T*T whose square
-        root exceeds 1e-8).
+        Numerical rank of the defect (eigenvalues of I - T*T above 1e-12).
     n
         Nilpotency index of T.
     """
@@ -182,7 +183,7 @@ def build_dilation(t) -> DilationPack:
     gram = identity(d) - t.conj().T @ t
     defect = psd_sqrt(gram)
     defect_eigs = hermitian_eig(gram).values
-    r = int((np.sqrt(np.clip(defect_eigs, 0.0, None)) > DEFECT_RANK_TOL).sum())
+    r = int((defect_eigs > DEFECT_RANK_TOL).sum())
     v = np.zeros((d * n, d), dtype=np.complex128)
     block = defect.copy()
     rows = np.arange(d) * n

@@ -115,6 +115,14 @@ def test_verify_nilpotent_shift_generator_hits_equality(capsys):
     assert "1 radius-bound equalities" in out
 
 
+def test_verify_nilpotent_coarse_grid_passes(capsys):
+    # the disc bound is checked on the pencil offsets, which interlace
+    # exactly; the circumscribed polygon overshoots it on coarse grids
+    code = main(["verify-nilpotent", "--n", "4", "--r-hint", "1", "--trials", "2",
+                 "--seed", "92", "--angles", "512"])
+    assert code == 0, capsys.readouterr().out
+
+
 def test_verify_nilpotent_usage_errors():
     assert main(["verify-nilpotent", "--trials", "0"]) == 2
     assert main(["verify-nilpotent", "--n", "4", "--r-hint", "9"]) == 2

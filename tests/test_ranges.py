@@ -132,6 +132,16 @@ def test_default_angles_env_override(monkeypatch):
         default_angles()
 
 
+def test_library_defaults_honour_env_angles(monkeypatch):
+    monkeypatch.setenv("HRNR_ANGLES", "64")
+    assert rank_k_range(shift_matrix(3), 1).angles == 64
+    # S_3's radius is cos(pi/4) on any grid, so probe the grid through
+    # a matrix whose radius is reached between the grid angles
+    t = np.diag([np.exp(1j * np.pi / 100), 0.0])
+    assert numerical_radius(t) == pytest.approx(pencil_sweep(t, 64).numerical_radius(), abs=0)
+    assert numerical_radius(t) < pencil_sweep(t, 720).numerical_radius()
+
+
 # --- engine invariants ---------------------------------------------------------
 
 def test_rank1_matches_monte_carlo_hull():

@@ -1,0 +1,27 @@
+"""Smoke tests: the example scripts run against the current API."""
+
+import os
+import subprocess
+import sys
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def run_script(name, *args):
+    env = {k: v for k, v in os.environ.items() if k != "HRNR_ANGLES"}
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_radius_convergence_script():
+    proc = run_script("radius_convergence.py", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4  # header and n = 2, 3, 4
+
+
+def test_shift_gallery_script(tmp_path):
+    proc = run_script("shift_gallery.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    svgs = sorted(p.name for p in tmp_path.glob("*.svg"))
+    assert len(svgs) == 6
+    assert all((tmp_path / name).read_text().lstrip().startswith("<svg") for name in svgs)

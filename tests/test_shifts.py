@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrnr.checks import generator, random_nilpotent_contraction
+from hrnr.checks import generator, nilpotent_instance, random_nilpotent_contraction
 from hrnr.linalg import frobenius, hermitian_eig, identity
 from hrnr.ranges import BadRankError, pencil
 from hrnr.shifts import (
@@ -206,6 +206,14 @@ def test_dilation_shape_and_reconstruction():
     assert pack.V.shape == (d * pack.n, d)
     rebuilt = pack.V.conj().T @ np.kron(identity(d), shift_matrix(pack.n).conj().T) @ pack.V
     assert frobenius(rebuilt - t) < 1e-10
+
+
+@pytest.mark.parametrize("r_hint", [1, 2, 3])
+def test_dilation_defect_rank_of_hidden_shift_blocks(r_hint):
+    # rounding noise of 1e-16 in I - T*T must not count toward the rank
+    for seed in range(40):
+        t = nilpotent_instance(5, r_hint, generator(seed))
+        assert build_dilation(t).r == r_hint, seed
 
 
 def test_dilation_rejects_expansion():
