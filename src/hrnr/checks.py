@@ -5,7 +5,8 @@ Each check returns a :class:`PropertyReport`; ``passed`` is always
 equivalent to ``discrepancy <= tolerance``.  Set equalities are measured
 as Hausdorff distances with a tolerance of ten times the combined outer
 approximation bounds plus 1e-8; one-sided inclusions are measured as the
-largest distance by which any vertex leaves the covering region.
+exact sup over all theta of h_inner(theta) - h_outer(theta), the
+support-function difference (<= 0 means inside).
 
 Checks on T take T's rank-k :class:`RangeReport` or its sweep, so a
 suite sweeps each matrix once.
@@ -22,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import ConvexRegion, hausdorff, intersect_halfplanes, max_violation
+from .geometry import ConvexRegion, excess, hausdorff, intersect_halfplanes
 from .linalg import (
     as_matrix,
     eig_hermitian_stack,
@@ -134,7 +135,7 @@ def _inclusion_gap(inner: ConvexRegion, outer: ConvexRegion) -> float:
         return 0.0
     if outer.is_empty:
         return np.inf
-    return max_violation(outer, inner.vertices)
+    return excess(inner, outer)
 
 
 def transform_region(region: ConvexRegion, a: complex, b: complex) -> ConvexRegion:
@@ -239,23 +240,14 @@ def check_compression(t, base: RangeReport, iso) -> PropertyReport:
 
 
 def check_nesting(sweep: PencilSweep, k_max: int) -> PropertyReport:
-    """P6: supports of successive ranges of one sweep are non-increasing in k."""
+    """P6: successive ranges of one sweep are nested, measured over all
+    directions as each rank's support above the previous rank's."""
     if not 1 <= k_max <= sweep.dim:
         raise ValueError(f"k_max must be in 1..{sweep.dim}")
     reports = [range_from_sweep(sweep, k) for k in range(1, k_max + 1)]
-    worst = -np.inf
-    for lo, hi in zip(reports[1:], reports[:-1]):
-        if lo.region.is_empty:
-            continue
-        if hi.region.is_empty:
-            worst = np.inf
-            break
-        for theta in sweep.thetas:
-            u = complex(np.cos(theta), np.sin(theta))
-            gap = (u * lo.region.vertices).real.max() - (u * hi.region.vertices).real.max()
-            worst = max(worst, gap)
-    worst = max(worst, 0.0)
-    return _report("P6", worst, NESTING_SLACK, f"dim={sweep.dim} k_max={k_max}")
+    worst = max((_inclusion_gap(lo.region, hi.region)
+                 for lo, hi in zip(reports[1:], reports[:-1])), default=0.0)
+    return _report("P6", max(worst, 0.0), NESTING_SLACK, f"dim={sweep.dim} k_max={k_max}")
 
 
 def check_hermitian_oracle(t, base: RangeReport) -> PropertyReport:

@@ -1,4 +1,5 @@
-"""Convex planar geometry: half-plane intersection, classification, Hausdorff.
+"""Convex planar geometry: half-plane intersection, classification, and
+exact support-function distances.
 
 Regions live in the complex plane.  A half-plane is the set
 ``{z : Re(e^{i theta} z) <= offset}``; ``intersect_halfplanes`` takes
@@ -148,7 +149,7 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
         return ConvexRegion.segment(verts[np.argmin(proj)], verts[np.argmax(proj)])
     if area2 < 0:
         verts = verts[::-1]
-    verts = _prune_collinear(verts)
+    verts = _dedupe(_prune_collinear(verts))
     if verts.size < 3:
         return _classify(verts)
     return ConvexRegion.polygon(verts)
@@ -271,30 +272,21 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     # point or segment is checked as such
     region = _classify(verts)
     tol = 1e-9 * max(1.0, float(np.abs(region.vertices).max()))
-    if (_support_curve(region, all_t) - cuts > tol).any():
+    if (support(region, all_t) - cuts > tol).any():
         return ConvexRegion.empty()
     return region
 
 
-def support(region: ConvexRegion, theta: float) -> float:
-    """Max of Re(e^{i theta} z) over the region (exact over vertices)."""
-    if region.is_empty:
-        raise EmptyRegionError("support of an empty region")
-    u = complex(np.cos(theta), np.sin(theta))
-    return float((u * region.vertices).real.max())
-
-
-def _support_curve(region: ConvexRegion, thetas: np.ndarray) -> np.ndarray:
-    """Support of a non-empty region at each angle, exact over vertices.
+def _supporting(region: ConvexRegion, thetas: np.ndarray) -> np.ndarray:
+    """Index of a supporting vertex of a non-empty region at each angle.
 
     A polygon vertex supports exactly the directions between the outward
     normals of its two edges, so a bisection of the sorted edge-normal
     angles finds each angle's supporting vertex: O((m + v) log v).  That
-    vertex and its two neighbours are evaluated, which absorbs rounding
+    vertex and its two neighbours are compared, which absorbs rounding
     in the order of nearly parallel edges.
     """
     v = region.vertices
-    thetas = np.asarray(thetas, dtype=float)
     if v.size < 3:
         cand = np.broadcast_to(np.arange(v.size), thetas.shape + (v.size,))
     else:
@@ -305,53 +297,61 @@ def _support_curve(region: ConvexRegion, thetas: np.ndarray) -> np.ndarray:
         first = order[np.searchsorted(normals[order], phi) % v.size]
         cand = (first[:, None] + np.array([-1, 0, 1])) % v.size
     z = v[cand]
-    return (np.cos(thetas)[:, None] * z.real - np.sin(thetas)[:, None] * z.imag).max(axis=1)
+    h = np.cos(thetas)[:, None] * z.real - np.sin(thetas)[:, None] * z.imag
+    return np.take_along_axis(cand, h.argmax(axis=1)[:, None], axis=1)[:, 0]
 
 
-def max_violation(region: ConvexRegion, points) -> float:
-    """Largest amount by which any point leaves the region.
-
-    Non-positive means every point lies inside.  Measured against the
-    supporting half-plane of each polygon edge (exact distance for a
-    point region), which is the natural gap notion for containment
-    checks on convex sets.
-    """
+def support(region: ConvexRegion, thetas):
+    """Max of Re(e^{i theta} z) over a non-empty region, exact over its
+    vertices: a float for a scalar angle, else an array of the angles'
+    shape."""
     if region.is_empty:
-        raise EmptyRegionError("containment in an empty region")
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    if pts.size == 0:
-        return -np.inf
-    v = region.vertices
-    if region.kind == "point":
-        return float(np.abs(pts - v[0]).max())
-    if region.kind == "segment":
-        d = v[1] - v[0]
-        u = d / abs(d)
-        w = (pts - v[0]) * np.conj(u)
-        along = np.clip(w.real, 0.0, abs(d))
-        nearest = v[0] + along * u
-        return float(np.abs(pts - nearest).max())
-    edges = np.roll(v, -1) - v
-    normals = -1j * edges / np.abs(edges)  # outward for CCW loops
-    # gap[i, j] = signed distance of point j outside edge i
-    gap = (np.stack([normals.real, normals.imag], axis=1)
-           @ np.stack([pts.real, pts.imag])) - (
-        normals.real * v.real + normals.imag * v.imag
-    )[:, None]
-    return float(gap.max(axis=0).max())
+        raise EmptyRegionError("support of an empty region")
+    t = np.asarray(thetas, dtype=float)
+    flat = t.ravel()
+    z = region.vertices[_supporting(region, flat)]
+    h = np.cos(flat) * z.real - np.sin(flat) * z.imag
+    return float(h[0]) if t.ndim == 0 else h.reshape(t.shape)
 
 
-def hausdorff(a: ConvexRegion, b: ConvexRegion, samples: int = 4096) -> float:
-    """Symmetric Hausdorff distance between two non-empty convex regions.
+def _support_difference(a: ConvexRegion, b: ConvexRegion) -> tuple[float, float]:
+    """Max and min over all theta of h_a(theta) - h_b(theta), exact.
 
-    Combines support-function gaps on a uniform angle grid with
-    vertex-to-region gaps in both directions; each term is a lower bound
-    on the true distance and their maximum is exact up to the angular
-    sampling resolution.
+    Between consecutive edge normals of either region (theta = pi/2 -
+    arg(edge); a point has none) both supporting vertices p and q are
+    fixed, so the difference is the sinusoid Re(e^{i theta}(p - q)).  Its
+    extremes lie at the piece ends, or at theta = -arg(p - q) (value
+    |p - q|) and that plus pi (value -|p - q|) where these fall inside
+    the piece.  O((v_a + v_b) log(v_a + v_b)).
     """
     if a.is_empty or b.is_empty:
-        raise EmptyRegionError("Hausdorff distance needs non-empty regions")
-    thetas = TWO_PI * np.arange(samples) / samples
-    d = float(np.abs(_support_curve(a, thetas) - _support_curve(b, thetas)).max())
-    d = max(d, max_violation(b, a.vertices), max_violation(a, b.vertices))
-    return max(d, 0.0)
+        raise EmptyRegionError("support difference needs non-empty regions")
+    normals = [np.pi / 2 - np.angle(np.roll(r.vertices, -1) - r.vertices)
+               for r in (a, b) if r.vertices.size > 1]
+    # theta = 0 as well, so two points still make one whole-circle piece
+    ends = np.sort(np.mod(np.concatenate(normals + [np.zeros(1)]), TWO_PI))
+    width = np.diff(ends, append=ends[0] + TWO_PI)
+    mid = ends + width / 2
+    d = a.vertices[_supporting(a, mid)] - b.vertices[_supporting(b, mid)]
+    # the difference is continuous, so each piece's end is the next one's start
+    at_ends = (np.exp(1j * ends) * d).real
+    r = np.abs(d)
+    peak = np.mod(-np.angle(d) - ends, TWO_PI) <= width
+    trough = np.mod(np.pi - np.angle(d) - ends, TWO_PI) <= width
+    hi = max(at_ends.max(), r[peak].max(initial=-np.inf))
+    lo = min(at_ends.min(), -r[trough].max(initial=-np.inf))
+    return float(hi), float(lo)
+
+
+def excess(inner: ConvexRegion, outer: ConvexRegion) -> float:
+    """Signed one-sided gap sup_theta (h_inner - h_outer) of two non-empty
+    regions: the largest distance by which inner leaves outer when
+    positive, and <= 0 exactly when inner lies inside outer."""
+    return _support_difference(inner, outer)[0]
+
+
+def hausdorff(a: ConvexRegion, b: ConvexRegion) -> float:
+    """Hausdorff distance between two non-empty convex regions, exact:
+    sup_theta |h_a(theta) - h_b(theta)|."""
+    hi, lo = _support_difference(a, b)
+    return max(hi, -lo, 0.0)

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrnr import geometry
 from hrnr.geometry import (
     ConvexRegion,
     EmptyRegionError,
+    excess,
     hausdorff,
     intersect_halfplanes,
-    max_violation,
     support,
 )
 
@@ -42,6 +41,31 @@ def support_gap(region, points, samples=256):
     ours = (u * region.vertices).real.max(axis=1)
     theirs = (u * np.asarray(points, dtype=complex)).real.max(axis=1)
     return float(np.abs(ours - theirs).max())
+
+
+def signed_distance(points, region):
+    """Exact signed distance from each point to a non-empty region:
+    Euclidean outside, minus the distance to the boundary inside a
+    polygon, and 0 on a point or segment."""
+    v = region.vertices
+    z = np.asarray(points, dtype=complex).ravel()[:, None]
+    if v.size == 1:
+        return np.abs(z[:, 0] - v[0])
+    e = np.roll(v, -1) - v
+    along = np.clip(((z - v) * np.conj(e)).real / np.abs(e) ** 2, 0.0, 1.0)
+    dist = np.abs(z - (v + along * e)).min(axis=1)
+    if v.size == 2:
+        return dist
+    outside = ((z - v) * np.conj(-1j * e)).real.max(axis=1) > 0
+    return np.where(outside, dist, -dist)
+
+
+def brute_force_excess(inner, outer):
+    return float(signed_distance(inner.vertices, outer).max())
+
+
+def brute_force_hausdorff(a, b):
+    return max(brute_force_excess(a, b), brute_force_excess(b, a), 0.0)
 
 
 def brute_force_corners(thetas, offsets, bound):
@@ -160,6 +184,19 @@ def test_facet_through_shared_vertex_survives(m, scale):
     assert (s - offsets).max() <= tol
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+def test_engine_polygon_distance_is_scale_free(scale):
+    # pruning collinear runs used to leave vertex pairs 1e-13 * scale apart
+    # whose edge normals are rounding noise, and the support lookup then
+    # picked a wrong vertex: hausdorff / scale read about 1.5 at scale 1e2
+    pts = scale * np.array([0.5 - 0.8j, 0.5 + 0.2j, -0.7 + 0.4j, -0.2 - 0.4j])
+    region = intersect_halfplanes(*grid_support(pts, 2048), bound=2.0 * scale)
+    true = ConvexRegion.polygon(pts)
+    want = brute_force_hausdorff(region, true) / scale
+    assert want == pytest.approx(5.2639e-4, rel=1e-4)
+    assert abs(hausdorff(region, true) / scale - want) <= 1e-9
+
+
 def test_empty_grid_range_is_certified():
     # rank-3 offsets of the regular pentagon's normal matrix: the hulls of
     # its 3-point subsets share no point, but the deque scan alone leaves
@@ -248,10 +285,18 @@ def test_support_curve_matches_vertex_maximum(seed):
     region = random_convex_polygon(seed, nmax=40)
     thetas = np.random.Generator(np.random.PCG64(seed)).uniform(-7, 7, 500)
     want = (np.exp(1j * thetas)[:, None] * region.vertices).real.max(axis=1)
-    assert np.abs(geometry._support_curve(region, thetas) - want).max() <= 1e-12
+    assert np.abs(support(region, thetas) - want).max() <= 1e-12
     for small in (ConvexRegion.point(0.3 - 1j), ConvexRegion.segment(1.0, 2j)):
         want = (np.exp(1j * thetas)[:, None] * small.vertices).real.max(axis=1)
-        assert np.abs(geometry._support_curve(small, thetas) - want).max() <= 1e-12
+        assert np.abs(support(small, thetas) - want).max() <= 1e-12
+
+
+def test_support_array_keeps_shape():
+    thetas = np.array([[0.0, np.pi / 4], [np.pi, 3 * np.pi / 2]])
+    got = support(UNIT_SQUARE, thetas)
+    assert got.shape == (2, 2)
+    assert np.allclose(got, [[1.0, np.sqrt(2.0)], [1.0, 1.0]], rtol=0, atol=1e-15)
+    assert isinstance(support(UNIT_SQUARE, 0.0), float)
 
 
 def test_support_empty_raises():
@@ -287,8 +332,103 @@ def test_hausdorff_symmetric_and_empty_raises():
         hausdorff(a, ConvexRegion.empty())
 
 
-def test_max_violation_sign():
-    inside = np.array([0.0 + 0j, 0.5 + 0.5j])
-    outside = np.array([2.0 + 0j])
-    assert max_violation(UNIT_SQUARE, inside) <= 0.0
-    assert max_violation(UNIT_SQUARE, outside) == pytest.approx(1.0)
+def test_excess_sign():
+    inside = ConvexRegion.segment(0.0, 0.5 + 0.5j)
+    outside = ConvexRegion.point(2.0)
+    assert excess(inside, UNIT_SQUARE) <= 0.0
+    assert excess(outside, UNIT_SQUARE) == pytest.approx(1.0)
+    with pytest.raises(EmptyRegionError):
+        excess(ConvexRegion.empty(), UNIT_SQUARE)
+
+
+def random_region(rng, kind):
+    """A point, a segment or a polygon (an affine image of points on a
+    circle) of size about 1 to 10, somewhere within 10 of the origin."""
+    center = 5 * complex(rng.normal(), rng.normal())
+    if kind == "point":
+        return ConvexRegion.point(center)
+    size = rng.uniform(0.5, 5.0)
+    if kind == "segment":
+        return ConvexRegion.segment(center, center + size * np.exp(2j * np.pi * rng.uniform()))
+    angles = np.sort(rng.uniform(0, 2 * np.pi, rng.integers(3, 30)))
+    if (np.diff(angles) < 0.02).any():
+        angles = np.linspace(0, 2 * np.pi, angles.size, endpoint=False)
+    circle = np.exp(1j * angles)
+    stretch = rng.uniform(0.2, 1.0)
+    turn = np.exp(2j * np.pi * rng.uniform())
+    return ConvexRegion.polygon(center + size * turn * (circle.real + 1j * stretch * circle.imag))
+
+
+def moved(region, shift, factor=1.0):
+    return ConvexRegion(region.kind, factor * region.vertices + shift)
+
+
+def random_pair(seed):
+    """Seeded pairs of every shape: two independent regions of random kinds,
+    a region against a slightly moved and scaled copy of itself, a region
+    inside another, and two disjoint regions."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    kinds = ("point", "segment", "polygon", "polygon")
+    a = random_region(rng, kinds[rng.integers(4)])
+    case = seed % 4
+    if case == 0:
+        return a, random_region(rng, kinds[rng.integers(4)])
+    if case == 1:
+        jitter = 10.0 ** rng.uniform(-9, -3)
+        return a, moved(a, jitter * complex(rng.normal(), rng.normal()), 1 + jitter * rng.normal())
+    outer = random_region(rng, "polygon")
+    if case == 2:
+        factor = rng.uniform(0.05, 0.95)
+        inner = moved(outer, (1 - factor) * outer.vertices.mean(), factor)
+        return (inner, outer) if rng.uniform() < 0.5 else (outer, inner)
+    return a, moved(outer, 40 * np.exp(2j * np.pi * rng.uniform()))
+
+
+def test_distances_match_brute_force():
+    for seed in range(1200):
+        a, b = random_pair(seed)
+        verts = np.concatenate([a.vertices, b.vertices])
+        tol = 1e-12 * max(1.0, float(np.abs(verts[:, None] - verts).max()))
+        assert abs(hausdorff(a, b) - brute_force_hausdorff(a, b)) <= tol, seed
+        assert abs(excess(a, b) - brute_force_excess(a, b)) <= tol, seed
+        assert abs(excess(b, a) - brute_force_excess(b, a)) <= tol, seed
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(seeds, st.complex_numbers(max_magnitude=1e3))
+@settings(max_examples=60, deadline=None)
+def test_hausdorff_of_translate_is_the_shift(seed, shift):
+    a = random_region(np.random.Generator(np.random.PCG64(seed)), "polygon")
+    tol = 1e-12 * max(1.0, abs(shift), float(np.abs(a.vertices).max()))
+    assert abs(hausdorff(moved(a, shift), a) - abs(shift)) <= tol
+
+
+@given(seeds, st.floats(-6, 6))
+@settings(max_examples=60, deadline=None)
+def test_hausdorff_scales_with_the_regions(seed, log_scale):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = random_region(rng, "polygon")
+    b = moved(random_region(rng, "polygon"), 30.0)  # well separated from a
+    s = 10.0 ** log_scale
+    got = hausdorff(moved(a, 0, s), moved(b, 0, s))
+    assert got == pytest.approx(s * hausdorff(a, b), rel=1e-12)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_hausdorff_symmetric(seed):
+    a, b = random_pair(seed)
+    assert hausdorff(a, b) == pytest.approx(hausdorff(b, a), rel=1e-14, abs=1e-14)
+
+
+@given(seeds, st.floats(0.01, 0.99))
+@settings(max_examples=60, deadline=None)
+def test_excess_of_subset_is_not_positive(seed, factor):
+    outer = random_region(np.random.Generator(np.random.PCG64(seed)), "polygon")
+    centroid = outer.vertices.mean()
+    for inner in (moved(outer, (1 - factor) * centroid, factor),
+                  ConvexRegion.segment(centroid, outer.vertices[0] + factor * (centroid - outer.vertices[0])),
+                  ConvexRegion.point(centroid)):
+        assert excess(inner, outer) <= 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hrnr.checks import generator, montecarlo_range
-from hrnr.geometry import hausdorff, max_violation
+from hrnr.geometry import hausdorff
 from hrnr.linalg import frobenius
 from hrnr.ranges import (
     BadRankError,
