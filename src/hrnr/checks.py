@@ -327,7 +327,7 @@ def normal_oracle(eigs, k: int) -> ConvexRegion:
     hulls = [_hull_halfplanes(eigs[list(subset)])
              for subset in combinations(range(n), n - k + 1)]
     thetas, offsets = (np.concatenate(part) for part in zip(*hulls))
-    return intersect_halfplanes(thetas, offsets, bound=float(np.abs(eigs).max()) + 1.0)
+    return intersect_halfplanes(thetas, offsets, bound=float(np.abs(eigs).max()) or 1.0)
 
 
 def hermitian_oracle(values, k: int) -> ConvexRegion:
@@ -344,7 +344,7 @@ def hermitian_oracle(values, k: int) -> ConvexRegion:
     lo, hi = vals[k - 1], vals[n - k]
     if lo > hi:
         return ConvexRegion.empty()
-    if hi - lo <= 1e-9:
+    if hi - lo <= 1e-9 * np.linalg.norm(vals):
         return ConvexRegion.point(complex((lo + hi) / 2.0, 0.0))
     return ConvexRegion.segment(complex(lo, 0.0), complex(hi, 0.0))
 

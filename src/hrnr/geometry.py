@@ -7,12 +7,13 @@ arrays of angles and offsets and intersects them in one deque scan.
 Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
 ``polygon`` (counter-clockwise vertex loop).
 
-Cut lines are relaxed outward by ``CLIP_EPS * max(1, |offset|)``.  The
+Every threshold is a length in units of the ``bound`` passed to
+``intersect_halfplanes``; cut lines are relaxed outward by ``CLIP_EPS``.  The
 relaxation is what keeps genuinely degenerate intersections honest in
 floating point: a family of half-planes whose true intersection is a
 single point carries offset noise of order 1e-15, which would otherwise
 make the intersection come back empty instead of that point.  Every
-result therefore sits between the exact intersection and its 1e-12-scale
+result therefore sits between the exact intersection and its CLIP_EPS * bound
 outward relaxation, far inside all stated tolerances.
 """
 
@@ -22,14 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Outward relaxation of each cut line, relative to max(1, |offset|).
+# Outward relaxation of each cut line, and the largest distance from its
+# neighbours' chord at which a vertex is pruned as collinear.
 CLIP_EPS = 1e-12
 # Diameter below which a region collapses to a point.
 POINT_DIAM = 1e-9
 # A polygon thinner than this (area / diameter) collapses to a segment.
 SEGMENT_THICKNESS = 1e-9
-# Collinear-vertex pruning threshold on the absolute cross product.
-COLLINEAR_CROSS = 1e-12
 TWO_PI = 2.0 * np.pi
 
 
@@ -83,23 +83,21 @@ def _signed_area2(verts: np.ndarray) -> float:
 
 
 def _dedupe(verts: np.ndarray) -> np.ndarray:
-    if verts.size < 2:
-        return verts
-    scale = max(1.0, float(np.abs(verts).max()))
-    keep = np.abs(verts - np.roll(verts, 1)) > 1e-13 * scale
+    keep = np.abs(verts - np.roll(verts, 1)) > 1e-13
     if not keep.any():
         return verts[:1]
     return verts[keep]
 
 
-def _cross3(a, b, c) -> float:
+def _collinear(a, b, c) -> bool:
+    """b lies within CLIP_EPS of the chord a-c (|cross| / |c - a|)."""
     e1 = b - a
     e2 = c - b
-    return e1.real * e2.imag - e1.imag * e2.real
+    return abs(e1.real * e2.imag - e1.imag * e2.real) <= CLIP_EPS * abs(c - a)
 
 
 def _prune_collinear(verts: np.ndarray) -> np.ndarray:
-    """Drop vertices whose turn contributes less than the cross tolerance.
+    """Drop vertices within CLIP_EPS of their neighbours' chord.
 
     Sequential stack walk: removing one vertex re-evaluates its
     neighbours, so a dense run of nearly coincident vertices collapses to
@@ -110,16 +108,16 @@ def _prune_collinear(verts: np.ndarray) -> np.ndarray:
     out: list[complex] = []
     for z in verts:
         out.append(z)
-        while len(out) >= 3 and abs(_cross3(out[-3], out[-2], out[-1])) <= COLLINEAR_CROSS:
+        while len(out) >= 3 and _collinear(out[-3], out[-2], out[-1]):
             del out[-2]
     # seam: the loop wraps, so the first/last vertices need the same test
     changed = True
     while changed and len(out) >= 3:
         changed = False
-        if abs(_cross3(out[-2], out[-1], out[0])) <= COLLINEAR_CROSS:
+        if _collinear(out[-2], out[-1], out[0]):
             del out[-1]
             changed = True
-        if len(out) >= 3 and abs(_cross3(out[-1], out[0], out[1])) <= COLLINEAR_CROSS:
+        if len(out) >= 3 and _collinear(out[-1], out[0], out[1]):
             del out[0]
             changed = True
     return np.array(out, dtype=np.complex128)
@@ -236,14 +234,16 @@ def _chain_vertices(cos_t, sin_t, cuts, dq):
 
 def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     """Intersection of the half-planes Re(e^{i theta_j} z) <= offset_j with
-    the square [-R, R]^2, classified.
+    the square [-R, R]^2, R = ``bound``, classified.  R sets the scale: all
+    work runs on offsets / R and the vertices are scaled back, so a bound
+    that scales with the input makes the result scale-equivariant.
 
     One angle-sorted deque scan produces the candidate vertex loop in
     O(m).  In exact arithmetic that loop is the true intersection
     whenever the intersection is non-empty, so a plane that the
-    classified loop violates by more than 1e-9 * max(1, |v|) certifies
-    that the intersection is empty; that check costs O((m + v) log v).
-    Results are independent of the input order of the planes.
+    classified loop violates by more than 1e-9 * R certifies that the
+    intersection is empty; that check costs O((m + v) log v).  Results
+    are independent of the input order of the planes.
     """
     thetas = np.asarray(thetas, dtype=float).ravel()
     offsets = np.asarray(offsets, dtype=float).ravel()
@@ -258,8 +258,8 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
         raise ValueError("bound must be positive and finite")
     sq_t = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
     all_t, all_b = _normalize_planes(np.concatenate([thetas, sq_t]),
-                                     np.concatenate([offsets, np.full(4, radius)]))
-    cuts = all_b + CLIP_EPS * np.maximum(1.0, np.abs(all_b))
+                                     np.concatenate([offsets / radius, np.ones(4)]))
+    cuts = all_b + CLIP_EPS
     cos_t, sin_t = np.cos(all_t), np.sin(all_t)
 
     dq = _active_chain(all_t.tolist(), cos_t.tolist(), sin_t.tolist(), cuts.tolist())
@@ -271,10 +271,9 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     # check the classified region, so corner clusters have collapsed and a
     # point or segment is checked as such
     region = _classify(verts)
-    tol = 1e-9 * max(1.0, float(np.abs(region.vertices).max()))
-    if (support(region, all_t) - cuts > tol).any():
+    if (support(region, all_t) - cuts > 1e-9).any():
         return ConvexRegion.empty()
-    return region
+    return ConvexRegion(region.kind, region.vertices * radius)
 
 
 def _supporting(region: ConvexRegion, thetas: np.ndarray) -> np.ndarray:

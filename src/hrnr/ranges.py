@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ConvexRegion, intersect_halfplanes
-from .linalg import as_matrix, eig_hermitian_stack, frobenius
+from .linalg import as_matrix, eig_hermitian_stack
 
 # Angle counts: interactive default and the denser verification default.
 DEFAULT_ANGLES = 720
@@ -70,14 +70,12 @@ class PencilSweep:
     thetas
         Grid angles 2*pi*j/m.
     eigenvalues
-        (m, n) array; row j holds the descending spectrum of H_{theta_j}.
-    frob_norm
-        Frobenius norm of T, fixing the bounding square downstream.
+        (m, n) array; row j holds the descending spectrum of H_{theta_j};
+        twice ``numerical_radius()`` bounds and scales every rank-k region.
     """
 
     thetas: np.ndarray
     eigenvalues: np.ndarray
-    frob_norm: float
 
     @property
     def angle_count(self) -> int:
@@ -108,7 +106,7 @@ def pencil_sweep(t, m: int) -> PencilSweep:
     vals, _ = eig_hermitian_stack(stack, vectors=False)
     if solved < m:
         vals = np.concatenate([vals, -vals[:, ::-1]])
-    return PencilSweep(thetas=thetas, eigenvalues=vals, frob_norm=frobenius(t))
+    return PencilSweep(thetas=thetas, eigenvalues=vals)
 
 
 def outer_error_bound(region: ConvexRegion, m: int) -> float:
@@ -142,7 +140,9 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     if not 1 <= k <= n:
         raise BadRankError(f"k must be in 1..{n}, got {k}")
     offsets = sweep.eigenvalues[:, k - 1] / 2.0
-    region = intersect_halfplanes(sweep.thetas, offsets, bound=sweep.frob_norm + 1.0)
+    # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the square
+    # never cuts it; all-zero offsets fit any bound
+    region = intersect_halfplanes(sweep.thetas, offsets, 2.0 * sweep.numerical_radius() or 1.0)
     m = sweep.angle_count
     return RangeReport(
         k=k,
@@ -159,8 +159,9 @@ def rank_k_range(t, k: int, m: int | None = None) -> RangeReport:
 
     The k pencil eigenvalue (halved) at each grid angle becomes a
     supporting half-plane; the region is their intersection inside the
-    square of half-width ||T||_F + 1.  Raises BadRankError for k outside
-    1..dim(T).
+    square of half-width twice the grid's numerical radius, which also sets
+    the geometry's scale: the region of sT + bI (s > 0) is s times that of
+    T plus b.  Raises BadRankError for k outside 1..dim(T).
     """
     t = as_matrix(t)
     if not 1 <= int(k) <= t.shape[0]:

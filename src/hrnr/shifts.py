@@ -125,12 +125,11 @@ def closed_form_replicated_range(n: int, r: int, k: int) -> ClosedFormRange:
 
 
 def nilpotency_index(t) -> int:
-    """Smallest n <= dim with T^n = 0 (entrywise, scale-normalised)."""
+    """Smallest n <= dim with T^n = 0 (entrywise, on T / ||T||_2)."""
     t = as_matrix(t)
     d = t.shape[0]
-    scale = max(1.0, frobenius(t))
     power = identity(d)
-    base = t / scale
+    base = t / (spectral_norm(t) or 1.0)
     for p in range(1, d + 1):
         power = power @ base
         if np.abs(power).max() <= NILPOTENT_TOL:

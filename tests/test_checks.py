@@ -229,6 +229,14 @@ def test_hermitian_oracle_tags():
     assert hermitian_oracle([1.0, 2.0, 3.0], 2).kind == "point"
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_hermitian_oracle_point_rule_is_relative(scale):
+    assert hermitian_oracle(scale * np.array([-1.0, 0.0, 1.0]), 1).kind == "segment"
+    assert hermitian_oracle(scale * np.array([1.0, 2.0, 3.0]), 2).kind == "point"
+    assert hermitian_oracle(np.full(3, scale), 1).kind == "point"
+    assert hermitian_oracle(np.zeros(3), 2).kind == "point"
+
+
 def test_normal_eigenvalues_recovers_spectrum():
     rng = generator(81)
     eigs = rng.normal(size=5) + 1j * rng.normal(size=5)

@@ -123,6 +123,14 @@ def test_verify_nilpotent_coarse_grid_passes(capsys):
     assert code == 0, capsys.readouterr().out
 
 
+def test_verify_nilpotent_large_shift_passes(capsys):
+    # the nilpotency index of a hidden S_20 used to come out 18, so the
+    # dilation, disc and Haagerup checks all tested the wrong n
+    code = main(["verify-nilpotent", "--n", "20", "--r-hint", "1", "--trials", "1",
+                 "--seed", "1"])
+    assert code == 0, capsys.readouterr().out
+
+
 def test_verify_nilpotent_usage_errors():
     assert main(["verify-nilpotent", "--trials", "0"]) == 2
     assert main(["verify-nilpotent", "--n", "4", "--r-hint", "9"]) == 2

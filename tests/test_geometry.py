@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrnr.geometry import (
@@ -70,11 +70,11 @@ def brute_force_hausdorff(a, b):
 
 def brute_force_corners(thetas, offsets, bound):
     """Every pairwise corner of the relaxed cut lines (the bounding square
-    included) that satisfies every relaxed plane within 1e-9; their hull
-    is the intersection.  O(m^3), independent of the deque scan."""
+    included) that satisfies every relaxed plane within 1e-9 * bound; their
+    hull is the intersection.  O(m^3), independent of the deque scan."""
     t = np.concatenate([np.asarray(thetas, float), np.arange(4) * np.pi / 2])
     b = np.concatenate([np.asarray(offsets, float), np.full(4, float(bound))])
-    b = b + 1e-12 * np.maximum(1.0, np.abs(b))
+    b = b + 1e-12 * bound
     u = np.exp(1j * t)
     corners = []
     for i in range(t.size):
@@ -85,8 +85,7 @@ def brute_force_corners(thetas, offsets, bound):
             x, y = np.linalg.solve(a, [b[i], b[j]])
             corners.append(complex(x, y))
     corners = np.array(corners)
-    tol = 1e-9 * max(1.0, float(np.abs(corners).max()))
-    feasible = ((u[:, None] * corners[None, :]).real - b[:, None] <= tol).all(axis=0)
+    feasible = ((u[:, None] * corners[None, :]).real - b[:, None] <= 1e-9 * bound).all(axis=0)
     return corners[feasible]
 
 
@@ -184,16 +183,25 @@ def test_facet_through_shared_vertex_survives(m, scale):
     assert (s - offsets).max() <= tol
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
-def test_engine_polygon_distance_is_scale_free(scale):
+@pytest.mark.parametrize("m, scale, gap", [
+    pytest.param(2048, 1.0, 5.2639e-4, id="1.0"),
+    pytest.param(2048, 1e2, 5.2639e-4, id="100.0"),
+    pytest.param(2048, 1e4, 5.2639e-4, id="10000.0"),
+    pytest.param(65536, 1e2, 2.8693e-5, id="65536-100.0"),
+    pytest.param(65536, 1e4, 2.8693e-5, id="65536-10000.0"),
+    pytest.param(65536, 1e8, 2.8693e-5, id="65536-1e8")])
+def test_engine_polygon_distance_is_scale_free(m, scale, gap):
     # pruning collinear runs used to leave vertex pairs 1e-13 * scale apart
     # whose edge normals are rounding noise, and the support lookup then
-    # picked a wrong vertex: hausdorff / scale read about 1.5 at scale 1e2
-    pts = scale * np.array([0.5 - 0.8j, 0.5 + 0.2j, -0.7 + 0.4j, -0.2 - 0.4j])
-    region = intersect_halfplanes(*grid_support(pts, 2048), bound=2.0 * scale)
-    true = ConvexRegion.polygon(pts)
+    # picked a wrong vertex: hausdorff / scale read about 1.5 at scale 1e2;
+    # at scale 1e8 and m = 65536 absolute thresholds kept 28,798 vertices
+    pts = np.array([0.5 - 0.8j, 0.5 + 0.2j, -0.7 + 0.4j, -0.2 - 0.4j])
+    unit = intersect_halfplanes(*grid_support(pts, m), bound=2.0)
+    region = intersect_halfplanes(*grid_support(scale * pts, m), bound=2.0 * scale)
+    assert region.vertices.size == unit.vertices.size
+    true = ConvexRegion.polygon(scale * pts)
     want = brute_force_hausdorff(region, true) / scale
-    assert want == pytest.approx(5.2639e-4, rel=1e-4)
+    assert want == pytest.approx(gap, rel=1e-4)
     assert abs(hausdorff(region, true) / scale - want) <= 1e-9
 
 
@@ -209,17 +217,20 @@ def test_empty_grid_range_is_certified():
 
 
 @given(st.integers(0, 2**32 - 1))
+@example(11547)  # a sliver triangle against the bounding square
 @settings(max_examples=60, deadline=None)
 def test_random_plane_sets_match_brute_force(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     count = int(rng.integers(1, 9))
     thetas = rng.uniform(0, 2 * np.pi, count)
-    offsets = rng.uniform(-0.5, 1.5, count)
-    region = intersect_halfplanes(thetas, offsets, bound=3.0)
-    corners = brute_force_corners(thetas, offsets, 3.0)
-    assert region.is_empty == (corners.size == 0)
-    if not region.is_empty:
-        assert support_gap(region, corners) <= 1e-9
+    unit = rng.uniform(-0.5, 1.5, count)
+    for scale in (1e-8, 1.0, 1e8):
+        offsets = scale * unit
+        region = intersect_halfplanes(thetas, offsets, bound=3.0 * scale)
+        corners = brute_force_corners(thetas, offsets, 3.0 * scale)
+        assert region.is_empty == (corners.size == 0)
+        if not region.is_empty:
+            assert support_gap(region, corners) <= 1e-9 * scale
 
 
 def test_degenerate_plane_sets_match_brute_force():

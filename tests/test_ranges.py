@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hrnr.checks import generator, montecarlo_range
-from hrnr.geometry import hausdorff
+from hrnr.checks import generator, montecarlo_range, random_unitary
+from hrnr.geometry import ConvexRegion, hausdorff
 from hrnr.linalg import frobenius
 from hrnr.ranges import (
     BadRankError,
@@ -187,6 +189,48 @@ def test_vertices_satisfy_fresh_constraints():
     for theta, lam in zip(fresh, vals[:, k - 1]):
         u = complex(np.cos(theta), np.sin(theta))
         assert (u * rep.region.vertices).real.max() <= lam / 2 + slack
+
+
+def _equivariance_case(seed):
+    """A unit-norm matrix of one of five kinds, a rank with a non-empty
+    range for the Gaussian kinds (Li and Sze: n >= 3k - 2), and a grid."""
+    rng = generator(seed)
+    kind = rng.choice(["shift", "gauss", "herm", "normal", "nilpotent"])
+    n = int(rng.integers(2, 9))
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "shift":
+        t = shift_matrix(n)
+    elif kind == "gauss":
+        t = z
+    elif kind == "herm":
+        t = z + z.conj().T
+    elif kind == "normal":
+        u = random_unitary(n, rng)
+        t = u @ np.diag(z[0]) @ u.conj().T
+    else:
+        t = np.tril(z, -1)
+    top = n if kind in ("shift", "herm", "normal") else (n + 2) // 3
+    k = int(rng.integers(1, top + 1))
+    m = int(rng.choice([64, 720, 2048]))
+    return t / np.linalg.norm(t, 2), k, m, rng
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_region_is_scale_and_translation_equivariant(seed):
+    # Lambda_k(sT + bI) = s Lambda_k(T) + b: the tag must not change, and
+    # the regions may differ by rounding and the 1e-12 relaxation only
+    t, k, m, rng = _equivariance_case(seed)
+    s = 10.0 ** rng.uniform(-12, 12)
+    b = s * 10.0 ** rng.uniform(-2, 4) * np.exp(2j * np.pi * rng.uniform())
+    b = 0.0 if rng.uniform() < 0.3 else b
+    moved_t = s * t + b * np.eye(t.shape[0])
+    base = rank_k_range(t, k, m).region
+    moved = rank_k_range(moved_t, k, m).region
+    assert moved.kind == base.kind
+    if not base.is_empty:
+        want = ConvexRegion(base.kind, s * base.vertices + b)
+        assert hausdorff(moved, want) <= 1e-10 * frobenius(moved_t)
 
 
 def test_sweep_determinism():

@@ -165,6 +165,22 @@ def test_nilpotency_of_random_lower_triangular():
         assert np.abs(np.linalg.matrix_power(t, idx - 1)).max() > 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e8])
+@pytest.mark.parametrize("n", [3, 5, 20, 32])
+def test_nilpotency_index_of_scaled_shift(n, scale):
+    # divided by its spectral norm, s S_n is S_n, whose powers below n keep
+    # unit entries; a max(1, ||T||_F) divisor let S_20 and 1e-6 S_3 vanish
+    # early
+    assert nilpotency_index(scale * shift_matrix(n)) == n
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_nilpotency_index_of_random_lower_triangular_is_scale_free(scale):
+    rng = generator(11)
+    t = np.tril(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), -1)
+    assert nilpotency_index(scale * t) == 6
+
+
 def test_nilpotency_rejects_identity():
     with pytest.raises(NotNilpotentError):
         nilpotency_index(identity(3))
