@@ -13,7 +13,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hrnr.fileio import save_svg
 from hrnr.ranges import rank_k_range
-from hrnr.shifts import closed_form_shift_range, shift_matrix
+from hrnr.shifts import shift_matrix, shift_radius
 
 CASES = [(3, 1), (5, 1), (5, 2), (8, 2), (8, 3), (12, 4)]
 ANGLES = 720
@@ -24,12 +24,12 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     for n, k in CASES:
         report = rank_k_range(shift_matrix(n), k, ANGLES)
-        closed = closed_form_shift_range(n, k)
-        ref = closed.radius if closed.tag == "disc" else None
+        radius = shift_radius(n, k)
+        closed = "empty" if radius is None else "disc" if radius else "point"
         path = outdir / f"shift_n{n}_k{k}.svg"
-        save_svg(path, report.region, ref_radius=ref)
-        print(f"{path}  tag={report.region.kind:8s} closed-form={closed.tag}"
-              + (f" radius={closed.radius:.6f}" if closed.tag == "disc" else ""))
+        save_svg(path, report.region, ref_radius=radius or None)
+        print(f"{path}  tag={report.region.kind:8s} closed-form={closed}"
+              + (f" radius={radius:.6f}" if radius else ""))
 
 
 if __name__ == "__main__":

@@ -19,16 +19,13 @@ from .ranges import (
     rank_k_range,
 )
 from .shifts import (
-    ClosedFormRange,
     DilationPack,
     build_dilation,
-    closed_form_replicated_range,
-    closed_form_shift_range,
     kth_of_replicated,
     nilpotency_index,
     rho,
     shift_matrix,
-    spectral_norm,
+    shift_radius,
 )
 
 __version__ = "0.1.0"
@@ -48,14 +45,11 @@ __all__ = [
     "pencil_sweep",
     "range_from_sweep",
     "rank_k_range",
-    "ClosedFormRange",
     "DilationPack",
     "build_dilation",
-    "closed_form_replicated_range",
-    "closed_form_shift_range",
     "kth_of_replicated",
     "nilpotency_index",
     "rho",
     "shift_matrix",
-    "spectral_norm",
+    "shift_radius",
 ]

@@ -24,22 +24,9 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import ConvexRegion, excess, hausdorff, intersect_halfplanes
-from .linalg import (
-    as_matrix,
-    eig_hermitian_stack,
-    frobenius,
-    hermitian_eig,
-    identity,
-    is_hermitian,
-)
+from .linalg import as_matrix, frobenius, hermitian_eig, identity, is_hermitian
 from .ranges import PencilSweep, RangeReport, pencil_sweep, range_from_sweep
-from .shifts import (
-    build_dilation,
-    closed_form_shift_range,
-    rho,
-    shift_matrix,
-    spectral_norm,
-)
+from .shifts import build_dilation, rho, shift_matrix, shift_radius
 
 UNITARY_TOL = 1e-10
 NESTING_SLACK = 1e-8
@@ -49,7 +36,6 @@ RESIDUAL_TOL = 1e-10  # dilation residuals, per dimension
 HERMITIAN_ORACLE_TOL = 1e-6
 NORMAL_ORACLE_TOL = 1e-4  # floor of 12 R tan(pi/m), see check_normal_oracle
 NORMAL_RTOL = 1e-10  # ||TT* - T*T||_F / ||T||_F^2
-NORMAL_CLUSTER_GAP = 1e-8  # relative to ||T||_F
 NORMAL_ORACLE_MAX_DIM = 8
 
 
@@ -357,9 +343,9 @@ def haagerup_bound_check(t, sweep: PencilSweep, n: int) -> PropertyReport:
     is the expected outcome for multiples of the shift.
     """
     t = as_matrix(t)
-    norm = spectral_norm(t)
+    norm = np.linalg.norm(t, 2)
     radius = sweep.numerical_radius()
-    bound = norm * float(np.cos(np.pi / (n + 1)))
+    bound = norm * shift_radius(n, 1)
     violation = max(radius - bound, 0.0)
     slack = bound - radius
     note = f"slack={slack:.3e}"
@@ -381,16 +367,17 @@ def check_shift(n: int, m: int) -> PropertyReport:
     misses = []
     for k in range(1, n + 1):
         rep = range_from_sweep(sweep, k)
-        closed = closed_form_shift_range(n, k)
+        radius = shift_radius(n, k)
+        want = "empty" if radius is None else "disc" if radius else "point"
         region = rep.region
         dev = 0.0
-        if region.kind != ("polygon" if closed.tag == "disc" else closed.tag):
+        if region.kind != ("polygon" if want == "disc" else want):
             dev = np.inf
-            misses.append(f"k={k}: want {closed.tag}, engine tag {region.kind}")
-        elif closed.tag == "disc":
-            dev = max(abs(region.max_modulus() - closed.radius),
-                      abs(rep.min_support() - closed.radius))
-        elif closed.tag == "point":
+            misses.append(f"k={k}: want {want}, engine tag {region.kind}")
+        elif want == "disc":
+            dev = max(abs(region.max_modulus() - radius),
+                      abs(rep.min_support() - radius))
+        elif want == "point":
             dev = abs(region.vertices[0])
         if RADIUS_TOL < dev < np.inf:
             misses.append(f"k={k}: deviation {dev:.2e}")
@@ -412,17 +399,17 @@ def check_nilpotent(t, m: int) -> list[PropertyReport]:
                        f"isometry={pack.isometry_residual:.2e} "
                        f"intertwine={pack.intertwine_residual:.2e}")
     worst, note = -np.inf, ""
-    for k in range(1, d + 1):
-        p = rho(k, pack.r)
-        if p > (pack.n + 1) // 2:
+    for k in range(1, min(d, pack.n * pack.r) + 1):
+        radius = shift_radius(pack.n, k, pack.r)
+        if radius is None:
             continue
         # T compresses I (x) S_n* through the dilation, so lambda_k of each
-        # pencil of T is at most 2 cos(p pi/(n+1)) by interlacing: exact at
+        # pencil of T is at most twice the radius by interlacing: exact at
         # every grid angle, unlike the circumscribed polygon's vertices
-        excess = (float(sweep.eigenvalues[:, k - 1].max()) / 2.0
-                  - float(np.cos(p * np.pi / (pack.n + 1))))
+        excess = float(sweep.eigenvalues[:, k - 1].max()) / 2.0 - radius
         if excess > worst:
-            worst, note = excess, f"worst k={k} against cos({p}pi/{pack.n + 1})"
+            note = f"worst k={k} against cos({rho(k, pack.r)}pi/{pack.n + 1})"
+            worst = excess
     disc = _report("DISC", worst, RADIUS_TOL, digest, note)
     return [dilation, disc, haagerup_bound_check(t, sweep, pack.n)]
 
@@ -480,33 +467,13 @@ def is_normal(t) -> bool:
 
 
 def normal_eigenvalues(t) -> np.ndarray:
-    """Eigenvalues of a normal matrix via its commuting Hermitian parts.
-
-    Diagonalises (T + T*)/2, then diagonalises the skew part compressed
-    to each cluster of its eigenvalues; clusters are split at gaps above
-    1e-8 ||T||_F.  Raises ValueError unless :func:`is_normal` accepts T.
-    """
+    """Eigenvalues of a normal matrix from LAPACK's general eigensolver,
+    which is exact to rounding on normal input.  Raises ValueError unless
+    :func:`is_normal` accepts T."""
     t = as_matrix(t)
     if not is_normal(t):
         raise ValueError("matrix is not normal within tolerance")
-    re_part = (t + t.conj().T) / 2.0
-    im_part = (t - t.conj().T) / 2j
-    eig_re = hermitian_eig(re_part)
-    gap_tol = NORMAL_CLUSTER_GAP * frobenius(t)
-    eigs = []
-    start = 0
-    n = t.shape[0]
-    for stop in range(1, n + 1):
-        if stop < n and eig_re.values[start] - eig_re.values[stop] <= gap_tol:
-            continue
-        block = eig_re.vectors[:, start:stop]
-        compressed = block.conj().T @ im_part @ block
-        compressed = (compressed + compressed.conj().T) / 2.0
-        imag_vals, _ = eig_hermitian_stack(compressed[None], vectors=False)
-        a = eig_re.values[start:stop].mean()
-        eigs.extend(a + 1j * b for b in imag_vals[0])
-        start = stop
-    return np.array(eigs, dtype=np.complex128)
+    return np.linalg.eigvals(t)
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +490,11 @@ def random_matrix(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Unitary from twice-iterated Gram-Schmidt on a Gaussian matrix."""
-    a = random_matrix(dim, rng)
-    q = np.zeros_like(a)
-    for j in range(dim):
-        v = a[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                v -= (q[:, i].conj() @ v) * q[:, i]
-        norm = np.sqrt((np.abs(v) ** 2).sum())
-        q[:, j] = v / norm
-    return q
+    """Haar unitary: the Q of a Gaussian matrix's QR, with R's diagonal
+    made positive (what Gram-Schmidt on its columns would give)."""
+    q, r = np.linalg.qr(random_matrix(dim, rng))
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
 
 
 def random_isometry(dim: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -553,7 +514,7 @@ def random_nilpotent_contraction(
     """
     while True:
         x = np.tril(random_matrix(dim, rng), -1)
-        s = spectral_norm(x)
+        s = np.linalg.norm(x, 2)
         if s > 1e-8:
             break
     target = rng.uniform(0.3, 1.0) if norm is None else float(norm)

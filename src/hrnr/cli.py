@@ -5,8 +5,9 @@ verify-properties.  The verify commands print the reports of the
 verification core in :mod:`hrnr.checks`.  Exit codes: 0 all good, 1 a
 mathematical property was violated or the LAPACK eigensolver failed to
 converge, 2 input or usage error.  Angle counts resolve as
-``--angles`` > ``HRNR_ANGLES`` env var > per-command default (720
-interactive, 2048 for the verify suites).  Randomised commands draw from
+``--angles`` > ``HRNR_ANGLES`` env var > per-command default (720 for
+range, radius and verify-properties; 2048 for verify-shift and
+verify-nilpotent).  Randomised commands draw from
 numpy's PCG64 stream seeded with ``--seed``, so runs reproduce exactly.
 """
 
@@ -18,14 +19,7 @@ import sys
 import numpy as np
 
 from . import checks, fileio, shifts
-from .ranges import (
-    DEFAULT_ANGLES,
-    MIN_ANGLES,
-    VERIFY_ANGLES,
-    default_angles,
-    pencil_sweep,
-    range_from_sweep,
-)
+from .ranges import VERIFY_ANGLES, pencil_sweep, range_from_sweep, resolve_angles
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -34,14 +28,6 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """Bad input at the CLI level (maps to exit code 2)."""
-
-
-def _resolve_angles(cli_value, suite_default: int) -> int:
-    # a malformed HRNR_ANGLES raises ValueError, which main maps to exit 2
-    m = default_angles(suite_default) if cli_value is None else int(cli_value)
-    if m < MIN_ANGLES:
-        raise UsageError(f"angle count must be >= {MIN_ANGLES}, got {m}")
-    return m
 
 
 def _load(path):
@@ -61,7 +47,7 @@ def _emit(text: str, out) -> None:
 
 def cmd_range(args) -> int:
     t = _load(args.input)
-    m = _resolve_angles(args.angles, DEFAULT_ANGLES)
+    m = resolve_angles(args.angles)
     if not 1 <= args.k <= t.shape[0]:
         raise UsageError(f"k must be in 1..{t.shape[0]}, got {args.k}")
     report = range_from_sweep(pencil_sweep(t, m), args.k)
@@ -73,7 +59,7 @@ def cmd_range(args) -> int:
 
 def cmd_radius(args) -> int:
     t = _load(args.input)
-    m = _resolve_angles(args.angles, DEFAULT_ANGLES)
+    m = resolve_angles(args.angles)
     print(repr(pencil_sweep(t, m).numerical_radius()))
     return EXIT_OK
 
@@ -97,7 +83,7 @@ def _line(rep: checks.PropertyReport) -> str:
 def cmd_verify_shift(args) -> int:
     if args.max_n < 2:
         raise UsageError(f"--max-n must be >= 2, got {args.max_n}")
-    m = _resolve_angles(args.angles, VERIFY_ANGLES)
+    m = resolve_angles(args.angles, VERIFY_ANGLES)
     reports = [checks.check_shift(n, m) for n in range(2, args.max_n + 1)]
     failures = [rep for rep in reports if not rep.passed]
     if failures:
@@ -118,7 +104,7 @@ def cmd_verify_nilpotent(args) -> int:
         raise UsageError(f"--n must be >= 2, got {args.n}")
     if args.r_hint is not None and not 1 <= args.r_hint <= args.n:
         raise UsageError(f"--r-hint must be in 1..{args.n}")
-    m = _resolve_angles(args.angles, VERIFY_ANGLES)
+    m = resolve_angles(args.angles, VERIFY_ANGLES)
     rng = checks.generator(args.seed)
     failures = []
     equalities = 0
@@ -144,7 +130,7 @@ def cmd_verify_properties(args) -> int:
     d = t.shape[0]
     if not 1 <= args.k <= d:
         raise UsageError(f"k must be in 1..{d}, got {args.k}")
-    m = _resolve_angles(args.angles, DEFAULT_ANGLES)
+    m = resolve_angles(args.angles)
     reports = checks.property_suite(t, args.k, m, checks.generator(args.seed))
     for rep in reports:
         print(_line(rep))

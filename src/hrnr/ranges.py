@@ -5,7 +5,7 @@ For a matrix T and direction theta, the pencil
 its k-th largest eigenvalue is the offset of a supporting half-plane of
 the rank-k numerical range in that direction.  Sweeping theta over a
 uniform grid and intersecting the half-planes yields a circumscribed
-polygon whose outer error is ``R_max (sec(pi/m) - 1)``.
+polygon; ``outer_error_bound`` says how far it can sit outside a disc.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 from .geometry import ConvexRegion, intersect_halfplanes
 from .linalg import as_matrix, eig_hermitian_stack
 
-# Angle counts: interactive default and the denser verification default.
+# Default angle counts: range, radius and verify-properties; verify-shift
+# and verify-nilpotent.
 DEFAULT_ANGLES = 720
 VERIFY_ANGLES = 2048
 MIN_ANGLES = 16
@@ -30,17 +31,17 @@ class BadRankError(ValueError):
     """Requested rank k outside 1..dim(T)."""
 
 
-def default_angles(default: int = DEFAULT_ANGLES) -> int:
-    """Angle count from the HRNR_ANGLES env var, else ``default``."""
-    raw = os.environ.get(ANGLES_ENV_VAR)
-    if raw is None:
-        return default
+def resolve_angles(m: int | None = None, default: int = DEFAULT_ANGLES) -> int:
+    """The angle count: ``m`` if given, else the HRNR_ANGLES env var, else
+    ``default``.  Raises ValueError unless it is an integer >= MIN_ANGLES."""
+    if m is None:
+        m = os.environ.get(ANGLES_ENV_VAR, default)
     try:
-        m = int(raw)
+        m = int(m)
     except ValueError as exc:
-        raise ValueError(f"{ANGLES_ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise ValueError(f"angle count must be an integer, got {m!r}") from exc
     if m < MIN_ANGLES:
-        raise ValueError(f"{ANGLES_ENV_VAR} must be >= {MIN_ANGLES}")
+        raise ValueError(f"angle count must be >= {MIN_ANGLES}, got {m}")
     return m
 
 
@@ -54,13 +55,6 @@ def pencil(t, theta: float) -> np.ndarray:
     t = as_matrix(t)
     p = np.exp(1j * float(theta)) * t
     return p + p.conj().T
-
-
-def _check_angles(m: int) -> int:
-    m = int(m)
-    if m < MIN_ANGLES:
-        raise ValueError(f"angle count must be >= {MIN_ANGLES}, got {m}")
-    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +92,7 @@ def pencil_sweep(t, m: int) -> PencilSweep:
     negated and reversed, and only the first m/2 pencils are solved.
     """
     t = as_matrix(t)
-    m = _check_angles(m)
+    m = resolve_angles(m)
     thetas = 2.0 * np.pi * np.arange(m) / m
     solved = m // 2 if m % 2 == 0 else m
     stack = np.exp(1j * thetas[:solved])[:, None, None] * t
@@ -110,7 +104,15 @@ def pencil_sweep(t, m: int) -> PencilSweep:
 
 
 def outer_error_bound(region: ConvexRegion, m: int) -> float:
-    """Circumscription error R_max (sec(pi/m) - 1); zero for degenerate tags."""
+    """R_max (sec(pi/m) - 1), R_max the region's largest modulus; zero for
+    degenerate tags.
+
+    This is the exact Hausdorff gap between a disc centred at 0 and its
+    m-angle circumscribed polygon, and an overestimate for a translated
+    disc.  It is not a bound for other shapes: for the ellipse-shaped
+    range of S_5 + b S_5* it is 3x (b = 0.5) to 39x (b = 0.95) below the
+    true gap.
+    """
     if region.kind != "polygon":
         return 0.0
     return region.max_modulus() * (1.0 / np.cos(np.pi / m) - 1.0)
@@ -154,8 +156,7 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
 
 
 def rank_k_range(t, k: int, m: int | None = None) -> RangeReport:
-    """Rank-k numerical range of T on an m-angle grid (``default_angles()``
-    when m is None).
+    """Rank-k numerical range of T on a ``resolve_angles(m)``-angle grid.
 
     The k pencil eigenvalue (halved) at each grid angle becomes a
     supporting half-plane; the region is their intersection inside the
@@ -166,11 +167,11 @@ def rank_k_range(t, k: int, m: int | None = None) -> RangeReport:
     t = as_matrix(t)
     if not 1 <= int(k) <= t.shape[0]:
         raise BadRankError(f"k must be in 1..{t.shape[0]}, got {k}")
-    sweep = pencil_sweep(t, default_angles() if m is None else m)
+    sweep = pencil_sweep(t, resolve_angles(m))
     return range_from_sweep(sweep, int(k))
 
 
 def numerical_radius(t, m: int | None = None) -> float:
-    """Largest modulus over the numerical range, via max_j lambda_1/2, on an
-    m-angle grid (``default_angles()`` when m is None)."""
-    return pencil_sweep(t, default_angles() if m is None else m).numerical_radius()
+    """Largest modulus over the numerical range, via max_j lambda_1/2, on a
+    ``resolve_angles(m)``-angle grid."""
+    return pencil_sweep(t, resolve_angles(m)).numerical_radius()

@@ -1,11 +1,12 @@
 """Shift matrices, their closed-form ranges, and the nilpotent dilation.
 
-The n-dimensional shift S_n (ones on the first subdiagonal) has rank-k
-numerical range equal to the closed disc of radius cos(k pi / (n+1)) when
-k <= floor((n+1)/2) and the empty set otherwise.  A nilpotent contraction
-T embeds isometrically into copies of S_n*, which bounds its rank-k range
-by the disc of radius cos(rho(k, r) pi / (n+1)) where r is the rank of
-the defect (I - T*T)^{1/2}.
+One closed form, :func:`shift_radius`, covers both results.  The rank-k
+numerical range of r copies of the n-dimensional shift S_n (ones on the
+first subdiagonal) is the closed disc about 0 of radius
+cos(rho(k, r) pi / (n+1)) when rho(k, r) <= floor((n+1)/2), and empty
+otherwise; r = 1 is S_n itself.  A nilpotent contraction T embeds
+isometrically into r copies of S_n*, where r is the rank of the defect
+(I - T*T)^{1/2}, so that disc also bounds T's rank-k range.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import numpy as np
 from .linalg import as_matrix, frobenius, hermitian_eig, identity, psd_sqrt
 from .ranges import BadRankError
 
-# Disc radii at or below this collapse to a point at the origin.
-POINT_RADIUS = 1e-9
 # Spectral-norm slack for accepting a contraction (scaled inputs sit on
 # the boundary after rounding).
 CONTRACTION_TOL = 1e-10
@@ -52,36 +51,6 @@ def shift_matrix(n: int) -> np.ndarray:
     return s
 
 
-@dataclass(frozen=True)
-class ClosedFormRange:
-    """Closed-form range: a centred disc, the origin, or nothing."""
-
-    tag: str  # "disc" | "point" | "empty"
-    radius: float = 0.0
-
-    @classmethod
-    def disc(cls, radius: float) -> "ClosedFormRange":
-        if radius <= POINT_RADIUS:
-            return cls("point", 0.0)
-        return cls("disc", float(radius))
-
-    @classmethod
-    def empty(cls) -> "ClosedFormRange":
-        return cls("empty", 0.0)
-
-
-def closed_form_shift_range(n: int, k: int) -> ClosedFormRange:
-    """Rank-k range of S_n: disc of radius cos(k pi/(n+1)), or empty."""
-    n, k = int(n), int(k)
-    if n < 1:
-        raise ValueError("shift dimension must be >= 1")
-    if not 1 <= k <= n:
-        raise BadRankError(f"k must be in 1..{n}, got {k}")
-    if k > (n + 1) // 2:
-        return ClosedFormRange.empty()
-    return ClosedFormRange.disc(float(np.cos(k * np.pi / (n + 1))))
-
-
 def rho(k: int, r: int) -> int:
     """k/r when r divides k, floor(k/r) + 1 otherwise."""
     k, r = int(k), int(r)
@@ -111,17 +80,22 @@ def kth_of_replicated(values, r: int, k: int) -> float:
     return float(vals[rho(k, r) - 1])
 
 
-def closed_form_replicated_range(n: int, r: int, k: int) -> ClosedFormRange:
-    """Rank-k range of r copies of S_n (equivalently of S_n*)."""
-    n, r, k = int(n), int(r), int(k)
-    if n < 1 or r < 1 or k < 1:
-        raise ValueError("n, r, k must be positive")
-    if k > n * r:
-        return ClosedFormRange.empty()
+def shift_radius(n: int, k: int, r: int = 1) -> float | None:
+    """Radius of the rank-k range of r copies of S_n: the disc about 0 of
+    radius cos(rho(k, r) pi/(n+1)), exactly 0.0 (a point) when
+    2 rho(k, r) = n + 1, and None (empty) when 2 rho(k, r) > n + 1.
+
+    Raises BadRankError for k outside 1..n*r.
+    """
+    n, k, r = int(n), int(k), int(r)
+    if n < 1 or r < 1:
+        raise ValueError("n and r must be positive")
+    if not 1 <= k <= n * r:
+        raise BadRankError(f"k must be in 1..{n * r}, got {k}")
     p = rho(k, r)
-    if p > (n + 1) // 2:
-        return ClosedFormRange.empty()
-    return ClosedFormRange.disc(float(np.cos(p * np.pi / (n + 1))))
+    if 2 * p > n + 1:
+        return None
+    return 0.0 if 2 * p == n + 1 else float(np.cos(p * np.pi / (n + 1)))
 
 
 def nilpotency_index(t) -> int:
@@ -129,19 +103,12 @@ def nilpotency_index(t) -> int:
     t = as_matrix(t)
     d = t.shape[0]
     power = identity(d)
-    base = t / (spectral_norm(t) or 1.0)
+    base = t / (np.linalg.norm(t, 2) or 1.0)
     for p in range(1, d + 1):
         power = power @ base
         if np.abs(power).max() <= NILPOTENT_TOL:
             return p
     raise NotNilpotentError(f"no power up to {d} vanishes")
-
-
-def spectral_norm(t) -> float:
-    """Largest singular value, via the top eigenvalue of T*T."""
-    t = as_matrix(t)
-    top = hermitian_eig(t.conj().T @ t).values[0]
-    return float(np.sqrt(max(top, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +143,7 @@ def build_dilation(t) -> DilationPack:
     """
     t = as_matrix(t)
     d = t.shape[0]
-    if spectral_norm(t) > 1.0 + CONTRACTION_TOL:
+    if np.linalg.norm(t, 2) > 1.0 + CONTRACTION_TOL:
         raise NotContractionError("spectral norm exceeds 1 beyond tolerance")
     n = nilpotency_index(t)
     gram = identity(d) - t.conj().T @ t

@@ -201,6 +201,17 @@ def test_verify_properties_normal_oracle_line(tmp_path, capsys):
     assert "NORMAL" in out
 
 
+def test_verify_properties_default_angles(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("HRNR_ANGLES", raising=False)
+    eigs = np.exp(2j * np.pi * np.arange(4) / 4)
+    path = write_matrix(tmp_path, "normal.json", np.diag(eigs))
+    code = main(["verify-properties", "--input", path, "--k", "1", "--seed", "1"])
+    normal = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("NORMAL")]
+    assert code == 0
+    assert len(normal) == 1 and "m=720]" in normal[0]
+
+
 def test_verify_properties_non_square_exits_2(tmp_path, capsys):
     bad = tmp_path / "rect.json"
     bad.write_text('{"dim": 2, "data": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]]}')

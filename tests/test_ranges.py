@@ -8,12 +8,12 @@ from hrnr.geometry import ConvexRegion, hausdorff
 from hrnr.linalg import frobenius
 from hrnr.ranges import (
     BadRankError,
-    default_angles,
     numerical_radius,
     pencil,
     pencil_sweep,
     range_from_sweep,
     rank_k_range,
+    resolve_angles,
 )
 from hrnr.shifts import shift_matrix
 
@@ -122,16 +122,20 @@ def test_angle_floor_enforced():
         numerical_radius(shift_matrix(3), 8)
 
 
-def test_default_angles_env_override(monkeypatch):
+def test_resolve_angles_env_override(monkeypatch):
     monkeypatch.delenv("HRNR_ANGLES", raising=False)
-    assert default_angles() == 720
-    assert default_angles(2048) == 2048
+    assert resolve_angles() == 720
+    assert resolve_angles(None, 2048) == 2048
     monkeypatch.setenv("HRNR_ANGLES", "256")
-    assert default_angles() == 256
-    assert default_angles(2048) == 256
-    monkeypatch.setenv("HRNR_ANGLES", "4")
-    with pytest.raises(ValueError):
-        default_angles()
+    assert resolve_angles() == 256
+    assert resolve_angles(None, 2048) == 256
+    assert resolve_angles(64) == 64  # an explicit count wins
+    for bad in ("4", "many"):
+        monkeypatch.setenv("HRNR_ANGLES", bad)
+        with pytest.raises(ValueError):
+            resolve_angles()
+    with pytest.raises(ValueError, match="angle count must be >= 16, got 8"):
+        resolve_angles(8)
 
 
 def test_library_defaults_honour_env_angles(monkeypatch):

@@ -3,21 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrnr.checks import generator, nilpotent_instance, random_nilpotent_contraction
+from hrnr.checks import RADIUS_TOL, generator, nilpotent_instance, random_nilpotent_contraction
 from hrnr.linalg import frobenius, hermitian_eig, identity
-from hrnr.ranges import BadRankError, pencil
+from hrnr.ranges import BadRankError, pencil, pencil_sweep, range_from_sweep
 from hrnr.shifts import (
     BadIndexError,
     NotContractionError,
     NotNilpotentError,
     build_dilation,
-    closed_form_replicated_range,
-    closed_form_shift_range,
     kth_of_replicated,
     nilpotency_index,
     rho,
     shift_matrix,
-    spectral_norm,
+    shift_radius,
 )
 
 
@@ -42,25 +40,34 @@ def test_shift_nilpotent_of_index_n(n):
 # --- closed forms ------------------------------------------------------------
 
 def test_closed_form_disc():
-    got = closed_form_shift_range(4, 2)
-    assert got.tag == "disc"
-    assert got.radius == pytest.approx(0.30901699437494745, abs=1e-15)
+    assert shift_radius(4, 2) == pytest.approx(0.30901699437494745, abs=1e-15)
 
 
 def test_closed_form_degenerate_point():
     # cos(pi/2) is zero: the rank-2 range of S3 is the origin alone
-    assert closed_form_shift_range(3, 2).tag == "point"
+    assert shift_radius(3, 2) == 0.0
 
 
 def test_closed_form_empty():
-    assert closed_form_shift_range(4, 3).tag == "empty"
+    assert shift_radius(4, 3) is None
 
 
 def test_closed_form_bad_rank():
-    with pytest.raises(BadRankError):
-        closed_form_shift_range(4, 0)
-    with pytest.raises(BadRankError):
-        closed_form_shift_range(4, 5)
+    for n, k, r in [(4, 0, 1), (4, 5, 1), (3, 7, 2), (3, 4, 1)]:
+        with pytest.raises(BadRankError):
+            shift_radius(n, k, r)
+
+
+def test_shift_radius_point_rule_is_exact():
+    # a point exactly when 2 rho(k, r) = n + 1, however large n is
+    for n in [1, 2, 3, 9, 10, 999, 10**6 + 1]:
+        for r in (1, 2, 3):
+            for k in (1, 2, r * (n + 1) // 2, r * (n + 1) // 2 + 1, n * r):
+                if not 1 <= k <= n * r:
+                    continue
+                radius = shift_radius(n, k, r)
+                assert (radius == 0.0) == (2 * rho(k, r) == n + 1), (n, k, r)
+                assert (radius is None) == (2 * rho(k, r) > n + 1), (n, k, r)
 
 
 # --- rho and replicated sequences ---------------------------------------------
@@ -111,10 +118,30 @@ def test_kth_of_replicated_bad_index():
 
 
 def test_replicated_closed_form():
-    got = closed_form_replicated_range(3, 2, 2)
-    assert got.tag == "disc" and got.radius == pytest.approx(np.cos(np.pi / 4))
-    assert closed_form_replicated_range(3, 2, 3).tag == "point"
-    assert closed_form_replicated_range(3, 1, 4).tag == "empty"
+    assert shift_radius(3, 2, 2) == pytest.approx(np.cos(np.pi / 4))
+    assert shift_radius(3, 3, 2) == 0.0
+    assert shift_radius(3, 5, 2) is None
+
+
+def test_replicated_closed_form_matches_engine():
+    # the engine on r copies of S_n, at every rank, against shift_radius
+    misses = []
+    for n in range(1, 8):
+        for r in range(1, 4):
+            sweep = pencil_sweep(np.kron(np.eye(r), shift_matrix(n)), 2048)
+            for k in range(1, n * r + 1):
+                report = range_from_sweep(sweep, k)
+                region = report.region
+                radius = shift_radius(n, k, r)
+                want = "empty" if radius is None else "polygon" if radius else "point"
+                if region.kind != want:
+                    misses.append((n, r, k, region.kind))
+                elif want == "point":
+                    assert abs(region.vertices[0]) <= RADIUS_TOL, (n, r, k)
+                elif want == "polygon":
+                    assert abs(region.max_modulus() - radius) <= RADIUS_TOL, (n, r, k)
+                    assert abs(report.min_support() - radius) <= RADIUS_TOL, (n, r, k)
+    assert not misses
 
 
 # --- pencil spectra of shifts ---------------------------------------------------
@@ -184,10 +211,6 @@ def test_nilpotency_index_of_random_lower_triangular_is_scale_free(scale):
 def test_nilpotency_rejects_identity():
     with pytest.raises(NotNilpotentError):
         nilpotency_index(identity(3))
-
-
-def test_spectral_norm_shift_is_one():
-    assert spectral_norm(shift_matrix(6)) == pytest.approx(1.0, abs=1e-12)
 
 
 # --- dilation ----------------------------------------------------------------------
