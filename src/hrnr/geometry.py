@@ -3,7 +3,10 @@ exact support-function distances.
 
 Regions live in the complex plane.  A half-plane is the set
 ``{z : Re(e^{i theta} z) <= offset}``; ``intersect_halfplanes`` takes
-arrays of angles and offsets and intersects them in one deque scan.
+arrays of angles and offsets and intersects them in one deque scan.  When
+every plane already cuts a facet (each consecutive corner lies inside the
+plane after next, as on a smooth range), one array pass certifies that and
+the scan is skipped; the emptiness check runs on both paths.
 Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
 ``polygon`` (counter-clockwise vertex loop).
 
@@ -19,6 +22,7 @@ outward relaxation, far inside all stated tolerances.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,12 +105,22 @@ def _prune_collinear(verts: np.ndarray) -> np.ndarray:
 
     Sequential stack walk: removing one vertex re-evaluates its
     neighbours, so a dense run of nearly coincident vertices collapses to
-    its extremes instead of vanishing outright.
+    its extremes instead of vanishing outright.  An array pass first tests
+    every cyclic triple with ``_collinear``'s arithmetic (``np.hypot`` is
+    the libm ``hypot`` that ``abs`` of a complex calls); when none is
+    collinear the walk would keep every vertex, so the loop is returned as
+    it is.  The walk runs on Python complex values.
     """
     if verts.size < 3:
         return verts
+    e1 = verts - np.roll(verts, 1)
+    e2 = np.roll(e1, -1)
+    chord = np.roll(verts, -1) - np.roll(verts, 1)
+    cross = np.abs(e1.real * e2.imag - e1.imag * e2.real)
+    if not (cross <= CLIP_EPS * np.hypot(chord.real, chord.imag)).any():
+        return verts
     out: list[complex] = []
-    for z in verts:
+    for z in verts.tolist():
         out.append(z)
         while len(out) >= 3 and _collinear(out[-3], out[-2], out[-1]):
             del out[-2]
@@ -168,6 +182,41 @@ def _normalize_planes(thetas, offsets):
     return thetas, offsets
 
 
+def _locally_convex(thetas, cos_t, sin_t, cuts):
+    """Every plane index when each angle-sorted plane cuts a facet, else None.
+
+    One array pass over the consecutive corners (planes j and j + 1, from
+    ``_chain_corners``): every neighbour gap must be below pi, no
+    determinant below 1e-14 in modulus, and corner j must not be cut away
+    by plane j + 2 -- the scan's back test, cyclically -- nor corner 0 by a
+    plane past the half-turn from plane 0 or by the last plane -- its front
+    and closing tests.  These are every test the scan makes when it pops
+    nothing, in the same arithmetic, so whenever this returns indices the
+    scan would return the same ones.  Geometrically each edge then has
+    non-negative length along its line, so the corners form a closed
+    left-turning chain that winds once: a convex polygon with every plane
+    a facet.  Smooth ranges (discs, k = 1 ellipses) pass; faceted ranges,
+    where many grid planes meet at each vertex, and k >= 2 swallowtails
+    decline and go to the scan.
+    """
+    m = thetas.size
+    if (np.diff(thetas, append=thetas[0] + TWO_PI) >= np.pi).any():
+        return None
+    idx = np.arange(m, dtype=np.intp)
+    corners = _chain_corners(cos_t, sin_t, cuts, idx)
+    if corners is None:
+        return None
+    x, y = corners
+    after = np.roll(idx, -2)
+    if (x * cos_t[after] - y * sin_t[after] > cuts[after]).any():
+        return None
+    front = thetas - thetas[0] > np.pi
+    front[-1] = True
+    if (x[0] * cos_t[front] - y[0] * sin_t[front] > cuts[front]).any():
+        return None
+    return idx
+
+
 def _active_chain(thetas, cos_t, sin_t, cuts):
     """Deque scan over angle-sorted half-planes; returns active indices.
 
@@ -180,10 +229,15 @@ def _active_chain(thetas, cos_t, sin_t, cuts):
     range: only rounding could pass it, as when several grid planes meet
     at one vertex, and it would pop a true facet.  Returns None when fewer
     than three planes survive, i.e. the region is empty.  Plain-float
-    inner loop: this runs once per plane and dominates large sweeps.
+    inner loop: this runs once per plane and dominates large sweeps.  The
+    corners of neighbouring deque planes sit in a second deque beside it,
+    each computed once when its later plane is pushed, so a pop test reads
+    a cached corner and both ends pop in O(1).
     """
     m = len(cuts)
-    dq: list[int] = []
+    dq: deque[int] = deque()
+    # corners[j] is the corner of dq[j] and dq[j + 1]
+    corners: deque = deque()
 
     def corner(a, b):
         # intersection of boundary lines a and b; None if (anti)parallel
@@ -200,28 +254,44 @@ def _active_chain(thetas, cos_t, sin_t, cuts):
 
     half_turn = np.pi
     for i in range(m):
-        while len(dq) >= 2 and cut_away(corner(dq[-2], dq[-1]), i):
+        # cut_away(z, i), inlined: this loop runs once per plane
+        c, s, b = cos_t[i], sin_t[i], cuts[i]
+        while corners:
+            z = corners[-1]
+            if z is None or not z[0] * c - z[1] * s > b:
+                break
             dq.pop()
-        while (len(dq) >= 2 and thetas[i] - thetas[dq[0]] > half_turn
-               and cut_away(corner(dq[0], dq[1]), i)):
-            dq.pop(0)
+            corners.pop()
+        while corners and thetas[i] - thetas[dq[0]] > half_turn:
+            z = corners[0]
+            if z is None or not z[0] * c - z[1] * s > b:
+                break
+            dq.popleft()
+            corners.popleft()
+        if dq:
+            corners.append(corner(dq[-1], i))
         dq.append(i)
     changed = True
     while changed and len(dq) >= 3:
         changed = False
-        if cut_away(corner(dq[-2], dq[-1]), dq[0]):
+        if cut_away(corners[-1], dq[0]):
             dq.pop()
+            corners.pop()
             changed = True
             continue
-        if cut_away(corner(dq[0], dq[1]), dq[-1]):
-            dq.pop(0)
+        if cut_away(corners[0], dq[-1]):
+            dq.popleft()
+            corners.popleft()
             changed = True
     if len(dq) < 3:
         return None
     return np.array(dq, dtype=np.intp)
 
 
-def _chain_vertices(cos_t, sin_t, cuts, dq):
+def _chain_corners(cos_t, sin_t, cuts, dq):
+    """Coordinates x, y of the corners of planes dq[j] and dq[j + 1]
+    (cyclically), with the scan's expression; None if two neighbours are
+    (anti)parallel."""
     a = dq
     b = np.roll(dq, -1)
     det = sin_t[a] * cos_t[b] - cos_t[a] * sin_t[b]
@@ -229,7 +299,17 @@ def _chain_vertices(cos_t, sin_t, cuts, dq):
         return None
     x = (-cuts[a] * sin_t[b] + cuts[b] * sin_t[a]) / det
     y = (-cuts[a] * cos_t[b] + cuts[b] * cos_t[a]) / det
-    return x + 1j * y
+    return x, y
+
+
+def _unit_planes(thetas, offsets, radius):
+    """The planes in units of ``radius`` with the square at +-1 added,
+    normalised, and their cut lines relaxed by CLIP_EPS: sorted angles,
+    their cosines and sines, and the cuts."""
+    sq_t = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+    all_t, all_b = _normalize_planes(np.concatenate([thetas, sq_t]),
+                                     np.concatenate([offsets / radius, np.ones(4)]))
+    return all_t, np.cos(all_t), np.sin(all_t), all_b + CLIP_EPS
 
 
 def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
@@ -239,11 +319,14 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     that scales with the input makes the result scale-equivariant.
 
     One angle-sorted deque scan produces the candidate vertex loop in
-    O(m).  In exact arithmetic that loop is the true intersection
-    whenever the intersection is non-empty, so a plane that the
-    classified loop violates by more than 1e-9 * R certifies that the
-    intersection is empty; that check costs O((m + v) log v).  Results
-    are independent of the input order of the planes.
+    O(m).  The scan is skipped when ``_locally_convex`` certifies in one
+    array pass that it would keep every plane; the indices, and so the
+    vertices, are then the ones the scan returns.  In exact arithmetic
+    the loop is the true intersection whenever the intersection is
+    non-empty, so a plane that the classified loop violates by more than
+    1e-9 * R certifies that the intersection is empty; that check runs on
+    both paths and costs O((m + v) log v).  Results are independent of
+    the input order of the planes.
     """
     thetas = np.asarray(thetas, dtype=float).ravel()
     offsets = np.asarray(offsets, dtype=float).ravel()
@@ -256,18 +339,16 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     radius = float(bound)
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError("bound must be positive and finite")
-    sq_t = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    all_t, all_b = _normalize_planes(np.concatenate([thetas, sq_t]),
-                                     np.concatenate([offsets / radius, np.ones(4)]))
-    cuts = all_b + CLIP_EPS
-    cos_t, sin_t = np.cos(all_t), np.sin(all_t)
-
-    dq = _active_chain(all_t.tolist(), cos_t.tolist(), sin_t.tolist(), cuts.tolist())
+    all_t, cos_t, sin_t, cuts = _unit_planes(thetas, offsets, radius)
+    dq = _locally_convex(all_t, cos_t, sin_t, cuts)
+    if dq is None:
+        dq = _active_chain(all_t.tolist(), cos_t.tolist(), sin_t.tolist(), cuts.tolist())
     if dq is None:
         return ConvexRegion.empty()
-    verts = _chain_vertices(cos_t, sin_t, cuts, dq)
-    if verts is None:
+    corners = _chain_corners(cos_t, sin_t, cuts, dq)
+    if corners is None:
         return ConvexRegion.empty()
+    verts = corners[0] + 1j * corners[1]
     # check the classified region, so corner clusters have collapsed and a
     # point or segment is checked as such
     region = _classify(verts)

@@ -33,16 +33,20 @@ class BadRankError(ValueError):
 
 def resolve_angles(m: int | None = None, default: int = DEFAULT_ANGLES) -> int:
     """The angle count: ``m`` if given, else the HRNR_ANGLES env var, else
-    ``default``.  Raises ValueError unless it is an integer >= MIN_ANGLES."""
+    ``default``.  Raises ValueError unless it is an integer >= MIN_ANGLES;
+    a number counts when its value is integral (64.0 does, 64.5 does not),
+    a string when ``int`` parses it."""
     if m is None:
         m = os.environ.get(ANGLES_ENV_VAR, default)
     try:
-        m = int(m)
-    except ValueError as exc:
+        count = int(m)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"angle count must be an integer, got {m!r}") from exc
-    if m < MIN_ANGLES:
-        raise ValueError(f"angle count must be >= {MIN_ANGLES}, got {m}")
-    return m
+    if not isinstance(m, str) and count != m:
+        raise ValueError(f"angle count must be an integer, got {m!r}")
+    if count < MIN_ANGLES:
+        raise ValueError(f"angle count must be >= {MIN_ANGLES}, got {count}")
+    return count
 
 
 def pencil(t, theta: float) -> np.ndarray:

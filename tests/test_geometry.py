@@ -3,14 +3,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hrnr.checks import generator, random_matrix
 from hrnr.geometry import (
     ConvexRegion,
     EmptyRegionError,
+    _active_chain,
+    _locally_convex,
+    _prune_collinear,
+    _unit_planes,
     excess,
     hausdorff,
     intersect_halfplanes,
     support,
 )
+from hrnr.ranges import pencil_sweep
+from hrnr.shifts import shift_matrix
 
 UNIT_SQUARE = ConvexRegion.polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
 
@@ -205,15 +212,103 @@ def test_engine_polygon_distance_is_scale_free(m, scale, gap):
     assert abs(hausdorff(region, true) / scale - want) <= 1e-9
 
 
-def test_empty_grid_range_is_certified():
-    # rank-3 offsets of the regular pentagon's normal matrix: the hulls of
-    # its 3-point subsets share no point, but the deque scan alone leaves
-    # a spurious point here, so the support check must reject it
-    m = 2048
+PENTAGON = np.exp(2j * np.pi * np.arange(5) / 5)
+
+
+def empty_pentagon_planes(m=2048):
+    """Rank-3 offsets of the regular pentagon's normal matrix: the hulls of
+    its 3-point subsets share no point."""
     thetas = 2 * np.pi * np.arange(m) / m
-    pentagon = np.exp(2j * np.pi * np.arange(5) / 5)
-    offsets = np.median((np.exp(1j * thetas)[:, None] * pentagon).real, axis=1)
-    assert intersect_halfplanes(thetas, offsets, bound=2.0).is_empty
+    return thetas, np.median((np.exp(1j * thetas)[:, None] * PENTAGON).real, axis=1)
+
+
+def test_empty_grid_range_is_certified():
+    # the deque scan alone leaves a spurious point here, so the support
+    # check must reject it
+    assert intersect_halfplanes(*empty_pentagon_planes(), bound=2.0).is_empty
+
+
+def sweep_planes(t, k, m):
+    """The normalised, relaxed planes ``range_from_sweep`` hands the scan."""
+    sweep = pencil_sweep(t, m)
+    offsets = sweep.eigenvalues[:, k - 1] / 2.0
+    return _unit_planes(sweep.thetas, offsets, 2.0 * sweep.numerical_radius() or 1.0)
+
+
+def test_locally_convex_certificate_matches_scan():
+    faceted = np.diag(PENTAGON * (1 + 0.3 * np.arange(5)))
+    gauss = random_matrix(6, generator(1))
+    # (planes, True if the certificate must accept, False if it must
+    # decline, None for either)
+    cases = [(sweep_planes(shift_matrix(4), 1, 8192), True),
+             (sweep_planes(shift_matrix(8), 1, 8192), True),
+             (sweep_planes(gauss, 1, 8192), True),
+             (sweep_planes(gauss, 2, 8192), False),  # swallowtail
+             (sweep_planes(np.diag([-1.0, 0.2, 0.5, 1.5]), 1, 2048), None),  # segment
+             (_unit_planes(*empty_pentagon_planes(), 2.0), False)]
+    cases += [(sweep_planes(faceted, k, 65536), False) for k in (1, 2, 3)]
+    for planes, accepts in cases:
+        certified = _locally_convex(*planes)
+        scanned = _active_chain(*(a.tolist() for a in planes))
+        if accepts is not None:
+            assert (certified is not None) == accepts
+        if certified is not None:
+            assert np.array_equal(certified, scanned)
+
+
+def prune_reference(verts):
+    """The collinear walk on numpy scalars, with no array pre-test."""
+    def collinear(a, b, c):
+        e1, e2 = b - a, c - b
+        return abs(e1.real * e2.imag - e1.imag * e2.real) <= 1e-12 * abs(c - a)
+
+    out = []
+    for z in verts:
+        out.append(z)
+        while len(out) >= 3 and collinear(out[-3], out[-2], out[-1]):
+            del out[-2]
+    changed = True
+    while changed and len(out) >= 3:
+        changed = False
+        if collinear(out[-2], out[-1], out[0]):
+            del out[-1]
+            changed = True
+        if len(out) >= 3 and collinear(out[-1], out[0], out[1]):
+            del out[0]
+            changed = True
+    return np.array(out, dtype=np.complex128)
+
+
+def test_prune_collinear_fast_path_and_runs():
+    polygon = np.exp(2j * np.pi * np.arange(8192) / 8192)
+    kept = _prune_collinear(polygon)
+    assert kept is polygon and np.array_equal(kept, np.exp(2j * np.pi * np.arange(8192) / 8192))
+    square = np.array([1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j])
+    run = 1 + 1j * np.linspace(-1, 1, 52)[1:-1]
+    with_run = np.concatenate([square[:1], run, square[1:]])
+    assert np.array_equal(_prune_collinear(with_run), square)
+    # a dense run collapses to its extremes, and a cluster at a corner to one vertex
+    cluster = (1 + 1j) + np.array([-1e-13j, -5e-14, 3e-14 + 2e-14j, 7e-14j])
+    with_cluster = np.concatenate([square[:1], cluster, square[2:]])
+    pruned = _prune_collinear(with_cluster)
+    assert pruned.size == 4
+    assert np.array_equal(pruned[[0, 2, 3]], square[[0, 2, 3]])
+    assert abs(pruned[1] - (1 + 1j)) <= 1e-13
+    # the same vertices, bit for bit, as the walk on numpy scalars, also on
+    # loops whose triples sit near the threshold: small 1024-gons (a vertex
+    # lies 5.3e-8 * 1.9e-5 = 1e-12 from its neighbours' chord at the middle
+    # radius) and runs with perpendicular noise
+    rng = np.random.Generator(np.random.PCG64(3))
+    # its second vertex lies exactly CLIP_EPS from its neighbours' chord
+    at_threshold = np.array([-1, -1e-12j, 1, 2j])
+    assert _prune_collinear(at_threshold).size == 3
+    loops = [polygon, with_run, with_cluster, at_threshold]
+    for radius, noise in [(3e-8, 3e-13), (5.3e-8, 1e-12), (1e-7, 3e-12)]:
+        loops.append(radius * np.exp(2j * np.pi * np.arange(1024) / 1024))
+        loops.append(np.concatenate([square[:1], run + noise * rng.normal(size=run.size),
+                                     square[1:]]))
+    for loop in loops:
+        assert np.array_equal(_prune_collinear(loop), prune_reference(loop))
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -138,6 +138,24 @@ def test_resolve_angles_env_override(monkeypatch):
         resolve_angles(8)
 
 
+def test_resolve_angles_rejects_fractional_count(monkeypatch):
+    monkeypatch.delenv("HRNR_ANGLES", raising=False)
+    with pytest.raises(ValueError, match=r"angle count must be an integer, got 100\.9"):
+        rank_k_range(shift_matrix(3), 1, 100.9)
+    for bad in (100.9, 16.5, np.float64(64.25)):
+        with pytest.raises(ValueError, match="angle count must be an integer"):
+            resolve_angles(bad)
+    monkeypatch.setenv("HRNR_ANGLES", "100.9")
+    with pytest.raises(ValueError, match="angle count must be an integer"):
+        resolve_angles()
+    # integral values of any numeric type are counts
+    for good in (100, np.int64(100), 100.0, np.float64(100.0)):
+        got = resolve_angles(good)
+        assert got == 100 and type(got) is int
+    monkeypatch.setenv("HRNR_ANGLES", "100")
+    assert resolve_angles() == 100
+
+
 def test_library_defaults_honour_env_angles(monkeypatch):
     monkeypatch.setenv("HRNR_ANGLES", "64")
     assert rank_k_range(shift_matrix(3), 1).angles == 64
