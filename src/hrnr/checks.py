@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import ConvexRegion, excess, hausdorff, intersect_halfplanes
-from .linalg import as_matrix, frobenius, hermitian_eig, identity, is_hermitian
+from .linalg import as_matrix, hermitian_eig, is_hermitian
 from .ranges import PencilSweep, RangeReport, pencil_sweep, range_from_sweep
 from .shifts import build_dilation, rho, shift_matrix, shift_radius
 
@@ -167,7 +167,7 @@ def check_affine(t, base: RangeReport, a: complex, b: complex) -> PropertyReport
     rather than the disc-calibrated bounds alone.
     """
     t = as_matrix(t)
-    lhs = _sibling(a * t + b * identity(t.shape[0]), base)
+    lhs = _sibling(a * t + b * np.eye(t.shape[0]), base)
     tol = 10.0 * (_outer_gap(lhs) + abs(a) * _outer_gap(base)) + 1e-8
     dist = _set_distance(lhs.region, transform_region(base.region, a, b))
     return _report("P1", dist, tol, f"dim={t.shape[0]} k={base.k} a={a} b={b}")
@@ -201,7 +201,7 @@ def check_unitary(t, base: RangeReport, u) -> PropertyReport:
     """P4: conjugating by a unitary leaves the range unchanged."""
     t = as_matrix(t)
     u = as_matrix(u)
-    if frobenius(u.conj().T @ u - identity(u.shape[0])) > UNITARY_TOL:
+    if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) > UNITARY_TOL:
         raise NotUnitaryError("conjugating matrix is not unitary within 1e-10")
     lhs = _sibling(u.conj().T @ t @ u, base)
     dist = _set_distance(lhs.region, base.region)
@@ -215,7 +215,7 @@ def check_compression(t, base: RangeReport, iso) -> PropertyReport:
     if iso.ndim != 2 or iso.shape[0] < iso.shape[1]:
         raise BadIsometryError(f"expected tall column-isometry, got {iso.shape}")
     p = iso.shape[1]
-    if frobenius(iso.conj().T @ iso - identity(p)) > UNITARY_TOL:
+    if np.linalg.norm(iso.conj().T @ iso - np.eye(p)) > UNITARY_TOL:
         raise BadIsometryError("columns are not orthonormal within 1e-10")
     if p < base.k:
         raise BadIsometryError(f"need at least k={base.k} columns, got {p}")
@@ -463,7 +463,7 @@ def is_normal(t) -> bool:
     fails alike for ``s T`` at every scale ``s > 0``."""
     t = as_matrix(t)
     commutator = t @ t.conj().T - t.conj().T @ t
-    return frobenius(commutator) <= NORMAL_RTOL * frobenius(t) ** 2
+    return bool(np.linalg.norm(commutator) <= NORMAL_RTOL * np.linalg.norm(t) ** 2)
 
 
 def normal_eigenvalues(t) -> np.ndarray:

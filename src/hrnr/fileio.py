@@ -2,8 +2,13 @@
 
 Matrix files are JSON: ``{"dim": n, "data": [[[re, im], ...], ...]}``
 with ``data`` an n x n grid of [real, imaginary] pairs in decimal text.
-Region files serialise a range report with a fixed key order so that
-parsing and re-dumping a file reproduces it byte for byte.
+Region files serialise a range report as JSON with a fixed key order, a
+two-space indent and each float in its shortest round-trip text
+(Python's ``repr``, which is what ``json`` writes), so that parsing and
+re-dumping a file reproduces it byte for byte.  The (N, 2) float arrays
+of a region object (``vertices``, ``support_samples``) are written in one
+pass, one ``[x, y]`` pair per row, with the same bytes ``json.dumps(...,
+indent=2)`` gives for the equivalent nested lists.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ def obj_to_matrix(obj) -> np.ndarray:
         raise MatrixFileError("matrix file needs 'dim' and 'data' keys")
     n = obj["dim"]
     data = obj["data"]
-    if not isinstance(n, int) or n < 1:
+    # JSON true and false load as bools, which are ints to isinstance
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise MatrixFileError(f"bad dimension {n!r}")
     if not isinstance(data, list) or len(data) != n:
         raise MatrixFileError(f"expected {n} rows")
@@ -42,7 +48,8 @@ def obj_to_matrix(obj) -> np.ndarray:
             raise MatrixFileError(f"row {i} is not a list of {n} entries")
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) for x in entry)):
+                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                               for x in entry)):
                 raise MatrixFileError(f"entry ({i},{j}) is not an [re, im] pair")
             out[i, j] = complex(entry[0], entry[1])
     if not np.isfinite(out.view(np.float64)).all():
@@ -71,14 +78,39 @@ def region_to_obj(report: RangeReport) -> dict:
         "k": report.k,
         "angles": report.angles,
         "outer_error_bound": float(report.outer_error_bound),
-        "vertices": [[float(z.real), float(z.imag)] for z in region.vertices],
-        "support_samples": [[float(t), float(b)] for t, b in report.support_samples],
+        "vertices": np.column_stack([region.vertices.real, region.vertices.imag]),
+        "support_samples": np.asarray(report.support_samples, dtype=np.float64),
     }
 
 
+def _dumps_member(value) -> str:
+    """JSON text of one member of a top-level object, indented to sit in it."""
+    if isinstance(value, np.ndarray):
+        if (value.dtype == np.float64 and value.ndim == 2 and value.shape[1] == 2
+                and np.isfinite(value).all()):
+            if value.size == 0:
+                return "[]"
+            # one row as json.dumps(indent=2) writes it one level down; a
+            # float's repr is json's text for it
+            pair = "    [\n      {!r},\n      {!r}\n    ]"
+            rows = ",\n".join([pair] * len(value)).format(*value.ravel().tolist())
+            return "[\n" + rows + "\n  ]"
+        # NaN and Infinity keep json's spelling
+        value = value.tolist()
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
 def dumps_json(obj) -> str:
-    """Deterministic JSON text: fixed key order, two-space indent."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Deterministic JSON text: fixed key order, two-space indent.
+
+    The text of ``json.dumps(obj, indent=2)`` and a newline, where each
+    numpy array member of a top-level object stands for its ``tolist()``.
+    """
+    if not (isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj)):
+        return json.dumps(obj, indent=2) + "\n"
+    members = ",\n".join(f"  {json.dumps(key)}: {_dumps_member(value)}"
+                         for key, value in obj.items())
+    return "{\n" + members + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +122,8 @@ SVG_SIZE = 640
 def _mapper(world: float):
     half = SVG_SIZE / 2.0
 
-    def to_px(z: complex):
+    def to_px(z):
+        # a complex scalar or array; arrays map elementwise in the same order
         return (half + half * z.real / world, half - half * z.imag / world)
 
     return to_px
@@ -101,7 +134,9 @@ def region_svg(region: ConvexRegion, ref_radius: float | None = None) -> str:
 
     The view box pads 20% beyond the largest modulus drawn.
     """
-    moduli = [abs(z) for z in region.vertices]
+    v = region.vertices
+    # np.hypot is Python's abs of each vertex to the last bit; np.abs is not
+    moduli = [np.hypot(v.real, v.imag).max()] if v.size else []
     if ref_radius:
         moduli.append(abs(ref_radius))
     world = 1.2 * max(moduli + [0.1])
@@ -128,17 +163,17 @@ def region_svg(region: ConvexRegion, ref_radius: float | None = None) -> str:
         r_px = abs(ref_radius) / world * (SVG_SIZE / 2.0)
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="{r_px:.3f}" fill="none" '
                      'stroke="#c00" stroke-width="1.5" stroke-dasharray="6 4"/>')
+    xs, ys = (px.tolist() for px in to_px(v))
     if region.kind == "polygon":
-        pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(to_px, region.vertices))
+        pts = " ".join(map("{:.3f},{:.3f}".format, xs, ys))
         parts.append(f'<polygon points="{pts}" fill="#4a90d9" fill-opacity="0.15" '
                      'stroke="#1a5296" stroke-width="1.5"/>')
     elif region.kind == "segment":
-        (x1, y1), (x2, y2) = map(to_px, region.vertices)
+        (x1, x2), (y1, y2) = xs, ys
         parts.append(f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
                      'stroke="#1a5296" stroke-width="2"/>')
     elif region.kind == "point":
-        x, y = to_px(region.vertices[0])
-        parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="#1a5296"/>')
+        parts.append(f'<circle cx="{xs[0]:.3f}" cy="{ys[0]:.3f}" r="3" fill="#1a5296"/>')
     else:
         parts.append(f'<text x="{SVG_SIZE/2-30}" y="{SVG_SIZE/2-10}" '
                      'fill="#666" font-size="16">empty</text>')

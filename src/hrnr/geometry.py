@@ -326,7 +326,8 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     non-empty, so a plane that the classified loop violates by more than
     1e-9 * R certifies that the intersection is empty; that check runs on
     both paths and costs O((m + v) log v).  Results are independent of
-    the input order of the planes.
+    the input order of the planes.  Raises ValueError when offsets / R,
+    or the vertices they give, overflow to a non-finite value.
     """
     thetas = np.asarray(thetas, dtype=float).ravel()
     offsets = np.asarray(offsets, dtype=float).ravel()
@@ -339,7 +340,10 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     radius = float(bound)
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError("bound must be positive and finite")
-    all_t, cos_t, sin_t, cuts = _unit_planes(thetas, offsets, radius)
+    with np.errstate(over="ignore"):
+        all_t, cos_t, sin_t, cuts = _unit_planes(thetas, offsets, radius)
+    if not np.isfinite(cuts).all():
+        raise ValueError("offsets / bound must be finite")
     dq = _locally_convex(all_t, cos_t, sin_t, cuts)
     if dq is None:
         dq = _active_chain(all_t.tolist(), cos_t.tolist(), sin_t.tolist(), cuts.tolist())
@@ -349,12 +353,17 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     if corners is None:
         return ConvexRegion.empty()
     verts = corners[0] + 1j * corners[1]
+    if not np.isfinite(verts).all():
+        raise ValueError("offsets / bound too large: the vertices overflow")
     # check the classified region, so corner clusters have collapsed and a
     # point or segment is checked as such
     region = _classify(verts)
     if (support(region, all_t) - cuts > 1e-9).any():
         return ConvexRegion.empty()
-    return ConvexRegion(region.kind, region.vertices * radius)
+    verts = region.vertices * radius
+    if not np.isfinite(verts).all():
+        raise ValueError("offsets / bound too large: the vertices overflow")
+    return ConvexRegion(region.kind, verts)
 
 
 def _supporting(region: ConvexRegion, thetas: np.ndarray) -> np.ndarray:

@@ -48,14 +48,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt((np.abs(a) ** 2).sum()))
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.complex128)
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianEigen:
     """Spectral decomposition of a Hermitian matrix.
@@ -110,7 +102,7 @@ def is_hermitian(h) -> bool:
     every scale ``s > 0``.
     """
     h = as_matrix(h)
-    return frobenius(h - h.conj().T) <= HERMITIAN_RTOL * frobenius(h)
+    return bool(np.linalg.norm(h - h.conj().T) <= HERMITIAN_RTOL * np.linalg.norm(h))
 
 
 def hermitian_eig(h) -> HermitianEigen:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius, hermitian_eig, identity, psd_sqrt
+from .linalg import as_matrix, hermitian_eig, psd_sqrt
 from .ranges import BadRankError
 
 # Spectral-norm slack for accepting a contraction (scaled inputs sit on
@@ -102,7 +102,7 @@ def nilpotency_index(t) -> int:
     """Smallest n <= dim with T^n = 0 (entrywise, on T / ||T||_2)."""
     t = as_matrix(t)
     d = t.shape[0]
-    power = identity(d)
+    power = np.eye(d)
     base = t / (np.linalg.norm(t, 2) or 1.0)
     for p in range(1, d + 1):
         power = power @ base
@@ -146,7 +146,7 @@ def build_dilation(t) -> DilationPack:
     if np.linalg.norm(t, 2) > 1.0 + CONTRACTION_TOL:
         raise NotContractionError("spectral norm exceeds 1 beyond tolerance")
     n = nilpotency_index(t)
-    gram = identity(d) - t.conj().T @ t
+    gram = np.eye(d) - t.conj().T @ t
     defect = psd_sqrt(gram)
     defect_eigs = hermitian_eig(gram).values
     r = int((defect_eigs > DEFECT_RANK_TOL).sum())
@@ -156,8 +156,8 @@ def build_dilation(t) -> DilationPack:
     for step in range(n):
         v[rows + step, :] = block
         block = block @ t
-    iso = frobenius(v.conj().T @ v - identity(d))
-    inter = frobenius(v @ t - np.kron(identity(d), shift_matrix(n).conj().T) @ v)
+    iso = float(np.linalg.norm(v.conj().T @ v - np.eye(d)))
+    inter = float(np.linalg.norm(v @ t - np.kron(np.eye(d), shift_matrix(n).conj().T) @ v))
     return DilationPack(
         defect=defect,
         r=r,

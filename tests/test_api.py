@@ -16,3 +16,10 @@ def test_closed_form_wrappers_are_replaced_by_shift_radius():
     for name in REMOVED:
         assert name not in hrnr.__all__
         assert not hasattr(hrnr, name) and not hasattr(hrnr.shifts, name)
+
+
+def test_linalg_wrappers_are_gone():
+    # np.linalg.norm and np.eye are called directly
+    for name in ("frobenius", "identity"):
+        assert name not in hrnr.__all__
+        assert not hasattr(hrnr.linalg, name)

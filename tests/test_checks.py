@@ -26,7 +26,6 @@ from hrnr.checks import (
     random_unitary,
 )
 from hrnr.geometry import ConvexRegion, hausdorff
-from hrnr.linalg import frobenius, identity
 from hrnr.ranges import pencil_sweep, rank_k_range
 from hrnr.shifts import nilpotency_index, shift_matrix, shift_radius
 
@@ -55,7 +54,7 @@ def test_affine_scaled_shifted_shift_disc():
     rep = check_affine(shift_matrix(4), base(shift_matrix(4), 1, 2048), 2.0, 1j)
     assert rep.passed
     # the transformed region is the radius-2cos(pi/5) disc centred at i
-    report = rank_k_range(2.0 * shift_matrix(4) + 1j * identity(4), 1, 2048)
+    report = rank_k_range(2.0 * shift_matrix(4) + 1j * np.eye(4), 1, 2048)
     radii = np.abs(report.region.vertices - 1j)
     assert abs(radii.max() - 2 * np.cos(np.pi / 5)) < 5e-6
     assert abs(radii.min() - 2 * np.cos(np.pi / 5)) < 5e-6
@@ -114,7 +113,7 @@ def test_direct_sum_random_pair():
 
 def test_unitary_identity_conjugation():
     t = random_square(3, 51)
-    rep = check_unitary(t, base(t, 1), identity(3))
+    rep = check_unitary(t, base(t, 1), np.eye(3))
     assert rep.passed and rep.discrepancy <= 1e-12
 
 
@@ -151,20 +150,20 @@ def test_random_unitary_is_gram_schmidt_of_the_same_draws(dim):
     u = random_unitary(dim, rng)
     want = gram_schmidt(random_matrix(dim, ref))
     assert np.abs(u - want).max() <= 1e-13
-    assert np.abs(u.conj().T @ u - identity(dim)).max() <= 1e-13
+    assert np.abs(u.conj().T @ u - np.eye(dim)).max() <= 1e-13
     assert rng.uniform() == ref.uniform()
 
 
 def test_unitary_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
-        check_unitary(shift_matrix(2), base(shift_matrix(2), 1), 2 * identity(2))
+        check_unitary(shift_matrix(2), base(shift_matrix(2), 1), 2 * np.eye(2))
 
 
 # --- P5 compression ------------------------------------------------------------------
 
 def test_compression_identity_is_equality():
     t = random_square(3, 61)
-    rep = check_compression(t, base(t, 1), identity(3))
+    rep = check_compression(t, base(t, 1), np.eye(3))
     assert rep.passed and rep.discrepancy <= 1e-9
 
 
@@ -191,7 +190,7 @@ def test_compression_rejects_bad_columns():
         check_compression(shift_matrix(3), base(shift_matrix(3), 1),
                           np.ones((3, 2), dtype=complex))
     with pytest.raises(BadIsometryError):
-        check_compression(shift_matrix(3), base(shift_matrix(3), 2), identity(3)[:, :1])
+        check_compression(shift_matrix(3), base(shift_matrix(3), 2), np.eye(3)[:, :1])
 
 
 # --- P6 nesting ---------------------------------------------------------------------
@@ -288,7 +287,7 @@ def test_normal_eigenvalues_near_tied_real_parts(hidden):
     got = normal_eigenvalues(t)
     # the imaginary parts are well apart, so they pair the eigenvalues
     got, want = got[np.argsort(got.imag)], NEAR_TIED[np.argsort(NEAR_TIED.imag)]
-    assert np.abs(got - want).max() <= 1e-12 * frobenius(t)
+    assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(t)
 
 
 def test_normal_eigenvalues_rejects_non_normal():

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from hrnr import checks, cli, fileio
+from hrnr.checks import RADIUS_TOL
 from hrnr.cli import main
-from hrnr.shifts import shift_matrix
+from hrnr.geometry import ConvexRegion
+from hrnr.ranges import pencil_sweep, range_from_sweep
+from hrnr.shifts import shift_matrix, shift_radius
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -60,11 +63,140 @@ def test_range_malformed_input_exits_2(tmp_path, capsys):
     assert main(["range", "--input", str(missing), "--k", "1"]) == 2
 
 
+
+@pytest.mark.parametrize("text, message", [
+    ('{"dim": true, "data": [[[1, 0]]]}', "bad dimension True"),
+    ('{"dim": 1, "data": [[[true, false]]]}', "entry (0,0) is not an [re, im] pair"),
+], ids=["dim", "entry"])
+def test_range_boolean_matrix_file_exits_2(tmp_path, capsys, text, message):
+    # JSON booleans are Python ints; neither is a dimension or an entry
+    bad = tmp_path / "bool.json"
+    bad.write_text(text)
+    assert main(["range", "--input", str(bad), "--k", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+# one (matrix, k) per region tag
+TAG_CASES = {
+    "polygon": (shift_matrix(4), 1),
+    "segment": (np.diag([0.0, 1.0, 2.0, 3.0]), 1),
+    "point": (np.diag([0.0, 1.0, 2.0]), 2),
+    "empty": (shift_matrix(4), 3),
+}
+
+
+def lines(text):
+    # compared line by line, so a failure reports the first differing line
+    # instead of diffing two long texts
+    return text.splitlines(keepends=True)
+
+
+def as_lists(obj):
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in obj.items()}
+
+
 def test_region_json_roundtrip_byte_identical(tmp_path, shift4):
     out = tmp_path / "region.json"
     main(["range", "--input", shift4, "--k", "1", "--angles", "64", "--out", str(out)])
     text = out.read_text()
     assert fileio.dumps_json(json.loads(text)) == text
+    # every tag, at 2048 angles and at scales whose floats print with exponents
+    for tag, (t, k) in TAG_CASES.items():
+        for scale in (1e-8, 1.0, 1e8):
+            obj = fileio.region_to_obj(range_from_sweep(pencil_sweep(scale * t, 2048), k))
+            assert obj["tag"] == tag
+            text = fileio.dumps_json(obj)
+            want = json.dumps(as_lists(obj), indent=2) + "\n"
+            assert lines(text) == lines(want), (tag, scale)
+            assert lines(fileio.dumps_json(json.loads(text))) == lines(text), (tag, scale)
+    # hand-made arrays: exponent and signed-zero reprs, an empty array, and
+    # non-finite values, which keep json's NaN / Infinity spelling
+    obj = {"tag": "polygon", "k": 1, "angles": 16, "outer_error_bound": 1e-05,
+           "vertices": np.array([[-0.0, 1e-05], [2.5e-310, -1e300], [0.1, 3.0]]),
+           "support_samples": np.zeros((0, 2)), "extra": np.array([[np.nan, -np.inf]])}
+    assert fileio.dumps_json(obj) == json.dumps(as_lists(obj), indent=2) + "\n"
+    assert '"vertices": [\n    [\n      -0.0,\n      1e-05\n    ],' in fileio.dumps_json(obj)
+
+
+def svg_reference(region, ref_radius=None):
+    """The per-vertex region_svg that the array version replaced."""
+    size = fileio.SVG_SIZE
+    half = size / 2.0
+
+    def to_px(z):
+        return (half + half * z.real / world, half - half * z.imag / world)
+
+    moduli = [abs(z) for z in region.vertices]
+    if ref_radius:
+        moduli.append(abs(ref_radius))
+    world = 1.2 * max(moduli + [0.1])
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
+        f'height="{size}" viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<line x1="0" y1="{size/2}" x2="{size}" y2="{size/2}" '
+        'stroke="#999" stroke-width="1"/>',
+        f'<line x1="{size/2}" y1="0" x2="{size/2}" y2="{size}" '
+        'stroke="#999" stroke-width="1"/>',
+    ]
+    for tick in (-1.0, 1.0):
+        if abs(tick) <= world:
+            x, y = to_px(complex(tick, 0.0))
+            parts.append(f'<line x1="{x:.2f}" y1="{size/2-4}" x2="{x:.2f}" '
+                         f'y2="{size/2+4}" stroke="#999" stroke-width="1"/>')
+            x, y = to_px(complex(0.0, tick))
+            parts.append(f'<line x1="{size/2-4}" y1="{y:.2f}" '
+                         f'x2="{size/2+4}" y2="{y:.2f}" stroke="#999" stroke-width="1"/>')
+    if ref_radius:
+        cx, cy = to_px(0j)
+        r_px = abs(ref_radius) / world * (size / 2.0)
+        parts.append(f'<circle cx="{cx}" cy="{cy}" r="{r_px:.3f}" fill="none" '
+                     'stroke="#c00" stroke-width="1.5" stroke-dasharray="6 4"/>')
+    if region.kind == "polygon":
+        pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(to_px, region.vertices))
+        parts.append(f'<polygon points="{pts}" fill="#4a90d9" fill-opacity="0.15" '
+                     'stroke="#1a5296" stroke-width="1.5"/>')
+    elif region.kind == "segment":
+        (x1, y1), (x2, y2) = map(to_px, region.vertices)
+        parts.append(f'<line x1="{x1:.3f}" y1="{y1:.3f}" x2="{x2:.3f}" y2="{y2:.3f}" '
+                     'stroke="#1a5296" stroke-width="2"/>')
+    elif region.kind == "point":
+        x, y = to_px(region.vertices[0])
+        parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3" fill="#1a5296"/>')
+    else:
+        parts.append(f'<text x="{size/2-30}" y="{size/2-10}" '
+                     'fill="#666" font-size="16">empty</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("tag", list(TAG_CASES))
+def test_region_svg_matches_per_vertex_reference(tag):
+    t, k = TAG_CASES[tag]
+    for scale in (1e-8, 1.0, 1e8):
+        region = range_from_sweep(pencil_sweep(scale * t, 2048), k).region
+        assert region.kind == tag
+        for ref_radius in (None, 0.5 * scale, 0.5):
+            got = fileio.region_svg(region, ref_radius)
+            assert lines(got) == lines(svg_reference(region, ref_radius)), (scale, ref_radius)
+    # signed zeros and tiny coordinates next to a unit vertex
+    region = ConvexRegion.polygon([-0.0 + 1e-05j, 1.0 - 0.0j, 0.5 + 1.0j])
+    assert fileio.region_svg(region, 0.5) == svg_reference(region, 0.5)
+
+
+def test_readme_pipeline(tmp_path, monkeypatch):
+    # the Command line example of the README, run as written
+    monkeypatch.chdir(tmp_path)
+    assert main(["shift", "--n", "5", "--out", "s5.json"]) == 0
+    assert main(["range", "--input", "s5.json", "--k", "2", "--angles", "2048",
+                 "--out", "region.json", "--svg", "region.svg", "--ref-radius", "0.5"]) == 0
+    text = (tmp_path / "region.json").read_text()
+    obj = json.loads(text)
+    assert obj["tag"] == "polygon" and len(obj["support_samples"]) == 2048
+    radius = max(abs(complex(re, im)) for re, im in obj["vertices"])
+    assert abs(radius - shift_radius(5, 2)) <= RADIUS_TOL
+    assert lines(fileio.dumps_json(obj)) == lines(text)
+    assert "stroke-dasharray" in (tmp_path / "region.svg").read_text()
 
 
 def test_range_svg(tmp_path, shift4):

@@ -173,6 +173,14 @@ def test_intersection_validates_input():
             intersect_halfplanes([0.0], [1.0], bound=bound)
 
 
+
+@pytest.mark.parametrize("offset, bound", [(1.0, 1e-310), (1e10, 1e-300)])
+def test_intersection_rejects_overflowing_unit_offsets(offset, bound):
+    # offsets / bound overflows, and the corners would come out NaN
+    thetas = 2 * np.pi * np.arange(8) / 8
+    with pytest.raises(ValueError, match="offsets / bound"):
+        intersect_halfplanes(thetas, np.full(8, offset), bound=bound)
+
 @pytest.mark.parametrize("m, scale", [(2048, 1.0), (65536, 1e2), (65536, 1e4)])
 def test_facet_through_shared_vertex_survives(m, scale):
     # several grid planes pass through each vertex of this polygon, and its
