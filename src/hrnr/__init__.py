@@ -8,7 +8,6 @@ against independent oracles.
 """
 
 from .geometry import ConvexRegion, hausdorff, intersect_halfplanes, support
-from .linalg import HermitianEigen, hermitian_eig, psd_sqrt
 from .ranges import (
     PencilSweep,
     RangeReport,
@@ -35,9 +34,6 @@ __all__ = [
     "hausdorff",
     "intersect_halfplanes",
     "support",
-    "HermitianEigen",
-    "hermitian_eig",
-    "psd_sqrt",
     "PencilSweep",
     "RangeReport",
     "numerical_radius",

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import ConvexRegion, excess, hausdorff, intersect_halfplanes
-from .linalg import as_matrix, hermitian_eig, is_hermitian
+from .linalg import as_matrix, is_hermitian
 from .ranges import PencilSweep, RangeReport, pencil_sweep, range_from_sweep
 from .shifts import build_dilation, rho, shift_matrix, shift_radius
 
@@ -237,9 +237,14 @@ def check_nesting(sweep: PencilSweep, k_max: int) -> PropertyReport:
 
 
 def check_hermitian_oracle(t, base: RangeReport) -> PropertyReport:
-    """T's rank-k region against the eigenvalue interval of Hermitian T."""
+    """T's rank-k region against the eigenvalue interval of Hermitian T.
+
+    Raises ValueError unless :func:`~hrnr.linalg.is_hermitian` accepts T;
+    LAPACK reads one triangle only and would answer for that instead."""
     t = as_matrix(t)
-    oracle = hermitian_oracle(hermitian_eig(t).values, base.k)
+    if not is_hermitian(t):
+        raise ValueError("matrix is not Hermitian within 1e-12 relative")
+    oracle = hermitian_oracle(np.linalg.eigvalsh(t), base.k)
     disc = _set_distance(base.region, oracle)
     return _report("HERMITIAN", disc, HERMITIAN_ORACLE_TOL,
                    f"dim={t.shape[0]} k={base.k}")
@@ -510,8 +515,11 @@ def random_nilpotent_contraction(
 
     ``norm=1.0`` lands exactly on the contraction boundary, which drives
     the defect rank below full; otherwise the target norm is drawn
-    uniformly from [0.3, 1).
+    uniformly from [0.3, 1).  Raises ValueError for dim < 2, where the
+    strictly lower triangle is empty.
     """
+    if dim < 2:
+        raise ValueError(f"a nonzero nilpotent needs dim >= 2, got {dim}")
     while True:
         x = np.tril(random_matrix(dim, rng), -1)
         s = np.linalg.norm(x, 2)

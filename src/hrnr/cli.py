@@ -4,11 +4,12 @@ Commands: range, radius, shift, verify-shift, verify-nilpotent,
 verify-properties.  The verify commands print the reports of the
 verification core in :mod:`hrnr.checks`.  Exit codes: 0 all good, 1 a
 mathematical property was violated or the LAPACK eigensolver failed to
-converge, 2 input or usage error.  Angle counts resolve as
-``--angles`` > ``HRNR_ANGLES`` env var > per-command default (720 for
-range, radius and verify-properties; 2048 for verify-shift and
-verify-nilpotent).  Randomised commands draw from
-numpy's PCG64 stream seeded with ``--seed``, so runs reproduce exactly.
+converge, 2 input or usage error (an output file that cannot be written
+included).  Angle counts resolve as ``--angles`` > ``HRNR_ANGLES`` env
+var > per-command default (720 for range, radius and verify-properties;
+2048 for verify-shift and verify-nilpotent).  Randomised commands draw
+from numpy's PCG64 stream seeded with ``--seed``, so runs reproduce
+exactly.
 """
 
 from __future__ import annotations
@@ -38,11 +39,14 @@ def _load(path):
 
 
 def _emit(text: str, out) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_range(args) -> int:
@@ -50,10 +54,12 @@ def cmd_range(args) -> int:
     m = resolve_angles(args.angles)
     if not 1 <= args.k <= t.shape[0]:
         raise UsageError(f"k must be in 1..{t.shape[0]}, got {args.k}")
+    if args.ref_radius is not None and not np.isfinite(args.ref_radius):
+        raise UsageError(f"--ref-radius must be finite, got {args.ref_radius}")
     report = range_from_sweep(pencil_sweep(t, m), args.k)
     _emit(fileio.dumps_json(fileio.region_to_obj(report)), args.out)
     if args.svg:
-        fileio.save_svg(args.svg, report.region, args.ref_radius)
+        _emit(fileio.region_svg(report.region, args.ref_radius), args.svg)
     return EXIT_OK
 
 

@@ -26,10 +26,7 @@ class MatrixFileError(ValueError):
 
 
 def matrix_to_obj(t: np.ndarray) -> dict:
-    n = t.shape[0]
-    data = [[[float(t[i, j].real), float(t[i, j].imag)] for j in range(n)]
-            for i in range(n)]
-    return {"dim": n, "data": data}
+    return {"dim": t.shape[0], "data": np.stack([t.real, t.imag], axis=-1).tolist()}
 
 
 def obj_to_matrix(obj) -> np.ndarray:

@@ -101,7 +101,7 @@ def pencil_sweep(t, m: int) -> PencilSweep:
     solved = m // 2 if m % 2 == 0 else m
     stack = np.exp(1j * thetas[:solved])[:, None, None] * t
     stack = stack + stack.conj().swapaxes(1, 2)
-    vals, _ = eig_hermitian_stack(stack, vectors=False)
+    vals = eig_hermitian_stack(stack)
     if solved < m:
         vals = np.concatenate([vals, -vals[:, ::-1]])
     return PencilSweep(thetas=thetas, eigenvalues=vals)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hermitian_eig, psd_sqrt
+from .linalg import as_matrix
 from .ranges import BadRankError
 
 # Spectral-norm slack for accepting a contraction (scaled inputs sit on
@@ -140,6 +140,12 @@ def build_dilation(t) -> DilationPack:
 
     Raises NotContractionError when ||T||_2 > 1 + 1e-10 and
     NotNilpotentError when no power up to dim(T) vanishes.
+
+    One eigendecomposition of I - T*T gives both the defect and its rank.
+    Its negative eigenvalues are clamped to 0 before the square root: once
+    the contraction check has passed they are at least about -2e-10, the
+    overshoot that check allows plus rounding, so no further floor is
+    applied.
     """
     t = as_matrix(t)
     d = t.shape[0]
@@ -147,11 +153,14 @@ def build_dilation(t) -> DilationPack:
         raise NotContractionError("spectral norm exceeds 1 beyond tolerance")
     n = nilpotency_index(t)
     gram = np.eye(d) - t.conj().T @ t
-    defect = psd_sqrt(gram)
-    defect_eigs = hermitian_eig(gram).values
-    r = int((defect_eigs > DEFECT_RANK_TOL).sum())
+    # descending order: the product below sums over the columns in this
+    # order, and the defect's bytes depend on it
+    values, vectors = np.linalg.eigh(gram)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    r = int((values > DEFECT_RANK_TOL).sum())
+    defect = (vectors * np.sqrt(np.clip(values, 0.0, None))[None, :]) @ vectors.conj().T
     v = np.zeros((d * n, d), dtype=np.complex128)
-    block = defect.copy()
+    block = defect
     rows = np.arange(d) * n
     for step in range(n):
         v[rows + step, :] = block

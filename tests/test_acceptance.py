@@ -30,7 +30,7 @@ from hrnr.checks import (
     random_unitary,
 )
 from hrnr.geometry import hausdorff
-from hrnr.linalg import hermitian_eig
+from hrnr.linalg import eig_hermitian_stack
 from hrnr.ranges import pencil, pencil_sweep, range_from_sweep
 from hrnr.shifts import build_dilation, kth_of_replicated, shift_matrix
 
@@ -85,7 +85,7 @@ def test_criterion_2_pencil_spectrum_and_recurrence():
         expected = 2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
         s = shift_matrix(n)
         for theta in rng.uniform(0.0, 2 * np.pi, size=64):
-            values = hermitian_eig(pencil(s, theta)).values
+            values = eig_hermitian_stack(pencil(s, theta)[None])[0]
             worst_eig = max(worst_eig, float(np.abs(values - expected).max()))
             worst_rec = max(worst_rec, max(abs(_recurrence(lam, n)) for lam in values))
     ok = worst_eig <= 1e-9 and worst_rec <= 1e-6

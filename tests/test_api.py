@@ -1,6 +1,12 @@
 """The package's public names."""
 
+import importlib
+import importlib.util
+import pathlib
+
 import hrnr
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 REMOVED = ("ClosedFormRange", "closed_form_shift_range", "closed_form_replicated_range",
            "spectral_norm")
@@ -19,7 +25,19 @@ def test_closed_form_wrappers_are_replaced_by_shift_radius():
 
 
 def test_linalg_wrappers_are_gone():
-    # np.linalg.norm and np.eye are called directly
-    for name in ("frobenius", "identity"):
+    # numpy is called directly: np.linalg.norm, np.eye, eigh and eigvalsh
+    for name in ("frobenius", "identity", "HermitianEigen", "hermitian_eig", "psd_sqrt",
+                 "NotHermitianError", "NotPSDError", "PSD_FLOOR"):
         assert name not in hrnr.__all__
-        assert not hasattr(hrnr.linalg, name)
+        assert not hasattr(hrnr, name) and not hasattr(hrnr.linalg, name)
+
+
+def test_traced_entry_points_resolve():
+    # the benchmark's tracer wraps these by name; a rename would silently
+    # drop a layer from its per-stage numbers
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, fn in spans.CORE_TARGETS:
+        assert callable(getattr(importlib.import_module(mod_name), fn, None)), (mod_name, fn)
+    assert hrnr.ranges.eig_hermitian_stack is hrnr.linalg.eig_hermitian_stack

@@ -367,6 +367,14 @@ def test_nilpotent_suite_rejects_non_contraction():
         check_nilpotent(2.0 * shift_matrix(3), 256)
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_random_nilpotent_contraction_rejects_dim_below_2(dim):
+    # the strictly lower triangle of a 1 x 1 matrix is always zero, so
+    # redrawing until it is nonzero never ends
+    with pytest.raises(ValueError, match="dim >= 2"):
+        random_nilpotent_contraction(dim, generator(0))
+
+
 @pytest.mark.parametrize("r_hint", [None, 1, 2])
 def test_nilpotent_instances_pass(r_hint):
     rng = generator(92)

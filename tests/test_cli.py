@@ -208,6 +208,28 @@ def test_range_svg(tmp_path, shift4):
     assert "<polygon" in body and "stroke-dasharray" in body
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("shift", "--out"), ("range", "--out"), ("range", "--svg")])
+def test_unwritable_output_exits_2(tmp_path, shift4, capsys, command, flag):
+    target = tmp_path / "missing" / "out"
+    argv = (["shift", "--n", "3"] if command == "shift"
+            else ["range", "--input", shift4, "--k", "1", "--angles", "64"])
+    assert main(argv + [flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_range_non_finite_ref_radius_exits_2(tmp_path, shift4, capsys, value):
+    svg = tmp_path / "plot.svg"
+    # the = form, or argparse reads "-inf" as an option
+    code = main(["range", "--input", shift4, "--k", "1", "--angles", "64",
+                 "--svg", str(svg), f"--ref-radius={value}"])
+    assert code == 2
+    assert "--ref-radius must be finite" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_radius_command(tmp_path, capsys):
     path = write_matrix(tmp_path, "s6.json", shift_matrix(6))
     code = main(["radius", "--input", path, "--angles", "512"])
@@ -221,6 +243,20 @@ def test_shift_command_roundtrip(tmp_path):
     assert main(["shift", "--n", "5", "--out", str(out)]) == 0
     assert np.array_equal(fileio.load_matrix(out), shift_matrix(5))
     assert main(["shift", "--n", "0"]) == 2
+
+    def per_entry(t):
+        n = t.shape[0]
+        data = [[[float(t[i, j].real), float(t[i, j].imag)] for j in range(n)]
+                for i in range(n)]
+        return json.dumps({"dim": n, "data": data}, indent=2) + "\n"
+
+    # the same bytes as building the file one entry at a time
+    for n in range(1, 17):
+        assert main(["shift", "--n", str(n), "--out", str(out)]) == 0
+        assert out.read_bytes() == per_entry(shift_matrix(n)).encode("utf-8"), n
+    for scale in (1e-8, 1.0, 1e8):
+        t = checks.random_matrix(5, checks.generator(3), scale)
+        assert fileio.dumps_json(fileio.matrix_to_obj(t)) == per_entry(t), scale
 
 
 def test_verify_shift_small(capsys):

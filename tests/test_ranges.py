@@ -203,7 +203,7 @@ def test_vertices_satisfy_fresh_constraints():
     phases = np.exp(1j * fresh)
     stack = phases[:, None, None] * t
     stack = stack + stack.conj().swapaxes(1, 2)
-    vals, _ = eig_hermitian_stack(stack, vectors=False)
+    vals = eig_hermitian_stack(stack)
     # a circumscribed polygon pokes out between grid angles in proportion
     # to the boundary's curvature radius; ten outer bounds covers it here
     slack = 10 * rep.outer_error_bound + 1e-8

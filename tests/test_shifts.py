@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrnr.checks import RADIUS_TOL, generator, nilpotent_instance, random_nilpotent_contraction
-from hrnr.linalg import hermitian_eig
+from hrnr.linalg import eig_hermitian_stack
 from hrnr.ranges import BadRankError, pencil, pencil_sweep, range_from_sweep
 from hrnr.shifts import (
     BadIndexError,
@@ -152,7 +152,7 @@ def test_shift_pencil_spectrum_is_theta_free(n):
     expected = 2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     rng = generator(n)
     for theta in rng.uniform(0, 2 * np.pi, size=8):
-        values = hermitian_eig(pencil(shift_matrix(n), theta)).values
+        values = eig_hermitian_stack(pencil(shift_matrix(n), theta)[None])[0]
         assert np.abs(values - expected).max() < 1e-9
 
 
@@ -167,7 +167,7 @@ def characteristic_recurrence(lam, n):
 
 @pytest.mark.parametrize("n", [2, 4, 7, 12])
 def test_recurrence_vanishes_at_pencil_eigenvalues(n):
-    values = hermitian_eig(pencil(shift_matrix(n), 0.7)).values
+    values = eig_hermitian_stack(pencil(shift_matrix(n), 0.7)[None])[0]
     for lam in values:
         assert abs(characteristic_recurrence(lam, n)) < 1e-6
 
@@ -221,6 +221,13 @@ def test_dilation_of_shift():
     assert np.abs(pack.defect - np.diag([0, 0, 0, 1.0])).max() < 1e-10
     assert pack.isometry_residual <= 1e-12
     assert pack.intertwine_residual <= 1e-12
+    # I - S_n* S_n is diagonal with entries 0 and 1, whose roots are exact
+    for n in range(1, 9):
+        pack = build_dilation(shift_matrix(n))
+        want = np.zeros((n, n), dtype=complex)
+        want[-1, -1] = 1.0
+        assert np.array_equal(pack.defect, want), n
+        assert pack.isometry_residual == 0.0 and pack.intertwine_residual == 0.0, n
 
 
 def test_dilation_of_zero_scalar():
@@ -255,6 +262,22 @@ def test_dilation_defect_rank_of_hidden_shift_blocks(r_hint):
         assert build_dilation(t).r == r_hint, seed
 
 
+@pytest.mark.parametrize("overshoot", [8e-11, 1e-10])
+def test_dilation_accepts_norm_within_contraction_tol(overshoot):
+    # the contraction check is the one gate: I - T*T then has eigenvalues
+    # down to about -2e-10, which the square root must clamp, not refuse
+    d = 3
+    c = 1.0 + overshoot
+    pack = build_dilation(c * shift_matrix(d))
+    assert pack.n == d and pack.r == 1
+    assert np.array_equal(pack.defect, np.diag([0.0, 0.0, 1.0]).astype(complex))
+    # the clamp leaves D_T^2 = diag(0, 0, 1), so V*V - I is
+    # diag(c^4 - 1, c^2 - 1, 0): a few 1e-10, the overshoot's own size
+    expected = np.hypot(c ** 4 - 1.0, c ** 2 - 1.0)
+    assert abs(pack.isometry_residual - expected) <= 1e-15 * d
+    assert pack.intertwine_residual <= 1e-10 * d
+
+
 def test_dilation_rejects_expansion():
     with pytest.raises(NotContractionError):
         build_dilation(2.0 * shift_matrix(2))
@@ -276,3 +299,17 @@ def test_dilation_residuals_on_random_contractions(seed):
     assert pack.intertwine_residual <= 1e-10 * dim
     assert 1 <= pack.r <= dim
     assert pack.n <= dim
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_dilation_defect_squares_back_and_commutes(seed):
+    # D_T is the Hermitian square root of I - T*T, so it commutes with it
+    rng = generator(seed)
+    dim = int(rng.integers(2, 7))
+    t = random_nilpotent_contraction(dim, rng, norm=1.0 if seed % 2 else None)
+    gram = np.eye(dim) - t.conj().T @ t
+    defect = build_dilation(t).defect
+    assert np.linalg.norm(defect @ defect - gram) < 1e-9
+    assert np.linalg.norm(defect @ gram - gram @ defect) < 1e-8
+    assert np.linalg.norm(defect - defect.conj().T) < 1e-10
