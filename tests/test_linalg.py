@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hrnr.checks import check_hermitian_oracle, direct_sum
 from hrnr.linalg import DimensionError, as_matrix, eig_hermitian_stack
 from hrnr.ranges import pencil_sweep, range_from_sweep
-from hrnr.shifts import shift_matrix
+from hrnr.shifts import build_dilation, shift_matrix
 
 
 def random_hermitian(n, seed):
@@ -166,3 +166,37 @@ def test_eig_stack_matches_single():
     stacked = eig_hermitian_stack(hs)
     for i in range(6):
         assert np.abs(stacked[i] - eigenvalues(hs[i])).max() < 1e-11
+
+
+# --- PSD square root -------------------------------------------------------
+# D_T = (I - T*T)^{1/2} is taken inside build_dilation from one eigh of the
+# Gram matrix, so the square root is tested through the dilation's defect.
+
+def weighted_shift(weights):
+    """Nilpotent matrix with ``weights`` on the subdiagonal."""
+    t = np.zeros((len(weights) + 1,) * 2, dtype=complex)
+    t[np.arange(1, len(weights) + 1), np.arange(len(weights))] = weights
+    return t
+
+
+def test_psd_sqrt_diagonal():
+    # I - T*T = diag(0.64, 0.36, 1) for subdiagonal weights 0.6, 0.8
+    defect = build_dilation(weighted_shift([0.6, 0.8])).defect
+    assert np.abs(defect - np.diag([0.8, 0.6, 1.0])).max() < 1e-12
+
+
+def test_psd_sqrt_zero():
+    # I - S_n* S_n vanishes off its last entry, and so does its root, exactly
+    for n in range(2, 7):
+        defect = build_dilation(shift_matrix(n)).defect
+        assert np.abs(defect[:-1, :]).max() == 0.0, n
+        assert np.abs(defect[:, :-1]).max() == 0.0, n
+
+
+def test_psd_sqrt_defect_of_scaled_shift():
+    # I - (0.5 S2)* (0.5 S2) = diag(0.75, 1)
+    t = 0.5 * shift_matrix(2)
+    gram = np.eye(2) - t.conj().T @ t
+    root = build_dilation(t).defect
+    assert np.abs(root - np.diag([0.8660254037844386, 1.0])).max() < 1e-12
+    assert np.abs(root @ root - gram).max() < 1e-12
