@@ -11,19 +11,21 @@ support-function difference (<= 0 means inside).
 Checks on T take T's rank-k :class:`RangeReport` or its sweep, so a
 suite sweeps each matrix once.
 
-Oracles here do not share machinery with the engine: the Hermitian
-interval and the normal hull intersection come straight from eigenvalue
-lists, and the Monte-Carlo hull is built from raw Rayleigh quotients.
+The oracles share the engine's geometry but not its pencil sweep: the
+Hermitian interval is closed-form in the eigenvalues, the normal oracle
+intersects exact half-planes at the eigenvalues' tie angles with
+``intersect_halfplanes``, and the Monte-Carlo hull is the geometry's
+``_convex_hull`` of raw Rayleigh quotients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .geometry import ConvexRegion, excess, hausdorff, intersect_halfplanes
+from .geometry import (TWO_PI, ConvexRegion, _convex_hull, excess, hausdorff,
+                       intersect_halfplanes)
 from .linalg import as_matrix, is_hermitian
 from .ranges import PencilSweep, RangeReport, pencil_sweep, range_from_sweep
 from .shifts import build_dilation, rho, shift_matrix, shift_radius
@@ -36,7 +38,6 @@ RESIDUAL_TOL = 1e-10  # dilation residuals, per dimension
 HERMITIAN_ORACLE_TOL = 1e-6
 NORMAL_ORACLE_TOL = 1e-4  # floor of 12 R tan(pi/m), see check_normal_oracle
 NORMAL_RTOL = 1e-10  # ||TT* - T*T||_F / ||T||_F^2
-NORMAL_ORACLE_MAX_DIM = 8
 
 
 class NotUnitaryError(ValueError):
@@ -45,10 +46,6 @@ class NotUnitaryError(ValueError):
 
 class BadIsometryError(ValueError):
     """Columns are not orthonormal, or too few of them."""
-
-
-class TooLargeError(ValueError):
-    """Normal oracle limited to dimension 8 (combinatorial blow-up)."""
 
 
 @dataclass(frozen=True)
@@ -251,7 +248,8 @@ def check_hermitian_oracle(t, base: RangeReport) -> PropertyReport:
 
 
 def check_normal_oracle(t, base: RangeReport) -> PropertyReport:
-    """T's rank-k region against the eigenvalue-subset hulls of normal T.
+    """T's rank-k region against :func:`normal_oracle` on the eigenvalues
+    of normal T, at any dimension.
 
     Polygonal ranges protrude linearly in the grid spacing near facet
     normals, so the tolerance scales with R tan(pi/m).
@@ -264,60 +262,25 @@ def check_normal_oracle(t, base: RangeReport) -> PropertyReport:
     return _report("NORMAL", disc, tol, f"dim={t.shape[0]} k={base.k} m={m}")
 
 
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    """Monotone-chain hull, CCW; degenerate inputs give 1 or 2 points."""
-    pts = np.unique(np.asarray(points, dtype=np.complex128))
-    pts = pts[np.lexsort((pts.imag, pts.real))]
-    if pts.size <= 2:
-        return pts
-
-    def half(seq):
-        chain = []
-        for z in seq:
-            while len(chain) >= 2:
-                a, b = chain[-2], chain[-1]
-                if ((b - a).real * (z - a).imag - (b - a).imag * (z - a).real) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(z)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.size < 3:
-        return pts[np.array([0, -1])]
-    return hull
-
-
-def _hull_halfplanes(points) -> tuple[np.ndarray, np.ndarray]:
-    """Supporting half-planes (angles, offsets) of the convex hull of a few
-    points: one per edge, or four around a point or segment."""
-    hull = _convex_hull(np.asarray(points, dtype=np.complex128))
-    if hull.size >= 3:
-        thetas = np.pi / 2 - np.angle(np.roll(hull, -1) - hull)
-        return thetas, (np.exp(1j * thetas) * hull).real
-    base = -np.angle(hull[1] - hull[0]) if hull.size == 2 else 0.0
-    thetas = base + np.arange(4) * (np.pi / 2)
-    return thetas, (np.exp(1j * thetas)[:, None] * hull).real.max(axis=1)
-
-
 def normal_oracle(eigs, k: int) -> ConvexRegion:
-    """Rank-k range of a normal matrix from its eigenvalues alone.
-
-    Intersects the convex hulls of all (n-k+1)-element eigenvalue
-    subsets.  Exact up to the cut-line relaxation; limited to n <= 8.
-    """
+    """Rank-k range of a normal matrix from its n >= 1 eigenvalues: the
+    half-planes Re(e^{i theta} z) <= h(theta), h the k-th largest of
+    Re(e^{i theta} lambda_j) (Li & Sze, Proc. AMS 136, 2008).  Between the
+    tie angles, where two eigenvalues project equally, h is one sinusoid,
+    and on a piece narrower than pi its end planes imply the rest.  So the
+    O(n^2) tie angles, both ways, the axes and every gap's midpoint give
+    the exact range, up to the cut-line relaxation."""
     eigs = np.asarray(eigs, dtype=np.complex128).ravel()
     n = eigs.size
-    if not 2 <= n <= NORMAL_ORACLE_MAX_DIM:
-        raise TooLargeError(f"normal oracle supports 2 <= n <= {NORMAL_ORACLE_MAX_DIM}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
-    hulls = [_hull_halfplanes(eigs[list(subset)])
-             for subset in combinations(range(n), n - k + 1)]
-    thetas, offsets = (np.concatenate(part) for part in zip(*hulls))
+    i, j = np.triu_indices(n, 1)
+    diff = eigs[i] - eigs[j]
+    ties = np.pi / 2 - np.angle(diff[diff != 0])
+    axes = np.arange(4) * (np.pi / 2)
+    ends = np.unique(np.mod(np.concatenate([ties, ties + np.pi, axes]), TWO_PI))
+    thetas = np.concatenate([ends, ends + np.diff(ends, append=ends[0] + TWO_PI) / 2.0])
+    offsets = np.sort((np.exp(1j * thetas)[:, None] * eigs).real, axis=1)[:, n - k]
     return intersect_halfplanes(thetas, offsets, bound=float(np.abs(eigs).max()) or 1.0)
 
 
@@ -442,7 +405,7 @@ def property_suite(t, k: int, m: int, rng: np.random.Generator) -> list[Property
     ]
     if is_hermitian(t):
         reports.append(check_hermitian_oracle(t, base))
-    elif 2 <= d <= NORMAL_ORACLE_MAX_DIM and is_normal(t):
+    elif is_normal(t):
         reports.append(check_normal_oracle(t, base))
     return reports
 

@@ -137,6 +137,30 @@ def _prune_collinear(verts: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.complex128)
 
 
+def _convex_hull(points: np.ndarray) -> np.ndarray:
+    """Monotone-chain hull, CCW; degenerate inputs give 1 or 2 points."""
+    # np.unique sorts complex values by real part, then imaginary part
+    pts = np.unique(np.asarray(points, dtype=np.complex128))
+    if pts.size <= 2:
+        return pts
+
+    def half(seq):
+        chain = []
+        for z in seq:  # pop until z is strictly left of the last edge
+            while len(chain) >= 2 and ((z - chain[-2])
+                                       * (chain[-1] - chain[-2]).conjugate()).imag <= 0:
+                chain.pop()
+            chain.append(z)
+        return chain
+
+    lower = half(pts.tolist())
+    upper = half(pts[::-1].tolist())
+    hull = np.array(lower[:-1] + upper[:-1])
+    if hull.size < 3:
+        return pts[np.array([0, -1])]
+    return hull
+
+
 def _classify(verts: np.ndarray) -> ConvexRegion:
     """Turn a raw vertex loop into a tagged region.
 
@@ -144,7 +168,11 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
     thickness (area / diameter) is below 1e-9 is a segment: relaxed cut
     lines over noisy offsets leave slivers of width around the relaxation,
     never exactly zero, so thickness rather than raw area is the robust
-    degeneracy test.
+    degeneracy test.  A pruned loop that turns right anywhere, or winds
+    more than once, is not convex: where many nearly parallel cut lines
+    meet, rounding can leave a reversing micro-spike or a vertex cluster
+    that winds twice.  Such a loop is replaced by its convex hull, so that
+    supporting-vertex searches over the edge normals stay exact.
     """
     verts = _dedupe(verts)
     if verts.size == 0:
@@ -156,12 +184,19 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
         return ConvexRegion.point(verts.mean())
     area2 = _signed_area2(verts)
     if verts.size < 3 or abs(area2) / 2.0 < SEGMENT_THICKNESS * diam:
-        direction = complex(w, h) / diam
+        # the bounding box's diagonal that rises or falls with the points
+        x, y = verts.real - verts.real.mean(), verts.imag - verts.imag.mean()
+        direction = complex(w, h if (x * y).sum() >= 0 else -h) / diam
         proj = (verts * np.conj(direction)).real
         return ConvexRegion.segment(verts[np.argmin(proj)], verts[np.argmax(proj)])
     if area2 < 0:
         verts = verts[::-1]
     verts = _dedupe(_prune_collinear(verts))
+    if verts.size >= 3:
+        edges = np.roll(verts, -1) - verts
+        turns = np.angle(np.roll(edges, -1) * np.conj(edges))
+        if (turns <= 0).any() or turns.sum() >= 3 * np.pi:
+            verts = _dedupe(_prune_collinear(_convex_hull(verts)))
     if verts.size < 3:
         return _classify(verts)
     return ConvexRegion.polygon(verts)
@@ -325,9 +360,10 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     the loop is the true intersection whenever the intersection is
     non-empty, so a plane that the classified loop violates by more than
     1e-9 * R certifies that the intersection is empty; that check runs on
-    both paths and costs O((m + v) log v).  Results are independent of
-    the input order of the planes.  Raises ValueError when offsets / R,
-    or the vertices they give, overflow to a non-finite value.
+    both paths and costs O((m + v) log v).  ``_classify`` replaces a loop
+    that rounding left non-convex by its hull.  Results are independent of
+    the input order of the planes.  Raises ValueError when offsets / R, or
+    the vertices they give, overflow to a non-finite value.
     """
     thetas = np.asarray(thetas, dtype=float).ravel()
     offsets = np.asarray(offsets, dtype=float).ravel()

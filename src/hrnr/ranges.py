@@ -88,8 +88,9 @@ class PencilSweep:
         return float(self.eigenvalues[:, 0].max() / 2.0)
 
 
-def pencil_sweep(t, m: int) -> PencilSweep:
-    """Diagonalise all m pencils of T in one batched eigensolve.
+def pencil_sweep(t, m: int | None) -> PencilSweep:
+    """Diagonalise the ``resolve_angles(m)`` pencils of T in one batched
+    eigensolve.
 
     H_{theta + pi} = -H_theta, so lambda_i(H_{theta + pi}) =
     -lambda_{n+1-i}(H_theta).  For even m, row j + m/2 is therefore row j
@@ -171,11 +172,10 @@ def rank_k_range(t, k: int, m: int | None = None) -> RangeReport:
     t = as_matrix(t)
     if not 1 <= int(k) <= t.shape[0]:
         raise BadRankError(f"k must be in 1..{t.shape[0]}, got {k}")
-    sweep = pencil_sweep(t, resolve_angles(m))
-    return range_from_sweep(sweep, int(k))
+    return range_from_sweep(pencil_sweep(t, m), int(k))
 
 
 def numerical_radius(t, m: int | None = None) -> float:
     """Largest modulus over the numerical range, via max_j lambda_1/2, on a
     ``resolve_angles(m)``-angle grid."""
-    return pencil_sweep(t, resolve_angles(m)).numerical_radius()
+    return pencil_sweep(t, m).numerical_radius()

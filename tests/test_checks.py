@@ -1,10 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from hrnr.checks import (
     BadIsometryError,
     NotUnitaryError,
-    TooLargeError,
     check_adjoint,
     check_affine,
     check_compression,
@@ -24,8 +25,10 @@ from hrnr.checks import (
     random_matrix,
     random_nilpotent_contraction,
     random_unitary,
+    transform_region,
 )
-from hrnr.geometry import ConvexRegion, hausdorff
+from hrnr.geometry import (ConvexRegion, _convex_hull, excess, hausdorff, intersect_halfplanes,
+                           support)
 from hrnr.ranges import pencil_sweep, rank_k_range
 from hrnr.shifts import nilpotency_index, shift_matrix, shift_radius
 
@@ -240,9 +243,84 @@ def test_normal_oracle_real_eigs_reduce_to_interval():
     assert hausdorff(region, oracle) <= 1e-9
 
 
-def test_normal_oracle_size_guard():
-    with pytest.raises(TooLargeError):
-        normal_oracle(np.arange(9, dtype=complex), 1)
+def test_normal_oracle_any_size():
+    assert normal_oracle([0.3 - 2j], 1).kind == "point"
+    assert abs(normal_oracle([0.3 - 2j], 1).vertices[0] - (0.3 - 2j)) <= 1e-12
+    for k in (1, 2, 3):
+        region = normal_oracle(np.full(3, -1.5 + 0.5j), k)
+        assert region.kind == "point"
+        assert abs(region.vertices[0] - (-1.5 + 0.5j)) <= 1e-9
+    rng = generator(40)
+    eigs = rng.normal(size=40) + 1j * rng.normal(size=40)
+    oracle = normal_oracle(eigs, 7)
+    engine = rank_k_range(np.diag(eigs), 7, 8192).region
+    assert oracle.kind == engine.kind == "polygon"
+    # the grid region circumscribes the exact range, within check_normal_oracle's
+    # allowance for its corner wedges
+    size = np.abs(eigs).max()
+    assert excess(oracle, engine) <= 1e-9 * size
+    assert hausdorff(oracle, engine) <= 12.0 * size * np.tan(np.pi / 8192)
+
+
+def subset_hull_reference(eigs, k):
+    """The rank-k range of a normal matrix as the intersection of the
+    convex hulls of all (n - k + 1)-element eigenvalue subsets, one plane
+    per hull edge, or four around a point or segment: C(n, k - 1) hulls."""
+    eigs = np.asarray(eigs, dtype=np.complex128)
+    thetas, offsets = [], []
+    for subset in combinations(range(eigs.size), eigs.size - k + 1):
+        hull = _convex_hull(eigs[list(subset)])
+        if hull.size >= 3:
+            t = np.pi / 2 - np.angle(np.roll(hull, -1) - hull)
+        else:
+            base = -np.angle(hull[1] - hull[0]) if hull.size == 2 else 0.0
+            t = base + np.arange(4) * (np.pi / 2)
+        thetas.append(t)
+        offsets.append((np.exp(1j * t)[:, None] * hull).real.max(axis=1))
+    return intersect_halfplanes(np.concatenate(thetas), np.concatenate(offsets),
+                                bound=float(np.abs(eigs).max()) or 1.0)
+
+
+def oracle_inputs(rng, n):
+    """Eigenvalue lists of every kind the oracle must handle, dimension n."""
+    d = rng.normal(size=n) + 1j * rng.normal(size=n)
+    u = random_unitary(n, rng)
+    half = rng.normal(size=(n + 1) // 2) + 1j * rng.normal(size=(n + 1) // 2)
+    return {
+        "random": rng.normal(size=n) + 1j * rng.normal(size=n),
+        "hidden": normal_eigenvalues(u @ np.diag(d) @ u.conj().T),
+        "polygon": np.exp(2j * np.pi * np.arange(n) / n) + 0.3,
+        # half-integer points: collinear triples and repeats
+        "lattice": (rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n)) / 2,
+        "real": rng.normal(size=n) + 0j,
+        "repeated": np.repeat(half, 2)[:n],
+        "scalar": np.full(n, complex(rng.normal(), rng.normal())),
+    }
+
+
+def test_normal_oracle_matches_subset_hulls():
+    # the reference runs on the unscaled eigenvalues: after rounding s z + b,
+    # three collinear eigenvalues hull to a sliver triangle whose corners,
+    # relaxed outward, run off to the bounding square
+    rng = generator(13)
+    probe = np.linspace(-7, 7, 301)
+    for n in range(2, 9):
+        for kind, eigs in oracle_inputs(rng, n).items():
+            refs = [subset_hull_reference(eigs, k) for k in range(1, n + 1)]
+            for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+                shift = scale * complex(rng.normal(), rng.normal())
+                z = scale * eigs + shift
+                size = float(np.abs(z).max())
+                for k in range(1, n + 1):
+                    region = normal_oracle(z, k)
+                    want = transform_region(refs[k - 1], scale, shift)
+                    case = (n, kind, scale, k)
+                    assert region.kind == want.kind, case
+                    if region.is_empty:
+                        continue
+                    assert hausdorff(region, want) <= 1e-9 * size, case
+                    vertex_max = (np.exp(1j * probe)[:, None] * region.vertices).real.max(axis=1)
+                    assert np.abs(support(region, probe) - vertex_max).max() <= 1e-12 * size, case
 
 
 def test_hermitian_oracle_tags():

@@ -369,6 +369,20 @@ def test_verify_properties_normal_oracle_line(tmp_path, capsys):
     assert "NORMAL" in out
 
 
+def test_verify_properties_normal_oracle_any_size(tmp_path, capsys):
+    rng = checks.generator(12)
+    eigs = rng.normal(size=12) + 1j * rng.normal(size=12)
+    u = checks.random_unitary(12, rng)
+    files = [write_matrix(tmp_path, "hidden12.json", u @ np.diag(eigs) @ u.conj().T),
+             write_matrix(tmp_path, "one.json", [[0.3 - 2j]])]
+    for path in files:
+        code = main(["verify-properties", "--input", path, "--k", "1", "--seed", "1"])
+        normal = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("NORMAL")]
+        assert code == 0
+        assert len(normal) == 1 and normal[0].split()[1] == "pass", normal
+
+
 def test_verify_properties_default_angles(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("HRNR_ANGLES", raising=False)
     eigs = np.exp(2j * np.pi * np.arange(4) / 4)

@@ -336,6 +336,17 @@ def test_random_plane_sets_match_brute_force(seed):
             assert support_gap(region, corners) <= 1e-9 * scale
 
 
+def tie_angles(points):
+    """The angles at which two of the points project equally, both ways,
+    the axis angles and the midpoint of every gap between them."""
+    i, j = np.triu_indices(points.size, 1)
+    diff = points[i] - points[j]
+    ties = np.pi / 2 - np.angle(diff[diff != 0])
+    ends = np.unique(np.mod(np.concatenate([ties, ties + np.pi, np.arange(4) * np.pi / 2]),
+                            2 * np.pi))
+    return np.concatenate([ends, ends + np.diff(ends, append=ends[0] + 2 * np.pi) / 2])
+
+
 def test_degenerate_plane_sets_match_brute_force():
     rng = np.random.Generator(np.random.PCG64(21))
     p, a, b = 0.3 - 0.2j, -0.4 + 0.1j, 0.6 + 0.5j
@@ -346,6 +357,12 @@ def test_degenerate_plane_sets_match_brute_force():
     t_seg = np.concatenate([rng.uniform(0, 2 * np.pi, 6),
                             np.pi / 2 - np.angle(b - a) + np.array([0.0, np.pi])])
     segment = (t_seg, (np.exp(1j * t_seg)[:, None] * np.array([a, b])).real.max(axis=1))
+    # the four planes around a falling segment: at bound |1.5 - 1.5j| its
+    # ends were sought along the bounding box's rising diagonal, which is
+    # perpendicular to it, and came back as a segment of length zero
+    t_fall = np.pi / 4 + np.arange(4) * np.pi / 2
+    fall_ends = np.array([1 - 1j, 1.5 - 1.5j])
+    falling = (t_fall, (np.exp(1j * t_fall)[:, None] * fall_ends).real.max(axis=1))
     # a polygon's support at its edge normals plus more planes per vertex
     pts = np.array([0.5 - 0.8j, 0.5 + 0.2j, -0.7 + 0.4j, -0.2 - 0.4j])
     t_shared = np.concatenate([np.pi / 2 - np.angle(np.roll(pts, -1) - pts),
@@ -361,15 +378,28 @@ def test_degenerate_plane_sets_match_brute_force():
     t_edges = np.repeat(-np.angle(np.roll(tri, -1) - tri), 4) + np.tile(np.arange(4), 3) * np.pi / 2
     ends = np.stack([np.repeat(tri, 4), np.repeat(np.roll(tri, -1), 4)], axis=1)
     edges = (t_edges, (np.exp(1j * t_edges)[:, None] * ends).real.max(axis=1))
-    cases = [("point", point), ("segment", segment), ("polygon", shared),
-             ("empty", cut_off), ("empty", edges)]
-    for want, (thetas, offsets) in cases:
-        region = intersect_halfplanes(thetas, offsets, bound=3.0)
+    # the hull of ten points from the tie-angle planes of the normal oracle:
+    # the scan's loop had a reversing spike of two 1.1e-11 edges there, so
+    # the supporting vertex of the region was off by 1.08
+    eigs_rng = generator(5)
+    eigs_rng.normal(size=9)
+    eigs_rng.normal(size=9)
+    eigs = eigs_rng.normal(size=10) + 1j * eigs_rng.normal(size=10)
+    t_ties = tie_angles(eigs)
+    ties = (t_ties, (np.exp(1j * t_ties)[:, None] * eigs).real.max(axis=1))
+    cases = [("point", point, 3.0), ("segment", segment, 3.0), ("polygon", shared, 3.0),
+             ("empty", cut_off, 3.0), ("empty", edges, 3.0),
+             ("segment", falling, abs(fall_ends[1])), ("polygon", ties, np.abs(eigs).max())]
+    probe = np.linspace(-7, 7, 1001)
+    for want, (thetas, offsets), bound in cases:
+        region = intersect_halfplanes(thetas, offsets, bound=bound)
         assert region.kind == want
-        corners = brute_force_corners(thetas, offsets, 3.0)
+        corners = brute_force_corners(thetas, offsets, bound)
         assert corners.size > 0 or want == "empty"
         if corners.size:
             assert support_gap(region, corners) <= 1e-9
+            vertex_max = (np.exp(1j * probe)[:, None] * region.vertices).real.max(axis=1)
+            assert np.abs(support(region, probe) - vertex_max).max() <= 1e-12
     merged = intersect_halfplanes(*duplicate, bound=2.0)
     tight = intersect_halfplanes([0.0, 2.0, 4.0], [0.5, 0.7, 0.9], bound=2.0)
     assert merged.kind == tight.kind == "polygon"
