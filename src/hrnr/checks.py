@@ -1,15 +1,37 @@
 """The verification core shared by the CLI and the tests: property
-suites and independent oracles cross-checking the range engine.
+suites and independent oracles cross-checking the range engine.  Each
+check returns a :class:`PropertyReport`; ``passed`` is always equivalent
+to ``discrepancy <= tolerance``.
 
-Each check returns a :class:`PropertyReport`; ``passed`` is always
-equivalent to ``discrepancy <= tolerance``.  Set equalities are measured
-as Hausdorff distances with a tolerance of ten times the combined outer
-approximation bounds plus 1e-8; one-sided inclusions are measured as the
-exact sup over all theta of h_inner(theta) - h_outer(theta), the
-support-function difference (<= 0 means inside).
+The rank-k range is the intersection of the half-planes
+Re(e^{i theta} z) <= lambda_k(H_theta) / 2 (Li & Sze, Proc. AMS 136,
+2008), so P1-P5 compare offset rows at every grid angle: a check on T
+takes T's rank-k :class:`RangeReport` and compares its ``support_samples``
+with the offsets of the transformed matrix on the same grid.  Equalities
+report the largest |difference|, inclusions the largest excess.
 
-Checks on T take T's rank-k :class:`RangeReport` or its sweep, so a
-suite sweeps each matrix once.
+Row tolerance: ``ROW_TOL * n * eps * N``, n the largest dimension, eps
+machine epsilon and N a bound on ||X||_2 over the matrices swept.
+``ROW_TOL`` is the worst sum of a first-order, normwise rounding model,
+in units of n eps N.  Assembling a pencil moves each entry by at most
+3 eps (|x_ij| + |x_ji|), so H by 6 sqrt(n) eps N; ``eigvalsh`` is exact
+for a pencil moved by n eps ||H||_2 <= 2 n eps N; by Weyl an offset (half
+an eigenvalue) moves by half their sum, 4, and two rows by 8.  Forming X
+adds 3: U*TU and V*TV are two products within sqrt(2) n eps N each, and
+aT + bI and (a/|a|)T are entrywise like the assembly (T* and T (+) S are
+exact).  P1's |a| h + Re(e^{i theta} b) adds 3, and P2's mirrored angle,
+within (2 pi + 1) eps of theta_{m-j}, adds 7.3.  P1 with a complex scale
+sums to 8 + 3 + 3 + 3 = 17.  P4 and P5 add (2 eta + eta^2) ||T||_2 for the
+isometry's defect eta = ||Q*Q - I||_F, which their gates allow up to
+1e-10: Q = WP with W an isometry and ||P - I||_2 <= eta, and the pencil
+of P (W*TW) P is that close to the one of W*TW.
+
+Region tolerance, for P6 and the Hermitian oracle: ``REGION_SLACK`` times
+the bound the geometry ran at.  A region lies inside its planes relaxed
+by ``CLIP_EPS``, and tagging it a point or a segment moves it inward by
+less than ``POINT_DIAM`` or 4 ``SEGMENT_THICKNESS`` (its area is below
+that thickness times its diameter; the segment's ends lie at least half
+the diameter apart).
 
 The oracles share the engine's geometry but not its pencil sweep: the
 Hermitian interval is closed-form in the eigenvalues, the normal oracle
@@ -24,19 +46,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (TWO_PI, ConvexRegion, _convex_hull, excess, hausdorff,
-                       intersect_halfplanes)
+from .geometry import (CLIP_EPS, POINT_DIAM, SEGMENT_THICKNESS, TWO_PI, ConvexRegion,
+                       _convex_hull, excess, hausdorff, intersect_halfplanes)
 from .linalg import as_matrix, is_hermitian
 from .ranges import PencilSweep, RangeReport, pencil_sweep, range_from_sweep
 from .shifts import build_dilation, rho, shift_matrix, shift_radius
 
 UNITARY_TOL = 1e-10
-NESTING_SLACK = 1e-8
+ROW_TOL = 17.0  # offset rows, in units of n * eps * N; see the module docstring
+REGION_SLACK = max(4.0 * SEGMENT_THICKNESS, POINT_DIAM) + 2.0 * CLIP_EPS  # per unit bound
 RADIUS_TOL = 5e-6  # against a closed-form disc (shift range, nilpotent bound)
 HAAGERUP_SLACK = 1e-6
 RESIDUAL_TOL = 1e-10  # dilation residuals, per dimension
-HERMITIAN_ORACLE_TOL = 1e-6
-NORMAL_ORACLE_TOL = 1e-4  # floor of 12 R tan(pi/m), see check_normal_oracle
 NORMAL_RTOL = 1e-10  # ||TT* - T*T||_F / ||T||_F^2
 
 
@@ -72,36 +93,19 @@ def _report(pid: str, discrepancy: float, tolerance: float, digest: str,
     )
 
 
-def _equality_tol(*reports: RangeReport) -> float:
-    return 10.0 * sum(r.outer_error_bound for r in reports) + 1e-8
+def _offsets(x, base: RangeReport) -> np.ndarray:
+    """X's rank-k offsets lambda_k(H_theta) / 2 on ``base``'s grid."""
+    return pencil_sweep(x, base.angles).eigenvalues[:, base.k - 1] / 2.0
 
 
-def _outer_gap(report: RangeReport) -> float:
-    """Provable bound on the distance from the reported region to the
-    true range.
+def _row_tol(n: int, norm: float, eta: float = 0.0) -> float:
+    """The row tolerance, plus (2 eta + eta^2) norm for an isometry's defect."""
+    return (ROW_TOL * n * np.finfo(float).eps + 2.0 * eta + eta**2) * norm
 
-    The disc-calibrated bound R(sec(pi/m) - 1) understates the error
-    where the true range has a straight boundary piece (generic for
-    k >= 2): between two grid angles the circumscribed polygon grows a
-    wedge whose height is linear, not quadratic, in the grid spacing.
-    Each wedge vertex lies within min(adjacent edge lengths) * sin(turn
-    angle) of the tangency chord, which covers flat edges and smooth
-    arcs alike.
-    """
-    region = report.region
-    if region.kind == "segment":
-        length = float(np.abs(region.vertices[1] - region.vertices[0]))
-        return (length / 2.0) * float(np.sin(np.pi / report.angles))
-    if region.kind != "polygon":
-        return 0.0
-    v = region.vertices
-    edges = np.roll(v, -1) - v
-    lengths = np.abs(edges)
-    units = edges / lengths
-    prev_units = np.roll(units, 1)
-    sin_turn = np.abs(prev_units.real * units.imag - prev_units.imag * units.real)
-    per_vertex = np.minimum(np.roll(lengths, 1), lengths) * sin_turn
-    return max(report.outer_error_bound, float(per_vertex.max()))
+
+def _defect(q: np.ndarray) -> float:
+    """||Q*Q - I||_F, which bounds ||Q*Q - I||_2."""
+    return float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
 
 
 def _set_distance(a: ConvexRegion, b: ConvexRegion) -> float:
@@ -121,25 +125,6 @@ def _inclusion_gap(inner: ConvexRegion, outer: ConvexRegion) -> float:
     return excess(inner, outer)
 
 
-def transform_region(region: ConvexRegion, a: complex, b: complex) -> ConvexRegion:
-    """Image of a region under z -> a z + b (a nonzero preserves the tag)."""
-    if a == 0:
-        raise ValueError("affine transform needs a != 0")
-    if region.is_empty:
-        return region
-    return ConvexRegion(region.kind, a * region.vertices + b)
-
-
-def conjugate_region(region: ConvexRegion) -> ConvexRegion:
-    """Mirror image under complex conjugation (reverses orientation)."""
-    if region.is_empty:
-        return region
-    verts = np.conj(region.vertices)
-    if region.kind == "polygon":
-        verts = verts[::-1].copy()
-    return ConvexRegion(region.kind, verts)
-
-
 def direct_sum(t, s) -> np.ndarray:
     t = as_matrix(t)
     s = as_matrix(s)
@@ -150,101 +135,109 @@ def direct_sum(t, s) -> np.ndarray:
     return out
 
 
-def _sibling(x, base: RangeReport) -> RangeReport:
-    """Rank-k report of another matrix on the grid and rank of ``base``."""
-    return range_from_sweep(pencil_sweep(x, base.angles), base.k)
-
-
 def check_affine(t, base: RangeReport, a: complex, b: complex) -> PropertyReport:
-    """P1: the range of aT + bI is a * range(T) + b.
-
-    ``base`` is T's rank-k report; the other side is computed on its grid.
-    The two sides are circumscribed on grids rotated by arg(a) relative
-    to each other, so the tolerance uses the flat-edge-aware outer gaps
-    rather than the disc-calibrated bounds alone.
-    """
+    """P1: the range of aT + bI is a * range(T) + b, row by row:
+    H_theta(aT + bI) = |a| H_{theta + arg a}(T) + 2 Re(e^{i theta} b) I.
+    T's rotated row is ``base``'s own for positive real a, else the sweep
+    of (a / |a|) T.  Raises ValueError for a = 0."""
     t = as_matrix(t)
-    lhs = _sibling(a * t + b * np.eye(t.shape[0]), base)
-    tol = 10.0 * (_outer_gap(lhs) + abs(a) * _outer_gap(base)) + 1e-8
-    dist = _set_distance(lhs.region, transform_region(base.region, a, b))
+    if a == 0:
+        raise ValueError("affine transform needs a != 0")
+    thetas, rows = base.support_samples.T
+    phase = a / abs(a)
+    if phase != 1:
+        rows = _offsets(phase * t, base)
+    lhs = _offsets(a * t + b * np.eye(t.shape[0]), base)
+    dist = np.abs(lhs - (abs(a) * rows + (np.exp(1j * thetas) * b).real)).max()
+    tol = _row_tol(t.shape[0], abs(a) * np.linalg.norm(t, 2) + abs(b))
     return _report("P1", dist, tol, f"dim={t.shape[0]} k={base.k} a={a} b={b}")
 
 
 def check_adjoint(t, base: RangeReport) -> PropertyReport:
-    """P2: the range of T* is the conjugate of the range of T."""
+    """P2: the range of T* is the conjugate of the range of T:
+    H_theta(T*) = H_{-theta}(T), so T*'s row j is T's row -j mod m."""
     t = as_matrix(t)
-    lhs = _sibling(t.conj().T, base)
-    dist = _set_distance(lhs.region, conjugate_region(base.region))
-    return _report("P2", dist, _equality_tol(lhs, base), f"dim={t.shape[0]} k={base.k}")
+    mirrored = base.support_samples[-np.arange(base.angles), 1]
+    dist = np.abs(_offsets(t.conj().T, base) - mirrored).max()
+    return _report("P2", dist, _row_tol(t.shape[0], np.linalg.norm(t, 2)),
+                   f"dim={t.shape[0]} k={base.k}")
 
 
 def check_direct_sum(t, s, base_t: RangeReport, base_s: RangeReport) -> PropertyReport:
-    """P3, one-sided: range(T) and range(S) both sit inside range(T (+) S).
-
-    ``base_t`` and ``base_s`` are the rank-k reports of T and S on one grid.
-    """
+    """P3, one-sided: range(T) and range(S) both sit inside range(T (+) S),
+    as lambda_k(H_theta(T) (+) H_theta(S)) is at least lambda_k of each.
+    ``base_t`` and ``base_s`` are the rank-k reports of T and S on one grid."""
     t = as_matrix(t)
     s = as_matrix(s)
     if (base_t.k, base_t.angles) != (base_s.k, base_s.angles):
         raise ValueError("the two reports must share k and the angle grid")
-    whole = _sibling(direct_sum(t, s), base_t)
-    tol = _equality_tol(whole, base_t, base_s)
-    gap = max(_inclusion_gap(base_t.region, whole.region),
-              _inclusion_gap(base_s.region, whole.region))
-    return _report("P3", gap, tol, f"dims={t.shape[0]}+{s.shape[0]} k={base_t.k}")
+    whole = _offsets(direct_sum(t, s), base_t)
+    gap = np.maximum(base_t.support_samples[:, 1], base_s.support_samples[:, 1]) - whole
+    norm = max(np.linalg.norm(t, 2), np.linalg.norm(s, 2))
+    return _report("P3", gap.max(), _row_tol(t.shape[0] + s.shape[0], norm),
+                   f"dims={t.shape[0]}+{s.shape[0]} k={base_t.k}")
 
 
 def check_unitary(t, base: RangeReport, u) -> PropertyReport:
-    """P4: conjugating by a unitary leaves the range unchanged."""
+    """P4: conjugating by a unitary leaves the range, and every row of
+    offsets, unchanged: H_theta(U*TU) = U* H_theta(T) U."""
     t = as_matrix(t)
     u = as_matrix(u)
-    if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) > UNITARY_TOL:
+    eta = _defect(u)
+    if eta > UNITARY_TOL:
         raise NotUnitaryError("conjugating matrix is not unitary within 1e-10")
-    lhs = _sibling(u.conj().T @ t @ u, base)
-    dist = _set_distance(lhs.region, base.region)
-    return _report("P4", dist, _equality_tol(lhs, base), f"dim={t.shape[0]} k={base.k}")
+    dist = np.abs(_offsets(u.conj().T @ t @ u, base) - base.support_samples[:, 1]).max()
+    tol = _row_tol(t.shape[0], np.linalg.norm(t, 2), eta)
+    return _report("P4", dist, tol, f"dim={t.shape[0]} k={base.k}")
 
 
 def check_compression(t, base: RangeReport, iso) -> PropertyReport:
-    """P5: the range of a compression is contained in the full range."""
+    """P5: the range of a compression is contained in the full range:
+    lambda_k(V* H_theta V) <= lambda_k(H_theta) by Cauchy interlacing."""
     t = as_matrix(t)
     iso = np.asarray(iso, dtype=np.complex128)
     if iso.ndim != 2 or iso.shape[0] < iso.shape[1]:
         raise BadIsometryError(f"expected tall column-isometry, got {iso.shape}")
     p = iso.shape[1]
-    if np.linalg.norm(iso.conj().T @ iso - np.eye(p)) > UNITARY_TOL:
+    eta = _defect(iso)
+    if eta > UNITARY_TOL:
         raise BadIsometryError("columns are not orthonormal within 1e-10")
     if p < base.k:
         raise BadIsometryError(f"need at least k={base.k} columns, got {p}")
-    small = _sibling(iso.conj().T @ t @ iso, base)
-    gap = _inclusion_gap(small.region, base.region)
-    return _report("P5", gap, _equality_tol(small, base),
-                   f"dim={t.shape[0]}->{p} k={base.k}")
+    gap = _offsets(iso.conj().T @ t @ iso, base) - base.support_samples[:, 1]
+    tol = _row_tol(t.shape[0], np.linalg.norm(t, 2), eta)
+    return _report("P5", gap.max(), tol, f"dim={t.shape[0]}->{p} k={base.k}")
 
 
 def check_nesting(sweep: PencilSweep, k_max: int) -> PropertyReport:
     """P6: successive ranges of one sweep are nested, measured over all
-    directions as each rank's support above the previous rank's."""
+    directions as each rank's support above the previous rank's.  The rows
+    are sorted, so this tests the geometry; the tolerance is
+    ``REGION_SLACK`` at the bound ``range_from_sweep`` passes."""
     if not 1 <= k_max <= sweep.dim:
         raise ValueError(f"k_max must be in 1..{sweep.dim}")
     reports = [range_from_sweep(sweep, k) for k in range(1, k_max + 1)]
     worst = max((_inclusion_gap(lo.region, hi.region)
                  for lo, hi in zip(reports[1:], reports[:-1])), default=0.0)
-    return _report("P6", max(worst, 0.0), NESTING_SLACK, f"dim={sweep.dim} k_max={k_max}")
+    bound = 2.0 * sweep.numerical_radius() or 1.0
+    return _report("P6", max(worst, 0.0), REGION_SLACK * bound,
+                   f"dim={sweep.dim} k_max={k_max}")
 
 
 def check_hermitian_oracle(t, base: RangeReport) -> PropertyReport:
-    """T's rank-k region against the eigenvalue interval of Hermitian T.
-
-    Raises ValueError unless :func:`~hrnr.linalg.is_hermitian` accepts T;
-    LAPACK reads one triangle only and would answer for that instead."""
+    """T's rank-k region against the eigenvalue interval of Hermitian T,
+    within ``REGION_SLACK`` at the bound 2 max|lambda| (1 for T = 0) plus
+    the row tolerance.  Raises ValueError unless
+    :func:`~hrnr.linalg.is_hermitian` accepts T; LAPACK reads one triangle
+    only and would answer for that instead."""
     t = as_matrix(t)
     if not is_hermitian(t):
         raise ValueError("matrix is not Hermitian within 1e-12 relative")
-    oracle = hermitian_oracle(np.linalg.eigvalsh(t), base.k)
-    disc = _set_distance(base.region, oracle)
-    return _report("HERMITIAN", disc, HERMITIAN_ORACLE_TOL,
-                   f"dim={t.shape[0]} k={base.k}")
+    values = np.linalg.eigvalsh(t)
+    norm = float(np.abs(values).max())
+    disc = _set_distance(base.region, hermitian_oracle(values, base.k))
+    tol = REGION_SLACK * (2.0 * norm or 1.0) + _row_tol(t.shape[0], norm)
+    return _report("HERMITIAN", disc, tol, f"dim={t.shape[0]} k={base.k}")
 
 
 def check_normal_oracle(t, base: RangeReport) -> PropertyReport:
@@ -252,13 +245,13 @@ def check_normal_oracle(t, base: RangeReport) -> PropertyReport:
     of normal T, at any dimension.
 
     Polygonal ranges protrude linearly in the grid spacing near facet
-    normals, so the tolerance scales with R tan(pi/m).
+    normals, so the tolerance is 12 R tan(pi/m), R the largest |lambda|.
     """
     t = as_matrix(t)
     eigs = normal_eigenvalues(t)
     disc = _set_distance(base.region, normal_oracle(eigs, base.k))
     m = base.angles
-    tol = max(NORMAL_ORACLE_TOL, 12.0 * float(np.abs(eigs).max()) * np.tan(np.pi / m))
+    tol = 12.0 * float(np.abs(eigs).max()) * np.tan(np.pi / m)
     return _report("NORMAL", disc, tol, f"dim={t.shape[0]} k={base.k} m={m}")
 
 
@@ -356,14 +349,19 @@ def check_shift(n: int, m: int) -> PropertyReport:
 def check_nilpotent(t, m: int) -> list[PropertyReport]:
     """Dilation residuals (DILATION), the replicated-shift disc bound on
     the rank-k support offsets at every admissible k (DISC) and the radius
-    bound (HAAGERUP) of a nilpotent contraction, from one m-angle sweep."""
+    bound (HAAGERUP) of a nilpotent contraction, from one m-angle sweep.
+    ``build_dilation`` clamps the defect's square to I - T*T + P with
+    ||P||_2 <= (||T||_2^2 - 1)+, so V*V - I = sum_{j<n} T*^j P T^j, whose
+    Frobenius bound DILATION allows on top of ``RESIDUAL_TOL`` per dimension."""
     t = as_matrix(t)
     d = t.shape[0]
     pack = build_dilation(t)
     sweep = pencil_sweep(t, m)
     digest = f"dim={d} index={pack.n} defect_rank={pack.r}"
     residual = max(pack.isometry_residual, pack.intertwine_residual)
-    dilation = _report("DILATION", residual, RESIDUAL_TOL * d, digest,
+    norm = np.linalg.norm(t, 2)
+    clamped = np.sqrt(d) * pack.n * max(norm**2 - 1.0, 0.0) * max(1.0, norm) ** (2 * pack.n - 2)
+    dilation = _report("DILATION", residual, RESIDUAL_TOL * d + clamped, digest,
                        f"isometry={pack.isometry_residual:.2e} "
                        f"intertwine={pack.intertwine_residual:.2e}")
     worst, note = -np.inf, ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hrnr.checks import (
+    RESIDUAL_TOL,
     BadIsometryError,
     NotUnitaryError,
     check_adjoint,
@@ -25,7 +26,6 @@ from hrnr.checks import (
     random_matrix,
     random_nilpotent_contraction,
     random_unitary,
-    transform_region,
 )
 from hrnr.geometry import (ConvexRegion, _convex_hull, excess, hausdorff, intersect_halfplanes,
                            support)
@@ -196,6 +196,18 @@ def test_compression_rejects_bad_columns():
         check_compression(shift_matrix(3), base(shift_matrix(3), 2), np.eye(3)[:, :1])
 
 
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
+def test_row_checks_see_a_relative_change_of_1e_6(s):
+    # against the report of a matrix 1e-6 away, relative, the equalities
+    # and the inclusion fail at every scale
+    t = random_square(4, 24, s)
+    wrong = base((1 + 1e-6) * t, 2)
+    assert not check_affine(t, wrong, 1.5, s * (0.25 - 0.5j)).passed
+    assert not check_adjoint(t, wrong).passed
+    assert not check_unitary(t, wrong, random_unitary(4, generator(25))).passed
+    assert not check_compression(t, base((1 - 1e-6) * t, 2), np.eye(4)).passed
+
+
 # --- P6 nesting ---------------------------------------------------------------------
 
 def test_nesting_shift_radii():
@@ -313,7 +325,7 @@ def test_normal_oracle_matches_subset_hulls():
                 size = float(np.abs(z).max())
                 for k in range(1, n + 1):
                     region = normal_oracle(z, k)
-                    want = transform_region(refs[k - 1], scale, shift)
+                    want = ConvexRegion(refs[k - 1].kind, scale * refs[k - 1].vertices + shift)
                     case = (n, kind, scale, k)
                     assert region.kind == want.kind, case
                     if region.is_empty:
@@ -440,6 +452,16 @@ def test_haagerup_report_of_nilpotent_suite():
                                             pencil_sweep(shift_matrix(5), 2048), 5)
 
 
+def test_dilation_accepts_what_the_contraction_gate_accepts():
+    # ||T|| = 1 + 1e-10 passes build_dilation's gate; the clamped defect
+    # then leaves an isometry residual of hypot(c^4 - 1, c^2 - 1) ~ 4.5e-10
+    dilation, disc, haagerup = check_nilpotent((1 + 1e-10) * shift_matrix(3), 2048)
+    assert dilation.passed and disc.passed and haagerup.passed, dilation
+    assert dilation.discrepancy > RESIDUAL_TOL * 3
+    # a contraction keeps the per-dimension tolerance
+    assert check_nilpotent(shift_matrix(3), 2048)[0].tolerance == RESIDUAL_TOL * 3
+
+
 def test_nilpotent_suite_rejects_non_contraction():
     with pytest.raises(ValueError):
         check_nilpotent(2.0 * shift_matrix(3), 256)
@@ -476,6 +498,7 @@ def test_direct_sum_rejects_reports_on_different_grids():
     (random_square(4, 93), None),
     (np.diag([0.0, 1.0, 2.0, 3.0]), "HERMITIAN"),
     (np.diag(pentagon_eigs()), "NORMAL"),
+    (np.zeros((3, 3)), "HERMITIAN"),
 ])
 def test_property_suite_ids(t, oracle):
     reports = property_suite(t, 1, 1024, generator(94))

@@ -355,8 +355,21 @@ def test_verify_properties_sweeps_each_input_once(tmp_path, monkeypatch, capsys)
     assert code == 0, capsys.readouterr().out
     # T, aT + bI, T*, T (+) T, U*TU and the compression: one sweep each
     assert calls["pencil_sweep"] <= 6, calls
-    # T at k = 2, the five other matrices, and P6 at k = 1, 2, 3
-    assert calls["range_from_sweep"] <= 9, calls
+    # T at k = 2 and P6 at k = 1, 2, 3; P1-P5 compare offset rows
+    assert calls["range_from_sweep"] <= 4, calls
+
+
+def test_verify_properties_large_hermitian_passes(tmp_path, capsys):
+    # every tolerance is relative, so a Hermitian matrix of norm ~1e8 passes
+    x = checks.random_matrix(3, checks.generator(0))
+    path = write_matrix(tmp_path, "herm.json", 1e8 * (x + x.conj().T))
+    code = main(["verify-properties", "--input", path, "--k", "1",
+                 "--angles", "720", "--seed", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0, lines
+    assert [ln.split()[:2] for ln in lines] == [[pid, "pass"] for pid in
+                                                ("P1", "P2", "P3", "P4", "P5", "P6",
+                                                 "HERMITIAN")]
 
 
 def test_verify_properties_normal_oracle_line(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrnr.checks import generator, montecarlo_range, random_unitary
+from hrnr.checks import generator, montecarlo_range, property_suite, random_unitary
 from hrnr.geometry import ConvexRegion, hausdorff
 from hrnr.ranges import (
     BadRankError,
@@ -212,11 +212,15 @@ def test_vertices_satisfy_fresh_constraints():
         assert (u * rep.region.vertices).real.max() <= lam / 2 + slack
 
 
-def _equivariance_case(seed):
-    """A unit-norm matrix of one of five kinds, a rank with a non-empty
-    range for the Gaussian kinds (Li and Sze: n >= 3k - 2), and a grid."""
+KINDS = ("shift", "gauss", "herm", "normal", "nilpotent")
+
+
+def _equivariance_case(seed, kind=None):
+    """A unit-norm matrix of one of five kinds (drawn unless given), a rank
+    with a non-empty range for the Gaussian kinds (Li and Sze:
+    n >= 3k - 2), and a grid."""
     rng = generator(seed)
-    kind = rng.choice(["shift", "gauss", "herm", "normal", "nilpotent"])
+    kind = kind or rng.choice(KINDS)
     n = int(rng.integers(2, 9))
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     if kind == "shift":
@@ -252,6 +256,20 @@ def test_region_is_scale_and_translation_equivariant(seed):
     if not base.is_empty:
         want = ConvexRegion(base.kind, s * base.vertices + b)
         assert hausdorff(moved, want) <= 1e-10 * np.linalg.norm(moved_t)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("kind", KINDS)
+def test_property_suite_verdicts_are_scale_invariant(kind, seed):
+    # every check is relative to ||sT||, so sT gets T's checks and passes
+    # them all, from 1e-12 to 1e12
+    t, k, m, rng = _equivariance_case(seed, kind)
+    draws = int(rng.integers(1 << 31))
+    want = [r.property_id for r in property_suite(t, k, m, generator(draws))]
+    for s in 10.0 ** np.arange(-12, 13, 4):
+        reports = property_suite(s * t, k, m, generator(draws))
+        assert [r.property_id for r in reports] == want, s
+        assert all(r.passed for r in reports), (s, reports)
 
 
 def test_sweep_determinism():
