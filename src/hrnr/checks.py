@@ -58,7 +58,7 @@ REGION_SLACK = max(4.0 * SEGMENT_THICKNESS, POINT_DIAM) + 2.0 * CLIP_EPS  # per 
 RADIUS_TOL = 5e-6  # against a closed-form disc (shift range, nilpotent bound)
 HAAGERUP_SLACK = 1e-6
 RESIDUAL_TOL = 1e-10  # dilation residuals, per dimension
-NORMAL_RTOL = 1e-10  # ||TT* - T*T||_F / ||T||_F^2
+NORMAL_RTOL = 1e-10  # ||CC* - C*C||_F / ||C||_F^2, C = T - (tr T / n) I
 
 
 class NotUnitaryError(ValueError):
@@ -425,11 +425,15 @@ def montecarlo_range(t, samples: int = 100_000, seed: int = 0) -> ConvexRegion:
 
 
 def is_normal(t) -> bool:
-    """Whether ``||TT* - T*T||_F <= 1e-10 ||T||_F^2``, a rule that holds or
-    fails alike for ``s T`` at every scale ``s > 0``."""
+    """Whether ``||CC* - C*C||_F <= 1e-10 ||C||_F^2`` for the centred
+    ``C = T - (tr T / n) I``, a rule that holds or fails alike for
+    ``a T + b I`` at every ``a != 0`` and ``b``.  On uncentred T a large
+    ``b`` would swamp both sides, and the commutator would be lost to
+    rounding."""
     t = as_matrix(t)
-    commutator = t @ t.conj().T - t.conj().T @ t
-    return bool(np.linalg.norm(commutator) <= NORMAL_RTOL * np.linalg.norm(t) ** 2)
+    c = t - (np.trace(t) / t.shape[0]) * np.eye(t.shape[0])
+    commutator = c @ c.conj().T - c.conj().T @ c
+    return bool(np.linalg.norm(commutator) <= NORMAL_RTOL * np.linalg.norm(c) ** 2)
 
 
 def normal_eigenvalues(t) -> np.ndarray:

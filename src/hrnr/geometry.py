@@ -6,7 +6,10 @@ Regions live in the complex plane.  A half-plane is the set
 arrays of angles and offsets and intersects them in one deque scan.  When
 every plane already cuts a facet (each consecutive corner lies inside the
 plane after next, as on a smooth range), one array pass certifies that and
-the scan is skipped; the emptiness check runs on both paths.
+the scan is skipped.  Otherwise a scan over every ceil(sqrt(m))-th plane
+gives a coarse outer hull, and the full scan runs only on the planes that
+cut it, which on faceted and degenerate grid ranges is a few percent of
+them.  The emptiness check tests every plane on every path.
 Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
 ``polygon`` (counter-clockwise vertex loop).
 
@@ -15,13 +18,22 @@ Every threshold is a length in units of the ``bound`` passed to
 relaxation is what keeps genuinely degenerate intersections honest in
 floating point: a family of half-planes whose true intersection is a
 single point carries offset noise of order 1e-15, which would otherwise
-make the intersection come back empty instead of that point.  Every
-result therefore sits between the exact intersection and its CLIP_EPS * bound
-outward relaxation, far inside all stated tolerances.
+make the intersection come back empty instead of that point.  The scan's
+vertex loop lies between the exact intersection and that intersection
+with every cut relaxed by at most 2 * CLIP_EPS (see
+``intersect_halfplanes``), and the relaxed corner of two active planes
+whose normals are g apart lies at most 2 * CLIP_EPS * bound / cos(g / 2)
+outside the exact one: about 2e-12 * bound on a grid.  ``_classify`` then
+collapses regions thinner than 1e-9 * bound.  The exception is a corner
+of two nearly antiparallel cut lines whose exact gap is below the
+relaxation, as on the edge planes of a sliver triangle: the relaxed
+corner can then run out to the bounding square, O(bound) from the exact
+intersection (pinned by an expected-failure test).
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -35,6 +47,8 @@ POINT_DIAM = 1e-9
 # A polygon thinner than this (area / diameter) collapses to a segment.
 SEGMENT_THICKNESS = 1e-9
 TWO_PI = 2.0 * np.pi
+# angles of the bounding square's planes
+_SQUARE = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
 
 class EmptyRegionError(ValueError):
@@ -341,10 +355,58 @@ def _unit_planes(thetas, offsets, radius):
     """The planes in units of ``radius`` with the square at +-1 added,
     normalised, and their cut lines relaxed by CLIP_EPS: sorted angles,
     their cosines and sines, and the cuts."""
-    sq_t = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-    all_t, all_b = _normalize_planes(np.concatenate([thetas, sq_t]),
+    all_t, all_b = _normalize_planes(np.concatenate([thetas, _SQUARE]),
                                      np.concatenate([offsets / radius, np.ones(4)]))
     return all_t, np.cos(all_t), np.sin(all_t), all_b + CLIP_EPS
+
+
+def _cutting_planes(thetas, cos_t, sin_t, cuts):
+    """Indices of the normalised planes the scan needs: every ceil(sqrt(m))-th
+    plane, the bounding square's, and every plane that cuts their hull.
+
+    The coarse planes' relaxed intersection contains the relaxed
+    intersection of all planes, and so does the hull of the coarse chain's
+    corners.  A plane whose cut, relaxed once more by CLIP_EPS, that hull's
+    support does not exceed is dropped: the scan over the rest then finds a
+    region that contains the relaxed intersection of all planes and that
+    every dropped plane holds within its cut relaxed twice.  On a faceted
+    grid range the dropped planes are the bundles of grid planes through
+    each vertex, which the relaxation would turn into micro-arcs that
+    ``_classify`` collapses again.  Every index is returned when the coarse
+    chain is empty or has no finite corners.
+    """
+    m = thetas.size
+    coarse = np.zeros(m, dtype=bool)
+    coarse[::math.isqrt(m - 1) + 1] = True  # stride ceil(sqrt(m))
+    # each square plane sits in the merged group that starts at or below it
+    coarse[np.searchsorted(thetas, _SQUARE, side="right") - 1] = True
+    sub = np.flatnonzero(coarse)
+    c, s, b = cos_t[sub], sin_t[sub], cuts[sub]
+    chain = _active_chain(thetas[sub].tolist(), c.tolist(), s.tolist(), b.tolist())
+    corners = None if chain is None else _chain_corners(c, s, b, chain)
+    if corners is None or not np.isfinite(corners).all():
+        return np.arange(m)
+    # support reads only the vertices, so a hull of one or two corners serves
+    hull = ConvexRegion.polygon(_convex_hull(corners[0] + 1j * corners[1]))
+    return np.flatnonzero(coarse | (support(hull, thetas) > cuts + CLIP_EPS))
+
+
+def _unit_region(planes, dq) -> ConvexRegion:
+    """The classified region of the chain ``dq`` of the unit-frame
+    ``planes``, or empty when some plane cuts it by more than 1e-9."""
+    all_t, cos_t, sin_t, cuts = planes
+    corners = None if dq is None else _chain_corners(cos_t, sin_t, cuts, dq)
+    if corners is None:
+        return ConvexRegion.empty()
+    verts = corners[0] + 1j * corners[1]
+    if not np.isfinite(verts).all():
+        raise ValueError("offsets / bound too large: the vertices overflow")
+    # check the classified region, so corner clusters have collapsed and a
+    # point or segment is checked as such
+    region = _classify(verts)
+    if (support(region, all_t) - cuts > 1e-9).any():
+        return ConvexRegion.empty()
+    return region
 
 
 def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
@@ -356,14 +418,22 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     One angle-sorted deque scan produces the candidate vertex loop in
     O(m).  The scan is skipped when ``_locally_convex`` certifies in one
     array pass that it would keep every plane; the indices, and so the
-    vertices, are then the ones the scan returns.  In exact arithmetic
-    the loop is the true intersection whenever the intersection is
-    non-empty, so a plane that the classified loop violates by more than
-    1e-9 * R certifies that the intersection is empty; that check runs on
-    both paths and costs O((m + v) log v).  ``_classify`` replaces a loop
-    that rounding left non-convex by its hull.  Results are independent of
-    the input order of the planes.  Raises ValueError when offsets / R, or
-    the vertices they give, overflow to a non-finite value.
+    vertices, are then the ones the scan returns.  When it declines,
+    ``_cutting_planes`` scans every ceil(sqrt(m))-th plane and keeps only
+    the planes that cut that chain's hull by more than CLIP_EPS, which
+    costs one scan of about sqrt(m) planes and one O((m + v) log v)
+    support call.  The scan over the kept planes then finds a region
+    between the relaxed intersection of all planes and the one relaxed
+    twice as far, so it differs from a scan over every plane by about
+    CLIP_EPS * R; when the coarse chain is empty every plane is scanned.
+    In exact arithmetic the loop is the true intersection whenever the
+    intersection is non-empty, so a plane that the classified loop violates
+    by more than 1e-9 * R certifies that the intersection is empty; that
+    check tests every plane on every path and costs O((m + v) log v).
+    ``_classify`` replaces a loop that rounding left non-convex by its
+    hull.  Results are independent of the input order of the planes.
+    Raises ValueError when offsets / R, or the vertices they give, overflow
+    to a non-finite value.
     """
     thetas = np.asarray(thetas, dtype=float).ravel()
     offsets = np.asarray(offsets, dtype=float).ravel()
@@ -377,25 +447,17 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError("bound must be positive and finite")
     with np.errstate(over="ignore"):
-        all_t, cos_t, sin_t, cuts = _unit_planes(thetas, offsets, radius)
-    if not np.isfinite(cuts).all():
+        planes = _unit_planes(thetas, offsets, radius)
+    if not np.isfinite(planes[3]).all():
         raise ValueError("offsets / bound must be finite")
-    dq = _locally_convex(all_t, cos_t, sin_t, cuts)
+    dq = _locally_convex(*planes)
     if dq is None:
-        dq = _active_chain(all_t.tolist(), cos_t.tolist(), sin_t.tolist(), cuts.tolist())
-    if dq is None:
-        return ConvexRegion.empty()
-    corners = _chain_corners(cos_t, sin_t, cuts, dq)
-    if corners is None:
-        return ConvexRegion.empty()
-    verts = corners[0] + 1j * corners[1]
-    if not np.isfinite(verts).all():
-        raise ValueError("offsets / bound too large: the vertices overflow")
-    # check the classified region, so corner clusters have collapsed and a
-    # point or segment is checked as such
-    region = _classify(verts)
-    if (support(region, all_t) - cuts > 1e-9).any():
-        return ConvexRegion.empty()
+        keep = _cutting_planes(*planes)
+        dq = _active_chain(*(a[keep].tolist() for a in planes))
+        dq = None if dq is None else keep[dq]
+    region = _unit_region(planes, dq)
+    if region.is_empty:
+        return region
     verts = region.vertices * radius
     if not np.isfinite(verts).all():
         raise ValueError("offsets / bound too large: the vertices overflow")

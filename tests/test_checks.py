@@ -397,6 +397,22 @@ def test_normal_eigenvalues_rejects_scaled_shift(s):
         normal_eigenvalues(s * shift_matrix(3))
 
 
+@pytest.mark.parametrize("c", [0.0, 1e6, -1e6j, 1e12])
+def test_normality_rule_is_translation_invariant(c):
+    # measured on uncentred T, a large multiple of I made S_4 + c I pass
+    # as normal: the suite ran the NORMAL oracle and failed it
+    # (discrepancy inf) on correct input
+    t = shift_matrix(4) + c * np.eye(4)
+    with pytest.raises(ValueError):
+        normal_eigenvalues(t)
+    reports = property_suite(t, 3, 720, generator(3))
+    assert [r.property_id for r in reports] == ["P1", "P2", "P3", "P4", "P5", "P6"]
+    assert all(r.passed for r in reports), reports
+    eigs = pentagon_eigs()
+    got = np.sort_complex(normal_eigenvalues(np.diag(eigs) + c * np.eye(5)))
+    assert np.abs(got - np.sort_complex(eigs + c)).max() <= 1e-12 * max(1.0, abs(c))
+
+
 @pytest.mark.parametrize("s", SCALES)
 @pytest.mark.parametrize("hidden", [False, True])
 def test_normal_eigenvalues_recovers_scaled_spectrum(s, hidden):

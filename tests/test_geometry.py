@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from hrnr.checks import generator, random_matrix
 from hrnr.geometry import (
+    CLIP_EPS,
     ConvexRegion,
     EmptyRegionError,
     _active_chain,
+    _cutting_planes,
     _locally_convex,
     _prune_collinear,
     _unit_planes,
+    _unit_region,
     excess,
     hausdorff,
     intersect_halfplanes,
@@ -131,11 +134,11 @@ def test_intersection_respects_every_plane():
     assert (s <= offsets + 1e-9).all()
 
 
-@given(st.integers(0, 2**32 - 1))
+@given(st.integers(0, 2**32 - 1), st.integers(5, 60))
+@example(1, 65536)  # the plane filter picks its coarse planes after sorting
 @settings(max_examples=20, deadline=None)
-def test_intersection_order_independent(seed):
+def test_intersection_order_independent(seed, count):
     rng = np.random.Generator(np.random.PCG64(seed))
-    count = int(rng.integers(5, 60))
     thetas, offsets = rng.uniform(0, 2 * np.pi, count), rng.uniform(0.1, 2.0, count)
     base = intersect_halfplanes(thetas, offsets, bound=4.0)
     perm = rng.permutation(count)
@@ -236,11 +239,15 @@ def test_empty_grid_range_is_certified():
     assert intersect_halfplanes(*empty_pentagon_planes(), bound=2.0).is_empty
 
 
+def sweep_halfplanes(t, k, m):
+    """The angles, offsets and bound ``range_from_sweep`` passes the engine."""
+    sweep = pencil_sweep(t, m)
+    return sweep.thetas, sweep.eigenvalues[:, k - 1] / 2.0, 2.0 * sweep.numerical_radius() or 1.0
+
+
 def sweep_planes(t, k, m):
     """The normalised, relaxed planes ``range_from_sweep`` hands the scan."""
-    sweep = pencil_sweep(t, m)
-    offsets = sweep.eigenvalues[:, k - 1] / 2.0
-    return _unit_planes(sweep.thetas, offsets, 2.0 * sweep.numerical_radius() or 1.0)
+    return _unit_planes(*sweep_halfplanes(t, k, m))
 
 
 def test_locally_convex_certificate_matches_scan():
@@ -262,6 +269,66 @@ def test_locally_convex_certificate_matches_scan():
             assert (certified is not None) == accepts
         if certified is not None:
             assert np.array_equal(certified, scanned)
+
+
+FILTER_RNG = generator(7)
+NORMAL_DIAG = np.diag(FILTER_RNG.normal(size=6) + 1j * FILTER_RNG.normal(size=6))
+HERM_DIAG = np.diag(np.sort(FILTER_RNG.normal(size=5)).astype(complex))
+
+
+@pytest.mark.parametrize("t, k, m, kind, faceted", [
+    pytest.param(NORMAL_DIAG, 1, 65536, "polygon", True, id="normal-k1"),
+    pytest.param(NORMAL_DIAG, 2, 65536, "polygon", True, id="normal-k2"),
+    pytest.param(NORMAL_DIAG, 3, 65536, "empty", True, id="normal-k3"),
+    pytest.param(HERM_DIAG, 1, 65536, "segment", True, id="herm-segment"),
+    pytest.param(HERM_DIAG, 3, 65536, "point", True, id="herm-point"),
+    pytest.param(random_matrix(6, generator(1)), 2, 8192, "polygon", False, id="swallowtail")])
+def test_plane_filter_keeps_the_full_scan_region(t, k, m, kind, faceted):
+    thetas, offsets, bound = sweep_halfplanes(t, k, m)
+    planes = _unit_planes(thetas, offsets, bound)
+    all_t, _, _, cuts = planes
+    assert _locally_convex(*planes) is None  # so the filter runs
+    keep = _cutting_planes(*planes)
+    if faceted:
+        # the bundles of grid planes through each vertex are dropped
+        assert keep.size <= all_t.size // 16
+    region = intersect_halfplanes(thetas, offsets, bound)
+    full = _unit_region(planes, _active_chain(*(a.tolist() for a in planes)))
+    assert region.kind == full.kind == kind
+    if region.is_empty:
+        return
+    dropped = np.setdiff1d(np.arange(all_t.size), keep)
+    unit = ConvexRegion(region.kind, region.vertices / bound)
+    assert (support(unit, all_t[dropped]) - (cuts[dropped] - CLIP_EPS)).max() <= 1e-9
+    assert hausdorff(unit, full) <= 1e-11
+
+
+def test_plane_filter_keeps_planes_that_cut_a_relaxed_corner():
+    # nine planes through one point: the filter's coarse planes leave nearly
+    # a half-turn between the tight ones, whose relaxed corner runs out by
+    # 1.1e-10; a filter that kept only the planes cutting the unrelaxed coarse
+    # chain dropped the tight planes in that gap and moved the point by
+    # 3.7e-11 * bound
+    thetas = np.array([0.679, -1.371, 3.222, 2.341, 0.080, -1.353, 1.789, 1.771, -1.358])
+    p = 0.0778 - 0.3105j
+    region = intersect_halfplanes(thetas, (np.exp(1j * thetas) * p).real, bound=2.4)
+    assert region.kind == "point"
+    assert abs(region.vertices[0] - p) <= 1e-12 * 2.4
+
+
+@pytest.mark.xfail(strict=True, reason="relaxed acute corners of a sliver run to the square")
+def test_sliver_triangle_edges_give_their_segment():
+    # three collinear lattice points, scaled and translated: rounding makes
+    # their hull a sliver triangle, and its three edge planes meet at two
+    # corners so acute that the CLIP_EPS relaxation carries them to the
+    # bounding square, 1.54 * bound from the exact segment
+    pts = np.array([-1.75e-5 - 2.2269e-4j, 3.25e-5 - 3.2269e-4j, -6.75e-5 - 1.2269e-4j])
+    thetas = np.pi / 2 - np.angle(np.roll(pts, -1) - pts)
+    offsets = (np.exp(1j * thetas)[:, None] * pts).real.max(axis=1)
+    bound = 3.24e-4
+    region = intersect_halfplanes(thetas, offsets, bound)
+    assert not region.is_empty
+    assert hausdorff(region, ConvexRegion.segment(pts[1], pts[2])) <= 1e-9 * bound
 
 
 def prune_reference(verts):
