@@ -3,13 +3,12 @@ exact support-function distances.
 
 Regions live in the complex plane.  A half-plane is the set
 ``{z : Re(e^{i theta} z) <= offset}``; ``intersect_halfplanes`` takes
-arrays of angles and offsets and intersects them in one deque scan.  When
-every plane already cuts a facet (each consecutive corner lies inside the
-plane after next, as on a smooth range), one array pass certifies that and
-the scan is skipped.  Otherwise a scan over every ceil(sqrt(m))-th plane
-gives a coarse outer hull, and the full scan runs only on the planes that
-cut it, which on faceted and degenerate grid ranges is a few percent of
-them.  The emptiness check tests every plane on every path.
+arrays of angles and offsets and intersects them on one path.  Array
+rounds drop the planes that their neighbours imply, two neighbours never
+in one round; when no plane is left implied (as on a smooth range, in the
+first round) every kept plane is a facet, and otherwise the deque scan
+runs on the planes left, which on faceted and degenerate grid ranges are
+a few dozen.  The emptiness check tests every plane.
 Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
 ``polygon`` (counter-clockwise vertex loop).
 
@@ -18,12 +17,13 @@ Every threshold is a length in units of the ``bound`` passed to
 relaxation is what keeps genuinely degenerate intersections honest in
 floating point: a family of half-planes whose true intersection is a
 single point carries offset noise of order 1e-15, which would otherwise
-make the intersection come back empty instead of that point.  The scan's
-vertex loop lies between the exact intersection and that intersection
-with every cut relaxed by at most 2 * CLIP_EPS (see
-``intersect_halfplanes``), and the relaxed corner of two active planes
-whose normals are g apart lies at most 2 * CLIP_EPS * bound / cos(g / 2)
-outside the exact one: about 2e-12 * bound on a grid.  ``_classify`` then
+make the intersection come back empty instead of that point.  The vertex
+loop is the intersection of the kept planes' relaxed cuts, and it holds
+every dropped plane within 2.7e-10 * bound of its relaxed cut at up to
+2^16 planes, a worst case over chained drops (see ``_facet_planes``);
+replays of grid ranges stayed within 2e-12 * bound of a scan over every
+plane.  The relaxed corner of two planes whose normals are g apart lies
+CLIP_EPS * bound / cos(g / 2) outside the exact one.  ``_classify`` then
 collapses regions thinner than 1e-9 * bound.  The exception is a corner
 of two nearly antiparallel cut lines whose exact gap is below the
 relaxation, as on the edge planes of a sliver triangle: the relaxed
@@ -33,7 +33,6 @@ intersection (pinned by an expected-failure test).
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -231,41 +230,6 @@ def _normalize_planes(thetas, offsets):
     return thetas, offsets
 
 
-def _locally_convex(thetas, cos_t, sin_t, cuts):
-    """Every plane index when each angle-sorted plane cuts a facet, else None.
-
-    One array pass over the consecutive corners (planes j and j + 1, from
-    ``_chain_corners``): every neighbour gap must be below pi, no
-    determinant below 1e-14 in modulus, and corner j must not be cut away
-    by plane j + 2 -- the scan's back test, cyclically -- nor corner 0 by a
-    plane past the half-turn from plane 0 or by the last plane -- its front
-    and closing tests.  These are every test the scan makes when it pops
-    nothing, in the same arithmetic, so whenever this returns indices the
-    scan would return the same ones.  Geometrically each edge then has
-    non-negative length along its line, so the corners form a closed
-    left-turning chain that winds once: a convex polygon with every plane
-    a facet.  Smooth ranges (discs, k = 1 ellipses) pass; faceted ranges,
-    where many grid planes meet at each vertex, and k >= 2 swallowtails
-    decline and go to the scan.
-    """
-    m = thetas.size
-    if (np.diff(thetas, append=thetas[0] + TWO_PI) >= np.pi).any():
-        return None
-    idx = np.arange(m, dtype=np.intp)
-    corners = _chain_corners(cos_t, sin_t, cuts, idx)
-    if corners is None:
-        return None
-    x, y = corners
-    after = np.roll(idx, -2)
-    if (x * cos_t[after] - y * sin_t[after] > cuts[after]).any():
-        return None
-    front = thetas - thetas[0] > np.pi
-    front[-1] = True
-    if (x[0] * cos_t[front] - y[0] * sin_t[front] > cuts[front]).any():
-        return None
-    return idx
-
-
 def _active_chain(thetas, cos_t, sin_t, cuts):
     """Deque scan over angle-sorted half-planes; returns active indices.
 
@@ -337,18 +301,15 @@ def _active_chain(thetas, cos_t, sin_t, cuts):
     return np.array(dq, dtype=np.intp)
 
 
-def _chain_corners(cos_t, sin_t, cuts, dq):
-    """Coordinates x, y of the corners of planes dq[j] and dq[j + 1]
-    (cyclically), with the scan's expression; None if two neighbours are
-    (anti)parallel."""
-    a = dq
-    b = np.roll(dq, -1)
+def _corners(cos_t, sin_t, cuts, a, b):
+    """Coordinates x, y of the corners of planes a[j] and b[j], with the
+    scan's expression, and their determinants; a corner whose determinant
+    is below 1e-14 in modulus ((anti)parallel planes) is not used."""
     det = sin_t[a] * cos_t[b] - cos_t[a] * sin_t[b]
-    if (np.abs(det) < 1e-14).any():
-        return None
-    x = (-cuts[a] * sin_t[b] + cuts[b] * sin_t[a]) / det
-    y = (-cuts[a] * cos_t[b] + cuts[b] * cos_t[a]) / det
-    return x, y
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (-cuts[a] * sin_t[b] + cuts[b] * sin_t[a]) / det
+        y = (-cuts[a] * cos_t[b] + cuts[b] * cos_t[a]) / det
+    return x, y, det
 
 
 def _unit_planes(thetas, offsets, radius):
@@ -360,45 +321,77 @@ def _unit_planes(thetas, offsets, radius):
     return all_t, np.cos(all_t), np.sin(all_t), all_b + CLIP_EPS
 
 
-def _cutting_planes(thetas, cos_t, sin_t, cuts):
-    """Indices of the normalised planes the scan needs: every ceil(sqrt(m))-th
-    plane, the bounding square's, and every plane that cuts their hull.
+def _facet_planes(thetas, cos_t, sin_t, cuts):
+    """Indices of the planes that bound the relaxed intersection, in angle
+    order, or None when the deque scan finds fewer than three.
 
-    The coarse planes' relaxed intersection contains the relaxed
-    intersection of all planes, and so does the hull of the coarse chain's
-    corners.  A plane whose cut, relaxed once more by CLIP_EPS, that hull's
-    support does not exceed is dropped: the scan over the rest then finds a
-    region that contains the relaxed intersection of all planes and that
-    every dropped plane holds within its cut relaxed twice.  On a faceted
-    grid range the dropped planes are the bundles of grid planes through
-    each vertex, which the relaxation would turn into micro-arcs that
-    ``_classify`` collapses again.  Every index is returned when the coarse
-    chain is empty or has no finite corners.
+    Works in rounds over the kept planes, all of them at first.  The
+    bounding square keeps every gap between neighbours within pi/2, and a
+    drop leaves a gap of at most pi/16, so a plane's two neighbours are
+    never more than a half-turn apart (up to the 1e-12 merge of equal
+    directions).  Plane p is implied when its neighbours a and b have a
+    corner c (``_corners``, |det| >= 1e-14) with h_p(c) <= cut_p + CLIP_EPS,
+    where h_p(z) = Re(e^{i theta_p} z).  When no plane is implied, the kept
+    indices are returned: each plane cuts its neighbours' corner by more
+    than CLIP_EPS, so the corners form a closed left-turning chain that
+    winds once, every plane a facet, and the scan would pop none of them.
+    A smooth range (a disc, a k = 1 ellipse) stops there in the first round
+    with the scan's own indices.  Otherwise the implied planes whose
+    neighbours are at most pi/16 apart drop, at alternate positions within
+    each run of them, so that two neighbours never drop together and every
+    drop was tested against planes that stay.  On a faceted grid range this
+    halves each vertex's bundle of grid planes per round.  Once a round
+    would drop fewer than 1/16 of the kept planes, ``_active_chain`` scans
+    them instead, and its indices are returned.
+
+    Error of the drops, to first order in rounding.  Let A and B be
+    neighbours in the final set with dropped planes between them.  The last
+    drop between them had neighbours A and B, so A and B are at most pi/16
+    apart, and the region lies in their wedge, whose support at every angle
+    between theirs is attained at its apex C.  Take p dropped with
+    neighbours a and b that are g <= pi/16 apart, and suppose
+    h_a(C) <= cut_a + e_a and h_b(C) <= cut_b + e_b.  Then C lies in the
+    wedge of a and b relaxed by e_a and e_b, and its support at theta_p is
+    attained at that wedge's apex, which moves h_p(c) by w_a e_a + w_b e_b,
+    where e^{i theta_p} = w_a e^{i theta_a} + w_b e^{i theta_b} and
+    w_a + w_b <= sec(g / 2).  So the region exceeds p's cut by at most
+    e_p <= CLIP_EPS + sec(pi/32) max(e_a, e_b), and a and b are A or B
+    (e = 0) or drop in a later round.  Each round but the last drops at
+    least 1/16 of the kept planes, so there are R <= log(m) / log(16/15)
+    rounds, and e <= CLIP_EPS * sum_{i<R} sec(pi/32)^i: 2.7e-10 for
+    m = 2^16 planes and 3.7e-10 for m = 2^20, against the 1e-9 emptiness
+    check.  A cap of pi/8 would allow 1.4e-9 at m = 2^16.
     """
-    m = thetas.size
-    coarse = np.zeros(m, dtype=bool)
-    coarse[::math.isqrt(m - 1) + 1] = True  # stride ceil(sqrt(m))
-    # each square plane sits in the merged group that starts at or below it
-    coarse[np.searchsorted(thetas, _SQUARE, side="right") - 1] = True
-    sub = np.flatnonzero(coarse)
-    c, s, b = cos_t[sub], sin_t[sub], cuts[sub]
-    chain = _active_chain(thetas[sub].tolist(), c.tolist(), s.tolist(), b.tolist())
-    corners = None if chain is None else _chain_corners(c, s, b, chain)
-    if corners is None or not np.isfinite(corners).all():
-        return np.arange(m)
-    # support reads only the vertices, so a hull of one or two corners serves
-    hull = ConvexRegion.polygon(_convex_hull(corners[0] + 1j * corners[1]))
-    return np.flatnonzero(coarse | (support(hull, thetas) > cuts + CLIP_EPS))
+    keep = np.arange(thetas.size)
+    while True:
+        a, b = np.roll(keep, 1), np.roll(keep, -1)
+        x, y, det = _corners(cos_t, sin_t, cuts, a, b)
+        implied = (np.abs(det) >= 1e-14) & (x * cos_t[keep] - y * sin_t[keep]
+                                             <= cuts[keep] + CLIP_EPS)
+        if not implied.any():
+            return keep
+        drop = implied & (np.mod(thetas[b] - thetas[a], TWO_PI) <= np.pi / 16)
+        # every other plane of each run, counted from the run's first
+        pos = np.arange(keep.size)
+        first = np.maximum.accumulate(np.where(drop & ~np.roll(drop, 1), pos, 0))
+        drop &= (pos - first) % 2 == 0
+        drop[-1] &= not drop[0]
+        if 16 * np.count_nonzero(drop) < keep.size:
+            dq = _active_chain(*(v[keep].tolist() for v in (thetas, cos_t, sin_t, cuts)))
+            return None if dq is None else keep[dq]
+        keep = keep[~drop]
 
 
 def _unit_region(planes, dq) -> ConvexRegion:
     """The classified region of the chain ``dq`` of the unit-frame
     ``planes``, or empty when some plane cuts it by more than 1e-9."""
     all_t, cos_t, sin_t, cuts = planes
-    corners = None if dq is None else _chain_corners(cos_t, sin_t, cuts, dq)
-    if corners is None:
+    if dq is None:
         return ConvexRegion.empty()
-    verts = corners[0] + 1j * corners[1]
+    x, y, det = _corners(cos_t, sin_t, cuts, dq, np.roll(dq, -1))
+    if (np.abs(det) < 1e-14).any():
+        return ConvexRegion.empty()
+    verts = x + 1j * y
     if not np.isfinite(verts).all():
         raise ValueError("offsets / bound too large: the vertices overflow")
     # check the classified region, so corner clusters have collapsed and a
@@ -415,21 +408,18 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     work runs on offsets / R and the vertices are scaled back, so a bound
     that scales with the input makes the result scale-equivariant.
 
-    One angle-sorted deque scan produces the candidate vertex loop in
-    O(m).  The scan is skipped when ``_locally_convex`` certifies in one
-    array pass that it would keep every plane; the indices, and so the
-    vertices, are then the ones the scan returns.  When it declines,
-    ``_cutting_planes`` scans every ceil(sqrt(m))-th plane and keeps only
-    the planes that cut that chain's hull by more than CLIP_EPS, which
-    costs one scan of about sqrt(m) planes and one O((m + v) log v)
-    support call.  The scan over the kept planes then finds a region
-    between the relaxed intersection of all planes and the one relaxed
-    twice as far, so it differs from a scan over every plane by about
-    CLIP_EPS * R; when the coarse chain is empty every plane is scanned.
-    In exact arithmetic the loop is the true intersection whenever the
-    intersection is non-empty, so a plane that the classified loop violates
-    by more than 1e-9 * R certifies that the intersection is empty; that
-    check tests every plane on every path and costs O((m + v) log v).
+    ``_facet_planes`` prunes the angle-sorted planes in array rounds and
+    either certifies that the planes left are all facets, in which case
+    on a smooth range they are every plane and the scan's own indices, or
+    hands them to the O(m) deque scan.  Each dropped plane holds the
+    region within 2.7e-10 * R of its relaxed cut (up to 2^16 planes), and
+    on the faceted and
+    degenerate grid ranges, whose vertices carry bundles of grid planes,
+    the scan sees under 1/16 of the planes.  In exact arithmetic
+    the loop is the intersection of the kept planes whenever it is
+    non-empty, so a plane that the classified loop violates by more than
+    1e-9 * R certifies that the intersection is empty; that check tests
+    every plane and costs O((m + v) log v).
     ``_classify`` replaces a loop that rounding left non-convex by its
     hull.  Results are independent of the input order of the planes.
     Raises ValueError when offsets / R, or the vertices they give, overflow
@@ -450,12 +440,7 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
         planes = _unit_planes(thetas, offsets, radius)
     if not np.isfinite(planes[3]).all():
         raise ValueError("offsets / bound must be finite")
-    dq = _locally_convex(*planes)
-    if dq is None:
-        keep = _cutting_planes(*planes)
-        dq = _active_chain(*(a[keep].tolist() for a in planes))
-        dq = None if dq is None else keep[dq]
-    region = _unit_region(planes, dq)
+    region = _unit_region(planes, _facet_planes(*planes))
     if region.is_empty:
         return region
     verts = region.vertices * radius

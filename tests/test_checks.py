@@ -1,8 +1,10 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from hrnr import checks
 from hrnr.checks import (
     RESIDUAL_TOL,
     BadIsometryError,
@@ -29,7 +31,7 @@ from hrnr.checks import (
 )
 from hrnr.geometry import (ConvexRegion, _convex_hull, excess, hausdorff, intersect_halfplanes,
                            support)
-from hrnr.ranges import pencil_sweep, rank_k_range
+from hrnr.ranges import pencil_sweep, range_from_sweep, rank_k_range
 from hrnr.shifts import nilpotency_index, shift_matrix, shift_radius
 
 M = 720  # interactive grid is plenty for these module tests
@@ -504,6 +506,19 @@ def test_shift_suite_passes_and_counts_every_rank():
     assert rep.discrepancy <= 5e-6
 
 
+def test_shift_suite_sees_a_disc_2e_6_too_large(monkeypatch):
+    # the m-gon reaches r sec(pi/2048) = r (1 + 1.2e-6); a region 2e-6 larger
+    # than the engine's leaves that bracket, though it stays within 5e-6 of r
+    def grown(sweep, k):
+        rep = range_from_sweep(sweep, k)
+        region = ConvexRegion(rep.region.kind, (1 + 2e-6) * rep.region.vertices)
+        return dataclasses.replace(rep, region=region)
+
+    monkeypatch.setattr(checks, "range_from_sweep", grown)
+    rep = check_shift(4, 2048)
+    assert not rep.passed and "max modulus" in rep.note
+
+
 def test_direct_sum_rejects_reports_on_different_grids():
     t = shift_matrix(3)
     with pytest.raises(ValueError):
@@ -526,6 +541,14 @@ def test_property_suite_ids(t, oracle):
 def test_property_suite_draw_order_fixed():
     t = random_square(3, 95)
     assert property_suite(t, 2, 256, generator(1)) == property_suite(t, 2, 256, generator(1))
+
+
+def test_affine_reads_the_report_for_a_grid_rotation():
+    # arg 1j is the grid angle 2 pi 180 / 720, so T's rotated rows are the
+    # report's own; a report of 2T must fail
+    t = random_matrix(4, generator(3))
+    assert not check_affine(t, rank_k_range(2 * t, 1, 720), 1j, 0.5).passed
+    assert check_affine(t, rank_k_range(t, 1, 720), 1j, 0.5).passed
 
 
 def test_report_pass_iff_within_tolerance():

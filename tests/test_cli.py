@@ -264,6 +264,12 @@ def test_verify_shift_small(capsys):
     assert "match the closed form" in capsys.readouterr().out
 
 
+def test_verify_shift_coarse_grid_passes(capsys):
+    # the circumscribed 720-gon of S_3's and S_4's discs reaches r sec(pi/720),
+    # 9.5e-6 r out, which an absolute 5e-6 radius tolerance failed
+    assert main(["verify-shift", "--max-n", "4", "--angles", "720"]) == 0
+
+
 def test_verify_shift_usage_error():
     assert main(["verify-shift", "--max-n", "1"]) == 2
 

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hrnr import geometry
 from hrnr.checks import generator, random_matrix
 from hrnr.geometry import (
     CLIP_EPS,
     ConvexRegion,
     EmptyRegionError,
     _active_chain,
-    _cutting_planes,
-    _locally_convex,
+    _facet_planes,
     _prune_collinear,
     _unit_planes,
     _unit_region,
@@ -135,7 +135,7 @@ def test_intersection_respects_every_plane():
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(5, 60))
-@example(1, 65536)  # the plane filter picks its coarse planes after sorting
+@example(1, 65536)  # the pruning rounds run on the angle-sorted planes
 @settings(max_examples=20, deadline=None)
 def test_intersection_order_independent(seed, count):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -250,25 +250,52 @@ def sweep_planes(t, k, m):
     return _unit_planes(*sweep_halfplanes(t, k, m))
 
 
-def test_locally_convex_certificate_matches_scan():
+def scanned_planes(planes, monkeypatch):
+    """``_facet_planes`` on the planes, and the number of planes it handed
+    the deque scan (0 when its certificate returned)."""
+    sizes = []
+
+    def spy(*args):
+        sizes.append(len(args[0]))
+        return _active_chain(*args)
+
+    monkeypatch.setattr(geometry, "_active_chain", spy)
+    kept = _facet_planes(*planes)
+    monkeypatch.undo()
+    return kept, sum(sizes)
+
+
+def full_scan(planes):
+    return _active_chain(*(a.tolist() for a in planes))
+
+
+def test_locally_convex_certificate_matches_scan(monkeypatch):
     faceted = np.diag(PENTAGON * (1 + 0.3 * np.arange(5)))
     gauss = random_matrix(6, generator(1))
-    # (planes, True if the certificate must accept, False if it must
-    # decline, None for either)
-    cases = [(sweep_planes(shift_matrix(4), 1, 8192), True),
-             (sweep_planes(shift_matrix(8), 1, 8192), True),
-             (sweep_planes(gauss, 1, 8192), True),
-             (sweep_planes(gauss, 2, 8192), False),  # swallowtail
+    # (planes, how _facet_planes must end: "first" when the first round
+    # certifies every plane, "later" when a later round certifies the
+    # planes left, "scan" when the deque scan runs, None for any of them)
+    cases = [(sweep_planes(shift_matrix(4), 1, 8192), "first"),
+             (sweep_planes(shift_matrix(8), 1, 8192), "first"),
+             (sweep_planes(gauss, 1, 8192), "first"),
+             # a disc of radius 4e-7 * bound: its grid planes cut their
+             # neighbours' corners by less than CLIP_EPS until pruned
+             (sweep_planes(shift_matrix(4) + 1e6 * np.eye(4), 1, 8192), "later"),
+             (sweep_planes(gauss, 2, 8192), "scan"),  # swallowtail
              (sweep_planes(np.diag([-1.0, 0.2, 0.5, 1.5]), 1, 2048), None),  # segment
-             (_unit_planes(*empty_pentagon_planes(), 2.0), False)]
-    cases += [(sweep_planes(faceted, k, 65536), False) for k in (1, 2, 3)]
-    for planes, accepts in cases:
-        certified = _locally_convex(*planes)
-        scanned = _active_chain(*(a.tolist() for a in planes))
-        if accepts is not None:
-            assert (certified is not None) == accepts
-        if certified is not None:
-            assert np.array_equal(certified, scanned)
+             (_unit_planes(*empty_pentagon_planes(), 2.0), "scan")]
+    cases += [(sweep_planes(faceted, k, 65536), "scan") for k in (1, 2, 3)]
+    for planes, ending in cases:
+        kept, scanned = scanned_planes(planes, monkeypatch)
+        every = kept is not None and kept.size == planes[0].size
+        if ending is not None:
+            assert ending == ("scan" if scanned else "first" if every else "later")
+        if every:
+            assert np.array_equal(kept, full_scan(planes))
+        elif not scanned:
+            # the scan keeps every plane that a later round certified
+            chain = full_scan(tuple(a[kept] for a in planes))
+            assert np.array_equal(chain, np.arange(kept.size))
 
 
 FILTER_RNG = generator(7)
@@ -283,32 +310,66 @@ HERM_DIAG = np.diag(np.sort(FILTER_RNG.normal(size=5)).astype(complex))
     pytest.param(HERM_DIAG, 1, 65536, "segment", True, id="herm-segment"),
     pytest.param(HERM_DIAG, 3, 65536, "point", True, id="herm-point"),
     pytest.param(random_matrix(6, generator(1)), 2, 8192, "polygon", False, id="swallowtail")])
-def test_plane_filter_keeps_the_full_scan_region(t, k, m, kind, faceted):
+def test_plane_filter_keeps_the_full_scan_region(t, k, m, kind, faceted, monkeypatch):
     thetas, offsets, bound = sweep_halfplanes(t, k, m)
     planes = _unit_planes(thetas, offsets, bound)
-    all_t, _, _, cuts = planes
-    assert _locally_convex(*planes) is None  # so the filter runs
-    keep = _cutting_planes(*planes)
+    kept, scanned = scanned_planes(planes, monkeypatch)
     if faceted:
-        # the bundles of grid planes through each vertex are dropped
-        assert keep.size <= all_t.size // 16
+        # the bundles of grid planes through each vertex are pruned first
+        assert scanned <= planes[0].size // 16
     region = intersect_halfplanes(thetas, offsets, bound)
-    full = _unit_region(planes, _active_chain(*(a.tolist() for a in planes)))
+    full = _unit_region(planes, full_scan(planes))
     assert region.kind == full.kind == kind
     if region.is_empty:
         return
-    dropped = np.setdiff1d(np.arange(all_t.size), keep)
+    all_t, _, _, cuts = planes
+    dropped = np.setdiff1d(np.arange(all_t.size), kept)
     unit = ConvexRegion(region.kind, region.vertices / bound)
     assert (support(unit, all_t[dropped]) - (cuts[dropped] - CLIP_EPS)).max() <= 1e-9
     assert hausdorff(unit, full) <= 1e-11
 
 
+REPLAY_KINDS = ("shift", "gauss", "herm", "normal", "nilpotent")
+
+
+def replay_matrix(kind, n, rng):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "shift":
+        return shift_matrix(n)
+    if kind == "herm":
+        return g + g.conj().T
+    if kind == "normal":
+        q = np.linalg.qr(g)[0]
+        return q @ np.diag(rng.normal(size=n) + 1j * rng.normal(size=n)) @ q.conj().T
+    if kind == "nilpotent":
+        return np.tril(g, -1)
+    return g
+
+
+def test_facet_planes_replay_the_full_scan():
+    # every rank of seeded inputs of each kind: the pruned planes give the
+    # full scan's tag and region within 1e-11 * bound
+    rng = generator(17)
+    for kind in REPLAY_KINDS:
+        for n in (3, 5, 8):
+            t = 10.0 ** rng.integers(-8, 9) * replay_matrix(kind, n, rng)
+            for m in (720, 2048):
+                sweep = pencil_sweep(t, m)
+                bound = 2.0 * sweep.numerical_radius() or 1.0
+                for k in range(1, n + 1):
+                    planes = _unit_planes(sweep.thetas, sweep.eigenvalues[:, k - 1] / 2.0, bound)
+                    ours = _unit_region(planes, _facet_planes(*planes))
+                    full = _unit_region(planes, full_scan(planes))
+                    assert ours.kind == full.kind, (kind, n, m, k)
+                    if not ours.is_empty:
+                        assert hausdorff(ours, full) <= 1e-11, (kind, n, m, k)
+
+
 def test_plane_filter_keeps_planes_that_cut_a_relaxed_corner():
-    # nine planes through one point: the filter's coarse planes leave nearly
-    # a half-turn between the tight ones, whose relaxed corner runs out by
-    # 1.1e-10; a filter that kept only the planes cutting the unrelaxed coarse
-    # chain dropped the tight planes in that gap and moved the point by
-    # 3.7e-11 * bound
+    # nine planes through one point: two tight planes nearly a half-turn
+    # apart have a relaxed corner 1.1e-10 out, and a filter that tested the
+    # planes against unrelaxed corners dropped tight planes and moved the
+    # point by 3.7e-11 * bound
     thetas = np.array([0.679, -1.371, 3.222, 2.341, 0.080, -1.353, 1.789, 1.771, -1.358])
     p = 0.0778 - 0.3105j
     region = intersect_halfplanes(thetas, (np.exp(1j * thetas) * p).real, bound=2.4)
