@@ -3,17 +3,19 @@
 The battery is seeded and fixed: five kinds (shift, Gaussian, Hermitian,
 hidden normal, strictly lower-triangular nilpotent), each complex and real,
 at n in {2, 3, 5, 8, 12, 16}, scaled by 10^e with e drawn from [-8, 8], on
-m in {720, 2048, 8192} angles in turn.  Every case runs ``pencil_sweep``
-once and ``range_from_sweep`` for every k = 1..n.  A dump holds each
-case's sweep rows and each call's tag and vertices.
+m in {720, 2048, 8192} angles in turn.  Diagonal cases, complex and real at
+the same n, follow from a generator of their own, so the first 60 cases
+keep their inputs.  Every case runs ``pencil_sweep`` once and
+``range_from_sweep`` for every k = 1..n.  A dump holds each case's sweep
+rows and each call's tag and vertices.
 
 ``--compare`` reads two dumps of the same battery, typically one made
 against a parent tree with ``--src`` and one against the current tree,
-and prints the calls that are byte-identical, every tag change, the worst
-Hausdorff distance over the geometry's bound and the worst row difference
-over ``checks._row_tol``.  It exits 1 when a tag changes, a row difference
-exceeds its tolerance or a Hausdorff distance exceeds 1e-11 times the
-bound.
+and prints the calls that are byte-identical (for complex and real T, and
+per kind), every tag change, the worst Hausdorff distance over the
+geometry's bound and the worst row difference over ``checks._row_tol``.
+It exits 1 when a tag changes, a row difference exceeds its tolerance or
+a Hausdorff distance exceeds 1e-11 times the bound.
 
 Usage:
     python scripts/replay_engine.py OUT.npz [--src SRC_DIR] [--limit N]
@@ -26,7 +28,7 @@ import sys
 
 import numpy as np
 
-KINDS = ("shift", "gauss", "herm", "normal", "nilpotent")
+KINDS = ("shift", "gauss", "herm", "normal", "nilpotent")  # then "diag"
 DIMS = (2, 3, 5, 8, 12, 16)
 GRIDS = (720, 2048, 8192)
 HAUSDORFF_TOL = 1e-11  # per unit bound
@@ -57,6 +59,12 @@ def battery(limit=None):
                 t = 10.0 ** rng.uniform(-8, 8) * t
                 m = GRIDS[len(cases) % len(GRIDS)]
                 cases.append((kind, n, m, t.real if real else t))
+    rng = np.random.default_rng(2011)
+    for n in DIMS:
+        for real in (False, True):
+            d = rng.normal(size=n) + (0 if real else 1j * rng.normal(size=n))
+            m = GRIDS[len(cases) % len(GRIDS)]
+            cases.append(("diag", n, m, np.diag(10.0 ** rng.uniform(-8, 8) * d)))
     return cases[:limit]
 
 
@@ -95,13 +103,19 @@ def compare(old_path, new_path):
         real = " real" if new["real"][case] else ""
         return f"{new['kind'][case]}{real} n={new['n'][case]} m={new['m'][case]}"
 
-    # real T -> [identical sweeps, sweeps, identical calls, calls]
+    # real T, or kind -> [identical sweeps, sweeps, identical calls, calls]
     same = {False: [0, 0, 0, 0], True: [0, 0, 0, 0]}
+    same.update((str(kind), [0, 0, 0, 0]) for kind in new["kind"])
+
+    def tallies(case):
+        return same[bool(new["real"][case])], same[str(new["kind"][case])]
+
     tag_changes, worst_h, worst_row = [], (-np.inf, None), (-np.inf, None)
     for i, (n, norm) in enumerate(zip(new["n"], new["norm"])):
         a, b = old[f"rows{i}"], new[f"rows{i}"]
-        same[bool(new["real"][i])][0] += a.tobytes() == b.tobytes()
-        same[bool(new["real"][i])][1] += 1
+        for tally in tallies(i):
+            tally[0] += a.tobytes() == b.tobytes()
+            tally[1] += 1
         diff = np.abs(a - b).max() / _row_tol(int(n), float(norm))
         worst_row = max(worst_row, (float(diff), label(i)), key=lambda w: w[0])
     for c, (case, k) in enumerate(zip(new["call_case"], new["call_k"])):
@@ -110,16 +124,17 @@ def compare(old_path, new_path):
             lo, hi = dumped["call_vstart"][c], dumped["call_vstart"][c + 1]
             regions.append(ConvexRegion(str(dumped["call_tag"][c]), dumped["vertices"][lo:hi]))
         a, b = regions
-        tally = same[bool(new["real"][case])]
-        tally[2] += a.kind == b.kind and a.vertices.tobytes() == b.vertices.tobytes()
-        tally[3] += 1
+        for tally in tallies(case):
+            tally[2] += a.kind == b.kind and a.vertices.tobytes() == b.vertices.tobytes()
+            tally[3] += 1
         if a.kind != b.kind:
             tag_changes.append(f"{label(case)} k={k}: {a.kind} -> {b.kind}")
         elif not a.is_empty:
             h = hausdorff(a, b) / new["call_bound"][c]
             worst_h = max(worst_h, (float(h), f"{label(case)} k={k}"), key=lambda w: w[0])
-    for real, counts in same.items():
-        print(f"{'real' if real else 'complex'} T byte-identical: {counts[0]}/{counts[1]} "
+    for key, counts in same.items():
+        name = {False: "complex T", True: "real T"}.get(key, f"  {key}")
+        print(f"{name} byte-identical: {counts[0]}/{counts[1]} "
               f"sweeps, {counts[2]}/{counts[3]} calls")
     print(f"tag changes: {len(tag_changes)}")
     for line in tag_changes:

@@ -28,6 +28,16 @@ which their gates allow up to 1e-10: Q = WP with W an isometry and
 of W*TW.  SHIFT compares exact rows with cos(k pi/(n+1)), and HAAGERUP a
 row maximum with ||T||_2 cos(pi/(n+1)), under the same tolerance.
 
+Structured rows.  ``pencil_sweep`` solves no pencil for an exactly
+diagonal or exactly Hermitian T.  A diagonal T's rows are the bits the
+pencil path would give, so the model above holds unchanged.  A Hermitian
+T's rows are 2 cos(theta) lambda_i(T): ``eigvalsh`` is exact for a T moved
+by n eps ||T||_2, which moves an offset by |cos theta| n eps N, and
+rounding cos theta and the product adds 2 eps N.  That is at most
+3 n eps N, below the pencil solve's 4, so ``ROW_TOL`` stays certified
+when a check compares a structured sweep with a solved one (P3's U*TU,
+for one, is not bitwise Hermitian).  No tolerance changed.
+
 Angles.  Every row is the spectrum of a pencil at a solved angle
 fl(2 pi i / m), or follows from one exactly: by the half-turn (negated
 and reversed) and, for real T, by conjugation (row m - j is row j).  A
@@ -64,7 +74,10 @@ The oracles share the engine's geometry but not its pencil sweep: the
 Hermitian interval is closed-form in the eigenvalues, the normal oracle
 intersects exact half-planes at the eigenvalues' tie angles with
 ``intersect_halfplanes``, and the Monte-Carlo hull is the geometry's
-``_convex_hull`` of raw Rayleigh quotients.
+``_convex_hull`` of raw Rayleigh quotients.  The Hermitian oracle and the
+engine's sweep of an exactly Hermitian T do share one ``eigvalsh(T)``;
+the independent check of Hermitian pencil rows is the full-grid LAPACK
+comparison in the tests (``test_sweep_matches_full_grid_lapack``).
 """
 
 from __future__ import annotations

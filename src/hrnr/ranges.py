@@ -12,6 +12,12 @@ T, and H_{-theta} = conj(H_theta) for real T (such as the shift S_n and
 real diagonals).  An even grid of m angles solves m/2 pencils, or
 floor(m/4) + 1 for real T; an odd grid solves m, or (m + 1)/2 for real T.
 The other rows are copied, negated and reversed as the symmetries say.
+
+No pencil is solved when T is exactly diagonal or exactly Hermitian.  Then
+every pencil is diagonal in T's eigenbasis, with spectrum
+2 Re(e^{i theta} mu_j) for T's eigenvalues mu: the diagonal itself, or one
+``eigvalsh`` of T.  The solved rows are those values sorted, and the same
+symmetries fill the rest.
 """
 
 from __future__ import annotations
@@ -106,6 +112,13 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     with row j negated and reversed, odd m solves rows 0..(m-1)/2.  When 4
     divides m, row m/4 (the pencil i(T - T^T)) is made exactly symmetric
     about 0, as its spectrum is, so that both rules hold bit for bit.
+
+    The solved rows skip LAPACK's batch when T has a spectrum mu that every
+    pencil shares an eigenbasis with: mu is T's diagonal when every
+    off-diagonal entry is zero (the rows are then the bits the batch would
+    return), or ``eigvalsh(T)`` when T equals T* exactly (rows
+    2 cos(theta) mu).  Row j is 2 Re(e^{i theta_j} mu) sorted.  Any other T,
+    even one within rounding of either structure, has its pencils solved.
     """
     t = as_matrix(t)
     m = resolve_angles(m)
@@ -115,9 +128,19 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
         solved = m // 2 + 1 if real else m
     else:
         solved = m // 4 + 1 if real else m // 2
-    stack = np.exp(1j * thetas[:solved])[:, None, None] * t
-    stack = stack + stack.conj().swapaxes(1, 2)
-    vals = eig_hermitian_stack(stack)
+    if not (t - np.diag(np.diagonal(t))).any():
+        spectrum = np.diagonal(t)
+    elif np.array_equal(t, t.conj().T):
+        spectrum = np.linalg.eigvalsh(t)
+    else:
+        spectrum = None
+    if spectrum is None:
+        stack = np.exp(1j * thetas[:solved])[:, None, None] * t
+        stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
+        vals = eig_hermitian_stack(stack)
+    else:
+        z = np.exp(1j * thetas[:solved])[:, None] * spectrum
+        vals = np.sort((z + z.conj()).real, axis=1)[:, ::-1]
     if real and m % 2:
         vals = np.concatenate([vals, vals[:0:-1]])
     elif real:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hrnr import ranges
 from hrnr.checks import _row_tol, generator, montecarlo_range, property_suite, random_unitary
 from hrnr.geometry import ConvexRegion, hausdorff
-from hrnr.linalg import eig_hermitian_stack
+from hrnr.linalg import as_matrix, eig_hermitian_stack
 from hrnr.ranges import (
     BadRankError,
     numerical_radius,
@@ -338,7 +338,8 @@ def test_real_sweep_matches_full_grid_solve(name, m, monkeypatch):
     # all-m solve, and row m - j is row j
     t = _real_inputs()[name]
     sweep, sizes = _solved_pencils(t, m, monkeypatch)
-    assert sizes == [m // 4 + 1 if m % 2 == 0 else m // 2 + 1]
+    # a diagonal T takes its rows from its diagonal and solves no pencil
+    assert sizes == ([] if name == "diag" else [m // 4 + 1 if m % 2 == 0 else m // 2 + 1])
     thetas = 2.0 * np.pi * np.arange(m) / m
     stack = np.exp(1j * thetas)[:, None, None] * t
     direct = eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
@@ -360,3 +361,79 @@ def test_barely_complex_input_takes_the_complex_path(monkeypatch):
     assert sizes == [360]
     _, sizes = _solved_pencils(t.real, 720, monkeypatch)
     assert sizes == [181]
+
+
+# --- structured sweep: rows from T's own spectrum ---------------------------
+
+def _solved_count(t, m):
+    real = not t.imag.any()
+    if m % 2:
+        return m // 2 + 1 if real else m
+    return m // 4 + 1 if real else m // 2
+
+
+@pytest.mark.parametrize("m", [16, 17, 18, 720, 2048, 65536])
+def test_diagonal_sweep_is_the_pencil_sweep_bit_for_bit(m, monkeypatch):
+    # the pencil of a diagonal T is diagonal: its rows are the sorted
+    # 2 Re(e^{i theta} t_jj), the bits LAPACK returns for the assembled
+    # stack.  The fold that fills the other rows is shared, so the solved
+    # rows and the symmetries pin the whole sweep.  Each row depends on its
+    # angle alone, so large grids compare about 1024 solved rows, the last
+    # (row m/4 for real T) among them.
+    rng = generator(19)
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    j = np.arange(m)
+    for n in range(1, 9):
+        for s in (1e-8, 1.0, 1e8):
+            for real in (False, True):
+                d = rng.normal(size=n) + (0 if real else 1j * rng.normal(size=n))
+                t = np.diag(s * d)
+                sweep, sizes = _solved_pencils(t, m, monkeypatch)
+                assert sizes == []
+                solved = _solved_count(t.astype(complex), m)
+                rows = np.union1d(np.arange(0, solved, max(1, solved // 1024)), [solved - 1])
+                stack = np.exp(1j * thetas[rows])[:, None, None] * t.astype(complex)
+                want = eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
+                if real and m % 4 == 0:
+                    want[-1] = (want[-1] - want[-1, ::-1]) / 2.0
+                vals = sweep.eigenvalues
+                assert vals[rows].tobytes() == want.tobytes(), (n, s, real)
+                assert vals.shape == (m, n)
+                if m % 2 == 0:
+                    assert np.array_equal(vals[(j + m // 2) % m], -vals[:, ::-1])
+                if real:
+                    assert np.array_equal(vals[-j % m], vals)
+
+
+@pytest.mark.parametrize("m", [720, 721, 2048])
+@pytest.mark.parametrize("real", [False, True])
+def test_hermitian_sweep_matches_full_grid_solve(real, m, monkeypatch):
+    # the pencil of a Hermitian T is 2 cos(theta) T: rows are
+    # 2 cos(theta) eigvalsh(T), within the row tolerance of a full-grid solve
+    rng = generator(23)
+    x = rng.normal(size=(6, 6)) + (0 if real else 1j * rng.normal(size=(6, 6)))
+    t = x + x.conj().T
+    sweep, sizes = _solved_pencils(t, m, monkeypatch)
+    assert sizes == []
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    stack = np.exp(1j * thetas)[:, None, None] * t
+    direct = eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
+    assert np.abs(sweep.eigenvalues - direct).max() <= _row_tol(6, np.linalg.norm(t, 2))
+    assert (np.diff(sweep.eigenvalues, axis=1) <= 0).all()
+    if m % 2 == 0:
+        # cos 0 = 1 and row m/2 is row 0 negated, so both ends are exact;
+        # the engine solves T as the complex matrix as_matrix makes of it
+        assert numerical_radius(t, m) == np.abs(np.linalg.eigvalsh(as_matrix(t))).max()
+
+
+def test_near_structured_input_takes_the_pencil_path(monkeypatch):
+    t = np.diag([1.0, -2.0, 0.5, 3.0]).astype(complex)
+    t[0, 2] = 1e-300
+    _, sizes = _solved_pencils(t, 720, monkeypatch)
+    assert sizes == [181]
+    rng = generator(5)
+    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = x + x.conj().T
+    h[0, 1] = complex(np.nextafter(h[0, 1].real, np.inf), h[0, 1].imag)
+    _, sizes = _solved_pencils(h, 720, monkeypatch)
+    assert sizes == [360]
