@@ -5,9 +5,13 @@ hidden normal, strictly lower-triangular nilpotent), each complex and real,
 at n in {2, 3, 5, 8, 12, 16}, scaled by 10^e with e drawn from [-8, 8], on
 m in {720, 2048, 8192} angles in turn.  Diagonal cases, complex and real at
 the same n, follow from a generator of their own, so the first 60 cases
-keep their inputs.  Every case runs ``pencil_sweep`` once and
-``range_from_sweep`` for every k = 1..n.  A dump holds each case's sweep
-rows and each call's tag and vertices.
+keep their inputs; then, from a third generator, the faceted and
+degenerate cells of the fine_grid benchmark at m = 65536: normal
+diagonals at n = 5 and 6 and a Hermitian diagonal at n = 5, each complex
+and real (a Hermitian diagonal counts as real T in either draw).  Every
+case runs ``pencil_sweep`` once and ``range_from_sweep`` for every
+k = 1..n.  A dump holds each case's sweep rows and each call's tag and
+vertices.
 
 ``--compare`` reads two dumps of the same battery, typically one made
 against a parent tree with ``--src`` and one against the current tree,
@@ -28,7 +32,7 @@ import sys
 
 import numpy as np
 
-KINDS = ("shift", "gauss", "herm", "normal", "nilpotent")  # then "diag"
+KINDS = ("shift", "gauss", "herm", "normal", "nilpotent")  # then the diagonals
 DIMS = (2, 3, 5, 8, 12, 16)
 GRIDS = (720, 2048, 8192)
 HAUSDORFF_TOL = 1e-11  # per unit bound
@@ -65,6 +69,14 @@ def battery(limit=None):
             d = rng.normal(size=n) + (0 if real else 1j * rng.normal(size=n))
             m = GRIDS[len(cases) % len(GRIDS)]
             cases.append(("diag", n, m, np.diag(10.0 ** rng.uniform(-8, 8) * d)))
+    rng = np.random.default_rng(2012)
+    for kind, n in (("normal-diag", 5), ("normal-diag", 6), ("herm-diag", 5)):
+        for real in (False, True):
+            d = rng.normal(size=n)
+            if kind == "normal-diag":
+                d = d + (0 if real else 1j * rng.normal(size=n))
+            d = 10.0 ** rng.uniform(-8, 8) * np.sort(d)
+            cases.append((kind, n, 65536, np.diag(d if real else d.astype(complex))))
     return cases[:limit]
 
 

@@ -4,14 +4,16 @@ exact support-function distances.
 Regions live in the complex plane.  A half-plane is the set
 ``{z : Re(e^{i theta} z) <= offset}``; ``intersect_halfplanes`` takes
 arrays of angles and offsets and intersects them on one path.  Array
-rounds drop the planes that their neighbours imply, two neighbours never
-in one round; when no plane is left implied (as on a smooth range, in the
-first round) every kept plane is a facet, and otherwise the deque scan
-runs on the planes left, which on faceted and degenerate grid ranges are
-a few dozen.  The emptiness check tests every plane: it reuses the
-sorted planes' cosines and sines, finds each plane's supporting vertex by
-bisection over the edge normals and compares three candidates, about
-4 ms at 2^16 planes.
+rounds drop the planes that are implied: each run of implied planes
+within one sector drops, in one round, every plane that holds the corner
+of the run's two kept ends.  When no plane is left implied (as on a
+smooth range, in the first round) every kept plane is a facet, and
+otherwise the deque scan runs on the planes left, which on faceted and
+degenerate grid ranges are a few dozen after one round at 2^16 planes.
+The emptiness check tests every plane: it reuses the sorted planes'
+cosines and sines, finds each plane's supporting vertex by the run
+lengths of the sorted angles between edge normals and compares three
+candidates, about 2 ms at 2^16 planes.
 Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
 ``polygon`` (counter-clockwise vertex loop).
 
@@ -306,9 +308,10 @@ def _active_chain(thetas, cos_t, sin_t, cuts):
 
 
 def _corners(cos_t, sin_t, cuts, a, b):
-    """Coordinates x, y of the corners of planes a[j] and b[j], with the
-    scan's expression, and their determinants; a corner whose determinant
-    is below 1e-14 in modulus ((anti)parallel planes) is not used."""
+    """Coordinates x, y of the corners of planes a[j] and b[j] (index
+    arrays or slices), with the scan's expression, and their determinants;
+    a corner whose determinant is below 1e-14 in modulus ((anti)parallel
+    planes) is not used."""
     det = sin_t[a] * cos_t[b] - cos_t[a] * sin_t[b]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (-cuts[a] * sin_t[b] + cuts[b] * sin_t[a]) / det
@@ -341,49 +344,90 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
     winds once, every plane a facet, and the scan would pop none of them.
     A smooth range (a disc, a k = 1 ellipse) stops there in the first round
     with the scan's own indices.  Otherwise the implied planes whose
-    neighbours are at most pi/16 apart drop, at alternate positions within
-    each run of them, so that two neighbours never drop together and every
-    drop was tested against planes that stay.  On a faceted grid range this
-    halves each vertex's bundle of grid planes per round.  Once a round
-    would drop fewer than 1/16 of the kept planes, ``_active_chain`` scans
-    them instead, and its indices are returned.
+    predecessor lies in the same pi/32 sector of angle form runs, and each
+    run drops, in this one round, every plane that holds the corner of the
+    run's two kept ends, if those are at most pi/16 apart (``_run_drops``).
+    On a faceted grid range a vertex's whole bundle of grid planes goes at
+    once: at 2^16 planes the first round leaves about 70.  When that drops
+    under 1/4 of the kept planes, as on a disc of radius 4e-7 whose run
+    ends' corners lie just outside it, the implied planes whose neighbours
+    are at most pi/16 apart drop instead at alternate positions within
+    each run of them, if that drops more.  Once a round would drop fewer
+    than 1/16 of the kept planes, ``_active_chain`` scans them instead, and
+    its indices are returned.
 
-    Error of the drops, to first order in rounding.  Let A and B be
-    neighbours in the final set with dropped planes between them.  The last
-    drop between them had neighbours A and B, so A and B are at most pi/16
-    apart, and the region lies in their wedge, whose support at every angle
-    between theirs is attained at its apex C.  Take p dropped with
-    neighbours a and b that are g <= pi/16 apart, and suppose
-    h_a(C) <= cut_a + e_a and h_b(C) <= cut_b + e_b.  Then C lies in the
-    wedge of a and b relaxed by e_a and e_b, and its support at theta_p is
-    attained at that wedge's apex, which moves h_p(c) by w_a e_a + w_b e_b,
-    where e^{i theta_p} = w_a e^{i theta_a} + w_b e^{i theta_b} and
+    Error of the drops, to first order in rounding.  Every drop p is tested
+    against two planes a and b that stay in its round, lie on either side
+    of it and are g <= pi/16 apart: its run's ends or its neighbours.
+    Suppose the region satisfies h_a <= cut_a + e_a and h_b <= cut_b + e_b.
+    Then it lies in the wedge of a and b relaxed by e_a and e_b, whose
+    support at theta_p is attained at the wedge's apex; that apex moves
+    h_p(c) by w_a e_a + w_b e_b, where
+    e^{i theta_p} = w_a e^{i theta_a} + w_b e^{i theta_b} and
     w_a + w_b <= sec(g / 2).  So the region exceeds p's cut by at most
-    e_p <= CLIP_EPS + sec(pi/32) max(e_a, e_b), and a and b are A or B
-    (e = 0) or drop in a later round.  Each round but the last drops at
-    least 1/16 of the kept planes, so there are R <= log(m) / log(16/15)
+    e_p <= CLIP_EPS + sec(pi/32) max(e_a, e_b), and a and b are kept to the
+    end (e = 0) or drop in a later round.  Each round but the last drops
+    at least 1/16 of the kept planes, so there are R <= log(m) / log(16/15)
     rounds, and e <= CLIP_EPS * sum_{i<R} sec(pi/32)^i: 2.7e-10 for
     m = 2^16 planes and 3.7e-10 for m = 2^20, against the 1e-9 emptiness
     check.  A cap of pi/8 would allow 1.4e-9 at m = 2^16.
     """
     keep = np.arange(thetas.size)
+    kept = (thetas, cos_t, sin_t, cuts)
     while True:
-        a, b = np.roll(keep, 1), np.roll(keep, -1)
-        x, y, det = _corners(cos_t, sin_t, cuts, a, b)
-        implied = (np.abs(det) >= 1e-14) & (x * cos_t[keep] - y * sin_t[keep]
-                                             <= cuts[keep] + CLIP_EPS)
+        # the kept planes in angle order, with a cyclic neighbour at each end
+        th, c, s, cu = (np.concatenate([v[-1:], v, v[:1]]) for v in kept)
+        x, y, det = _corners(c, s, cu, slice(None, -2), slice(2, None))
+        implied = (np.abs(det) >= 1e-14) & (x * c[1:-1] - y * s[1:-1] <= cu[1:-1] + CLIP_EPS)
         if not implied.any():
             return keep
-        drop = implied & (np.mod(thetas[b] - thetas[a], TWO_PI) <= np.pi / 16)
-        # every other plane of each run, counted from the run's first
-        pos = np.arange(keep.size)
-        first = np.maximum.accumulate(np.where(drop & ~np.roll(drop, 1), pos, 0))
-        drop &= (pos - first) % 2 == 0
-        drop[-1] &= not drop[0]
+        sector = np.floor(th * (32 / np.pi))
+        drop = _run_drops(th, c, s, cu, implied & (sector[1:-1] == sector[:-2]))
+        if 4 * np.count_nonzero(drop) < keep.size:
+            alternate = _alternate_drops(implied & (np.mod(th[2:] - th[:-2], TWO_PI)
+                                                    <= np.pi / 16))
+            if np.count_nonzero(alternate) > np.count_nonzero(drop):
+                drop = alternate
         if 16 * np.count_nonzero(drop) < keep.size:
-            dq = _active_chain(*(v[keep].tolist() for v in (thetas, cos_t, sin_t, cuts)))
+            dq = _active_chain(*(v.tolist() for v in kept))
             return None if dq is None else keep[dq]
-        keep = keep[~drop]
+        stay = np.flatnonzero(~drop)
+        keep = keep[stay]
+        kept = tuple(v[stay] for v in kept)
+
+
+def _run_drops(th, c, s, cu, run):
+    """Which planes of ``run`` drop against their run's two ends.
+
+    The arrays hold the kept planes with a cyclic neighbour at each end, so
+    plane i is entry i + 1; ``run`` marks the implied planes whose
+    predecessor shares their sector.  The kept planes just before and after
+    a maximal run of them are its ends A and B, and a run plane p drops
+    when A and B are at most pi/16 apart and h_p(C) <= cut_p + CLIP_EPS at
+    their corner C.  No run wraps: if the first and last kept planes shared
+    a sector, the planes would leave a gap wider than pi/2.
+    """
+    # run j holds planes first[j] .. end[j] - 1; A is entry first[j], B end[j] + 1
+    edges = np.flatnonzero(np.concatenate(([False], run)) != np.concatenate((run, [False])))
+    first, end = edges[::2], edges[1::2]
+    if not first.size:
+        return run
+    x, y, det = _corners(c, s, cu, first, end + 1)
+    ok = (np.abs(det) >= 1e-14) & (np.mod(th[end + 1] - th[first], TWO_PI) <= np.pi / 16)
+    # each plane's run: the last that starts at or before it (-1 before the first)
+    bounds = np.concatenate(([0], first, [run.size]))
+    r = np.repeat(np.arange(-1, first.size), bounds[1:] - bounds[:-1])
+    return run & ok[r] & (x[r] * c[1:-1] - y[r] * s[1:-1] <= cu[1:-1] + CLIP_EPS)
+
+
+def _alternate_drops(drop):
+    """Every other position of each run of ``drop``, counted from the run's
+    first, and never both the last and the first position."""
+    pos = np.arange(drop.size)
+    first = np.maximum.accumulate(np.where(drop & ~np.roll(drop, 1), pos, 0))
+    drop = drop & ((pos - first) % 2 == 0)
+    drop[-1] &= not drop[0]
+    return drop
 
 
 def _unit_region(planes, dq) -> ConvexRegion:
@@ -417,14 +461,15 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     either certifies that the planes left are all facets, in which case
     on a smooth range they are every plane and the scan's own indices, or
     hands them to the O(m) deque scan.  Each dropped plane holds the
-    region within 2.7e-10 * R of its relaxed cut (up to 2^16 planes), and
-    on the faceted and
-    degenerate grid ranges, whose vertices carry bundles of grid planes,
-    the scan sees under 1/16 of the planes.  In exact arithmetic
+    region within 2.7e-10 * R of its relaxed cut (up to 2^16 planes).  On
+    the faceted and degenerate grid ranges, whose vertices carry bundles
+    of grid planes, one round drops each bundle against the planes either
+    side of it, and the scan sees a few dozen planes.  In exact arithmetic
     the loop is the intersection of the kept planes whenever it is
     non-empty, so a plane that the classified loop violates by more than
     1e-9 * R certifies that the intersection is empty; that check tests
-    every plane and costs O((m + v) log v).
+    every plane and costs O(m + v log m) after a sort of the angles that
+    is O(m) on sorted planes.
     ``_classify`` replaces a loop that rounding left non-convex by its
     hull.  Results are independent of the input order of the planes.
     Raises ValueError when offsets / R, or the vertices they give, overflow
@@ -460,11 +505,16 @@ def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t):
     cosines ``cos_t`` and sines ``sin_t``.
 
     A point or segment offers every vertex.  A polygon vertex supports
-    exactly the directions between the outward normals of its two edges,
-    so a bisection of the sorted edge-normal angles finds each angle's
-    supporting vertex: O((m + v) log v).  That vertex and its two
-    neighbours are offered, which absorbs rounding in the order of nearly
-    parallel edges.
+    exactly the directions between the outward normals of its two edges.
+    Sorted by that direction, the angles change supporting vertex only at
+    the v edge normals, so v bisections into the sorted angles and one
+    ``np.repeat`` of the run lengths give every angle the vertex that a
+    bisection of the sorted normals would (searchsorted's left side, bit
+    for bit).  With the stable sort, which is O(m) on the sorted or
+    piecewise sorted angles that callers pass, the pass costs
+    O(m + v log m): about 2 ms at 2^16 planes against 5 ms by bisection.
+    That vertex and its two neighbours are offered, which absorbs rounding
+    in the order of nearly parallel edges.
     """
     v = region.vertices
     if v.size < 3:
@@ -473,10 +523,30 @@ def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t):
         normals = np.angle(-1j * (np.roll(v, -1) - v))  # outward for CCW loops
         order = np.argsort(normals)
         # Re(e^{i theta} z) measures z along the normal angle -theta
-        phi = np.mod(np.pi - thetas, TWO_PI) - np.pi
-        first = order[np.searchsorted(normals[order], phi) % v.size]
-        cand = (first + np.array([-1, 0, 1])[:, None]) % v.size
-    return cand, cos_t * v.real[cand] - sin_t * v.imag[cand]
+        # np.mod(pi - theta, 2 pi) - pi bit for bit, but cheaper: np.mod adds
+        # 2 pi to a negative fmod remainder, and turns -0 into +0, which
+        # subtracting pi makes the same
+        phi = np.fmod(np.pi - thetas, TWO_PI)
+        phi[phi < 0] += TWO_PI
+        phi -= np.pi
+        # below[j] = #{normals < phi[j]}, searchsorted's left side, by run
+        # length over the sorted angles: it steps only at the v normals
+        rank = np.argsort(phi, kind="stable")
+        steps = np.concatenate(([0], np.searchsorted(phi[rank], normals[order], side="right"),
+                                [phi.size]))
+        below = np.empty(phi.size, dtype=np.intp)
+        below[rank] = np.repeat(np.arange(v.size + 1), steps[1:] - steps[:-1])
+        # the supporting vertex order[below % v] and its two neighbours:
+        # vertex i's predecessor, itself and successor are around[i:i + 3]
+        around = np.concatenate(([v.size - 1], np.arange(v.size), [0]))
+        first = np.concatenate((order, order[:1]))
+        cand = np.take(around[first + np.arange(3)[:, None]], below, axis=1)
+    h = v.real[cand]
+    h *= cos_t
+    y = v.imag[cand]
+    y *= sin_t
+    h -= y
+    return cand, h
 
 
 def _supporting(region: ConvexRegion, thetas: np.ndarray) -> np.ndarray:

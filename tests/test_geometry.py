@@ -371,22 +371,77 @@ def test_normalize_planes_matches_the_lexsort_order(planes):
     assert np.array_equal(got_b, want_b)
 
 
+@pytest.mark.parametrize("t, k", [
+    pytest.param(NORMAL_DIAG, 1, id="normal-k1"),
+    pytest.param(NORMAL_DIAG, 2, id="normal-k2"),
+    pytest.param(NORMAL_DIAG, 3, id="normal-k3"),
+    pytest.param(HERM_DIAG, 1, id="herm-segment"),
+    pytest.param(HERM_DIAG, 3, id="herm-point")])
+def test_faceted_bundles_drop_in_one_round(t, k, monkeypatch):
+    # a run of implied planes drops against its two kept ends at once, so
+    # the bundles of grid planes through the vertices go in one round;
+    # dropping every other implied plane per round halves each bundle and
+    # takes twelve rounds over m/16 planes here
+    m = 65536
+    planes = sweep_planes(t, k, m)
+    corners, sizes = geometry._corners, []
+
+    def spy(*args):
+        x, y, det = corners(*args)
+        sizes.append(det.size)
+        return x, y, det
+
+    monkeypatch.setattr(geometry, "_corners", spy)
+    _facet_planes(*planes)
+    assert sizes[0] == planes[0].size
+    assert sum(size > m // 16 for size in sizes) <= 2
+
+
+def bisection_support(region, thetas, cos_t, sin_t):
+    """``_support_candidates`` as it was: each angle's supporting vertex by
+    bisection of the sorted edge normals."""
+    v = region.vertices
+    if v.size < 3:
+        cand = np.broadcast_to(np.arange(v.size)[:, None], (v.size, thetas.size))
+    else:
+        normals = np.angle(-1j * (np.roll(v, -1) - v))
+        order = np.argsort(normals)
+        phi = np.mod(np.pi - thetas, TWO_PI) - np.pi
+        first = order[np.searchsorted(normals[order], phi) % v.size]
+        cand = (first + np.array([-1, 0, 1])[:, None]) % v.size
+    return cand, cos_t * v.real[cand] - sin_t * v.imag[cand]
+
+
 @pytest.mark.parametrize("t, k, m, kind", [
     pytest.param(HERM_DIAG, 3, 4096, "point", id="point"),
     pytest.param(HERM_DIAG, 1, 4096, "segment", id="segment"),
     pytest.param(NORMAL_DIAG, 2, 65536, "polygon", id="faceted"),
-    pytest.param(random_matrix(5, generator(3)), 1, 8192, "polygon", id="smooth")])
+    pytest.param(random_matrix(5, generator(3)), 1, 8192, "polygon", id="smooth"),
+    pytest.param(NORMAL_DIAG, 1, 65536, "polygon", id="faceted-k1"),
+    pytest.param(HERM_DIAG, 3, 65536, "point", id="point-65536"),
+    pytest.param(HERM_DIAG, 1, 65536, "segment", id="segment-65536")])
 def test_emptiness_support_is_the_support_function(t, k, m, kind):
-    # the emptiness check reuses the unit frame's cosines and sines
+    # the emptiness check reuses the unit frame's cosines and sines, and
+    # finds the supporting vertices by run length, bit for bit as bisection;
+    # "smooth" is a polygon with a vertex on each of its 8192 planes
     planes = _unit_planes(*sweep_halfplanes(t, k, m))
     region = _unit_region(planes, _facet_planes(*planes))
     assert region.kind == kind
     all_t, cos_t, sin_t, _ = planes
-    got = _support_candidates(region, all_t, cos_t, sin_t)[1].max(axis=0)
+    cand, h = _support_candidates(region, all_t, cos_t, sin_t)
+    want_cand, want_h = bisection_support(region, all_t, cos_t, sin_t)
+    assert np.array_equal(cand, want_cand)
+    assert h.tobytes() == want_h.tobytes()
+    got = h.max(axis=0)
     assert got.tobytes() == support(region, all_t).tobytes()
     v = region.vertices
     every = np.cos(all_t)[:, None] * v.real - np.sin(all_t)[:, None] * v.imag
     assert np.array_equal(got, every.max(axis=1))
+    # unsorted, negative and past 2 pi
+    rng = np.random.default_rng(m)
+    query = rng.permutation(all_t)[:1024] + TWO_PI * rng.integers(-3, 4, size=1024)
+    every = np.cos(query)[:, None] * v.real - np.sin(query)[:, None] * v.imag
+    assert np.array_equal(support(region, query), every.max(axis=1))
 
 
 @pytest.mark.xfail(strict=True, reason="the pruning rounds cannot see a swallowtail's "
