@@ -18,15 +18,15 @@ in units of n eps N.  Assembling a pencil moves each entry by at most
 for a pencil moved by n eps ||H||_2 <= 2 n eps N; by Weyl an offset (half
 an eigenvalue) moves by half their sum, 4, and two rows by 8.  Forming X
 adds 3: U*TU and V*TV are two products within sqrt(2) n eps N each, and
-aT + bI and (a/|a|)T are entrywise like the assembly (T* and T (+) S are
-exact).  P1's |a| h + Re(e^{i theta} b) adds 3, and P2's mirrored angle,
-within (2 pi + 1) eps of theta_{m-j} (see Angles), adds 7.3.  P1 with a
-complex scale sums to 8 + 3 + 3 + 3 = 17.  P4 and P5 add
-(2 eta + eta^2) ||T||_2 for the isometry's defect eta = ||Q*Q - I||_F,
-which their gates allow up to 1e-10: Q = WP with W an isometry and
-||P - I||_2 <= eta, and the pencil of P (W*TW) P is that close to the one
-of W*TW.  SHIFT compares exact rows with cos(k pi/(n+1)), and HAAGERUP a
-row maximum with ||T||_2 cos(pi/(n+1)), under the same tolerance.
+P1's |a| T + b' I (b' = e^{-i arg a} b) is entrywise like the assembly
+(T* and T (+) S are exact).  P1's |a| h + Re(e^{i theta} b') adds 3, so
+P1 sums to 8 + 3 + 3 = 14, and P2's mirrored angle, within (2 pi + 1) eps
+of theta_{m-j} (see Angles), adds 7.3.  P4 and P5 add (2 eta + eta^2)
+||T||_2 for the isometry's defect eta = ||Q*Q - I||_F, which their gates
+allow up to 1e-10: Q = WP with W an isometry and ||P - I||_2 <= eta, and
+the pencil of P (W*TW) P is that close to the one of W*TW.  SHIFT
+compares exact rows with cos(k pi/(n+1)), and HAAGERUP a row maximum with
+||T||_2 cos(pi/(n+1)), under the same tolerance.
 
 Structured rows.  ``pencil_sweep`` solves no pencil for an exactly
 diagonal or exactly Hermitian T.  A diagonal T's rows are the bits the
@@ -42,26 +42,22 @@ Angles.  Every row is the spectrum of a pencil at a solved angle
 fl(2 pi i / m), or follows from one exactly: by the half-turn (negated
 and reversed) and, for real T, by conjugation (row m - j is row j).  A
 computed grid angle is within 1.18 eps of exact, relatively (fl(pi) is
-0.18 eps off, and the product and the quotient round once each), so a
-row's angle is off by at most 1.18 pi eps = 3.7 eps when T is complex
-(an even grid solves angles below pi) and 1.85 eps when T is real (it
-solves angles up to pi/2).  An angle error d moves an offset by at most
-d N.  P2 compares T*'s row j with T's row m - j: for real T both come from
-one solved angle.  When arg a lies within ``GRID_ANGLE_TOL`` (4 eps) of a
-grid angle 2 pi j / m, P1 reads T's rotated row i + j from the report
-instead of forming (a/|a|)T.  Its two rows then differ in angle by their
-two errors plus |arg a - 2 pi j / m|, which is at most 4 eps, plus 3.7 eps
-for the computed 2 pi j / m, plus 2 eps for ``np.angle`` (one ulp below
-pi): 17.1 eps.  So on the grid P1 sums to 8 + 3 + 3 + 17.1 / n, within 17
-for n >= 6 only (an odd grid, solving complex angles up to 2 pi, adds
-7.4 / n more).  A real a, as ``property_suite`` draws, has arg a exactly
-0 or pi, so j is 0 or m/2 and row i + m/2 is row i turned by exactly pi;
-both rows then reuse one solved angle unless one of T and aT + bI is real
-and the other not, and even then differ by at most 1.18 pi eps.  P1 then
-sums to 8 + 3 + 3 + 3.7 / n: within 17 for n >= 2, and at n = 1 too,
-where ``eigvalsh`` returns a 1 x 1 pencil's entry exactly and each row
-costs 3, not 4.  Over 150 seeded inputs per n and field (n 1-6), P1 with a
-real or a grid-angle a measured at most 5.3 (n = 1) and 3.8 (n = 2).
+0.18 eps off, and the product and the quotient round once each), and an
+angle error d moves an offset by at most d N.  P2 compares T*'s row j
+with T's row m - j: for real T both come from one solved angle.  P1 and
+P3-P5 compare two matrices' rows at one index, which share a solved
+angle when both matrices are real or both complex.  When exactly one is
+real, its row may come from pi - theta (even m) or 2 pi - theta (odd m)
+where the other's comes from theta, so the two angle errors sum to
+1.18 pi eps = 3.7 eps or 7.4 eps: the fold term, 3.7 / n or 7.4 / n.
+P1 then sums to 14 + 3.7 / n on even grids, within 17 at every n (at
+n = 1 ``eigvalsh`` returns a 1 x 1 pencil's entry exactly, so a row costs
+3, not 4: 6 + 3 + 3 + 3.7), and to 14 + 7.4 / n on odd grids, within 17
+for n >= 3 only: the model does not certify P1 on odd grids at n <= 2.
+P3 sums to at most 8 + 7.4 / 2, and P4 and P5 to 11 + 7.4 / n (n = 1:
+6 + 3 + 7.4), within 17.  Over 150 seeded inputs per n, field and grid
+(n 1-6, m 720 and 2048; 60 at m = 721), P1 with complex a, a quarter on
+the grid, measured at most 5.5 (n = 1) and 4.3 (n = 2).
 
 Region tolerance, for P6, the Hermitian oracle and SHIFT's radii:
 ``REGION_SLACK`` times the bound the geometry ran at.  A region lies
@@ -96,7 +92,6 @@ UNITARY_TOL = 1e-10
 ROW_TOL = 17.0  # offset rows, in units of n * eps * N; see the module docstring
 REGION_SLACK = max(4.0 * SEGMENT_THICKNESS, POINT_DIAM) + 2.0 * CLIP_EPS  # per unit bound
 RADIUS_TOL = 5e-6  # DISC: rank-k support offsets against the replicated-shift disc
-GRID_ANGLE_TOL = 4.0 * np.finfo(float).eps  # P1: arg a counts as a grid angle within this
 RESIDUAL_TOL = 1e-10  # dilation residuals, per dimension
 NORMAL_RTOL = 1e-10  # ||CC* - C*C||_F / ||C||_F^2, C = T - (tr T / n) I
 
@@ -176,24 +171,20 @@ def direct_sum(t, s) -> np.ndarray:
 
 
 def check_affine(t, base: RangeReport, a: complex, b: complex) -> PropertyReport:
-    """P1: the range of aT + bI is a * range(T) + b, row by row:
-    H_theta(aT + bI) = |a| H_{theta + arg a}(T) + 2 Re(e^{i theta} b) I.
-    When arg a is a grid angle 2 pi j / m (within ``GRID_ANGLE_TOL``), T's
-    rotated row i is ``base``'s row i + j, so a wrong report fails; off the
-    grid it is the sweep of (a / |a|) T, which checks the engine rather
-    than the report.  Raises ValueError for a = 0."""
+    """P1: the range of aT + bI is a * range(T) + b.  Rotation is exact,
+    range(e^{i phi} X) = e^{i phi} range(X), so with b' = e^{-i arg a} b
+    this is range(|a| T + b' I) = |a| range(T) + b', row by row:
+    H_theta(|a| T + b' I) = |a| H_theta(T) + 2 Re(e^{i theta} b') I.  One
+    sweep of |a| T + b' I is compared with ``base``'s own rows, so a wrong
+    report fails at every a.  Raises ValueError for a = 0."""
     t = as_matrix(t)
     if a == 0:
         raise ValueError("affine transform needs a != 0")
     thetas, rows = base.support_samples.T
-    arg = np.angle(a)
-    j = round(arg * base.angles / TWO_PI)
-    if abs(arg - TWO_PI * j / base.angles) <= GRID_ANGLE_TOL:
-        rows = np.roll(rows, -j)
-    else:
-        rows = _offsets((a / abs(a)) * t, base)
-    lhs = _offsets(a * t + b * np.eye(t.shape[0]), base)
-    dist = np.abs(lhs - (abs(a) * rows + (np.exp(1j * thetas) * b).real)).max()
+    # for a > 0 the phase is exactly 1, so b' is b bit for bit
+    shift = b * np.exp(-1j * np.angle(a))
+    lhs = _offsets(abs(a) * t + shift * np.eye(t.shape[0]), base)
+    dist = np.abs(lhs - (abs(a) * rows + (np.exp(1j * thetas) * shift).real)).max()
     tol = _row_tol(t.shape[0], abs(a) * np.linalg.norm(t, 2) + abs(b))
     return _report("P1", dist, tol, f"dim={t.shape[0]} k={base.k} a={a} b={b}")
 
@@ -447,9 +438,8 @@ def property_suite(t, k: int, m: int, rng: np.random.Generator) -> list[Property
     d = t.shape[0]
     sweep = pencil_sweep(t, m)
     base = range_from_sweep(sweep, k)
-    # a positive real scale keeps the affine check exact on the grid even
-    # for degenerate (segment or point) ranges; rotations are exercised
-    # by the randomised suites on full-dimensional ranges
+    # P1 sweeps |a| T + e^{-i arg a} b I, and b's draw is rotation-invariant,
+    # so a positive real scale covers what a complex one would
     a = complex(rng.uniform(0.5, 2.5), 0.0)
     b = 0.5 * complex(rng.normal(), rng.normal())
     reports = [

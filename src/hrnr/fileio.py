@@ -48,7 +48,10 @@ def obj_to_matrix(obj) -> np.ndarray:
                     or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                                for x in entry)):
                 raise MatrixFileError(f"entry ({i},{j}) is not an [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError as exc:
+                raise MatrixFileError(f"entry ({i},{j}) overflows a float") from exc
     if not np.isfinite(out.view(np.float64)).all():
         raise MatrixFileError("matrix entries must be finite")
     return out

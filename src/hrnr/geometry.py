@@ -100,8 +100,9 @@ class ConvexRegion:
 
 
 def _signed_area2(verts: np.ndarray) -> float:
-    nxt = np.roll(verts, -1)
-    return float(np.sum(verts.real * nxt.imag - verts.imag * nxt.real))
+    v = verts - verts[0]  # a small loop far from 0 keeps its area's digits
+    nxt = np.roll(v, -1)
+    return float(np.sum(v.real * nxt.imag - v.imag * nxt.real))
 
 
 def _dedupe(verts: np.ndarray) -> np.ndarray:

@@ -119,6 +119,7 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     return), or ``eigvalsh(T)`` when T equals T* exactly (rows
     2 cos(theta) mu).  Row j is 2 Re(e^{i theta_j} mu) sorted.  Any other T,
     even one within rounding of either structure, has its pencils solved.
+    Raises ValueError when the pencils overflow to a non-finite row.
     """
     t = as_matrix(t)
     m = resolve_angles(m)
@@ -134,13 +135,16 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
         spectrum = np.linalg.eigvalsh(t)
     else:
         spectrum = None
-    if spectrum is None:
-        stack = np.exp(1j * thetas[:solved])[:, None, None] * t
-        stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
-        vals = eig_hermitian_stack(stack)
-    else:
-        z = np.exp(1j * thetas[:solved])[:, None] * spectrum
-        vals = np.sort((z + z.conj()).real, axis=1)[:, ::-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
+        if spectrum is None:
+            stack = np.exp(1j * thetas[:solved])[:, None, None] * t
+            stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
+            vals = eig_hermitian_stack(stack)
+        else:
+            z = np.exp(1j * thetas[:solved])[:, None] * spectrum
+            vals = np.sort((z + z.conj()).real, axis=1)[:, ::-1]
+    if not np.isfinite(vals).all():
+        raise ValueError("the pencils overflow: matrix entries too large")
     if real and m % 2:
         vals = np.concatenate([vals, vals[:0:-1]])
     elif real:

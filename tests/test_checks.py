@@ -76,6 +76,68 @@ def test_affine_rejects_zero_scale():
         check_affine(shift_matrix(3), base(shift_matrix(3), 1), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("a", [2.0, -1.7, 1j, 0.3 + 1.1j, np.exp(0.5j)])
+def test_affine_sweeps_once(a, monkeypatch):
+    t = random_square(3, 12)
+    report = base(t, 1)
+    calls = []
+
+    def spy(x, m):
+        calls.append(m)
+        return pencil_sweep(x, m)
+
+    monkeypatch.setattr(checks, "pencil_sweep", spy)
+    assert check_affine(t, report, a, 0.5 - 0.25j).passed
+    assert calls == [M]
+
+
+@pytest.mark.parametrize("m", [720, 2048])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_affine_with_complex_scales(n, real, m):
+    # the small dimensions, where the angle term weighs most; a quarter of
+    # the scales are grid rotations
+    rng = generator(100 * n + m + real)
+    for trial in range(40):
+        t = rng.normal(size=(n, n)) + (0 if real else 1j * rng.normal(size=(n, n)))
+        k = int(rng.integers(1, n + 1))
+        if trial % 4 == 0:
+            a = rng.uniform(0.5, 2.5) * np.exp(2j * np.pi * rng.integers(m) / m)
+        else:
+            a = complex(rng.normal(), rng.normal())
+        rep = check_affine(t, base(t, k, m), a, complex(rng.normal(), rng.normal()))
+        assert rep.passed, rep
+
+
+def grid_angle_affine(t, report, a, b):
+    """P1 as it was for a grid-angle a: T's rotated rows read from the
+    report by index, and one sweep of aT + bI."""
+    t = np.asarray(t, dtype=complex)
+    n = t.shape[0]
+    thetas, rows = report.support_samples.T
+    rows = np.roll(rows, -round(np.angle(a) * report.angles / (2 * np.pi)))
+    lhs = pencil_sweep(a * t + b * np.eye(n), report.angles).eigenvalues[:, report.k - 1] / 2
+    dist = np.abs(lhs - (abs(a) * rows + (np.exp(1j * thetas) * b).real)).max()
+    tol = checks._row_tol(n, abs(a) * np.linalg.norm(t, 2) + abs(b))
+    return checks._report("P1", dist, tol, f"dim={n} k={report.k} a={a} b={b}")
+
+
+def test_affine_positive_scale_matches_the_grid_angle_formula():
+    # for a > 0 the phase is exactly 1, so the one-sweep form reproduces
+    # every report of the on-grid formula bit for bit
+    rng = generator(41)
+    for n in range(1, 7):
+        for field in ("real", "complex", "hermitian"):
+            for m in (720, 2048, 721):
+                g = rng.normal(size=(n, n)) + (0 if field == "real"
+                                               else 1j * rng.normal(size=(n, n)))
+                t = g + g.conj().T if field == "hermitian" else g
+                report = base(t, int(rng.integers(1, n + 1)), m)
+                a = complex(rng.uniform(0.5, 2.5), 0.0)
+                b = 0.5 * complex(rng.normal(), rng.normal())
+                assert check_affine(t, report, a, b) == grid_angle_affine(t, report, a, b)
+
+
 # --- P2 adjoint ------------------------------------------------------------------
 
 def test_adjoint_hermitian_fixed_by_reflection():
@@ -544,11 +606,12 @@ def test_property_suite_draw_order_fixed():
 
 
 def test_affine_reads_the_report_for_a_grid_rotation():
-    # arg 1j is the grid angle 2 pi 180 / 720, so T's rotated rows are the
-    # report's own; a report of 2T must fail
+    # P1 compares the report's own rows at every a, on the grid (1j, -1.7)
+    # or off it, so a report of 2T must fail
     t = random_matrix(4, generator(3))
-    assert not check_affine(t, rank_k_range(2 * t, 1, 720), 1j, 0.5).passed
-    assert check_affine(t, rank_k_range(t, 1, 720), 1j, 0.5).passed
+    for a in (1j, 0.3 + 1.1j, np.exp(0.5j), -1.7):
+        assert not check_affine(t, rank_k_range(2 * t, 1, 720), a, 0.5).passed, a
+        assert check_affine(t, rank_k_range(t, 1, 720), a, 0.5).passed, a
 
 
 def test_report_pass_iff_within_tolerance():

@@ -67,13 +67,27 @@ def test_range_malformed_input_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ('{"dim": true, "data": [[[1, 0]]]}', "bad dimension True"),
     ('{"dim": 1, "data": [[[true, false]]]}', "entry (0,0) is not an [re, im] pair"),
-], ids=["dim", "entry"])
+    ('{"dim": 1, "data": [[[1' + 400 * '0' + ', 0]]]}', "entry (0,0) overflows a float"),
+], ids=["dim", "entry", "huge-int"])
 def test_range_boolean_matrix_file_exits_2(tmp_path, capsys, text, message):
-    # JSON booleans are Python ints; neither is a dimension or an entry
+    # JSON booleans are Python ints; neither is a dimension or an entry.  An
+    # int too large for a float is malformed input too
     bad = tmp_path / "bool.json"
     bad.write_text(text)
     assert main(["range", "--input", str(bad), "--k", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [np.diag([1e308]), np.full((2, 2), 1e308) + 1e308j * np.eye(2)],
+                         ids=["diagonal", "2x2"])
+@pytest.mark.parametrize("command", [["radius"], ["range", "--k", "1"],
+                                     ["verify-properties", "--k", "1"]])
+def test_overflowing_pencils_exit_2(tmp_path, capsys, t, command):
+    # finite entries whose pencils overflow: no inf or nan result, one message
+    path = write_matrix(tmp_path, "huge.json", t)
+    assert main([*command, "--input", path]) == 2
+    assert capsys.readouterr().err == "error: the pencils overflow: matrix entries too large\n"
+
 
 # one (matrix, k) per region tag
 TAG_CASES = {

@@ -162,6 +162,17 @@ def test_equivalent_angles_give_same_region():
         assert support_gap(base, other.vertices) <= 1e-12
 
 
+@pytest.mark.parametrize("radius", [1.1e-9, 2e-9])
+def test_small_disc_off_the_origin_is_a_polygon(radius):
+    # thickness (area / diameter) pi r / 2 exceeds 1e-9 at both radii, so the
+    # tag must not depend on where the disc sits
+    thetas = 2 * np.pi * np.arange(8192) / 8192
+    for phi in 2 * np.pi * np.arange(24) / 24:
+        centre = 0.14 * np.exp(1j * phi)
+        region = intersect_halfplanes(thetas, (np.exp(1j * thetas) * centre).real + radius, 1.0)
+        assert region.kind == "polygon", phi
+
+
 def test_intersection_needs_planes():
     with pytest.raises(ValueError):
         intersect_halfplanes([], [], bound=1.0)
