@@ -8,7 +8,10 @@ the same n, follow from a generator of their own, so the first 60 cases
 keep their inputs; then, from a third generator, the faceted and
 degenerate cells of the fine_grid benchmark at m = 65536: normal
 diagonals at n = 5 and 6 and a Hermitian diagonal at n = 5, each complex
-and real (a Hermitian diagonal counts as real T in either draw).  Every
+and real (a Hermitian diagonal counts as real T in either draw).  A fourth
+generator appends hidden normals whose first two eigenvalues are 1e-9
+apart or equal, and normal tridiagonal Toeplitz matrices a S_n + b S_n* + d I
+with |a| = |b|, each complex and real, at n in {3, 5, 8, 12}.  Every
 case runs ``pencil_sweep`` once and ``range_from_sweep`` for every
 k = 1..n.  A dump holds each case's sweep rows and each call's tag and
 vertices.
@@ -77,7 +80,47 @@ def battery(limit=None):
                 d = d + (0 if real else 1j * rng.normal(size=n))
             d = 10.0 ** rng.uniform(-8, 8) * np.sort(d)
             cases.append((kind, n, 65536, np.diag(d if real else d.astype(complex))))
+    rng = np.random.default_rng(2013)
+    for kind in ("normal-cluster", "normal-double", "normal-toeplitz"):
+        for n in DIMS[1:5]:
+            for real in (False, True):
+                m = GRIDS[len(cases) % len(GRIDS)]
+                t = toeplitz(rng, n, real) if kind == "normal-toeplitz" else \
+                    hidden_normal(rng, n, real, 1e-9 if kind == "normal-cluster" else 0.0)
+                cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * t))
     return cases[:limit]
+
+
+def hidden_normal(rng, n, real, gap):
+    """Q D Q* for a random orthogonal or unitary Q, with eigenvalues 0 and 1
+    of D ``gap`` apart; real T pairs its other eigenvalues in 2 x 2
+    rotation blocks."""
+    if real:
+        d = np.diag(rng.normal(size=n))
+        for j in range(2, n - 1, 2):
+            a, b = rng.normal(size=2)
+            d[j:j + 2, j:j + 2] = [[a, b], [-b, a]]
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    else:
+        d = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    d[1, 1] = d[0, 0] + gap
+    return q @ d @ q.conj().T
+
+
+def toeplitz(rng, n, real):
+    """a S_n + b S_n* + d I with |b| = |a|: normal, and for real T skew plus
+    a scalar (b = -a), so not Hermitian."""
+    from hrnr.shifts import shift_matrix
+
+    if real:
+        a, d = rng.normal(size=2)
+        b = -a
+    else:
+        a, b, d = rng.normal(size=3) + 1j * rng.normal(size=3)
+        b *= abs(a) / abs(b)
+    s = shift_matrix(n)
+    return a * s + b * s.T + d * np.eye(n)
 
 
 def dump(path, limit):

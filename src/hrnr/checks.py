@@ -35,8 +35,32 @@ T's rows are 2 cos(theta) lambda_i(T): ``eigvalsh`` is exact for a T moved
 by n eps ||T||_2, which moves an offset by |cos theta| n eps N, and
 rounding cos theta and the product adds 2 eps N.  That is at most
 3 n eps N, below the pencil solve's 4, so ``ROW_TOL`` stays certified
-when a check compares a structured sweep with a solved one (P3's U*TU,
+when a check compares a structured sweep with a solved one (P4's U*TU,
 for one, is not bitwise Hermitian).  No tolerance changed.
+
+Normal rows.  Any other T has its rows from mu = diag(R), R = Q*TQ and Q
+the QR of ``eig``'s eigenvectors, when ``ranges._normal_spectrum``
+certifies them.  In offset units, with N = max|mu|, the certificate sums
+||R - diag(mu)||_2 (Weyl), eta N for Q's defect eta = ||Q*Q - I||_2
+(Ostrowski: with Q = WP, W unitary, the pencils of R are P H P for those
+of W*TW), the model's two products at the epsilon of ``np.longdouble``, in
+which R is formed (1/2048 of 2 sqrt(2) n eps N on x86-64, all of it where
+longdouble is a double), and 2 eps N for evaluating 2 Re(e^{i theta} mu).
+mu is used only when that sum is at most 4 n eps N, the pencil solve's own
+cost above, so each row is certified within the model's 4 and every sum
+above holds with ``ROW_TOL`` at 17.  Over 200 seeded hidden normals per
+cell (n 2-32; complex, real, Hermitian, a 1e-9 cluster, a double
+eigenvalue) the sum had medians 0.5-2.1 and passed in 99-100% of each
+cell; the worst, 4.1 (real, n = 3), fails and is solved.  Formed in double
+precision, the two products alone would cost 2.8, and at most a fifth of
+each cell with n <= 8 passed.  A T that fails the certificate has its
+pencils solved.  The NORMAL oracle's ``eigvals`` and the engine's
+``eig`` both run LAPACK's zgeev on T, so for a hidden normal T they share
+the eigenvalues' rounding.  The independent checks of normal rows are the
+full-grid LAPACK comparisons in the tests
+(``test_normal_rows_match_full_grid_lapack``) and perfbench's grid
+reference, which solve every pencil; criterion 6 still compares the
+engine's grid regions with the oracle on exact eigenvalues.
 
 Angles.  Every row is the spectrum of a pencil at a solved angle
 fl(2 pi i / m), or follows from one exactly: by the half-turn (negated
@@ -73,7 +97,8 @@ intersects exact half-planes at the eigenvalues' tie angles with
 ``_convex_hull`` of raw Rayleigh quotients.  The Hermitian oracle and the
 engine's sweep of an exactly Hermitian T do share one ``eigvalsh(T)``;
 the independent check of Hermitian pencil rows is the full-grid LAPACK
-comparison in the tests (``test_sweep_matches_full_grid_lapack``).
+comparison in the tests (``test_sweep_matches_full_grid_lapack``).  The
+normal oracle shares zgeev with the engine likewise (see Normal rows).
 """
 
 from __future__ import annotations
@@ -85,11 +110,10 @@ import numpy as np
 from .geometry import (CLIP_EPS, POINT_DIAM, SEGMENT_THICKNESS, TWO_PI, ConvexRegion,
                        _convex_hull, excess, hausdorff, intersect_halfplanes)
 from .linalg import as_matrix, is_hermitian
-from .ranges import PencilSweep, RangeReport, pencil_sweep, range_from_sweep
+from .ranges import ROW_TOL, PencilSweep, RangeReport, _row_tol, pencil_sweep, range_from_sweep
 from .shifts import build_dilation, rho, shift_matrix, shift_radius
 
 UNITARY_TOL = 1e-10
-ROW_TOL = 17.0  # offset rows, in units of n * eps * N; see the module docstring
 REGION_SLACK = max(4.0 * SEGMENT_THICKNESS, POINT_DIAM) + 2.0 * CLIP_EPS  # per unit bound
 RADIUS_TOL = 5e-6  # DISC: rank-k support offsets against the replicated-shift disc
 RESIDUAL_TOL = 1e-10  # dilation residuals, per dimension
@@ -131,11 +155,6 @@ def _report(pid: str, discrepancy: float, tolerance: float, digest: str,
 def _offsets(x, base: RangeReport) -> np.ndarray:
     """X's rank-k offsets lambda_k(H_theta) / 2 on ``base``'s grid."""
     return pencil_sweep(x, base.angles).eigenvalues[:, base.k - 1] / 2.0
-
-
-def _row_tol(n: int, norm: float, eta: float = 0.0) -> float:
-    """The row tolerance, plus (2 eta + eta^2) norm for an isometry's defect."""
-    return (ROW_TOL * n * np.finfo(float).eps + 2.0 * eta + eta**2) * norm
 
 
 def _defect(q: np.ndarray) -> float:

@@ -13,11 +13,21 @@ real diagonals).  An even grid of m angles solves m/2 pencils, or
 floor(m/4) + 1 for real T; an odd grid solves m, or (m + 1)/2 for real T.
 The other rows are copied, negated and reversed as the symmetries say.
 
-No pencil is solved when T is exactly diagonal or exactly Hermitian.  Then
-every pencil is diagonal in T's eigenbasis, with spectrum
-2 Re(e^{i theta} mu_j) for T's eigenvalues mu: the diagonal itself, or one
-``eigvalsh`` of T.  The solved rows are those values sorted, and the same
-symmetries fill the rest.
+No pencil is solved when T is normal: then every pencil is diagonal in T's
+eigenbasis, with spectrum 2 Re(e^{i theta} mu_j) for T's eigenvalues mu.
+mu is the diagonal itself when T is exactly diagonal, one ``eigvalsh`` of
+T when T is exactly Hermitian, and otherwise the diagonal of Q*TQ, Q an
+orthonormal basis from ``eig``, when a certificate shows that T is normal
+to within the rounding of one pencil solve.  The solved rows are those
+values sorted, and the same symmetries fill the rest.
+
+For 2k > n + 1 the rank-k range is empty as soon as one row has
+lambda_k < lambda_{n+1-k} by more than its rounding, so the geometry runs
+only when no row shows that.
+
+The rounding model of the rows, in units of n eps N with N >= ||T||_2, is
+set out in the ``checks`` docstring; ``ROW_TOL`` and ``_row_tol`` live here
+so that the engine and the checks share it.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ VERIFY_ANGLES = 2048
 MIN_ANGLES = 16
 
 ANGLES_ENV_VAR = "HRNR_ANGLES"
+
+ROW_TOL = 17.0  # offset rows, in units of n * eps * N; see the checks docstring
 
 
 class BadRankError(ValueError):
@@ -59,6 +71,17 @@ def resolve_angles(m: int | None = None, default: int = DEFAULT_ANGLES) -> int:
     if count < MIN_ANGLES:
         raise ValueError(f"angle count must be >= {MIN_ANGLES}, got {count}")
     return count
+
+
+def _row_tol(n: int, norm: float, eta: float = 0.0) -> float:
+    """The row tolerance, plus (2 eta + eta^2) norm for an isometry's defect."""
+    return (ROW_TOL * n * np.finfo(float).eps + 2.0 * eta + eta**2) * norm
+
+
+def _solve_error(n: int, norm: float) -> float:
+    """4 n eps N: the rounding model's bound on one offset of a solved
+    n x n pencil of a T with ||T||_2 <= N (the checks docstring's 4)."""
+    return 4.0 * n * np.finfo(float).eps * norm
 
 
 def pencil(t, theta: float) -> np.ndarray:
@@ -116,9 +139,10 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     The solved rows skip LAPACK's batch when T has a spectrum mu that every
     pencil shares an eigenbasis with: mu is T's diagonal when every
     off-diagonal entry is zero (the rows are then the bits the batch would
-    return), or ``eigvalsh(T)`` when T equals T* exactly (rows
-    2 cos(theta) mu).  Row j is 2 Re(e^{i theta_j} mu) sorted.  Any other T,
-    even one within rounding of either structure, has its pencils solved.
+    return), ``eigvalsh(T)`` when T equals T* exactly (rows
+    2 cos(theta) mu), or ``_normal_spectrum(T)`` when that certifies T
+    normal within a pencil solve's rounding.  Row j is
+    2 Re(e^{i theta_j} mu) sorted.  Any other T has its pencils solved.
     Raises ValueError when the pencils overflow to a non-finite row.
     """
     t = as_matrix(t)
@@ -129,13 +153,13 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
         solved = m // 2 + 1 if real else m
     else:
         solved = m // 4 + 1 if real else m // 2
-    if not (t - np.diag(np.diagonal(t))).any():
-        spectrum = np.diagonal(t)
-    elif np.array_equal(t, t.conj().T):
-        spectrum = np.linalg.eigvalsh(t)
-    else:
-        spectrum = None
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
+        if not (t - np.diag(np.diagonal(t))).any():
+            spectrum = np.diagonal(t)
+        elif np.array_equal(t, t.conj().T):
+            spectrum = np.linalg.eigvalsh(t)
+        else:
+            spectrum = _normal_spectrum(t)
         if spectrum is None:
             stack = np.exp(1j * thetas[:solved])[:, None, None] * t
             stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
@@ -154,6 +178,52 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
     return PencilSweep(thetas=thetas, eigenvalues=vals)
+
+
+def _normal_spectrum(t: np.ndarray) -> np.ndarray | None:
+    """The eigenvalues mu of T when T is normal to within the rounding of
+    one pencil solve, else None.
+
+    Q is the QR of ``eig``'s eigenvectors, R = Q*TQ and mu = diag(R); for
+    normal T and unitary Q, R is diagonal.  With N = max|mu|, the rows
+    2 Re(e^{i theta} mu) are within c of T's exact pencil spectra, in
+    offset units (half an eigenvalue), where c sums
+      ||R - diag(mu)||_2, by Weyl;
+      eta N for Q's defect eta = ||Q*Q - I||_2: with Q = WP, W unitary and
+        ||P^2 - I|| = eta, the pencils of R are P H P for the pencils H
+        of W*TW, whose eigenvalues Ostrowski moves by at most eta |lambda|;
+      2 sqrt(2) n eps_L N for the two products that form R, the model's
+        product term at the epsilon eps_L of ``np.longdouble``, in which
+        they run (2^-63 on x86-64; where it is a double, the model's own);
+      2 eps N for rounding e^{i theta} and Re(e^{i theta} mu).
+    mu is returned only when c <= 4 n eps N, a pencil solve's own cost
+    (``_solve_error``).  T is scaled by a power of two first, exactly, so
+    no product below overflows.  A commutator test rejects T that cannot
+    pass before ``eig`` runs: an accepted T is within 2c of a normal
+    matrix, so ||TT* - T*T||_2 <= 8 c N to first order, and forming it adds
+    the model's 2 sqrt(2) n eps N^2, in all at most 9 (4 n eps) N^2; the
+    Frobenius norm is at most sqrt(n) times that, and N <= ||T||_F.
+    """
+    n = t.shape[0]
+    e = np.frexp(max(np.abs(t.real).max(), np.abs(t.imag).max()))[1]
+    x = np.ldexp(t.real, -e) + 1j * np.ldexp(t.imag, -e)
+    budget = _solve_error(n, 1.0)
+    commutator = x @ x.conj().T - x.conj().T @ x
+    if np.linalg.norm(commutator) > 9.0 * np.sqrt(n) * budget * np.linalg.norm(x) ** 2:
+        return None
+    try:
+        q = np.linalg.qr(np.linalg.eig(x)[1])[0].astype(np.clongdouble)
+    except np.linalg.LinAlgError:
+        return None
+    r = q.conj().T @ (x.astype(np.clongdouble) @ q)
+    mu = np.diagonal(r).astype(np.complex128)
+    norm = np.abs(mu).max()
+    off = np.linalg.norm((r - np.diag(mu)).astype(np.complex128), 2)
+    eta = np.linalg.norm((q.conj().T @ q - np.eye(n)).astype(np.complex128), 2)
+    product = 2.0 * np.sqrt(2.0) * n * np.finfo(np.longdouble).eps
+    if not off + (eta + product + 2.0 * np.finfo(float).eps) * norm <= budget * norm:
+        return None
+    return np.ldexp(mu.real, e) + 1j * np.ldexp(mu.imag, e)
 
 
 def outer_error_bound(region: ConvexRegion, m: int) -> float:
@@ -190,15 +260,30 @@ class RangeReport:
 
 
 def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
-    """Build the rank-k region from an existing pencil sweep."""
+    """Build the rank-k region from an existing pencil sweep.
+
+    For 2k > n + 1, the planes at theta and theta + pi bound the strip
+    lambda_{n+1-k} / 2 <= Re(e^{i theta} z) <= lambda_k / 2, both ends from
+    one row and so from one pencil.  Each end is within one offset's
+    rounding of exact (``_solve_error`` at N = 2 w / cos(pi/m), w the grid
+    radius, which bounds ||T||_2), so a row whose strip is narrower than
+    minus twice that proves the range empty.  Otherwise, and for
+    2k <= n + 1, the geometry intersects the planes.
+    """
     n = sweep.dim
     if not 1 <= k <= n:
         raise BadRankError(f"k must be in 1..{n}, got {k}")
-    offsets = sweep.eigenvalues[:, k - 1] / 2.0
-    # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the square
-    # never cuts it; all-zero offsets fit any bound
-    region = intersect_halfplanes(sweep.thetas, offsets, 2.0 * sweep.numerical_radius() or 1.0)
+    vals = sweep.eigenvalues
+    offsets = vals[:, k - 1] / 2.0
     m = sweep.angle_count
+    radius = sweep.numerical_radius()
+    if (2 * k > n + 1 and ((vals[:, k - 1] - vals[:, n - k]) / 2.0).min()
+            < -2.0 * _solve_error(n, 2.0 * radius / np.cos(np.pi / m))):
+        region = ConvexRegion.empty()
+    else:
+        # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
+        # square never cuts it; all-zero offsets fit any bound
+        region = intersect_halfplanes(sweep.thetas, offsets, 2.0 * radius or 1.0)
     return RangeReport(
         k=k,
         angles=m,

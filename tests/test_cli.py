@@ -343,6 +343,16 @@ def test_verify_properties_hermitian_oracle_line(tmp_path, capsys):
     assert "HERMITIAN" in out
 
 
+def test_verify_properties_upper_rank_of_a_near_point_passes(tmp_path, capsys):
+    # rank 3 of diag(0, 1e-12, 2e-12, 1) is empty: its theta = 0 strip is
+    # -1e-12 wide, and the Hermitian oracle's interval [2e-12, 1e-12] is empty
+    path = write_matrix(tmp_path, "near.json", np.diag([0.0, 1e-12, 2e-12, 1.0]))
+    code = main(["verify-properties", "--input", path, "--k", "3", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "HERMITIAN pass" in out
+
+
 def test_verify_properties_tiny_non_hermitian_gets_no_hermitian_oracle(tmp_path, capsys):
     # 1e-14 S_3 is far from Hermitian relative to its own size
     path = write_matrix(tmp_path, "tiny.json", 1e-14 * shift_matrix(3))

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrnr import ranges
-from hrnr.checks import _row_tol, generator, montecarlo_range, property_suite, random_unitary
+from hrnr.checks import generator, montecarlo_range, property_suite, random_unitary
 from hrnr.geometry import ConvexRegion, hausdorff
 from hrnr.linalg import as_matrix, eig_hermitian_stack
 from hrnr.ranges import (
     BadRankError,
+    _row_tol,
     numerical_radius,
     pencil,
     pencil_sweep,
@@ -61,6 +62,30 @@ def test_shift3_rank1_is_quarter_cosine_disc():
 
 def test_shift4_rank3_empty():
     assert rank_k_range(shift_matrix(4), 3, 2048).region.is_empty
+
+
+def test_upper_rank_with_a_negative_strip_is_empty():
+    # for 2k > n + 1 the planes at theta and theta + pi bound a strip of
+    # width (lambda_k - lambda_{n+1-k}) / 2; here it is -1e-12 at theta = 0,
+    # far below the rows' rounding, so the range is empty.  The geometry's
+    # relaxation by 1e-12 of its bound would absorb that gap (a point).
+    t = np.diag([0.0, 1e-12, 2e-12, 1.0])
+    for m in (720, 721, 2048):
+        assert rank_k_range(t, 3, m).region.is_empty, m
+        assert rank_k_range(t, 4, m).region.is_empty, m
+    # at 2k = n + 1 the geometry decides: S_3's k = 2 range is the point 0
+    assert rank_k_range(shift_matrix(3), 2, 720).region.kind == "point"
+    # strips of zero width, exactly or within rounding, are not empty: a
+    # triple eigenvalue makes Lambda_3 a point, exposed or unitarily hidden,
+    # and every rank of a scalar matrix is its scalar
+    u = random_unitary(4, generator(67))
+    triple = np.diag([0.0, 0.0, 0.0, 1.0])
+    for t, k, at in ((triple, 3, 0.0), (u @ triple @ u.conj().T, 3, 0.0),
+                     ((2.0 - 1.0j) * np.eye(4), 4, 2.0 - 1.0j)):
+        for m in (720, 721, 2048):
+            region = rank_k_range(t, k, m).region
+            assert region.kind == "point", (k, m)
+            assert abs(region.vertices[0] - at) <= 1e-12, (k, m)
 
 
 def test_hermitian_diag_rank2_segment():
@@ -316,8 +341,9 @@ def _real_inputs():
             "diag": np.diag(rng.normal(size=5))}
 
 
-def _solved_pencils(t, m, monkeypatch):
-    """The sweep of T on m angles and the batch sizes it sent to LAPACK."""
+def _batch_sizes(monkeypatch):
+    """Spy on the sweep's eigensolver: the list it returns collects the
+    size of every batch sent to LAPACK."""
     sizes = []
 
     def spy(stack):
@@ -325,9 +351,22 @@ def _solved_pencils(t, m, monkeypatch):
         return eig_hermitian_stack(stack)
 
     monkeypatch.setattr(ranges, "eig_hermitian_stack", spy)
+    return sizes
+
+
+def _solved_pencils(t, m, monkeypatch):
+    """The sweep of T on m angles and the batch sizes it sent to LAPACK."""
+    sizes = _batch_sizes(monkeypatch)
     sweep = pencil_sweep(t, m)
     monkeypatch.undo()
     return sweep, sizes
+
+
+def _full_grid_rows(t, m):
+    """LAPACK's spectra of all m pencils of T, descending."""
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    stack = np.exp(1j * thetas)[:, None, None] * as_matrix(t)
+    return eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
 
 
 @pytest.mark.parametrize("m", [16, 18, 17, 720, 2048])
@@ -340,12 +379,9 @@ def test_real_sweep_matches_full_grid_solve(name, m, monkeypatch):
     sweep, sizes = _solved_pencils(t, m, monkeypatch)
     # a diagonal T takes its rows from its diagonal and solves no pencil
     assert sizes == ([] if name == "diag" else [m // 4 + 1 if m % 2 == 0 else m // 2 + 1])
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    stack = np.exp(1j * thetas)[:, None, None] * t
-    direct = eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
     vals = sweep.eigenvalues
     assert vals.shape == (m, t.shape[0])
-    assert np.abs(vals - direct).max() <= _row_tol(t.shape[0], np.linalg.norm(t, 2))
+    assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(t.shape[0], np.linalg.norm(t, 2))
     assert (np.diff(vals, axis=1) <= 0).all()
     # both symmetries hold bit for bit
     j = np.arange(m)
@@ -415,9 +451,7 @@ def test_hermitian_sweep_matches_full_grid_solve(real, m, monkeypatch):
     t = x + x.conj().T
     sweep, sizes = _solved_pencils(t, m, monkeypatch)
     assert sizes == []
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    stack = np.exp(1j * thetas)[:, None, None] * t
-    direct = eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
+    direct = _full_grid_rows(t, m)
     assert np.abs(sweep.eigenvalues - direct).max() <= _row_tol(6, np.linalg.norm(t, 2))
     assert (np.diff(sweep.eigenvalues, axis=1) <= 0).all()
     if m % 2 == 0:
@@ -427,13 +461,183 @@ def test_hermitian_sweep_matches_full_grid_solve(real, m, monkeypatch):
 
 
 def test_near_structured_input_takes_the_pencil_path(monkeypatch):
+    # a diagonal with one 1e-300 entry off it and a Hermitian matrix one ulp
+    # off are normal within a pencil solve's rounding: their rows come from
+    # the certified spectrum, within the row tolerance of a full-grid solve.
+    # A near-diagonal with off-diagonal 1e-6 is not normal: its pencils are
+    # solved.
     t = np.diag([1.0, -2.0, 0.5, 3.0]).astype(complex)
     t[0, 2] = 1e-300
-    _, sizes = _solved_pencils(t, 720, monkeypatch)
-    assert sizes == [181]
     rng = generator(5)
     x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h = x + x.conj().T
     h[0, 1] = complex(np.nextafter(h[0, 1].real, np.inf), h[0, 1].imag)
-    _, sizes = _solved_pencils(h, 720, monkeypatch)
-    assert sizes == [360]
+    for near in (t, h):
+        sweep, sizes = _solved_pencils(near, 720, monkeypatch)
+        assert sizes == []
+        tol = _row_tol(4, np.linalg.norm(near, 2))
+        assert np.abs(sweep.eigenvalues - _full_grid_rows(near, 720)).max() <= tol
+    off = np.diag([1.0, -2.0, 0.5, 3.0])
+    off[0, 2] = 1e-6
+    _, sizes = _solved_pencils(off, 720, monkeypatch)
+    assert sizes == [181]
+
+
+# --- numerically normal sweep: certified rows from eig + QR -------------------
+
+def _hidden_normal(n, rng, real=False, tie=None):
+    """Q D Q* for a Haar Q and a random spectrum D; ``tie`` sets the gap
+    between the first two eigenvalues (0: an exact double eigenvalue).  A
+    real one pairs conjugate eigenvalues in 2 x 2 rotation blocks and keeps
+    a real eigenvalue for each odd n or tie."""
+    if not real:
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if tie is not None:
+            d[1] = d[0] + tie
+        u = random_unitary(n, rng)
+        return u @ np.diag(d) @ u.conj().T
+    block = np.zeros((n, n))
+    pairs = (n - (2 if tie is not None else n % 2)) // 2
+    for j in range(pairs):
+        a, b = rng.normal(size=2)
+        block[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[a, b], [-b, a]]
+    reals = rng.normal(size=n - 2 * pairs)
+    if tie is not None:
+        reals[1] = reals[0] + tie
+    block[2 * pairs:, 2 * pairs:] = np.diag(reals)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return q @ block @ q.T
+
+
+@pytest.mark.parametrize("m", [720, 721, 2048])
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("tie", [1e-9, 0.0])
+def test_normal_rows_match_full_grid_lapack(tie, real, m, monkeypatch):
+    # hidden normals with a 1e-9 cluster or an exact double eigenvalue take
+    # the certified path at every n here; every row is within the row
+    # tolerance of a full-grid solve, and real T keeps both symmetries
+    rng = generator(int(tie == 0.0) + 2 * real)
+    spectral = 0
+    j = np.arange(m)
+    for n in (2, 3, 4, 5, 8, 12, 16):
+        t = _hidden_normal(n, rng, real, tie)
+        assert not np.imag(t).any() if real else np.imag(t).any()
+        sweep, sizes = _solved_pencils(t, m, monkeypatch)
+        spectral += sizes == []
+        vals = sweep.eigenvalues
+        assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(n, np.linalg.norm(t, 2))
+        assert (np.diff(vals, axis=1) <= 0).all()
+        if m % 2 == 0:
+            assert np.array_equal(vals[(j + m // 2) % m], -vals[:, ::-1])
+        if real:
+            assert np.array_equal(vals[-j % m], vals)
+    assert spectral == 7
+
+
+def _batch_rows(t, m):
+    """The rows the batch path solves: LAPACK's spectra at the solved angles,
+    with row m/4 of a real T made symmetric about 0 when 4 divides m."""
+    t = as_matrix(t)
+    solved = _solved_count(t, m)
+    thetas = 2.0 * np.pi * np.arange(solved) / m
+    stack = np.exp(1j * thetas)[:, None, None] * t
+    rows = eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
+    if not t.imag.any() and m % 4 == 0:
+        rows[-1] = (rows[-1] - rows[-1, ::-1]) / 2.0
+    return rows
+
+
+def _non_normal_inputs():
+    rng = generator(41)
+    out = {}
+    for real in (False, True):
+        tag = "real" if real else "complex"
+        g = rng.normal(size=(5, 5)) + (0 if real else 1j * rng.normal(size=(5, 5)))
+        out[f"gauss-{tag}"] = g
+        out[f"nilpotent-{tag}"] = np.tril(g, -1)
+        t = _hidden_normal(5, rng, real)
+        for rel in (1e-8, 1e-14):  # one the commutator filter rejects, one the certificate
+            p = rng.normal(size=(5, 5)) + (0 if real else 1j * rng.normal(size=(5, 5)))
+            out[f"normal+{rel:g}-{tag}"] = t + rel * np.linalg.norm(t, 2) * p / np.linalg.norm(p, 2)
+    out["shift"] = shift_matrix(5)
+    return out
+
+
+@pytest.mark.parametrize("m", [720, 721, 2048])
+@pytest.mark.parametrize("name", sorted(_non_normal_inputs()))
+def test_non_normal_inputs_keep_their_batch(name, m, monkeypatch):
+    # shift, nilpotent, Gaussian and perturbed normal T send today's batch,
+    # and their solved rows are LAPACK's bits
+    t = _non_normal_inputs()[name]
+    sweep, sizes = _solved_pencils(t, m, monkeypatch)
+    assert sizes == [_solved_count(as_matrix(t), m)]
+    rows = _batch_rows(t, m)
+    assert sweep.eigenvalues[:len(rows)].tobytes() == rows.tobytes()
+
+
+def test_path_decision_is_scale_free(monkeypatch):
+    # every term of the certificate scales with T, so s T takes T's path
+    rng = generator(43)
+    inputs = [_hidden_normal(n, rng, real) for n in (2, 3, 4, 6, 8) for real in (False, True)]
+    inputs += list(_non_normal_inputs().values())
+    for t in inputs:
+        paths = {s: _solved_pencils(s * t, 720, monkeypatch)[1] for s in (1e-8, 1.0, 1e8)}
+        assert paths[1e-8] == paths[1.0] == paths[1e8], paths
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 16, 32])
+def test_hidden_normal_range_and_radius_send_no_batch(n, monkeypatch):
+    # the interactive path: range and radius of a hidden normal matrix at
+    # several scales solve no pencil
+    sizes = _batch_sizes(monkeypatch)
+    rng = generator(47 + n)
+    for s in (1e-8, 1.0, 1e8):
+        t = s * _hidden_normal(n, rng)
+        rank_k_range(t, 1 + n // 4, 720)
+        numerical_radius(t, 720)
+    assert sizes == []
+
+
+@pytest.mark.parametrize("kind, d, batches", [("normal", 4, 1), ("normal", 6, 1),
+                                              ("herm", 3, 0), ("herm", 5, 0)])
+def test_property_suite_batches_on_normal_input(kind, d, batches, monkeypatch):
+    # on a hidden normal T, only P5's compression V*TV (not normal) solves
+    # its pencils; on Hermitian T, P1's |a| T + b' I, P4's U*TU and P5's V*TV
+    # are numerically normal and no pencil is solved
+    rng = generator(53 + d)
+    if kind == "normal":
+        t = _hidden_normal(d, rng)
+    else:
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        t = x + x.conj().T
+    sizes = _batch_sizes(monkeypatch)
+    for k in (1, 2):
+        sizes.clear()
+        reports = property_suite(t, k, 2048, generator(59 + k))
+        assert all(r.passed for r in reports), reports
+        assert len(sizes) == batches, (k, sizes)
+
+
+@pytest.mark.parametrize("m", [720, 721])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_tridiagonal_toeplitz_rows_match_the_closed_form(n, m, monkeypatch):
+    # T = a S_n + b S_n* + d I has pencils c S_n + conj(c) S_n* + 2 Re(e^{i theta} d) I,
+    # c = a e^{i theta} + conj(b) e^{-i theta}, so lambda_k / 2 is
+    # Re(e^{i theta} d) + cos(k pi/(n+1)) |c| at every k.  Not rotation
+    # invariant, so it sees an angle-sign error that a centred disc cannot.
+    # |a| = |b| makes T normal (solved from its spectrum), |a| != |b| not.
+    rng = generator(61 + n)
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    cosines = np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    s = shift_matrix(n)
+    for normal in (True, False):
+        a, b, d = rng.normal(size=3) + 1j * rng.normal(size=3)
+        if normal:
+            b *= abs(a) / abs(b)
+        t = a * s + b * s.T + d * np.eye(n)
+        sweep, sizes = _solved_pencils(t, m, monkeypatch)
+        assert (sizes == []) == normal
+        c = np.abs(a * np.exp(1j * thetas) + np.conj(b) * np.exp(-1j * thetas))
+        want = (np.exp(1j * thetas) * d).real[:, None] + c[:, None] * cosines
+        got = sweep.eigenvalues / 2.0
+        assert np.abs(got - want).max() <= _row_tol(n, np.linalg.norm(t, 2)), normal
