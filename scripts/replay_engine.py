@@ -11,7 +11,10 @@ diagonals at n = 5 and 6 and a Hermitian diagonal at n = 5, each complex
 and real (a Hermitian diagonal counts as real T in either draw).  A fourth
 generator appends hidden normals whose first two eigenvalues are 1e-9
 apart or equal, and normal tridiagonal Toeplitz matrices a S_n + b S_n* + d I
-with |a| = |b|, each complex and real, at n in {3, 5, 8, 12}.  Every
+with |a| = |b|, each complex and real, at n in {3, 5, 8, 12}.  A fifth
+appends graded matrices, whose pencils all share the spectrum of T + T*,
+at the same n, complex and real: weighted shifts, direct sums of a shift
+and a weighted shift, and blocks [[0, A], [0, 0]].  Every
 case runs ``pencil_sweep`` once and ``range_from_sweep`` for every
 k = 1..n.  A dump holds each case's sweep rows and each call's tag and
 vertices.
@@ -88,7 +91,33 @@ def battery(limit=None):
                 t = toeplitz(rng, n, real) if kind == "normal-toeplitz" else \
                     hidden_normal(rng, n, real, 1e-9 if kind == "normal-cluster" else 0.0)
                 cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * t))
+    rng = np.random.default_rng(2014)
+    for kind in ("graded-shift", "graded-sum", "graded-block"):
+        for n in DIMS[1:5]:
+            for real in (False, True):
+                m = GRIDS[len(cases) % len(GRIDS)]
+                cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * graded(rng, kind, n, real)))
     return cases[:limit]
+
+
+def graded(rng, kind, n, real):
+    """A weighted shift, S_p (+) a weighted shift (p = n // 2), or
+    [[0, A], [0, 0]] with A of shape p x (n - p)."""
+    from hrnr.shifts import shift_matrix
+
+    def draw(*shape):
+        return rng.normal(size=shape) + (0 if real else 1j * rng.normal(size=shape))
+
+    p = n // 2
+    t = np.zeros((n, n), dtype=float if real else complex)
+    if kind == "graded-shift":
+        t[np.arange(1, n), np.arange(n - 1)] = draw(n - 1)
+    elif kind == "graded-sum":
+        t[:p, :p] = shift_matrix(p).real
+        t[np.arange(p + 1, n), np.arange(p, n - 1)] = draw(n - p - 1)
+    else:
+        t[:p, p:] = draw(p, n - p)
+    return t
 
 
 def hidden_normal(rng, n, real, gap):

@@ -14,6 +14,12 @@ The emptiness check tests every plane: it reuses the sorted planes'
 cosines and sines, finds each plane's supporting vertex by the run
 lengths of the sorted angles between edge normals and compares three
 candidates, about 2 ms at 2^16 planes.
+Everything that depends on the angles alone (their reduction, sort and
+merge, cosines and sines, and the emptiness check's order of directions)
+is an ``AngleFrame``; a caller that cuts one set of angles at several
+offset vectors, as a pencil sweep's ranks do, builds it once with
+``angle_frame`` and passes it to each call, which then only gathers,
+merges and relaxes the offsets.
 Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
 ``polygon`` (counter-clockwise vertex loop).
 
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -221,20 +228,91 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
     return ConvexRegion.polygon(verts)
 
 
-def _normalize_planes(thetas, offsets):
-    """Angles reduced mod 2 pi and sorted; planes of (numerically) equal
-    direction merge into the tightest."""
-    thetas = np.mod(thetas, TWO_PI)
-    # a group of equal angles keeps only its minimum, so order within it is free
+def _sort_angles(thetas):
+    """Angles reduced mod 2 pi and sorted, with (numerically) equal
+    directions merged: the merged angles, and the merge that
+    ``_merge_offsets`` applies to the planes' offsets (the input index of
+    each group's first plane, the input indices of the other planes and
+    their groups, and whether the last group wraps onto the first)."""
+    thetas = _exact_remainder(thetas, TWO_PI, np.mod, 0.0)
     order = np.argsort(thetas, kind="stable")
-    thetas, offsets = thetas[order], offsets[order]
-    starts = np.flatnonzero(np.diff(thetas, prepend=-np.inf) > 1e-12)
-    thetas, offsets = thetas[starts], np.minimum.reduceat(offsets, starts)
+    thetas = thetas[order]
+    first = np.diff(thetas, prepend=-np.inf) > 1e-12
+    thetas = thetas[first]
     # wrap-around duplicate
-    if thetas.size > 1 and (thetas[0] + TWO_PI) - thetas[-1] <= 1e-12:
-        offsets[0] = min(offsets[0], offsets[-1])
-        thetas, offsets = thetas[:-1], offsets[:-1]
-    return thetas, offsets
+    seam = bool(thetas.size > 1 and (thetas[0] + TWO_PI) - thetas[-1] <= 1e-12)
+    merge = (order[first], order[~first], (np.cumsum(first) - 1)[~first], seam)
+    return (thetas[:-1] if seam else thetas), merge
+
+
+def _merge_offsets(merge, offsets):
+    """The offsets of the planes that ``_sort_angles`` merged: each group of
+    equal angles keeps its minimum, so order within a group is free (up to
+    the sign of a zero minimum)."""
+    first, others, group, seam = merge
+    merged = offsets[first]
+    np.minimum.at(merged, group, offsets[others])
+    if seam:
+        merged[0] = min(merged[0], merged[-1])
+        merged = merged[:-1]
+    return merged
+
+
+def _exact_remainder(x, y, remainder, low):
+    """``remainder(x, y)`` bit for bit, evaluated only where x is outside
+    the interval (low, y), on which both np.mod and np.fmod (for low = -y)
+    are exact and return x: a sweep's angles need none of it."""
+    x = np.array(x, dtype=float)
+    out = ~((x > low) & (x < y))
+    x[out] = remainder(x[out], y)
+    return x
+
+
+def _phi_order(thetas):
+    """The directions phi = -theta, reduced to [-pi, pi) as
+    np.mod(pi - theta, 2 pi) - pi, sorted stably, and the order that sorts
+    them, for ``_support_candidates``."""
+    # np.mod(pi - theta, 2 pi) - pi bit for bit, but cheaper: np.mod adds
+    # 2 pi to a negative fmod remainder, and turns -0 into +0, which
+    # subtracting pi makes the same
+    phi = _exact_remainder(np.pi - thetas, TWO_PI, np.fmod, -TWO_PI)
+    phi[phi < 0] += TWO_PI
+    phi -= np.pi
+    rank = np.argsort(phi, kind="stable")
+    return phi[rank], rank
+
+
+@dataclass(frozen=True, eq=False)
+class AngleFrame:
+    """What ``intersect_halfplanes`` computes from the angles alone, so that
+    one set of angles cut at several offset vectors (a sweep's ranks) is
+    sorted, merged and evaluated once.
+
+    ``thetas`` are the input angles with the bounding square's appended,
+    reduced, sorted and merged as ``_sort_angles`` does, with their
+    cosines ``cos`` and sines ``sin``; ``merge`` is what ``_merge_offsets``
+    needs to gather and merge each offset vector alike; ``size`` counts the
+    input angles.
+    """
+
+    size: int
+    thetas: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    merge: tuple
+
+    @cached_property
+    def phi_order(self):
+        """``_phi_order`` of the merged angles, which the emptiness check
+        needs only for a polygon, so at the first rank that gives one."""
+        return _phi_order(self.thetas)
+
+
+def angle_frame(thetas) -> AngleFrame:
+    """The :class:`AngleFrame` of finite angles, for ``intersect_halfplanes``."""
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    all_t, merge = _sort_angles(np.concatenate([thetas, _SQUARE]))
+    return AngleFrame(thetas.size, all_t, np.cos(all_t), np.sin(all_t), merge)
 
 
 def _active_chain(thetas, cos_t, sin_t, cuts):
@@ -320,13 +398,13 @@ def _corners(cos_t, sin_t, cuts, a, b):
     return x, y, det
 
 
-def _unit_planes(thetas, offsets, radius):
-    """The planes in units of ``radius`` with the square at +-1 added,
-    normalised, and their cut lines relaxed by CLIP_EPS: sorted angles,
-    their cosines and sines, and the cuts."""
-    all_t, all_b = _normalize_planes(np.concatenate([thetas, _SQUARE]),
-                                     np.concatenate([offsets / radius, np.ones(4)]))
-    return all_t, np.cos(all_t), np.sin(all_t), all_b + CLIP_EPS
+def _unit_planes(frame, offsets, radius):
+    """The planes of ``frame``'s angles at ``offsets``, in units of
+    ``radius``, with the square at +-1 added, merged, and their cut lines
+    relaxed by CLIP_EPS: sorted angles, their cosines and sines, and the
+    cuts."""
+    cuts = _merge_offsets(frame.merge, np.concatenate([offsets / radius, np.ones(4)]))
+    return frame.thetas, frame.cos, frame.sin, cuts + CLIP_EPS
 
 
 def _facet_planes(thetas, cos_t, sin_t, cuts):
@@ -431,9 +509,10 @@ def _alternate_drops(drop):
     return drop
 
 
-def _unit_region(planes, dq) -> ConvexRegion:
+def _unit_region(planes, dq, frame=None) -> ConvexRegion:
     """The classified region of the chain ``dq`` of the unit-frame
-    ``planes``, or empty when some plane cuts it by more than 1e-9."""
+    ``planes``, or empty when some plane cuts it by more than 1e-9;
+    ``frame``, when given, is the planes' :class:`AngleFrame`."""
     all_t, cos_t, sin_t, cuts = planes
     if dq is None:
         return ConvexRegion.empty()
@@ -446,13 +525,14 @@ def _unit_region(planes, dq) -> ConvexRegion:
     # check the classified region, so corner clusters have collapsed and a
     # point or segment is checked as such
     region = _classify(verts)
-    h = _support_candidates(region, all_t, cos_t, sin_t)[1].max(axis=0)
+    h = _support_candidates(region, all_t, cos_t, sin_t, frame)[1].max(axis=0)
     if (h - cuts > 1e-9).any():
         return ConvexRegion.empty()
     return region
 
 
-def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
+def intersect_halfplanes(thetas, offsets, bound: float,
+                         frame: AngleFrame | None = None) -> ConvexRegion:
     """Intersection of the half-planes Re(e^{i theta_j} z) <= offset_j with
     the square [-R, R]^2, R = ``bound``, classified.  R sets the scale: all
     work runs on offsets / R and the vertices are scaled back, so a bound
@@ -473,8 +553,14 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     is O(m) on sorted planes.
     ``_classify`` replaces a loop that rounding left non-convex by its
     hull.  Results are independent of the input order of the planes.
+
+    The work on the angles alone (reduction, sort, merge, cosines and
+    sines, and the order of the emptiness check) is ``angle_frame(thetas)``;
+    a caller that cuts one set of angles at several offset vectors passes
+    that ``frame`` each time, and the results are those of building it
+    afresh, bit for bit.
     Raises ValueError when offsets / R, or the vertices they give, overflow
-    to a non-finite value.
+    to a non-finite value, or when ``frame`` holds another number of angles.
     """
     thetas = np.asarray(thetas, dtype=float).ravel()
     offsets = np.asarray(offsets, dtype=float).ravel()
@@ -487,11 +573,15 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     radius = float(bound)
     if not (radius > 0 and np.isfinite(radius)):
         raise ValueError("bound must be positive and finite")
+    if frame is None:
+        frame = angle_frame(thetas)
+    elif frame.size != thetas.size:
+        raise ValueError("the angle frame was built from other angles")
     with np.errstate(over="ignore"):
-        planes = _unit_planes(thetas, offsets, radius)
+        planes = _unit_planes(frame, offsets, radius)
     if not np.isfinite(planes[3]).all():
         raise ValueError("offsets / bound must be finite")
-    region = _unit_region(planes, _facet_planes(*planes))
+    region = _unit_region(planes, _facet_planes(*planes), frame)
     if region.is_empty:
         return region
     verts = region.vertices * radius
@@ -500,10 +590,11 @@ def intersect_halfplanes(thetas, offsets, bound: float) -> ConvexRegion:
     return ConvexRegion(region.kind, verts)
 
 
-def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t):
+def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t, frame=None):
     """Candidate supporting vertices of a non-empty region at each angle,
     and Re(e^{i theta} z) at each: two (c, m) arrays for m angles with
-    cosines ``cos_t`` and sines ``sin_t``.
+    cosines ``cos_t`` and sines ``sin_t``, whose ``_phi_order`` comes from
+    their :class:`AngleFrame` ``frame`` when given.
 
     A point or segment offers every vertex.  A polygon vertex supports
     exactly the directions between the outward normals of its two edges.
@@ -523,17 +614,11 @@ def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t):
     else:
         normals = np.angle(-1j * (np.roll(v, -1) - v))  # outward for CCW loops
         order = np.argsort(normals)
-        # Re(e^{i theta} z) measures z along the normal angle -theta
-        # np.mod(pi - theta, 2 pi) - pi bit for bit, but cheaper: np.mod adds
-        # 2 pi to a negative fmod remainder, and turns -0 into +0, which
-        # subtracting pi makes the same
-        phi = np.fmod(np.pi - thetas, TWO_PI)
-        phi[phi < 0] += TWO_PI
-        phi -= np.pi
+        # Re(e^{i theta} z) measures z along the normal angle -theta;
         # below[j] = #{normals < phi[j]}, searchsorted's left side, by run
         # length over the sorted angles: it steps only at the v normals
-        rank = np.argsort(phi, kind="stable")
-        steps = np.concatenate(([0], np.searchsorted(phi[rank], normals[order], side="right"),
+        phi, rank = _phi_order(thetas) if frame is None else frame.phi_order
+        steps = np.concatenate(([0], np.searchsorted(phi, normals[order], side="right"),
                                 [phi.size]))
         below = np.empty(phi.size, dtype=np.intp)
         below[rank] = np.repeat(np.arange(v.size + 1), steps[1:] - steps[:-1])

@@ -21,6 +21,19 @@ orthonormal basis from ``eig``, when a certificate shows that T is normal
 to within the rounding of one pencil solve.  The solved rows are those
 values sorted, and the same symmetries fill the rest.
 
+One pencil is solved when T is graded: when integers g have g_i - g_j = 1
+wherever t_ij != 0, as for the shift S_n, its transpose, weighted shifts,
+their direct sums and [[0, A], [0, 0]].  Then D = diag(e^{i g theta})
+gives D T D* = e^{i theta} T, so H_theta = D H_0 D*, and every row is the
+spectrum r of H_0 = T + T*.  The similarity of T and e^{i theta} T is the
+symmetry behind the rank-k range of S_n, a disc of radius cos(k pi/(n+1))
+about 0.  r is symmetric about 0 (H_pi = -H_0 is similar to H_0), and the
+row (r - r[::-1]) / 2 is so bit for bit, so both rules above hold exactly.
+
+A sweep owns its grid's angle frame (``PencilSweep.frame``): the geometry's
+sort and merge of the angles, their cosines and sines and the emptiness
+check's order are computed at the first rank and reused by every other.
+
 For 2k > n + 1 the rank-k range is empty as soon as one row has
 lambda_k < lambda_{n+1-k} by more than its rounding, so the geometry runs
 only when no row shows that.
@@ -34,10 +47,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import ConvexRegion, intersect_halfplanes
+from .geometry import AngleFrame, ConvexRegion, angle_frame, intersect_halfplanes
 from .linalg import as_matrix, eig_hermitian_stack
 
 # Default angle counts: range, radius and verify-properties; verify-shift
@@ -122,6 +136,12 @@ class PencilSweep:
         """max_j lambda_1(H_{theta_j}) / 2: the numerical radius on this grid."""
         return float(self.eigenvalues[:, 0].max() / 2.0)
 
+    @cached_property
+    def frame(self) -> AngleFrame:
+        """The grid's :class:`~hrnr.geometry.AngleFrame`, built at the first
+        rank that reaches the geometry and shared by every later one."""
+        return angle_frame(self.thetas)
+
 
 def pencil_sweep(t, m: int | None) -> PencilSweep:
     """Diagonalise the ``resolve_angles(m)`` pencils of T in one batched
@@ -142,33 +162,49 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     return), ``eigvalsh(T)`` when T equals T* exactly (rows
     2 cos(theta) mu), or ``_normal_spectrum(T)`` when that certifies T
     normal within a pencil solve's rounding.  Row j is
-    2 Re(e^{i theta_j} mu) sorted.  Any other T has its pencils solved.
-    Raises ValueError when the pencils overflow to a non-finite row.
+    2 Re(e^{i theta_j} mu) sorted.  A graded T (``_is_graded``, tested
+    before the normal certificate: a nonzero graded T is nilpotent, never
+    normal) sends the one pencil T + T* to ``eig_hermitian_stack``, and
+    every row is its spectrum r made antisymmetric, (r - r[::-1]) / 2.  Any
+    other T has its pencils solved.  Raises ValueError when the pencils
+    overflow to a non-finite row.
     """
     t = as_matrix(t)
     m = resolve_angles(m)
     thetas = 2.0 * np.pi * np.arange(m) / m
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
+        vals = _rows(t, thetas)
+    if not np.isfinite(vals).all():
+        raise ValueError("the pencils overflow: matrix entries too large")
+    return PencilSweep(thetas=thetas, eigenvalues=vals)
+
+
+def _rows(t: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """The (m, n) rows of ``pencil_sweep``, by the paths its docstring lists."""
+    m = thetas.size
+    if not (t - np.diag(np.diagonal(t))).any():
+        spectrum = np.diagonal(t)
+    elif np.array_equal(t, t.conj().T):
+        spectrum = np.linalg.eigvalsh(t)
+    elif _is_graded(t):
+        # halves first, so that a spectrum near the overflow threshold stays
+        # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
+        half = eig_hermitian_stack((t + t.conj().T)[None])[0] / 2.0
+        return np.tile(half - half[::-1], (m, 1))
+    else:
+        spectrum = _normal_spectrum(t)
     real = not t.imag.any()
     if m % 2:
         solved = m // 2 + 1 if real else m
     else:
         solved = m // 4 + 1 if real else m // 2
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
-        if not (t - np.diag(np.diagonal(t))).any():
-            spectrum = np.diagonal(t)
-        elif np.array_equal(t, t.conj().T):
-            spectrum = np.linalg.eigvalsh(t)
-        else:
-            spectrum = _normal_spectrum(t)
-        if spectrum is None:
-            stack = np.exp(1j * thetas[:solved])[:, None, None] * t
-            stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
-            vals = eig_hermitian_stack(stack)
-        else:
-            z = np.exp(1j * thetas[:solved])[:, None] * spectrum
-            vals = np.sort((z + z.conj()).real, axis=1)[:, ::-1]
-    if not np.isfinite(vals).all():
-        raise ValueError("the pencils overflow: matrix entries too large")
+    if spectrum is None:
+        stack = np.exp(1j * thetas[:solved])[:, None, None] * t
+        stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
+        vals = eig_hermitian_stack(stack)
+    else:
+        z = np.exp(1j * thetas[:solved])[:, None] * spectrum
+        vals = np.sort((z + z.conj()).real, axis=1)[:, ::-1]
     if real and m % 2:
         vals = np.concatenate([vals, vals[:0:-1]])
     elif real:
@@ -177,7 +213,47 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
         vals = np.concatenate([vals, -vals[m // 2 - solved:0:-1, ::-1]])
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
-    return PencilSweep(thetas=thetas, eigenvalues=vals)
+    return vals
+
+
+def _is_graded(t: np.ndarray) -> bool:
+    """Whether some integers g have g_i - g_j = 1 wherever t_ij != 0,
+    tested exactly on T's nonzero pattern.
+
+    Then D T D* = e^{i theta} T for D = diag(e^{i g theta}), so every pencil
+    H_theta = D H_0 D* has the spectrum of H_0 = T + T*.  A nonzero t_ii,
+    t_ij and t_ji both nonzero, or t_ij t_jl and t_il all nonzero
+    (g_i - g_l would be 2 and 1) rule g out at once, as for a Gaussian or
+    a strictly lower-triangular Gaussian T.  Otherwise g is fixed up to a
+    constant on each connected component of the pattern, so a search from
+    one index of each component sets g along the entries and meets an
+    entry that contradicts it exactly when no g exists.
+    """
+    nz = t != 0
+    if (nz & nz.T).any():
+        return False
+    paths = nz.astype(float)
+    if (nz & (paths @ paths > 0)).any():
+        return False
+    links = [[] for _ in range(t.shape[0])]  # (j, g_j - g_i) for each entry t_ij or t_ji
+    for i, j in zip(*(a.tolist() for a in np.nonzero(nz))):
+        links[i].append((j, -1))
+        links[j].append((i, 1))
+    g = [None] * t.shape[0]
+    for root in range(t.shape[0]):
+        if g[root] is not None:
+            continue
+        g[root] = 0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j, step in links[i]:
+                if g[j] is None:
+                    g[j] = g[i] + step
+                    stack.append(j)
+                elif g[j] != g[i] + step:
+                    return False
+    return True
 
 
 def _normal_spectrum(t: np.ndarray) -> np.ndarray | None:
@@ -268,7 +344,8 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     rounding of exact (``_solve_error`` at N = 2 w / cos(pi/m), w the grid
     radius, which bounds ||T||_2), so a row whose strip is narrower than
     minus twice that proves the range empty.  Otherwise, and for
-    2k <= n + 1, the geometry intersects the planes.
+    2k <= n + 1, the geometry intersects the planes in the sweep's angle
+    frame, which every rank of one sweep shares.
     """
     n = sweep.dim
     if not 1 <= k <= n:
@@ -283,7 +360,8 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     else:
         # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
         # square never cuts it; all-zero offsets fit any bound
-        region = intersect_halfplanes(sweep.thetas, offsets, 2.0 * radius or 1.0)
+        region = intersect_halfplanes(sweep.thetas, offsets, 2.0 * radius or 1.0,
+                                      frame=sweep.frame)
     return RangeReport(
         k=k,
         angles=m,

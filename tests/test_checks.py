@@ -600,6 +600,26 @@ def test_property_suite_ids(t, oracle):
     assert all(r.passed for r in reports), reports
 
 
+@pytest.mark.parametrize("d, k", [(2, 2), (3, 1), (4, 2), (5, 3), (6, 4)])
+def test_property_suite_builds_each_rank_once(d, k, monkeypatch):
+    # P6 reuses the base report at its rank, so range_from_sweep runs once
+    # per (sweep, rank): at k and at the nesting ranks 1..min(d, 3), and P6
+    # reports what a P6 building every rank afresh reports
+    t = random_square(d, 101)
+    calls = []
+
+    def counted(sweep, rank):
+        calls.append((id(sweep), rank))
+        return range_from_sweep(sweep, rank)
+
+    monkeypatch.setattr(checks, "range_from_sweep", counted)
+    reports = property_suite(t, k, 256, generator(102))
+    monkeypatch.undo()
+    assert len(set(calls)) == len(calls), calls
+    assert sorted(rank for _, rank in calls) == sorted({k, *range(1, min(d, 3) + 1)})
+    assert reports[5] == check_nesting(pencil_sweep(t, 256), min(d, 3))
+
+
 def test_property_suite_draw_order_fixed():
     t = random_square(3, 95)
     assert property_suite(t, 2, 256, generator(1)) == property_suite(t, 2, 256, generator(1))

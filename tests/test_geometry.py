@@ -11,12 +11,15 @@ from hrnr.geometry import (
     ConvexRegion,
     EmptyRegionError,
     _active_chain,
+    _exact_remainder,
     _facet_planes,
-    _normalize_planes,
+    _merge_offsets,
     _prune_collinear,
+    _sort_angles,
     _support_candidates,
     _unit_planes,
     _unit_region,
+    angle_frame,
     excess,
     hausdorff,
     intersect_halfplanes,
@@ -259,9 +262,14 @@ def sweep_halfplanes(t, k, m):
     return sweep.thetas, sweep.eigenvalues[:, k - 1] / 2.0, 2.0 * sweep.numerical_radius() or 1.0
 
 
+def unit_planes(thetas, offsets, bound):
+    """The normalised, relaxed planes ``intersect_halfplanes`` hands the scan."""
+    return _unit_planes(angle_frame(thetas), offsets, bound)
+
+
 def sweep_planes(t, k, m):
     """The normalised, relaxed planes ``range_from_sweep`` hands the scan."""
-    return _unit_planes(*sweep_halfplanes(t, k, m))
+    return unit_planes(*sweep_halfplanes(t, k, m))
 
 
 def scanned_planes(planes, monkeypatch):
@@ -297,7 +305,7 @@ def test_locally_convex_certificate_matches_scan(monkeypatch):
              (sweep_planes(shift_matrix(4) + 1e6 * np.eye(4), 1, 8192), "later"),
              (sweep_planes(gauss, 2, 8192), "scan"),  # swallowtail
              (sweep_planes(np.diag([-1.0, 0.2, 0.5, 1.5]), 1, 2048), None),  # segment
-             (_unit_planes(*empty_pentagon_planes(), 2.0), "scan")]
+             (unit_planes(*empty_pentagon_planes(), 2.0), "scan")]
     cases += [(sweep_planes(faceted, k, 65536), "scan") for k in (1, 2, 3)]
     for planes, ending in cases:
         kept, scanned = scanned_planes(planes, monkeypatch)
@@ -326,7 +334,7 @@ HERM_DIAG = np.diag(np.sort(FILTER_RNG.normal(size=5)).astype(complex))
     pytest.param(random_matrix(6, generator(1)), 2, 8192, "polygon", False, id="swallowtail")])
 def test_plane_filter_keeps_the_full_scan_region(t, k, m, kind, faceted, monkeypatch):
     thetas, offsets, bound = sweep_halfplanes(t, k, m)
-    planes = _unit_planes(thetas, offsets, bound)
+    planes = unit_planes(thetas, offsets, bound)
     kept, scanned = scanned_planes(planes, monkeypatch)
     if faceted:
         # the bundles of grid planes through each vertex are pruned first
@@ -344,7 +352,7 @@ def test_plane_filter_keeps_the_full_scan_region(t, k, m, kind, faceted, monkeyp
 
 
 def lexsort_normalize(thetas, offsets):
-    """``_normalize_planes`` as it was, sorting on (angle, offset)."""
+    """The plane merge as it was, sorting on (angle, offset)."""
     thetas = np.mod(thetas, TWO_PI)
     order = np.lexsort((offsets, thetas))
     thetas, offsets = thetas[order], offsets[order]
@@ -377,9 +385,53 @@ def test_normalize_planes_matches_the_lexsort_order(planes):
     # an equal-angle group keeps only its minimum, so sorting on the angle
     # alone gives the same planes; a zero minimum may differ in sign only
     want_t, want_b = lexsort_normalize(*planes)
-    got_t, got_b = _normalize_planes(*planes)
+    got_t, merge = _sort_angles(planes[0])
+    got_b = _merge_offsets(merge, planes[1])
     assert got_t.tobytes() == want_t.tobytes()
     assert np.array_equal(got_b, want_b)
+
+
+@given(plane_sets(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_shared_frame_gives_the_fresh_frame_region(planes, data):
+    # one frame cut at several offset vectors gives, bit for bit, what each
+    # call building its own frame gives, and its planes are the angles with
+    # the square appended, merged as they were; the frame stays as built
+    thetas = planes[0]
+    frame = angle_frame(thetas)
+    built = [a.copy() for a in (frame.thetas, frame.cos, frame.sin, *frame.phi_order)]
+    for _ in range(3):
+        offsets = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=thetas.size,
+                                              max_size=thetas.size)))
+        fresh = intersect_halfplanes(thetas, offsets, 2.0)
+        shared = intersect_halfplanes(thetas, offsets, 2.0, frame=frame)
+        assert shared.kind == fresh.kind
+        assert shared.vertices.tobytes() == fresh.vertices.tobytes()
+        want_t, want_b = lexsort_normalize(np.concatenate([thetas, np.arange(4) * (np.pi / 2)]),
+                                           np.concatenate([offsets / 2.0, np.ones(4)]))
+        all_t, cos_t, sin_t, cuts = _unit_planes(frame, offsets, 2.0)
+        assert all_t.tobytes() == want_t.tobytes()
+        assert np.array_equal(cuts, want_b + CLIP_EPS)
+        assert cos_t.tobytes() == np.cos(want_t).tobytes()
+    after = (frame.thetas, frame.cos, frame.sin, *frame.phi_order)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(built, after))
+
+
+def test_exact_remainder_is_numpy_bit_for_bit():
+    # the frame skips the remainder inside the interval where it is the
+    # identity; the edges, signed zeros and far angles take numpy's
+    edges = [0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0), np.nextafter(-TWO_PI, 0),
+             1e-300, -1e-300, 4 * TWO_PI, np.pi, -np.pi, 1e17, -1e17]
+    x = np.concatenate([edges, np.random.default_rng(3).uniform(-30, 30, 1000)])
+    assert _exact_remainder(x, TWO_PI, np.mod, 0.0).tobytes() == np.mod(x, TWO_PI).tobytes()
+    assert (_exact_remainder(x, TWO_PI, np.fmod, -TWO_PI).tobytes()
+            == np.fmod(x, TWO_PI).tobytes())
+
+
+def test_frame_of_other_angles_is_rejected():
+    thetas = np.arange(8) * (np.pi / 4)
+    with pytest.raises(ValueError, match="other angles"):
+        intersect_halfplanes(thetas, np.ones(8), 2.0, frame=angle_frame(thetas[:7]))
 
 
 @pytest.mark.parametrize("t, k", [
@@ -435,7 +487,7 @@ def test_emptiness_support_is_the_support_function(t, k, m, kind):
     # the emptiness check reuses the unit frame's cosines and sines, and
     # finds the supporting vertices by run length, bit for bit as bisection;
     # "smooth" is a polygon with a vertex on each of its 8192 planes
-    planes = _unit_planes(*sweep_halfplanes(t, k, m))
+    planes = unit_planes(*sweep_halfplanes(t, k, m))
     region = _unit_region(planes, _facet_planes(*planes))
     assert region.kind == kind
     all_t, cos_t, sin_t, _ = planes
@@ -495,7 +547,7 @@ def test_facet_planes_replay_the_full_scan():
                 sweep = pencil_sweep(t, m)
                 bound = 2.0 * sweep.numerical_radius() or 1.0
                 for k in range(1, n + 1):
-                    planes = _unit_planes(sweep.thetas, sweep.eigenvalues[:, k - 1] / 2.0, bound)
+                    planes = unit_planes(sweep.thetas, sweep.eigenvalues[:, k - 1] / 2.0, bound)
                     ours = _unit_region(planes, _facet_planes(*planes))
                     full = _unit_region(planes, full_scan(planes))
                     assert ours.kind == full.kind, (kind, n, m, k)

@@ -335,10 +335,19 @@ def test_sweep_matches_full_grid_lapack(t, m):
 
 # --- real sweep: H_{-theta} = conj(H_theta) ---------------------------------
 
+def _corner_shift(n):
+    """S_n with 0.5 at (0, n - 1): real, not graded (the corner closes the
+    shift's chain into a cycle) and not normal (a weighted cycle whose
+    weights differ in modulus)."""
+    t = shift_matrix(n)
+    t[0, n - 1] = 0.5
+    return t
+
+
 def _real_inputs():
     rng = generator(77)
     return {"shift": shift_matrix(5), "gauss": rng.normal(size=(6, 6)),
-            "diag": np.diag(rng.normal(size=5))}
+            "diag": np.diag(rng.normal(size=5)), "corner": _corner_shift(5)}
 
 
 def _batch_sizes(monkeypatch):
@@ -370,15 +379,17 @@ def _full_grid_rows(t, m):
 
 
 @pytest.mark.parametrize("m", [16, 18, 17, 720, 2048])
-@pytest.mark.parametrize("name", ["shift", "gauss", "diag"])
+@pytest.mark.parametrize("name", ["shift", "gauss", "diag", "corner"])
 def test_real_sweep_matches_full_grid_solve(name, m, monkeypatch):
     # real T solves rows 0..m/4 (even m) or 0..(m-1)/2 (odd m) and fills
     # the rest by symmetry; every row stays within the row tolerance of an
     # all-m solve, and row m - j is row j
     t = _real_inputs()[name]
     sweep, sizes = _solved_pencils(t, m, monkeypatch)
-    # a diagonal T takes its rows from its diagonal and solves no pencil
-    assert sizes == ([] if name == "diag" else [m // 4 + 1 if m % 2 == 0 else m // 2 + 1])
+    # a diagonal T takes its rows from its diagonal and solves no pencil,
+    # and the graded shift solves T + T* alone
+    want = [m // 4 + 1 if m % 2 == 0 else m // 2 + 1]
+    assert sizes == {"diag": [], "shift": [1]}.get(name, want)
     vals = sweep.eigenvalues
     assert vals.shape == (m, t.shape[0])
     assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(t.shape[0], np.linalg.norm(t, 2))
@@ -393,6 +404,13 @@ def test_real_sweep_matches_full_grid_solve(name, m, monkeypatch):
 def test_barely_complex_input_takes_the_complex_path(monkeypatch):
     t = shift_matrix(4).astype(complex)
     t[0, 3] = 1e-300j
+    _, sizes = _solved_pencils(t, 720, monkeypatch)
+    assert sizes == [360]
+    # t.real is S_4, graded: one solve of T + T*
+    _, sizes = _solved_pencils(t.real, 720, monkeypatch)
+    assert sizes == [1]
+    # a real corner keeps the real fold in play, whatever the imaginary part
+    t[0, 3] += 0.5
     _, sizes = _solved_pencils(t, 720, monkeypatch)
     assert sizes == [360]
     _, sizes = _solved_pencils(t.real, 720, monkeypatch)
@@ -560,18 +578,25 @@ def _non_normal_inputs():
             p = rng.normal(size=(5, 5)) + (0 if real else 1j * rng.normal(size=(5, 5)))
             out[f"normal+{rel:g}-{tag}"] = t + rel * np.linalg.norm(t, 2) * p / np.linalg.norm(p, 2)
     out["shift"] = shift_matrix(5)
+    out["corner"] = _corner_shift(5)
     return out
 
 
 @pytest.mark.parametrize("m", [720, 721, 2048])
 @pytest.mark.parametrize("name", sorted(_non_normal_inputs()))
 def test_non_normal_inputs_keep_their_batch(name, m, monkeypatch):
-    # shift, nilpotent, Gaussian and perturbed normal T send today's batch,
-    # and their solved rows are LAPACK's bits
+    # a shift with a corner entry, nilpotent, Gaussian and perturbed normal T
+    # send today's batch, and their solved rows are LAPACK's bits; the shift
+    # itself is graded, and every row is its one solve of T + T*, symmetrised
     t = _non_normal_inputs()[name]
     sweep, sizes = _solved_pencils(t, m, monkeypatch)
-    assert sizes == [_solved_count(as_matrix(t), m)]
-    rows = _batch_rows(t, m)
+    if name == "shift":
+        assert sizes == [1]
+        half = eig_hermitian_stack((t + t.T)[None]) / 2.0
+        rows = np.tile(half - half[:, ::-1], (m, 1))
+    else:
+        assert sizes == [_solved_count(as_matrix(t), m)]
+        rows = _batch_rows(t, m)
     assert sweep.eigenvalues[:len(rows)].tobytes() == rows.tobytes()
 
 
@@ -641,3 +666,103 @@ def test_tridiagonal_toeplitz_rows_match_the_closed_form(n, m, monkeypatch):
         want = (np.exp(1j * thetas) * d).real[:, None] + c[:, None] * cosines
         got = sweep.eigenvalues / 2.0
         assert np.abs(got - want).max() <= _row_tol(n, np.linalg.norm(t, 2)), normal
+
+
+# --- graded sweep: every pencil is similar to T + T* ---------------------------
+
+def _weighted_shift(weights):
+    n = len(weights) + 1
+    t = np.zeros((n, n), dtype=np.result_type(weights, float))
+    t[np.arange(1, n), np.arange(n - 1)] = weights
+    return t
+
+
+def _graded_inputs():
+    rng = generator(71)
+    block = np.zeros((5, 5), dtype=complex)
+    block[:2, 2:] = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    s34 = np.zeros((7, 7))
+    s34[:3, :3], s34[3:, 3:] = shift_matrix(3).real, shift_matrix(4).real
+    return {"shift": shift_matrix(6), "shift-transpose": shift_matrix(6).T,
+            "weighted-complex": _weighted_shift(rng.normal(size=4) + 1j * rng.normal(size=4)),
+            "weighted-real": _weighted_shift(rng.normal(size=5)),
+            "sum-3-4": s34, "block": block, "block-real": block.real}
+
+
+def _ungraded_inputs():
+    rng = generator(73)
+    diag = shift_matrix(4)
+    diag[2, 2] = 1e-300
+    return {"corner": _corner_shift(5), "nilpotent-3": np.tril(rng.normal(size=(3, 3)), -1),
+            "nilpotent-6": np.tril(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)), -1),
+            "diagonal-entry": diag}
+
+
+def test_grading_is_found_exactly():
+    for name, t in _graded_inputs().items():
+        assert ranges._is_graded(as_matrix(t)), name
+    for name, t in _ungraded_inputs().items():
+        assert not ranges._is_graded(as_matrix(t)), name
+
+
+@pytest.mark.parametrize("m", [720, 721, 2048])
+@pytest.mark.parametrize("name", sorted(_graded_inputs()))
+def test_graded_rows_match_full_grid_lapack(name, m, monkeypatch):
+    # one solve of T + T*, at every scale; every row is within the row
+    # tolerance of a full-grid solve and both fold symmetries hold bit for bit
+    j = np.arange(m)
+    for s in (1e-8, 1.0, 1e8):
+        t = s * _graded_inputs()[name]
+        sweep, sizes = _solved_pencils(t, m, monkeypatch)
+        assert sizes == [1], s
+        vals = sweep.eigenvalues
+        assert vals.shape == (m, t.shape[0])
+        assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(t.shape[0],
+                                                                      np.linalg.norm(t, 2))
+        assert (np.diff(vals, axis=1) <= 0).all()
+        assert np.array_equal(vals[(j + m // 2) % m], -vals[:, ::-1])
+        assert np.array_equal(vals[-j % m], vals)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+def test_shift_ranges_from_the_graded_rows(n):
+    # every row is 2 cos(k pi/(n+1)), exactly 0 at k = (n+1)/2, where the
+    # range is the point 0 up to the cut lines' relaxation; above that k it
+    # is empty
+    sweep = pencil_sweep(shift_matrix(n), 720)
+    want = 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    assert np.abs(sweep.eigenvalues - want).max() <= 2.0 * _row_tol(n, 1.0)
+    bound = 2.0 * sweep.numerical_radius()
+    for k in range(1, n + 1):
+        region = range_from_sweep(sweep, k).region
+        if 2 * k == n + 1:
+            assert not sweep.eigenvalues[:, k - 1].any()
+            assert region.kind == "point" and abs(region.vertices[0]) <= 1e-12 * bound, k
+        else:
+            assert region.kind == ("polygon" if 2 * k < n + 1 else "empty"), k
+
+
+def test_one_angle_frame_per_sweep(monkeypatch):
+    # every rank of one sweep, P6 and the shift suite share the sweep's frame
+    from hrnr import checks, geometry
+
+    built, frame = [], geometry.angle_frame
+
+    def spy(thetas):
+        built.append(len(thetas))
+        return frame(thetas)
+
+    monkeypatch.setattr(ranges, "angle_frame", spy)
+    monkeypatch.setattr(geometry, "angle_frame", spy)
+    rng = generator(79)
+    for t in (shift_matrix(4), rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)),
+              np.diag(rng.normal(size=6) + 1j * rng.normal(size=6))):
+        sweep = pencil_sweep(t, 2048)
+        built.clear()
+        for k in (1, 2, 3):
+            range_from_sweep(sweep, k)
+        assert built == [2048]
+    built.clear()
+    checks.check_nesting(pencil_sweep(shift_matrix(5), 720), 3)
+    checks.check_shift(5, 720)
+    assert built == [720, 720]
