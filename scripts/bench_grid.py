@@ -1,0 +1,187 @@
+"""Time the engine's stages over a fixed grid of matrices; write BENCH_<label>.json.
+
+The grid: shift, Gaussian, Hermitian and hidden normal matrices at n in
+{4, 8, 16} and m in {720, 2048} angles, plus the faceted and degenerate
+m = 65536 cells of the fine_grid benchmark (normal diagonals at n = 5 and
+6, a Hermitian diagonal at n = 5).  Every matrix has spectral norm 1 and
+is drawn from a fixed seed.  Each cell runs in a child process of its own,
+so that its peak RSS is its own, with one BLAS thread unless the
+environment sets another count.  The grid runs ``ROUNDS`` times, each
+cell in a fresh child every round, and every time kept is the best over
+all rounds: on a shared host the speed of small Python calls drifts by
+up to 2x over seconds to minutes, which best-of-repeat within one child
+cannot see.  A cell times, best of ``REPEAT`` in each round:
+
+  sweep_ms    ``pencil_sweep(T, m)``
+  frame_ms    ``PencilSweep.frame`` on that fresh sweep
+  range_ms    ``range_from_sweep(sweep, k)`` for k = 1..min(n, 3), frame built
+  cli_ms      ``hrnr range --k 1 --angles m`` through ``cli.main``, file
+              load and region file included
+
+and records each rank's tag, the planes the frame holds and the peak RSS.
+The file also holds the numpy and Python versions, the CPU count and,
+with ``--tier1``, the wall time of the Tier-1 suite of the tree that
+``--src`` belongs to.
+
+Usage:
+    python scripts/bench_grid.py LABEL [--src SRC_DIR] [--tier1] [--out-dir DIR]
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+KINDS = ("shift", "gauss", "herm", "normal")
+DIAGONAL_CELLS = (("normal-diag", 5, 65536), ("normal-diag", 6, 65536),
+                  ("herm-diag", 5, 65536))
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SEED = 1
+REPEAT = ROUNDS = 5
+
+
+def cells():
+    """(kind, n, m) of every cell, in order."""
+    grid = [(kind, n, m) for kind in KINDS for n in (4, 8, 16) for m in (720, 2048)]
+    return grid + list(DIAGONAL_CELLS)
+
+
+def matrix(kind, n):
+    """The cell's matrix at spectral norm 1, from its own seeded stream."""
+    rng = np.random.default_rng([SEED, KINDS.index(kind.split("-")[0]), n])
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "shift":
+        t = np.eye(n, k=-1, dtype=complex)
+    elif kind == "herm":
+        t = g + g.conj().T
+    elif kind == "normal":
+        q = np.linalg.qr(g)[0]
+        t = q @ np.diag(rng.normal(size=n) + 1j * rng.normal(size=n)) @ q.conj().T
+    elif kind == "normal-diag":
+        t = np.diag(g[0])
+    elif kind == "herm-diag":
+        t = np.diag(g[0].real)
+    else:
+        t = g
+    return t / np.linalg.norm(t, 2)
+
+
+def run_cell(kind, n, m, repeat=REPEAT):
+    """Time one cell in this process and return its record."""
+    from hrnr import cli, fileio
+    from hrnr.ranges import pencil_sweep, range_from_sweep
+
+    t = matrix(kind, n)
+    ks = range(1, min(n, 3) + 1)
+    best = {"sweep": np.inf, "frame": np.inf, "cli": np.inf, **{k: np.inf for k in ks}}
+    with tempfile.TemporaryDirectory() as work:
+        path, out = os.path.join(work, "t.json"), os.path.join(work, "range.json")
+        fileio.save_matrix(path, t)
+        argv = ["range", "--input", path, "--k", "1", "--angles", str(m), "--out", out]
+        for _ in range(repeat):
+            start = time.perf_counter()
+            sweep = pencil_sweep(t, m)
+            mid = time.perf_counter()
+            planes = sweep.frame.size
+            best["sweep"] = min(best["sweep"], mid - start)
+            best["frame"] = min(best["frame"], time.perf_counter() - mid)
+            tags = {}
+            for k in ks:
+                start = time.perf_counter()
+                tags[k] = range_from_sweep(sweep, k).region.kind
+                best[k] = min(best[k], time.perf_counter() - start)
+            start = time.perf_counter()
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"hrnr {' '.join(argv)} failed")
+            best["cli"] = min(best["cli"], time.perf_counter() - start)
+    ms = {key: round(1e3 * value, 3) for key, value in best.items()}
+    return {"kind": kind, "n": n, "m": m, "sweep_ms": ms["sweep"], "frame_ms": ms["frame"],
+            "range_ms": {str(k): ms[k] for k in ks}, "cli_ms": ms["cli"],
+            "tags": {str(k): tag for k, tag in tags.items()}, "planes": int(planes),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def child(kind, n, m, src):
+    """Run one cell in a child process that imports hrnr from ``src``."""
+    env = dict(os.environ)
+    for var in THREAD_VARS:
+        env.setdefault(var, "1")
+    cmd = [sys.executable, __file__, "--cell", f"{kind}:{n}:{m}", "--src", src]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def best_of(a, b):
+    """Two records of one cell merged: the smaller of each time, the larger
+    peak RSS."""
+    out = dict(a)
+    for key in ("sweep_ms", "frame_ms", "cli_ms"):
+        out[key] = min(a[key], b[key])
+    out["range_ms"] = {k: min(v, b["range_ms"][k]) for k, v in a["range_ms"].items()}
+    out["peak_rss_mb"] = max(a["peak_rss_mb"], b["peak_rss_mb"])
+    return out
+
+
+def header(label):
+    """The fields of BENCH_<label>.json other than the cells."""
+    return {"label": label, "seed": SEED, "repeat": REPEAT, "rounds": ROUNDS,
+            "numpy": np.__version__, "python": platform.python_version(),
+            "cpus": os.cpu_count()}
+
+
+def tier1(src):
+    """Wall seconds and summary line of the Tier-1 suite beside ``src``."""
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"], cwd=pathlib.Path(src).parent,
+                          capture_output=True, text=True, env=env)
+    lines = proc.stdout.strip().splitlines()
+    return round(time.perf_counter() - start, 1), lines[-1] if lines else ""
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("label", nargs="?", help="write BENCH_<label>.json")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="source tree to import hrnr from (default: this repository's)")
+    parser.add_argument("--tier1", action="store_true", help="also time the Tier-1 suite")
+    parser.add_argument("--out-dir", default=str(ROOT))
+    parser.add_argument("--cell", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    args.src = str(pathlib.Path(args.src).resolve())
+    if args.cell:
+        sys.path.insert(0, args.src)
+        kind, n, m = args.cell.split(":")
+        print(json.dumps(run_cell(kind, int(n), int(m))))
+        return 0
+    if args.label is None:
+        parser.error("give a LABEL")
+    grid = cells()
+    records = [child(kind, n, m, args.src) for kind, n, m in grid]
+    for _ in range(ROUNDS - 1):
+        records = [best_of(rec, child(kind, n, m, args.src))
+                   for rec, (kind, n, m) in zip(records, grid)]
+    for rec in records:
+        print(f"{rec['kind']} n={rec['n']} m={rec['m']}: sweep {rec['sweep_ms']} ms, "
+              f"frame {rec['frame_ms']} ms, range {rec['range_ms']} ms, cli {rec['cli_ms']} ms")
+    result = header(args.label) | {"cells": records}
+    if args.tier1:
+        result["tier1_s"], result["tier1_summary"] = tier1(args.src)
+    path = pathlib.Path(args.out_dir) / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"-> {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

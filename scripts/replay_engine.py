@@ -14,7 +14,10 @@ apart or equal, and normal tridiagonal Toeplitz matrices a S_n + b S_n* + d I
 with |a| = |b|, each complex and real, at n in {3, 5, 8, 12}.  A fifth
 appends graded matrices, whose pencils all share the spectrum of T + T*,
 at the same n, complex and real: weighted shifts, direct sums of a shift
-and a weighted shift, and blocks [[0, A], [0, 0]].  Every
+and a weighted shift, and blocks [[0, A], [0, 0]].  A sixth appends hidden
+normals whose spectra leave long runs of grid planes between tie angles,
+each complex and real: 2 x 2 normals (runs near pi), normals with collinear
+eigenvalues, and normals with eigenvalues on a circle.  Every
 case runs ``pencil_sweep`` once and ``range_from_sweep`` for every
 k = 1..n.  A dump holds each case's sweep rows and each call's tag and
 vertices.
@@ -97,7 +100,41 @@ def battery(limit=None):
             for real in (False, True):
                 m = GRIDS[len(cases) % len(GRIDS)]
                 cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * graded(rng, kind, n, real)))
+    rng = np.random.default_rng(2015)
+    for kind in ("normal-2x2", "normal-collinear", "normal-circle"):
+        for n in (2, 2) if kind == "normal-2x2" else DIMS[1:4]:
+            for real in (False, True):
+                m = GRIDS[len(cases) % len(GRIDS)]
+                t = placed_normal(rng, kind, n, real)
+                cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * t))
     return cases[:limit]
+
+
+def placed_normal(rng, kind, n, real):
+    """Q D Q* for a random orthogonal or unitary Q, with D's eigenvalues on
+    a random line for ``normal-collinear``, on a random circle for
+    ``normal-circle``, and free for ``normal-2x2``.  Real T keeps its
+    spectrum closed under conjugation: on a vertical line or a circle
+    centred on the real axis, in 2 x 2 rotation blocks c + r e^{+-i phi}."""
+    c = rng.normal() + (0 if real else 1j * rng.normal())
+    if kind == "normal-collinear":
+        step = 1j if real else np.exp(1j * rng.uniform(0, 2 * np.pi))
+        mu = c + step * rng.normal(size=n)
+    elif kind == "normal-circle":
+        phase = rng.uniform(0, 2 * np.pi, size=n)
+        phase[-1] *= not real  # an unpaired real eigenvalue sits at c + r
+        mu = c + abs(rng.normal()) * np.exp(1j * phase)
+    else:
+        mu = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if real:
+        d = np.diag(mu.real)
+        for j in range(0, n - 1, 2):
+            d[j:j + 2, j:j + 2] = [[mu[j].real, mu[j].imag], [-mu[j].imag, mu[j].real]]
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    else:
+        d = np.diag(mu)
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return q @ d @ q.conj().T
 
 
 def graded(rng, kind, n, real):

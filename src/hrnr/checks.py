@@ -102,7 +102,10 @@ the grid, measured at most 5.5 (n = 1) and 4.3 (n = 2).
 
 Region tolerance, for P6, the Hermitian oracle and SHIFT's radii:
 ``REGION_SLACK`` times the bound the geometry ran at.  A region lies
-inside its planes relaxed by ``CLIP_EPS``, and tagging it a point or a
+inside its planes relaxed by ``CLIP_EPS`` (a spectrum sweep's region,
+built on its tie planes only, leaves a dropped plane by at most
+sec(pi/16) times that, plus twice the rows' rounding: see "Tie planes"
+in the ``ranges`` docstring), and tagging it a point or a
 segment moves it inward by less than ``POINT_DIAM`` or 4
 ``SEGMENT_THICKNESS`` (its area is below that thickness times its
 diameter; the segment's ends lie at least half the diameter apart).

@@ -20,6 +20,14 @@ is an ``AngleFrame``; a caller that cuts one set of angles at several
 offset vectors, as a pencil sweep's ranks do, builds it once with
 ``angle_frame`` and passes it to each call, which then only gathers,
 merges and relaxes the offsets.
+The planes are the caller's: ``ranges.range_from_sweep`` passes every
+grid plane of a batch or graded sweep, but of a sweep from a spectrum
+(diagonal, Hermitian or certified normal T) only the planes beside its
+tie angles and every (m // 16)-th one, whose intersection the dropped
+planes cannot cut by more than the rows' rounding (the ``ranges``
+docstring's "Tie planes"); the oracles in ``checks`` pass their own
+angles.  The pruning, the emptiness check and every bound below concern
+the planes passed.
 Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
 ``polygon`` (counter-clockwise vertex loop).
 

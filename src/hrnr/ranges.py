@@ -34,6 +34,27 @@ A sweep owns its grid's angle frame (``PencilSweep.frame``): the geometry's
 sort and merge of the angles, their cosines and sines and the emptiness
 check's order are computed at the first rank and reused by every other.
 
+Tie planes.  When the rows come from a spectrum mu, rank k's offset at
+theta is the k-th largest of Re(e^{i theta} mu_j), and the order of those
+values changes only at the tie angles pi/2 - arg(mu_i - mu_j) (mod pi),
+where two eigenvalues project equally.  Between two ties the k-th value
+comes from one mu_j, so every rank-k plane of that run of grid angles
+passes through mu_j, the run's apex (Li and Sze, Proc. AMS 136, 2008:
+for normal T, Lambda_k is the intersection of these half-planes).  Such a
+sweep's frame is built on its ``planes`` only: the grid indices beside
+each tie angle and every (m // 16)-th index (4 n (n - 1) + 16 at most at
+m = 65536, against 65,536), worked out at the first rank that reaches the
+geometry (P1's row-only sweeps never do).  A dropped plane lies between
+two kept planes of its run, at most pi/8 apart, all three through the
+apex, so the intersection of the kept planes exceeds it by at most
+(1 + sec(pi/16)) times the rows' rounding, plus O(eps N) for the angles:
+far below ``CLIP_EPS`` * bound, and a computed region leaves a dropped
+plane by at most sec(pi/16) times what it leaves the kept planes by, plus
+that.  A region tagged point is the mean of its loop's vertices, which
+the dropped planes would have moved, so a point is recomputed over all m
+planes.  Rows, ``support_samples`` and the strip test below see all m rows;
+Gaussian, graded and uncertified sweeps keep every plane.
+
 For 2k > n + 1 the rank-k range is empty as soon as one row has
 lambda_k < lambda_{n+1-k} by more than its rounding, so the geometry runs
 only when no row shows that.
@@ -119,10 +140,16 @@ class PencilSweep:
     eigenvalues
         (m, n) array; row j holds the descending spectrum of H_{theta_j};
         twice ``numerical_radius()`` bounds and scales every rank-k region.
+    spectrum
+        T's eigenvalues mu when the rows are 2 Re(e^{i theta} mu) sorted
+        (exactly diagonal, exactly Hermitian or certified normal T), else
+        None.  Its tie angles give ``planes``, the grid indices whose
+        planes the geometry sees (module docstring, "Tie planes").
     """
 
     thetas: np.ndarray
     eigenvalues: np.ndarray
+    spectrum: np.ndarray | None = None
 
     @property
     def angle_count(self) -> int:
@@ -137,10 +164,19 @@ class PencilSweep:
         return float(self.eigenvalues[:, 0].max() / 2.0)
 
     @cached_property
+    def planes(self) -> np.ndarray | None:
+        """The grid indices whose planes can bound a rank, ascending, for a
+        sweep with a ``spectrum``; None, every plane, for any other."""
+        if self.spectrum is None:
+            return None
+        return _tie_planes(self.spectrum, self.angle_count)
+
+    @cached_property
     def frame(self) -> AngleFrame:
-        """The grid's :class:`~hrnr.geometry.AngleFrame`, built at the first
-        rank that reaches the geometry and shared by every later one."""
-        return angle_frame(self.thetas)
+        """The :class:`~hrnr.geometry.AngleFrame` of the angles at ``planes``,
+        built at the first rank that reaches the geometry and shared by every
+        later one."""
+        return angle_frame(self.thetas if self.planes is None else self.thetas[self.planes])
 
 
 def pencil_sweep(t, m: int | None) -> PencilSweep:
@@ -173,14 +209,15 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     m = resolve_angles(m)
     thetas = 2.0 * np.pi * np.arange(m) / m
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
-        vals = _rows(t, thetas)
+        vals, spectrum = _rows(t, thetas)
     if not np.isfinite(vals).all():
         raise ValueError("the pencils overflow: matrix entries too large")
-    return PencilSweep(thetas=thetas, eigenvalues=vals)
+    return PencilSweep(thetas=thetas, eigenvalues=vals, spectrum=spectrum)
 
 
-def _rows(t: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """The (m, n) rows of ``pencil_sweep``, by the paths its docstring lists."""
+def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (m, n) rows of ``pencil_sweep``, by the paths its docstring lists,
+    and the spectrum mu they were formed from, or None."""
     m = thetas.size
     if not (t - np.diag(np.diagonal(t))).any():
         spectrum = np.diagonal(t)
@@ -190,7 +227,7 @@ def _rows(t: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         # halves first, so that a spectrum near the overflow threshold stays
         # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
         half = eig_hermitian_stack((t + t.conj().T)[None])[0] / 2.0
-        return np.tile(half - half[::-1], (m, 1))
+        return np.tile(half - half[::-1], (m, 1)), None
     else:
         spectrum = _normal_spectrum(t)
     real = not t.imag.any()
@@ -213,7 +250,27 @@ def _rows(t: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         vals = np.concatenate([vals, -vals[m // 2 - solved:0:-1, ::-1]])
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
-    return vals
+    return vals, spectrum
+
+
+def _tie_planes(mu: np.ndarray, m: int) -> np.ndarray:
+    """The indices of the m-angle grid beside each tie angle of mu, plus
+    every (m // 16)-th index: the planes that can bound a rank of the
+    spectrum rows 2 Re(e^{i theta} mu) sorted (see the module docstring).
+
+    Re(e^{i theta} mu_i) = Re(e^{i theta} mu_j) at theta = pi/2 -
+    arg(mu_i - mu_j), and the pair (j, i) gives theta + pi (mod 2 pi).
+    Indices floor(u) - 1 .. floor(u) + 2, u = theta m / (2 pi), keep the
+    planes either side of the tie even where the rounding of u crosses a
+    grid index.  Equal eigenvalues project equally at every angle, so their
+    order never changes, and give none.
+    """
+    d = np.subtract.outer(mu, mu).ravel()
+    u = np.floor((np.pi / 2 - np.angle(d[d != 0])) * (m / (2.0 * np.pi))).astype(np.intp)
+    keep = np.zeros(m, dtype=bool)
+    keep[(u[:, None] + np.arange(-1, 3)) % m] = True
+    keep[::m // 16] = True
+    return np.flatnonzero(keep)
 
 
 def _is_graded(t: np.ndarray) -> bool:
@@ -322,7 +379,8 @@ class RangeReport:
     """Result of a rank-k range computation.
 
     support_samples is an (m, 2) array of (theta_j, lambda_k(H_theta_j)/2)
-    pairs, i.e. the supporting half-plane offsets actually used.
+    pairs: all m supporting half-plane offsets, of which a spectrum sweep's
+    geometry uses only the sweep's ``planes``.
     """
 
     k: int
@@ -344,8 +402,11 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     rounding of exact (``_solve_error`` at N = 2 w / cos(pi/m), w the grid
     radius, which bounds ||T||_2), so a row whose strip is narrower than
     minus twice that proves the range empty.  Otherwise, and for
-    2k <= n + 1, the geometry intersects the planes in the sweep's angle
-    frame, which every rank of one sweep shares.
+    2k <= n + 1, the geometry intersects the planes at the sweep's
+    ``planes`` in its angle frame, which every rank of one sweep shares:
+    every plane, or for a sweep with a spectrum the tie planes, with a
+    point recomputed over every plane (module docstring, "Tie planes").
+    The report's ``support_samples`` hold all m offsets.
     """
     n = sweep.dim
     if not 1 <= k <= n:
@@ -360,8 +421,13 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     else:
         # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
         # square never cuts it; all-zero offsets fit any bound
-        region = intersect_halfplanes(sweep.thetas, offsets, 2.0 * radius or 1.0,
-                                      frame=sweep.frame)
+        bound = 2.0 * radius or 1.0
+        idx = slice(None) if sweep.planes is None else sweep.planes
+        region = intersect_halfplanes(sweep.thetas[idx], offsets[idx], bound, frame=sweep.frame)
+        if region.kind == "point" and sweep.planes is not None:
+            # a point is the mean of the loop's vertices, which the dropped
+            # planes would have moved
+            region = intersect_halfplanes(sweep.thetas, offsets, bound)
     return RangeReport(
         k=k,
         angles=m,

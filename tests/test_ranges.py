@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrnr import ranges
@@ -743,7 +743,8 @@ def test_shift_ranges_from_the_graded_rows(n):
 
 
 def test_one_angle_frame_per_sweep(monkeypatch):
-    # every rank of one sweep, P6 and the shift suite share the sweep's frame
+    # every rank of one sweep, P6 and the shift suite share the sweep's frame,
+    # built on the sweep's planes: all of them, or a diagonal's tie planes
     from hrnr import checks, geometry
 
     built, frame = [], geometry.angle_frame
@@ -761,8 +762,105 @@ def test_one_angle_frame_per_sweep(monkeypatch):
         built.clear()
         for k in (1, 2, 3):
             range_from_sweep(sweep, k)
-        assert built == [2048]
+        assert built == [2048 if sweep.planes is None else sweep.planes.size]
+    assert sweep.planes.size < 2048
     built.clear()
     checks.check_nesting(pencil_sweep(shift_matrix(5), 720), 3)
     checks.check_shift(5, 720)
     assert built == [720, 720]
+
+
+# --- tie planes -----------------------------------------------------------------
+
+SPECTRA = ("complex", "real", "collinear", "circle", "cluster", "double")
+
+
+def _spectrum(family, n, rng):
+    """n eigenvalues: free, real, on a line, on a circle, or with pairs
+    1e-9 apart or equal."""
+    mu = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if family == "real":
+        mu = mu.real
+    elif family == "collinear":
+        mu = mu[0] + np.exp(2j * np.pi * rng.uniform()) * mu.real
+    elif family == "circle":
+        mu = mu[0] + abs(mu[-1]) * np.exp(2j * np.pi * rng.uniform(size=n))
+    elif family in ("cluster", "double"):
+        gap = 1e-9 * np.exp(2j * np.pi * rng.uniform()) if family == "cluster" else 0.0
+        mu[1::2] = mu[:-1:2][:mu[1::2].size] + gap
+    return 10.0 ** rng.uniform(-8, 8) * mu
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from(SPECTRA),
+       st.sampled_from([16, 720, 721, 2048]))
+@example(1200820269, 5, "cluster", 2048)  # the region leaves a kept plane by 2.6 CLIP_EPS
+@settings(max_examples=60, deadline=None)
+def test_tie_planes_give_the_all_plane_region(seed, n, family, m):
+    # a spectrum sweep intersects only the planes beside tie angles and the
+    # fillers; at every k the tag is the all-plane one and the region within
+    # 1e-11 * bound of it, a point being the all-plane point itself.  A
+    # dropped plane lies between two kept planes through its run's apex, at
+    # most pi/8 apart, so the region leaves it by at most sec(pi/16) times
+    # the most it leaves a kept plane by, plus the rows' rounding
+    from hrnr.geometry import support
+
+    sweep = pencil_sweep(np.diag(_spectrum(family, n, generator(seed))), m)
+    every = ranges.PencilSweep(sweep.thetas, sweep.eigenvalues)
+    dropped = np.setdiff1d(np.arange(m), sweep.planes)
+    bound = 2.0 * sweep.numerical_radius() or 1.0
+    for k in range(1, n + 1):
+        got = range_from_sweep(sweep, k)
+        want = range_from_sweep(every, k).region
+        assert got.region.kind == want.kind, k
+        if want.is_empty:
+            continue
+        assert hausdorff(got.region, want) <= 1e-11 * bound, k
+        if want.kind == "point":
+            assert np.array_equal(got.region.vertices, want.vertices), k
+        elif dropped.size:
+            out = support(got.region, sweep.thetas) - got.support_samples[:, 1]
+            kept = max(out[sweep.planes].max(), 0.0)
+            assert out[dropped].max() <= kept / np.cos(np.pi / 16) + 2.0 * _row_tol(n, bound), k
+
+
+def test_tie_planes_reach_the_geometry_only_on_spectrum_sweeps(monkeypatch):
+    # at m = 65536 a diagonal n = 6 sends at most 4 n (n - 1) + 16 planes;
+    # Gaussian and graded sweeps send all m, and P1's row-only sweeps never
+    # work out the index set
+    from hrnr.checks import check_affine
+
+    sent, ties = [], []
+    intersect, tie_planes = ranges.intersect_halfplanes, ranges._tie_planes
+    monkeypatch.setattr(ranges, "intersect_halfplanes",
+                        lambda thetas, *args, **kw: sent.append(len(thetas))
+                        or intersect(thetas, *args, **kw))
+    monkeypatch.setattr(ranges, "_tie_planes",
+                        lambda *args: ties.append(args) or tie_planes(*args))
+    rng = generator(26)
+    m, n = 65536, 6
+    sweep = pencil_sweep(np.diag(rng.normal(size=n) + 1j * rng.normal(size=n)), m)
+    for k in (1, 2):
+        range_from_sweep(sweep, k)
+    assert len(sent) == 2 and max(sent) <= 4 * n * (n - 1) + 16
+    sent.clear()
+    for t in (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), shift_matrix(5)):
+        range_from_sweep(pencil_sweep(t, m), 1)
+    assert sent == [m, m]
+    t = _hidden_normal(5, rng, False, 0.0)
+    base = range_from_sweep(pencil_sweep(t, 720), 1)
+    assert len(ties) == 2
+    check_affine(t, base, 2.0 - 1.0j, 0.5 + 0.25j)
+    assert len(ties) == 2
+
+
+def test_normal_cluster_point_is_the_all_plane_point():
+    # a 1e-9 cluster outside the other eigenvalues' hull makes Lambda_2 a
+    # point, the mean of a tiny loop's vertices; the tie planes alone would
+    # move it by 4.6e-11 * bound, so a point is recomputed over every plane
+    mu = np.array([-0.546, 1.2827 + 0.2938j, 1.2827 - 0.2938j, 0.0987, 0.0987 + 1e-9])
+    sweep = pencil_sweep(np.diag(mu), 720)
+    got = range_from_sweep(sweep, 2).region
+    want = range_from_sweep(ranges.PencilSweep(sweep.thetas, sweep.eigenvalues), 2).region
+    assert got.kind == want.kind == "point"
+    assert np.array_equal(got.vertices, want.vertices)
+    assert abs(got.vertices[0] - 0.0987) <= 1e-9

@@ -1,5 +1,6 @@
 """Smoke tests: the example scripts run against the current API."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,3 +39,27 @@ def test_replay_engine_script(tmp_path):
     assert "complex T byte-identical: 1/1 sweeps, 2/2 calls" in proc.stdout
     assert "real T byte-identical: 3/3 sweeps, 6/6 calls" in proc.stdout
     assert "tag changes: 0" in proc.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
+                                                  os.path.join(SCRIPTS, name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_grid_script():
+    bench_grid = load_script("bench_grid.py")
+    a, b = (bench_grid.run_cell("normal-diag", 5, 65536, repeat=1) for _ in range(2))
+    cell = bench_grid.best_of(a, b)
+    assert (cell["kind"], cell["n"], cell["m"]) == ("normal-diag", 5, 65536)
+    assert set(cell["range_ms"]) == set(cell["tags"]) == {"1", "2", "3"}
+    assert cell["planes"] <= 4 * 5 * 4 + 16  # the diagonal's tie planes
+    assert 0 < cell["sweep_ms"] == min(a["sweep_ms"], b["sweep_ms"])
+    assert min(cell["frame_ms"], cell["cli_ms"]) > 0
+    assert {"numpy", "cpus", "repeat", "rounds"} <= set(bench_grid.header("smoke"))
+    # the child process a grid run starts for each cell
+    shift = bench_grid.child("shift", 4, 720, bench_grid.ROOT / "src")
+    assert shift["planes"] == 720
+    assert shift["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}  # k <= (n + 1)/2
