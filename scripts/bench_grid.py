@@ -1,9 +1,11 @@
 """Time the engine's stages over a fixed grid of matrices; write BENCH_<label>.json.
 
 The grid: shift, Gaussian, Hermitian and hidden normal matrices at n in
-{4, 8, 16} and m in {720, 2048} angles, plus the faceted and degenerate
-m = 65536 cells of the fine_grid benchmark (normal diagonals at n = 5 and
-6, a Hermitian diagonal at n = 5).  Every matrix has spectral norm 1 and
+{4, 8, 16} and m in {720, 2048} angles, plus the cells of the fine_grid
+benchmark: its smooth ones (shifts at n = 4 and 8 and a Gaussian at n = 6,
+all at m = 8192, and a Gaussian at n = 4 and m = 16384) and its faceted
+and degenerate m = 65536 ones (normal diagonals at n = 5 and 6, a
+Hermitian diagonal at n = 5).  Every matrix has spectral norm 1 and
 is drawn from a fixed seed.  Each cell runs in a child process of its own,
 so that its peak RSS is its own, with one BLAS thread unless the
 environment sets another count.  The grid runs ``ROUNDS`` times, each
@@ -42,6 +44,8 @@ import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 KINDS = ("shift", "gauss", "herm", "normal")
+SMOOTH_CELLS = (("shift", 4, 8192), ("shift", 8, 8192), ("gauss", 6, 8192),
+                ("gauss", 4, 16384))
 DIAGONAL_CELLS = (("normal-diag", 5, 65536), ("normal-diag", 6, 65536),
                   ("herm-diag", 5, 65536))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -52,7 +56,7 @@ REPEAT = ROUNDS = 5
 def cells():
     """(kind, n, m) of every cell, in order."""
     grid = [(kind, n, m) for kind in KINDS for n in (4, 8, 16) for m in (720, 2048)]
-    return grid + list(DIAGONAL_CELLS)
+    return grid + list(SMOOTH_CELLS) + list(DIAGONAL_CELLS)
 
 
 def matrix(kind, n):

@@ -17,16 +17,22 @@ at the same n, complex and real: weighted shifts, direct sums of a shift
 and a weighted shift, and blocks [[0, A], [0, 0]].  A sixth appends hidden
 normals whose spectra leave long runs of grid planes between tie angles,
 each complex and real: 2 x 2 normals (runs near pi), normals with collinear
-eigenvalues, and normals with eigenvalues on a circle.  Every
-case runs ``pencil_sweep`` once and ``range_from_sweep`` for every
-k = 1..n.  A dump holds each case's sweep rows and each call's tag and
-vertices.
+eigenvalues, and normals with eigenvalues on a circle.  A seventh appends
+the swallowtails of the fine_grid benchmark's smooth cells: complex
+Gaussians at n = 4 and 6 and a nilpotent at n = 6, at m = 8192 and 16384,
+replayed at k = 2 and 3 only.  Every other case runs ``pencil_sweep``
+once and ``range_from_sweep`` for every k = 1..n.  A dump holds each
+case's sweep rows and each call's tag, vertices and the number of planes
+that reached the geometry's deque scan (``geometry._active_chain``).
 
 ``--compare`` reads two dumps of the same battery, typically one made
 against a parent tree with ``--src`` and one against the current tree,
-and prints the calls that are byte-identical (for complex and real T, and
-per kind), every tag change, the worst Hausdorff distance over the
-geometry's bound and the worst row difference over ``checks._row_tol``.
+and prints the calls that are byte-identical (for complex and real T, per
+kind, and among the calls whose old run did not reach the scan), every
+tag change, the worst Hausdorff distance over the geometry's bound, the
+worst row difference over ``checks._row_tol``, and on each side the calls
+that reached the scan, their planes in all, the most in one call and the
+calls whose scan got more than m/16 planes.
 It exits 1 when a tag changes, a row difference exceeds its tolerance or
 a Hausdorff distance exceeds 1e-11 times the bound.
 
@@ -107,7 +113,19 @@ def battery(limit=None):
                 m = GRIDS[len(cases) % len(GRIDS)]
                 t = placed_normal(rng, kind, n, real)
                 cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * t))
+    rng = np.random.default_rng(2016)
+    for kind, n in (("gauss-swallowtail", 4), ("gauss-swallowtail", 6),
+                    ("nilpotent-swallowtail", 6)):
+        for m in (8192, 16384):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            t = np.tril(g, -1) if kind.startswith("nilpotent") else g
+            cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * t))
     return cases[:limit]
+
+
+def ranks(kind, n):
+    """The ranks a case replays: 2 and 3 for the swallowtails, else 1..n."""
+    return range(2, 4) if kind.endswith("swallowtail") else range(1, n + 1)
 
 
 def placed_normal(rng, kind, n, real):
@@ -190,8 +208,17 @@ def toeplitz(rng, n, real):
 
 
 def dump(path, limit):
+    from hrnr import geometry
     from hrnr.ranges import pencil_sweep, range_from_sweep
 
+    scanned = []
+    active_chain = geometry._active_chain
+
+    def counted(thetas, *args):
+        scanned.append(len(thetas))
+        return active_chain(thetas, *args)
+
+    geometry._active_chain = counted
     sweeps, calls, rows, verts = [], [], {}, []
     for i, (kind, n, m, t) in enumerate(battery(limit)):
         sweep = pencil_sweep(t, m)
@@ -199,12 +226,14 @@ def dump(path, limit):
         sweeps.append((kind, real, n, m, np.linalg.norm(t, 2)))
         rows[f"rows{i}"] = sweep.eigenvalues
         bound = 2.0 * sweep.numerical_radius() or 1.0
-        for k in range(1, n + 1):
+        for k in ranks(kind, n):
+            scanned.clear()
             region = range_from_sweep(sweep, k).region
-            calls.append((i, k, region.kind, bound))
+            calls.append((i, k, region.kind, bound, sum(scanned)))
             verts.append(region.vertices)
+    geometry._active_chain = active_chain
     arrays = dict(zip(("kind", "real", "n", "m", "norm"), map(np.array, zip(*sweeps))))
-    arrays.update(zip(("call_case", "call_k", "call_tag", "call_bound"),
+    arrays.update(zip(("call_case", "call_k", "call_tag", "call_bound", "call_scanned"),
                       map(np.array, zip(*calls))))
     arrays["call_vstart"] = np.cumsum([0] + [v.size for v in verts])
     np.savez(path, vertices=np.concatenate(verts), **arrays, **rows)
@@ -231,6 +260,7 @@ def compare(old_path, new_path):
     def tallies(case):
         return same[bool(new["real"][case])], same[str(new["kind"][case])]
 
+    unscanned = [0, 0]  # identical calls, calls, among those the old run did not scan
     tag_changes, worst_h, worst_row = [], (-np.inf, None), (-np.inf, None)
     for i, (n, norm) in enumerate(zip(new["n"], new["norm"])):
         a, b = old[f"rows{i}"], new[f"rows{i}"]
@@ -245,9 +275,13 @@ def compare(old_path, new_path):
             lo, hi = dumped["call_vstart"][c], dumped["call_vstart"][c + 1]
             regions.append(ConvexRegion(str(dumped["call_tag"][c]), dumped["vertices"][lo:hi]))
         a, b = regions
+        identical = a.kind == b.kind and a.vertices.tobytes() == b.vertices.tobytes()
         for tally in tallies(case):
-            tally[2] += a.kind == b.kind and a.vertices.tobytes() == b.vertices.tobytes()
+            tally[2] += identical
             tally[3] += 1
+        if not old["call_scanned"][c]:
+            unscanned[0] += identical
+            unscanned[1] += 1
         if a.kind != b.kind:
             tag_changes.append(f"{label(case)} k={k}: {a.kind} -> {b.kind}")
         elif not a.is_empty:
@@ -257,6 +291,12 @@ def compare(old_path, new_path):
         name = {False: "complex T", True: "real T"}.get(key, f"  {key}")
         print(f"{name} byte-identical: {counts[0]}/{counts[1]} "
               f"sweeps, {counts[2]}/{counts[3]} calls")
+    print(f"calls the old run did not scan, byte-identical: {unscanned[0]}/{unscanned[1]}")
+    for side, dumped in (("old", old), ("new", new)):
+        planes = dumped["call_scanned"]
+        over = np.count_nonzero(planes > new["m"][new["call_case"]] // 16)
+        print(f"{side} scans: {np.count_nonzero(planes)} calls, {planes.sum()} planes, "
+              f"{planes.max(initial=0)} at most, {over} over m/16")
     print(f"tag changes: {len(tag_changes)}")
     for line in tag_changes:
         print(f"  {line}")

@@ -14,6 +14,7 @@ indent=2)`` gives for the equivalent nested lists.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -39,7 +40,31 @@ def obj_to_matrix(obj) -> np.ndarray:
         raise MatrixFileError(f"bad dimension {n!r}")
     if not isinstance(data, list) or len(data) != n:
         raise MatrixFileError(f"expected {n} rows")
-    out = np.zeros((n, n), dtype=np.complex128)
+    try:
+        values = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if values is None or values.shape != (n, n, 2) or not _lists_of_numbers(data):
+        _raise_malformed(data, n)
+    if not np.isfinite(values).all():
+        raise MatrixFileError("matrix entries must be finite")
+    # each [re, im] pair's two float64s, in order, are one complex128
+    return values.view(np.complex128)[..., 0]
+
+
+def _lists_of_numbers(data) -> bool:
+    """Rows and entries are lists and every part is an int or float, not a
+    bool (JSON's true and false load as bools, which are ints to
+    isinstance); the rows' and entries' lengths are the caller's."""
+    entries = list(chain.from_iterable(data))
+    parts = chain.from_iterable(entries)
+    return (all(issubclass(t, list) for t in set(map(type, data)) | set(map(type, entries)))
+            and all(issubclass(t, (int, float)) and not issubclass(t, bool)
+                    for t in set(map(type, parts))))
+
+
+def _raise_malformed(data, n):
+    """Raise the error of the first malformed row or entry, row by row."""
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
             raise MatrixFileError(f"row {i} is not a list of {n} entries")
@@ -49,12 +74,9 @@ def obj_to_matrix(obj) -> np.ndarray:
                                for x in entry)):
                 raise MatrixFileError(f"entry ({i},{j}) is not an [re, im] pair")
             try:
-                out[i, j] = complex(entry[0], entry[1])
+                complex(entry[0], entry[1])
             except OverflowError as exc:
                 raise MatrixFileError(f"entry ({i},{j}) overflows a float") from exc
-    if not np.isfinite(out.view(np.float64)).all():
-        raise MatrixFileError("matrix entries must be finite")
-    return out
 
 
 def load_matrix(path) -> np.ndarray:

@@ -6,14 +6,18 @@ Regions live in the complex plane.  A half-plane is the set
 arrays of angles and offsets and intersects them on one path.  Array
 rounds drop the planes that are implied: each run of implied planes
 within one sector drops, in one round, every plane that holds the corner
-of the run's two kept ends.  When no plane is left implied (as on a
-smooth range, in the first round) every kept plane is a facet, and
+of the run's two kept ends.  Where the rounds stall, as between the
+crossing wings of a k >= 2 swallowtail, one wing round finds each
+crossing by exponential and binary search along the two wings and drops
+the planes between them that hold it.  When no plane is left implied (as
+on a smooth range, in the first round) every kept plane is a facet, and
 otherwise the deque scan runs on the planes left, which on faceted and
 degenerate grid ranges are a few dozen after one round at 2^16 planes.
 The emptiness check tests every plane: it reuses the sorted planes'
 cosines and sines, finds each plane's supporting vertex by the run
 lengths of the sorted angles between edge normals and compares three
-candidates, about 2 ms at 2^16 planes.
+candidates, about 2 ms at 2^16 planes.  A chain that the rounds certify
+skips it, since no plane can cut its region by 1e-9.
 Everything that depends on the angles alone (their reduction, sort and
 merge, cosines and sines, and the emptiness check's order of directions)
 is an ``AngleFrame``; a caller that cuts one set of angles at several
@@ -38,10 +42,12 @@ floating point: a family of half-planes whose true intersection is a
 single point carries offset noise of order 1e-15, which would otherwise
 make the intersection come back empty instead of that point.  The vertex
 loop is the intersection of the kept planes' relaxed cuts, and it holds
-every dropped plane within 2.7e-10 * bound of its relaxed cut at up to
-2^16 planes, a worst case over chained drops (see ``_facet_planes``);
-replays of grid ranges stayed within 2e-12 * bound of a scan over every
-plane.  The relaxed corner of two planes whose normals are g apart lies
+every dropped plane within 1e-9 * bound of its relaxed cut, and within
+2.7e-10 * bound when no wing round ran, at up to 2^16 planes, a worst
+case over chained drops (see ``_facet_planes``); replays of grid ranges
+stayed within 2e-12 * bound of a scan over every plane, and wing rounds
+within 1e-12 * bound of a scan of the planes they were given.  The
+relaxed corner of two planes whose normals are g apart lies
 CLIP_EPS * bound / cos(g / 2) outside the exact one.  ``_classify`` then
 collapses regions thinner than 1e-9 * bound.  The exception is a corner
 of two nearly antiparallel cut lines whose exact gap is below the
@@ -417,15 +423,19 @@ def _unit_planes(frame, offsets, radius):
 
 def _facet_planes(thetas, cos_t, sin_t, cuts):
     """Indices of the planes that bound the relaxed intersection, in angle
-    order, or None when the deque scan finds fewer than three.
+    order, or None when the deque scan finds fewer than three, and whether
+    they are a certified chain (below).
 
     Works in rounds over the kept planes, all of them at first.  The
-    bounding square keeps every gap between neighbours within pi/2, and a
-    drop leaves a gap of at most pi/16, so a plane's two neighbours are
-    never more than a half-turn apart (up to the 1e-12 merge of equal
-    directions).  Plane p is implied when its neighbours a and b have a
-    corner c (``_corners``, |det| >= 1e-14) with h_p(c) <= cut_p + CLIP_EPS,
-    where h_p(z) = Re(e^{i theta_p} z).  When no plane is implied, the kept
+    bounding square keeps every gap between neighbours within pi/2, a run
+    or alternate drop leaves a gap of at most pi/16, and a wing drop (below)
+    leaves a gap g <= 15 pi/16 only where the gaps beside it keep its two
+    planes' neighbours within a half-turn, which later drops beside it
+    (pi/16 at most) do not undo.  So a plane's two neighbours are never more
+    than a half-turn apart (up to the 1e-12 merge of equal directions).
+    Plane p is implied when its neighbours a and b have a corner c
+    (``_corners``, |det| >= 1e-14) with h_p(c) <= cut_p + CLIP_EPS, where
+    h_p(z) = Re(e^{i theta_p} z).  When no plane is implied, the kept
     indices are returned: each plane cuts its neighbours' corner by more
     than CLIP_EPS, so the corners form a closed left-turning chain that
     winds once, every plane a facet, and the scan would pop none of them.
@@ -439,35 +449,75 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
     under 1/4 of the kept planes, as on a disc of radius 4e-7 whose run
     ends' corners lie just outside it, the implied planes whose neighbours
     are at most pi/16 apart drop instead at alternate positions within
-    each run of them, if that drops more.  Once a round would drop fewer
-    than 1/16 of the kept planes, ``_active_chain`` scans them instead, and
-    its indices are returned.
+    each run of them, if that drops more.
+
+    Wing rule.  For k >= 2 the offsets lambda_k / 2 are not a support
+    function: their envelope, the k-th branch of Kippenhahn's
+    boundary-generating curve, has swallowtails, whose two crossing wings
+    are locally convex and cut only globally, so no plane of them is
+    implied.  Once a round would drop fewer than 1/16 of the kept planes,
+    and once per call, each run of implied planes left is taken as the
+    junction of two wings, if there are at most 64 runs and 32 kept planes
+    a run (with fewer the scan costs less), and ``_wing_drops`` finds
+    where they cross: the last facet a of the left wing and the first
+    facet b of the right one, whose corner C is a vertex of the kept
+    planes.  The planes between a and b that hold C exactly,
+    h_p(C) <= cut_p, drop, and the rounds go on.
+    They leave the kept planes' intersection as it was: it lies in the
+    wedge of a and b, which lies in each such plane.  When the wing round
+    drops nothing, or a later round stalls, ``_active_chain`` scans the
+    planes left instead, and its indices are returned.  A relaxed test
+    (cut_p + CLIP_EPS, as the run rule has) would drop planes that cut C
+    by up to CLIP_EPS, and a wide corner amplifies that: it moved faceted
+    ranges by 1.6e-12 * bound.
 
     Error of the drops, to first order in rounding.  Every drop p is tested
     against two planes a and b that stay in its round, lie on either side
-    of it and are g <= pi/16 apart: its run's ends or its neighbours.
-    Suppose the region satisfies h_a <= cut_a + e_a and h_b <= cut_b + e_b.
-    Then it lies in the wedge of a and b relaxed by e_a and e_b, whose
-    support at theta_p is attained at the wedge's apex; that apex moves
-    h_p(c) by w_a e_a + w_b e_b, where
-    e^{i theta_p} = w_a e^{i theta_a} + w_b e^{i theta_b} and
-    w_a + w_b <= sec(g / 2).  So the region exceeds p's cut by at most
-    e_p <= CLIP_EPS + sec(pi/32) max(e_a, e_b), and a and b are kept to the
-    end (e = 0) or drop in a later round.  Each round but the last drops
-    at least 1/16 of the kept planes, so there are R <= log(m) / log(16/15)
-    rounds, and e <= CLIP_EPS * sum_{i<R} sec(pi/32)^i: 2.7e-10 for
-    m = 2^16 planes and 3.7e-10 for m = 2^20, against the 1e-9 emptiness
-    check.  A cap of pi/8 would allow 1.4e-9 at m = 2^16.
+    of it and are g apart, g <= pi/16 for its run's ends or its neighbours,
+    and g <= G for a wing drop.  Suppose the region satisfies
+    h_a <= cut_a + e_a and h_b <= cut_b + e_b.  Then it lies in the wedge
+    of a and b relaxed by e_a and e_b, whose support at theta_p is
+    attained at the wedge's apex; that apex moves h_p(c) by
+    w_a e_a + w_b e_b, where e^{i theta_p} = w_a e^{i theta_a} +
+    w_b e^{i theta_b} and w_a + w_b <= sec(g / 2): the relaxation of the
+    wedge's sides moves its vertex by up to sec(g / 2) times as much along
+    theta_p.  So the region exceeds p's cut by at most
+    e_p <= CLIP_EPS + sec(pi/32) max(e_a, e_b) for a run or alternate drop,
+    and e_p <= sec(G / 2) max(e_a, e_b) for a wing drop, and a and b are
+    kept to the end (e = 0) or drop in a later round.  Each round but the
+    last and the wing round drops at least 1/16 of the kept planes, so a
+    chain of drops passes R + 1 rounds at most, R = log(m) / log(16/15),
+    and one of them a wing round: e <= sec(G / 2) CLIP_EPS
+    sum_{i<R+1} sec(pi/32)^i.  Without the wing factor that is 2.7e-10 for
+    m = 2^16 planes and 3.8e-10 for m = 2^20.  ``_wing_gap`` takes the
+    widest G at which e stays within the 1e-9 emptiness check, capped at
+    15 pi/16 (the half-turn rule above): 2.74 rad at m = 2^13, 2.70 at
+    2^14, 2.60 at 2^16 and 2.37 at 2^20.  The widest swallowtail corners
+    measured on seeded Gaussians are 2.19 rad (n = 4, k = 2, m = 2^14)
+    and 2.50 rad (n = 6, k = 3, m = 2^13).  A cap of pi/8 on run drops
+    would allow 1.4e-9 at m = 2^16 before any wing.
+
+    Certified chains.  When no plane is implied and, in that round, every
+    neighbour corner is also proper (|det| >= 1e-14), the corners of the
+    kept planes form a convex counter-clockwise loop that satisfies every
+    kept plane, and every dropped plane holds it within e <= 1e-9 of its
+    relaxed cut (above).  ``_classify`` keeps a point, segment or polygon
+    inside that loop's hull, so the 1e-9 emptiness check in
+    ``_unit_region`` cannot fire, and the chain is returned as certified.
+    A plane whose neighbours are (anti)parallel counts as not implied only
+    by exclusion: x <= -1 and x >= 1 in the square keep four planes whose
+    loop is a rectangle, so such a chain, and every scanned one, is not.
     """
     keep = np.arange(thetas.size)
     kept = (thetas, cos_t, sin_t, cuts)
+    wings = True
     while True:
         # the kept planes in angle order, with a cyclic neighbour at each end
         th, c, s, cu = (np.concatenate([v[-1:], v, v[:1]]) for v in kept)
         x, y, det = _corners(c, s, cu, slice(None, -2), slice(2, None))
         implied = (np.abs(det) >= 1e-14) & (x * c[1:-1] - y * s[1:-1] <= cu[1:-1] + CLIP_EPS)
         if not implied.any():
-            return keep
+            return keep, bool((np.abs(det) >= 1e-14).all())
         sector = np.floor(th * (32 / np.pi))
         drop = _run_drops(th, c, s, cu, implied & (sector[1:-1] == sector[:-2]))
         if 4 * np.count_nonzero(drop) < keep.size:
@@ -476,8 +526,19 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
             if np.count_nonzero(alternate) > np.count_nonzero(drop):
                 drop = alternate
         if 16 * np.count_nonzero(drop) < keep.size:
-            dq = _active_chain(*(v.tolist() for v in kept))
-            return None if dq is None else keep[dq]
+            # the round stalls: cut the crossing wings once, if that costs
+            # less than the scan (a junction takes about 15 us of searches
+            # and an array pass of 2 ns a plane, the scan 0.6 us a plane,
+            # measured at 20 to 8192 planes), else scan
+            runs = np.count_nonzero(implied[1:] & ~implied[:-1]) + implied[0]
+            if wings and runs <= min(64, keep.size // 32):
+                drop = _wing_drops(*kept, implied, _wing_gap(thetas.size))
+            else:
+                drop = None
+            wings = False
+            if drop is None or not drop.any():
+                dq = _active_chain(*(v.tolist() for v in kept))
+                return None if dq is None else keep[dq], False
         stay = np.flatnonzero(~drop)
         keep = keep[stay]
         kept = tuple(v[stay] for v in kept)
@@ -507,6 +568,146 @@ def _run_drops(th, c, s, cu, run):
     return run & ok[r] & (x[r] * c[1:-1] - y[r] * s[1:-1] <= cu[1:-1] + CLIP_EPS)
 
 
+def _wing_gap(size):
+    """The widest gap G that a wing round may leave between a and b at
+    ``size`` planes (``_facet_planes``): the chained error bound times
+    sec(G / 2) reaches 1e-9, and G is at most 15 pi / 16."""
+    s = 1.0 / np.cos(np.pi / 32)
+    chained = CLIP_EPS * (s ** (np.log(size) / np.log(16 / 15) + 1.0) - 1.0) / (s - 1.0)
+    return min(2.0 * np.arccos(min(chained / 1e-9, 1.0)), 15 * np.pi / 16)
+
+
+def _wing_drops(th, c, s, cu, implied, cap):
+    """The drops of a wing round over the kept planes (no cyclic padding).
+
+    Each maximal run of ``implied`` planes (cyclic) is a junction between
+    the kept planes before it (its left wing, back to the previous run)
+    and after it (its right wing).  Along a wing, in angle order, the
+    corners (i, i + 1) move one way along every plane within a half-turn,
+    so a plane cuts them on one side of the point where its line crosses
+    the wing, and two exponential-plus-binary searches find that point:
+    from b, the right wing's first plane, the last left corner that b
+    does not cut gives a, the facet whose edge holds the crossing; from
+    that a, the first right corner that a does not cut gives b.  They
+    alternate until (a, b) is fixed, O(log m) per junction.  When b cuts
+    the whole left wing, or a the whole right wing, or a kept plane cuts
+    the corner C of a and b by more than CLIP_EPS, a wing beyond the
+    neighbouring run on that side (the side of the plane that cuts C most)
+    crosses this one instead: the two runs and the wing between them merge
+    into one junction (cyclically), and the search restarts.
+
+    A junction's drops are the planes strictly between a and b that hold C
+    exactly, h_p(C) <= cut_p, when C is proper (|det| >= 1e-14), no kept
+    plane cuts it by more than CLIP_EPS (so it is a vertex of the kept
+    planes, on the edges of a and b), a and b are at most ``cap`` apart,
+    the planes beside them leave a's and b's neighbours within a
+    half-turn, and the junction's planes a - 1 .. b + 1 overlap no other
+    junction's drops.
+    """
+    n = th.size
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], implied, [False]))))
+    first, end = edges[::2].tolist(), edges[1::2].tolist()
+    if len(first) > 1 and implied[0] and implied[-1]:  # the run across the seam
+        first, end = first[1:], end[1:-1] + [end[0] + n]
+    # Python floats of single planes: the searches read O(log n) of them
+    T, C, S, U = (v.item for v in (th, c, s, cu))
+
+    def corner(a, b):
+        ca, sa, ua, cb, sb, ub = C(a % n), S(a % n), U(a % n), C(b % n), S(b % n), U(b % n)
+        det = sa * cb - ca * sb
+        if -1e-14 < det < 1e-14:
+            return None
+        return (-ua * sb + ub * sa) / det, (-ua * cb + ub * ca) / det
+
+    def beyond(p, i):
+        # plane p cuts the corner of planes i and i + 1
+        z = corner(i, i + 1)
+        p %= n
+        return z is not None and z[0] * C(p) - z[1] * S(p) > U(p)
+
+    def gap(a, b):
+        return (T(b % n) - T(a % n)) % TWO_PI
+
+    pairs, j = [], 0  # (the run's first plane, a, b) of each junction cut
+    while j < len(first):
+        lo = end[j - 1] - (n if j == 0 else 0)  # left wing lo .. first[j] - 1
+        hi = first[j + 1] if j + 1 < len(first) else first[0] + n  # right wing .. hi - 1
+        a, b = first[j] - 1, end[j]
+        for _ in range(64):  # a few steps reach the fixed point; 64 bounds a cycle
+            i = _first_false(lambda k: beyond(b, k), a - 1, -1, lo)
+            b2 = None if i is None else _first_false(lambda k: beyond(i + 1, k), b, 1, hi - 2)
+            if b2 is None or (i + 1, b2) == (a, b):
+                break
+            a, b = i + 1, b2
+        z = None if b2 is None else corner(a, b)
+        side = -1 if i is None else 1 if b2 is None else 0
+        if z is not None:
+            out = z[0] * c - z[1] * s - cu
+            q = int(np.argmax(out))
+            if out[q] > CLIP_EPS:
+                q = b + (q - b) % n
+                side = 1 if q - b < a + n - q else -1
+        if side == 1 and len(first) > 1:  # take in the next run
+            if j + 1 < len(first):
+                del first[j + 1], end[j]
+            else:  # the first one, across the ends of the list
+                end[j] = end[0] + n
+                if pairs and pairs[0][0] == first[0]:
+                    pairs.pop(0)
+                del first[0], end[0]
+                j -= 1
+            continue
+        if side == -1 and len(first) > 1:  # join the previous run
+            if j > 0:
+                del first[j], end[j - 1]
+                j -= 1
+                if pairs and pairs[-1][0] == first[j]:
+                    pairs.pop()
+            else:  # the last one, which no pair holds yet
+                first[0] = first[-1] - n
+                del first[-1], end[-1]
+            continue
+        if not (side or z is None or gap(a, b) > cap or gap(a - 1, b) >= np.pi
+                or gap(a, b + 1) >= np.pi or (pairs and a <= pairs[-1][2])):
+            pairs.append((first[j], a, b))
+        j += 1
+    if len(pairs) > 1 and pairs[-1][2] >= pairs[0][1] + n:
+        pairs.pop()
+    drop = np.zeros(n, dtype=bool)
+    for _, a, b in pairs:
+        x, y = corner(a, b)
+        p = np.arange(a + 1, b) % n
+        drop[p] = x * c[p] - y * s[p] <= cu[p]
+    return drop
+
+
+def _first_false(pred, start, step, limit):
+    """The first i of start, start + step, ..., limit (step +-1) at which
+    ``pred`` is false, for a pred that is true up to some i and false from
+    there on, by exponential then binary search; None when it holds to limit."""
+    if (start - limit) * step > 0:
+        return None
+    if not pred(start):
+        return start
+    true, d = start, 1
+    while True:
+        i = start + step * d
+        if (i - limit) * step > 0:
+            i = limit
+        if not pred(i):
+            break
+        if i == limit:
+            return None
+        true, d = i, 2 * d
+    while abs(i - true) > 1:
+        mid = (i + true) // 2
+        if pred(mid):
+            true = mid
+        else:
+            i = mid
+    return i
+
+
 def _alternate_drops(drop):
     """Every other position of each run of ``drop``, counted from the run's
     first, and never both the last and the first position."""
@@ -517,10 +718,14 @@ def _alternate_drops(drop):
     return drop
 
 
-def _unit_region(planes, dq, frame=None) -> ConvexRegion:
+def _unit_region(planes, dq, certified=False, frame=None) -> ConvexRegion:
     """The classified region of the chain ``dq`` of the unit-frame
     ``planes``, or empty when some plane cuts it by more than 1e-9;
-    ``frame``, when given, is the planes' :class:`AngleFrame`."""
+    ``frame``, when given, is the planes' :class:`AngleFrame`.  A chain
+    that ``_facet_planes`` certified skips that check: no plane can cut
+    its region by more than the chained bound of its docstring, which the
+    wing rule's gap cap keeps within 1e-9.  Scanned chains, and chains with
+    a neighbour corner below the 1e-14 determinant guard, are checked."""
     all_t, cos_t, sin_t, cuts = planes
     if dq is None:
         return ConvexRegion.empty()
@@ -533,6 +738,8 @@ def _unit_region(planes, dq, frame=None) -> ConvexRegion:
     # check the classified region, so corner clusters have collapsed and a
     # point or segment is checked as such
     region = _classify(verts)
+    if certified:
+        return region
     h = _support_candidates(region, all_t, cos_t, sin_t, frame)[1].max(axis=0)
     if (h - cuts > 1e-9).any():
         return ConvexRegion.empty()
@@ -550,15 +757,20 @@ def intersect_halfplanes(thetas, offsets, bound: float,
     either certifies that the planes left are all facets, in which case
     on a smooth range they are every plane and the scan's own indices, or
     hands them to the O(m) deque scan.  Each dropped plane holds the
-    region within 2.7e-10 * R of its relaxed cut (up to 2^16 planes).  On
-    the faceted and degenerate grid ranges, whose vertices carry bundles
-    of grid planes, one round drops each bundle against the planes either
-    side of it, and the scan sees a few dozen planes.  In exact arithmetic
-    the loop is the intersection of the kept planes whenever it is
-    non-empty, so a plane that the classified loop violates by more than
-    1e-9 * R certifies that the intersection is empty; that check tests
-    every plane and costs O(m + v log m) after a sort of the angles that
-    is O(m) on sorted planes.
+    region within 1e-9 * R of its relaxed cut, and within 2.7e-10 * R when
+    no wing round ran (up to 2^16 planes).  On the faceted and degenerate
+    grid ranges, whose vertices carry bundles of grid planes, one round
+    drops each bundle against the planes either side of it, and the scan
+    sees a few dozen planes; on a k >= 2 swallowtail one wing round drops
+    the planes between each pair of crossing wings, and the rounds then
+    certify the planes left.  In exact arithmetic the loop is the
+    intersection of the kept planes whenever it is non-empty, so a plane
+    that the classified loop violates by more than 1e-9 * R certifies that
+    the intersection is empty; that check tests every plane and costs
+    O(m + v log m) after a sort of the angles that is O(m) on sorted
+    planes.  It is skipped on a certified chain, which no plane can cut by
+    that much, and runs on scanned chains and on chains with an improper
+    neighbour corner.
     ``_classify`` replaces a loop that rounding left non-convex by its
     hull.  Results are independent of the input order of the planes.
 
@@ -589,7 +801,7 @@ def intersect_halfplanes(thetas, offsets, bound: float,
         planes = _unit_planes(frame, offsets, radius)
     if not np.isfinite(planes[3]).all():
         raise ValueError("offsets / bound must be finite")
-    region = _unit_region(planes, _facet_planes(*planes), frame)
+    region = _unit_region(planes, *_facet_planes(*planes), frame)
     if region.is_empty:
         return region
     verts = region.vertices * radius

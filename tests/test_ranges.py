@@ -794,6 +794,7 @@ def _spectrum(family, n, rng):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from(SPECTRA),
        st.sampled_from([16, 720, 721, 2048]))
 @example(1200820269, 5, "cluster", 2048)  # the region leaves a kept plane by 2.6 CLIP_EPS
+@example(7, 3, "collinear", 721)  # a faceted stall that a wing cut must not take
 @settings(max_examples=60, deadline=None)
 def test_tie_planes_give_the_all_plane_region(seed, n, family, m):
     # a spectrum sweep intersects only the planes beside tie angles and the

@@ -39,6 +39,9 @@ def test_replay_engine_script(tmp_path):
     assert "complex T byte-identical: 1/1 sweeps, 2/2 calls" in proc.stdout
     assert "real T byte-identical: 3/3 sweeps, 6/6 calls" in proc.stdout
     assert "tag changes: 0" in proc.stdout
+    # how many planes reached the deque scan, per side
+    assert "calls the old run did not scan, byte-identical:" in proc.stdout
+    assert proc.stdout.count(" over m/16") == 2
 
 
 def load_script(name):
