@@ -25,8 +25,15 @@ The file also holds the numpy and Python versions, the CPU count and,
 with ``--tier1``, the wall time of the Tier-1 suite of the tree that
 ``--src`` belongs to.
 
+Several labels, each with its own ``--src`` (in the same order), time
+several trees in one invocation, such as a parent and a change: every
+round runs each cell for all trees back to back, in the given order in
+even rounds and reversed in odd ones, so that the host's drift falls on
+all alike, and one BENCH_<label>.json is written per label.
+
 Usage:
     python scripts/bench_grid.py LABEL [--src SRC_DIR] [--tier1] [--out-dir DIR]
+    python scripts/bench_grid.py LABEL_A LABEL_B --src SRC_A --src SRC_B [--tier1]
 """
 
 import argparse
@@ -153,37 +160,52 @@ def tier1(src):
     return round(time.perf_counter() - start, 1), lines[-1] if lines else ""
 
 
-def main():
+def run_grid(srcs, grid, rounds):
+    """One list of records per source tree: each cell of ``grid`` best over
+    ``rounds`` rounds, the trees' children back to back within a cell and
+    their order reversed every other round."""
+    records = [[None] * len(grid) for _ in srcs]
+    order = list(enumerate(srcs))
+    for r in range(rounds):
+        for i, (kind, n, m) in enumerate(grid):
+            for s, src in order if r % 2 == 0 else order[::-1]:
+                rec = child(kind, n, m, src)
+                records[s][i] = rec if records[s][i] is None else best_of(records[s][i], rec)
+    return records
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label", nargs="?", help="write BENCH_<label>.json")
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="source tree to import hrnr from (default: this repository's)")
+    parser.add_argument("labels", nargs="*", metavar="LABEL", help="write BENCH_<label>.json")
+    parser.add_argument("--src", action="append",
+                        help="source tree to import hrnr from, once per label "
+                             "(default with one label: this repository's)")
     parser.add_argument("--tier1", action="store_true", help="also time the Tier-1 suite")
     parser.add_argument("--out-dir", default=str(ROOT))
     parser.add_argument("--cell", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    args.src = str(pathlib.Path(args.src).resolve())
+    args = parser.parse_args(argv)
+    srcs = [str(pathlib.Path(src).resolve()) for src in args.src or [ROOT / "src"]]
     if args.cell:
-        sys.path.insert(0, args.src)
+        sys.path.insert(0, srcs[0])
         kind, n, m = args.cell.split(":")
         print(json.dumps(run_cell(kind, int(n), int(m))))
         return 0
-    if args.label is None:
+    if not args.labels:
         parser.error("give a LABEL")
-    grid = cells()
-    records = [child(kind, n, m, args.src) for kind, n, m in grid]
-    for _ in range(ROUNDS - 1):
-        records = [best_of(rec, child(kind, n, m, args.src))
-                   for rec, (kind, n, m) in zip(records, grid)]
-    for rec in records:
-        print(f"{rec['kind']} n={rec['n']} m={rec['m']}: sweep {rec['sweep_ms']} ms, "
-              f"frame {rec['frame_ms']} ms, range {rec['range_ms']} ms, cli {rec['cli_ms']} ms")
-    result = header(args.label) | {"cells": records}
-    if args.tier1:
-        result["tier1_s"], result["tier1_summary"] = tier1(args.src)
-    path = pathlib.Path(args.out_dir) / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"-> {path}")
+    if len(args.labels) != len(srcs):
+        parser.error("give one --src per label (with one label, --src may be left out)")
+    for label, src, records in zip(args.labels, srcs, run_grid(srcs, cells(), ROUNDS)):
+        print(f"{label}:")
+        for rec in records:
+            print(f"{rec['kind']} n={rec['n']} m={rec['m']}: sweep {rec['sweep_ms']} ms, "
+                  f"frame {rec['frame_ms']} ms, range {rec['range_ms']} ms, "
+                  f"cli {rec['cli_ms']} ms")
+        result = header(label) | {"cells": records}
+        if args.tier1:
+            result["tier1_s"], result["tier1_summary"] = tier1(src)
+        path = pathlib.Path(args.out_dir) / f"BENCH_{label}.json"
+        path.write_text(json.dumps(result, indent=1) + "\n")
+        print(f"-> {path}")
     return 0
 
 

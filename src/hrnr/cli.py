@@ -7,14 +7,20 @@ mathematical property was violated or the LAPACK eigensolver failed to
 converge, 2 input or usage error (an output file that cannot be written
 included).  Angle counts resolve as ``--angles`` > ``HRNR_ANGLES`` env
 var > per-command default (720 for range, radius and verify-properties;
-2048 for verify-shift and verify-nilpotent).  Randomised commands draw
-from numpy's PCG64 stream seeded with ``--seed``, so runs reproduce
-exactly.
+2048 for verify-shift and verify-nilpotent); a count too large to
+allocate is an input error too (exit 2).  Randomised commands draw from
+numpy's PCG64 stream seeded with ``--seed``, so runs reproduce exactly.
+
+The argument parser is built once per process, at the first ``main`` call,
+and reused: parsing keeps no state in it, and each ``cmd_*`` function
+looks up the engine, ``fileio`` and ``checks`` functions it calls at call
+time, so a wrapper installed on those module attributes sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -143,7 +149,10 @@ def cmd_verify_properties(args) -> int:
     return EXIT_OK if all(rep.passed for rep in reports) else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process (built at the first call).  Callers
+    share it, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="hrnr",
         description="Higher-rank numerical ranges via pencil eigenvalue sweeps.",
@@ -208,11 +217,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # LinAlgError subclasses ValueError, so it must be caught first; every
-    # other hrnr input error (bad rank, shape, file, ...) is a ValueError
+    # other hrnr input error (bad rank, shape, file, ...) is a ValueError,
+    # and numpy refuses an array too large to allocate, such as the grid of
+    # an angle count of 10^15, with a MemoryError before touching memory
     except np.linalg.LinAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,11 +8,17 @@ two-space indent and each float in its shortest round-trip text
 re-dumping a file reproduces it byte for byte.  The (N, 2) float arrays
 of a region object (``vertices``, ``support_samples``) are written in one
 pass, one ``[x, y]`` pair per row, with the same bytes ``json.dumps(...,
-indent=2)`` gives for the equivalent nested lists.
+indent=2)`` gives for the equivalent nested lists.  A region's
+``support_samples`` repeat the m grid angles 2 pi j / m of its sweep, whose
+text never changes, so an array whose first column is that grid, bit for
+bit (``-0.0 == 0.0`` but their texts differ), is written from a text
+template made once per m, with the angles in it and one slot per offset;
+the templates of the ``GRID_TEXT_CACHE`` angle counts used last are kept.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import chain
 
@@ -105,6 +111,30 @@ def region_to_obj(report: RangeReport) -> dict:
     }
 
 
+# one row of an (N, 2) array as json.dumps(indent=2) writes it one level
+# down; a float's repr is json's text for it
+_PAIR = "    [\n      {!r},\n      {!r}\n    ]"
+
+# templates of this many angle counts are kept: about 100 KB each at
+# m = 2048 and 3.3 MB at m = 65536
+GRID_TEXT_CACHE = 4
+
+
+def _grid(m: int) -> np.ndarray:
+    """``pencil_sweep``'s m angles 2 pi j / m, j = 0..m-1."""
+    return 2.0 * np.pi * np.arange(m) / m
+
+
+@functools.lru_cache(maxsize=GRID_TEXT_CACHE)
+def _grid_text(m: int) -> str:
+    """The text of an (m, 2) array whose first column is the m-angle grid,
+    with a ``{!r}`` slot for each second-column value."""
+    # _PAIR with its second slot escaped, so that formatting in the angles
+    # leaves a {!r} there
+    row = "    [\n      {!r},\n      {{!r}}\n    ]"
+    return "[\n" + ",\n".join([row] * m).format(*_grid(m).tolist()) + "\n  ]"
+
+
 def _dumps_member(value) -> str:
     """JSON text of one member of a top-level object, indented to sit in it."""
     if isinstance(value, np.ndarray):
@@ -112,10 +142,10 @@ def _dumps_member(value) -> str:
                 and np.isfinite(value).all()):
             if value.size == 0:
                 return "[]"
-            # one row as json.dumps(indent=2) writes it one level down; a
-            # float's repr is json's text for it
-            pair = "    [\n      {!r},\n      {!r}\n    ]"
-            rows = ",\n".join([pair] * len(value)).format(*value.ravel().tolist())
+            # the grid's bits, not its values: -0.0 == 0.0, but their texts differ
+            if np.array_equal(value[:, 0].view(np.uint64), _grid(len(value)).view(np.uint64)):
+                return _grid_text(len(value)).format(*value[:, 1].tolist())
+            rows = ",\n".join([_PAIR] * len(value)).format(*value.ravel().tolist())
             return "[\n" + rows + "\n  ]"
         # NaN and Infinity keep json's spelling
         value = value.tolist()

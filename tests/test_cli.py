@@ -132,6 +132,32 @@ def test_region_json_roundtrip_byte_identical(tmp_path, shift4):
     assert '"vertices": [\n    [\n      -0.0,\n      1e-05\n    ],' in fileio.dumps_json(obj)
 
 
+@pytest.mark.parametrize("m", [16, 17, 720, 721, 2048, 8192])
+def test_region_json_grid_text_byte_identical(m):
+    # support_samples' first column is the m-angle grid, written from the
+    # cached template: the same bytes as json.dumps of the nested lists.
+    # (Odd grids miss the segment case's normal, so its tag is "polygon".)
+    before = fileio._grid_text.cache_info()
+    for tag, (t, k) in TAG_CASES.items():
+        for scale in (1e-8, 1.0, 1e8):
+            obj = fileio.region_to_obj(range_from_sweep(pencil_sweep(scale * t, m), k))
+            assert isinstance(obj["vertices"], np.ndarray)
+            assert isinstance(obj["support_samples"], np.ndarray)
+            want = json.dumps(as_lists(obj), indent=2) + "\n"
+            assert lines(fileio.dumps_json(obj)) == lines(want), (tag, scale)
+    after = fileio._grid_text.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses == 3 * len(TAG_CASES)
+    # first columns off the grid by theta_0 = -0.0 or by one ulp take the
+    # plain path, and their text still matches
+    grid = 2.0 * np.pi * np.arange(m) / m
+    for j, theta in ((0, -0.0), (m // 3, np.nextafter(grid[m // 3], 4.0))):
+        column = grid.copy()
+        column[j] = theta
+        obj = {"tag": "polygon", "support_samples": np.column_stack([column, np.cos(column)])}
+        assert fileio.dumps_json(obj) == json.dumps(as_lists(obj), indent=2) + "\n"
+    assert fileio._grid_text.cache_info()[:2] == after[:2]
+
+
 def svg_reference(region, ref_radius=None):
     """The per-vertex region_svg that the array version replaced."""
     size = fileio.SVG_SIZE
@@ -456,6 +482,37 @@ def test_env_var_overrides_default_angles(tmp_path, shift4, monkeypatch):
     for bad in ("many", "4"):
         monkeypatch.setenv("HRNR_ANGLES", bad)
         assert main(["range", "--input", shift4, "--k", "1", "--out", str(out)]) == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, shift4, monkeypatch, capsys):
+    cli.build_parser.cache_clear()
+    out, svg = tmp_path / "region.json", tmp_path / "region.svg"
+    argv = ["range", "--input", shift4, "--k", "1", "--out", str(out)]
+    monkeypatch.delenv("HRNR_ANGLES", raising=False)
+    assert main([*argv, "--svg", str(svg)]) == 0
+    assert svg.exists() and json.loads(out.read_text())["angles"] == 720
+    svg.unlink()
+    # no --svg and no angle flag: neither the last call's SVG path nor its
+    # angle count carries over, and the environment is read again
+    monkeypatch.setenv("HRNR_ANGLES", "96")
+    assert main(argv) == 0
+    assert not svg.exists() and json.loads(out.read_text())["angles"] == 96
+    assert main(["radius", "--input", shift4]) == 0
+    capsys.readouterr()
+    # a usage error after successful calls still exits 2
+    assert main(["range", "--input", shift4]) == 2
+    assert "--k" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("command", [["radius"], ["range", "--k", "1"]])
+def test_impossible_angle_count_exits_2(shift4, capsys, command):
+    # a grid of 10^15 angles needs 7.11 PiB, which numpy refuses outright
+    # without allocating anything
+    assert main([*command, "--input", shift4, "--angles", "1000000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
 
 
 def test_eigensolver_failure_exits_1(shift4, monkeypatch, capsys):

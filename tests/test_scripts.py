@@ -1,9 +1,13 @@
 """Smoke tests: the example scripts run against the current API."""
 
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -66,3 +70,40 @@ def test_bench_grid_script():
     shift = bench_grid.child("shift", 4, 720, bench_grid.ROOT / "src")
     assert shift["planes"] == 720
     assert shift["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}  # k <= (n + 1)/2
+
+
+def test_bench_grid_interleaves_two_trees(tmp_path, monkeypatch):
+    # one invocation times a parent and a change tree cell by cell, in an
+    # order that alternates from round to round, and writes both files
+    bench_grid = load_script("bench_grid.py")
+    parent = tmp_path / "parent" / "src"
+    shutil.copytree(bench_grid.ROOT / "src", parent,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    change = str(bench_grid.ROOT / "src")
+    grid = [("shift", 4, 720), ("herm", 4, 720)]
+    runs = []
+
+    def spy(kind, n, m, src):
+        rec = child(kind, n, m, src)
+        runs.append(((kind, n, m), src, rec))
+        return rec
+
+    child = bench_grid.child
+    monkeypatch.setattr(bench_grid, "child", spy)
+    monkeypatch.setattr(bench_grid, "cells", lambda: grid)
+    monkeypatch.setattr(bench_grid, "ROUNDS", 2)
+    assert bench_grid.main(["old", "new", "--src", str(parent), "--src", change,
+                            "--out-dir", str(tmp_path)]) == 0
+    a, b = str(parent), change
+    assert [(cell, src) for cell, src, _ in runs] == [
+        (grid[0], a), (grid[0], b), (grid[1], a), (grid[1], b),
+        (grid[0], b), (grid[0], a), (grid[1], b), (grid[1], a)]
+    for label, src in (("old", a), ("new", b)):
+        result = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
+        assert result["label"] == label and result["rounds"] == bench_grid.ROUNDS
+        for cell, rec in zip(grid, result["cells"]):
+            assert (rec["kind"], rec["n"], rec["m"]) == cell
+            assert rec["cli_ms"] == min(r["cli_ms"] for c, s, r in runs if (c, s) == (cell, src))
+    # a label without its own source tree is a usage error
+    with pytest.raises(SystemExit):
+        bench_grid.main(["old", "new", "--src", change])
