@@ -22,8 +22,9 @@ the swallowtails of the fine_grid benchmark's smooth cells: complex
 Gaussians at n = 4 and 6 and a nilpotent at n = 6, at m = 8192 and 16384,
 replayed at k = 2 and 3 only.  Every other case runs ``pencil_sweep``
 once and ``range_from_sweep`` for every k = 1..n.  A dump holds each
-case's sweep rows and each call's tag, vertices and the number of planes
-that reached the geometry's deque scan (``geometry._active_chain``).
+case's sweep rows and each call's tag, vertices, the number of planes
+that reached the geometry's deque scan (``geometry._active_chain``) and
+the number of planes its emptiness check tested (0 when it did not run).
 
 ``--compare`` reads two dumps of the same battery, typically one made
 against a parent tree with ``--src`` and one against the current tree,
@@ -32,7 +33,8 @@ kind, and among the calls whose old run did not reach the scan), every
 tag change, the worst Hausdorff distance over the geometry's bound, the
 worst row difference over ``checks._row_tol``, and on each side the calls
 that reached the scan, their planes in all, the most in one call and the
-calls whose scan got more than m/16 planes.
+calls whose scan got more than m/16 planes, and the same totals and most
+for the emptiness check.
 It exits 1 when a tag changes, a row difference exceeds its tolerance or
 a Hausdorff distance exceeds 1e-11 times the bound.
 
@@ -211,30 +213,35 @@ def dump(path, limit):
     from hrnr import geometry
     from hrnr.ranges import pencil_sweep, range_from_sweep
 
-    scanned = []
-    active_chain = geometry._active_chain
+    scanned, checked = [], []
+    active_chain, support_candidates = geometry._active_chain, geometry._support_candidates
 
-    def counted(thetas, *args):
+    def counted_scan(thetas, *args):
         scanned.append(len(thetas))
         return active_chain(thetas, *args)
 
-    geometry._active_chain = counted
+    def counted_check(region, thetas, *args):
+        # within range_from_sweep, only the emptiness check searches supports
+        checked.append(len(thetas))
+        return support_candidates(region, thetas, *args)
+
+    geometry._active_chain, geometry._support_candidates = counted_scan, counted_check
     sweeps, calls, rows, verts = [], [], {}, []
     for i, (kind, n, m, t) in enumerate(battery(limit)):
         sweep = pencil_sweep(t, m)
         real = not np.imag(t).any()  # a shift is real in either draw
         sweeps.append((kind, real, n, m, np.linalg.norm(t, 2)))
         rows[f"rows{i}"] = sweep.eigenvalues
-        bound = 2.0 * sweep.numerical_radius() or 1.0
         for k in ranks(kind, n):
             scanned.clear()
+            checked.clear()
             region = range_from_sweep(sweep, k).region
-            calls.append((i, k, region.kind, bound, sum(scanned)))
+            calls.append((i, k, region.kind, sweep.region_bound, sum(scanned), sum(checked)))
             verts.append(region.vertices)
-    geometry._active_chain = active_chain
+    geometry._active_chain, geometry._support_candidates = active_chain, support_candidates
     arrays = dict(zip(("kind", "real", "n", "m", "norm"), map(np.array, zip(*sweeps))))
-    arrays.update(zip(("call_case", "call_k", "call_tag", "call_bound", "call_scanned"),
-                      map(np.array, zip(*calls))))
+    arrays.update(zip(("call_case", "call_k", "call_tag", "call_bound", "call_scanned",
+                       "call_checked"), map(np.array, zip(*calls))))
     arrays["call_vstart"] = np.cumsum([0] + [v.size for v in verts])
     np.savez(path, vertices=np.concatenate(verts), **arrays, **rows)
     print(f"{len(sweeps)} sweeps, {len(calls)} calls -> {path}")
@@ -297,6 +304,9 @@ def compare(old_path, new_path):
         over = np.count_nonzero(planes > new["m"][new["call_case"]] // 16)
         print(f"{side} scans: {np.count_nonzero(planes)} calls, {planes.sum()} planes, "
               f"{planes.max(initial=0)} at most, {over} over m/16")
+        planes = dumped["call_checked"]
+        print(f"{side} emptiness checks: {np.count_nonzero(planes)} calls, "
+              f"{planes.sum()} planes, {planes.max(initial=0)} at most")
     print(f"tag changes: {len(tag_changes)}")
     for line in tag_changes:
         print(f"  {line}")

@@ -297,8 +297,7 @@ def check_nesting(sweep: PencilSweep, k_max: int,
                for k in range(1, k_max + 1)]
     worst = max((_inclusion_gap(lo.region, hi.region)
                  for lo, hi in zip(reports[1:], reports[:-1])), default=0.0)
-    bound = 2.0 * sweep.numerical_radius() or 1.0
-    return _report("P6", max(worst, 0.0), REGION_SLACK * bound,
+    return _report("P6", max(worst, 0.0), REGION_SLACK * sweep.region_bound,
                    f"dim={sweep.dim} k_max={k_max}")
 
 
@@ -414,7 +413,7 @@ def check_shift(n: int, m: int) -> PropertyReport:
     t = shift_matrix(n)
     sweep = pencil_sweep(t, m)
     tol = _row_tol(n, np.linalg.norm(t, 2))
-    slack = REGION_SLACK * (2.0 * sweep.numerical_radius() or 1.0)
+    slack = REGION_SLACK * sweep.region_bound
     worst = 0.0
     misses = []
     for k in range(1, n + 1):

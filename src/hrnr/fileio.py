@@ -9,11 +9,12 @@ re-dumping a file reproduces it byte for byte.  The (N, 2) float arrays
 of a region object (``vertices``, ``support_samples``) are written in one
 pass, one ``[x, y]`` pair per row, with the same bytes ``json.dumps(...,
 indent=2)`` gives for the equivalent nested lists.  A region's
-``support_samples`` repeat the m grid angles 2 pi j / m of its sweep, whose
-text never changes, so an array whose first column is that grid, bit for
-bit (``-0.0 == 0.0`` but their texts differ), is written from a text
-template made once per m, with the angles in it and one slot per offset;
-the templates of the ``GRID_TEXT_CACHE`` angle counts used last are kept.
+``support_samples`` repeat the m grid angles 2 pi j / m of its sweep
+(``ranges.grid_angles``), whose text never changes, so an array whose
+first column is that grid, bit for bit (``-0.0 == 0.0`` but their texts
+differ), is written from a text template made once per m, with the
+angles in it and one slot per offset; the templates of the
+``GRID_TEXT_CACHE`` angle counts used last are kept.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .geometry import ConvexRegion
-from .ranges import RangeReport
+from .ranges import RangeReport, grid_angles
 
 
 class MatrixFileError(ValueError):
@@ -120,11 +121,6 @@ _PAIR = "    [\n      {!r},\n      {!r}\n    ]"
 GRID_TEXT_CACHE = 4
 
 
-def _grid(m: int) -> np.ndarray:
-    """``pencil_sweep``'s m angles 2 pi j / m, j = 0..m-1."""
-    return 2.0 * np.pi * np.arange(m) / m
-
-
 @functools.lru_cache(maxsize=GRID_TEXT_CACHE)
 def _grid_text(m: int) -> str:
     """The text of an (m, 2) array whose first column is the m-angle grid,
@@ -132,7 +128,7 @@ def _grid_text(m: int) -> str:
     # _PAIR with its second slot escaped, so that formatting in the angles
     # leaves a {!r} there
     row = "    [\n      {!r},\n      {{!r}}\n    ]"
-    return "[\n" + ",\n".join([row] * m).format(*_grid(m).tolist()) + "\n  ]"
+    return "[\n" + ",\n".join([row] * m).format(*grid_angles(m).tolist()) + "\n  ]"
 
 
 def _dumps_member(value) -> str:
@@ -143,7 +139,7 @@ def _dumps_member(value) -> str:
             if value.size == 0:
                 return "[]"
             # the grid's bits, not its values: -0.0 == 0.0, but their texts differ
-            if np.array_equal(value[:, 0].view(np.uint64), _grid(len(value)).view(np.uint64)):
+            if np.array_equal(value[:, 0].view(np.uint64), grid_angles(len(value)).view(np.uint64)):
                 return _grid_text(len(value)).format(*value[:, 1].tolist())
             rows = ",\n".join([_PAIR] * len(value)).format(*value.ravel().tolist())
             return "[\n" + rows + "\n  ]"

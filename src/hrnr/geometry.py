@@ -14,16 +14,15 @@ on a smooth range, in the first round) every kept plane is a facet, and
 otherwise the deque scan runs on the planes left, which on faceted and
 degenerate grid ranges are a few dozen after one round at 2^16 planes.
 The emptiness check tests every plane: it reuses the sorted planes'
-cosines and sines, finds each plane's supporting vertex by the run
-lengths of the sorted angles between edge normals and compares three
-candidates, about 2 ms at 2^16 planes.  A chain that the rounds certify
-skips it, since no plane can cut its region by 1e-9.
+cosines and sines, finds each plane's supporting vertex by one bisection
+of its direction into the sorted edge normals and compares three
+candidates.  A chain that the rounds certify skips it, since no plane
+can cut its region by 1e-9.
 Everything that depends on the angles alone (their reduction, sort and
-merge, cosines and sines, and the emptiness check's order of directions)
-is an ``AngleFrame``; a caller that cuts one set of angles at several
-offset vectors, as a pencil sweep's ranks do, builds it once with
-``angle_frame`` and passes it to each call, which then only gathers,
-merges and relaxes the offsets.
+merge, cosines and sines) is an ``AngleFrame``; a caller that cuts one
+set of angles at several offset vectors, as a pencil sweep's ranks do,
+builds it once with ``angle_frame`` and passes it to each call, which
+then only gathers, merges and relaxes the offsets.
 The planes are the caller's: ``ranges.range_from_sweep`` passes every
 grid plane of a batch or graded sweep, but of a sweep from a spectrum
 (diagonal, Hermitian or certified normal T) only the planes beside its
@@ -60,7 +59,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -248,7 +246,7 @@ def _sort_angles(thetas):
     ``_merge_offsets`` applies to the planes' offsets (the input index of
     each group's first plane, the input indices of the other planes and
     their groups, and whether the last group wraps onto the first)."""
-    thetas = _exact_remainder(thetas, TWO_PI, np.mod, 0.0)
+    thetas = _exact_remainder(thetas, TWO_PI)
     order = np.argsort(thetas, kind="stable")
     thetas = thetas[order]
     first = np.diff(thetas, prepend=-np.inf) > 1e-12
@@ -272,28 +270,14 @@ def _merge_offsets(merge, offsets):
     return merged
 
 
-def _exact_remainder(x, y, remainder, low):
-    """``remainder(x, y)`` bit for bit, evaluated only where x is outside
-    the interval (low, y), on which both np.mod and np.fmod (for low = -y)
-    are exact and return x: a sweep's angles need none of it."""
+def _exact_remainder(x, y):
+    """``np.mod(x, y)`` bit for bit, evaluated only where x is outside the
+    interval (0, y), on which np.mod is exact and returns x: a sweep's
+    angles need none of it."""
     x = np.array(x, dtype=float)
-    out = ~((x > low) & (x < y))
-    x[out] = remainder(x[out], y)
+    out = ~((x > 0.0) & (x < y))
+    x[out] = np.mod(x[out], y)
     return x
-
-
-def _phi_order(thetas):
-    """The directions phi = -theta, reduced to [-pi, pi) as
-    np.mod(pi - theta, 2 pi) - pi, sorted stably, and the order that sorts
-    them, for ``_support_candidates``."""
-    # np.mod(pi - theta, 2 pi) - pi bit for bit, but cheaper: np.mod adds
-    # 2 pi to a negative fmod remainder, and turns -0 into +0, which
-    # subtracting pi makes the same
-    phi = _exact_remainder(np.pi - thetas, TWO_PI, np.fmod, -TWO_PI)
-    phi[phi < 0] += TWO_PI
-    phi -= np.pi
-    rank = np.argsort(phi, kind="stable")
-    return phi[rank], rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,12 +298,6 @@ class AngleFrame:
     cos: np.ndarray
     sin: np.ndarray
     merge: tuple
-
-    @cached_property
-    def phi_order(self):
-        """``_phi_order`` of the merged angles, which the emptiness check
-        needs only for a polygon, so at the first rank that gives one."""
-        return _phi_order(self.thetas)
 
 
 def angle_frame(thetas) -> AngleFrame:
@@ -718,10 +696,9 @@ def _alternate_drops(drop):
     return drop
 
 
-def _unit_region(planes, dq, certified=False, frame=None) -> ConvexRegion:
+def _unit_region(planes, dq, certified=False) -> ConvexRegion:
     """The classified region of the chain ``dq`` of the unit-frame
-    ``planes``, or empty when some plane cuts it by more than 1e-9;
-    ``frame``, when given, is the planes' :class:`AngleFrame`.  A chain
+    ``planes``, or empty when some plane cuts it by more than 1e-9.  A chain
     that ``_facet_planes`` certified skips that check: no plane can cut
     its region by more than the chained bound of its docstring, which the
     wing rule's gap cap keeps within 1e-9.  Scanned chains, and chains with
@@ -740,7 +717,7 @@ def _unit_region(planes, dq, certified=False, frame=None) -> ConvexRegion:
     region = _classify(verts)
     if certified:
         return region
-    h = _support_candidates(region, all_t, cos_t, sin_t, frame)[1].max(axis=0)
+    h = _support_candidates(region, all_t, cos_t, sin_t)[1].max(axis=0)
     if (h - cuts > 1e-9).any():
         return ConvexRegion.empty()
     return region
@@ -767,18 +744,16 @@ def intersect_halfplanes(thetas, offsets, bound: float,
     intersection of the kept planes whenever it is non-empty, so a plane
     that the classified loop violates by more than 1e-9 * R certifies that
     the intersection is empty; that check tests every plane and costs
-    O(m + v log m) after a sort of the angles that is O(m) on sorted
-    planes.  It is skipped on a certified chain, which no plane can cut by
-    that much, and runs on scanned chains and on chains with an improper
-    neighbour corner.
+    O(m log v) for a loop of v vertices.  It is skipped on a certified
+    chain, which no plane can cut by that much, and runs on scanned chains
+    and on chains with an improper neighbour corner.
     ``_classify`` replaces a loop that rounding left non-convex by its
     hull.  Results are independent of the input order of the planes.
 
     The work on the angles alone (reduction, sort, merge, cosines and
-    sines, and the order of the emptiness check) is ``angle_frame(thetas)``;
-    a caller that cuts one set of angles at several offset vectors passes
-    that ``frame`` each time, and the results are those of building it
-    afresh, bit for bit.
+    sines) is ``angle_frame(thetas)``; a caller that cuts one set of angles
+    at several offset vectors passes that ``frame`` each time, and the
+    results are those of building it afresh, bit for bit.
     Raises ValueError when offsets / R, or the vertices they give, overflow
     to a non-finite value, or when ``frame`` holds another number of angles.
     """
@@ -801,7 +776,7 @@ def intersect_halfplanes(thetas, offsets, bound: float,
         planes = _unit_planes(frame, offsets, radius)
     if not np.isfinite(planes[3]).all():
         raise ValueError("offsets / bound must be finite")
-    region = _unit_region(planes, *_facet_planes(*planes), frame)
+    region = _unit_region(planes, *_facet_planes(*planes))
     if region.is_empty:
         return region
     verts = region.vertices * radius
@@ -810,23 +785,17 @@ def intersect_halfplanes(thetas, offsets, bound: float,
     return ConvexRegion(region.kind, verts)
 
 
-def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t, frame=None):
+def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t):
     """Candidate supporting vertices of a non-empty region at each angle,
     and Re(e^{i theta} z) at each: two (c, m) arrays for m angles with
-    cosines ``cos_t`` and sines ``sin_t``, whose ``_phi_order`` comes from
-    their :class:`AngleFrame` ``frame`` when given.
+    cosines ``cos_t`` and sines ``sin_t``.
 
     A point or segment offers every vertex.  A polygon vertex supports
-    exactly the directions between the outward normals of its two edges.
-    Sorted by that direction, the angles change supporting vertex only at
-    the v edge normals, so v bisections into the sorted angles and one
-    ``np.repeat`` of the run lengths give every angle the vertex that a
-    bisection of the sorted normals would (searchsorted's left side, bit
-    for bit).  With the stable sort, which is O(m) on the sorted or
-    piecewise sorted angles that callers pass, the pass costs
-    O(m + v log m): about 2 ms at 2^16 planes against 5 ms by bisection.
-    That vertex and its two neighbours are offered, which absorbs rounding
-    in the order of nearly parallel edges.
+    exactly the directions between the outward normals of its two edges,
+    so one bisection of each angle's direction into the v sorted edge
+    normals finds its supporting vertex, O(m log v).  That vertex and its
+    two neighbours are offered, which absorbs rounding in the order of
+    nearly parallel edges.
     """
     v = region.vertices
     if v.size < 3:
@@ -834,19 +803,11 @@ def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t, frame=None):
     else:
         normals = np.angle(-1j * (np.roll(v, -1) - v))  # outward for CCW loops
         order = np.argsort(normals)
-        # Re(e^{i theta} z) measures z along the normal angle -theta;
-        # below[j] = #{normals < phi[j]}, searchsorted's left side, by run
-        # length over the sorted angles: it steps only at the v normals
-        phi, rank = _phi_order(thetas) if frame is None else frame.phi_order
-        steps = np.concatenate(([0], np.searchsorted(phi, normals[order], side="right"),
-                                [phi.size]))
-        below = np.empty(phi.size, dtype=np.intp)
-        below[rank] = np.repeat(np.arange(v.size + 1), steps[1:] - steps[:-1])
-        # the supporting vertex order[below % v] and its two neighbours:
-        # vertex i's predecessor, itself and successor are around[i:i + 3]
-        around = np.concatenate(([v.size - 1], np.arange(v.size), [0]))
-        first = np.concatenate((order, order[:1]))
-        cand = np.take(around[first + np.arange(3)[:, None]], below, axis=1)
+        # Re(e^{i theta} z) measures z along the normal angle -theta, in [-pi, pi)
+        phi = np.mod(np.pi - thetas, TWO_PI) - np.pi
+        first = order[np.searchsorted(normals[order], phi) % v.size]
+        # the supporting vertex's predecessor, itself and successor
+        cand = (first + np.array([-1, 0, 1])[:, None]) % v.size
     h = v.real[cand]
     h *= cos_t
     y = v.imag[cand]

@@ -31,8 +31,8 @@ about 0.  r is symmetric about 0 (H_pi = -H_0 is similar to H_0), and the
 row (r - r[::-1]) / 2 is so bit for bit, so both rules above hold exactly.
 
 A sweep owns its grid's angle frame (``PencilSweep.frame``): the geometry's
-sort and merge of the angles, their cosines and sines and the emptiness
-check's order are computed at the first rank and reused by every other.
+sort and merge of the angles and their cosines and sines are computed at
+the first rank and reused by every other.
 
 Tie planes.  When the rows come from a spectrum mu, rank k's offset at
 theta is the k-th largest of Re(e^{i theta} mu_j), and the order of those
@@ -139,7 +139,8 @@ class PencilSweep:
         Grid angles 2*pi*j/m.
     eigenvalues
         (m, n) array; row j holds the descending spectrum of H_{theta_j};
-        twice ``numerical_radius()`` bounds and scales every rank-k region.
+        twice ``numerical_radius()``, ``region_bound``, bounds and scales
+        every rank-k region.
     spectrum
         T's eigenvalues mu when the rows are 2 Re(e^{i theta} mu) sorted
         (exactly diagonal, exactly Hermitian or certified normal T), else
@@ -164,6 +165,12 @@ class PencilSweep:
         return float(self.eigenvalues[:, 0].max() / 2.0)
 
     @cached_property
+    def region_bound(self) -> float:
+        """The bound ``range_from_sweep`` passes the geometry: twice the
+        numerical radius, or 1 when every row is zero."""
+        return 2.0 * self.numerical_radius() or 1.0
+
+    @cached_property
     def planes(self) -> np.ndarray | None:
         """The grid indices whose planes can bound a rank, ascending, for a
         sweep with a ``spectrum``; None, every plane, for any other."""
@@ -177,6 +184,11 @@ class PencilSweep:
         built at the first rank that reaches the geometry and shared by every
         later one."""
         return angle_frame(self.thetas if self.planes is None else self.thetas[self.planes])
+
+
+def grid_angles(m: int) -> np.ndarray:
+    """The m angles 2 pi j / m, j = 0..m-1, of every sweep."""
+    return 2.0 * np.pi * np.arange(m) / m
 
 
 def pencil_sweep(t, m: int | None) -> PencilSweep:
@@ -207,7 +219,7 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     """
     t = as_matrix(t)
     m = resolve_angles(m)
-    thetas = 2.0 * np.pi * np.arange(m) / m
+    thetas = grid_angles(m)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
         vals, spectrum = _rows(t, thetas)
     if not np.isfinite(vals).all():
@@ -414,14 +426,13 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     vals = sweep.eigenvalues
     offsets = vals[:, k - 1] / 2.0
     m = sweep.angle_count
-    radius = sweep.numerical_radius()
     if (2 * k > n + 1 and ((vals[:, k - 1] - vals[:, n - k]) / 2.0).min()
-            < -2.0 * _solve_error(n, 2.0 * radius / np.cos(np.pi / m))):
+            < -2.0 * _solve_error(n, 2.0 * sweep.numerical_radius() / np.cos(np.pi / m))):
         region = ConvexRegion.empty()
     else:
         # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
         # square never cuts it; all-zero offsets fit any bound
-        bound = 2.0 * radius or 1.0
+        bound = sweep.region_bound
         idx = slice(None) if sweep.planes is None else sweep.planes
         region = intersect_halfplanes(sweep.thetas[idx], offsets[idx], bound, frame=sweep.frame)
         if region.kind == "point" and sweep.planes is not None:

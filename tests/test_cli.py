@@ -78,6 +78,20 @@ def test_range_boolean_matrix_file_exits_2(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"dim": 2}', "matrix file needs 'dim' and 'data' keys"),
+    ('{"dim": 2, "data": [[[1, 0], [0, 0]]]}', "expected 2 rows"),
+    ('{"dim": 1, "data": [[[NaN, 0]]]}', "matrix entries must be finite"),
+    ('{"dim": 1, "data": [[[0, -Infinity]]]}', "matrix entries must be finite"),
+], ids=["keys", "rows", "nan", "infinity"])
+def test_range_malformed_matrix_file_message_exits_2(tmp_path, capsys, text, message):
+    # json reads NaN and Infinity as floats, which no matrix entry may be
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["range", "--input", str(bad), "--k", "1"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("t", [np.diag([1e308]), np.full((2, 2), 1e308) + 1e308j * np.eye(2)],
                          ids=["diagonal", "2x2"])
 @pytest.mark.parametrize("command", [["radius"], ["range", "--k", "1"],
@@ -350,6 +364,11 @@ def test_verify_nilpotent_usage_errors():
     assert main(["verify-nilpotent", "--n", "4", "--r-hint", "9"]) == 2
 
 
+def test_verify_nilpotent_dimension_1_exits_2(capsys):
+    assert main(["verify-nilpotent", "--n", "1"]) == 2
+    assert "error: --n must be >= 2, got 1" in capsys.readouterr().err
+
+
 def test_verify_properties_shift(tmp_path, capsys):
     path = write_matrix(tmp_path, "s5.json", shift_matrix(5))
     code = main(["verify-properties", "--input", path, "--k", "2",
@@ -461,6 +480,11 @@ def test_verify_properties_default_angles(tmp_path, monkeypatch, capsys):
               if line.startswith("NORMAL")]
     assert code == 0
     assert len(normal) == 1 and "m=720]" in normal[0]
+
+
+def test_verify_properties_rank_0_exits_2(shift4, capsys):
+    assert main(["verify-properties", "--input", shift4, "--k", "0"]) == 2
+    assert "error: k must be in 1..4, got 0" in capsys.readouterr().err
 
 
 def test_verify_properties_non_square_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import importlib.util
+import inspect
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -403,7 +405,7 @@ def test_shared_frame_gives_the_fresh_frame_region(planes, data):
     # the square appended, merged as they were; the frame stays as built
     thetas = planes[0]
     frame = angle_frame(thetas)
-    built = [a.copy() for a in (frame.thetas, frame.cos, frame.sin, *frame.phi_order)]
+    built = [a.copy() for a in (frame.thetas, frame.cos, frame.sin)]
     for _ in range(3):
         offsets = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=thetas.size,
                                               max_size=thetas.size)))
@@ -417,7 +419,7 @@ def test_shared_frame_gives_the_fresh_frame_region(planes, data):
         assert all_t.tobytes() == want_t.tobytes()
         assert np.array_equal(cuts, want_b + CLIP_EPS)
         assert cos_t.tobytes() == np.cos(want_t).tobytes()
-    after = (frame.thetas, frame.cos, frame.sin, *frame.phi_order)
+    after = (frame.thetas, frame.cos, frame.sin)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(built, after))
 
 
@@ -427,9 +429,7 @@ def test_exact_remainder_is_numpy_bit_for_bit():
     edges = [0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0), np.nextafter(-TWO_PI, 0),
              1e-300, -1e-300, 4 * TWO_PI, np.pi, -np.pi, 1e17, -1e17]
     x = np.concatenate([edges, np.random.default_rng(3).uniform(-30, 30, 1000)])
-    assert _exact_remainder(x, TWO_PI, np.mod, 0.0).tobytes() == np.mod(x, TWO_PI).tobytes()
-    assert (_exact_remainder(x, TWO_PI, np.fmod, -TWO_PI).tobytes()
-            == np.fmod(x, TWO_PI).tobytes())
+    assert _exact_remainder(x, TWO_PI).tobytes() == np.mod(x, TWO_PI).tobytes()
 
 
 def test_frame_of_other_angles_is_rejected():
@@ -660,6 +660,94 @@ def test_plane_filter_keeps_planes_that_cut_a_relaxed_corner():
     region = intersect_halfplanes(thetas, (np.exp(1j * thetas) * p).real, bound=2.4)
     assert region.kind == "point"
     assert abs(region.vertices[0] - p) <= 1e-12 * 2.4
+
+
+def block_runs(func, condition, call):
+    """Whether the first line of the block under ``condition`` (a line of
+    ``func``'s source, stripped) runs during ``call()``."""
+    lines, first = inspect.getsourcelines(func)
+    target = first + [line.strip() for line in lines].index(condition) + 1
+    code, hit = func.__code__, []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            hit.append(target)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return bool(hit)
+
+
+def test_classify_replaces_a_reversing_spike_by_the_hull():
+    # a square whose fourth edge dents in to a vertex that turns right
+    loop = np.array([0, 1, 1 + 1j, 0.5 + 0.2j, 1j])
+    out = []
+    assert block_runs(geometry._classify, "if (turns <= 0).any() or turns.sum() >= 3 * np.pi:",
+                      lambda: out.append(geometry._classify(loop)))
+    assert out[0].kind == "polygon"
+    assert np.array_equal(out[0].vertices, [0, 1, 1 + 1j, 1j])
+
+
+def test_classify_sends_a_loop_pruned_below_three_vertices_back():
+    # a sliver triangle 2e-13 high, wound 30000 times: thick enough by area
+    # (3e-9 over a diameter of 1), but each vertex lies within CLIP_EPS of
+    # its neighbours' chord, so the pruned loop keeps the two ends
+    loop = np.tile(np.array([0, 0.5 - 2e-13j, 1]), 30000)
+    out = []
+    assert block_runs(geometry._classify, "if verts.size < 3:",
+                      lambda: out.append(geometry._classify(loop)))
+    assert out[0].kind == "segment"
+    assert np.array_equal(out[0].vertices, [0, 1])
+
+
+def test_scanned_antiparallel_neighbours_give_empty():
+    # x <= 0.3 and x >= 0.3 + 2e-12: the relaxed cuts leave a strip -5.6e-17
+    # wide, so the scan pops the square's plane between the two, and their
+    # corner is improper
+    planes = unit_planes(np.array([0.0, np.pi]), np.array([0.6, -0.6 - 4e-12]), 2.0)
+    dq = full_scan(planes)
+    assert planes[0][dq].tolist() == [0.0, np.pi, 1.5 * np.pi]
+    out = []
+    assert block_runs(_unit_region, "if (np.abs(det) < 1e-14).any():",
+                      lambda: out.append(_unit_region(planes, dq)))
+    assert out[0].is_empty
+
+
+def rippled_planes(p, eps, phase, second=(0.0, 0, 0.0), m=720):
+    """The unit planes of the offsets of an ellipse with semi-axes 1 and
+    0.004 plus eps cos(p theta + phase) and a second ripple (amplitude,
+    frequency, phase), at bound 4: swallowtails wider than the ellipse."""
+    thetas = 2 * np.pi * np.arange(m) / m
+    offsets = (np.hypot(np.cos(thetas), 0.004 * np.sin(thetas)) + eps * np.cos(p * thetas + phase)
+               + second[0] * np.cos(second[1] * thetas + second[2]))
+    return unit_planes(thetas, offsets, 4.0)
+
+
+@pytest.mark.parametrize("planes, condition", [
+    pytest.param(lambda: sweep_planes(np.random.default_rng(127).normal(size=(8, 8)), 4, 720),
+                 "if len(pairs) > 1 and pairs[-1][2] >= pairs[0][1] + n:", id="seam-pair"),
+    pytest.param(lambda: rippled_planes(10, 0.002, np.pi / 2), "if j > 0:", id="previous-run"),
+    pytest.param(lambda: rippled_planes(11, 0.2, 2.9, (0.15, 7, 4.0)),
+                 "else:  # the first one, across the ends of the list", id="run-across-ends"),
+])
+def test_wing_round_merges_keep_the_full_scan_region(planes, condition):
+    # the last junction's pair reaching past the first one's, a junction
+    # that joins the previous run, and the last junction taking in the
+    # first run across the ends of the list: each keeps the scan's region
+    planes = planes()
+    out = []
+    assert block_runs(geometry._wing_drops, condition,
+                      lambda: out.append(_facet_planes(*planes)))
+    ours = _unit_region(planes, *out[0])
+    full = _unit_region(planes, full_scan(planes))
+    assert ours.kind == full.kind
+    if not full.is_empty:
+        assert hausdorff(ours, full) <= 1e-12
 
 
 @pytest.mark.xfail(strict=True, reason="relaxed acute corners of a sliver run to the square")

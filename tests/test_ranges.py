@@ -10,6 +10,7 @@ from hrnr.linalg import as_matrix, eig_hermitian_stack
 from hrnr.ranges import (
     BadRankError,
     _row_tol,
+    grid_angles,
     numerical_radius,
     pencil,
     pencil_sweep,
@@ -141,6 +142,15 @@ def test_radius_nondecreasing_in_nested_grids():
     r64 = numerical_radius(t, 64)
     assert r16 <= r32 + 1e-15
     assert r32 <= r64 + 1e-15
+
+
+def test_sweep_grid_and_region_bound():
+    # the one grid of every sweep (and of the region writer's template), and
+    # the one bound that range_from_sweep and the checks scale by
+    sweep = pencil_sweep(shift_matrix(4), 720)
+    assert sweep.thetas.tobytes() == grid_angles(720).tobytes()
+    assert sweep.region_bound == 2.0 * sweep.numerical_radius() > 0
+    assert pencil_sweep(np.zeros((2, 2)), 16).region_bound == 1.0
 
 
 def test_angle_floor_enforced():

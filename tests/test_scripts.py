@@ -46,6 +46,15 @@ def test_replay_engine_script(tmp_path):
     # how many planes reached the deque scan, per side
     assert "calls the old run did not scan, byte-identical:" in proc.stdout
     assert proc.stdout.count(" over m/16") == 2
+    # and how many the emptiness check tested, per side: none of these
+    # chains, which the rounds certify, but the Hermitian segments after them
+    assert "old emptiness checks: 0 calls, 0 planes, 0 at most" in proc.stdout
+    proc = run_script("replay_engine.py", dump, "--limit", "6")
+    assert proc.returncode == 0, proc.stderr
+    proc = run_script("replay_engine.py", "--compare", dump, dump)
+    assert proc.returncode == 0, proc.stderr
+    assert "new scans: 2 calls," in proc.stdout
+    assert "new emptiness checks: 2 calls," in proc.stdout
 
 
 def load_script(name):
