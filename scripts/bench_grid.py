@@ -5,7 +5,10 @@ The grid: shift, Gaussian, Hermitian and hidden normal matrices at n in
 benchmark: its smooth ones (shifts at n = 4 and 8 and a Gaussian at n = 6,
 all at m = 8192, and a Gaussian at n = 4 and m = 16384) and its faceted
 and degenerate m = 65536 ones (normal diagonals at n = 5 and 6, a
-Hermitian diagonal at n = 5).  Every matrix has spectral norm 1 and
+Hermitian diagonal at n = 5), and a real Gaussian at n = 8 on 720 and
+2048 angles (``gauss-real``: the real part of the Gaussian cell's draw),
+which is neither graded nor normal and so solves as many pencils as a
+complex one.  Every matrix has spectral norm 1 and
 is drawn from a fixed seed.  Each cell runs in a child process of its own,
 so that its peak RSS is its own, with one BLAS thread unless the
 environment sets another count.  The grid runs ``ROUNDS`` times, each
@@ -55,6 +58,7 @@ SMOOTH_CELLS = (("shift", 4, 8192), ("shift", 8, 8192), ("gauss", 6, 8192),
                 ("gauss", 4, 16384))
 DIAGONAL_CELLS = (("normal-diag", 5, 65536), ("normal-diag", 6, 65536),
                   ("herm-diag", 5, 65536))
+REAL_CELLS = (("gauss-real", 8, 720), ("gauss-real", 8, 2048))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SEED = 1
 REPEAT = ROUNDS = 5
@@ -63,7 +67,7 @@ REPEAT = ROUNDS = 5
 def cells():
     """(kind, n, m) of every cell, in order."""
     grid = [(kind, n, m) for kind in KINDS for n in (4, 8, 16) for m in (720, 2048)]
-    return grid + list(SMOOTH_CELLS) + list(DIAGONAL_CELLS)
+    return grid + list(SMOOTH_CELLS) + list(DIAGONAL_CELLS) + list(REAL_CELLS)
 
 
 def matrix(kind, n):
@@ -81,6 +85,8 @@ def matrix(kind, n):
         t = np.diag(g[0])
     elif kind == "herm-diag":
         t = np.diag(g[0].real)
+    elif kind == "gauss-real":
+        t = g.real
     else:
         t = g
     return t / np.linalg.norm(t, 2)

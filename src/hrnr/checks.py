@@ -20,8 +20,8 @@ an eigenvalue) moves by half their sum, 4, and two rows by 8.  Forming X
 adds 3: U*TU and V*TV are two products within sqrt(2) n eps N each, and
 P1's |a| T + b' I (b' = e^{-i arg a} b) is entrywise like the assembly
 (T* and T (+) S are exact).  P1's |a| h + Re(e^{i theta} b') adds 3, so
-P1 sums to 8 + 3 + 3 = 14, and P2's mirrored angle, within (2 pi + 1) eps
-of theta_{m-j} (see Angles), adds 7.3.  P4 and P5 add (2 eta + eta^2)
+P1 sums to 8 + 3 + 3 = 14, and P2's mirrored angle, within 7.4 eps of
+theta_{m-j} (see Angles), adds 7.4.  P4 and P5 add (2 eta + eta^2)
 ||T||_2 for the isometry's defect eta = ||Q*Q - I||_F, which their gates
 allow up to 1e-10: Q = WP with W an isometry and ||P - I||_2 <= eta, and
 the pencil of P (W*TW) P is that close to the one of W*TW.  SHIFT
@@ -73,32 +73,28 @@ at most eps (|t_ij| + |t_ji|), a third of a pencil's assembly, and
 -r_{n+1-i}, both that close to the same exact value, and rounds one
 subtraction of halves of modulus at most N: at most eps N more.  The
 similarity holds at every theta, the computed grid angles included, so
-no row carries the angle error of the next paragraph, and a check with a
-graded T on one side has no fold term from it.  A graded row is thus
-within 3 n eps N, below the pencil solve's 4, and ``ROW_TOL`` stays 17.
-The independent check of graded rows is the full-grid LAPACK comparison
-in the tests (``test_graded_rows_match_full_grid_lapack``).
+no row carries the angle error of the next paragraph.  A graded row is
+thus within 3 n eps N, below the pencil solve's 4, and ``ROW_TOL`` stays
+17.  The independent check of graded rows is the full-grid LAPACK
+comparison in the tests (``test_graded_rows_match_full_grid_lapack``).
 
-Angles.  Every row is the spectrum of a pencil at a solved angle
-fl(2 pi i / m), or follows from one exactly: by the half-turn (negated
-and reversed) and, for real T, by conjugation (row m - j is row j).  A
-computed grid angle is within 1.18 eps of exact, relatively (fl(pi) is
-0.18 eps off, and the product and the quotient round once each), and an
-angle error d moves an offset by at most d N.  P2 compares T*'s row j
-with T's row m - j: for real T both come from one solved angle.  P1 and
-P3-P5 compare two matrices' rows at one index, which share a solved
-angle when both matrices are real or both complex.  When exactly one is
-real, its row may come from pi - theta (even m) or 2 pi - theta (odd m)
-where the other's comes from theta, so the two angle errors sum to
-1.18 pi eps = 3.7 eps or 7.4 eps: the fold term, 3.7 / n or 7.4 / n.
-P1 then sums to 14 + 3.7 / n on even grids, within 17 at every n (at
-n = 1 ``eigvalsh`` returns a 1 x 1 pencil's entry exactly, so a row costs
-3, not 4: 6 + 3 + 3 + 3.7), and to 14 + 7.4 / n on odd grids, within 17
-for n >= 3 only: the model does not certify P1 on odd grids at n <= 2.
-P3 sums to at most 8 + 7.4 / 2, and P4 and P5 to 11 + 7.4 / n (n = 1:
-6 + 3 + 7.4), within 17.  Over 150 seeded inputs per n, field and grid
-(n 1-6, m 720 and 2048; 60 at m = 721), P1 with complex a, a quarter on
-the grid, measured at most 5.5 (n = 1) and 4.3 (n = 2).
+Angles.  Row j of every sweep, whatever T's field, is the spectrum of a
+pencil at the computed angle fl(2 pi j / m), or on an even grid follows
+exactly from row j - m/2 by the half-turn (negated and reversed).  So
+P1 and P3-P5, which compare two matrices' rows at one index, compare
+pencils at one computed angle, and the angles' rounding cancels: P1
+sums to 14, P3 to 8, and P4 and P5 to 11, at every n on every grid.  P2
+compares T*'s row j with T's row m - j, whose angles mirror each other
+only up to rounding.  A computed grid angle is within 1.18 eps of exact,
+relatively (fl(pi) is 0.18 eps off, and the product and the quotient
+round once each), and the two angles sum to at most 2 pi, so the mirror
+of one is within 1.18 * 2 pi eps = 7.4 eps of the other (mpmath puts
+the worst at 5.73 eps, m = 721).  An angle error d moves an offset by at
+most d N, so P2 sums to at most 8 + 7.4 = 15.4.  Every sum is within 17.
+Over 150 seeded unit-norm Gaussians per n, field and grid (n 1-6, m 720
+and 2048; 60 at m = 721, random k), P1 with complex a, a quarter on the
+grid, measured at most 3.7 (n = 1) and 3.5 (n = 2), and P2 at most 5.9
+(n = 1).
 
 Region tolerance, for P6, the Hermitian oracle and SHIFT's radii:
 ``REGION_SLACK`` times the bound the geometry ran at.  A region lies

@@ -199,6 +199,16 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return hull
 
 
+def _segment(verts: np.ndarray) -> ConvexRegion:
+    """The segment between the extremes of ``verts`` along the diagonal of
+    their bounding box that rises or falls with the points."""
+    w, h = float(np.ptp(verts.real)), float(np.ptp(verts.imag))
+    x, y = verts.real - verts.real.mean(), verts.imag - verts.imag.mean()
+    direction = complex(w, h if (x * y).sum() >= 0 else -h) / float(np.hypot(w, h))
+    proj = (verts * np.conj(direction)).real
+    return ConvexRegion.segment(verts[np.argmin(proj)], verts[np.argmax(proj)])
+
+
 def _classify(verts: np.ndarray) -> ConvexRegion:
     """Turn a raw vertex loop into a tagged region.
 
@@ -210,33 +220,28 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
     more than once, is not convex: where many nearly parallel cut lines
     meet, rounding can leave a reversing micro-spike or a vertex cluster
     that winds twice.  Such a loop is replaced by its convex hull, so that
-    supporting-vertex searches over the edge normals stay exact.
+    supporting-vertex searches over the edge normals stay exact.  A loop
+    that pruning leaves with fewer than 3 vertices is a segment, whose ends
+    are sought on the whole loop: on a loop that revisits its vertices the
+    prune's survivors need not be the extremes.
     """
-    verts = _dedupe(verts)
-    if verts.size == 0:
+    loop = _dedupe(verts)
+    if loop.size == 0:
         return ConvexRegion.empty()
-    w = float(verts.real.max() - verts.real.min())
-    h = float(verts.imag.max() - verts.imag.min())
-    diam = float(np.hypot(w, h))
+    diam = float(np.hypot(np.ptp(loop.real), np.ptp(loop.imag)))
     if diam < POINT_DIAM:
-        return ConvexRegion.point(verts.mean())
-    area2 = _signed_area2(verts)
-    if verts.size < 3 or abs(area2) / 2.0 < SEGMENT_THICKNESS * diam:
-        # the bounding box's diagonal that rises or falls with the points
-        x, y = verts.real - verts.real.mean(), verts.imag - verts.imag.mean()
-        direction = complex(w, h if (x * y).sum() >= 0 else -h) / diam
-        proj = (verts * np.conj(direction)).real
-        return ConvexRegion.segment(verts[np.argmin(proj)], verts[np.argmax(proj)])
-    if area2 < 0:
-        verts = verts[::-1]
-    verts = _dedupe(_prune_collinear(verts))
+        return ConvexRegion.point(loop.mean())
+    area2 = _signed_area2(loop)
+    if loop.size < 3 or abs(area2) / 2.0 < SEGMENT_THICKNESS * diam:
+        return _segment(loop)
+    verts = _dedupe(_prune_collinear(loop if area2 > 0 else loop[::-1]))
     if verts.size >= 3:
         edges = np.roll(verts, -1) - verts
         turns = np.angle(np.roll(edges, -1) * np.conj(edges))
         if (turns <= 0).any() or turns.sum() >= 3 * np.pi:
             verts = _dedupe(_prune_collinear(_convex_hull(verts)))
     if verts.size < 3:
-        return _classify(verts)
+        return _segment(loop)
     return ConvexRegion.polygon(verts)
 
 

@@ -7,11 +7,9 @@ the rank-k numerical range in that direction.  Sweeping theta over a
 uniform grid and intersecting the half-planes yields a circumscribed
 polygon; ``outer_error_bound`` says how far it can sit outside a disc.
 
-Two symmetries cut the eigensolves: H_{theta + pi} = -H_theta for every
-T, and H_{-theta} = conj(H_theta) for real T (such as the shift S_n and
-real diagonals).  An even grid of m angles solves m/2 pencils, or
-floor(m/4) + 1 for real T; an odd grid solves m, or (m + 1)/2 for real T.
-The other rows are copied, negated and reversed as the symmetries say.
+One symmetry halves the eigensolves: H_{theta + pi} = -H_theta for every
+T, so an even grid of m angles solves m/2 pencils and fills the other
+rows by negating and reversing them; an odd grid solves all m.
 
 No pencil is solved when T is normal: then every pencil is diagonal in T's
 eigenbasis, with spectrum 2 Re(e^{i theta} mu_j) for T's eigenvalues mu.
@@ -19,7 +17,7 @@ mu is the diagonal itself when T is exactly diagonal, one ``eigvalsh`` of
 T when T is exactly Hermitian, and otherwise the diagonal of Q*TQ, Q an
 orthonormal basis from ``eig``, when a certificate shows that T is normal
 to within the rounding of one pencil solve.  The solved rows are those
-values sorted, and the same symmetries fill the rest.
+values sorted, and the same symmetry fills the rest.
 
 One pencil is solved when T is graded: when integers g have g_i - g_j = 1
 wherever t_ij != 0, as for the shift S_n, its transpose, weighted shifts,
@@ -28,7 +26,8 @@ gives D T D* = e^{i theta} T, so H_theta = D H_0 D*, and every row is the
 spectrum r of H_0 = T + T*.  The similarity of T and e^{i theta} T is the
 symmetry behind the rank-k range of S_n, a disc of radius cos(k pi/(n+1))
 about 0.  r is symmetric about 0 (H_pi = -H_0 is similar to H_0), and the
-row (r - r[::-1]) / 2 is so bit for bit, so both rules above hold exactly.
+row (r - r[::-1]) / 2 is so bit for bit, so the half-turn rule holds
+exactly.
 
 A sweep owns its grid's angle frame (``PencilSweep.frame``): the geometry's
 sort and merge of the angles and their cosines and sines are computed at
@@ -197,12 +196,8 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
 
     H_{theta + pi} = -H_theta, so lambda_i(H_{theta + pi}) =
     -lambda_{n+1-i}(H_theta).  For even m, row j + m/2 is therefore row j
-    negated and reversed, and only the first m/2 pencils are solved.  For
-    real T, H_{-theta} is the conjugate of H_theta and has its spectrum, so
-    row m - j is row j: even m solves rows 0..m/4 and fills row m/2 - j
-    with row j negated and reversed, odd m solves rows 0..(m-1)/2.  When 4
-    divides m, row m/4 (the pencil i(T - T^T)) is made exactly symmetric
-    about 0, as its spectrum is, so that both rules hold bit for bit.
+    negated and reversed, and only the first m/2 pencils are solved; odd m
+    solves all m.  The rule is the same whatever T's field.
 
     The solved rows skip LAPACK's batch when T has a spectrum mu that every
     pencil shares an eigenbasis with: mu is T's diagonal when every
@@ -242,11 +237,7 @@ def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
         return np.tile(half - half[::-1], (m, 1)), None
     else:
         spectrum = _normal_spectrum(t)
-    real = not t.imag.any()
-    if m % 2:
-        solved = m // 2 + 1 if real else m
-    else:
-        solved = m // 4 + 1 if real else m // 2
+    solved = m if m % 2 else m // 2
     if spectrum is None:
         stack = np.exp(1j * thetas[:solved])[:, None, None] * t
         stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
@@ -254,12 +245,6 @@ def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
     else:
         z = np.exp(1j * thetas[:solved])[:, None] * spectrum
         vals = np.sort((z + z.conj()).real, axis=1)[:, ::-1]
-    if real and m % 2:
-        vals = np.concatenate([vals, vals[:0:-1]])
-    elif real:
-        if m % 4 == 0:
-            vals[-1] = (vals[-1] - vals[-1, ::-1]) / 2.0
-        vals = np.concatenate([vals, -vals[m // 2 - solved:0:-1, ::-1]])
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
     return vals, spectrum

@@ -705,6 +705,16 @@ def test_classify_sends_a_loop_pruned_below_three_vertices_back():
     assert np.array_equal(out[0].vertices, [0, 1])
 
 
+def test_classify_finds_a_wound_sliver_segment_from_the_whole_loop():
+    # the same sliver walked 0, 1, apex: on a loop that revisits its
+    # vertices the prune's stack walk keeps 0 and the apex, and a segment
+    # taken from those survivors lost the end at 1
+    loop = np.tile(np.array([0, 1, 0.5 + 2e-13j]), 30000)
+    region = geometry._classify(loop)
+    assert region.kind == "segment"
+    assert np.array_equal(region.vertices, [0, 1])
+
+
 def test_scanned_antiparallel_neighbours_give_empty():
     # x <= 0.3 and x >= 0.3 + 2e-12: the relaxed cuts leave a strip -5.6e-17
     # wide, so the scan pops the square's plane between the two, and their

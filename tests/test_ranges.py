@@ -330,8 +330,7 @@ def _sweep_inputs():
 @pytest.mark.parametrize("t", _sweep_inputs())
 def test_sweep_matches_full_grid_lapack(t, m):
     # even m solves half the grid and mirrors it through H_{theta+pi} = -H_theta;
-    # odd m solves every angle (real T: a quarter and a half of them, see
-    # below).  All must agree with a direct full-grid solve.
+    # odd m solves every angle.  All must agree with a direct full-grid solve.
     sweep = pencil_sweep(t, m)
     thetas = 2.0 * np.pi * np.arange(m) / m
     stack = np.exp(1j * thetas)[:, None, None] * t
@@ -343,7 +342,7 @@ def test_sweep_matches_full_grid_lapack(t, m):
     assert (np.diff(sweep.eigenvalues, axis=1) <= 0).all()
 
 
-# --- real sweep: H_{-theta} = conj(H_theta) ---------------------------------
+# --- real sweep: the half-turn rule alone -----------------------------------
 
 def _corner_shift(n):
     """S_n with 0.5 at (0, n - 1): real, not graded (the corner closes the
@@ -391,24 +390,33 @@ def _full_grid_rows(t, m):
 @pytest.mark.parametrize("m", [16, 18, 17, 720, 2048])
 @pytest.mark.parametrize("name", ["shift", "gauss", "diag", "corner"])
 def test_real_sweep_matches_full_grid_solve(name, m, monkeypatch):
-    # real T solves rows 0..m/4 (even m) or 0..(m-1)/2 (odd m) and fills
-    # the rest by symmetry; every row stays within the row tolerance of an
-    # all-m solve, and row m - j is row j
+    # real T solves the pencils a complex T does, rows 0..m/2 - 1 (even m)
+    # or all m (odd m), and fills the rest by the half-turn; every row stays
+    # within the row tolerance of an all-m solve
     t = _real_inputs()[name]
     sweep, sizes = _solved_pencils(t, m, monkeypatch)
     # a diagonal T takes its rows from its diagonal and solves no pencil,
     # and the graded shift solves T + T* alone
-    want = [m // 4 + 1 if m % 2 == 0 else m // 2 + 1]
-    assert sizes == {"diag": [], "shift": [1]}.get(name, want)
+    assert sizes == {"diag": [], "shift": [1]}.get(name, [_solved_count(m)])
     vals = sweep.eigenvalues
     assert vals.shape == (m, t.shape[0])
     assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(t.shape[0], np.linalg.norm(t, 2))
     assert (np.diff(vals, axis=1) <= 0).all()
-    # both symmetries hold bit for bit
-    j = np.arange(m)
-    assert np.array_equal(vals[-j % m], vals)
     if m % 2 == 0:
+        j = np.arange(m)
         assert np.array_equal(vals[(j + m // 2) % m], -vals[:, ::-1])
+
+
+@pytest.mark.parametrize("m", [16, 17, 18, 720, 2048])
+@pytest.mark.parametrize("name", ["corner", "gauss"])
+def test_real_rows_are_the_folded_batch_bit_for_bit(name, m):
+    # every row of a real T is LAPACK's spectrum of the pencil at its own
+    # grid angle, or on an even grid the half-turn of row j - m/2
+    t = _real_inputs()[name]
+    rows = _batch_rows(t, m)
+    if m % 2 == 0:
+        rows = np.concatenate([rows, -rows[:, ::-1]])
+    assert pencil_sweep(t, m).eigenvalues.tobytes() == rows.tobytes()
 
 
 def test_barely_complex_input_takes_the_complex_path(monkeypatch):
@@ -419,31 +427,28 @@ def test_barely_complex_input_takes_the_complex_path(monkeypatch):
     # t.real is S_4, graded: one solve of T + T*
     _, sizes = _solved_pencils(t.real, 720, monkeypatch)
     assert sizes == [1]
-    # a real corner keeps the real fold in play, whatever the imaginary part
+    # with a real corner, T and its real part solve the same half grid
     t[0, 3] += 0.5
     _, sizes = _solved_pencils(t, 720, monkeypatch)
     assert sizes == [360]
     _, sizes = _solved_pencils(t.real, 720, monkeypatch)
-    assert sizes == [181]
+    assert sizes == [360]
 
 
 # --- structured sweep: rows from T's own spectrum ---------------------------
 
-def _solved_count(t, m):
-    real = not t.imag.any()
-    if m % 2:
-        return m // 2 + 1 if real else m
-    return m // 4 + 1 if real else m // 2
+def _solved_count(m):
+    return m if m % 2 else m // 2
 
 
 @pytest.mark.parametrize("m", [16, 17, 18, 720, 2048, 65536])
 def test_diagonal_sweep_is_the_pencil_sweep_bit_for_bit(m, monkeypatch):
     # the pencil of a diagonal T is diagonal: its rows are the sorted
     # 2 Re(e^{i theta} t_jj), the bits LAPACK returns for the assembled
-    # stack.  The fold that fills the other rows is shared, so the solved
-    # rows and the symmetries pin the whole sweep.  Each row depends on its
+    # stack.  The half-turn that fills the other rows is shared, so the
+    # solved rows and the rule pin the whole sweep.  Each row depends on its
     # angle alone, so large grids compare about 1024 solved rows, the last
-    # (row m/4 for real T) among them.
+    # among them.
     rng = generator(19)
     thetas = 2.0 * np.pi * np.arange(m) / m
     j = np.arange(m)
@@ -454,19 +459,15 @@ def test_diagonal_sweep_is_the_pencil_sweep_bit_for_bit(m, monkeypatch):
                 t = np.diag(s * d)
                 sweep, sizes = _solved_pencils(t, m, monkeypatch)
                 assert sizes == []
-                solved = _solved_count(t.astype(complex), m)
+                solved = _solved_count(m)
                 rows = np.union1d(np.arange(0, solved, max(1, solved // 1024)), [solved - 1])
                 stack = np.exp(1j * thetas[rows])[:, None, None] * t.astype(complex)
                 want = eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
-                if real and m % 4 == 0:
-                    want[-1] = (want[-1] - want[-1, ::-1]) / 2.0
                 vals = sweep.eigenvalues
                 assert vals[rows].tobytes() == want.tobytes(), (n, s, real)
                 assert vals.shape == (m, n)
                 if m % 2 == 0:
                     assert np.array_equal(vals[(j + m // 2) % m], -vals[:, ::-1])
-                if real:
-                    assert np.array_equal(vals[-j % m], vals)
 
 
 @pytest.mark.parametrize("m", [720, 721, 2048])
@@ -508,7 +509,7 @@ def test_near_structured_input_takes_the_pencil_path(monkeypatch):
     off = np.diag([1.0, -2.0, 0.5, 3.0])
     off[0, 2] = 1e-6
     _, sizes = _solved_pencils(off, 720, monkeypatch)
-    assert sizes == [181]
+    assert sizes == [360]
 
 
 # --- numerically normal sweep: certified rows from eig + QR -------------------
@@ -543,7 +544,7 @@ def _hidden_normal(n, rng, real=False, tie=None):
 def test_normal_rows_match_full_grid_lapack(tie, real, m, monkeypatch):
     # hidden normals with a 1e-9 cluster or an exact double eigenvalue take
     # the certified path at every n here; every row is within the row
-    # tolerance of a full-grid solve, and real T keeps both symmetries
+    # tolerance of a full-grid solve, and even grids keep the half-turn
     rng = generator(int(tie == 0.0) + 2 * real)
     spectral = 0
     j = np.arange(m)
@@ -557,22 +558,14 @@ def test_normal_rows_match_full_grid_lapack(tie, real, m, monkeypatch):
         assert (np.diff(vals, axis=1) <= 0).all()
         if m % 2 == 0:
             assert np.array_equal(vals[(j + m // 2) % m], -vals[:, ::-1])
-        if real:
-            assert np.array_equal(vals[-j % m], vals)
     assert spectral == 7
 
 
 def _batch_rows(t, m):
-    """The rows the batch path solves: LAPACK's spectra at the solved angles,
-    with row m/4 of a real T made symmetric about 0 when 4 divides m."""
-    t = as_matrix(t)
-    solved = _solved_count(t, m)
-    thetas = 2.0 * np.pi * np.arange(solved) / m
-    stack = np.exp(1j * thetas)[:, None, None] * t
-    rows = eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
-    if not t.imag.any() and m % 4 == 0:
-        rows[-1] = (rows[-1] - rows[-1, ::-1]) / 2.0
-    return rows
+    """The rows the batch path solves: LAPACK's spectra at the solved angles."""
+    thetas = 2.0 * np.pi * np.arange(_solved_count(m)) / m
+    stack = np.exp(1j * thetas)[:, None, None] * as_matrix(t)
+    return eig_hermitian_stack(stack + stack.conj().swapaxes(1, 2))
 
 
 def _non_normal_inputs():
@@ -605,7 +598,7 @@ def test_non_normal_inputs_keep_their_batch(name, m, monkeypatch):
         half = eig_hermitian_stack((t + t.T)[None]) / 2.0
         rows = np.tile(half - half[:, ::-1], (m, 1))
     else:
-        assert sizes == [_solved_count(as_matrix(t), m)]
+        assert sizes == [_solved_count(m)]
         rows = _batch_rows(t, m)
     assert sweep.eigenvalues[:len(rows)].tobytes() == rows.tobytes()
 
@@ -719,7 +712,8 @@ def test_grading_is_found_exactly():
 @pytest.mark.parametrize("name", sorted(_graded_inputs()))
 def test_graded_rows_match_full_grid_lapack(name, m, monkeypatch):
     # one solve of T + T*, at every scale; every row is within the row
-    # tolerance of a full-grid solve and both fold symmetries hold bit for bit
+    # tolerance of a full-grid solve, the half-turn holds bit for bit, and
+    # so does row m - j = row j, every row being the same
     j = np.arange(m)
     for s in (1e-8, 1.0, 1e8):
         t = s * _graded_inputs()[name]

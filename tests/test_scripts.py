@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -79,6 +80,14 @@ def test_bench_grid_script():
     shift = bench_grid.child("shift", 4, 720, bench_grid.ROOT / "src")
     assert shift["planes"] == 720
     assert shift["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}  # k <= (n + 1)/2
+    # the real Gaussian cells, which time the pencils a real T solves
+    assert [c for c in bench_grid.cells() if c[0] == "gauss-real"] == [
+        ("gauss-real", 8, 720), ("gauss-real", 8, 2048)]
+    t = bench_grid.matrix("gauss-real", 8)
+    assert not np.iscomplexobj(t) and np.isclose(np.linalg.norm(t, 2), 1.0)
+    real = bench_grid.run_cell("gauss-real", 8, 720, repeat=1)
+    assert real["planes"] == 720 and set(real["tags"]) == {"1", "2", "3"}
+    assert real["sweep_ms"] > 0
 
 
 def test_bench_grid_interleaves_two_trees(tmp_path, monkeypatch):
