@@ -20,6 +20,8 @@ cannot see.  A cell times, best of ``REPEAT`` in each round:
   sweep_ms    ``pencil_sweep(T, m)``
   frame_ms    ``PencilSweep.frame`` on that fresh sweep
   range_ms    ``range_from_sweep(sweep, k)`` for k = 1..min(n, 3), frame built
+  samples_ms  the first read of each of those reports' ``support_samples``,
+              which a sweep that forms its rows on demand forms then
   cli_ms      ``hrnr range --k 1 --angles m`` through ``cli.main``, file
               load and region file included
 
@@ -99,7 +101,8 @@ def run_cell(kind, n, m, repeat=REPEAT):
 
     t = matrix(kind, n)
     ks = range(1, min(n, 3) + 1)
-    best = {"sweep": np.inf, "frame": np.inf, "cli": np.inf, **{k: np.inf for k in ks}}
+    best = {"sweep": np.inf, "frame": np.inf, "cli": np.inf,
+            **{k: np.inf for k in ks}, **{("samples", k): np.inf for k in ks}}
     with tempfile.TemporaryDirectory() as work:
         path, out = os.path.join(work, "t.json"), os.path.join(work, "range.json")
         fileio.save_matrix(path, t)
@@ -114,15 +117,20 @@ def run_cell(kind, n, m, repeat=REPEAT):
             tags = {}
             for k in ks:
                 start = time.perf_counter()
-                tags[k] = range_from_sweep(sweep, k).region.kind
-                best[k] = min(best[k], time.perf_counter() - start)
+                report = range_from_sweep(sweep, k)
+                mid = time.perf_counter()
+                report.support_samples
+                best[k] = min(best[k], mid - start)
+                best["samples", k] = min(best["samples", k], time.perf_counter() - mid)
+                tags[k] = report.region.kind
             start = time.perf_counter()
             if cli.main(argv) != 0:
                 raise RuntimeError(f"hrnr {' '.join(argv)} failed")
             best["cli"] = min(best["cli"], time.perf_counter() - start)
     ms = {key: round(1e3 * value, 3) for key, value in best.items()}
     return {"kind": kind, "n": n, "m": m, "sweep_ms": ms["sweep"], "frame_ms": ms["frame"],
-            "range_ms": {str(k): ms[k] for k in ks}, "cli_ms": ms["cli"],
+            "range_ms": {str(k): ms[k] for k in ks},
+            "samples_ms": {str(k): ms["samples", k] for k in ks}, "cli_ms": ms["cli"],
             "tags": {str(k): tag for k, tag in tags.items()}, "planes": int(planes),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
@@ -143,7 +151,8 @@ def best_of(a, b):
     out = dict(a)
     for key in ("sweep_ms", "frame_ms", "cli_ms"):
         out[key] = min(a[key], b[key])
-    out["range_ms"] = {k: min(v, b["range_ms"][k]) for k, v in a["range_ms"].items()}
+    for key in ("range_ms", "samples_ms"):
+        out[key] = {k: min(v, b[key][k]) for k, v in a[key].items()}
     out["peak_rss_mb"] = max(a["peak_rss_mb"], b["peak_rss_mb"])
     return out
 
@@ -205,6 +214,7 @@ def main(argv=None):
         for rec in records:
             print(f"{rec['kind']} n={rec['n']} m={rec['m']}: sweep {rec['sweep_ms']} ms, "
                   f"frame {rec['frame_ms']} ms, range {rec['range_ms']} ms, "
+                  f"samples {rec['samples_ms']} ms, "
                   f"cli {rec['cli_ms']} ms")
         result = header(label) | {"cells": records}
         if args.tier1:

@@ -36,7 +36,12 @@ by n eps ||T||_2, which moves an offset by |cos theta| n eps N, and
 rounding cos theta and the product adds 2 eps N.  That is at most
 3 n eps N, below the pencil solve's 4, so ``ROW_TOL`` stays certified
 when a check compares a structured sweep with a solved one (P4's U*TU,
-for one, is not bitwise Hermitian).  No tolerance changed.
+for one, is not bitwise Hermitian).  No tolerance changed.  A large
+spectrum sweep (m n >= ``ranges.ON_DEMAND_ROWS``) forms a column of rows
+only when it is read, from one order of the eigenvalues per tie interval
+("Rows on demand" in the ``ranges`` docstring); its rows are the bits of
+forming and sorting every row, so this model and every check read them
+unchanged, through ``PencilSweep.column``.
 
 Normal rows.  Any other T has its rows from mu = diag(R), R = Q*TQ and Q
 the QR of ``eig``'s eigenvectors, when ``ranges._normal_spectrum``
@@ -48,7 +53,8 @@ which R is formed (1/2048 of 2 sqrt(2) n eps N on x86-64, all of it where
 longdouble is a double), and 2 eps N for evaluating 2 Re(e^{i theta} mu).
 mu is used only when that sum is at most 4 n eps N, the pencil solve's own
 cost above, so each row is certified within the model's 4 and every sum
-above holds with ``ROW_TOL`` at 17.  Over 200 seeded hidden normals per
+above holds with ``ROW_TOL`` at 17, whether the rows are formed whole or
+on demand (the same bits).  Over 200 seeded hidden normals per
 cell (n 2-32; complex, real, Hermitian, a 1e-9 cluster, a double
 eigenvalue) the sum had medians 0.5-2.1 and passed in 99-100% of each
 cell; the worst, 4.1 (real, n = 3), fails and is solved.  Formed in double
@@ -170,7 +176,7 @@ def _report(pid: str, discrepancy: float, tolerance: float, digest: str,
 
 def _offsets(x, base: RangeReport) -> np.ndarray:
     """X's rank-k offsets lambda_k(H_theta) / 2 on ``base``'s grid."""
-    return pencil_sweep(x, base.angles).eigenvalues[:, base.k - 1] / 2.0
+    return pencil_sweep(x, base.angles).column(base.k - 1) / 2.0
 
 
 def _defect(q: np.ndarray) -> float:
@@ -459,7 +465,7 @@ def check_nilpotent(t, m: int) -> list[PropertyReport]:
         # T compresses I (x) S_n* through the dilation, so lambda_k of each
         # pencil of T is at most twice the radius by interlacing: exact at
         # every grid angle, unlike the circumscribed polygon's vertices
-        excess = float(sweep.eigenvalues[:, k - 1].max()) / 2.0 - radius
+        excess = float(sweep.column(k - 1).max()) / 2.0 - radius
         if excess > worst:
             note = f"worst k={k} against cos({rho(k, pack.r)}pi/{pack.n + 1})"
             worst = excess

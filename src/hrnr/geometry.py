@@ -48,11 +48,14 @@ stayed within 2e-12 * bound of a scan over every plane, and wing rounds
 within 1e-12 * bound of a scan of the planes they were given.  The
 relaxed corner of two planes whose normals are g apart lies
 CLIP_EPS * bound / cos(g / 2) outside the exact one.  ``_classify`` then
-collapses regions thinner than 1e-9 * bound.  The exception is a corner
-of two nearly antiparallel cut lines whose exact gap is below the
-relaxation, as on the edge planes of a sliver triangle: the relaxed
-corner can then run out to the bounding square, O(bound) from the exact
-intersection (pinned by an expected-failure test).
+collapses regions thinner than 1e-9 * bound.  Planes that bound only a
+line give that line's chord of the square, as they should: the edge
+planes of a sliver triangle of three nearly collinear points are two
+bit-identical planes and a third antiparallel to them with the opposite
+offset (to 3 ulps), so their exact intersection, unrelaxed, is a strip
+4e-20 wide about the points' line, whose chord of the square lies O(bound)
+from the segment the points span (pinned by an expected-failure test that
+asks for the segment).
 """
 
 from __future__ import annotations

@@ -50,13 +50,49 @@ apex, so the intersection of the kept planes exceeds it by at most
 far below ``CLIP_EPS`` * bound, and a computed region leaves a dropped
 plane by at most sec(pi/16) times what it leaves the kept planes by, plus
 that.  A region tagged point is the mean of its loop's vertices, which
-the dropped planes would have moved, so a point is recomputed over all m
-planes.  Rows, ``support_samples`` and the strip test below see all m rows;
-Gaussian, graded and uncertified sweeps keep every plane.
+the dropped planes would have moved, so a point at 2k <= n is recomputed
+over all m planes.  ``support_samples`` and the strip test below see all
+m rows; Gaussian, graded and uncertified sweeps keep every plane.
+
+Rows on demand.  For the same reason each column of a spectrum sweep's
+sorted rows is, between two ties, one eigenvalue's 2 Re(e^{i theta} mu_o),
+so a sweep with m n >= ``ON_DEMAND_ROWS`` keeps mu and forms a column only
+when it is read (``PencilSweep.column``), whole or at chosen grid indices.
+Its owner table, built at the first read, holds the tie windows and one
+descending order of mu for each run of solved indices between them, and
+column r at index j is 2 Re(e^{i theta_j} mu_o) for the run's r-th owner
+o: the same product and doubling as the sorted row's, so the same bits,
+wherever the computed projections keep their exact order.  Each is within
+2 eps |mu_a| of Re(c_j mu_a), c_j the computed e^{i theta_j} (two products
+and a difference), so a pair keeps its order wherever
+|Re(c_j (mu_a - mu_b))| exceeds 2 eps (|mu_a| + |mu_b|).  A pair's window
+is where that is at most four times as much, widened by a grid step
+either way for the rounding of the angles and of the tie's position; a
+cluster closer than that ties at every angle and makes the window the
+whole grid.  Inside the windows the rows are
+formed and sorted whole, as they are below ``ON_DEMAND_ROWS``: there the
+table's fixed cost of some 60-90 us outweighs the sort it saves (on
+2 CPUs, n = 16 at m = 2048 takes 0.09 ms whole and 0.17 ms on demand;
+n = 32 takes 0.35 and 0.31 ms).  Rows are the same bits on either side of
+the rule.  A spectrum of modulus 2^1022 or more could overflow, so it
+forms every row for ``pencil_sweep`` to check; below that no value can.
+``range_from_sweep`` forms column 0 for the bound and a rank's offsets at
+``planes`` only; ``support_samples`` and ``eigenvalues`` (every column
+stacked) are formed when first read.
 
 For 2k > n + 1 the rank-k range is empty as soon as one row has
 lambda_k < lambda_{n+1-k} by more than its rounding, so the geometry runs
-only when no row shows that.
+only when no row shows that.  At 2k = n + 1, lambda_k(H_{theta + pi}) =
+-lambda_k(H_theta), so the planes at theta and theta + pi coincide and the
+range is the one z on every line Re(e^{i theta} z) = h(theta), or empty.
+h is then a first harmonic, and its Fourier coefficient over the grid is
+z = (2/m) sum_j h_j e^{-i theta_j}: the rank is the point z when every
+offset of the row is within ``_row_tol`` of Re(e^{i theta_j} z), and empty
+otherwise, with no geometry, whatever the sweep.  An exact point's rows are
+each within a solve's rounding (4 n eps N), so its residual is at most
+about three times that: on shifts, Hermitian, collinear normal and 1 x 1
+T it stayed below 0.06 of the tolerance, and on 100 Gaussian and
+nilpotent T (n 3-9) it was at least 1e10 times the tolerance.
 
 The rounding model of the rows, in units of n eps N with N >= ||T||_2, is
 set out in the ``checks`` docstring; ``ROW_TOL`` and ``_row_tol`` live here
@@ -83,6 +119,10 @@ MIN_ANGLES = 16
 ANGLES_ENV_VAR = "HRNR_ANGLES"
 
 ROW_TOL = 17.0  # offset rows, in units of n * eps * N; see the checks docstring
+
+# A spectrum sweep with m * n at least this forms its rows on demand; below
+# it, forming and sorting every row costs no more than the owner table.
+ON_DEMAND_ROWS = 2**16
 
 
 class BadRankError(ValueError):
@@ -130,7 +170,6 @@ def pencil(t, theta: float) -> np.ndarray:
     return p + p.conj().T
 
 
-@dataclass(frozen=True, eq=False)
 class PencilSweep:
     """Eigenvalues of the pencil over a uniform angle grid.
 
@@ -139,17 +178,23 @@ class PencilSweep:
     eigenvalues
         (m, n) array; row j holds the descending spectrum of H_{theta_j};
         twice ``numerical_radius()``, ``region_bound``, bounds and scales
-        every rank-k region.
+        every rank-k region.  Given, or for a sweep whose rows are formed on
+        demand, the stack of every ``column`` at its first read.
     spectrum
         T's eigenvalues mu when the rows are 2 Re(e^{i theta} mu) sorted
         (exactly diagonal, exactly Hermitian or certified normal T), else
         None.  Its tie angles give ``planes``, the grid indices whose
-        planes the geometry sees (module docstring, "Tie planes").
+        planes the geometry sees (module docstring, "Tie planes").  Without
+        ``eigenvalues`` its rows are formed on demand ("Rows on demand").
     """
 
-    thetas: np.ndarray
-    eigenvalues: np.ndarray
-    spectrum: np.ndarray | None = None
+    def __init__(self, thetas: np.ndarray, eigenvalues: np.ndarray | None = None,
+                 spectrum: np.ndarray | None = None):
+        if eigenvalues is None and spectrum is None:
+            raise ValueError("a sweep needs its rows or its spectrum")
+        self.thetas = thetas
+        self.spectrum = spectrum
+        self._rows = eigenvalues
 
     @property
     def angle_count(self) -> int:
@@ -157,11 +202,53 @@ class PencilSweep:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[1]
+        return self.spectrum.size if self._rows is None else self._rows.shape[1]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = np.column_stack([self.column(r) for r in range(self.dim)])
+        return self._rows
+
+    def column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
+        """Column r of ``eigenvalues`` (lambda_{r+1} at every grid angle), or
+        its entries at the grid indices ``idx``; a sweep whose rows are
+        formed on demand computes only those.  On an even grid row
+        j + m/2 is row j negated and reversed, so column r there is column
+        n - 1 - r of the solved half, negated."""
+        if self._rows is not None:
+            return self._rows[:, r] if idx is None else self._rows[:, r][idx]
+        m, n, table = self.angle_count, self.dim, self._table
+        solved = self._phases.size
+        if idx is None:
+            if solved == m:
+                return table.values(r)
+            return np.concatenate([table.values(r), -table.values(n - 1 - r)])
+        idx = np.asarray(idx)
+        upper = idx >= solved
+        out = np.empty(idx.shape)
+        out[~upper] = table.values(r, idx[~upper])
+        out[upper] = -table.values(n - 1 - r, idx[upper] - solved)
+        return out
+
+    @cached_property
+    def _phases(self) -> np.ndarray:
+        """e^{i theta_j} at the solved angles: j < m/2 on an even grid, all
+        m on an odd one."""
+        m = self.angle_count
+        return np.exp(1j * self.thetas[:m if m % 2 else m // 2])
+
+    @cached_property
+    def _table(self) -> "_OwnerTable":
+        return _OwnerTable(self.spectrum, self._phases, self.angle_count)
 
     def numerical_radius(self) -> float:
         """max_j lambda_1(H_{theta_j}) / 2: the numerical radius on this grid."""
-        return float(self.eigenvalues[:, 0].max() / 2.0)
+        return self._radius
+
+    @cached_property
+    def _radius(self) -> float:
+        return float(self.column(0).max() / 2.0)
 
     @cached_property
     def region_bound(self) -> float:
@@ -185,6 +272,53 @@ class PencilSweep:
         return angle_frame(self.thetas if self.planes is None else self.thetas[self.planes])
 
 
+class _OwnerTable:
+    """The solved rows 2 Re(e^{i theta_j} mu) sorted, formed column by column
+    ("Rows on demand" in the module docstring).
+
+    The solved indices split into runs: the tie windows, whose rows are
+    formed and sorted whole, and the runs between them, over each of which
+    one order of mu holds, found by one argsort at the run's first index.
+    Column r at index j of such a run is 2 Re(e^{i theta_j} mu_o) for the
+    run's r-th owner o, the bits the sorted row holds there.  Runs
+    alternate, a gap first (it may be empty), then a window.
+    """
+
+    def __init__(self, mu: np.ndarray, phases: np.ndarray, m: int):
+        self.mu, self.phases = mu, phases
+        self.columns = {}  # r -> column r at every solved index
+        solved = phases.size
+        starts, stops = _tie_windows(mu, m, solved)
+        self.bounds = np.column_stack([starts, stops]).ravel()
+        edges = np.concatenate([[0], self.bounds, [solved]])
+        self.lengths = np.diff(edges)
+        # every index inside a window, ascending, and its rows
+        width = stops - starts
+        self.inside = np.repeat(starts - np.cumsum(width) + width, width) + np.arange(width.sum())
+        self.sorted = _sorted_rows(phases[self.inside], mu)
+        # each run's order at its first index (the last run may be empty);
+        # a window's order is never read, its rows being in ``sorted``
+        z = phases[np.minimum(edges[:-1], solved - 1)][:, None] * mu
+        self.order = np.argsort((z + z.conj()).real, axis=1)[:, ::-1]
+
+    def values(self, r: int, j: np.ndarray | None = None) -> np.ndarray:
+        """Column r at the solved indices j, or at all of them, kept for
+        later reads."""
+        if j is None:
+            if r not in self.columns:
+                owners = np.repeat(self.mu[self.order[:, r]], self.lengths)
+                self.columns[r] = out = 2.0 * (self.phases * owners).real
+                out[self.inside] = self.sorted[:, r]
+            return self.columns[r]
+        run = np.searchsorted(self.bounds, j, side="right")
+        out = 2.0 * (self.phases[j] * self.mu[self.order[run, r]]).real
+        window = run % 2 == 1
+        if window.any():
+            at = np.searchsorted(self.inside, j[window])
+            out[window] = self.sorted[at, r]
+        return out
+
+
 def grid_angles(m: int) -> np.ndarray:
     """The m angles 2 pi j / m, j = 0..m-1, of every sweep."""
     return 2.0 * np.pi * np.arange(m) / m
@@ -205,26 +339,29 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     return), ``eigvalsh(T)`` when T equals T* exactly (rows
     2 cos(theta) mu), or ``_normal_spectrum(T)`` when that certifies T
     normal within a pencil solve's rounding.  Row j is
-    2 Re(e^{i theta_j} mu) sorted.  A graded T (``_is_graded``, tested
-    before the normal certificate: a nonzero graded T is nilpotent, never
-    normal) sends the one pencil T + T* to ``eig_hermitian_stack``, and
-    every row is its spectrum r made antisymmetric, (r - r[::-1]) / 2.  Any
-    other T has its pencils solved.  Raises ValueError when the pencils
-    overflow to a non-finite row.
+    2 Re(e^{i theta_j} mu) sorted; from ``ON_DEMAND_ROWS`` values up the
+    sweep keeps mu alone and forms a column when one is read (module
+    docstring, "Rows on demand"), the same bits.  A graded T
+    (``_is_graded``, tested before the normal certificate: a nonzero graded
+    T is nilpotent, never normal) sends the one pencil T + T* to
+    ``eig_hermitian_stack``, and every row is its spectrum r made
+    antisymmetric, (r - r[::-1]) / 2.  Any other T has its pencils solved.
+    Raises ValueError when the pencils overflow to a non-finite row.
     """
     t = as_matrix(t)
     m = resolve_angles(m)
     thetas = grid_angles(m)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
         vals, spectrum = _rows(t, thetas)
-    if not np.isfinite(vals).all():
+    if vals is not None and not np.isfinite(vals).all():
         raise ValueError("the pencils overflow: matrix entries too large")
-    return PencilSweep(thetas=thetas, eigenvalues=vals, spectrum=spectrum)
+    return PencilSweep(thetas, vals, spectrum)
 
 
-def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The (m, n) rows of ``pencil_sweep``, by the paths its docstring lists,
-    and the spectrum mu they were formed from, or None."""
+    or None when a spectrum's rows are left to be formed on demand, and the
+    spectrum mu they come from, or None."""
     m = thetas.size
     if not (t - np.diag(np.diagonal(t))).any():
         spectrum = np.diagonal(t)
@@ -242,12 +379,63 @@ def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray | N
         stack = np.exp(1j * thetas[:solved])[:, None, None] * t
         stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
         vals = eig_hermitian_stack(stack)
+    elif m * spectrum.size >= ON_DEMAND_ROWS and np.abs(spectrum).max() < 2.0**1022:
+        # below 2^1022, |2 Re(e^{i theta} mu)| <= 2 sqrt(2) |mu| cannot overflow
+        return None, spectrum
     else:
-        z = np.exp(1j * thetas[:solved])[:, None] * spectrum
-        vals = np.sort((z + z.conj()).real, axis=1)[:, ::-1]
+        vals = _sorted_rows(np.exp(1j * thetas[:solved]), spectrum)
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
     return vals, spectrum
+
+
+def _sorted_rows(phases: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The rows 2 Re(e^{i theta} mu) at the given e^{i theta}, descending."""
+    z = phases[:, None] * mu
+    return np.sort((z + z.conj()).real, axis=1)[:, ::-1]
+
+
+def _tie_windows(mu: np.ndarray, m: int, solved: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rounding windows of mu's ties on the m-angle grid (module
+    docstring, "Rows on demand"), as disjoint index ranges
+    [starts_i, stops_i) within 0 .. solved - 1, ascending.
+
+    The pair (a, b) ties at u = (pi/2 - arg(a - b)) m / (2 pi) grid steps,
+    and the ordered pair (b, a) half a turn on.  Its window is where
+    |Re(e^{i theta}(a - b))| <= tol = 8 eps (|a| + |b|), four times what can
+    swap the two computed projections, plus a few subnormals for their
+    underflow, within asin(tol / |a - b|) <= (pi/2) tol / |a - b| of the
+    tie: h = (tol / |a - b|) m / 4 steps, widened to the indices
+    floor(u - h) - 1 .. floor(u + h) + 2.  A pair that ties at every angle
+    (tol >= |a - b|) makes the window every index; a pair of bit-identical
+    eigenvalues has identical rows and none.  Windows are merged as
+    ranges, so the cost is O(n^2 log n) however wide they are.
+    """
+    n = mu.size
+    bits = np.ascontiguousarray(mu).view(np.uint64).reshape(n, -1)
+    distinct = ~(bits[:, None] == bits[None, :]).all(axis=2).ravel()
+    d = np.subtract.outer(mu, mu).ravel()[distinct]
+    size = np.add.outer(np.abs(mu), np.abs(mu)).ravel()[distinct]
+    tol = 8.0 * np.finfo(float).eps * size + 8.0 * np.finfo(float).smallest_subnormal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = tol / np.abs(d)
+    u = (np.pi / 2 - np.angle(d)) * (m / (2.0 * np.pi))
+    lo = np.floor(u - ratio * (m / 4.0)) - 1
+    hi = np.floor(u + ratio * (m / 4.0)) + 3
+    if not (hi - lo < m).all():
+        return np.array([0]), np.array([solved])
+    shift = np.floor(lo / m) * m  # each window starts in 0 .. m - 1; one past m wraps
+    lo, hi = (lo - shift).astype(np.intp), (hi - shift).astype(np.intp)
+    wrap = hi > m
+    lo = np.concatenate([lo, np.zeros(wrap.sum(), np.intp)])
+    hi = np.minimum(np.concatenate([np.minimum(hi, m), hi[wrap] - m]), solved)
+    keep = lo < hi
+    if not keep.any():
+        return lo[keep], hi[keep]
+    order = np.argsort(lo[keep])
+    lo, reach = lo[keep][order], np.maximum.accumulate(hi[keep][order])
+    first = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
+    return lo[first], reach[np.r_[first[1:] - 1, lo.size - 1]]
 
 
 def _tie_planes(mu: np.ndarray, m: int) -> np.ndarray:
@@ -377,14 +565,19 @@ class RangeReport:
 
     support_samples is an (m, 2) array of (theta_j, lambda_k(H_theta_j)/2)
     pairs: all m supporting half-plane offsets, of which a spectrum sweep's
-    geometry uses only the sweep's ``planes``.
+    geometry uses only the sweep's ``planes``.  It is read from ``sweep``
+    at its first use.
     """
 
     k: int
     angles: int
     region: ConvexRegion
     outer_error_bound: float
-    support_samples: np.ndarray
+    sweep: PencilSweep
+
+    @cached_property
+    def support_samples(self) -> np.ndarray:
+        return np.column_stack([self.sweep.thetas, self.sweep.column(self.k - 1) / 2.0])
 
     def min_support(self) -> float:
         return float(self.support_samples[:, 1].min())
@@ -398,39 +591,67 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     one row and so from one pencil.  Each end is within one offset's
     rounding of exact (``_solve_error`` at N = 2 w / cos(pi/m), w the grid
     radius, which bounds ||T||_2), so a row whose strip is narrower than
-    minus twice that proves the range empty.  Otherwise, and for
-    2k <= n + 1, the geometry intersects the planes at the sweep's
-    ``planes`` in its angle frame, which every rank of one sweep shares:
-    every plane, or for a sweep with a spectrum the tie planes, with a
-    point recomputed over every plane (module docstring, "Tie planes").
-    The report's ``support_samples`` hold all m offsets.
+    minus twice that proves the range empty.  At 2k = n + 1 the strip has
+    width zero, and the range is a point or empty, read off the row
+    (``_point_or_empty``).  Otherwise, and for 2k <= n, the geometry
+    intersects the planes at the sweep's ``planes`` in its angle frame,
+    which every rank of one sweep shares: every plane, or for a sweep with
+    a spectrum the tie planes, whose offsets alone are formed, with a point
+    recomputed over every plane (module docstring, "Tie planes").  The
+    report's ``support_samples`` hold all m offsets.
     """
     n = sweep.dim
     if not 1 <= k <= n:
         raise BadRankError(f"k must be in 1..{n}, got {k}")
-    vals = sweep.eigenvalues
-    offsets = vals[:, k - 1] / 2.0
     m = sweep.angle_count
-    if (2 * k > n + 1 and ((vals[:, k - 1] - vals[:, n - k]) / 2.0).min()
-            < -2.0 * _solve_error(n, 2.0 * sweep.numerical_radius() / np.cos(np.pi / m))):
+    if 2 * k >= n + 1:
+        norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
+    if 2 * k == n + 1:
+        region = _point_or_empty(sweep, k, norm)
+    elif (2 * k > n + 1 and ((sweep.column(k - 1) - sweep.column(n - k)) / 2.0).min()
+            < -2.0 * _solve_error(n, norm)):
         region = ConvexRegion.empty()
     else:
         # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
         # square never cuts it; all-zero offsets fit any bound
         bound = sweep.region_bound
-        idx = slice(None) if sweep.planes is None else sweep.planes
-        region = intersect_halfplanes(sweep.thetas[idx], offsets[idx], bound, frame=sweep.frame)
-        if region.kind == "point" and sweep.planes is not None:
+        planes = sweep.planes
+        thetas = sweep.thetas if planes is None else sweep.thetas[planes]
+        region = intersect_halfplanes(thetas, sweep.column(k - 1, planes) / 2.0, bound,
+                                      frame=sweep.frame)
+        if region.kind == "point" and planes is not None:
             # a point is the mean of the loop's vertices, which the dropped
             # planes would have moved
-            region = intersect_halfplanes(sweep.thetas, offsets, bound)
-    return RangeReport(
-        k=k,
-        angles=m,
-        region=region,
-        outer_error_bound=outer_error_bound(region, m),
-        support_samples=np.column_stack([sweep.thetas, offsets]),
-    )
+            region = intersect_halfplanes(sweep.thetas, sweep.column(k - 1) / 2.0, bound)
+    return RangeReport(k=k, angles=m, region=region,
+                       outer_error_bound=outer_error_bound(region, m), sweep=sweep)
+
+
+def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
+    """The rank-k range at 2k = n + 1, from row k alone.
+
+    The planes at theta and theta + pi then coincide, so the range is the
+    one z with Re(e^{i theta} z) = h(theta) = lambda_k(H_theta) / 2 at every
+    angle, or empty.  Such an h is a first harmonic, and its Fourier
+    coefficient over the uniform grid is z = (2/m) sum_j h_j e^{-i theta_j}.
+    The range is the point z when every offset is within ``_row_tol`` at
+    ``norm`` of Re(e^{i theta_j} z), and empty otherwise.  On an even grid
+    e^{i theta_{j+m/2}} is -e^{i theta_j} up to rounding, so the solved
+    angles' phases serve both halves.
+    """
+    m = sweep.angle_count
+    h = sweep.column(k - 1) / 2.0
+    phases = sweep._phases
+    solved = phases.size
+    first, second = h[:solved], h[solved:]
+    z = 2.0 * np.sum((first - second if solved < m else first) * phases.conj()) / m
+    fit = (phases * z).real
+    residual = np.abs(first - fit).max()
+    if solved < m:
+        residual = max(residual, np.abs(second + fit).max())
+    if residual <= _row_tol(sweep.dim, norm):
+        return ConvexRegion.point(z)
+    return ConvexRegion.empty()
 
 
 def rank_k_range(t, k: int, m: int | None = None) -> RangeReport:

@@ -760,12 +760,16 @@ def test_wing_round_merges_keep_the_full_scan_region(planes, condition):
         assert hausdorff(ours, full) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="relaxed acute corners of a sliver run to the square")
+@pytest.mark.xfail(strict=True, reason="the planes bound a line, not the segment: two are "
+                   "bit-identical and the third antiparallel with the opposite offset, so "
+                   "their exact intersection is the line's chord")
 def test_sliver_triangle_edges_give_their_segment():
     # three collinear lattice points, scaled and translated: rounding makes
-    # their hull a sliver triangle, and its three edge planes meet at two
-    # corners so acute that the CLIP_EPS relaxation carries them to the
-    # bounding square, 1.54 * bound from the exact segment
+    # their hull a sliver triangle, but two of its edge planes are
+    # bit-identical and the third is antiparallel to them with the opposite
+    # offset (to 3 ulps).  Nothing caps the segment's ends, so the exact
+    # intersection of the unrelaxed planes is the chord of the points' line,
+    # 1.54 * bound from the segment that this asks for
     pts = np.array([-1.75e-5 - 2.2269e-4j, 3.25e-5 - 3.2269e-4j, -6.75e-5 - 1.2269e-4j])
     thetas = np.pi / 2 - np.angle(np.roll(pts, -1) - pts)
     offsets = (np.exp(1j * thetas)[:, None] * pts).real.max(axis=1)

@@ -294,6 +294,26 @@ def test_region_is_scale_and_translation_equivariant(seed):
         assert hausdorff(moved, want) <= 1e-10 * np.linalg.norm(moved_t)
 
 
+@pytest.mark.xfail(strict=True, reason="the geometry's thresholds scale with the bound 2 w(T + bI) "
+                   "~ 2|b|, so from |b| ~ 1e9 ||T||_2 every polygon and segment collapses to "
+                   "a point; centring each sweep would mend it (ROADMAP item 14)")
+def test_far_translations_keep_the_tag():
+    # Lambda_k(T + bI) = Lambda_k(T) + b for every b: unit-norm Gaussian and
+    # Hermitian T, n = 5, keep their tag at k = 1 and 2 for |b| = 10^9..10^12
+    rng = generator(1400)
+    x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    lost = []
+    for t in (x, x + x.conj().T):
+        t = t / np.linalg.norm(t, 2)
+        for k in (1, 2):
+            want = rank_k_range(t, k, 720).region.kind
+            for e in range(9, 13):
+                got = rank_k_range(t + 10.0**e * np.exp(0.7j) * np.eye(5), k, 720).region.kind
+                if got != want:
+                    lost.append(f"k={k} e={e}: {want} -> {got}")
+    assert not lost, lost
+
+
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("kind", KINDS)
 def test_property_suite_verdicts_are_scale_invariant(kind, seed):
@@ -869,3 +889,188 @@ def test_normal_cluster_point_is_the_all_plane_point():
     assert got.kind == want.kind == "point"
     assert np.array_equal(got.vertices, want.vertices)
     assert abs(got.vertices[0] - 0.0987) <= 1e-9
+
+
+# --- rows on demand ----------------------------------------------------------------
+
+def _dense_spectrum_rows(mu, m):
+    """Every row 2 Re(e^{i theta} mu) formed and sorted, the solved half then
+    the half-turn: the reference the on-demand columns must equal bit for bit."""
+    thetas = grid_angles(m)
+    solved = m if m % 2 else m // 2
+    z = np.exp(1j * thetas[:solved])[:, None] * mu
+    vals = np.sort((z + z.conj()).real, axis=1)[:, ::-1]
+    return vals if m % 2 else np.concatenate([vals, -vals[:, ::-1]])
+
+
+ON_DEMAND_SPECTRA = SPECTRA + ("cluster13", "cluster16", "one")
+
+
+def _on_demand_spectrum(family, n, rng):
+    """``_spectrum``'s families, pairs 1e-13 apart relatively (windows some
+    grid steps wide) or 1e-16 (within rounding: a window over every angle),
+    and a single eigenvalue."""
+    if family in ("cluster13", "cluster16"):
+        gap = 10.0 ** -int(family[-2:]) * np.exp(2j * np.pi * rng.uniform())
+        mu = _spectrum("complex", n, rng)
+        mu[1::2] = mu[:-1:2][:mu[1::2].size] * (1.0 + gap)
+        return mu
+    return _spectrum("complex", 1, rng) if family == "one" else _spectrum(family, n, rng)
+
+
+@pytest.mark.parametrize("family", ON_DEMAND_SPECTRA)
+@pytest.mark.parametrize("m", [16, 17, 720, 721, 2048, 8192])
+def test_on_demand_columns_are_the_sorted_rows_bit_for_bit(family, m):
+    # every column, whole or at scattered indices, and the stacked
+    # eigenvalues of a sweep that forms its rows on demand are the bits of
+    # forming and sorting every row, ties, clusters and all
+    rng = generator(3200 + m)
+    for _ in range(4):
+        mu = _on_demand_spectrum(family, int(rng.integers(2, 9)), rng)
+        want = _dense_spectrum_rows(mu, m)
+        sweep = ranges.PencilSweep(grid_angles(m), None, mu)
+        idx = np.sort(rng.choice(m, size=min(m, 40), replace=False))
+        for r in range(mu.size):
+            assert sweep.column(r, idx).tobytes() == want[idx, r].tobytes(), r
+            assert sweep.column(r).tobytes() == want[:, r].tobytes(), r
+        assert sweep.eigenvalues.tobytes() == want.tobytes()
+        assert sweep.numerical_radius() == want[:, 0].max() / 2.0
+
+
+@pytest.mark.parametrize("m", [16384, 16383])
+def test_pencil_sweep_picks_its_rows_by_size_with_the_same_bits(m, monkeypatch):
+    # at m n >= ON_DEMAND_ROWS a spectrum sweep keeps mu alone, below it
+    # forms every row; both sides give the reference's bits
+    rng = generator(3300)
+    solved = []
+    monkeypatch.setattr(ranges, "eig_hermitian_stack",
+                        lambda stack: solved.append(len(stack)) or eig_hermitian_stack(stack))
+    for n in (3, 4, 8):
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for t in (np.diag(_spectrum("complex", n, rng)), _hidden_normal(n, rng), x + x.conj().T):
+            sweep = pencil_sweep(t, m)
+            assert sweep.spectrum is not None
+            assert (sweep._rows is None) == (m * n >= ranges.ON_DEMAND_ROWS), (n, m)
+            want = _dense_spectrum_rows(sweep.spectrum, m)
+            assert sweep.eigenvalues.tobytes() == want.tobytes()
+    assert solved == []
+
+
+def test_overflowing_spectrum_rows_still_raise():
+    # a spectrum at or above 2^1022 forms every row, so the overflow check
+    # sees them on both sides of the size rule
+    for m in (720, 65536):
+        with pytest.raises(ValueError, match="overflow"):
+            pencil_sweep(np.diag([1.7e308, -1.7e308j]), m)
+
+
+def test_spectrum_ranks_form_only_their_tie_plane_offsets(monkeypatch):
+    # a rank that reaches the geometry forms its offsets at the tie planes
+    # alone; column 0 is formed whole for the bound, column k - 1 only
+    # when support_samples is read
+    rng = generator(3400)
+    m, n = 65536, 6
+    sweep = pencil_sweep(np.diag(_spectrum("complex", n, rng)), m)
+    assert sweep._rows is None and "_table" not in vars(sweep)
+    rep = range_from_sweep(sweep, 2)
+    assert set(sweep._table.columns) == {0, n - 1}
+    want = _dense_spectrum_rows(sweep.spectrum, m)
+    assert rep.support_samples[:, 1].tobytes() == (want[:, 1] / 2.0).tobytes()
+    assert set(sweep._table.columns) == {0, 1, n - 2, n - 1}
+
+
+# --- points at 2k = n + 1 --------------------------------------------------------
+
+@pytest.mark.parametrize("m", [720, 721])
+def test_odd_shifts_have_the_point_zero_at_the_middle_rank(m, monkeypatch):
+    # at 2k = n + 1 the range is read off the row: S_n's middle row is zero
+    # up to rounding, so the range is the point 0, and no geometry runs
+    sent = []
+    intersect = ranges.intersect_halfplanes
+    monkeypatch.setattr(ranges, "intersect_halfplanes",
+                        lambda *args, **kw: sent.append(1) or intersect(*args, **kw))
+    for n in range(1, 65, 2):
+        rep = rank_k_range(shift_matrix(n), (n + 1) // 2, m)
+        assert rep.region.kind == "point", n
+        assert abs(rep.region.vertices[0]) <= _row_tol(n, 1.0), n
+    assert sent == []
+    # 2k <= n still runs the geometry
+    rank_k_range(shift_matrix(5), 2, m)
+    assert sent == [1]
+
+
+@pytest.mark.parametrize("m", [720, 721, 2048])
+def test_middle_rank_points_and_empties(m):
+    # Hermitian T: the middle eigenvalue; normal T with collinear
+    # eigenvalues: the middle one along the line; a Gaussian's middle rank
+    # is empty (its residual is some 1e12 row tolerances)
+    rng = generator(3500 + m)
+    for n in (1, 3, 5, 7):
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        herm = (x + x.conj().T) * 10.0 ** rng.uniform(-6, 6)
+        line = 0.3 - 0.2j + np.exp(2j * np.pi * rng.uniform()) * np.sort(rng.normal(size=n))
+        u = random_unitary(n, rng)
+        cases = [(herm, np.linalg.eigvalsh(herm)[n // 2]),
+                 (u @ np.diag(line) @ u.conj().T, line[n // 2])]
+        for t, point in cases:
+            region = rank_k_range(t, (n + 1) // 2, m).region
+            assert region.kind == "point", n
+            assert abs(region.vertices[0] - point) <= 4.0 * _row_tol(n, np.linalg.norm(t, 2)), n
+        if n > 1:
+            assert rank_k_range(x, (n + 1) // 2, m).region.is_empty, n
+
+
+# --- closed forms and Li-Sze ---------------------------------------------------------
+
+def _ellipse_support(lam, minor, thetas):
+    """Support of the ellipse with foci lam and minor axis ``minor`` in the
+    directions of the offsets: Re(e^{i theta} c) + sqrt(minor^2 / 4 +
+    Re(e^{i theta} (lam_1 - lam_2) / 2)^2), c the foci's midpoint."""
+    phase = np.exp(1j * thetas)
+    half = (phase * (lam[0] - lam[1]) / 2.0).real
+    return (phase * (lam[0] + lam[1]) / 2.0).real + np.sqrt(minor**2 / 4.0 + half**2)
+
+
+@pytest.mark.parametrize("m", [720, 32768])
+def test_two_by_two_offsets_are_the_elliptical_range(m):
+    # Li (Proc. AMS 124, 1996): the numerical range of a 2 x 2 T is the
+    # ellipse with foci at its eigenvalues and minor axis
+    # (tr T*T - |lam_1|^2 - |lam_2|^2)^(1/2); not a disc, so a sign or
+    # orientation error in the offsets shows.  A normal T's ellipse is the
+    # segment between its eigenvalues, and at m = 32768 its rows are formed
+    # on demand
+    rng = generator(3600)
+    for trial in range(50):
+        t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        lam = np.linalg.eigvals(t)
+        minor = np.sqrt(max(np.trace(t.conj().T @ t).real - (np.abs(lam) ** 2).sum(), 0.0))
+        rep = rank_k_range(t, 1, m)
+        thetas, offsets = rep.support_samples.T
+        want = _ellipse_support(lam, minor, thetas)
+        assert np.abs(offsets - want).max() <= _row_tol(2, np.linalg.norm(t, 2)), trial
+    for trial in range(10):
+        lam = rng.normal(size=2) + 1j * rng.normal(size=2)
+        u = random_unitary(2, rng)
+        for t in (np.diag(lam), u @ np.diag(lam) @ u.conj().T):
+            sweep = pencil_sweep(t, m)
+            assert sweep.spectrum is not None
+            assert (sweep._rows is None) == (m == 32768)
+            rep = range_from_sweep(sweep, 1)
+            want = _ellipse_support(lam, 0.0, rep.support_samples[:, 0])
+            assert np.abs(rep.support_samples[:, 1] - want).max() <= _row_tol(2, np.abs(lam).max())
+
+
+def test_li_sze_ranks_are_never_empty():
+    # Li and Sze (Proc. AMS 136, 2008): Lambda_k(T) is non-empty whenever
+    # n >= 3k - 2, so no such rank may come back empty
+    checked = 0
+    for seed in range(4):
+        rng = generator(3700 + seed)
+        for n in range(1, 9):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            for t in (g, g.real, np.tril(g, -1)):
+                sweep = pencil_sweep(t, 720)
+                for k in range(1, (n + 2) // 3 + 1):
+                    assert not range_from_sweep(sweep, k).region.is_empty, (seed, n, k)
+                    checked += 1
+    assert checked == 4 * 3 * 15

@@ -71,7 +71,8 @@ def test_bench_grid_script():
     a, b = (bench_grid.run_cell("normal-diag", 5, 65536, repeat=1) for _ in range(2))
     cell = bench_grid.best_of(a, b)
     assert (cell["kind"], cell["n"], cell["m"]) == ("normal-diag", 5, 65536)
-    assert set(cell["range_ms"]) == set(cell["tags"]) == {"1", "2", "3"}
+    assert set(cell["range_ms"]) == set(cell["samples_ms"]) == set(cell["tags"]) == {"1", "2", "3"}
+    assert cell["samples_ms"]["1"] == min(a["samples_ms"]["1"], b["samples_ms"]["1"]) > 0
     assert cell["planes"] <= 4 * 5 * 4 + 16  # the diagonal's tie planes
     assert 0 < cell["sweep_ms"] == min(a["sweep_ms"], b["sweep_ms"])
     assert min(cell["frame_ms"], cell["cli_ms"]) > 0
