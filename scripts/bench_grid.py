@@ -22,6 +22,9 @@ cannot see.  A cell times, best of ``REPEAT`` in each round:
   range_ms    ``range_from_sweep(sweep, k)`` for k = 1..min(n, 3), frame built
   samples_ms  the first read of each of those reports' ``support_samples``,
               which a sweep that forms its rows on demand forms then
+  json_ms     ``fileio.dumps_json(fileio.region_to_obj(report))`` for the
+              k = 1 report: the region file's text, which ``hrnr range``
+              writes
   cli_ms      ``hrnr range --k 1 --angles m`` through ``cli.main``, file
               load and region file included
 
@@ -101,7 +104,7 @@ def run_cell(kind, n, m, repeat=REPEAT):
 
     t = matrix(kind, n)
     ks = range(1, min(n, 3) + 1)
-    best = {"sweep": np.inf, "frame": np.inf, "cli": np.inf,
+    best = {"sweep": np.inf, "frame": np.inf, "json": np.inf, "cli": np.inf,
             **{k: np.inf for k in ks}, **{("samples", k): np.inf for k in ks}}
     with tempfile.TemporaryDirectory() as work:
         path, out = os.path.join(work, "t.json"), os.path.join(work, "range.json")
@@ -114,15 +117,18 @@ def run_cell(kind, n, m, repeat=REPEAT):
             planes = sweep.frame.size
             best["sweep"] = min(best["sweep"], mid - start)
             best["frame"] = min(best["frame"], time.perf_counter() - mid)
-            tags = {}
+            tags, reports = {}, {}
             for k in ks:
                 start = time.perf_counter()
-                report = range_from_sweep(sweep, k)
+                reports[k] = report = range_from_sweep(sweep, k)
                 mid = time.perf_counter()
                 report.support_samples
                 best[k] = min(best[k], mid - start)
                 best["samples", k] = min(best["samples", k], time.perf_counter() - mid)
                 tags[k] = report.region.kind
+            start = time.perf_counter()
+            fileio.dumps_json(fileio.region_to_obj(reports[1]))
+            best["json"] = min(best["json"], time.perf_counter() - start)
             start = time.perf_counter()
             if cli.main(argv) != 0:
                 raise RuntimeError(f"hrnr {' '.join(argv)} failed")
@@ -130,7 +136,8 @@ def run_cell(kind, n, m, repeat=REPEAT):
     ms = {key: round(1e3 * value, 3) for key, value in best.items()}
     return {"kind": kind, "n": n, "m": m, "sweep_ms": ms["sweep"], "frame_ms": ms["frame"],
             "range_ms": {str(k): ms[k] for k in ks},
-            "samples_ms": {str(k): ms["samples", k] for k in ks}, "cli_ms": ms["cli"],
+            "samples_ms": {str(k): ms["samples", k] for k in ks}, "json_ms": ms["json"],
+            "cli_ms": ms["cli"],
             "tags": {str(k): tag for k, tag in tags.items()}, "planes": int(planes),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
@@ -149,7 +156,7 @@ def best_of(a, b):
     """Two records of one cell merged: the smaller of each time, the larger
     peak RSS."""
     out = dict(a)
-    for key in ("sweep_ms", "frame_ms", "cli_ms"):
+    for key in ("sweep_ms", "frame_ms", "json_ms", "cli_ms"):
         out[key] = min(a[key], b[key])
     for key in ("range_ms", "samples_ms"):
         out[key] = {k: min(v, b[key][k]) for k, v in a[key].items()}
@@ -214,7 +221,7 @@ def main(argv=None):
         for rec in records:
             print(f"{rec['kind']} n={rec['n']} m={rec['m']}: sweep {rec['sweep_ms']} ms, "
                   f"frame {rec['frame_ms']} ms, range {rec['range_ms']} ms, "
-                  f"samples {rec['samples_ms']} ms, "
+                  f"samples {rec['samples_ms']} ms, json {rec['json_ms']} ms, "
                   f"cli {rec['cli_ms']} ms")
         result = header(label) | {"cells": records}
         if args.tier1:

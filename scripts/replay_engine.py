@@ -29,7 +29,9 @@ the number of planes its emptiness check tested (0 when it did not run).
 ``--compare`` reads two dumps of the same battery, typically one made
 against a parent tree with ``--src`` and one against the current tree,
 and prints the calls that are byte-identical (for complex and real T, per
-kind, and among the calls whose old run did not reach the scan), every
+kind, among the calls whose old run did not reach the scan, and among
+those that neither run scanned, leaving out graded sweeps, whose m rows
+are one row and whose ranks are regular m-gons), every
 tag change, the worst Hausdorff distance over the geometry's bound, the
 worst row difference over ``checks._row_tol``, and on each side the calls
 that reached the scan, their planes in all, the most in one call and the
@@ -268,6 +270,10 @@ def compare(old_path, new_path):
         return same[bool(new["real"][case])], same[str(new["kind"][case])]
 
     unscanned = [0, 0]  # identical calls, calls, among those the old run did not scan
+    # the same among the calls neither run scanned on sweeps that are not
+    # graded (whose m rows are not one row)
+    plain = [0, 0]
+    graded = [bool((new[f"rows{i}"] == new[f"rows{i}"][0]).all()) for i in range(len(new["n"]))]
     tag_changes, worst_h, worst_row = [], (-np.inf, None), (-np.inf, None)
     for i, (n, norm) in enumerate(zip(new["n"], new["norm"])):
         a, b = old[f"rows{i}"], new[f"rows{i}"]
@@ -289,6 +295,9 @@ def compare(old_path, new_path):
         if not old["call_scanned"][c]:
             unscanned[0] += identical
             unscanned[1] += 1
+            if not (new["call_scanned"][c] or graded[case]):
+                plain[0] += identical
+                plain[1] += 1
         if a.kind != b.kind:
             tag_changes.append(f"{label(case)} k={k}: {a.kind} -> {b.kind}")
         elif not a.is_empty:
@@ -299,6 +308,8 @@ def compare(old_path, new_path):
         print(f"{name} byte-identical: {counts[0]}/{counts[1]} "
               f"sweeps, {counts[2]}/{counts[3]} calls")
     print(f"calls the old run did not scan, byte-identical: {unscanned[0]}/{unscanned[1]}")
+    print(f"calls neither run scanned, graded sweeps aside, byte-identical: "
+          f"{plain[0]}/{plain[1]}")
     for side, dumped in (("old", old), ("new", new)):
         planes = dumped["call_scanned"]
         over = np.count_nonzero(planes > new["m"][new["call_case"]] // 16)

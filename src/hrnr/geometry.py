@@ -13,6 +13,9 @@ the planes between them that hold it.  When no plane is left implied (as
 on a smooth range, in the first round) every kept plane is a facet, and
 otherwise the deque scan runs on the planes left, which on faceted and
 degenerate grid ranges are a few dozen after one round at 2^16 planes.
+A set of at most ``ONE_ROUND_PLANES`` planes that is not smooth, such as
+a normal sweep's tie planes, takes its first round's drops and goes to
+the scan at once: there the scan costs less than more rounds.
 The emptiness check tests every plane: it reuses the sorted planes'
 cosines and sines, finds each plane's supporting vertex by one bisection
 of its direction into the sorted edge normals and compares three
@@ -24,13 +27,14 @@ set of angles at several offset vectors, as a pencil sweep's ranks do,
 builds it once with ``angle_frame`` and passes it to each call, which
 then only gathers, merges and relaxes the offsets.
 The planes are the caller's: ``ranges.range_from_sweep`` passes every
-grid plane of a batch or graded sweep, but of a sweep from a spectrum
-(diagonal, Hermitian or certified normal T) only the planes beside its
-tie angles and every (m // 16)-th one, whose intersection the dropped
-planes cannot cut by more than the rows' rounding (the ``ranges``
-docstring's "Tie planes"); the oracles in ``checks`` pass their own
-angles.  The pruning, the emptiness check and every bound below concern
-the planes passed.
+grid plane of a batch sweep, but of a sweep from a spectrum (diagonal,
+Hermitian or certified normal T) only the planes beside its tie angles
+and every (m // 16)-th one, whose intersection the dropped planes cannot
+cut by more than the rows' rounding (the ``ranges`` docstring's "Tie
+planes"), and a graded sweep's ranks, whose m planes share one offset,
+are the regular m-gons of ``regular_polygon``; the oracles in ``checks``
+pass their own angles.  The pruning, the emptiness check and every bound
+below concern the planes passed.
 Convex regions are tagged as one of ``empty``, ``point``, ``segment`` or
 ``polygon`` (counter-clockwise vertex loop).
 
@@ -60,6 +64,7 @@ asks for the segment).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -73,6 +78,17 @@ POINT_DIAM = 1e-9
 # A polygon thinner than this (area / diameter) collapses to a segment.
 SEGMENT_THICKNESS = 1e-9
 TWO_PI = 2.0 * np.pi
+# A set of at most this many planes whose first round finds a plane implied
+# drops that round's planes and sends the rest to the deque scan, with no
+# more rounds (``_facet_planes``).  Measured on 2 CPUs, best of 9-15: on
+# the tie planes of complex diagonal n = 4..14 at m = 2048 and 65536 (ranks
+# 1..3, 64-744 planes) the rounds took 0.24-0.54 ms and one round and the
+# scan 0.07-0.29, faster in 186 of 186 sets; on every plane of Gaussian and
+# hidden normal n = 4..8, faceted ranges gain alike at 180-2048 planes,
+# but a k = 2 swallowtail, whose rounds cut the wings, ties at 180-360
+# planes (0.25-0.40 against 0.26-0.48 ms) and loses from 720 (0.43-1.35
+# against 0.41-0.68).
+ONE_ROUND_PLANES = 384
 # angles of the bounding square's planes
 _SQUARE = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
 
@@ -437,6 +453,22 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
     are at most pi/16 apart drop instead at alternate positions within
     each run of them, if that drops more.
 
+    Small sets.  A set of at most ``ONE_ROUND_PLANES`` planes whose first
+    round finds a plane implied takes that round's drops and hands the
+    rest to ``_active_chain``: there the later rounds cost more than the
+    scan they spare (a normal sweep's tie planes, at most 4 n (n - 1) + 20
+    with the square's, took 4 rounds on a hidden normal n = 8 at m = 720).
+    The round comes first because a scan of every plane keeps each bundle
+    of relaxed planes through one vertex, whose cut lines wrap an arc of
+    radius CLIP_EPS about it, and ``_classify``'s collinear walk then picks
+    a point of the arc: 1.2e-12 * bound from the rounds' vertex in the
+    replay, against 2.2e-13 after the round's drops.  The rule looks at the
+    planes passed alone: applied to the planes a later round leaves, it
+    took the wing round's place on a swallowtail's seam pair, which then
+    left the full scan's region, and a scan of those planes whole at 2^16
+    planes kept a vertex 2e-12 * bound from its neighbour that the rounds
+    drop.
+
     Wing rule.  For k >= 2 the offsets lambda_k / 2 are not a support
     function: their envelope, the k-th branch of Kippenhahn's
     boundary-generating curve, has swallowtails, whose two crossing wings
@@ -511,6 +543,11 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
                                                     <= np.pi / 16))
             if np.count_nonzero(alternate) > np.count_nonzero(drop):
                 drop = alternate
+        if keep.size == thetas.size <= ONE_ROUND_PLANES:
+            # a small set that is not smooth: this round's drops, then the scan
+            stay = np.flatnonzero(~drop)
+            dq = _active_chain(*(v[stay].tolist() for v in kept))
+            return None if dq is None else keep[stay[dq]], False
         if 16 * np.count_nonzero(drop) < keep.size:
             # the round stalls: cut the crossing wings once, if that costs
             # less than the scan (a junction takes about 15 us of searches
@@ -791,6 +828,37 @@ def intersect_halfplanes(thetas, offsets, bound: float,
     if not np.isfinite(verts).all():
         raise ValueError("offsets / bound too large: the vertices overflow")
     return ConvexRegion(region.kind, verts)
+
+
+def regular_polygon(m: int, offset: float, bound: float) -> ConvexRegion:
+    """``intersect_halfplanes`` of the m grid planes Re(e^{i theta_j} z) <=
+    ``offset``, theta_j = 2 pi j / m, for ``offset`` <= ``bound`` / 2: the
+    regular m-gon about 0 whose vertices are u sec(pi/m) e^{i (2j + 1) pi/m}
+    times R = ``bound``, u = offset / R + CLIP_EPS (the relaxed cut),
+    classified.  The square, 1.02 R / 2 at most from 0 away, cuts none.
+    Where each vertex lies more than 2 CLIP_EPS from its neighbours'
+    chord, u sec(pi/m) (1 - cos(2 pi/m)) > 2 CLIP_EPS, every plane is a
+    facet and no vertex is pruned as collinear, so that loop is the scan's
+    up to rounding.  Closer than that (zero and negative offsets among
+    them) the rounds would drop planes and ``_prune_collinear``'s walk
+    would merge a dense loop's vertices, so the planes go to
+    ``intersect_halfplanes``."""
+    if not offset <= bound / 2.0:
+        raise ValueError("a regular polygon needs offset <= bound / 2")
+    radius = (offset / bound + CLIP_EPS) / np.cos(np.pi / m)
+    if radius * (1.0 - np.cos(2.0 * np.pi / m)) <= 2.0 * CLIP_EPS:
+        thetas = 2.0 * np.pi * np.arange(m) / m
+        return intersect_halfplanes(thetas, np.full(m, float(offset)), bound)
+    region = _classify(radius * _regular_directions(m))
+    return ConvexRegion(region.kind, region.vertices * bound)
+
+
+@functools.lru_cache(maxsize=4)
+def _regular_directions(m: int) -> np.ndarray:
+    """e^{i (2j + 1) pi/m}, j = 0..m-1, read-only: a sweep's ranks share them."""
+    directions = np.exp(1j * np.pi * (2.0 * np.arange(m) + 1.0) / m)
+    directions.flags.writeable = False
+    return directions
 
 
 def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t):

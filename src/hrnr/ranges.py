@@ -27,11 +27,24 @@ spectrum r of H_0 = T + T*.  The similarity of T and e^{i theta} T is the
 symmetry behind the rank-k range of S_n, a disc of radius cos(k pi/(n+1))
 about 0.  r is symmetric about 0 (H_pi = -H_0 is similar to H_0), and the
 row (r - r[::-1]) / 2 is so bit for bit, so the half-turn rule holds
-exactly.
+exactly.  Such a sweep keeps that one row (``PencilSweep.row``) and forms
+the m rows only when ``eigenvalues`` is read.
+
+Graded ranks.  Every rank-k plane of a graded sweep has the one offset
+c_k = r_k / 2, so for 2k <= n its region is the intersection of the m grid
+planes Re(e^{i theta_j} z) <= c_k, the regular m-gon about 0 circumscribed
+about the disc of radius c_k (for S_n, cos(k pi/(n+1)), up to the bound's
+scale).  ``geometry.regular_polygon`` builds it in closed form, with no
+angle frame and no pruning, and classifies it as the geometry classifies
+any loop; c_k = 0, to rounding, gives the point 0.  The vertices are those
+of the scan's corners up to rounding: within 1.2e-13 * bound of the
+intersection of the m planes at m <= 8192, and 9e-13 at 65536, where the
+scan's corner of planes 2 pi/m apart loses that much.
 
 A sweep owns its grid's angle frame (``PencilSweep.frame``): the geometry's
 sort and merge of the angles and their cosines and sines are computed at
-the first rank and reused by every other.
+the first rank that reaches the geometry and reused by every other; a
+graded sweep's ranks build none.
 
 Tie planes.  When the rows come from a spectrum mu, rank k's offset at
 theta is the k-th largest of Re(e^{i theta} mu_j), and the order of those
@@ -52,7 +65,10 @@ plane by at most sec(pi/16) times what it leaves the kept planes by, plus
 that.  A region tagged point is the mean of its loop's vertices, which
 the dropped planes would have moved, so a point at 2k <= n is recomputed
 over all m planes.  ``support_samples`` and the strip test below see all
-m rows; Gaussian, graded and uncertified sweeps keep every plane.
+m rows; Gaussian and uncertified sweeps keep every plane.  A rank's tie
+planes, at most ``geometry.ONE_ROUND_PLANES`` of them (every n <= 10 at
+any m), take one round of the geometry's pruning and go to the deque scan
+(the ``geometry`` docstring).
 
 Rows on demand.  For the same reason each column of a spectrum sweep's
 sorted rows is, between two ties, one eigenvalue's 2 Re(e^{i theta} mu_o),
@@ -76,9 +92,17 @@ table's fixed cost of some 60-90 us outweighs the sort it saves (on
 n = 32 takes 0.35 and 0.31 ms).  Rows are the same bits on either side of
 the rule.  A spectrum of modulus 2^1022 or more could overflow, so it
 forms every row for ``pencil_sweep`` to check; below that no value can.
-``range_from_sweep`` forms column 0 for the bound and a rank's offsets at
-``planes`` only; ``support_samples`` and ``eigenvalues`` (every column
-stacked) are formed when first read.
+A column read at chosen indices forms e^{i theta} at those alone, the
+bits of the whole array's entries (``np.exp`` is elementwise); only
+``_point_or_empty`` and reads of whole columns form every phase.  The
+radius, which sets the bound, reads column 0 beside each eigenvalue's
+peak alone, 2h + 3 indices for each (seven up to m = 2^25,
+``_peak_indices``): each mu_i's projection peaks at -arg(mu_i), and an
+angle more than h grid steps away lies below the peak's nearest grid
+angle by more than rounding can bridge, so column 0's maximum over all m
+is among those indices, the same bits.  ``range_from_sweep`` forms a
+rank's offsets at ``planes`` only; ``support_samples`` and
+``eigenvalues`` (every column stacked) are formed when first read.
 
 For 2k > n + 1 the rank-k range is empty as soon as one row has
 lambda_k < lambda_{n+1-k} by more than its rounding, so the geometry runs
@@ -107,7 +131,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import AngleFrame, ConvexRegion, angle_frame, intersect_halfplanes
+from .geometry import (AngleFrame, ConvexRegion, angle_frame, intersect_halfplanes,
+                       regular_polygon)
 from .linalg import as_matrix, eig_hermitian_stack
 
 # Default angle counts: range, radius and verify-properties; verify-shift
@@ -179,21 +204,26 @@ class PencilSweep:
         (m, n) array; row j holds the descending spectrum of H_{theta_j};
         twice ``numerical_radius()``, ``region_bound``, bounds and scales
         every rank-k region.  Given, or for a sweep whose rows are formed on
-        demand, the stack of every ``column`` at its first read.
+        demand or are one row, the stack of every ``column`` at its first
+        read.
     spectrum
         T's eigenvalues mu when the rows are 2 Re(e^{i theta} mu) sorted
         (exactly diagonal, exactly Hermitian or certified normal T), else
         None.  Its tie angles give ``planes``, the grid indices whose
         planes the geometry sees (module docstring, "Tie planes").  Without
         ``eigenvalues`` its rows are formed on demand ("Rows on demand").
+    row
+        The one row every angle shares, for a graded T (module docstring,
+        "Graded ranks"), else None.
     """
 
     def __init__(self, thetas: np.ndarray, eigenvalues: np.ndarray | None = None,
-                 spectrum: np.ndarray | None = None):
-        if eigenvalues is None and spectrum is None:
-            raise ValueError("a sweep needs its rows or its spectrum")
+                 spectrum: np.ndarray | None = None, row: np.ndarray | None = None):
+        if eigenvalues is None and spectrum is None and row is None:
+            raise ValueError("a sweep needs its rows, its spectrum or its one row")
         self.thetas = thetas
         self.spectrum = spectrum
+        self.row = row
         self._rows = eigenvalues
 
     @property
@@ -202,45 +232,59 @@ class PencilSweep:
 
     @property
     def dim(self) -> int:
-        return self.spectrum.size if self._rows is None else self._rows.shape[1]
+        if self._rows is not None:
+            return self._rows.shape[1]
+        return (self.spectrum if self.row is None else self.row).size
+
+    @property
+    def _solved(self) -> int:
+        """The solved angles' count: m/2 on an even grid, all m on an odd one."""
+        m = self.angle_count
+        return m if m % 2 else m // 2
 
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._rows is None:
-            self._rows = np.column_stack([self.column(r) for r in range(self.dim)])
+            if self.row is not None:
+                self._rows = np.tile(self.row, (self.angle_count, 1))
+            else:
+                self._rows = np.column_stack([self.column(r) for r in range(self.dim)])
         return self._rows
 
     def column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
         """Column r of ``eigenvalues`` (lambda_{r+1} at every grid angle), or
-        its entries at the grid indices ``idx``; a sweep whose rows are
-        formed on demand computes only those.  On an even grid row
+        its entries at the grid indices ``idx``; a graded sweep or one whose
+        rows are formed on demand computes only those.  On an even grid row
         j + m/2 is row j negated and reversed, so column r there is column
         n - 1 - r of the solved half, negated."""
         if self._rows is not None:
             return self._rows[:, r] if idx is None else self._rows[:, r][idx]
-        m, n, table = self.angle_count, self.dim, self._table
-        solved = self._phases.size
+        if self.row is not None:
+            return np.full(self.angle_count if idx is None else np.shape(idx), self.row[r])
+        m, n, table, solved = self.angle_count, self.dim, self._table, self._solved
         if idx is None:
+            phases = self._phases
             if solved == m:
-                return table.values(r)
-            return np.concatenate([table.values(r), -table.values(n - 1 - r)])
+                return table.values(r, None, phases)
+            return np.concatenate([table.values(r, None, phases),
+                                   -table.values(n - 1 - r, None, phases)])
         idx = np.asarray(idx)
         upper = idx >= solved
+        j = np.where(upper, idx - solved, idx)
+        phases = np.exp(1j * self.thetas[j])  # elementwise: the bits of ``_phases`` at j
         out = np.empty(idx.shape)
-        out[~upper] = table.values(r, idx[~upper])
-        out[upper] = -table.values(n - 1 - r, idx[upper] - solved)
+        out[~upper] = table.values(r, j[~upper], phases[~upper])
+        out[upper] = -table.values(n - 1 - r, j[upper], phases[upper])
         return out
 
     @cached_property
     def _phases(self) -> np.ndarray:
-        """e^{i theta_j} at the solved angles: j < m/2 on an even grid, all
-        m on an odd one."""
-        m = self.angle_count
-        return np.exp(1j * self.thetas[:m if m % 2 else m // 2])
+        """e^{i theta_j} at every solved angle, for reads of a whole column."""
+        return np.exp(1j * self.thetas[:self._solved])
 
     @cached_property
     def _table(self) -> "_OwnerTable":
-        return _OwnerTable(self.spectrum, self._phases, self.angle_count)
+        return _OwnerTable(self.spectrum, self.thetas[:self._solved], self.angle_count)
 
     def numerical_radius(self) -> float:
         """max_j lambda_1(H_{theta_j}) / 2: the numerical radius on this grid."""
@@ -248,6 +292,14 @@ class PencilSweep:
 
     @cached_property
     def _radius(self) -> float:
+        # a sweep formed on demand reads column 0 beside each eigenvalue's
+        # peak; a maximum that is not positive (every mu zero) reads it whole
+        if self._rows is None and self.row is None:
+            idx = _peak_indices(self.spectrum, self.angle_count)
+            if idx is not None:
+                top = self.column(0, idx).max()
+                if top > 0:
+                    return float(top / 2.0)
         return float(self.column(0).max() / 2.0)
 
     @cached_property
@@ -281,13 +333,15 @@ class _OwnerTable:
     one order of mu holds, found by one argsort at the run's first index.
     Column r at index j of such a run is 2 Re(e^{i theta_j} mu_o) for the
     run's r-th owner o, the bits the sorted row holds there.  Runs
-    alternate, a gap first (it may be empty), then a window.
+    alternate, a gap first (it may be empty), then a window.  e^{i theta}
+    is formed only at the indices read: ``np.exp`` is elementwise, so
+    those are the bits of the whole array's entries.
     """
 
-    def __init__(self, mu: np.ndarray, phases: np.ndarray, m: int):
-        self.mu, self.phases = mu, phases
+    def __init__(self, mu: np.ndarray, thetas: np.ndarray, m: int):
+        self.mu = mu
         self.columns = {}  # r -> column r at every solved index
-        solved = phases.size
+        solved = thetas.size
         starts, stops = _tie_windows(mu, m, solved)
         self.bounds = np.column_stack([starts, stops]).ravel()
         edges = np.concatenate([[0], self.bounds, [solved]])
@@ -295,23 +349,24 @@ class _OwnerTable:
         # every index inside a window, ascending, and its rows
         width = stops - starts
         self.inside = np.repeat(starts - np.cumsum(width) + width, width) + np.arange(width.sum())
-        self.sorted = _sorted_rows(phases[self.inside], mu)
+        self.sorted = _sorted_rows(np.exp(1j * thetas[self.inside]), mu)
         # each run's order at its first index (the last run may be empty);
         # a window's order is never read, its rows being in ``sorted``
-        z = phases[np.minimum(edges[:-1], solved - 1)][:, None] * mu
+        z = np.exp(1j * thetas[np.minimum(edges[:-1], solved - 1)])[:, None] * mu
         self.order = np.argsort((z + z.conj()).real, axis=1)[:, ::-1]
 
-    def values(self, r: int, j: np.ndarray | None = None) -> np.ndarray:
-        """Column r at the solved indices j, or at all of them, kept for
+    def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
+        """Column r at the solved indices j, whose e^{i theta} are ``phases``,
+        or at all of them (j None, ``phases`` every solved one), kept for
         later reads."""
         if j is None:
             if r not in self.columns:
                 owners = np.repeat(self.mu[self.order[:, r]], self.lengths)
-                self.columns[r] = out = 2.0 * (self.phases * owners).real
+                self.columns[r] = out = 2.0 * (phases * owners).real
                 out[self.inside] = self.sorted[:, r]
             return self.columns[r]
         run = np.searchsorted(self.bounds, j, side="right")
-        out = 2.0 * (self.phases[j] * self.mu[self.order[run, r]]).real
+        out = 2.0 * (phases * self.mu[self.order[run, r]]).real
         window = run % 2 == 1
         if window.any():
             at = np.searchsorted(self.inside, j[window])
@@ -345,23 +400,25 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     (``_is_graded``, tested before the normal certificate: a nonzero graded
     T is nilpotent, never normal) sends the one pencil T + T* to
     ``eig_hermitian_stack``, and every row is its spectrum r made
-    antisymmetric, (r - r[::-1]) / 2.  Any other T has its pencils solved.
+    antisymmetric, (r - r[::-1]) / 2, which the sweep keeps as its one
+    ``row``.  Any other T has its pencils solved.
     Raises ValueError when the pencils overflow to a non-finite row.
     """
     t = as_matrix(t)
     m = resolve_angles(m)
     thetas = grid_angles(m)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
-        vals, spectrum = _rows(t, thetas)
-    if vals is not None and not np.isfinite(vals).all():
-        raise ValueError("the pencils overflow: matrix entries too large")
-    return PencilSweep(thetas, vals, spectrum)
+        vals, spectrum, row = _rows(t, thetas)
+    for given in (vals, row):
+        if given is not None and not np.isfinite(given).all():
+            raise ValueError("the pencils overflow: matrix entries too large")
+    return PencilSweep(thetas, vals, spectrum, row)
 
 
-def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray | None, ...]:
     """The (m, n) rows of ``pencil_sweep``, by the paths its docstring lists,
-    or None when a spectrum's rows are left to be formed on demand, and the
-    spectrum mu they come from, or None."""
+    or None when they are a spectrum's, left to be formed on demand, or a
+    graded T's one row; that spectrum mu, or None; that one row, or None."""
     m = thetas.size
     if not (t - np.diag(np.diagonal(t))).any():
         spectrum = np.diagonal(t)
@@ -371,7 +428,7 @@ def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray | None, np.ndar
         # halves first, so that a spectrum near the overflow threshold stays
         # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
         half = eig_hermitian_stack((t + t.conj().T)[None])[0] / 2.0
-        return np.tile(half - half[::-1], (m, 1)), None
+        return None, None, half - half[::-1]
     else:
         spectrum = _normal_spectrum(t)
     solved = m if m % 2 else m // 2
@@ -381,12 +438,12 @@ def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray | None, np.ndar
         vals = eig_hermitian_stack(stack)
     elif m * spectrum.size >= ON_DEMAND_ROWS and np.abs(spectrum).max() < 2.0**1022:
         # below 2^1022, |2 Re(e^{i theta} mu)| <= 2 sqrt(2) |mu| cannot overflow
-        return None, spectrum
+        return None, spectrum, None
     else:
         vals = _sorted_rows(np.exp(1j * thetas[:solved]), spectrum)
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
-    return vals, spectrum
+    return vals, spectrum, None
 
 
 def _sorted_rows(phases: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -436,6 +493,37 @@ def _tie_windows(mu: np.ndarray, m: int, solved: int) -> tuple[np.ndarray, np.nd
     lo, reach = lo[keep][order], np.maximum.accumulate(hi[keep][order])
     first = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
     return lo[first], reach[np.r_[first[1:] - 1, lo.size - 1]]
+
+
+def _peak_indices(mu: np.ndarray, m: int) -> np.ndarray | None:
+    """Grid indices of the whole m-angle grid beside each nonzero mu_i's
+    peak, where column 0 takes its largest value (module docstring, "Rows
+    on demand"); None when a window would span half the grid or every
+    mu_i is zero.
+
+    2 Re(e^{i theta} mu_i) peaks at theta = -arg(mu_i), u = -arg(mu_i) m /
+    (2 pi) grid steps, and its computed values there are within
+    tol = 8 eps |mu_i| + 8 subnormals of exact, as in ``_tie_windows``, and
+    so are those of an even grid's upper half, the solved half's negated,
+    at their own angles.  The nearest grid angle is at most pi/m from the peak, and an
+    angle delta = 4 pi/m + sqrt(4 tol / |mu_i|) from it or more lies below
+    that by |mu_i| (delta^2 - (pi/m)^2), to first order, which is more than
+    4 tol: no rounding can lift it to the top.  So the indices within
+    h = 2 + sqrt(4 tol / |mu_i|) m / (2 pi) steps of u hold column 0's
+    maximum over all m: 2h + 3 at most for each eigenvalue, seven up to
+    m = 2^25 at |mu_i| >= 1e-300.  Zero eigenvalues, whose values are all
+    zero, give none.
+    """
+    mu = mu[mu != 0]
+    if not mu.size:
+        return None
+    tol = 8.0 * np.finfo(float).eps * np.abs(mu) + 8.0 * np.finfo(float).smallest_subnormal
+    h = 2.0 + np.sqrt(4.0 * tol / np.abs(mu)) * (m / (2.0 * np.pi))
+    if not (h < m / 4).all():
+        return None
+    lo = np.floor(-np.angle(mu) * (m / (2.0 * np.pi)) - h).astype(np.intp)
+    steps = np.arange(int(np.ceil(2.0 * h.max())) + 2)
+    return ((lo[:, None] + steps) % m).ravel()
 
 
 def _tie_planes(mu: np.ndarray, m: int) -> np.ndarray:
@@ -593,7 +681,9 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     radius, which bounds ||T||_2), so a row whose strip is narrower than
     minus twice that proves the range empty.  At 2k = n + 1 the strip has
     width zero, and the range is a point or empty, read off the row
-    (``_point_or_empty``).  Otherwise, and for 2k <= n, the geometry
+    (``_point_or_empty``).  Otherwise, and for 2k <= n, a graded sweep's
+    region is the regular m-gon at its one offset (``regular_polygon``,
+    module docstring, "Graded ranks"), and any other sweep's geometry
     intersects the planes at the sweep's ``planes`` in its angle frame,
     which every rank of one sweep shares: every plane, or for a sweep with
     a spectrum the tie planes, whose offsets alone are formed, with a point
@@ -611,6 +701,8 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     elif (2 * k > n + 1 and ((sweep.column(k - 1) - sweep.column(n - k)) / 2.0).min()
             < -2.0 * _solve_error(n, norm)):
         region = ConvexRegion.empty()
+    elif sweep.row is not None:
+        region = regular_polygon(m, sweep.row[k - 1] / 2.0, sweep.region_bound)
     else:
         # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
         # square never cuts it; all-zero offsets fit any bound

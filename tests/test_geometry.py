@@ -326,6 +326,52 @@ def test_locally_convex_certificate_matches_scan(monkeypatch):
             assert np.array_equal(chain, np.arange(kept.size))
 
 
+def test_small_faceted_sets_scan_once_and_smooth_ones_stay_certified(monkeypatch):
+    # a set of at most ONE_ROUND_PLANES planes whose first round finds a
+    # plane implied takes that round's drops and one scan of the rest; a
+    # smooth one keeps its first-round certificate, and a larger faceted
+    # set goes through more rounds before it scans
+    scans, rounds = [], []
+
+    def spy(*args):
+        scans.append(len(args[0]))
+        return _active_chain(*args)
+
+    def round_spy(*args):
+        rounds.append(1)
+        return run_drops(*args)
+
+    run_drops = geometry._run_drops
+    monkeypatch.setattr(geometry, "_active_chain", spy)
+    monkeypatch.setattr(geometry, "_run_drops", round_spy)
+    for planes in (sweep_planes(shift_matrix(4), 1, 128),
+                   unit_planes(TWO_PI * np.arange(64) / 64, np.ones(64), 2.0),
+                   sweep_planes(random_matrix(5, generator(2)), 1, 256)):
+        scans.clear()
+        kept, certified = _facet_planes(*planes)
+        assert certified and scans == [] and kept.size == planes[0].size
+    sweep = pencil_sweep(NORMAL_DIAG, 65536)
+    for k in (1, 2):
+        planes = _unit_planes(sweep.frame, sweep.column(k - 1, sweep.planes) / 2.0,
+                              sweep.region_bound)
+        assert planes[0].size <= geometry.ONE_ROUND_PLANES
+        scans.clear()
+        rounds.clear()
+        _, certified = _facet_planes(*planes)
+        assert len(scans) == 1 and rounds == [1] and not certified, k
+    # a pentagon's support at count angles clear of the square's, which
+    # add four planes
+    pentagon = ConvexRegion.polygon(PENTAGON)
+    for count in (geometry.ONE_ROUND_PLANES - 4, geometry.ONE_ROUND_PLANES - 3):
+        thetas = TWO_PI * (np.arange(count) + 0.3) / count
+        planes = unit_planes(thetas, support(pentagon, thetas), 2.0)
+        scans.clear()
+        rounds.clear()
+        _facet_planes(*planes)
+        assert len(scans) == 1
+        assert (len(rounds) == 1) == (planes[0].size <= geometry.ONE_ROUND_PLANES), count
+
+
 FILTER_RNG = generator(7)
 NORMAL_DIAG = np.diag(FILTER_RNG.normal(size=6) + 1j * FILTER_RNG.normal(size=6))
 HERM_DIAG = np.diag(np.sort(FILTER_RNG.normal(size=5)).astype(complex))
@@ -726,6 +772,27 @@ def test_scanned_antiparallel_neighbours_give_empty():
     assert block_runs(_unit_region, "if (np.abs(det) < 1e-14).any():",
                       lambda: out.append(_unit_region(planes, dq)))
     assert out[0].is_empty
+
+
+def test_closing_front_pop_runs_on_a_tie_plane_set():
+    # rank 3 of a diagonal n = 6 (the 40th draw of generator(20243), one of
+    # acceptance criterion 6's normals) at m = 65536: its tie planes, after
+    # the first round's drops, leave the scan's main loop with a front
+    # plane that the corner at the back cuts away, which the closing loop
+    # alone pops; the range is empty, as over every plane and by the oracle
+    from hrnr.checks import normal_oracle
+    from hrnr.ranges import PencilSweep, range_from_sweep
+
+    rng = generator(20243)
+    for i in range(40):
+        eigs = rng.normal(size=5 + i % 2) + 1j * rng.normal(size=5 + i % 2)
+    eigs /= np.abs(eigs).max()
+    sweep = pencil_sweep(np.diag(eigs), 65536)
+    out = []
+    assert block_runs(_active_chain, "if cut_away(corners[0], dq[-1]):",
+                      lambda: out.append(range_from_sweep(sweep, 3).region))
+    assert out[0].is_empty and normal_oracle(eigs, 3).is_empty
+    assert range_from_sweep(PencilSweep(sweep.thetas, sweep.eigenvalues), 3).region.is_empty
 
 
 def rippled_planes(p, eps, phase, second=(0.0, 0, 0.0), m=720):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hrnr import ranges
+from hrnr import geometry, ranges
 from hrnr.checks import generator, montecarlo_range, property_suite, random_unitary
 from hrnr.geometry import ConvexRegion, hausdorff
 from hrnr.linalg import as_matrix, eig_hermitian_stack
@@ -766,9 +766,56 @@ def test_shift_ranges_from_the_graded_rows(n):
             assert region.kind == ("polygon" if 2 * k < n + 1 else "empty"), k
 
 
+def _rank_deficient_block():
+    """[[0, A], [0, 0]] with a 3 x 3 A of rank 1: T + T* has the eigenvalues
+    +-|A|_2 and four zeros, so ranks 2 and 3 have the offset c_k = 0."""
+    rng = generator(75)
+    t = np.zeros((6, 6), dtype=complex)
+    t[:3, 3:] = np.outer(rng.normal(size=3) + 1j * rng.normal(size=3), rng.normal(size=3))
+    return t
+
+
+@pytest.mark.parametrize("m", [16, 17, 720, 8192])
+def test_graded_ranks_are_the_regular_m_gon(m, monkeypatch):
+    # every row of a graded sweep is one row, so rank k's region is the
+    # regular m-gon about 0 at the offset c_k; it is the intersection of the
+    # m grid planes within 1e-12 * bound, with its tag, and c_k = 0 gives a
+    # point.  No m-gon with c_k > 0 calls the geometry's intersection
+    sent = []
+    intersect = geometry.intersect_halfplanes
+    monkeypatch.setattr(geometry, "intersect_halfplanes",
+                        lambda *args, **kw: sent.append(1) or intersect(*args, **kw))
+    cases = dict(_graded_inputs(), **{f"shift-{n}": shift_matrix(n) for n in (2, 4, 9)},
+                 deficient=_rank_deficient_block())
+    points = 0
+    for name, t in cases.items():
+        for scale in (1e-8, 1.0, 1e8):
+            sweep = pencil_sweep(scale * t, m)
+            assert sweep.row is not None and sweep._rows is None, name
+            every = ranges.PencilSweep(sweep.thetas, sweep.eigenvalues)
+            bound = sweep.region_bound
+            for k in range(1, t.shape[0] // 2 + 1):
+                sent.clear()
+                got = range_from_sweep(sweep, k).region
+                want = range_from_sweep(every, k).region
+                assert got.kind == want.kind, (name, scale, k)
+                assert hausdorff(got, want) <= 1e-12 * bound, (name, scale, k)
+                if sweep.row[k - 1] > 1e-9 * bound:
+                    assert got.kind == "polygon" and got.vertices.size == m, (name, k)
+                    assert sent == [], (name, k)
+                else:  # zero up to the rounding of T + T*'s spectrum
+                    assert got.kind == "point", (name, k)
+                    points += 1
+    assert points == 3 * 2
+    with pytest.raises(ValueError, match="bound / 2"):  # the square would cut the m-gon
+        geometry.regular_polygon(m, 0.6, 1.0)
+
+
 def test_one_angle_frame_per_sweep(monkeypatch):
-    # every rank of one sweep, P6 and the shift suite share the sweep's frame,
-    # built on the sweep's planes: all of them, or a diagonal's tie planes
+    # every rank of one sweep and P6 share the sweep's frame, built on the
+    # sweep's planes: all of them, or a diagonal's tie planes; a graded
+    # sweep's ranks are regular m-gons and build none, so the shift suite
+    # builds none either
     from hrnr import checks, geometry
 
     built, frame = [], geometry.angle_frame
@@ -786,12 +833,15 @@ def test_one_angle_frame_per_sweep(monkeypatch):
         built.clear()
         for k in (1, 2, 3):
             range_from_sweep(sweep, k)
-        assert built == [2048 if sweep.planes is None else sweep.planes.size]
+        if sweep.row is not None:
+            assert built == []
+        else:
+            assert built == [2048 if sweep.planes is None else sweep.planes.size]
     assert sweep.planes.size < 2048
     built.clear()
-    checks.check_nesting(pencil_sweep(shift_matrix(5), 720), 3)
+    checks.check_nesting(pencil_sweep(rng.normal(size=(5, 5)), 720), 3)
     checks.check_shift(5, 720)
-    assert built == [720, 720]
+    assert built == [720]
 
 
 # --- tie planes -----------------------------------------------------------------
@@ -850,8 +900,8 @@ def test_tie_planes_give_the_all_plane_region(seed, n, family, m):
 
 def test_tie_planes_reach_the_geometry_only_on_spectrum_sweeps(monkeypatch):
     # at m = 65536 a diagonal n = 6 sends at most 4 n (n - 1) + 16 planes;
-    # Gaussian and graded sweeps send all m, and P1's row-only sweeps never
-    # work out the index set
+    # a Gaussian sweep sends all m, a graded one none (its ranks are regular
+    # m-gons), and P1's row-only sweeps never work out the index set
     from hrnr.checks import check_affine
 
     sent, ties = [], []
@@ -870,7 +920,7 @@ def test_tie_planes_reach_the_geometry_only_on_spectrum_sweeps(monkeypatch):
     sent.clear()
     for t in (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), shift_matrix(5)):
         range_from_sweep(pencil_sweep(t, m), 1)
-    assert sent == [m, m]
+    assert sent == [m]
     t = _hidden_normal(5, rng, False, 0.0)
     base = range_from_sweep(pencil_sweep(t, 720), 1)
     assert len(ties) == 2
@@ -956,6 +1006,66 @@ def test_pencil_sweep_picks_its_rows_by_size_with_the_same_bits(m, monkeypatch):
     assert solved == []
 
 
+RADIUS_SPECTRA = ("complex", "real", "zero", "double", "mixed", "tiny", "huge", "one", "zeros")
+
+
+def _radius_spectrum(family, rng):
+    """Spectra for the windowed radius: free, real, with a zero eigenvalue,
+    with a repeated one, with moduli from 1e-300 to 1e300 in one spectrum,
+    all near 1e-300 or 1e300, a single one, and every one zero."""
+    mu = rng.normal(size=5) + 1j * rng.normal(size=5)
+    if family == "real":
+        mu = mu.real.astype(complex)
+    elif family == "zero":
+        mu[2] = 0.0
+    elif family == "double":
+        mu[1] = mu[3]
+    elif family == "mixed":
+        mu = mu * 10.0 ** np.array([-300, -100, 0, 100, 300])
+    elif family in ("tiny", "huge"):
+        mu = mu * 10.0 ** ((-300 if family == "tiny" else 300) + rng.uniform(-2, 0))
+    elif family == "one":
+        mu = mu[:1]
+    elif family == "zeros":
+        mu = np.zeros(3, dtype=complex)
+    return mu
+
+
+@pytest.mark.parametrize("m", [16, 17, 720, 721, 65536, 65537, 2**20, 2**20 + 1])
+def test_windowed_radius_is_the_whole_column_maximum(m):
+    # a sweep formed on demand reads column 0 beside each eigenvalue's peak
+    # alone; the radius has the bits of column 0's maximum over all m
+    rng = generator(3800 + m)
+    thetas = grid_angles(m)
+    for family in RADIUS_SPECTRA:
+        mu = _radius_spectrum(family, rng)
+        sweep = ranges.PencilSweep(thetas, None, mu)
+        got = sweep.numerical_radius()
+        if mu.any():
+            assert sweep._table.columns == {} and "_phases" not in vars(sweep), family
+        want = ranges.PencilSweep(thetas, None, mu).column(0).max() / 2.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), family
+
+
+@pytest.mark.parametrize("m", [720, 2048, 8192, 65536, 65537])
+def test_indexed_phases_are_the_whole_arrays_bits(m):
+    # columns read at chosen indices form e^{i theta} there alone: np.exp
+    # is elementwise, so those are the whole array's bits, whatever the
+    # length, order or stride of the indices
+    rng = generator(3900 + m)
+    thetas = grid_angles(m)
+    sweep = ranges.PencilSweep(thetas, None, _spectrum("complex", 6, rng))
+    whole = sweep._phases
+    solved = whole.size
+    picks = [np.array([0]), np.array([solved - 1]), np.arange(3, 20), np.arange(solved)[::-7],
+             rng.permutation(solved)[:1001], rng.integers(0, solved, size=64)]
+    for idx in picks:
+        assert np.exp(1j * thetas[idx]).tobytes() == whole[idx].tobytes()
+    idx = rng.permutation(m)[:999]
+    for r in (0, 3, 5):
+        assert sweep.column(r, idx).tobytes() == sweep.column(r)[idx].tobytes(), r
+
+
 def test_overflowing_spectrum_rows_still_raise():
     # a spectrum at or above 2^1022 forms every row, so the overflow check
     # sees them on both sides of the size rule
@@ -966,17 +1076,19 @@ def test_overflowing_spectrum_rows_still_raise():
 
 def test_spectrum_ranks_form_only_their_tie_plane_offsets(monkeypatch):
     # a rank that reaches the geometry forms its offsets at the tie planes
-    # alone; column 0 is formed whole for the bound, column k - 1 only
-    # when support_samples is read
+    # alone and the bound from column 0 beside each eigenvalue's peak, so
+    # no column is formed whole, nor every phase; column k - 1 is formed
+    # whole only when support_samples is read
     rng = generator(3400)
     m, n = 65536, 6
     sweep = pencil_sweep(np.diag(_spectrum("complex", n, rng)), m)
     assert sweep._rows is None and "_table" not in vars(sweep)
     rep = range_from_sweep(sweep, 2)
-    assert set(sweep._table.columns) == {0, n - 1}
+    assert sweep._table.columns == {} and "_phases" not in vars(sweep)
     want = _dense_spectrum_rows(sweep.spectrum, m)
+    assert sweep.numerical_radius() == want[:, 0].max() / 2.0
     assert rep.support_samples[:, 1].tobytes() == (want[:, 1] / 2.0).tobytes()
-    assert set(sweep._table.columns) == {0, 1, n - 2, n - 1}
+    assert set(sweep._table.columns) == {1, n - 2}
 
 
 # --- points at 2k = n + 1 --------------------------------------------------------
@@ -993,9 +1105,11 @@ def test_odd_shifts_have_the_point_zero_at_the_middle_rank(m, monkeypatch):
         rep = rank_k_range(shift_matrix(n), (n + 1) // 2, m)
         assert rep.region.kind == "point", n
         assert abs(rep.region.vertices[0]) <= _row_tol(n, 1.0), n
+    # a graded 2k <= n rank is a regular m-gon, with no geometry either;
+    # S_5 + S_5* / 2, not graded, still runs it
+    assert rank_k_range(shift_matrix(5), 2, m).region.kind == "polygon"
     assert sent == []
-    # 2k <= n still runs the geometry
-    rank_k_range(shift_matrix(5), 2, m)
+    rank_k_range(shift_matrix(5) + shift_matrix(5).T / 2.0, 2, m)
     assert sent == [1]
 
 

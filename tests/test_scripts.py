@@ -46,6 +46,7 @@ def test_replay_engine_script(tmp_path):
     assert "tag changes: 0" in proc.stdout
     # how many planes reached the deque scan, per side
     assert "calls the old run did not scan, byte-identical:" in proc.stdout
+    assert "calls neither run scanned, graded sweeps aside, byte-identical:" in proc.stdout
     assert proc.stdout.count(" over m/16") == 2
     # and how many the emptiness check tested, per side: none of these
     # chains, which the rounds certify, but the Hermitian segments after them
@@ -76,6 +77,7 @@ def test_bench_grid_script():
     assert cell["planes"] <= 4 * 5 * 4 + 16  # the diagonal's tie planes
     assert 0 < cell["sweep_ms"] == min(a["sweep_ms"], b["sweep_ms"])
     assert min(cell["frame_ms"], cell["cli_ms"]) > 0
+    assert 0 < cell["json_ms"] == min(a["json_ms"], b["json_ms"])
     assert {"numpy", "cpus", "repeat", "rounds"} <= set(bench_grid.header("smoke"))
     # the child process a grid run starts for each cell
     shift = bench_grid.child("shift", 4, 720, bench_grid.ROOT / "src")
