@@ -18,7 +18,8 @@ up to 2x over seconds to minutes, which best-of-repeat within one child
 cannot see.  A cell times, best of ``REPEAT`` in each round:
 
   sweep_ms    ``pencil_sweep(T, m)``
-  frame_ms    ``PencilSweep.frame`` on that fresh sweep
+  frame_ms    ``PencilSweep.frame`` on that fresh sweep; 0 for a graded
+              sweep (a shift's), whose ranks read no frame
   range_ms    ``range_from_sweep(sweep, k)`` for k = 1..min(n, 3), frame built
   samples_ms  the first read of each of those reports' ``support_samples``,
               which a sweep that forms its rows on demand forms then
@@ -28,7 +29,8 @@ cannot see.  A cell times, best of ``REPEAT`` in each round:
   cli_ms      ``hrnr range --k 1 --angles m`` through ``cli.main``, file
               load and region file included
 
-and records each rank's tag, the planes the frame holds and the peak RSS.
+and records each rank's tag, the planes the frame holds (0 for a graded
+sweep) and the peak RSS.
 The file also holds the numpy and Python versions, the CPU count and,
 with ``--tier1``, the wall time of the Tier-1 suite of the tree that
 ``--src`` belongs to.
@@ -114,9 +116,10 @@ def run_cell(kind, n, m, repeat=REPEAT):
             start = time.perf_counter()
             sweep = pencil_sweep(t, m)
             mid = time.perf_counter()
-            planes = sweep.frame.size
+            graded = sweep.row is not None  # its ranks are regular m-gons: no frame
+            planes = 0 if graded else sweep.frame.size
             best["sweep"] = min(best["sweep"], mid - start)
-            best["frame"] = min(best["frame"], time.perf_counter() - mid)
+            best["frame"] = min(best["frame"], 0.0 if graded else time.perf_counter() - mid)
             tags, reports = {}, {}
             for k in ks:
                 start = time.perf_counter()

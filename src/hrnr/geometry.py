@@ -137,14 +137,25 @@ class ConvexRegion:
         return float(np.abs(self.vertices).max())
 
 
+def _next(x: np.ndarray) -> np.ndarray:
+    """Entry i is x[i + 1], cyclically: ``np.roll(x, -1)`` bit for bit (a
+    permutation), at a sixth of its cost on a short loop."""
+    return np.concatenate((x[1:], x[:1]))
+
+
+def _prev(x: np.ndarray) -> np.ndarray:
+    """Entry i is x[i - 1], cyclically: ``np.roll(x, 1)`` bit for bit."""
+    return np.concatenate((x[-1:], x[:-1]))
+
+
 def _signed_area2(verts: np.ndarray) -> float:
     v = verts - verts[0]  # a small loop far from 0 keeps its area's digits
-    nxt = np.roll(v, -1)
+    nxt = _next(v)
     return float(np.sum(v.real * nxt.imag - v.imag * nxt.real))
 
 
 def _dedupe(verts: np.ndarray) -> np.ndarray:
-    keep = np.abs(verts - np.roll(verts, 1)) > 1e-13
+    keep = np.abs(verts - _prev(verts)) > 1e-13
     if not keep.any():
         return verts[:1]
     return verts[keep]
@@ -170,9 +181,9 @@ def _prune_collinear(verts: np.ndarray) -> np.ndarray:
     """
     if verts.size < 3:
         return verts
-    e1 = verts - np.roll(verts, 1)
-    e2 = np.roll(e1, -1)
-    chord = np.roll(verts, -1) - np.roll(verts, 1)
+    e1 = verts - _prev(verts)
+    e2 = _next(e1)
+    chord = _next(verts) - _prev(verts)
     cross = np.abs(e1.real * e2.imag - e1.imag * e2.real)
     if not (cross <= CLIP_EPS * np.hypot(chord.real, chord.imag)).any():
         return verts
@@ -255,8 +266,8 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
         return _segment(loop)
     verts = _dedupe(_prune_collinear(loop if area2 > 0 else loop[::-1]))
     if verts.size >= 3:
-        edges = np.roll(verts, -1) - verts
-        turns = np.angle(np.roll(edges, -1) * np.conj(edges))
+        edges = _next(verts) - verts
+        turns = np.angle(_next(edges) * np.conj(edges))
         if (turns <= 0).any() or turns.sum() >= 3 * np.pi:
             verts = _dedupe(_prune_collinear(_convex_hull(verts)))
     if verts.size < 3:
@@ -735,7 +746,7 @@ def _alternate_drops(drop):
     """Every other position of each run of ``drop``, counted from the run's
     first, and never both the last and the first position."""
     pos = np.arange(drop.size)
-    first = np.maximum.accumulate(np.where(drop & ~np.roll(drop, 1), pos, 0))
+    first = np.maximum.accumulate(np.where(drop & ~_prev(drop), pos, 0))
     drop = drop & ((pos - first) % 2 == 0)
     drop[-1] &= not drop[0]
     return drop
@@ -751,7 +762,7 @@ def _unit_region(planes, dq, certified=False) -> ConvexRegion:
     all_t, cos_t, sin_t, cuts = planes
     if dq is None:
         return ConvexRegion.empty()
-    x, y, det = _corners(cos_t, sin_t, cuts, dq, np.roll(dq, -1))
+    x, y, det = _corners(cos_t, sin_t, cuts, dq, _next(dq))
     if (np.abs(det) < 1e-14).any():
         return ConvexRegion.empty()
     verts = x + 1j * y
@@ -834,22 +845,37 @@ def regular_polygon(m: int, offset: float, bound: float) -> ConvexRegion:
     """``intersect_halfplanes`` of the m grid planes Re(e^{i theta_j} z) <=
     ``offset``, theta_j = 2 pi j / m, for ``offset`` <= ``bound`` / 2: the
     regular m-gon about 0 whose vertices are u sec(pi/m) e^{i (2j + 1) pi/m}
-    times R = ``bound``, u = offset / R + CLIP_EPS (the relaxed cut),
-    classified.  The square, 1.02 R / 2 at most from 0 away, cuts none.
+    times R = ``bound``, u = offset / R + CLIP_EPS (the relaxed cut).  The
+    square, 1.02 R / 2 at most from 0 away, cuts none.
     Where each vertex lies more than 2 CLIP_EPS from its neighbours'
     chord, u sec(pi/m) (1 - cos(2 pi/m)) > 2 CLIP_EPS, every plane is a
     facet and no vertex is pruned as collinear, so that loop is the scan's
     up to rounding.  Closer than that (zero and negative offsets among
     them) the rounds would drop planes and ``_prune_collinear``'s walk
     would merge a dense loop's vertices, so the planes go to
-    ``intersect_halfplanes``."""
+    ``intersect_halfplanes``.
+
+    The loop is returned as a polygon without ``_classify`` when its
+    circumradius rho = u sec(pi/m) is at least twice ``POINT_DIAM`` and
+    ``SEGMENT_THICKNESS``: for m >= 3 the diagonal of its bounding box,
+    ``_classify``'s diameter, is at least 2 rho and its area over that at
+    least 0.56 rho, so neither collapse applies.  Nor does any other pass
+    change the loop: its sides, 2 rho sin(pi/m), exceed the 2 CLIP_EPS /
+    sin(pi/m) that the chord distance implies, far above ``_dedupe``'s
+    1e-13; no vertex is within CLIP_EPS of its neighbours' chord; every
+    turn is 2 pi/m > 0 and they sum to 2 pi; and the loop runs
+    counter-clockwise.  ``_classify`` would so return the loop itself, the
+    same bits.  A smaller m-gon is classified."""
     if not offset <= bound / 2.0:
         raise ValueError("a regular polygon needs offset <= bound / 2")
     radius = (offset / bound + CLIP_EPS) / np.cos(np.pi / m)
     if radius * (1.0 - np.cos(2.0 * np.pi / m)) <= 2.0 * CLIP_EPS:
         thetas = 2.0 * np.pi * np.arange(m) / m
         return intersect_halfplanes(thetas, np.full(m, float(offset)), bound)
-    region = _classify(radius * _regular_directions(m))
+    loop = radius * _regular_directions(m)
+    if radius >= 2.0 * max(POINT_DIAM, SEGMENT_THICKNESS):
+        return ConvexRegion("polygon", loop * bound)
+    region = _classify(loop)
     return ConvexRegion(region.kind, region.vertices * bound)
 
 
@@ -877,7 +903,7 @@ def _support_candidates(region: ConvexRegion, thetas, cos_t, sin_t):
     if v.size < 3:
         cand = np.broadcast_to(np.arange(v.size)[:, None], (v.size, thetas.size))
     else:
-        normals = np.angle(-1j * (np.roll(v, -1) - v))  # outward for CCW loops
+        normals = np.angle(-1j * (_next(v) - v))  # outward for CCW loops
         order = np.argsort(normals)
         # Re(e^{i theta} z) measures z along the normal angle -theta, in [-pi, pi)
         phi = np.mod(np.pi - thetas, TWO_PI) - np.pi
@@ -922,7 +948,7 @@ def _support_difference(a: ConvexRegion, b: ConvexRegion) -> tuple[float, float]
     """
     if a.is_empty or b.is_empty:
         raise EmptyRegionError("support difference needs non-empty regions")
-    normals = [np.pi / 2 - np.angle(np.roll(r.vertices, -1) - r.vertices)
+    normals = [np.pi / 2 - np.angle(_next(r.vertices) - r.vertices)
                for r in (a, b) if r.vertices.size > 1]
     # theta = 0 as well, so two points still make one whole-circle piece
     ends = np.sort(np.mod(np.concatenate(normals + [np.zeros(1)]), TWO_PI))

@@ -35,8 +35,9 @@ c_k = r_k / 2, so for 2k <= n its region is the intersection of the m grid
 planes Re(e^{i theta_j} z) <= c_k, the regular m-gon about 0 circumscribed
 about the disc of radius c_k (for S_n, cos(k pi/(n+1)), up to the bound's
 scale).  ``geometry.regular_polygon`` builds it in closed form, with no
-angle frame and no pruning, and classifies it as the geometry classifies
-any loop; c_k = 0, to rounding, gives the point 0.  The vertices are those
+angle frame and no pruning, and returns the loop as it is unless it is
+small enough for the geometry's classification to change it, which then
+runs; c_k = 0, to rounding, gives the point 0.  The vertices are those
 of the scan's corners up to rounding: within 1.2e-13 * bound of the
 intersection of the m planes at m <= 8192, and 9e-13 at 65536, where the
 scan's corner of planes 2 pi/m apart loses that much.
@@ -94,7 +95,7 @@ the rule.  A spectrum of modulus 2^1022 or more could overflow, so it
 forms every row for ``pencil_sweep`` to check; below that no value can.
 A column read at chosen indices forms e^{i theta} at those alone, the
 bits of the whole array's entries (``np.exp`` is elementwise); only
-``_point_or_empty`` and reads of whole columns form every phase.  The
+``_fourier_point`` and reads of whole columns form every phase.  The
 radius, which sets the bound, reads column 0 beside each eigenvalue's
 peak alone, 2h + 3 indices for each (seven up to m = 2^25,
 ``_peak_indices``): each mu_i's projection peaks at -arg(mu_i), and an
@@ -108,15 +109,32 @@ For 2k > n + 1 the rank-k range is empty as soon as one row has
 lambda_k < lambda_{n+1-k} by more than its rounding, so the geometry runs
 only when no row shows that.  At 2k = n + 1, lambda_k(H_{theta + pi}) =
 -lambda_k(H_theta), so the planes at theta and theta + pi coincide and the
-range is the one z on every line Re(e^{i theta} z) = h(theta), or empty.
-h is then a first harmonic, and its Fourier coefficient over the grid is
-z = (2/m) sum_j h_j e^{-i theta_j}: the rank is the point z when every
-offset of the row is within ``_row_tol`` of Re(e^{i theta_j} z), and empty
-otherwise, with no geometry, whatever the sweep.  An exact point's rows are
-each within a solve's rounding (4 n eps N), so its residual is at most
-about three times that: on shifts, Hermitian, collinear normal and 1 x 1
-T it stayed below 0.06 of the tolerance, and on 100 Gaussian and
-nilpotent T (n 3-9) it was at least 1e10 times the tolerance.
+range is the one z on every line Re(e^{i theta} z) = h(theta), or empty:
+the point z when every offset of the row is within ``_row_tol`` of
+Re(e^{i theta_j} z), and empty otherwise, with no geometry, whatever the
+sweep (for S_n, cos(k pi/(n+1)) = 0 and the point is 0).  Three exits
+settle it, the first that applies:
+  the owner point: on a sweep of a spectrum mu with m n >= ``ON_DEMAND_ROWS``
+    (one formed on demand), one eigenvalue mu_o may own rank k on every run
+    between the tie windows, as the middle eigenvalue of a Hermitian T does
+    (Li and Sze's half-planes through mu_o, above).
+    Outside the windows the rows are then Re(e^{i theta} mu_o) bit for bit,
+    with residual 0, so the window rows alone are tested, and the point is
+    mu_o;
+  three rows: no z within the tolerance of the lines at the grid indices
+    0, m // 6 and m // 3, about 60 degrees apart, which a bound on the
+    corner of two of them decides (``_rows_apart``); the full fit's
+    residual then exceeds the tolerance too, so this is its empty;
+  the Fourier fit: h is a first harmonic, and its coefficient over the grid
+    is z = (2/m) sum_j h_j e^{-i theta_j}, tested against every row.
+An exact point's rows are each within a solve's rounding (4 n eps N), so
+its residual is at most about three times that: on shifts, Hermitian,
+collinear normal and 1 x 1 T it stayed below 0.06 of the tolerance, and
+on 100 Gaussian and nilpotent T (n 3-9) it was at least 1e10 times the
+tolerance.  Where the fit also gives a point, both it and the owner point
+fit every row within the tolerance, so by the bound in ``_rows_apart``
+they lie within 5.6 tolerances of each other; on 80 Hermitian and real
+diagonal T (n = 5, m = 65536) they differed by 0.003 tolerances at most.
 
 The rounding model of the rows, in units of n eps N with N >= ||T||_2, is
 set out in the ``checks`` docstring; ``ROW_TOL`` and ``_row_tol`` live here
@@ -372,6 +390,14 @@ class _OwnerTable:
             at = np.searchsorted(self.inside, j[window])
             out[window] = self.sorted[at, r]
         return out
+
+    def owner(self, r: int) -> complex | None:
+        """The eigenvalue that owns column r on every run between the
+        windows, when one does, else None."""
+        owners = self.mu[self.order[::2, r][self.lengths[::2] > 0]]
+        if owners.size and (owners == owners[0]).all():
+            return owners[0]
+        return None
 
 
 def grid_angles(m: int) -> np.ndarray:
@@ -724,13 +750,87 @@ def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
 
     The planes at theta and theta + pi then coincide, so the range is the
     one z with Re(e^{i theta} z) = h(theta) = lambda_k(H_theta) / 2 at every
-    angle, or empty.  Such an h is a first harmonic, and its Fourier
-    coefficient over the uniform grid is z = (2/m) sum_j h_j e^{-i theta_j}.
-    The range is the point z when every offset is within ``_row_tol`` at
-    ``norm`` of Re(e^{i theta_j} z), and empty otherwise.  On an even grid
-    e^{i theta_{j+m/2}} is -e^{i theta_j} up to rounding, so the solved
-    angles' phases serve both halves.
+    angle, or empty: the point z when every offset is within
+    tol = ``_row_tol`` at ``norm`` of Re(e^{i theta_j} z), and empty
+    otherwise.  On an even grid e^{i theta_{j+m/2}} is -e^{i theta_j} up to
+    rounding, so the solved angles' phases serve both halves.  The first
+    exit that settles it returns: the owner point (``_owner_point``), three
+    rows that no z fits (``_rows_apart``), then the Fourier fit over every
+    row (``_fourier_point``).
     """
+    tol = _row_tol(sweep.dim, norm)
+    owner = _owner_point(sweep, k, tol)
+    if owner is not None:
+        return ConvexRegion.point(owner)
+    if _rows_apart(sweep, k, tol, norm):
+        return ConvexRegion.empty()
+    return _fourier_point(sweep, k, tol)
+
+
+def _owner_point(sweep: PencilSweep, k: int, tol: float) -> complex | None:
+    """The eigenvalue mu_o that owns column k - 1 of a spectrum sweep on
+    every run between its tie windows, when it fits the window rows within
+    ``tol``; else None.  Only sweeps of m n >= ``ON_DEMAND_ROWS``, those
+    formed on demand, are tried, whether or not their rows have been read
+    whole since: below that the owner table costs more than the fit.
+
+    Outside the windows the column is 2 Re(e^{i theta_j} mu_o), and on an
+    even grid its upper half is the solved half's column n - k = k - 1
+    negated, so halved it is Re(e^{i theta_j} mu_o) bit for bit, with
+    residual 0; only the window rows are tested.  For a Hermitian T, whose
+    rows are 2 cos(theta) mu, the middle eigenvalue owns the middle rank on
+    both sides of the one tie angle pi/2.
+    """
+    if sweep.spectrum is None or sweep.angle_count * sweep.dim < ON_DEMAND_ROWS:
+        return None
+    table = sweep._table
+    mu = table.owner(k - 1)
+    if mu is None:
+        return None
+    fit = (np.exp(1j * sweep.thetas[table.inside]) * mu).real
+    if np.abs(table.sorted[:, k - 1] / 2.0 - fit).max(initial=0.0) <= tol:
+        return mu
+    return None
+
+
+def _rows_apart(sweep: PencilSweep, k: int, tol: float, norm: float) -> bool:
+    """Whether no z is within ``tol`` of the three lines Re(e^{i theta_j} z)
+    = h_j at the grid indices a, b, c = 0, m // 6, m // 3, about 60 degrees
+    apart, so that the Fourier fit's residual exceeds ``tol`` too.
+
+    With e = eps N, N = ``norm``: |h| <= N / 2 up to rounding, so the fit
+    has |z| <= N, and its computed residual at a row is within 3 e of the
+    exact one.  A z that passes at a and b is so within t = tol + 4 e of
+    both lines, and then within t sqrt(2 / (1 - |cos(theta_b - theta_a)|))
+    of their corner C, the farthest corner of the rhombus the two bands
+    cut; it passes at c only within t of line c.  The corner, computed,
+    is within 9 e / det^2 of C, and its distance from line c within
+    7 e / det^2 more (det = sin(theta_a - theta_b), at least 0.67 for
+    m >= 16).  So when line c lies farther than
+    t (1 + sqrt(2 / (1 - |cos|))) + 16 e / det^2 from the computed corner,
+    no z passes at all three rows, and the fit returns empty as well.
+    Coincident lines (m < 6) give an infinite reach, and no exit.
+    """
+    m = sweep.angle_count
+    idx = np.array([0, m // 6, m // 3])
+    phases = np.exp(1j * sweep.thetas[idx])
+    (ca, cb, cc), (sa, sb, sc) = phases.real, phases.imag
+    ha, hb, hc = sweep.column(k - 1, idx) / 2.0
+    det = sa * cb - ca * sb
+    eps_n = np.finfo(float).eps * norm
+    t = tol + 4.0 * eps_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (-ha * sb + hb * sa) / det
+        y = (-ha * cb + hb * ca) / det
+        reach = t * (1.0 + np.sqrt(2.0 / (1.0 - abs(ca * cb + sa * sb)))) + 16.0 * eps_n / det**2
+    return bool(abs(x * cc - y * sc - hc) > reach)
+
+
+def _fourier_point(sweep: PencilSweep, k: int, tol: float) -> ConvexRegion:
+    """The point or empty of ``_point_or_empty`` from every row: h is a
+    first harmonic, so z is its Fourier coefficient over the grid,
+    z = (2/m) sum_j h_j e^{-i theta_j}, and the range is the point z when
+    every offset is within ``tol`` of Re(e^{i theta_j} z)."""
     m = sweep.angle_count
     h = sweep.column(k - 1) / 2.0
     phases = sweep._phases
@@ -741,7 +841,7 @@ def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
     residual = np.abs(first - fit).max()
     if solved < m:
         residual = max(residual, np.abs(second + fit).max())
-    if residual <= _row_tol(sweep.dim, norm):
+    if residual <= tol:
         return ConvexRegion.point(z)
     return ConvexRegion.empty()
 

@@ -846,6 +846,50 @@ def test_sliver_triangle_edges_give_their_segment():
     assert hausdorff(region, ConvexRegion.segment(pts[1], pts[2])) <= 1e-9 * bound
 
 
+@pytest.mark.xfail(strict=True, reason="_prune_collinear's walk measures each new middle vertex "
+                   "against a chord grown from a fixed anchor, and a vertex one step from the "
+                   "chord's end is always within CLIP_EPS of it, so a dense convex loop "
+                   "collapses to 3 vertices 7.7e-9 away")
+def test_classify_keeps_a_dense_regular_loop():
+    # the regular 65,536-gon of circumradius 1.09e-8: vertices 1e-12 apart,
+    # each some 5e-17 from its neighbours' chord.  Classified, it should stay
+    # a polygon near the loop, as the intersection of its 65,536 planes
+    # does (256 vertices, 8.2e-13 away)
+    m, rho = 65536, 1.09e-8
+    loop = ConvexRegion.polygon(rho * geometry._regular_directions(m))
+    thetas = 2.0 * np.pi * np.arange(m) / m
+    scan = intersect_halfplanes(thetas, np.full(m, rho * np.cos(np.pi / m) - CLIP_EPS), 1.0)
+    assert scan.kind == "polygon" and hausdorff(scan, loop) <= 1e-12
+    region = geometry._classify(loop.vertices)
+    assert region.kind == "polygon"
+    assert hausdorff(region, loop) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [16, 17, 720, 8192, 65536])
+def test_regular_polygon_skips_classify_with_its_bytes(m, monkeypatch):
+    # a regular m-gon well clear of the point and segment collapses, and
+    # whose vertices lie more than 2 CLIP_EPS from their neighbours' chords,
+    # is returned without _classify: the bytes _classify would return
+    classify, calls = geometry._classify, []
+    monkeypatch.setattr(geometry, "_classify", lambda v: calls.append(1) or classify(v))
+    skipped = 0
+    for bound in (1.0, 3.7e-8, 2.5e7):
+        for offset in 10.0 ** np.linspace(-12, np.log10(0.5), 60) * bound:
+            radius = (offset / bound + CLIP_EPS) / np.cos(np.pi / m)
+            calls.clear()
+            got = geometry.regular_polygon(m, offset, bound)
+            if radius * (1.0 - np.cos(2.0 * np.pi / m)) <= 2.0 * CLIP_EPS:
+                continue  # the planes go to intersect_halfplanes
+            want = classify(radius * geometry._regular_directions(m))
+            assert got.kind == want.kind, (bound, offset)
+            assert got.vertices.tobytes() == (want.vertices * bound).tobytes(), (bound, offset)
+            if radius >= 2.0 * max(geometry.POINT_DIAM, geometry.SEGMENT_THICKNESS):
+                assert calls == [], (bound, offset)
+                assert got.vertices.size == m
+                skipped += 1
+    assert skipped >= 3 * 15
+
+
 def prune_reference(verts):
     """The collinear walk on numpy scalars, with no array pre-test."""
     def collinear(a, b, c):
