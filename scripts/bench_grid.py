@@ -26,6 +26,8 @@ cannot see.  A cell times, best of ``REPEAT`` in each round:
   json_ms     ``fileio.dumps_json(fileio.region_to_obj(report))`` for the
               k = 1 report: the region file's text, which ``hrnr range``
               writes
+  npz_ms      ``np.savez`` of the same members to a file: the ``.npz``
+              region file, which ``hrnr range --out *.npz`` writes
   cli_ms      ``hrnr range --k 1 --angles m`` through ``cli.main``, file
               load and region file included
 
@@ -106,10 +108,11 @@ def run_cell(kind, n, m, repeat=REPEAT):
 
     t = matrix(kind, n)
     ks = range(1, min(n, 3) + 1)
-    best = {"sweep": np.inf, "frame": np.inf, "json": np.inf, "cli": np.inf,
+    best = {"sweep": np.inf, "frame": np.inf, "json": np.inf, "npz": np.inf, "cli": np.inf,
             **{k: np.inf for k in ks}, **{("samples", k): np.inf for k in ks}}
     with tempfile.TemporaryDirectory() as work:
         path, out = os.path.join(work, "t.json"), os.path.join(work, "range.json")
+        npz = os.path.join(work, "range.npz")
         fileio.save_matrix(path, t)
         argv = ["range", "--input", path, "--k", "1", "--angles", str(m), "--out", out]
         for _ in range(repeat):
@@ -133,6 +136,9 @@ def run_cell(kind, n, m, repeat=REPEAT):
             fileio.dumps_json(fileio.region_to_obj(reports[1]))
             best["json"] = min(best["json"], time.perf_counter() - start)
             start = time.perf_counter()
+            np.savez(npz, **fileio.region_to_obj(reports[1]))
+            best["npz"] = min(best["npz"], time.perf_counter() - start)
+            start = time.perf_counter()
             if cli.main(argv) != 0:
                 raise RuntimeError(f"hrnr {' '.join(argv)} failed")
             best["cli"] = min(best["cli"], time.perf_counter() - start)
@@ -140,7 +146,7 @@ def run_cell(kind, n, m, repeat=REPEAT):
     return {"kind": kind, "n": n, "m": m, "sweep_ms": ms["sweep"], "frame_ms": ms["frame"],
             "range_ms": {str(k): ms[k] for k in ks},
             "samples_ms": {str(k): ms["samples", k] for k in ks}, "json_ms": ms["json"],
-            "cli_ms": ms["cli"],
+            "npz_ms": ms["npz"], "cli_ms": ms["cli"],
             "tags": {str(k): tag for k, tag in tags.items()}, "planes": int(planes),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
@@ -159,7 +165,7 @@ def best_of(a, b):
     """Two records of one cell merged: the smaller of each time, the larger
     peak RSS."""
     out = dict(a)
-    for key in ("sweep_ms", "frame_ms", "json_ms", "cli_ms"):
+    for key in ("sweep_ms", "frame_ms", "json_ms", "npz_ms", "cli_ms"):
         out[key] = min(a[key], b[key])
     for key in ("range_ms", "samples_ms"):
         out[key] = {k: min(v, b[key][k]) for k, v in a[key].items()}
@@ -225,7 +231,7 @@ def main(argv=None):
             print(f"{rec['kind']} n={rec['n']} m={rec['m']}: sweep {rec['sweep_ms']} ms, "
                   f"frame {rec['frame_ms']} ms, range {rec['range_ms']} ms, "
                   f"samples {rec['samples_ms']} ms, json {rec['json_ms']} ms, "
-                  f"cli {rec['cli_ms']} ms")
+                  f"npz {rec['npz_ms']} ms, cli {rec['cli_ms']} ms")
         result = header(label) | {"cells": records}
         if args.tier1:
             result["tier1_s"], result["tier1_summary"] = tier1(src)

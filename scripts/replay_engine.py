@@ -21,7 +21,9 @@ eigenvalues, and normals with eigenvalues on a circle.  A seventh appends
 the swallowtails of the fine_grid benchmark's smooth cells: complex
 Gaussians at n = 4 and 6 and a nilpotent at n = 6, at m = 8192 and 16384,
 replayed at k = 2 and 3 only.  Every other case runs ``pencil_sweep``
-once and ``range_from_sweep`` for every k = 1..n.  A dump holds each
+once and ``range_from_sweep`` for every k = 1..n, and only then reads
+the sweep's rows, so that the ranks of a sweep that forms its rows on
+demand run as they do in ``hrnr range``.  A dump holds each
 case's sweep rows and each call's tag, vertices, the number of planes
 that reached the geometry's deque scan (``geometry._active_chain``) and
 the number of planes its emptiness check tested (0 when it did not run).
@@ -233,13 +235,15 @@ def dump(path, limit):
         sweep = pencil_sweep(t, m)
         real = not np.imag(t).any()  # a shift is real in either draw
         sweeps.append((kind, real, n, m, np.linalg.norm(t, 2)))
-        rows[f"rows{i}"] = sweep.eigenvalues
         for k in ranks(kind, n):
             scanned.clear()
             checked.clear()
             region = range_from_sweep(sweep, k).region
             calls.append((i, k, region.kind, sweep.region_bound, sum(scanned), sum(checked)))
             verts.append(region.vertices)
+        # read after the ranks: reading the rows forms them all, and a sweep
+        # that forms its rows on demand would then run its ranks on them
+        rows[f"rows{i}"] = sweep.eigenvalues
     geometry._active_chain, geometry._support_candidates = active_chain, support_candidates
     arrays = dict(zip(("kind", "real", "n", "m", "norm"), map(np.array, zip(*sweeps))))
     arrays.update(zip(("call_case", "call_k", "call_tag", "call_bound", "call_scanned",

@@ -10,6 +10,8 @@ var > per-command default (720 for range, radius and verify-properties;
 2048 for verify-shift and verify-nilpotent); a count too large to
 allocate is an input error too (exit 2).  Randomised commands draw from
 numpy's PCG64 stream seeded with ``--seed``, so runs reproduce exactly.
+``range --out`` writes the region as JSON, or, for a path ending in
+``.npz``, the same members (``fileio.region_to_obj``) with ``np.savez``.
 
 The argument parser is built once per process, at the first ``main`` call,
 and reused: parsing keeps no state in it, and each ``cmd_*`` function
@@ -63,7 +65,14 @@ def cmd_range(args) -> int:
     if args.ref_radius is not None and not np.isfinite(args.ref_radius):
         raise UsageError(f"--ref-radius must be finite, got {args.ref_radius}")
     report = range_from_sweep(pencil_sweep(t, m), args.k)
-    _emit(fileio.dumps_json(fileio.region_to_obj(report)), args.out)
+    obj = fileio.region_to_obj(report)
+    if args.out and args.out.endswith(".npz"):
+        try:
+            np.savez(args.out, **obj)
+        except OSError as exc:
+            raise UsageError(str(exc)) from exc
+    else:
+        _emit(fileio.dumps_json(obj), args.out)
     if args.svg:
         _emit(fileio.region_svg(report.region, args.ref_radius), args.svg)
     return EXIT_OK

@@ -8,13 +8,23 @@ two-space indent and each float in its shortest round-trip text
 re-dumping a file reproduces it byte for byte.  The (N, 2) float arrays
 of a region object (``vertices``, ``support_samples``) are written in one
 pass, one ``[x, y]`` pair per row, with the same bytes ``json.dumps(...,
-indent=2)`` gives for the equivalent nested lists.  A region's
-``support_samples`` repeat the m grid angles 2 pi j / m of its sweep
-(``ranges.grid_angles``), whose text never changes, so an array whose
-first column is that grid, bit for bit (``-0.0 == 0.0`` but their texts
-differ), is written from a text template made once per m, with the
-angles in it and one slot per offset; the templates of the
-``GRID_TEXT_CACHE`` angle counts used last are kept.
+indent=2)`` gives for the equivalent nested lists: a text with a ``%r``
+slot for each float, which one ``%`` pass fills with the floats' reprs
+(no template is parsed field by field, as ``str.format`` would).  A
+region's ``support_samples`` repeat the m grid angles 2 pi j / m of its
+sweep (``ranges.grid_angles``), whose text never changes, so an array
+whose first column is that grid, bit for bit (``-0.0 == 0.0`` but their
+texts differ), is written from a text template made once per m, with the
+angles in it and a ``%r`` slot per offset; the templates, one string
+each, of the ``GRID_TEXT_CACHE`` angle counts used last are kept.  An
+offset column of one float, bit for bit (every rank of a graded sweep,
+whose m offsets are one number), takes one ``repr``, put in every slot
+with ``str.replace``: no float text contains ``%``.
+
+The same members go to ``.npz`` files as they are, through ``np.savez``:
+``tag`` a 0-d unicode array, ``k`` and ``angles`` int64,
+``outer_error_bound`` float64, ``vertices`` and ``support_samples`` (N, 2)
+float64, every float bit for bit, and none needs pickle to load.
 """
 
 from __future__ import annotations
@@ -114,7 +124,7 @@ def region_to_obj(report: RangeReport) -> dict:
 
 # one row of an (N, 2) array as json.dumps(indent=2) writes it one level
 # down; a float's repr is json's text for it
-_PAIR = "    [\n      {!r},\n      {!r}\n    ]"
+_PAIR = "    [\n      %r,\n      %r\n    ]"
 
 # templates of this many angle counts are kept: about 100 KB each at
 # m = 2048 and 3.3 MB at m = 65536
@@ -124,11 +134,11 @@ GRID_TEXT_CACHE = 4
 @functools.lru_cache(maxsize=GRID_TEXT_CACHE)
 def _grid_text(m: int) -> str:
     """The text of an (m, 2) array whose first column is the m-angle grid,
-    with a ``{!r}`` slot for each second-column value."""
-    # _PAIR with its second slot escaped, so that formatting in the angles
-    # leaves a {!r} there
-    row = "    [\n      {!r},\n      {{!r}}\n    ]"
-    return "[\n" + ",\n".join([row] * m).format(*grid_angles(m).tolist()) + "\n  ]"
+    with a ``%r`` slot for each second-column value."""
+    # _PAIR with its second slot escaped, so that the angles' pass leaves a
+    # %r there
+    row = "    [\n      %r,\n      %%r\n    ]"
+    return ("[\n" + ",\n".join([row] * m) + "\n  ]") % tuple(grid_angles(m).tolist())
 
 
 def _dumps_member(value) -> str:
@@ -140,8 +150,12 @@ def _dumps_member(value) -> str:
                 return "[]"
             # the grid's bits, not its values: -0.0 == 0.0, but their texts differ
             if np.array_equal(value[:, 0].view(np.uint64), grid_angles(len(value)).view(np.uint64)):
-                return _grid_text(len(value)).format(*value[:, 1].tolist())
-            rows = ",\n".join([_PAIR] * len(value)).format(*value.ravel().tolist())
+                text, offsets = _grid_text(len(value)), value[:, 1]
+                bits = offsets.view(np.uint64)
+                if (bits == bits[0]).all():
+                    return text.replace("%r", repr(offsets[0].item()))
+                return text % tuple(offsets.tolist())
+            rows = ",\n".join([_PAIR] * len(value)) % tuple(value.ravel().tolist())
             return "[\n" + rows + "\n  ]"
         # NaN and Infinity keep json's spelling
         value = value.tolist()
@@ -213,7 +227,7 @@ def region_svg(region: ConvexRegion, ref_radius: float | None = None) -> str:
                      'stroke="#c00" stroke-width="1.5" stroke-dasharray="6 4"/>')
     xs, ys = (px.tolist() for px in to_px(v))
     if region.kind == "polygon":
-        pts = " ".join(map("{:.3f},{:.3f}".format, xs, ys))
+        pts = " ".join(["%.3f,%.3f"] * len(xs)) % tuple(chain.from_iterable(zip(xs, ys)))
         parts.append(f'<polygon points="{pts}" fill="#4a90d9" fill-opacity="0.15" '
                      'stroke="#1a5296" stroke-width="1.5"/>')
     elif region.kind == "segment":

@@ -96,6 +96,9 @@ forms every row for ``pencil_sweep`` to check; below that no value can.
 A column read at chosen indices forms e^{i theta} at those alone, the
 bits of the whole array's entries (``np.exp`` is elementwise); only
 ``_fourier_point`` and reads of whole columns form every phase.  The
+angles are formed the same way: such a sweep, and a graded one, forms
+2 pi j / m at the indices j it reads alone (``grid_angles(m, idx)``, the
+whole grid's bits), and its ``thetas`` only when they are read.  The
 radius, which sets the bound, reads column 0 beside each eigenvalue's
 peak alone, 2h + 3 indices for each (seven up to m = 2^25,
 ``_peak_indices``): each mu_i's projection peaks at -arg(mu_i), and an
@@ -217,7 +220,10 @@ class PencilSweep:
     """Eigenvalues of the pencil over a uniform angle grid.
 
     thetas
-        Grid angles 2*pi*j/m.
+        Grid angles 2*pi*j/m: given, or, for a sweep given their count m (a
+        graded one or one whose rows are formed on demand), formed at the
+        first read; the engine reads such a sweep's angles at the indices it
+        needs alone (``grid_angles(m, idx)``, the same bits).
     eigenvalues
         (m, n) array; row j holds the descending spectrum of H_{theta_j};
         twice ``numerical_radius()``, ``region_bound``, bounds and scales
@@ -235,18 +241,22 @@ class PencilSweep:
         "Graded ranks"), else None.
     """
 
-    def __init__(self, thetas: np.ndarray, eigenvalues: np.ndarray | None = None,
+    def __init__(self, thetas: np.ndarray | int, eigenvalues: np.ndarray | None = None,
                  spectrum: np.ndarray | None = None, row: np.ndarray | None = None):
         if eigenvalues is None and spectrum is None and row is None:
             raise ValueError("a sweep needs its rows, its spectrum or its one row")
-        self.thetas = thetas
+        if np.ndim(thetas):
+            self.thetas = thetas
+            self.angle_count = thetas.shape[0]
+        else:
+            self.angle_count = int(thetas)
         self.spectrum = spectrum
         self.row = row
         self._rows = eigenvalues
 
-    @property
-    def angle_count(self) -> int:
-        return self.thetas.shape[0]
+    @cached_property
+    def thetas(self) -> np.ndarray:
+        return grid_angles(self.angle_count)
 
     @property
     def dim(self) -> int:
@@ -289,7 +299,7 @@ class PencilSweep:
         idx = np.asarray(idx)
         upper = idx >= solved
         j = np.where(upper, idx - solved, idx)
-        phases = np.exp(1j * self.thetas[j])  # elementwise: the bits of ``_phases`` at j
+        phases = np.exp(1j * grid_angles(m, j))  # elementwise: the bits of ``_phases`` at j
         out = np.empty(idx.shape)
         out[~upper] = table.values(r, j[~upper], phases[~upper])
         out[upper] = -table.values(n - 1 - r, j[upper], phases[upper])
@@ -298,11 +308,11 @@ class PencilSweep:
     @cached_property
     def _phases(self) -> np.ndarray:
         """e^{i theta_j} at every solved angle, for reads of a whole column."""
-        return np.exp(1j * self.thetas[:self._solved])
+        return np.exp(1j * grid_angles(self.angle_count, np.arange(self._solved)))
 
     @cached_property
     def _table(self) -> "_OwnerTable":
-        return _OwnerTable(self.spectrum, self.thetas[:self._solved], self.angle_count)
+        return _OwnerTable(self.spectrum, self.angle_count, self._solved)
 
     def numerical_radius(self) -> float:
         """max_j lambda_1(H_{theta_j}) / 2: the numerical radius on this grid."""
@@ -339,7 +349,8 @@ class PencilSweep:
         """The :class:`~hrnr.geometry.AngleFrame` of the angles at ``planes``,
         built at the first rank that reaches the geometry and shared by every
         later one."""
-        return angle_frame(self.thetas if self.planes is None else self.thetas[self.planes])
+        planes = self.planes
+        return angle_frame(self.thetas if planes is None else grid_angles(self.angle_count, planes))
 
 
 class _OwnerTable:
@@ -351,15 +362,14 @@ class _OwnerTable:
     one order of mu holds, found by one argsort at the run's first index.
     Column r at index j of such a run is 2 Re(e^{i theta_j} mu_o) for the
     run's r-th owner o, the bits the sorted row holds there.  Runs
-    alternate, a gap first (it may be empty), then a window.  e^{i theta}
-    is formed only at the indices read: ``np.exp`` is elementwise, so
-    those are the bits of the whole array's entries.
+    alternate, a gap first (it may be empty), then a window.  theta and
+    e^{i theta} are formed only at the indices read: both are elementwise,
+    so those are the bits of the whole arrays' entries.
     """
 
-    def __init__(self, mu: np.ndarray, thetas: np.ndarray, m: int):
+    def __init__(self, mu: np.ndarray, m: int, solved: int):
         self.mu = mu
         self.columns = {}  # r -> column r at every solved index
-        solved = thetas.size
         starts, stops = _tie_windows(mu, m, solved)
         self.bounds = np.column_stack([starts, stops]).ravel()
         edges = np.concatenate([[0], self.bounds, [solved]])
@@ -367,10 +377,10 @@ class _OwnerTable:
         # every index inside a window, ascending, and its rows
         width = stops - starts
         self.inside = np.repeat(starts - np.cumsum(width) + width, width) + np.arange(width.sum())
-        self.sorted = _sorted_rows(np.exp(1j * thetas[self.inside]), mu)
+        self.sorted = _sorted_rows(np.exp(1j * grid_angles(m, self.inside)), mu)
         # each run's order at its first index (the last run may be empty);
         # a window's order is never read, its rows being in ``sorted``
-        z = np.exp(1j * thetas[np.minimum(edges[:-1], solved - 1)])[:, None] * mu
+        z = np.exp(1j * grid_angles(m, np.minimum(edges[:-1], solved - 1)))[:, None] * mu
         self.order = np.argsort((z + z.conj()).real, axis=1)[:, ::-1]
 
     def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
@@ -400,9 +410,11 @@ class _OwnerTable:
         return None
 
 
-def grid_angles(m: int) -> np.ndarray:
-    """The m angles 2 pi j / m, j = 0..m-1, of every sweep."""
-    return 2.0 * np.pi * np.arange(m) / m
+def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
+    """The m angles 2 pi j / m, j = 0..m-1, of every sweep, or those at the
+    integer grid indices ``idx`` alone: the expression is elementwise, so
+    they are the bits of the whole array's entries."""
+    return 2.0 * np.pi * (np.arange(m) if idx is None else np.asarray(idx)) / m
 
 
 def pencil_sweep(t, m: int | None) -> PencilSweep:
@@ -432,20 +444,19 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     """
     t = as_matrix(t)
     m = resolve_angles(m)
-    thetas = grid_angles(m)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
-        vals, spectrum, row = _rows(t, thetas)
-    for given in (vals, row):
+        sweep = _sweep(t, m)
+    for given in (sweep._rows, sweep.row):
         if given is not None and not np.isfinite(given).all():
             raise ValueError("the pencils overflow: matrix entries too large")
-    return PencilSweep(thetas, vals, spectrum, row)
+    return sweep
 
 
-def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray | None, ...]:
-    """The (m, n) rows of ``pencil_sweep``, by the paths its docstring lists,
-    or None when they are a spectrum's, left to be formed on demand, or a
-    graded T's one row; that spectrum mu, or None; that one row, or None."""
-    m = thetas.size
+def _sweep(t: np.ndarray, m: int) -> PencilSweep:
+    """The sweep of ``pencil_sweep``, by the paths its docstring lists: its
+    (m, n) rows, or a spectrum's, left to be formed on demand, or a graded
+    T's one row.  The last two are given the angle count alone, and form
+    no grid-sized angle array until ``thetas`` is read."""
     if not (t - np.diag(np.diagonal(t))).any():
         spectrum = np.diagonal(t)
     elif np.array_equal(t, t.conj().T):
@@ -454,22 +465,24 @@ def _rows(t: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray | None, ...]:
         # halves first, so that a spectrum near the overflow threshold stays
         # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
         half = eig_hermitian_stack((t + t.conj().T)[None])[0] / 2.0
-        return None, None, half - half[::-1]
+        return PencilSweep(m, None, None, half - half[::-1])
     else:
         spectrum = _normal_spectrum(t)
+    if (spectrum is not None and m * spectrum.size >= ON_DEMAND_ROWS
+            and np.abs(spectrum).max() < 2.0**1022):
+        # below 2^1022, |2 Re(e^{i theta} mu)| <= 2 sqrt(2) |mu| cannot overflow
+        return PencilSweep(m, None, spectrum)
+    thetas = grid_angles(m)  # formed once: the frame reads every angle too
     solved = m if m % 2 else m // 2
     if spectrum is None:
         stack = np.exp(1j * thetas[:solved])[:, None, None] * t
         stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
         vals = eig_hermitian_stack(stack)
-    elif m * spectrum.size >= ON_DEMAND_ROWS and np.abs(spectrum).max() < 2.0**1022:
-        # below 2^1022, |2 Re(e^{i theta} mu)| <= 2 sqrt(2) |mu| cannot overflow
-        return None, spectrum, None
     else:
         vals = _sorted_rows(np.exp(1j * thetas[:solved]), spectrum)
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
-    return vals, spectrum, None
+    return PencilSweep(thetas, vals, spectrum)
 
 
 def _sorted_rows(phases: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -734,7 +747,7 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
         # square never cuts it; all-zero offsets fit any bound
         bound = sweep.region_bound
         planes = sweep.planes
-        thetas = sweep.thetas if planes is None else sweep.thetas[planes]
+        thetas = sweep.thetas if planes is None else grid_angles(m, planes)
         region = intersect_halfplanes(thetas, sweep.column(k - 1, planes) / 2.0, bound,
                                       frame=sweep.frame)
         if region.kind == "point" and planes is not None:
@@ -787,7 +800,7 @@ def _owner_point(sweep: PencilSweep, k: int, tol: float) -> complex | None:
     mu = table.owner(k - 1)
     if mu is None:
         return None
-    fit = (np.exp(1j * sweep.thetas[table.inside]) * mu).real
+    fit = (np.exp(1j * grid_angles(sweep.angle_count, table.inside)) * mu).real
     if np.abs(table.sorted[:, k - 1] / 2.0 - fit).max(initial=0.0) <= tol:
         return mu
     return None
@@ -813,7 +826,7 @@ def _rows_apart(sweep: PencilSweep, k: int, tol: float, norm: float) -> bool:
     """
     m = sweep.angle_count
     idx = np.array([0, m // 6, m // 3])
-    phases = np.exp(1j * sweep.thetas[idx])
+    phases = np.exp(1j * grid_angles(m, idx))
     (ca, cb, cc), (sa, sb, sc) = phases.real, phases.imag
     ha, hb, hc = sweep.column(k - 1, idx) / 2.0
     det = sa * cb - ca * sb

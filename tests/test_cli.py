@@ -9,7 +9,7 @@ import pytest
 from hrnr import checks, cli, fileio
 from hrnr.checks import RADIUS_TOL
 from hrnr.cli import main
-from hrnr.geometry import ConvexRegion
+from hrnr.geometry import ConvexRegion, regular_polygon
 from hrnr.ranges import pencil_sweep, range_from_sweep
 from hrnr.shifts import shift_matrix, shift_radius
 
@@ -172,6 +172,59 @@ def test_region_json_grid_text_byte_identical(m):
     assert fileio._grid_text.cache_info()[:2] == after[:2]
 
 
+@pytest.mark.parametrize("m", [16, 17, 720, 2048])
+def test_region_json_constant_columns_byte_identical(m):
+    # a grid array whose offsets are one float, bit for bit, takes one repr
+    # for every slot; a column of -0.0, a column mixing 0.0 and -0.0 (equal
+    # values, not equal bits) and an off-grid first column keep json's text
+    grid = 2.0 * np.pi * np.arange(m) / m
+    graded = range_from_sweep(pencil_sweep(shift_matrix(5), m), 1).support_samples
+    assert (graded[:, 1] == graded[0, 1]).all() and graded[0, 1] > 0
+    mixed = np.zeros(m)
+    mixed[::3] = -0.0
+    off = grid.copy()
+    off[m // 2] = np.nextafter(off[m // 2], 0.0)
+    for samples in (graded, np.column_stack([grid, np.full(m, -0.0)]),
+                    np.column_stack([grid, mixed]), np.column_stack([grid, np.full(m, 1e-300)]),
+                    np.column_stack([off, np.full(m, 0.25)])):
+        obj = {"tag": "polygon", "support_samples": samples}
+        assert lines(fileio.dumps_json(obj)) == lines(json.dumps(as_lists(obj), indent=2) + "\n")
+
+
+def test_range_npz_holds_the_json_members_bit_for_bit(tmp_path):
+    # --out *.npz writes region_to_obj's members; every one loads without
+    # pickle and equals the JSON file's value, floats compared as bits
+    for tag, (t, k) in TAG_CASES.items():
+        path = write_matrix(tmp_path, f"{tag}.json", t)
+        argv = ["range", "--input", path, "--k", str(k), "--angles", "720", "--out"]
+        assert main(argv + [str(tmp_path / "r.json")]) == 0
+        assert main(argv + [str(tmp_path / "r.npz")]) == 0
+        want = json.loads((tmp_path / "r.json").read_text())
+        with np.load(tmp_path / "r.npz", allow_pickle=False) as got:
+            assert sorted(got.files) == sorted(want)
+            assert got["tag"].dtype.kind == "U" and got["tag"].shape == ()
+            assert str(got["tag"]) == want["tag"] == tag
+            for key in ("k", "angles"):
+                assert got[key].dtype == np.int64 and got[key].shape == ()
+                assert int(got[key]) == want[key]
+            bound = got["outer_error_bound"]
+            assert bound.dtype == np.float64 and bound.shape == ()
+            assert bound.view(np.uint64) == np.float64(want["outer_error_bound"]).view(np.uint64)
+            for key in ("vertices", "support_samples"):
+                assert got[key].dtype == np.float64
+                assert np.array_equal(got[key].view(np.uint64),
+                                      np.array(want[key], dtype=float).reshape(-1, 2).view(np.uint64))
+            assert got["support_samples"].shape == (720, 2)
+
+
+def test_unwritable_npz_output_exits_2(tmp_path, shift4, capsys):
+    target = tmp_path / "missing" / "region.npz"
+    assert main(["range", "--input", shift4, "--k", "1", "--angles", "64",
+                 "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+
+
 def svg_reference(region, ref_radius=None):
     """The per-vertex region_svg that the array version replaced."""
     size = fileio.SVG_SIZE
@@ -236,6 +289,15 @@ def test_region_svg_matches_per_vertex_reference(tag):
     # signed zeros and tiny coordinates next to a unit vertex
     region = ConvexRegion.polygon([-0.0 + 1e-05j, 1.0 - 0.0j, 0.5 + 1.0j])
     assert fileio.region_svg(region, 0.5) == svg_reference(region, 0.5)
+
+
+def test_region_svg_of_a_2048_gon_matches_the_reference():
+    # the polygon's points come from one "%.3f,%.3f" template
+    region = regular_polygon(2048, 0.3, 1.0)
+    assert region.kind == "polygon" and len(region.vertices) == 2048
+    for ref_radius in (None, 0.5):
+        got = fileio.region_svg(region, ref_radius)
+        assert lines(got) == lines(svg_reference(region, ref_radius))
 
 
 def test_readme_pipeline(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrnr import geometry, ranges
-from hrnr.checks import generator, montecarlo_range, property_suite, random_unitary
+from hrnr.checks import (generator, montecarlo_range, property_suite, random_matrix,
+                         random_unitary)
 from hrnr.geometry import ConvexRegion, hausdorff
 from hrnr.linalg import as_matrix, eig_hermitian_stack
 from hrnr.ranges import (
@@ -313,6 +314,31 @@ def test_far_translations_keep_the_tag():
                 if got != want:
                     lost.append(f"k={k} e={e}: {want} -> {got}")
     assert not lost, lost
+
+
+ROTATION_DEFECT = ("a normal T's segment comes back a polygon when the segment's normal lies off "
+                   "the angle grid: the grid planes cut a thin polygon about it, wider than the "
+                   "segment test allows; the exact range from the tie angles would mend it "
+                   "(ROADMAP item 17)")
+
+
+@pytest.mark.xfail(strict=True, reason=ROTATION_DEFECT)
+@pytest.mark.parametrize("m", [720, 65536])
+@pytest.mark.parametrize("phi", [0.3, 1.0])
+def test_rotated_hermitian_ranges_are_segments(phi, m):
+    # e^{i phi} H is normal with collinear eigenvalues, so its ranks k <= n/2
+    # are segments at every phi, as at phi = 0; today each of these is a
+    # 5-vertex polygon
+    x = random_matrix(5, generator(5))
+    t = np.exp(1j * phi) * (x + x.conj().T)
+    assert [rank_k_range(t, k, m).region.kind for k in (1, 2)] == ["segment", "segment"]
+
+
+@pytest.mark.xfail(strict=True, reason=ROTATION_DEFECT)
+def test_two_point_spectrum_off_the_axes_is_a_segment():
+    # Lambda_1 of diag(0, 1 - 2j) is the segment [0, 1 - 2j]; today a
+    # 4-vertex polygon
+    assert rank_k_range(np.diag([0.0, 1.0 - 2.0j]), 1, 720).region.kind == "segment"
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -1090,6 +1116,38 @@ def test_spectrum_ranks_form_only_their_tie_plane_offsets(monkeypatch):
     assert sweep.numerical_radius() == want[:, 0].max() / 2.0
     assert rep.support_samples[:, 1].tobytes() == (want[:, 1] / 2.0).tobytes()
     assert set(sweep._table.columns) == {1, n - 2}
+
+
+@pytest.mark.parametrize("m", [16, 17, 720, 721, 65536, 65537])
+def test_indexed_angles_are_the_whole_grids_bits(m):
+    rng = generator(3450 + m)
+    grid = grid_angles(m)
+    for idx in (np.array([0]), np.array([m - 1]), np.arange(m)[::-7], rng.permutation(m)[:999],
+                rng.integers(0, m, size=64), np.arange(m)):
+        assert grid_angles(m, idx).tobytes() == grid[idx].tobytes()
+
+
+def test_structured_sweeps_form_no_angle_grid():
+    # a sweep that forms its rows on demand, and a graded one, reads its
+    # angles at the indices it needs alone: every rank leaves ``thetas``
+    # unformed, and the grid formed at the first read is grid_angles(m)
+    rng = generator(3460)
+    x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    cases = [(np.diag(_spectrum("complex", 6, rng)), 65536),
+             (np.diag(_spectrum("real", 5, rng)), 65536),
+             (x + x.conj().T, 65536), (np.diag(_spectrum("circle", 8, rng)), 8192),
+             (shift_matrix(5), 65536), (shift_matrix(8), 8192), (shift_matrix(4), 721)]
+    for t, m in cases:
+        sweep = pencil_sweep(t, m)
+        assert sweep._rows is None and sweep.angle_count == m
+        regions = [range_from_sweep(sweep, k).region for k in range(1, sweep.dim + 1)]
+        assert "thetas" not in vars(sweep), (t.shape, m)
+        assert sweep.thetas.tobytes() == grid_angles(m).tobytes()
+        # the same regions as a sweep given its grid and its rows
+        every = ranges.PencilSweep(grid_angles(m), sweep.eigenvalues)
+        for k, region in enumerate(regions, 1):
+            want = range_from_sweep(every, k).region
+            assert region.kind == want.kind, (t.shape, m, k)
 
 
 # --- points at 2k = n + 1 --------------------------------------------------------

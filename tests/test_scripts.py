@@ -78,6 +78,7 @@ def test_bench_grid_script():
     assert 0 < cell["sweep_ms"] == min(a["sweep_ms"], b["sweep_ms"])
     assert min(cell["frame_ms"], cell["cli_ms"]) > 0
     assert 0 < cell["json_ms"] == min(a["json_ms"], b["json_ms"])
+    assert 0 < cell["npz_ms"] == min(a["npz_ms"], b["npz_ms"])
     assert {"numpy", "cpus", "repeat", "rounds"} <= set(bench_grid.header("smoke"))
     # the child process a grid run starts for each cell
     shift = bench_grid.child("shift", 4, 720, bench_grid.ROOT / "src")
