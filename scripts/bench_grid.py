@@ -17,7 +17,11 @@ all rounds: on a shared host the speed of small Python calls drifts by
 up to 2x over seconds to minutes, which best-of-repeat within one child
 cannot see.  A cell times, best of ``REPEAT`` in each round:
 
-  sweep_ms    ``pencil_sweep(T, m)``
+  sweep_ms    ``pencil_sweep(T, m)``; a batch sweep (T neither graded nor
+              normal) solves its pencils when their rows are read, so
+              its solve falls in range_ms
+  radius_ms   ``numerical_radius()`` on a second, fresh sweep: what
+              ``hrnr radius`` reads after the sweep
   frame_ms    ``PencilSweep.frame`` on that fresh sweep; 0 for a graded
               sweep (a shift's), whose ranks read no frame
   range_ms    ``range_from_sweep(sweep, k)`` for k = 1..min(n, 3), frame built
@@ -108,8 +112,8 @@ def run_cell(kind, n, m, repeat=REPEAT):
 
     t = matrix(kind, n)
     ks = range(1, min(n, 3) + 1)
-    best = {"sweep": np.inf, "frame": np.inf, "json": np.inf, "npz": np.inf, "cli": np.inf,
-            **{k: np.inf for k in ks}, **{("samples", k): np.inf for k in ks}}
+    best = {"sweep": np.inf, "radius": np.inf, "frame": np.inf, "json": np.inf, "npz": np.inf,
+            "cli": np.inf, **{k: np.inf for k in ks}, **{("samples", k): np.inf for k in ks}}
     with tempfile.TemporaryDirectory() as work:
         path, out = os.path.join(work, "t.json"), os.path.join(work, "range.json")
         npz = os.path.join(work, "range.npz")
@@ -123,6 +127,10 @@ def run_cell(kind, n, m, repeat=REPEAT):
             planes = 0 if graded else sweep.frame.size
             best["sweep"] = min(best["sweep"], mid - start)
             best["frame"] = min(best["frame"], 0.0 if graded else time.perf_counter() - mid)
+            fresh = pencil_sweep(t, m)
+            start = time.perf_counter()
+            fresh.numerical_radius()
+            best["radius"] = min(best["radius"], time.perf_counter() - start)
             tags, reports = {}, {}
             for k in ks:
                 start = time.perf_counter()
@@ -143,7 +151,8 @@ def run_cell(kind, n, m, repeat=REPEAT):
                 raise RuntimeError(f"hrnr {' '.join(argv)} failed")
             best["cli"] = min(best["cli"], time.perf_counter() - start)
     ms = {key: round(1e3 * value, 3) for key, value in best.items()}
-    return {"kind": kind, "n": n, "m": m, "sweep_ms": ms["sweep"], "frame_ms": ms["frame"],
+    return {"kind": kind, "n": n, "m": m, "sweep_ms": ms["sweep"], "radius_ms": ms["radius"],
+            "frame_ms": ms["frame"],
             "range_ms": {str(k): ms[k] for k in ks},
             "samples_ms": {str(k): ms["samples", k] for k in ks}, "json_ms": ms["json"],
             "npz_ms": ms["npz"], "cli_ms": ms["cli"],
@@ -165,7 +174,7 @@ def best_of(a, b):
     """Two records of one cell merged: the smaller of each time, the larger
     peak RSS."""
     out = dict(a)
-    for key in ("sweep_ms", "frame_ms", "json_ms", "npz_ms", "cli_ms"):
+    for key in ("sweep_ms", "radius_ms", "frame_ms", "json_ms", "npz_ms", "cli_ms"):
         out[key] = min(a[key], b[key])
     for key in ("range_ms", "samples_ms"):
         out[key] = {k: min(v, b[key][k]) for k, v in a[key].items()}
@@ -229,9 +238,9 @@ def main(argv=None):
         print(f"{label}:")
         for rec in records:
             print(f"{rec['kind']} n={rec['n']} m={rec['m']}: sweep {rec['sweep_ms']} ms, "
-                  f"frame {rec['frame_ms']} ms, range {rec['range_ms']} ms, "
-                  f"samples {rec['samples_ms']} ms, json {rec['json_ms']} ms, "
-                  f"npz {rec['npz_ms']} ms, cli {rec['cli_ms']} ms")
+                  f"radius {rec['radius_ms']} ms, frame {rec['frame_ms']} ms, "
+                  f"range {rec['range_ms']} ms, samples {rec['samples_ms']} ms, "
+                  f"json {rec['json_ms']} ms, npz {rec['npz_ms']} ms, cli {rec['cli_ms']} ms")
         result = header(label) | {"cells": records}
         if args.tier1:
             result["tier1_s"], result["tier1_summary"] = tier1(src)

@@ -23,19 +23,23 @@ Gaussians at n = 4 and 6 and a nilpotent at n = 6, at m = 8192 and 16384,
 replayed at k = 2 and 3 only.  Every other case runs ``pencil_sweep``
 once and ``range_from_sweep`` for every k = 1..n, and only then reads
 the sweep's rows, so that the ranks of a sweep that forms its rows on
-demand run as they do in ``hrnr range``.  A dump holds each
-case's sweep rows and each call's tag, vertices, the number of planes
+demand run as they do in ``hrnr range``.  Before the ranks, each case
+reads ``numerical_radius()`` of a second, fresh sweep, as ``hrnr radius``
+does, so that a batch sweep's radius runs its refinement rather than
+reading rows a rank has solved.  A dump holds each case's radius, sweep
+rows and each call's tag, vertices, the number of planes
 that reached the geometry's deque scan (``geometry._active_chain``) and
 the number of planes its emptiness check tested (0 when it did not run).
 
 ``--compare`` reads two dumps of the same battery, typically one made
 against a parent tree with ``--src`` and one against the current tree,
-and prints the calls that are byte-identical (for complex and real T, per
+and prints the radii and the calls that are byte-identical (for complex and real T, per
 kind, among the calls whose old run did not reach the scan, and among
 those that neither run scanned, leaving out graded sweeps, whose m rows
 are one row and whose ranks are regular m-gons), every
 tag change, the worst Hausdorff distance over the geometry's bound, the
-worst row difference over ``checks._row_tol``, and on each side the calls
+worst row or doubled radius difference over ``checks._row_tol``, and on
+each side the calls
 that reached the scan, their planes in all, the most in one call and the
 calls whose scan got more than m/16 planes, and the same totals and most
 for the emptiness check.
@@ -232,9 +236,10 @@ def dump(path, limit):
     geometry._active_chain, geometry._support_candidates = counted_scan, counted_check
     sweeps, calls, rows, verts = [], [], {}, []
     for i, (kind, n, m, t) in enumerate(battery(limit)):
+        radius = pencil_sweep(t, m).numerical_radius()
         sweep = pencil_sweep(t, m)
         real = not np.imag(t).any()  # a shift is real in either draw
-        sweeps.append((kind, real, n, m, np.linalg.norm(t, 2)))
+        sweeps.append((kind, real, n, m, np.linalg.norm(t, 2), radius))
         for k in ranks(kind, n):
             scanned.clear()
             checked.clear()
@@ -245,7 +250,7 @@ def dump(path, limit):
         # that forms its rows on demand would then run its ranks on them
         rows[f"rows{i}"] = sweep.eigenvalues
     geometry._active_chain, geometry._support_candidates = active_chain, support_candidates
-    arrays = dict(zip(("kind", "real", "n", "m", "norm"), map(np.array, zip(*sweeps))))
+    arrays = dict(zip(("kind", "real", "n", "m", "norm", "radius"), map(np.array, zip(*sweeps))))
     arrays.update(zip(("call_case", "call_k", "call_tag", "call_bound", "call_scanned",
                        "call_checked"), map(np.array, zip(*calls))))
     arrays["call_vstart"] = np.cumsum([0] + [v.size for v in verts])
@@ -284,7 +289,8 @@ def compare(old_path, new_path):
         for tally in tallies(i):
             tally[0] += a.tobytes() == b.tobytes()
             tally[1] += 1
-        diff = np.abs(a - b).max() / _row_tol(int(n), float(norm))
+        radius = 2.0 * abs(old["radius"][i] - new["radius"][i])
+        diff = max(np.abs(a - b).max(), radius) / _row_tol(int(n), float(norm))
         worst_row = max(worst_row, (float(diff), label(i)), key=lambda w: w[0])
     for c, (case, k) in enumerate(zip(new["call_case"], new["call_k"])):
         regions = []
@@ -307,6 +313,8 @@ def compare(old_path, new_path):
         elif not a.is_empty:
             h = hausdorff(a, b) / new["call_bound"][c]
             worst_h = max(worst_h, (float(h), f"{label(case)} k={k}"), key=lambda w: w[0])
+    radii = np.count_nonzero(old["radius"].view(np.uint64) == new["radius"].view(np.uint64))
+    print(f"radii byte-identical: {radii}/{new['radius'].size}")
     for key, counts in same.items():
         name = {False: "complex T", True: "real T"}.get(key, f"  {key}")
         print(f"{name} byte-identical: {counts[0]}/{counts[1]} "
@@ -326,7 +334,7 @@ def compare(old_path, new_path):
     for line in tag_changes:
         print(f"  {line}")
     print(f"worst hausdorff / bound: {worst_h[0]:.3e} ({worst_h[1]})")
-    print(f"worst row difference / row tolerance: {worst_row[0]:.3e} ({worst_row[1]})")
+    print(f"worst row or radius difference / row tolerance: {worst_row[0]:.3e} ({worst_row[1]})")
     return 1 if tag_changes or worst_row[0] > 1.0 or worst_h[0] > HAUSDORFF_TOL else 0
 
 

@@ -26,7 +26,14 @@ theta_{m-j} (see Angles), adds 7.4.  P4 and P5 add (2 eta + eta^2)
 allow up to 1e-10: Q = WP with W an isometry and ||P - I||_2 <= eta, and
 the pencil of P (W*TW) P is that close to the one of W*TW.  SHIFT
 compares exact rows with cos(k pi/(n+1)), and HAAGERUP a row maximum with
-||T||_2 cos(pi/(n+1)), under the same tolerance.
+||T||_2 cos(pi/(n+1)), under the same tolerance.  DISC's column maxima and
+HAAGERUP's radius come from one read of ``PencilSweep.column_maxima``: on
+a batch sweep, a certified refinement that solves only some pencils
+("Batch rows on demand" in the ``ranges`` docstring), and on every sweep
+the bits of the fully solved columns' maxima, so both checks read the
+same bits as from a whole solve.  DISC reads the first rank of each disc
+radius alone (ranks 1, r + 1, ...): a later rank of the same radius has
+its column below, so its excess is no larger, and the report is the same.
 
 Structured rows.  ``pencil_sweep`` solves no pencil for an exactly
 diagonal or exactly Hermitian T.  A diagonal T's rows are the bits the
@@ -457,15 +464,20 @@ def check_nilpotent(t, m: int) -> list[PropertyReport]:
     dilation = _report("DILATION", residual, RESIDUAL_TOL * d + clamped, digest,
                        f"isometry={pack.isometry_residual:.2e} "
                        f"intertwine={pack.intertwine_residual:.2e}")
+    # the first rank of each radius alone, ranks 1, r + 1, ...: a later rank
+    # of the same radius has its column below, so its excess is no larger,
+    # and the note names the first worst rank
+    radii = {k: shift_radius(pack.n, k, pack.r)
+             for k in range(1, min(d, pack.n * pack.r) + 1, pack.r)}
+    radii = {k: radius for k, radius in radii.items() if radius is not None}
+    # one read of the column maxima, HAAGERUP's column 0 (k = 1) among them
+    tops = sweep.column_maxima([k - 1 for k in radii])
     worst, note = -np.inf, ""
-    for k in range(1, min(d, pack.n * pack.r) + 1):
-        radius = shift_radius(pack.n, k, pack.r)
-        if radius is None:
-            continue
+    for (k, radius), top in zip(radii.items(), tops):
         # T compresses I (x) S_n* through the dilation, so lambda_k of each
         # pencil of T is at most twice the radius by interlacing: exact at
         # every grid angle, unlike the circumscribed polygon's vertices
-        excess = float(sweep.column(k - 1).max()) / 2.0 - radius
+        excess = float(top) / 2.0 - radius
         if excess > worst:
             note = f"worst k={k} against cos({rho(k, pack.r)}pi/{pack.n + 1})"
             worst = excess

@@ -108,6 +108,49 @@ is among those indices, the same bits.  ``range_from_sweep`` forms a
 rank's offsets at ``planes`` only; ``support_samples`` and
 ``eigenvalues`` (every column stacked) are formed when first read.
 
+Batch rows on demand.  Any other T, neither graded nor normal, is kept
+with its sweep, which solves a pencil when its row is first read
+(``_PencilTable``): a read at chosen indices sends the pencils missing
+there to ``eig_hermitian_stack`` in one call, and a whole column or
+``eigenvalues`` every missing one.  Assembly and LAPACK work pencil by
+pencil, so each row is the bits of the whole batch.  ``range_from_sweep``
+reads a rank's offsets before the radius, so a rank solves every pencil
+in one call and its radius reads them.  The radius and ``column_maxima``
+(DISC's columns in ``checks``) solve only the pencils that certify a
+maximum, as Mengi and Overton certify the numerical radius (IMA J.
+Numer. Anal. 25, 2005).  Column r is g(theta) = lambda_{r+1}(H_theta) at
+the full circle's grid angles, those past pi by the half-turn.
+H_theta - H_theta' is |e^{i theta} - e^{i theta'}| times a pencil, whose
+norm is at most 2w, w the numerical radius, so by Weyl
+|g(theta) - g(theta')| <= 4w sin(|theta - theta'| / 2), and between
+angles a and b, D radians apart, the concavity of sin gives
+    g <= (g_a + g_b) / 2 + 4w sin(D/4).
+Every ``COARSE_STRIDE``-th pencil is solved first.  Every angle is then
+within 16 pi/m of a solved one, so the support function's bound gives
+2w <= (max lambda_1 + e) / cos(16 pi/m).  A computed value is within
+e = (8n + 16) eps N + the smallest normal of g at the exact angle, where
+  8 n eps N is the solve's rounding (twice an offset's 4 n eps N, the
+    ``checks`` docstring's model), with N = sqrt(2) n max |Re t_ij|,
+    |Im t_ij| >= ||T||_F;
+  16 eps N is 2N times the computed angle's error of at most 8 eps (an
+    upper-half angle's is its solved row's);
+  the smallest normal covers underflow.
+An interval between solved angles is dropped once the bound plus 2e, for
+its ends' rounding and an unsolved value's, plus 8 eps N for evaluating
+the bound, is at most the best value found for every column read.  The
+survivors are bisected level by level, one call per level (four at most),
+and once intervals that no bisection can drop (their ends' mean plus the
+rounding reaches the best) span most of the grid, as when nothing prunes
+after the coarse pass, the rest is solved in one call.  No unsolved value
+can then pass the best, so it is the whole column's maximum, the same
+bits; a maximum of zero, whose sign the read order could change, reads its
+column whole.  Over 20 seeds a radius read
+solved a median of 78 of 360 pencils of a Gaussian n = 8 at m = 720, and
+251 of 1024 of a nilpotent n = 16 at m = 2048.  A hidden U* S_16 U, whose
+lambda_1 is constant, prunes nothing and solves all 1024 in two calls.
+A T with n max |Re t_ij|, |Im t_ij| >= 2^1016 could overflow, so its
+pencils are solved in ``pencil_sweep``, whose check sees its rows.
+
 For 2k > n + 1 the rank-k range is empty as soon as one row has
 lambda_k < lambda_{n+1-k} by more than its rounding, so the geometry runs
 only when no row shows that.  At 2k = n + 1, lambda_k(H_{theta + pi}) =
@@ -170,6 +213,9 @@ ROW_TOL = 17.0  # offset rows, in units of n * eps * N; see the checks docstring
 # it, forming and sorting every row costs no more than the owner table.
 ON_DEMAND_ROWS = 2**16
 
+# A batch sweep's maxima first solve every COARSE_STRIDE-th pencil.
+COARSE_STRIDE = 16
+
 
 class BadRankError(ValueError):
     """Requested rank k outside 1..dim(T)."""
@@ -228,8 +274,8 @@ class PencilSweep:
         (m, n) array; row j holds the descending spectrum of H_{theta_j};
         twice ``numerical_radius()``, ``region_bound``, bounds and scales
         every rank-k region.  Given, or for a sweep whose rows are formed on
-        demand or are one row, the stack of every ``column`` at its first
-        read.
+        demand, are one row or are solved on demand, the stack of every
+        ``column`` at its first read.
     spectrum
         T's eigenvalues mu when the rows are 2 Re(e^{i theta} mu) sorted
         (exactly diagonal, exactly Hermitian or certified normal T), else
@@ -239,12 +285,16 @@ class PencilSweep:
     row
         The one row every angle shares, for a graded T (module docstring,
         "Graded ranks"), else None.
+    matrix
+        T, for a sweep that solves its pencils when their rows are read
+        (module docstring, "Batch rows on demand"), else None.
     """
 
     def __init__(self, thetas: np.ndarray | int, eigenvalues: np.ndarray | None = None,
-                 spectrum: np.ndarray | None = None, row: np.ndarray | None = None):
-        if eigenvalues is None and spectrum is None and row is None:
-            raise ValueError("a sweep needs its rows, its spectrum or its one row")
+                 spectrum: np.ndarray | None = None, row: np.ndarray | None = None,
+                 matrix: np.ndarray | None = None):
+        if eigenvalues is None and spectrum is None and row is None and matrix is None:
+            raise ValueError("a sweep needs its rows, its spectrum, its one row or its matrix")
         if np.ndim(thetas):
             self.thetas = thetas
             self.angle_count = thetas.shape[0]
@@ -252,7 +302,9 @@ class PencilSweep:
             self.angle_count = int(thetas)
         self.spectrum = spectrum
         self.row = row
+        self.matrix = matrix
         self._rows = eigenvalues
+        self._maxima = {}  # r -> column r's maximum, once read
 
     @cached_property
     def thetas(self) -> np.ndarray:
@@ -262,6 +314,8 @@ class PencilSweep:
     def dim(self) -> int:
         if self._rows is not None:
             return self._rows.shape[1]
+        if self.matrix is not None:
+            return self.matrix.shape[0]
         return (self.spectrum if self.row is None else self.row).size
 
     @property
@@ -282,9 +336,9 @@ class PencilSweep:
     def column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
         """Column r of ``eigenvalues`` (lambda_{r+1} at every grid angle), or
         its entries at the grid indices ``idx``; a graded sweep or one whose
-        rows are formed on demand computes only those.  On an even grid row
-        j + m/2 is row j negated and reversed, so column r there is column
-        n - 1 - r of the solved half, negated."""
+        rows are formed or solved on demand computes only those.  On an even
+        grid row j + m/2 is row j negated and reversed, so column r there is
+        column n - 1 - r of the solved half, negated."""
         if self._rows is not None:
             return self._rows[:, r] if idx is None else self._rows[:, r][idx]
         if self.row is not None:
@@ -297,11 +351,10 @@ class PencilSweep:
             return np.concatenate([table.values(r, None, phases),
                                    -table.values(n - 1 - r, None, phases)])
         idx = np.asarray(idx)
-        upper = idx >= solved
-        j = np.where(upper, idx - solved, idx)
+        upper, j = idx >= solved, idx % solved
         phases = np.exp(1j * grid_angles(m, j))  # elementwise: the bits of ``_phases`` at j
-        out = np.empty(idx.shape)
-        out[~upper] = table.values(r, j[~upper], phases[~upper])
+        # column r at every j first, so that a batch sweep solves in one call
+        out = table.values(r, j, phases)
         out[upper] = -table.values(n - 1 - r, j[upper], phases[upper])
         return out
 
@@ -311,7 +364,9 @@ class PencilSweep:
         return np.exp(1j * grid_angles(self.angle_count, np.arange(self._solved)))
 
     @cached_property
-    def _table(self) -> "_OwnerTable":
+    def _table(self) -> "_OwnerTable | _PencilTable":
+        if self.spectrum is None:
+            return _PencilTable(self.matrix, self._solved)
         return _OwnerTable(self.spectrum, self.angle_count, self._solved)
 
     def numerical_radius(self) -> float:
@@ -320,15 +375,27 @@ class PencilSweep:
 
     @cached_property
     def _radius(self) -> float:
-        # a sweep formed on demand reads column 0 beside each eigenvalue's
-        # peak; a maximum that is not positive (every mu zero) reads it whole
-        if self._rows is None and self.row is None:
+        # a spectrum sweep formed on demand reads column 0 beside each
+        # eigenvalue's peak; a maximum that is not positive (every mu zero)
+        # reads it whole
+        if self._rows is None and self.spectrum is not None:
             idx = _peak_indices(self.spectrum, self.angle_count)
             if idx is not None:
                 top = self.column(0, idx).max()
                 if top > 0:
                     return float(top / 2.0)
-        return float(self.column(0).max() / 2.0)
+        return float(self.column_maxima([0])[0] / 2.0)
+
+    def column_maxima(self, rs) -> list:
+        """``column(r).max()`` for each r in ``rs``, the same bits, kept for
+        later reads; a batch sweep reads all of ``rs`` in one certified
+        refinement (module docstring, "Batch rows on demand")."""
+        new = [r for r in dict.fromkeys(rs) if r not in self._maxima]
+        if new:
+            batch = self._rows is None and self.matrix is not None
+            self._maxima.update(zip(new, _refined_maxima(self, new) if batch
+                                    else [self.column(r).max() for r in new]))
+        return [self._maxima[r] for r in rs]
 
     @cached_property
     def region_bound(self) -> float:
@@ -389,8 +456,10 @@ class _OwnerTable:
         later reads."""
         if j is None:
             if r not in self.columns:
-                owners = np.repeat(self.mu[self.order[:, r]], self.lengths)
-                self.columns[r] = out = 2.0 * (phases * owners).real
+                # complex, as the product casts them anyway, so it fits in place
+                owners = np.repeat(self.mu[self.order[:, r]].astype(complex), self.lengths)
+                np.multiply(phases, owners, out=owners)
+                self.columns[r] = out = owners.real * 2.0
                 out[self.inside] = self.sorted[:, r]
             return self.columns[r]
         run = np.searchsorted(self.bounds, j, side="right")
@@ -410,6 +479,37 @@ class _OwnerTable:
         return None
 
 
+class _PencilTable:
+    """The solved rows of a batch sweep, each pencil solved at the first
+    read of its index ("Batch rows on demand" in the module docstring):
+    ``rows`` holds them, ``done`` marks those solved."""
+
+    def __init__(self, t: np.ndarray, solved: int):
+        self.t = t
+        self.rows = np.empty((solved, t.shape[0]))
+        self.done = np.zeros(solved, dtype=bool)
+
+    def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
+        """Column r at the solved indices j, whose e^{i theta} are ``phases``,
+        or at all of them (j None, ``phases`` every solved one); the pencils
+        not yet solved among them go to one ``eig_hermitian_stack`` call,
+        looked up at the call."""
+        keep = ~(self.done if j is None else self.done[j])
+        if keep.any():
+            at, first = ((np.flatnonzero(keep), slice(None)) if j is None
+                         else np.unique(j[keep], return_index=True))
+            stack = phases[keep][first][:, None, None] * self.t
+            step = max(1, 2**14 // self.t.size)
+            for i in range(0, at.size, step):
+                # in place, 256 KB at a time: one stack fewer at the peak,
+                # and a temporary that stays in cache
+                block = stack[i:i + step]
+                block += block.conj().swapaxes(1, 2)
+            self.rows[at] = eig_hermitian_stack(stack)
+            self.done[at] = True
+        return self.rows[:, r] if j is None else self.rows[j, r]
+
+
 def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
     """The m angles 2 pi j / m, j = 0..m-1, of every sweep, or those at the
     integer grid indices ``idx`` alone: the expression is elementwise, so
@@ -418,8 +518,8 @@ def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
 
 
 def pencil_sweep(t, m: int | None) -> PencilSweep:
-    """Diagonalise the ``resolve_angles(m)`` pencils of T in one batched
-    eigensolve.
+    """The eigenvalues of the ``resolve_angles(m)`` pencils of T, each
+    batch of pencils solved in one eigensolve.
 
     H_{theta + pi} = -H_theta, so lambda_i(H_{theta + pi}) =
     -lambda_{n+1-i}(H_theta).  For even m, row j + m/2 is therefore row j
@@ -439,7 +539,9 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     T is nilpotent, never normal) sends the one pencil T + T* to
     ``eig_hermitian_stack``, and every row is its spectrum r made
     antisymmetric, (r - r[::-1]) / 2, which the sweep keeps as its one
-    ``row``.  Any other T has its pencils solved.
+    ``row``.  Any other T is kept, and its pencils are solved when their
+    rows are read (module docstring, "Batch rows on demand"), or here when
+    they could overflow.
     Raises ValueError when the pencils overflow to a non-finite row.
     """
     t = as_matrix(t)
@@ -453,10 +555,11 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
 
 
 def _sweep(t: np.ndarray, m: int) -> PencilSweep:
-    """The sweep of ``pencil_sweep``, by the paths its docstring lists: its
-    (m, n) rows, or a spectrum's, left to be formed on demand, or a graded
-    T's one row.  The last two are given the angle count alone, and form
-    no grid-sized angle array until ``thetas`` is read."""
+    """The sweep of ``pencil_sweep``, by the paths its docstring lists: a
+    spectrum's (m, n) rows, or the spectrum left to be formed on demand, a
+    graded T's one row, or T with its pencils solved on demand.  All but
+    the first are given the angle count alone, and form no grid-sized angle
+    array until ``thetas`` is read."""
     if not (t - np.diag(np.diagonal(t))).any():
         spectrum = np.diagonal(t)
     elif np.array_equal(t, t.conj().T):
@@ -468,21 +571,71 @@ def _sweep(t: np.ndarray, m: int) -> PencilSweep:
         return PencilSweep(m, None, None, half - half[::-1])
     else:
         spectrum = _normal_spectrum(t)
-    if (spectrum is not None and m * spectrum.size >= ON_DEMAND_ROWS
-            and np.abs(spectrum).max() < 2.0**1022):
+        if spectrum is None:
+            sweep = PencilSweep(m, matrix=t)
+            if t.shape[0] * _entry_max(t) >= 2.0**1016:
+                # below this no pencil entry, eigenvalue or sum of two can
+                # overflow; above it every pencil is solved, for the check
+                sweep.eigenvalues
+            return sweep
+    if m * spectrum.size >= ON_DEMAND_ROWS and np.abs(spectrum).max() < 2.0**1022:
         # below 2^1022, |2 Re(e^{i theta} mu)| <= 2 sqrt(2) |mu| cannot overflow
         return PencilSweep(m, None, spectrum)
     thetas = grid_angles(m)  # formed once: the frame reads every angle too
-    solved = m if m % 2 else m // 2
-    if spectrum is None:
-        stack = np.exp(1j * thetas[:solved])[:, None, None] * t
-        stack += stack.conj().swapaxes(1, 2)  # in place: one stack fewer at the peak
-        vals = eig_hermitian_stack(stack)
-    else:
-        vals = _sorted_rows(np.exp(1j * thetas[:solved]), spectrum)
+    vals = _sorted_rows(np.exp(1j * thetas[:m if m % 2 else m // 2]), spectrum)
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
     return PencilSweep(thetas, vals, spectrum)
+
+
+def _entry_max(t: np.ndarray) -> float:
+    """The largest |real part| or |imaginary part| of T's entries, c:
+    sqrt(2) n c >= ||T||_F, and a pencil's entries and eigenvalues are at
+    most 8 n c."""
+    return float(max(np.abs(t.real).max(), np.abs(t.imag).max()))
+
+
+def _refined_maxima(sweep: PencilSweep, rs: list[int]) -> list:
+    """``column_maxima`` of a batch sweep, from the pencils that the
+    refinement of the module docstring ("Batch rows on demand") solves.
+
+    ``seen`` marks the full-circle indices read (J >= m/2 by the
+    half-turn); the interval between two of them is bisected while, for
+    some column, (v_a + v_b) / 2 + 4w sin(D/4) plus the rounding exceeds
+    the best value read.
+    """
+    m, n, table = sweep.angle_count, sweep.dim, sweep._table
+    if m < 4 * COARSE_STRIDE or table.done.all():
+        return [sweep.column(r).max() for r in rs]
+    cols = rs if 0 in rs else [0, *rs]  # column 0 bounds w
+    vals, seen = np.empty((len(cols), m)), np.zeros(m, dtype=bool)
+
+    def read(idx):  # the first column's read solves the pencils at idx in one call
+        vals[:, idx] = [sweep.column(r, idx) for r in cols]
+        seen[idx] = True
+
+    coarse = np.arange(0, sweep._solved, COARSE_STRIDE)
+    read(coarse if sweep._solved == m else np.concatenate([coarse, coarse + m // 2]))
+    eps, norm = np.finfo(float).eps, np.sqrt(2.0) * n * _entry_max(table.t)
+    err = (8 * n + 16) * eps * norm + np.finfo(float).tiny
+    # 4w: every angle lies within 8 grid steps of a coarse one
+    reach = 2.0 * (vals[cols.index(0), seen].max() + err) / np.cos(COARSE_STRIDE * np.pi / m)
+    while True:
+        a = np.flatnonzero(seen)
+        b, va = np.append(a[1:], m), vals[:, a]
+        best = va.max(axis=1)
+        # the ends' mean plus the rounding, over the best value read
+        over = (va + vals[:, b % m]) / 2.0 + (2.0 * err + 8.0 * eps * norm) - best[:, None]
+        keep = (b - a > 1) & (over + reach * np.sin((np.pi / (2 * m)) * (b - a)) > 0).any(axis=0)
+        if not keep.any():
+            break
+        if 2 * (b - a - 1)[keep & (over > 0).any(axis=0)].sum() > m:
+            # intervals that no bisection can drop span most of the grid
+            return [sweep.column(r).max() for r in rs]
+        read((a + b)[keep] // 2)
+    # a maximum of zero reads its column whole, for the sign of the zero
+    best = dict(zip(cols, best))
+    return [best[r] if best[r] else sweep.column(r).max() for r in rs]
 
 
 def _sorted_rows(phases: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -733,27 +886,30 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     if not 1 <= k <= n:
         raise BadRankError(f"k must be in 1..{n}, got {k}")
     m = sweep.angle_count
+    # rows are read before the radius, so that a batch sweep solves them in
+    # one call and its radius reads them (module docstring)
+    if 2 * k > n + 1:
+        strip = ((sweep.column(k - 1) - sweep.column(n - k)) / 2.0).min()
     if 2 * k >= n + 1:
         norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
     if 2 * k == n + 1:
         region = _point_or_empty(sweep, k, norm)
-    elif (2 * k > n + 1 and ((sweep.column(k - 1) - sweep.column(n - k)) / 2.0).min()
-            < -2.0 * _solve_error(n, norm)):
+    elif 2 * k > n + 1 and strip < -2.0 * _solve_error(n, norm):
         region = ConvexRegion.empty()
     elif sweep.row is not None:
         region = regular_polygon(m, sweep.row[k - 1] / 2.0, sweep.region_bound)
     else:
         # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
         # square never cuts it; all-zero offsets fit any bound
-        bound = sweep.region_bound
         planes = sweep.planes
+        offsets = sweep.column(k - 1, planes) / 2.0
         thetas = sweep.thetas if planes is None else grid_angles(m, planes)
-        region = intersect_halfplanes(thetas, sweep.column(k - 1, planes) / 2.0, bound,
-                                      frame=sweep.frame)
+        region = intersect_halfplanes(thetas, offsets, sweep.region_bound, frame=sweep.frame)
         if region.kind == "point" and planes is not None:
             # a point is the mean of the loop's vertices, which the dropped
             # planes would have moved
-            region = intersect_halfplanes(sweep.thetas, sweep.column(k - 1) / 2.0, bound)
+            region = intersect_halfplanes(sweep.thetas, sweep.column(k - 1) / 2.0,
+                                          sweep.region_bound)
     return RangeReport(k=k, angles=m, region=region,
                        outer_error_bound=outer_error_bound(region, m), sweep=sweep)
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hrnr import checks
+from hrnr import checks, ranges
 from hrnr.checks import (
     RESIDUAL_TOL,
     BadIsometryError,
@@ -31,8 +31,9 @@ from hrnr.checks import (
 )
 from hrnr.geometry import (ConvexRegion, _convex_hull, excess, hausdorff, intersect_halfplanes,
                            support)
+from hrnr.linalg import eig_hermitian_stack as eig
 from hrnr.ranges import pencil_sweep, range_from_sweep, rank_k_range
-from hrnr.shifts import nilpotency_index, shift_matrix, shift_radius
+from hrnr.shifts import build_dilation, nilpotency_index, rho, shift_matrix, shift_radius
 
 M = 720  # interactive grid is plenty for these module tests
 
@@ -560,6 +561,52 @@ def test_nilpotent_instances_pass(r_hint):
     rng = generator(92)
     for _ in range(3):
         assert all(r.passed for r in check_nilpotent(nilpotent_instance(4, r_hint, rng), 2048))
+
+
+def _disc_over_every_rank(t, m):
+    """DISC's discrepancy and note from every admissible rank's column
+    maximum of a fully solved sweep."""
+    pack = build_dilation(t)
+    sweep = pencil_sweep(t, m)
+    sweep.eigenvalues
+    worst, note = -np.inf, ""
+    for k in range(1, min(t.shape[0], pack.n * pack.r) + 1):
+        radius = shift_radius(pack.n, k, pack.r)
+        if radius is None:
+            continue
+        excess = float(sweep.column(k - 1).max()) / 2.0 - radius
+        if excess > worst:
+            note = f"worst k={k} against cos({rho(k, pack.r)}pi/{pack.n + 1})"
+            worst = excess
+    return worst, note
+
+
+@pytest.mark.parametrize("r_hint", [None, 2, 3])
+def test_nilpotent_reports_are_those_of_a_fully_solved_sweep(r_hint, monkeypatch):
+    # DISC's column maxima and HAAGERUP's radius come from one refinement
+    # of a batch sweep, the bits of a sweep whose every pencil is solved,
+    # and DISC reads the first rank of each radius alone, with the worst
+    # excess and rank of every rank's
+    def solved(t, m):
+        sweep = pencil_sweep(t, m)
+        sweep.eigenvalues
+        return sweep
+
+    rng = generator(71)
+    for d in (3, 5, 8):
+        for _ in range(3):
+            t = nilpotent_instance(d, r_hint, rng)
+            calls = []
+            monkeypatch.setattr(ranges, "eig_hermitian_stack",
+                                lambda stack: calls.append(stack) or eig(stack))
+            got = check_nilpotent(t, 2048)
+            monkeypatch.undo()
+            # the coarse pass and at most four levels, or the coarse pass and the rest
+            assert len(calls) <= 5
+            assert (got[1].discrepancy, got[1].note) == _disc_over_every_rank(t, 2048)
+            monkeypatch.setattr(checks, "pencil_sweep", solved)
+            assert check_nilpotent(t, 2048) == got
+            monkeypatch.undo()
 
 
 def test_shift_suite_passes_and_counts_every_rank():

@@ -420,9 +420,12 @@ def _batch_sizes(monkeypatch):
 
 
 def _solved_pencils(t, m, monkeypatch):
-    """The sweep of T on m angles and the batch sizes it sent to LAPACK."""
+    """The sweep of T on m angles and the batch sizes sent to LAPACK to form
+    it and read its rows (a batch sweep solves its pencils when they are
+    read)."""
     sizes = _batch_sizes(monkeypatch)
     sweep = pencil_sweep(t, m)
+    sweep.eigenvalues
     monkeypatch.undo()
     return sweep, sizes
 
@@ -1306,3 +1309,105 @@ def test_li_sze_ranks_are_never_empty():
                     assert not range_from_sweep(sweep, k).region.is_empty, (seed, n, k)
                     checked += 1
     assert checked == 4 * 3 * 15
+
+
+# --- batch rows on demand ---------------------------------------------------
+
+def _batch_inputs(n=6):
+    """T of every batch kind: Gaussian, nilpotent, real, zero, 1 x 1 and a
+    hidden U* S_n U, whose lambda_1 is constant, so that nothing prunes."""
+    rng = generator(53)
+    g = random_matrix(n, rng)
+    u = random_unitary(n, rng)
+    return {"gauss": g, "nilpotent": np.tril(g, -1), "real": g.real,
+            "zero": np.zeros((n, n), complex), "one": g[:1, :1],
+            "hidden-shift": u.conj().T @ shift_matrix(n) @ u}
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("m", [16, 17, 720, 2048])
+@pytest.mark.parametrize("name", sorted(_batch_inputs()))
+def test_batch_maxima_are_the_full_solve_bits(name, m):
+    # the refinement's radius and column maxima are the bits of the fully
+    # solved rows, whichever is read first, at every scale
+    for scale in (1e-300, 1.0, 1e300):
+        t = scale * _batch_inputs()[name]
+        rows = _batch_rows(t, m)
+        if m % 2 == 0:
+            rows = np.concatenate([rows, -rows[:, ::-1]])
+        n = t.shape[0]
+        for radius_first in (True, False):
+            sweep = ranges.PencilSweep(m, matrix=as_matrix(t))
+            if radius_first:
+                radius = sweep.numerical_radius()
+            maxima = sweep.column_maxima(range(n))
+            if not radius_first:
+                radius = sweep.numerical_radius()
+            assert _bits(radius) == _bits(rows[:, 0].max() / 2.0), (scale, radius_first)
+            assert [_bits(v) for v in maxima] == [_bits(v) for v in rows.max(axis=0)]
+            assert sweep.eigenvalues.tobytes() == rows.tobytes()
+
+
+def test_pencil_sweep_keeps_batch_t_for_its_reads():
+    for name in ("gauss", "nilpotent", "real", "hidden-shift"):
+        sweep = pencil_sweep(_batch_inputs()[name], 720)
+        assert sweep.matrix is not None and sweep._rows is None, name
+
+
+def test_batch_radius_solves_a_fraction_of_the_pencils(monkeypatch):
+    # the coarse pass and the bisection levels, one LAPACK call each
+    rng = generator(59)
+    for t, m in ((random_matrix(8, rng), 720), (np.tril(random_matrix(16, rng), -1), 2048)):
+        sizes = _batch_sizes(monkeypatch)
+        pencil_sweep(t, m).numerical_radius()
+        monkeypatch.undo()
+        assert sum(sizes) < m // 4 and len(sizes) <= 5, sizes
+    # nothing prunes a hidden shift: the coarse pass, then the rest in one call
+    sizes = _batch_sizes(monkeypatch)
+    pencil_sweep(_batch_inputs(16)["hidden-shift"], 2048).numerical_radius()
+    assert sizes == [64, 960]
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_batch_range_sends_one_batch(k, monkeypatch):
+    # a rank reads its rows before the radius: one call of m/2 pencils,
+    # and the radius, the bound and the samples then read them
+    sizes = _batch_sizes(monkeypatch)
+    sweep = pencil_sweep(_batch_inputs()["gauss"], 720)
+    report = range_from_sweep(sweep, k)
+    report.support_samples
+    sweep.numerical_radius()
+    assert sizes == [360]
+    assert k < 6 or report.region.is_empty
+
+
+@pytest.mark.parametrize("m", [2048, 2049])
+def test_batch_middle_rank_reads_only_its_rows(m, monkeypatch):
+    # a Gaussian n = 5 at k = 3 is settled empty by the three rows and the
+    # refined radius, with most pencils unsolved
+    t = random_matrix(5, generator(61))
+    sizes = _batch_sizes(monkeypatch)
+    region = range_from_sweep(pencil_sweep(t, m), 3).region
+    monkeypatch.undo()
+    assert sum(sizes) < _solved_count(m) // 2, sizes
+    full = pencil_sweep(t, m)
+    want = range_from_sweep(ranges.PencilSweep(full.thetas, full.eigenvalues), 3).region
+    assert region.is_empty and want.is_empty
+
+
+def test_batch_t_that_may_overflow_is_solved_whole():
+    # a T whose pencils could overflow has every row solved in pencil_sweep:
+    # LAPACK fails on the overflowed pencils (LinAlgError is a ValueError),
+    # and finite ones are checked there
+    g = random_matrix(3, generator(67))
+    with pytest.raises(ValueError):
+        pencil_sweep(1e308 * g / np.abs(g).max(), 720)
+    assert pencil_sweep(4e307 * g / np.abs(g).max(), 720)._rows is not None
+    # just below the threshold the pencils stay on demand, and finite
+    t = 2.0**1015 / 3 * g / max(np.abs(g.real).max(), np.abs(g.imag).max())
+    sweep = pencil_sweep(t, 720)
+    assert sweep._rows is None and np.isfinite(sweep.numerical_radius())
+    assert np.isfinite(sweep.eigenvalues).all()

@@ -43,6 +43,7 @@ def test_replay_engine_script(tmp_path):
     # two shifts, a complex and a real Gaussian, all at n = 2
     assert "complex T byte-identical: 1/1 sweeps, 2/2 calls" in proc.stdout
     assert "real T byte-identical: 3/3 sweeps, 6/6 calls" in proc.stdout
+    assert "radii byte-identical: 4/4" in proc.stdout  # each of a fresh sweep
     assert "tag changes: 0" in proc.stdout
     # how many planes reached the deque scan, per side
     assert "calls the old run did not scan, byte-identical:" in proc.stdout
@@ -79,6 +80,7 @@ def test_bench_grid_script():
     assert min(cell["frame_ms"], cell["cli_ms"]) > 0
     assert 0 < cell["json_ms"] == min(a["json_ms"], b["json_ms"])
     assert 0 < cell["npz_ms"] == min(a["npz_ms"], b["npz_ms"])
+    assert 0 < cell["radius_ms"] == min(a["radius_ms"], b["radius_ms"])
     assert {"numpy", "cpus", "repeat", "rounds"} <= set(bench_grid.header("smoke"))
     # the child process a grid run starts for each cell
     shift = bench_grid.child("shift", 4, 720, bench_grid.ROOT / "src")
