@@ -8,7 +8,9 @@ and degenerate m = 65536 ones (normal diagonals at n = 5 and 6, a
 Hermitian diagonal at n = 5), and a real Gaussian at n = 8 on 720 and
 2048 angles (``gauss-real``: the real part of the Gaussian cell's draw),
 which is neither graded nor normal and so solves as many pencils as a
-complex one.  Every matrix has spectral norm 1 and
+complex one, and Jordan blocks lambda I + S_n at n = 4 and 8 on 720 and
+2048 angles (``jordan``, lambda a complex normal draw), a graded T plus a
+scalar, whose sweep solves one pencil.  Every matrix has spectral norm 1 and
 is drawn from a fixed seed.  Each cell runs in a child process of its own,
 so that its peak RSS is its own, with one BLAS thread unless the
 environment sets another count.  The grid runs ``ROUNDS`` times, each
@@ -72,6 +74,8 @@ SMOOTH_CELLS = (("shift", 4, 8192), ("shift", 8, 8192), ("gauss", 6, 8192),
 DIAGONAL_CELLS = (("normal-diag", 5, 65536), ("normal-diag", 6, 65536),
                   ("herm-diag", 5, 65536))
 REAL_CELLS = (("gauss-real", 8, 720), ("gauss-real", 8, 2048))
+JORDAN_CELLS = (("jordan", 4, 720), ("jordan", 4, 2048), ("jordan", 8, 720),
+                ("jordan", 8, 2048))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SEED = 1
 REPEAT = ROUNDS = 5
@@ -80,12 +84,13 @@ REPEAT = ROUNDS = 5
 def cells():
     """(kind, n, m) of every cell, in order."""
     grid = [(kind, n, m) for kind in KINDS for n in (4, 8, 16) for m in (720, 2048)]
-    return grid + list(SMOOTH_CELLS) + list(DIAGONAL_CELLS) + list(REAL_CELLS)
+    return (grid + list(SMOOTH_CELLS) + list(DIAGONAL_CELLS) + list(REAL_CELLS)
+            + list(JORDAN_CELLS))
 
 
 def matrix(kind, n):
     """The cell's matrix at spectral norm 1, from its own seeded stream."""
-    rng = np.random.default_rng([SEED, KINDS.index(kind.split("-")[0]), n])
+    rng = np.random.default_rng([SEED, (*KINDS, "jordan").index(kind.split("-")[0]), n])
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     if kind == "shift":
         t = np.eye(n, k=-1, dtype=complex)
@@ -100,6 +105,8 @@ def matrix(kind, n):
         t = np.diag(g[0].real)
     elif kind == "gauss-real":
         t = g.real
+    elif kind == "jordan":
+        t = g[0, 0] * np.eye(n) + np.eye(n, k=-1)
     else:
         t = g
     return t / np.linalg.norm(t, 2)

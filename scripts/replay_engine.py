@@ -20,7 +20,13 @@ each complex and real: 2 x 2 normals (runs near pi), normals with collinear
 eigenvalues, and normals with eigenvalues on a circle.  A seventh appends
 the swallowtails of the fine_grid benchmark's smooth cells: complex
 Gaussians at n = 4 and 6 and a nilpotent at n = 6, at m = 8192 and 16384,
-replayed at k = 2 and 3 only.  Every other case runs ``pencil_sweep``
+replayed at k = 2 and 3 only.  An eighth appends graded matrices plus a
+scalar, dI + G, whose sweeps solve G + G* alone, at n in {3, 5, 8, 12},
+complex and real: Jordan blocks lambda I + S_n with lambda near 0
+(``jordan``) or 1e8 to 1e12 from it (``jordan-far``), and weighted shifts
+plus a scalar (``graded-scalar``); rank k of each is d plus the graded
+part's, a polygon for 2k <= n, the point d at 2k = n + 1 and empty
+beyond.  Every other case runs ``pencil_sweep``
 once and ``range_from_sweep`` for every k = 1..n, and only then reads
 the sweep's rows, so that the ranks of a sweep that forms its rows on
 demand run as they do in ``hrnr range``.  Before the ranks, each case
@@ -130,6 +136,13 @@ def battery(limit=None):
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             t = np.tril(g, -1) if kind.startswith("nilpotent") else g
             cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * t))
+    rng = np.random.default_rng(2017)
+    for kind in ("jordan", "jordan-far", "graded-scalar"):
+        for n in DIMS[1:5]:
+            for real in (False, True):
+                m = GRIDS[len(cases) % len(GRIDS)]
+                t = translated_graded(rng, kind, n, real)
+                cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * t))
     return cases[:limit]
 
 
@@ -183,6 +196,19 @@ def graded(rng, kind, n, real):
     else:
         t[:p, p:] = draw(p, n - p)
     return t
+
+
+def translated_graded(rng, kind, n, real):
+    """dI + G: G = S_n and d near 0 (``jordan``) or 1e8..1e12 away
+    (``jordan-far``), or G a weighted shift and d near 0
+    (``graded-scalar``)."""
+    from hrnr.shifts import shift_matrix
+
+    d = rng.normal() + (0 if real else 1j * rng.normal())
+    if kind == "jordan-far":
+        d *= 10.0 ** rng.uniform(8, 12) / abs(d)
+    g = graded(rng, "graded-shift", n, real) if kind == "graded-scalar" else shift_matrix(n)
+    return g + d * np.eye(n)
 
 
 def hidden_normal(rng, n, real, gap):

@@ -91,6 +91,27 @@ thus within 3 n eps N, below the pencil solve's 4, and ``ROW_TOL`` stays
 17.  The independent check of graded rows is the full-grid LAPACK
 comparison in the tests (``test_graded_rows_match_full_grid_lapack``).
 
+Translated graded rows.  T = dI + G, d != 0 and G graded (the diagonal
+zeroed, exactly: ``ranges._graded_part``), as a Jordan block lambda I + S_n,
+has H_theta(T) = H_theta(G) + 2 Re(e^{i theta} d) I, and its row j is G's
+row r plus 2 Re(e^{i theta_j} d) at the computed angle, the row's own (see
+Angles).  With w_G = ||G + G*||_2 / 2, G's numerical radius, in offset
+units: G + G* is formed exactly, as no nonzero entry of a graded G meets
+a nonzero transposed one; ``eigvalsh`` moves an offset by n eps w_G, and
+the symmetrisation's subtraction of halves by eps w_G; rounding
+e^{i theta_j} and Re(e^{i theta_j} d) costs 2 eps |d|, as for normal rows
+(the doubling is exact); and adding the two rounds once, by
+eps (w_G + |d|).  So a translated offset is within
+(n + 2) eps w_G + 3 eps |d|.  W(T) = d + W(G), and W(G) is a disc about 0
+(G is similar to e^{i theta} G), so ||T||_2 >= w(T) = |d| + w_G, and for
+N >= ||T||_2, w_G <= N - |d|: the bound is at most max(n + 2, 3) eps N,
+within the pencil solve's 4 n eps N at every n >= 1.  ``ROW_TOL`` stays
+17, and every sum above holds.  P1 on a graded T (|a| T + b' I, a graded T
+plus a scalar) so compares two graded sweeps, as P1 on a normal T
+compares two normal-certified ones; P4 and P5 (U*TU and V*TV, solved
+pencil by pencil) and the full-grid LAPACK comparison in the tests stay
+the independent checks of graded rows, translated or not.
+
 Angles.  Row j of every sweep, whatever T's field, is the spectrum of a
 pencil at the computed angle fl(2 pi j / m), or on an even grid follows
 exactly from row j - m/2 by the half-turn (negated and reversed).  So

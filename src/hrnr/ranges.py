@@ -30,6 +30,19 @@ row (r - r[::-1]) / 2 is so bit for bit, so the half-turn rule holds
 exactly.  Such a sweep keeps that one row (``PencilSweep.row``) and forms
 the m rows only when ``eigenvalues`` is read.
 
+Translated graded rows.  The same one solve serves T = dI + G, d != 0 and
+G graded, as the Jordan block lambda I + S_n and a weighted shift plus a
+scalar: G is T with its diagonal zeroed, exactly, and
+H_theta(T) = H_theta(G) + 2 Re(e^{i theta} d) I, so the sweep keeps G's
+row and d (``PencilSweep.translation``), and column r at index j is
+row_r + 2 Re(e^{i theta_j} d), formed at the indices read; an even grid's
+upper half is the half-turn of the solved one, as for every sweep.  Such
+a T is tested last, where the batch would take it: the diagonal,
+Hermitian and graded tests reject it, and a nonzero graded G is
+nilpotent, so T is not normal (the certificate, which allows a pencil
+solve's rounding, can still accept it when |d| dwarfs G, and keeps it).
+The ``checks`` docstring bounds these rows within a pencil solve's.
+
 Graded ranks.  Every rank-k plane of a graded sweep has the one offset
 c_k = r_k / 2, so for 2k <= n its region is the intersection of the m grid
 planes Re(e^{i theta_j} z) <= c_k, the regular m-gon about 0 circumscribed
@@ -40,7 +53,14 @@ small enough for the geometry's classification to change it, which then
 runs; c_k = 0, to rounding, gives the point 0.  The vertices are those
 of the scan's corners up to rounding: within 1.2e-13 * bound of the
 intersection of the m planes at m <= 8192, and 9e-13 at 65536, where the
-scan's corner of planes 2 pi/m apart loses that much.
+scan's corner of planes 2 pi/m apart loses that much.  At 2k = n + 1 the
+row's middle entry is h - h, exactly 0, so the range is the point 0 with
+no fit (0j, the bits the Fourier fit over those zero rows gave), and
+beyond it the strip of every row is the row's entry.  A translated sweep's
+rank k is d plus G's, computed at G's bound: the m-gon's vertices plus d,
+the point d, or G's empty.  Its thresholds so scale with G, not with |d|,
+and its tag is G's at every |d| (ROADMAP item 14's collapse spares it);
+adding d rounds each vertex by eps |d|.
 
 A sweep owns its grid's angle frame (``PencilSweep.frame``): the geometry's
 sort and merge of the angles and their cosines and sines are computed at
@@ -104,7 +124,9 @@ peak alone, 2h + 3 indices for each (seven up to m = 2^25,
 ``_peak_indices``): each mu_i's projection peaks at -arg(mu_i), and an
 angle more than h grid steps away lies below the peak's nearest grid
 angle by more than rounding can bridge, so column 0's maximum over all m
-is among those indices, the same bits.  ``range_from_sweep`` forms a
+is among those indices, the same bits.  A translated graded sweep's
+column 0 is fl(r_0 + x_j), x_j = 2 Re(e^{i theta_j} d), monotone in x_j,
+so it reads beside the one peak of x, the same bits too.  ``range_from_sweep`` forms a
 rank's offsets at ``planes`` only; ``support_samples`` and
 ``eigenvalues`` (every column stacked) are formed when first read.
 
@@ -158,15 +180,17 @@ only when no row shows that.  At 2k = n + 1, lambda_k(H_{theta + pi}) =
 range is the one z on every line Re(e^{i theta} z) = h(theta), or empty:
 the point z when every offset of the row is within ``_row_tol`` of
 Re(e^{i theta_j} z), and empty otherwise, with no geometry, whatever the
-sweep (for S_n, cos(k pi/(n+1)) = 0 and the point is 0).  Three exits
-settle it, the first that applies:
-  the owner point: on a sweep of a spectrum mu with m n >= ``ON_DEMAND_ROWS``
+sweep (a graded sweep's is read off its row: "Graded ranks").  Three
+exits settle it, the first that applies:
+  the owners: on a sweep of a spectrum mu with m n >= ``ON_DEMAND_ROWS``
     (one formed on demand), one eigenvalue mu_o may own rank k on every run
     between the tie windows, as the middle eigenvalue of a Hermitian T does
     (Li and Sze's half-planes through mu_o, above).
     Outside the windows the rows are then Re(e^{i theta} mu_o) bit for bit,
     with residual 0, so the window rows alone are tested, and the point is
-    mu_o;
+    mu_o.  With two owners, two rows of one owner's run meet at it, and a
+    row of another owner's run passes through that one: the three-row
+    bound below, at those indices, gives empty;
   three rows: no z within the tolerance of the lines at the grid indices
     0, m // 6 and m // 3, about 60 degrees apart, which a bound on the
     corner of two of them decides (``_rows_apart``); the full fit's
@@ -285,6 +309,10 @@ class PencilSweep:
     row
         The one row every angle shares, for a graded T (module docstring,
         "Graded ranks"), else None.
+    translation
+        d for a graded sweep of T = dI + G, G graded (module docstring,
+        "Translated graded rows"): ``row`` is then G's, and row j is
+        ``row`` + 2 Re(e^{i theta_j} d); else 0j.
     matrix
         T, for a sweep that solves its pencils when their rows are read
         (module docstring, "Batch rows on demand"), else None.
@@ -292,7 +320,7 @@ class PencilSweep:
 
     def __init__(self, thetas: np.ndarray | int, eigenvalues: np.ndarray | None = None,
                  spectrum: np.ndarray | None = None, row: np.ndarray | None = None,
-                 matrix: np.ndarray | None = None):
+                 matrix: np.ndarray | None = None, translation: complex = 0j):
         if eigenvalues is None and spectrum is None and row is None and matrix is None:
             raise ValueError("a sweep needs its rows, its spectrum, its one row or its matrix")
         if np.ndim(thetas):
@@ -303,6 +331,7 @@ class PencilSweep:
         self.spectrum = spectrum
         self.row = row
         self.matrix = matrix
+        self.translation = translation
         self._rows = eigenvalues
         self._maxima = {}  # r -> column r's maximum, once read
 
@@ -327,7 +356,7 @@ class PencilSweep:
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._rows is None:
-            if self.row is not None:
+            if self.row is not None and not self.translation:
                 self._rows = np.tile(self.row, (self.angle_count, 1))
             else:
                 self._rows = np.column_stack([self.column(r) for r in range(self.dim)])
@@ -341,7 +370,7 @@ class PencilSweep:
         column n - 1 - r of the solved half, negated."""
         if self._rows is not None:
             return self._rows[:, r] if idx is None else self._rows[:, r][idx]
-        if self.row is not None:
+        if self.row is not None and not self.translation:
             return np.full(self.angle_count if idx is None else np.shape(idx), self.row[r])
         m, n, table, solved = self.angle_count, self.dim, self._table, self._solved
         if idx is None:
@@ -364,7 +393,9 @@ class PencilSweep:
         return np.exp(1j * grid_angles(self.angle_count, np.arange(self._solved)))
 
     @cached_property
-    def _table(self) -> "_OwnerTable | _PencilTable":
+    def _table(self) -> "_OwnerTable | _PencilTable | _TranslatedRow":
+        if self.row is not None:
+            return _TranslatedRow(self.row, self.translation)
         if self.spectrum is None:
             return _PencilTable(self.matrix, self._solved)
         return _OwnerTable(self.spectrum, self.angle_count, self._solved)
@@ -376,10 +407,12 @@ class PencilSweep:
     @cached_property
     def _radius(self) -> float:
         # a spectrum sweep formed on demand reads column 0 beside each
-        # eigenvalue's peak; a maximum that is not positive (every mu zero)
-        # reads it whole
-        if self._rows is None and self.spectrum is not None:
-            idx = _peak_indices(self.spectrum, self.angle_count)
+        # eigenvalue's peak, a translated graded one beside the peak of
+        # 2 Re(e^{i theta} d) (fl(r_0 + x) is monotone in x); a maximum that
+        # is not positive (every mu zero) reads it whole
+        mu = self.spectrum if self.row is None else np.array([self.translation])
+        if self._rows is None and mu is not None:
+            idx = _peak_indices(mu, self.angle_count)
             if idx is not None:
                 top = self.column(0, idx).max()
                 if top > 0:
@@ -439,7 +472,7 @@ class _OwnerTable:
         self.columns = {}  # r -> column r at every solved index
         starts, stops = _tie_windows(mu, m, solved)
         self.bounds = np.column_stack([starts, stops]).ravel()
-        edges = np.concatenate([[0], self.bounds, [solved]])
+        self.edges = edges = np.concatenate([[0], self.bounds, [solved]])
         self.lengths = np.diff(edges)
         # every index inside a window, ascending, and its rows
         width = stops - starts
@@ -470,13 +503,13 @@ class _OwnerTable:
             out[window] = self.sorted[at, r]
         return out
 
-    def owner(self, r: int) -> complex | None:
-        """The eigenvalue that owns column r on every run between the
-        windows, when one does, else None."""
-        owners = self.mu[self.order[::2, r][self.lengths[::2] > 0]]
-        if owners.size and (owners == owners[0]).all():
-            return owners[0]
-        return None
+    def gaps(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The runs between the windows that hold an index: their first
+        indices, their ends (one past the last) and column r's owner on
+        each."""
+        keep = self.lengths[::2] > 0
+        return (self.edges[:-1:2][keep], self.edges[1::2][keep],
+                self.mu[self.order[::2, r][keep]])
 
 
 class _PencilTable:
@@ -510,6 +543,22 @@ class _PencilTable:
         return self.rows[:, r] if j is None else self.rows[j, r]
 
 
+class _TranslatedRow:
+    """The solved rows ``row`` + 2 Re(e^{i theta_j} d) of a graded sweep of
+    dI + G ("Translated graded rows" in the module docstring), formed at
+    the indices read: the same product and doubling as a spectrum sweep's
+    rows of the one eigenvalue d."""
+
+    def __init__(self, row: np.ndarray, d: complex):
+        self.row = row
+        self.d = d
+
+    def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
+        """Column r at the solved indices j, whose e^{i theta} are ``phases``,
+        or at all of them (j None, ``phases`` every solved one)."""
+        return self.row[r] + 2.0 * (phases * self.d).real
+
+
 def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
     """The m angles 2 pi j / m, j = 0..m-1, of every sweep, or those at the
     integer grid indices ``idx`` alone: the expression is elementwise, so
@@ -539,9 +588,12 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     T is nilpotent, never normal) sends the one pencil T + T* to
     ``eig_hermitian_stack``, and every row is its spectrum r made
     antisymmetric, (r - r[::-1]) / 2, which the sweep keeps as its one
-    ``row``.  Any other T is kept, and its pencils are solved when their
-    rows are read (module docstring, "Batch rows on demand"), or here when
-    they could overflow.
+    ``row``.  A T that no test above takes, and whose pencils cannot
+    overflow, is dI + G when ``_graded_part`` finds a graded G: G + G* is
+    solved once and d kept as the sweep's ``translation`` (module
+    docstring, "Translated graded rows").  Any other T is kept, and its
+    pencils are solved when their rows are read (module docstring, "Batch
+    rows on demand"), or here when they could overflow.
     Raises ValueError when the pencils overflow to a non-finite row.
     """
     t = as_matrix(t)
@@ -557,7 +609,8 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
 def _sweep(t: np.ndarray, m: int) -> PencilSweep:
     """The sweep of ``pencil_sweep``, by the paths its docstring lists: a
     spectrum's (m, n) rows, or the spectrum left to be formed on demand, a
-    graded T's one row, or T with its pencils solved on demand.  All but
+    graded T's one row (G's and d for T = dI + G), or T with its pencils
+    solved on demand.  All but
     the first are given the angle count alone, and form no grid-sized angle
     array until ``thetas`` is read."""
     if not (t - np.diag(np.diagonal(t))).any():
@@ -565,17 +618,18 @@ def _sweep(t: np.ndarray, m: int) -> PencilSweep:
     elif np.array_equal(t, t.conj().T):
         spectrum = np.linalg.eigvalsh(t)
     elif _is_graded(t):
-        # halves first, so that a spectrum near the overflow threshold stays
-        # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
-        half = eig_hermitian_stack((t + t.conj().T)[None])[0] / 2.0
-        return PencilSweep(m, None, None, half - half[::-1])
+        return _graded_sweep(t, m)
     else:
         spectrum = _normal_spectrum(t)
         if spectrum is None:
+            # below this no pencil entry, eigenvalue or sum of two can
+            # overflow; above it every pencil is solved, for the check
+            small = t.shape[0] * _entry_max(t) < 2.0**1016
+            g = _graded_part(t) if small else None
+            if g is not None:
+                return _graded_sweep(g, m, t[0, 0])
             sweep = PencilSweep(m, matrix=t)
-            if t.shape[0] * _entry_max(t) >= 2.0**1016:
-                # below this no pencil entry, eigenvalue or sum of two can
-                # overflow; above it every pencil is solved, for the check
+            if not small:
                 sweep.eigenvalues
             return sweep
     if m * spectrum.size >= ON_DEMAND_ROWS and np.abs(spectrum).max() < 2.0**1022:
@@ -586,6 +640,26 @@ def _sweep(t: np.ndarray, m: int) -> PencilSweep:
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
     return PencilSweep(thetas, vals, spectrum)
+
+
+def _graded_sweep(g: np.ndarray, m: int, d: complex = 0j) -> PencilSweep:
+    """The sweep of dI + G for graded G: one solve of G + G*, whose
+    spectrum r gives the row (r - r[::-1]) / 2."""
+    # halves first, so that a spectrum near the overflow threshold stays
+    # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
+    half = eig_hermitian_stack((g + g.conj().T)[None])[0] / 2.0
+    return PencilSweep(m, None, None, half - half[::-1], translation=d)
+
+
+def _graded_part(t: np.ndarray) -> np.ndarray | None:
+    """G = T - dI when every diagonal entry of T equals one d != 0 and G,
+    T with its diagonal zeroed (exactly), is graded; else None."""
+    diag = np.diagonal(t)
+    if not diag[0] or (diag != diag[0]).any():
+        return None
+    g = t.copy()
+    np.fill_diagonal(g, 0.0)
+    return g if _is_graded(g) else None
 
 
 def _entry_max(t: np.ndarray) -> float:
@@ -866,16 +940,16 @@ class RangeReport:
 def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     """Build the rank-k region from an existing pencil sweep.
 
-    For 2k > n + 1, the planes at theta and theta + pi bound the strip
-    lambda_{n+1-k} / 2 <= Re(e^{i theta} z) <= lambda_k / 2, both ends from
-    one row and so from one pencil.  Each end is within one offset's
+    A graded sweep's rank is read off its one row, plus its translation
+    (``_graded_region``, module docstring, "Graded ranks").  For any other
+    sweep and 2k > n + 1, the planes at theta and theta + pi bound the
+    strip lambda_{n+1-k} / 2 <= Re(e^{i theta} z) <= lambda_k / 2, both ends
+    from one row and so from one pencil.  Each end is within one offset's
     rounding of exact (``_solve_error`` at N = 2 w / cos(pi/m), w the grid
     radius, which bounds ||T||_2), so a row whose strip is narrower than
     minus twice that proves the range empty.  At 2k = n + 1 the strip has
     width zero, and the range is a point or empty, read off the row
-    (``_point_or_empty``).  Otherwise, and for 2k <= n, a graded sweep's
-    region is the regular m-gon at its one offset (``regular_polygon``,
-    module docstring, "Graded ranks"), and any other sweep's geometry
+    (``_point_or_empty``).  Otherwise, and for 2k <= n, the geometry
     intersects the planes at the sweep's ``planes`` in its angle frame,
     which every rank of one sweep shares: every plane, or for a sweep with
     a spectrum the tie planes, whose offsets alone are formed, with a point
@@ -886,6 +960,8 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     if not 1 <= k <= n:
         raise BadRankError(f"k must be in 1..{n}, got {k}")
     m = sweep.angle_count
+    if sweep.row is not None:
+        return _range_report(sweep, k, _graded_region(sweep, k))
     # rows are read before the radius, so that a batch sweep solves them in
     # one call and its radius reads them (module docstring)
     if 2 * k > n + 1:
@@ -896,8 +972,6 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
         region = _point_or_empty(sweep, k, norm)
     elif 2 * k > n + 1 and strip < -2.0 * _solve_error(n, norm):
         region = ConvexRegion.empty()
-    elif sweep.row is not None:
-        region = regular_polygon(m, sweep.row[k - 1] / 2.0, sweep.region_bound)
     else:
         # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
         # square never cuts it; all-zero offsets fit any bound
@@ -910,8 +984,39 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
             # planes would have moved
             region = intersect_halfplanes(sweep.thetas, sweep.column(k - 1) / 2.0,
                                           sweep.region_bound)
+    return _range_report(sweep, k, region)
+
+
+def _range_report(sweep: PencilSweep, k: int, region: ConvexRegion) -> RangeReport:
+    m = sweep.angle_count
     return RangeReport(k=k, angles=m, region=region,
                        outer_error_bound=outer_error_bound(region, m), sweep=sweep)
+
+
+def _graded_region(sweep: PencilSweep, k: int) -> ConvexRegion:
+    """Rank k of a graded sweep of dI + G: d plus G's rank k, whose
+    thresholds scale with G (module docstring, "Graded ranks").
+
+    Every row of G is the one row, c_k its k-th entry halved.  At
+    2k = n + 1 the row's middle entry is h - h, exactly 0, so the range is
+    the point d (for d = 0, 0j: the bits the Fourier fit over the zero rows
+    gave).  For 2k > n + 1 the strip of every row is
+    (row_k - row_{n+1-k}) / 2 = row_k, the row being antisymmetric bit for
+    bit, and it proves the range empty below minus twice an offset's
+    rounding at G's grid radius, as ``range_from_sweep`` tests any row;
+    otherwise the region is the regular m-gon at c_k in G's bound.
+    """
+    row, m = sweep.row, sweep.angle_count
+    n = row.size
+    if 2 * k == n + 1:
+        return ConvexRegion.point(sweep.translation)
+    radius = row[0] / 2.0  # G's grid radius, the same at every angle
+    if 2 * k > n + 1 and row[k - 1] < -2.0 * _solve_error(n, 2.0 * radius / np.cos(np.pi / m)):
+        return ConvexRegion.empty()
+    region = regular_polygon(m, row[k - 1] / 2.0, 2.0 * radius or 1.0)
+    if sweep.translation:
+        region = ConvexRegion(region.kind, region.vertices + sweep.translation)
+    return region
 
 
 def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
@@ -923,49 +1028,64 @@ def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
     tol = ``_row_tol`` at ``norm`` of Re(e^{i theta_j} z), and empty
     otherwise.  On an even grid e^{i theta_{j+m/2}} is -e^{i theta_j} up to
     rounding, so the solved angles' phases serve both halves.  The first
-    exit that settles it returns: the owner point (``_owner_point``), three
-    rows that no z fits (``_rows_apart``), then the Fourier fit over every
-    row (``_fourier_point``).
+    exit that settles it returns: the owners (``_owner_exit``), three rows
+    that no z fits (``_rows_apart``), then the Fourier fit over every row
+    (``_fourier_point``).
     """
     tol = _row_tol(sweep.dim, norm)
-    owner = _owner_point(sweep, k, tol)
-    if owner is not None:
-        return ConvexRegion.point(owner)
+    region = _owner_exit(sweep, k, tol, norm)
+    if region is not None:
+        return region
     if _rows_apart(sweep, k, tol, norm):
         return ConvexRegion.empty()
     return _fourier_point(sweep, k, tol)
 
 
-def _owner_point(sweep: PencilSweep, k: int, tol: float) -> complex | None:
-    """The eigenvalue mu_o that owns column k - 1 of a spectrum sweep on
-    every run between its tie windows, when it fits the window rows within
-    ``tol``; else None.  Only sweeps of m n >= ``ON_DEMAND_ROWS``, those
-    formed on demand, are tried, whether or not their rows have been read
-    whole since: below that the owner table costs more than the fit.
+def _owner_exit(sweep: PencilSweep, k: int, tol: float, norm: float) -> ConvexRegion | None:
+    """The middle rank of a spectrum sweep read from the owners of column
+    k - 1 on the runs between its tie windows, or None when they do not
+    settle it.  Only sweeps of m n >= ``ON_DEMAND_ROWS``, those formed on
+    demand, are tried, whether or not their rows have been read whole
+    since: below that the owner table costs more than the fit.
 
-    Outside the windows the column is 2 Re(e^{i theta_j} mu_o), and on an
-    even grid its upper half is the solved half's column n - k = k - 1
-    negated, so halved it is Re(e^{i theta_j} mu_o) bit for bit, with
-    residual 0; only the window rows are tested.  For a Hermitian T, whose
-    rows are 2 cos(theta) mu, the middle eigenvalue owns the middle rank on
-    both sides of the one tie angle pi/2.
+    One owner mu_o on every run: outside the windows the column is
+    2 Re(e^{i theta_j} mu_o), and on an even grid its upper half is the
+    solved half's column n - k = k - 1 negated, so halved it is
+    Re(e^{i theta_j} mu_o) bit for bit, with residual 0; only the window
+    rows are tested, and the point is mu_o when they fit within ``tol``.
+    For a Hermitian T, whose rows are 2 cos(theta) mu, the middle
+    eigenvalue owns the middle rank on both sides of the one tie angle pi/2.
+
+    Two owners: the lines of two rows of the longest run, up to a quarter
+    turn apart, meet at its owner, and the row in the middle of the longest
+    run that another eigenvalue owns passes through that one, so
+    ``_rows_apart`` at those three indices finds them apart and gives
+    empty, with no fit, unless the third line passes near the corner.
     """
-    if sweep.spectrum is None or sweep.angle_count * sweep.dim < ON_DEMAND_ROWS:
+    m = sweep.angle_count
+    if sweep.spectrum is None or m * sweep.dim < ON_DEMAND_ROWS:
         return None
     table = sweep._table
-    mu = table.owner(k - 1)
-    if mu is None:
+    starts, stops, owners = table.gaps(k - 1)
+    if not owners.size:
         return None
-    fit = (np.exp(1j * grid_angles(sweep.angle_count, table.inside)) * mu).real
-    if np.abs(table.sorted[:, k - 1] / 2.0 - fit).max(initial=0.0) <= tol:
-        return mu
-    return None
+    if (owners == owners[0]).all():
+        fit = (np.exp(1j * grid_angles(m, table.inside)) * owners[0]).real
+        if np.abs(table.sorted[:, k - 1] / 2.0 - fit).max(initial=0.0) <= tol:
+            return ConvexRegion.point(owners[0])
+        return None
+    a = np.argmax(stops - starts)
+    b = np.argmax(np.where(owners != owners[a], stops - starts, 0))
+    idx = np.array([starts[a], min(starts[a] + m // 4, stops[a] - 1), (starts[b] + stops[b]) // 2])
+    return ConvexRegion.empty() if _rows_apart(sweep, k, tol, norm, idx) else None
 
 
-def _rows_apart(sweep: PencilSweep, k: int, tol: float, norm: float) -> bool:
+def _rows_apart(sweep: PencilSweep, k: int, tol: float, norm: float,
+                idx: np.ndarray | None = None) -> bool:
     """Whether no z is within ``tol`` of the three lines Re(e^{i theta_j} z)
-    = h_j at the grid indices a, b, c = 0, m // 6, m // 3, about 60 degrees
-    apart, so that the Fourier fit's residual exceeds ``tol`` too.
+    = h_j at the grid indices a, b, c of ``idx``, by default 0, m // 6 and
+    m // 3, about 60 degrees apart, so that the Fourier fit's residual
+    exceeds ``tol`` too.
 
     With e = eps N, N = ``norm``: |h| <= N / 2 up to rounding, so the fit
     has |z| <= N, and its computed residual at a row is within 3 e of the
@@ -974,14 +1094,15 @@ def _rows_apart(sweep: PencilSweep, k: int, tol: float, norm: float) -> bool:
     of their corner C, the farthest corner of the rhombus the two bands
     cut; it passes at c only within t of line c.  The corner, computed,
     is within 9 e / det^2 of C, and its distance from line c within
-    7 e / det^2 more (det = sin(theta_a - theta_b), at least 0.67 for
-    m >= 16).  So when line c lies farther than
+    7 e / det^2 more (det = sin(theta_a - theta_b), at least 0.67 for the
+    default indices at m >= 16).  So when line c lies farther than
     t (1 + sqrt(2 / (1 - |cos|))) + 16 e / det^2 from the computed corner,
     no z passes at all three rows, and the fit returns empty as well.
-    Coincident lines (m < 6) give an infinite reach, and no exit.
+    Coincident lines (m < 6, or a = b) give an infinite reach, and no exit.
     """
     m = sweep.angle_count
-    idx = np.array([0, m // 6, m // 3])
+    if idx is None:
+        idx = np.array([0, m // 6, m // 3])
     phases = np.exp(1j * grid_angles(m, idx))
     (ca, cb, cc), (sa, sb, sc) = phases.real, phases.imag
     ha, hb, hc = sweep.column(k - 1, idx) / 2.0

@@ -751,31 +751,60 @@ def _ungraded_inputs():
             "diagonal-entry": diag}
 
 
+def _jordan(n, lam):
+    """The Jordan block J_n(lam) = lam I + S_n."""
+    return lam * np.eye(n) + shift_matrix(n)
+
+
+def _translated_graded_inputs():
+    """dI + G for graded G: Jordan blocks, near and far from 0, and a
+    weighted shift plus a scalar, complex and real."""
+    rng = generator(72)
+    weights = rng.normal(size=5) + 1j * rng.normal(size=5)
+    return {"jordan": _jordan(5, 0.3 - 0.4j), "jordan-real": _jordan(4, -0.7),
+            "jordan-far": _jordan(6, 1e6 * np.exp(0.7j)),
+            "weighted-scalar": _weighted_shift(weights) + (1.5 + 0.5j) * np.eye(6),
+            "weighted-scalar-real": _weighted_shift(weights.real) - 0.2 * np.eye(6)}
+
+
 def test_grading_is_found_exactly():
     for name, t in _graded_inputs().items():
         assert ranges._is_graded(as_matrix(t)), name
     for name, t in _ungraded_inputs().items():
         assert not ranges._is_graded(as_matrix(t)), name
+    # a nonzero diagonal is one number d plus a graded G, or is not graded
+    for name, t in _translated_graded_inputs().items():
+        g = ranges._graded_part(as_matrix(t))
+        assert g is not None and (t - g == t[0, 0] * np.eye(len(t))).all(), name
+    unequal = _jordan(4, 0.5)
+    unequal[3, 3] = np.nextafter(0.5, 1.0)
+    for t in (unequal, _corner_shift(5) + np.eye(5), *_ungraded_inputs().values()):
+        assert ranges._graded_part(as_matrix(t)) is None
 
 
 @pytest.mark.parametrize("m", [720, 721, 2048])
-@pytest.mark.parametrize("name", sorted(_graded_inputs()))
+@pytest.mark.parametrize("name", sorted(_graded_inputs()) + sorted(_translated_graded_inputs()))
 def test_graded_rows_match_full_grid_lapack(name, m, monkeypatch):
-    # one solve of T + T*, at every scale; every row is within the row
-    # tolerance of a full-grid solve, the half-turn holds bit for bit, and
-    # so does row m - j = row j, every row being the same
+    # one solve of G + G*, at every scale; every row is within the row
+    # tolerance of a full-grid solve and on an even grid the half-turn holds
+    # bit for bit.  Without a translation every row is the same, so the
+    # half-turn holds on an odd grid too, and row m - j = row j
     j = np.arange(m)
+    inputs = _graded_inputs() | _translated_graded_inputs()
     for s in (1e-8, 1.0, 1e8):
-        t = s * _graded_inputs()[name]
+        t = s * inputs[name]
         sweep, sizes = _solved_pencils(t, m, monkeypatch)
         assert sizes == [1], s
+        assert sweep.row is not None and sweep.translation == t[0, 0], s
         vals = sweep.eigenvalues
         assert vals.shape == (m, t.shape[0])
         assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(t.shape[0],
                                                                       np.linalg.norm(t, 2))
         assert (np.diff(vals, axis=1) <= 0).all()
-        assert np.array_equal(vals[(j + m // 2) % m], -vals[:, ::-1])
-        assert np.array_equal(vals[-j % m], vals)
+        if m % 2 == 0 or not t[0, 0]:
+            assert np.array_equal(vals[(j + m // 2) % m], -vals[:, ::-1])
+        if not t[0, 0]:
+            assert np.array_equal(vals[-j % m], vals)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
@@ -792,6 +821,10 @@ def test_shift_ranges_from_the_graded_rows(n):
         if 2 * k == n + 1:
             assert not sweep.eigenvalues[:, k - 1].any()
             assert region.kind == "point" and abs(region.vertices[0]) <= 1e-12 * bound, k
+            # read off the row with no fit, in the bits of the fit over
+            # the zero rows: 0j, whose zeros are both positive
+            fit = ranges._fourier_point(sweep, k, _row_tol(n, bound))
+            assert region.vertices.tobytes() == fit.vertices.tobytes() == bytes(16)
         else:
             assert region.kind == ("polygon" if 2 * k < n + 1 else "empty"), k
 
@@ -1139,7 +1172,8 @@ def test_structured_sweeps_form_no_angle_grid():
     cases = [(np.diag(_spectrum("complex", 6, rng)), 65536),
              (np.diag(_spectrum("real", 5, rng)), 65536),
              (x + x.conj().T, 65536), (np.diag(_spectrum("circle", 8, rng)), 8192),
-             (shift_matrix(5), 65536), (shift_matrix(8), 8192), (shift_matrix(4), 721)]
+             (shift_matrix(5), 65536), (shift_matrix(8), 8192), (shift_matrix(4), 721),
+             (_jordan(5, 0.3 - 0.4j), 65536), (_jordan(4, -2.0), 721)]
     for t, m in cases:
         sweep = pencil_sweep(t, m)
         assert sweep._rows is None and sweep.angle_count == m
@@ -1158,15 +1192,18 @@ def test_structured_sweeps_form_no_angle_grid():
 @pytest.mark.parametrize("m", [720, 721])
 def test_odd_shifts_have_the_point_zero_at_the_middle_rank(m, monkeypatch):
     # at 2k = n + 1 the range is read off the row: S_n's middle row is zero
-    # up to rounding, so the range is the point 0, and no geometry runs
-    sent = []
-    intersect = ranges.intersect_halfplanes
+    # up to rounding, so the range is the point 0, and no geometry runs;
+    # a graded sweep's (n >= 3) runs no Fourier fit either
+    sent, fits = [], []
+    intersect, fit = ranges.intersect_halfplanes, ranges._fourier_point
     monkeypatch.setattr(ranges, "intersect_halfplanes",
                         lambda *args, **kw: sent.append(1) or intersect(*args, **kw))
+    monkeypatch.setattr(ranges, "_fourier_point", lambda *args: fits.append(1) or fit(*args))
     for n in range(1, 65, 2):
         rep = rank_k_range(shift_matrix(n), (n + 1) // 2, m)
         assert rep.region.kind == "point", n
         assert abs(rep.region.vertices[0]) <= _row_tol(n, 1.0), n
+    assert len(fits) <= 1  # S_1 = [0] is diagonal
     # a graded 2k <= n rank is a regular m-gon, with no geometry either;
     # S_5 + S_5* / 2, not graded, still runs it
     assert rank_k_range(shift_matrix(5), 2, m).region.kind == "polygon"
@@ -1253,6 +1290,161 @@ def test_middle_rank_reads_the_owner_eigenvalue():
             fit = ranges._fourier_point(sweep, 3, _row_tol(n, norm))
             assert fit.kind == "point"
             assert abs(fit.vertices[0] - middle) <= _row_tol(n, norm)
+
+
+# fine_grid's normal-diag n = 5 cell, second cycle of default_rng(2): column 2
+# has two owners, and the three rows at 0, m // 6 and m // 3 share one
+TWO_OWNER_DIAGONAL = np.array([
+    0.27741388273709233 - 0.6760863959571746j, -0.9745175187855328 + 0.22431140314323914j,
+    0.04550486929275323 + 0.03814417315291196j, -0.32455228382232576 + 0.06822510220485963j,
+    -0.5491393080084326 + 0.3598163917949734j])
+
+
+def test_two_owner_middle_rank_exits_before_the_fit(monkeypatch):
+    # two rows of one owner's run meet at that owner, and a row of another
+    # owner's run misses it: empty by the three-row bound, with no Fourier
+    # fit, at every scale; the fit agrees
+    fits = []
+    fit = ranges._fourier_point
+    monkeypatch.setattr(ranges, "_fourier_point", lambda *args: fits.append(1) or fit(*args))
+    for scale in (1e-8, 1.0, 1e8):
+        sweep = pencil_sweep(np.diag(scale * TWO_OWNER_DIAGONAL), 65536)
+        assert range_from_sweep(sweep, 3).region.is_empty, scale
+        assert fits == [], scale
+        norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / 65536)
+        assert fit(sweep, 3, _row_tol(5, norm)).is_empty, scale
+
+
+@pytest.mark.parametrize("m", [16384, 65536, 65537])
+def test_owner_exit_never_disagrees_with_the_fit(m):
+    # on complex, real and collinear spectra formed on demand, the owners'
+    # point and the two-owner empty are the Fourier fit's verdicts
+    rng = generator(4150 + m)
+    fired = 0
+    for n in (5, 7, 9):
+        for kind in range(6):
+            mu = rng.normal(size=n) + 1j * rng.normal(size=n)
+            if kind % 3 == 1:
+                mu = mu.real + 0j
+            elif kind % 3 == 2:
+                mu = 0.3 + np.exp(2j * np.pi * rng.uniform()) * rng.normal(size=n)
+            sweep = pencil_sweep(np.diag(10.0 ** rng.uniform(-8, 8) * mu), m)
+            k = (n + 1) // 2
+            norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
+            tol = _row_tol(n, norm)
+            region = ranges._owner_exit(sweep, k, tol, norm)
+            assert region is not None, (n, kind)
+            assert region.kind == ranges._fourier_point(sweep, k, tol).kind, (n, kind)
+            fired += region.is_empty
+    assert fired >= 6
+
+
+# --- translated graded sweeps: dI + G ----------------------------------------
+
+@pytest.mark.parametrize("m", [16, 17, 720, 2048])
+def test_translated_graded_reads_are_the_whole_columns_bits(m):
+    # a column read at chosen indices, and the radius read beside the peak
+    # of 2 Re(e^{i theta} d), are the bits of the whole columns
+    rng = generator(4300 + m)
+    for name, t in _translated_graded_inputs().items():
+        for s in (1e-8, 1.0, 1e8):
+            sweep = pencil_sweep(s * t, m)
+            radius = sweep.numerical_radius()
+            rows = sweep.eigenvalues
+            assert radius == rows[:, 0].max() / 2.0, (name, s)
+            fresh = pencil_sweep(s * t, m)
+            idx = rng.integers(0, m, size=7)
+            for r in range(t.shape[0]):
+                assert fresh.column(r, idx).tobytes() == rows[idx, r].tobytes(), (name, s, r)
+
+
+@pytest.mark.parametrize("m", [16, 17, 720, 2048])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+def test_jordan_ranks_are_the_translated_m_gon(n, m, monkeypatch):
+    # Lambda_k(lam I + S_n) = lam + cos(k pi/(n+1)) D: lam plus S_n's
+    # regular m-gon, vertex for vertex, for 2k <= n; the point lam at
+    # 2k = n + 1, and empty beyond.  One pencil is solved for every rank
+    # and the radius, and no geometry runs
+    sent = []
+    intersect = ranges.intersect_halfplanes
+    monkeypatch.setattr(ranges, "intersect_halfplanes",
+                        lambda *args, **kw: sent.append(1) or intersect(*args, **kw))
+    shift = pencil_sweep(shift_matrix(n), m)
+    slack = 2e-12 * shift.region_bound  # the cut lines' relaxation, and rounding
+    lams = (0.3 - 0.4j, -2.0, 1e4j, 1e12 * np.exp(0.7j))
+    sizes = _batch_sizes(monkeypatch)
+    for lam in lams:
+        sweep = pencil_sweep(_jordan(n, lam), m)
+        for k in range(1, n + 1):
+            region = range_from_sweep(sweep, k).region
+            want = range_from_sweep(shift, k).region
+            assert region.kind == want.kind, (lam, k)
+            assert region.vertices.tobytes() == (want.vertices + lam).tobytes(), (lam, k)
+            if 2 * k <= n:
+                radius = np.cos(k * np.pi / (n + 1))
+                reach = np.abs(want.vertices)
+                assert radius - slack <= reach.min() and reach.max() <= (
+                    radius / np.cos(np.pi / m) + slack), (lam, k)
+            elif 2 * k == n + 1:
+                assert region.vertices.tobytes() == np.array([lam], complex).tobytes()
+            else:
+                assert region.is_empty, (lam, k)
+        sweep.numerical_radius()
+    assert sizes == [1] * len(lams) and sent == []
+
+
+def test_far_translations_of_graded_t_keep_the_tag():
+    # the tags of lam I + S_5 and of a weighted shift plus d are S_5's and
+    # the weighted shift's at every |lam|: the m-gon's thresholds scale
+    # with G, not with |lam|
+    weighted = _translated_graded_inputs()["weighted-scalar"]
+    weighted = weighted - weighted[0, 0] * np.eye(6)
+    for g in (shift_matrix(5), weighted):
+        n = g.shape[0]
+        want = [rank_k_range(g, k, 720).region.kind for k in range(1, n + 1)]
+        assert want == ["polygon"] * (n // 2) + ["point"] * (n % 2) + ["empty"] * (n // 2)
+        for e in range(8, 13):
+            lam = 10.0**e * np.exp(0.7j)
+            got = [rank_k_range(g + lam * np.eye(n), k, 720).region for k in range(1, n + 1)]
+            assert [r.kind for r in got] == want, e
+            assert got[0].vertices.size == 720, e
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_property_suite_passes_on_jordan_blocks(seed):
+    rng = generator(4400 + seed)
+    for n in (2, 3, 5, 6):
+        lam = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-2, 6)
+        for s in (1e-8, 1.0, 1e8):
+            t = s * _jordan(n, lam)
+            k = int(rng.integers(1, n + 1))
+            reports = property_suite(t, k, 720, generator(seed))
+            assert [r.property_id for r in reports] == ["P1", "P2", "P3", "P4", "P5", "P6"]
+            assert all(r.passed for r in reports), (n, lam, s, k, reports)
+
+
+@pytest.mark.parametrize("m", [16, 17, 720, 721, 2048])
+def test_middle_rank_exits_read_translated_graded_sweeps(m):
+    # the three-row bound and the Fourier fit read a translated graded
+    # sweep's columns: they find the point d, which the graded rank returns
+    # bit for bit, and the three rows never call it empty
+    rng = generator(4500 + m)
+    for n in (3, 5, 7):
+        k = (n + 1) // 2
+        g = _weighted_shift(rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+        for t in (shift_matrix(n), g):
+            for e in (-8, 0, 8):
+                d = 10.0 ** rng.uniform(-4, 4) * np.exp(2j * np.pi * rng.uniform())
+                sweep = pencil_sweep(10.0**e * (t + d * np.eye(n)), m)
+                assert sweep.translation, (n, e)
+                norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
+                tol = _row_tol(n, norm)
+                assert not ranges._rows_apart(sweep, k, tol, norm), (n, e)
+                fit = ranges._fourier_point(sweep, k, tol)
+                point = range_from_sweep(sweep, k).region
+                assert fit.kind == point.kind == "point", (n, e)
+                assert point.vertices[0] == sweep.translation
+                assert abs(fit.vertices[0] - point.vertices[0]) <= tol, (n, e)
 
 
 # --- closed forms and Li-Sze ---------------------------------------------------------

@@ -60,6 +60,23 @@ def test_replay_engine_script(tmp_path):
     assert "new emptiness checks: 2 calls," in proc.stdout
 
 
+def test_replay_battery_holds_translated_graded_cases():
+    # the replay's last cases are graded T plus a scalar, each taking the
+    # graded path with its diagonal as the translation; jordan-far's
+    # lambda lies 1e8..1e12 times S_n's norm from 0
+    from hrnr.ranges import pencil_sweep
+
+    kinds = ("jordan", "jordan-far", "graded-scalar")
+    cases = [case for case in load_script("replay_engine.py").battery() if case[0] in kinds]
+    assert [case[0] for case in cases] == [kind for kind in kinds for _ in range(8)]
+    for kind, n, m, t in cases:
+        d = t[0, 0]
+        sweep = pencil_sweep(t, m)
+        assert sweep.row is not None and sweep.translation == d, (kind, n)
+        far = abs(d) / np.linalg.norm(t - d * np.eye(n), 2)
+        assert (1e7 < far < 1e13) == (kind == "jordan-far"), (kind, n)
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name.removesuffix(".py"),
                                                   os.path.join(SCRIPTS, name))
@@ -94,6 +111,15 @@ def test_bench_grid_script():
     real = bench_grid.run_cell("gauss-real", 8, 720, repeat=1)
     assert real["planes"] == 720 and set(real["tags"]) == {"1", "2", "3"}
     assert real["sweep_ms"] > 0
+    # the Jordan cells, lambda I + S_n: graded plus a scalar, so no frame
+    assert [c for c in bench_grid.cells() if c[0] == "jordan"] == [
+        ("jordan", 4, 720), ("jordan", 4, 2048), ("jordan", 8, 720), ("jordan", 8, 2048)]
+    t = bench_grid.matrix("jordan", 4)
+    assert t[0, 0] and (np.diagonal(t) == t[0, 0]).all()
+    assert np.isclose(np.linalg.norm(t, 2), 1.0)
+    jordan = bench_grid.run_cell("jordan", 4, 720, repeat=1)
+    assert jordan["planes"] == jordan["frame_ms"] == 0
+    assert jordan["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}
 
 
 def test_bench_grid_interleaves_two_trees(tmp_path, monkeypatch):
