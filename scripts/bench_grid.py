@@ -38,7 +38,8 @@ cannot see.  A cell times, best of ``REPEAT`` in each round:
               load and region file included
 
 and records each rank's tag, the planes the frame holds (0 for a graded
-sweep) and the peak RSS.
+sweep), the sweep's row source (``graded``, ``spectrum`` or ``batch``, the
+``kind`` of ``PencilSweep.source``) and the peak RSS.
 The file also holds the numpy and Python versions, the CPU count and,
 with ``--tier1``, the wall time of the Tier-1 suite of the tree that
 ``--src`` belongs to.
@@ -130,7 +131,8 @@ def run_cell(kind, n, m, repeat=REPEAT):
             start = time.perf_counter()
             sweep = pencil_sweep(t, m)
             mid = time.perf_counter()
-            graded = sweep.row is not None  # its ranks are regular m-gons: no frame
+            source = sweep.source.kind
+            graded = source == "graded"  # its ranks are regular m-gons: no frame
             planes = 0 if graded else sweep.frame.size
             best["sweep"] = min(best["sweep"], mid - start)
             best["frame"] = min(best["frame"], 0.0 if graded else time.perf_counter() - mid)
@@ -164,6 +166,7 @@ def run_cell(kind, n, m, repeat=REPEAT):
             "samples_ms": {str(k): ms["samples", k] for k in ks}, "json_ms": ms["json"],
             "npz_ms": ms["npz"], "cli_ms": ms["cli"],
             "tags": {str(k): tag for k, tag in tags.items()}, "planes": int(planes),
+            "source": source,
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
 
 

@@ -11,6 +11,24 @@ One symmetry halves the eigensolves: H_{theta + pi} = -H_theta for every
 T, so an even grid of m angles solves m/2 pencils and fills the other
 rows by negating and reversing them; an odd grid solves all m.
 
+Row sources.  Each sweep reads its rows from one source, which
+``pencil_sweep`` picks by the symmetry T has; the source's docstring sets
+out its rows, and the source owns every read that only it can shorten:
+  ``_GradedRow``, one pencil solved, when T is graded (below), or T = dI + G
+    with G graded;
+  ``_OwnerTable``, no pencil solved, when T is normal: the rows come from
+    its spectrum mu (Li and Sze, Proc. AMS 136, 2008, give the tie
+    planes);
+  ``_PencilTable``, the batch, for any other T: each pencil is solved when
+    its row is first read, and the radius solves only the pencils that
+    certify it (Mengi and Overton, IMA J. Numer. Anal. 25, 2005).
+A sweep given its (m, n) rows reads them, through ``_RowSource``, the
+three's base, which fills in the reads the three do not shorten: column
+maxima of whole columns, every grid plane, and no exit of its own.  Every
+source's columns on an even grid are folded by the one half-turn rule in
+``_RowSource.column``; only an untranslated graded row, the same at every
+angle, needs none.
+
 No pencil is solved when T is normal: then every pencil is diagonal in T's
 eigenbasis, with spectrum 2 Re(e^{i theta} mu_j) for T's eigenvalues mu.
 mu is the diagonal itself when T is exactly diagonal, one ``eigvalsh`` of
@@ -27,151 +45,26 @@ spectrum r of H_0 = T + T*.  The similarity of T and e^{i theta} T is the
 symmetry behind the rank-k range of S_n, a disc of radius cos(k pi/(n+1))
 about 0.  r is symmetric about 0 (H_pi = -H_0 is similar to H_0), and the
 row (r - r[::-1]) / 2 is so bit for bit, so the half-turn rule holds
-exactly.  Such a sweep keeps that one row (``PencilSweep.row``) and forms
-the m rows only when ``eigenvalues`` is read.
-
-Translated graded rows.  The same one solve serves T = dI + G, d != 0 and
-G graded, as the Jordan block lambda I + S_n and a weighted shift plus a
-scalar: G is T with its diagonal zeroed, exactly, and
-H_theta(T) = H_theta(G) + 2 Re(e^{i theta} d) I, so the sweep keeps G's
-row and d (``PencilSweep.translation``), and column r at index j is
-row_r + 2 Re(e^{i theta_j} d), formed at the indices read; an even grid's
-upper half is the half-turn of the solved one, as for every sweep.  Such
-a T is tested last, where the batch would take it: the diagonal,
-Hermitian and graded tests reject it, and a nonzero graded G is
-nilpotent, so T is not normal (the certificate, which allows a pencil
-solve's rounding, can still accept it when |d| dwarfs G, and keeps it).
-The ``checks`` docstring bounds these rows within a pencil solve's.
-
-Graded ranks.  Every rank-k plane of a graded sweep has the one offset
-c_k = r_k / 2, so for 2k <= n its region is the intersection of the m grid
-planes Re(e^{i theta_j} z) <= c_k, the regular m-gon about 0 circumscribed
-about the disc of radius c_k (for S_n, cos(k pi/(n+1)), up to the bound's
-scale).  ``geometry.regular_polygon`` builds it in closed form, with no
-angle frame and no pruning, and returns the loop as it is unless it is
-small enough for the geometry's classification to change it, which then
-runs; c_k = 0, to rounding, gives the point 0.  The vertices are those
-of the scan's corners up to rounding: within 1.2e-13 * bound of the
-intersection of the m planes at m <= 8192, and 9e-13 at 65536, where the
-scan's corner of planes 2 pi/m apart loses that much.  At 2k = n + 1 the
-row's middle entry is h - h, exactly 0, so the range is the point 0 with
-no fit (0j, the bits the Fourier fit over those zero rows gave), and
-beyond it the strip of every row is the row's entry.  A translated sweep's
-rank k is d plus G's, computed at G's bound: the m-gon's vertices plus d,
-the point d, or G's empty.  Its thresholds so scale with G, not with |d|,
-and its tag is G's at every |d| (ROADMAP item 14's collapse spares it);
-adding d rounds each vertex by eps |d|.
+exactly.  Such a sweep keeps that one row and forms the m rows only when
+``eigenvalues`` is read.
 
 A sweep owns its grid's angle frame (``PencilSweep.frame``): the geometry's
 sort and merge of the angles and their cosines and sines are computed at
 the first rank that reaches the geometry and reused by every other; a
 graded sweep's ranks build none.
 
-Tie planes.  When the rows come from a spectrum mu, rank k's offset at
-theta is the k-th largest of Re(e^{i theta} mu_j), and the order of those
-values changes only at the tie angles pi/2 - arg(mu_i - mu_j) (mod pi),
-where two eigenvalues project equally.  Between two ties the k-th value
-comes from one mu_j, so every rank-k plane of that run of grid angles
-passes through mu_j, the run's apex (Li and Sze, Proc. AMS 136, 2008:
-for normal T, Lambda_k is the intersection of these half-planes).  Such a
-sweep's frame is built on its ``planes`` only: the grid indices beside
-each tie angle and every (m // 16)-th index (4 n (n - 1) + 16 at most at
-m = 65536, against 65,536), worked out at the first rank that reaches the
-geometry (P1's row-only sweeps never do).  A dropped plane lies between
-two kept planes of its run, at most pi/8 apart, all three through the
-apex, so the intersection of the kept planes exceeds it by at most
-(1 + sec(pi/16)) times the rows' rounding, plus O(eps N) for the angles:
-far below ``CLIP_EPS`` * bound, and a computed region leaves a dropped
-plane by at most sec(pi/16) times what it leaves the kept planes by, plus
-that.  A region tagged point is the mean of its loop's vertices, which
-the dropped planes would have moved, so a point at 2k <= n is recomputed
-over all m planes.  ``support_samples`` and the strip test below see all
-m rows; Gaussian and uncertified sweeps keep every plane.  A rank's tie
-planes, at most ``geometry.ONE_ROUND_PLANES`` of them (every n <= 10 at
-any m), take one round of the geometry's pruning and go to the deque scan
-(the ``geometry`` docstring).
-
-Rows on demand.  For the same reason each column of a spectrum sweep's
-sorted rows is, between two ties, one eigenvalue's 2 Re(e^{i theta} mu_o),
-so a sweep with m n >= ``ON_DEMAND_ROWS`` keeps mu and forms a column only
-when it is read (``PencilSweep.column``), whole or at chosen grid indices.
-Its owner table, built at the first read, holds the tie windows and one
-descending order of mu for each run of solved indices between them, and
-column r at index j is 2 Re(e^{i theta_j} mu_o) for the run's r-th owner
-o: the same product and doubling as the sorted row's, so the same bits,
-wherever the computed projections keep their exact order.  Each is within
-2 eps |mu_a| of Re(c_j mu_a), c_j the computed e^{i theta_j} (two products
-and a difference), so a pair keeps its order wherever
-|Re(c_j (mu_a - mu_b))| exceeds 2 eps (|mu_a| + |mu_b|).  A pair's window
-is where that is at most four times as much, widened by a grid step
-either way for the rounding of the angles and of the tie's position; a
-cluster closer than that ties at every angle and makes the window the
-whole grid.  Inside the windows the rows are
-formed and sorted whole, as they are below ``ON_DEMAND_ROWS``: there the
-table's fixed cost of some 60-90 us outweighs the sort it saves (on
-2 CPUs, n = 16 at m = 2048 takes 0.09 ms whole and 0.17 ms on demand;
-n = 32 takes 0.35 and 0.31 ms).  Rows are the same bits on either side of
-the rule.  A spectrum of modulus 2^1022 or more could overflow, so it
-forms every row for ``pencil_sweep`` to check; below that no value can.
-A column read at chosen indices forms e^{i theta} at those alone, the
-bits of the whole array's entries (``np.exp`` is elementwise); only
-``_fourier_point`` and reads of whole columns form every phase.  The
-angles are formed the same way: such a sweep, and a graded one, forms
-2 pi j / m at the indices j it reads alone (``grid_angles(m, idx)``, the
-whole grid's bits), and its ``thetas`` only when they are read.  The
-radius, which sets the bound, reads column 0 beside each eigenvalue's
-peak alone, 2h + 3 indices for each (seven up to m = 2^25,
-``_peak_indices``): each mu_i's projection peaks at -arg(mu_i), and an
-angle more than h grid steps away lies below the peak's nearest grid
-angle by more than rounding can bridge, so column 0's maximum over all m
-is among those indices, the same bits.  A translated graded sweep's
-column 0 is fl(r_0 + x_j), x_j = 2 Re(e^{i theta_j} d), monotone in x_j,
-so it reads beside the one peak of x, the same bits too.  ``range_from_sweep`` forms a
-rank's offsets at ``planes`` only; ``support_samples`` and
-``eigenvalues`` (every column stacked) are formed when first read.
-
-Batch rows on demand.  Any other T, neither graded nor normal, is kept
-with its sweep, which solves a pencil when its row is first read
-(``_PencilTable``): a read at chosen indices sends the pencils missing
-there to ``eig_hermitian_stack`` in one call, and a whole column or
-``eigenvalues`` every missing one.  Assembly and LAPACK work pencil by
-pencil, so each row is the bits of the whole batch.  ``range_from_sweep``
-reads a rank's offsets before the radius, so a rank solves every pencil
-in one call and its radius reads them.  The radius and ``column_maxima``
-(DISC's columns in ``checks``) solve only the pencils that certify a
-maximum, as Mengi and Overton certify the numerical radius (IMA J.
-Numer. Anal. 25, 2005).  Column r is g(theta) = lambda_{r+1}(H_theta) at
-the full circle's grid angles, those past pi by the half-turn.
-H_theta - H_theta' is |e^{i theta} - e^{i theta'}| times a pencil, whose
-norm is at most 2w, w the numerical radius, so by Weyl
-|g(theta) - g(theta')| <= 4w sin(|theta - theta'| / 2), and between
-angles a and b, D radians apart, the concavity of sin gives
-    g <= (g_a + g_b) / 2 + 4w sin(D/4).
-Every ``COARSE_STRIDE``-th pencil is solved first.  Every angle is then
-within 16 pi/m of a solved one, so the support function's bound gives
-2w <= (max lambda_1 + e) / cos(16 pi/m).  A computed value is within
-e = (8n + 16) eps N + the smallest normal of g at the exact angle, where
-  8 n eps N is the solve's rounding (twice an offset's 4 n eps N, the
-    ``checks`` docstring's model), with N = sqrt(2) n max |Re t_ij|,
-    |Im t_ij| >= ||T||_F;
-  16 eps N is 2N times the computed angle's error of at most 8 eps (an
-    upper-half angle's is its solved row's);
-  the smallest normal covers underflow.
-An interval between solved angles is dropped once the bound plus 2e, for
-its ends' rounding and an unsolved value's, plus 8 eps N for evaluating
-the bound, is at most the best value found for every column read.  The
-survivors are bisected level by level, one call per level (four at most),
-and once intervals that no bisection can drop (their ends' mean plus the
-rounding reaches the best) span most of the grid, as when nothing prunes
-after the coarse pass, the rest is solved in one call.  No unsolved value
-can then pass the best, so it is the whole column's maximum, the same
-bits; a maximum of zero, whose sign the read order could change, reads its
-column whole.  Over 20 seeds a radius read
-solved a median of 78 of 360 pencils of a Gaussian n = 8 at m = 720, and
-251 of 1024 of a nilpotent n = 16 at m = 2048.  A hidden U* S_16 U, whose
-lambda_1 is constant, prunes nothing and solves all 1024 in two calls.
-A T with n max |Re t_ij|, |Im t_ij| >= 2^1016 could overflow, so its
-pencils are solved in ``pencil_sweep``, whose check sees its rows.
+Angles on demand.  A column read at chosen indices forms e^{i theta} at
+those alone, the bits of the whole array's entries (``np.exp`` is
+elementwise); only ``_fourier_point`` and reads of whole columns form every
+phase.  The angles are formed the same way: a sweep given its angle count
+alone, as every sweep but a stacked spectrum one is, forms 2 pi j / m at
+the indices j it reads alone (``grid_angles(m, idx)``, the whole grid's
+bits), and its ``thetas`` only when they are read.  ``range_from_sweep``
+forms a rank's offsets at ``planes`` only; ``support_samples`` and
+``eigenvalues`` (every column stacked) are formed when first read.  Which
+reads a sweep makes is fixed by how it was built, never by the order of
+its reads: a read from the stacked ``eigenvalues`` has the bits of the
+source's.
 
 For 2k > n + 1 the rank-k range is empty as soon as one row has
 lambda_k < lambda_{n+1-k} by more than its rounding, so the geometry runs
@@ -180,17 +73,12 @@ only when no row shows that.  At 2k = n + 1, lambda_k(H_{theta + pi}) =
 range is the one z on every line Re(e^{i theta} z) = h(theta), or empty:
 the point z when every offset of the row is within ``_row_tol`` of
 Re(e^{i theta_j} z), and empty otherwise, with no geometry, whatever the
-sweep (a graded sweep's is read off its row: "Graded ranks").  Three
-exits settle it, the first that applies:
-  the owners: on a sweep of a spectrum mu with m n >= ``ON_DEMAND_ROWS``
-    (one formed on demand), one eigenvalue mu_o may own rank k on every run
-    between the tie windows, as the middle eigenvalue of a Hermitian T does
-    (Li and Sze's half-planes through mu_o, above).
-    Outside the windows the rows are then Re(e^{i theta} mu_o) bit for bit,
-    with residual 0, so the window rows alone are tested, and the point is
-    mu_o.  With two owners, two rows of one owner's run meet at it, and a
-    row of another owner's run passes through that one: the three-row
-    bound below, at those indices, gives empty;
+sweep (a graded sweep's is read off its row: ``_GradedRow.region``).
+Three exits settle it, the first that applies:
+  the owners: on a sweep of a spectrum mu with m n >= ``ON_DEMAND_ROWS``,
+    one eigenvalue mu_o may own rank k on every run between the tie
+    windows, as the middle eigenvalue of a Hermitian T does; the point is
+    then mu_o, and two owners give empty (``_OwnerTable.middle``);
   three rows: no z within the tolerance of the lines at the grid indices
     0, m // 6 and m // 3, about 60 degrees apart, which a bound on the
     corner of two of them decides (``_rows_apart``); the full fit's
@@ -290,48 +178,45 @@ class PencilSweep:
     """Eigenvalues of the pencil over a uniform angle grid.
 
     thetas
-        Grid angles 2*pi*j/m: given, or, for a sweep given their count m (a
-        graded one or one whose rows are formed on demand), formed at the
-        first read; the engine reads such a sweep's angles at the indices it
-        needs alone (``grid_angles(m, idx)``, the same bits).
+        Grid angles 2*pi*j/m: given, or, for a sweep given their count m,
+        formed at the first read; the engine reads such a sweep's angles at
+        the indices it needs alone (``grid_angles(m, idx)``, the same bits).
     eigenvalues
         (m, n) array; row j holds the descending spectrum of H_{theta_j};
         twice ``numerical_radius()``, ``region_bound``, bounds and scales
-        every rank-k region.  Given, or for a sweep whose rows are formed on
-        demand, are one row or are solved on demand, the stack of every
-        ``column`` at its first read.
-    spectrum
-        T's eigenvalues mu when the rows are 2 Re(e^{i theta} mu) sorted
-        (exactly diagonal, exactly Hermitian or certified normal T), else
-        None.  Its tie angles give ``planes``, the grid indices whose
-        planes the geometry sees (module docstring, "Tie planes").  Without
-        ``eigenvalues`` its rows are formed on demand ("Rows on demand").
-    row
-        The one row every angle shares, for a graded T (module docstring,
-        "Graded ranks"), else None.
-    translation
-        d for a graded sweep of T = dI + G, G graded (module docstring,
-        "Translated graded rows"): ``row`` is then G's, and row j is
-        ``row`` + 2 Re(e^{i theta_j} d); else 0j.
-    matrix
-        T, for a sweep that solves its pencils when their rows are read
-        (module docstring, "Batch rows on demand"), else None.
+        every rank-k region.  Given, or else the stack of every ``column``
+        at its first read.
+    source
+        Where the rows come from (module docstring, "Row sources"), built
+        from the constructor's arguments: ``_GradedRow`` for a graded T's
+        one ``row`` and its ``translation`` d, ``_OwnerTable`` for T's
+        eigenvalues ``spectrum`` (its rows formed on demand unless
+        ``eigenvalues`` are given too), ``_PencilTable`` for T itself,
+        keyword ``matrix``, and ``_RowSource`` for ``eigenvalues`` alone.
+        A column is read from ``eigenvalues`` once they are given or formed,
+        else from the source, which also gives the radius's ``peaks``, the
+        column ``maxima``, the ``planes``, a graded rank's ``region`` and a
+        middle rank's exit, ``middle``.
     """
 
     def __init__(self, thetas: np.ndarray | int, eigenvalues: np.ndarray | None = None,
                  spectrum: np.ndarray | None = None, row: np.ndarray | None = None,
                  matrix: np.ndarray | None = None, translation: complex = 0j):
-        if eigenvalues is None and spectrum is None and row is None and matrix is None:
-            raise ValueError("a sweep needs its rows, its spectrum, its one row or its matrix")
         if np.ndim(thetas):
             self.thetas = thetas
-            self.angle_count = thetas.shape[0]
+            thetas = thetas.shape[0]
+        self.angle_count = m = int(thetas)
+        if row is not None:
+            self.source = _GradedRow(m, row, translation)
+        elif spectrum is not None:
+            self.source = _OwnerTable(m, spectrum, eigenvalues is None)
+        elif matrix is not None:
+            self.source = _PencilTable(m, matrix)
+        elif eigenvalues is not None:
+            self.source = _RowSource(m, eigenvalues.shape[1])
         else:
-            self.angle_count = int(thetas)
-        self.spectrum = spectrum
-        self.row = row
-        self.matrix = matrix
-        self.translation = translation
+            raise ValueError("a sweep needs its rows, its spectrum, its one row or its matrix")
+        self.dim = self.source.n
         self._rows = eigenvalues
         self._maxima = {}  # r -> column r's maximum, once read
 
@@ -340,65 +225,19 @@ class PencilSweep:
         return grid_angles(self.angle_count)
 
     @property
-    def dim(self) -> int:
-        if self._rows is not None:
-            return self._rows.shape[1]
-        if self.matrix is not None:
-            return self.matrix.shape[0]
-        return (self.spectrum if self.row is None else self.row).size
-
-    @property
-    def _solved(self) -> int:
-        """The solved angles' count: m/2 on an even grid, all m on an odd one."""
-        m = self.angle_count
-        return m if m % 2 else m // 2
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         if self._rows is None:
-            if self.row is not None and not self.translation:
-                self._rows = np.tile(self.row, (self.angle_count, 1))
-            else:
-                self._rows = np.column_stack([self.column(r) for r in range(self.dim)])
+            self._rows = np.column_stack([self.column(r) for r in range(self.dim)])
         return self._rows
 
     def column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
         """Column r of ``eigenvalues`` (lambda_{r+1} at every grid angle), or
-        its entries at the grid indices ``idx``; a graded sweep or one whose
-        rows are formed or solved on demand computes only those.  On an even
-        grid row j + m/2 is row j negated and reversed, so column r there is
-        column n - 1 - r of the solved half, negated."""
+        its entries at the grid indices ``idx``: read from ``eigenvalues``
+        once they are given or formed, else formed by the source at those
+        indices alone."""
         if self._rows is not None:
             return self._rows[:, r] if idx is None else self._rows[:, r][idx]
-        if self.row is not None and not self.translation:
-            return np.full(self.angle_count if idx is None else np.shape(idx), self.row[r])
-        m, n, table, solved = self.angle_count, self.dim, self._table, self._solved
-        if idx is None:
-            phases = self._phases
-            if solved == m:
-                return table.values(r, None, phases)
-            return np.concatenate([table.values(r, None, phases),
-                                   -table.values(n - 1 - r, None, phases)])
-        idx = np.asarray(idx)
-        upper, j = idx >= solved, idx % solved
-        phases = np.exp(1j * grid_angles(m, j))  # elementwise: the bits of ``_phases`` at j
-        # column r at every j first, so that a batch sweep solves in one call
-        out = table.values(r, j, phases)
-        out[upper] = -table.values(n - 1 - r, j[upper], phases[upper])
-        return out
-
-    @cached_property
-    def _phases(self) -> np.ndarray:
-        """e^{i theta_j} at every solved angle, for reads of a whole column."""
-        return np.exp(1j * grid_angles(self.angle_count, np.arange(self._solved)))
-
-    @cached_property
-    def _table(self) -> "_OwnerTable | _PencilTable | _TranslatedRow":
-        if self.row is not None:
-            return _TranslatedRow(self.row, self.translation)
-        if self.spectrum is None:
-            return _PencilTable(self.matrix, self._solved)
-        return _OwnerTable(self.spectrum, self.angle_count, self._solved)
+        return self.source.column(r, idx)
 
     def numerical_radius(self) -> float:
         """max_j lambda_1(H_{theta_j}) / 2: the numerical radius on this grid."""
@@ -406,28 +245,22 @@ class PencilSweep:
 
     @cached_property
     def _radius(self) -> float:
-        # a spectrum sweep formed on demand reads column 0 beside each
-        # eigenvalue's peak, a translated graded one beside the peak of
-        # 2 Re(e^{i theta} d) (fl(r_0 + x) is monotone in x); a maximum that
+        # column 0 at the source's peaks, when it has them; a maximum that
         # is not positive (every mu zero) reads it whole
-        mu = self.spectrum if self.row is None else np.array([self.translation])
-        if self._rows is None and mu is not None:
-            idx = _peak_indices(mu, self.angle_count)
-            if idx is not None:
-                top = self.column(0, idx).max()
-                if top > 0:
-                    return float(top / 2.0)
+        idx = self.source.peaks()
+        if idx is not None:
+            top = self.column(0, idx).max()
+            if top > 0:
+                return float(top / 2.0)
         return float(self.column_maxima([0])[0] / 2.0)
 
     def column_maxima(self, rs) -> list:
         """``column(r).max()`` for each r in ``rs``, the same bits, kept for
         later reads; a batch sweep reads all of ``rs`` in one certified
-        refinement (module docstring, "Batch rows on demand")."""
+        refinement (``_PencilTable.maxima``)."""
         new = [r for r in dict.fromkeys(rs) if r not in self._maxima]
         if new:
-            batch = self._rows is None and self.matrix is not None
-            self._maxima.update(zip(new, _refined_maxima(self, new) if batch
-                                    else [self.column(r).max() for r in new]))
+            self._maxima.update(zip(new, self.source.maxima(self, new)))
         return [self._maxima[r] for r in rs]
 
     @cached_property
@@ -438,11 +271,10 @@ class PencilSweep:
 
     @cached_property
     def planes(self) -> np.ndarray | None:
-        """The grid indices whose planes can bound a rank, ascending, for a
-        sweep with a ``spectrum``; None, every plane, for any other."""
-        if self.spectrum is None:
-            return None
-        return _tie_planes(self.spectrum, self.angle_count)
+        """The grid indices whose planes can bound a rank, ascending: a
+        spectrum sweep's tie planes (``_OwnerTable.planes``), else None,
+        every plane."""
+        return self.source.planes()
 
     @cached_property
     def frame(self) -> AngleFrame:
@@ -453,74 +285,337 @@ class PencilSweep:
         return angle_frame(self.thetas if planes is None else grid_angles(self.angle_count, planes))
 
 
-class _OwnerTable:
-    """The solved rows 2 Re(e^{i theta_j} mu) sorted, formed column by column
-    ("Rows on demand" in the module docstring).
+class _RowSource:
+    """The rows of a sweep given them whole, and the base of the three
+    sources (module docstring, "Row sources"): n rows on an m-angle grid,
+    of which ``solved`` (m/2 on an even grid, all m on an odd one) come from
+    the source's ``values`` and the rest from the half-turn in ``column``.
+    Each read here is the plain one, which a source overrides where it
+    knows better."""
 
-    The solved indices split into runs: the tie windows, whose rows are
-    formed and sorted whole, and the runs between them, over each of which
-    one order of mu holds, found by one argsort at the run's first index.
-    Column r at index j of such a run is 2 Re(e^{i theta_j} mu_o) for the
-    run's r-th owner o, the bits the sorted row holds there.  Runs
-    alternate, a gap first (it may be empty), then a window.  theta and
-    e^{i theta} are formed only at the indices read: both are elementwise,
-    so those are the bits of the whole arrays' entries.
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n
+        self.solved = m if m % 2 else m // 2
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """e^{i theta_j} at every solved angle, for reads of a whole column."""
+        return np.exp(1j * grid_angles(self.m, np.arange(self.solved)))
+
+    def column(self, r: int, idx: np.ndarray | None) -> np.ndarray:
+        """Column r at every grid index, or at the grid indices ``idx``, from
+        the source's ``values(r, j, phases)`` at the solved indices j, whose
+        e^{i theta} are ``phases`` (j None: every solved index).  On an even
+        grid row j + m/2 is row j negated and reversed, so column r there is
+        column n - 1 - r of the solved half, negated."""
+        m, n, solved = self.m, self.n, self.solved
+        if idx is None:
+            if solved == m:
+                return self.values(r, None, self.phases)
+            return np.concatenate([self.values(r, None, self.phases),
+                                   -self.values(n - 1 - r, None, self.phases)])
+        idx = np.asarray(idx)
+        upper, j = idx >= solved, idx % solved
+        phases = np.exp(1j * grid_angles(m, j))  # elementwise: the bits of ``phases`` at j
+        # column r at every j first, so that a batch sweep solves in one call
+        out = self.values(r, j, phases)
+        out[upper] = -self.values(n - 1 - r, j[upper], phases[upper])
+        return out
+
+    def peaks(self) -> np.ndarray | None:
+        """Grid indices that hold column 0's maximum, or None: read it whole."""
+        return None
+
+    def maxima(self, sweep: PencilSweep, rs: list[int]) -> list:
+        """``sweep.column(r).max()`` for each r in ``rs``."""
+        return [sweep.column(r).max() for r in rs]
+
+    def planes(self) -> np.ndarray | None:
+        """The grid indices whose planes can bound a rank; None, every one."""
+        return None
+
+    def region(self, k: int) -> tuple[ConvexRegion, float] | None:
+        """Rank k's region and error bound read off the rows, or None: the
+        planes decide it."""
+        return None
+
+    def middle(self, sweep: PencilSweep, k: int, tol: float, norm: float) -> ConvexRegion | None:
+        """The middle rank (2k = n + 1) by an exit of the source's own, or
+        None: the rows decide it."""
+        return None
+
+
+class _GradedRow(_RowSource):
+    """The one row of a graded sweep of dI + G, and its ranks.
+
+    G is graded (module docstring), ``row`` is G's row (r - r[::-1]) / 2 and
+    ``d`` the translation, 0 for a graded T itself.  With d = 0 every row is
+    ``row``, and column r is row_r at every index, with no half-turn, whose
+    negation would turn a +0.0 entry into -0.0.
+
+    Translated graded rows.  The same one solve serves T = dI + G, d != 0,
+    as the Jordan block lambda I + S_n and a weighted shift plus a scalar:
+    G is T with its diagonal zeroed, exactly, and H_theta(T) = H_theta(G) +
+    2 Re(e^{i theta} d) I, so column r at index j is row_r +
+    2 Re(e^{i theta_j} d), formed at the indices read: the same product and
+    doubling as a spectrum sweep's rows of the one eigenvalue d.  An even
+    grid's upper half is the half-turn of the solved one, as for every
+    source.  Such a T is tested before the normal certificate, which
+    allows a pencil solve's rounding and so accepts it when |d| dwarfs G
+    (from |d| = 1e15 for lambda I + S_5), where the spectrum rows could not
+    tell G's disc from a point; the diagonal and Hermitian tests reject it.
+    The ``checks`` docstring bounds these rows within a pencil solve's.
+    Column 0 is fl(r_0 + x_j), x_j = 2 Re(e^{i theta_j} d), monotone in x_j,
+    so the radius reads it beside the one peak of x (``_peak_indices``),
+    the same bits as the whole column's maximum.
     """
 
-    def __init__(self, mu: np.ndarray, m: int, solved: int):
-        self.mu = mu
+    kind = "graded"
+
+    def __init__(self, m: int, row: np.ndarray, d: complex):
+        super().__init__(m, row.size)
+        self.row, self.d = row, d
+
+    def column(self, r: int, idx: np.ndarray | None) -> np.ndarray:
+        if self.d:
+            return super().column(r, idx)
+        return np.full(self.m if idx is None else np.shape(idx), self.row[r])
+
+    def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
+        return self.row[r] + 2.0 * (phases * self.d).real
+
+    def peaks(self) -> np.ndarray | None:
+        return _peak_indices(np.array([self.d]), self.m)
+
+    def region(self, k: int) -> tuple[ConvexRegion, float]:
+        """Rank k: d plus G's rank k, computed at G's bound, and the error
+        bound of G's region.
+
+        Graded ranks.  Every rank-k plane of G has the one offset
+        c_k = row_k / 2, so for 2k <= n its region is the intersection of
+        the m grid planes Re(e^{i theta_j} z) <= c_k, the regular m-gon about
+        0 circumscribed about the disc of radius c_k (for S_n,
+        cos(k pi/(n+1)), up to the bound's scale).
+        ``geometry.regular_polygon`` builds it in closed form, with no angle
+        frame and no pruning, and returns the loop as it is unless it is
+        small enough for the geometry's classification to change it, which
+        then runs; c_k = 0, to rounding, gives the point 0.  The vertices
+        are those of the scan's corners up to rounding: within
+        1.2e-13 * bound of the intersection of the m planes at m <= 8192,
+        and 9e-13 at 65536, where the scan's corner of planes 2 pi/m apart
+        loses that much.  At 2k = n + 1 the row's middle entry is h - h,
+        exactly 0, so the range is the point d (for d = 0, 0j: the bits the
+        Fourier fit over the zero rows gave).  For 2k > n + 1 the strip of
+        every row is (row_k - row_{n+1-k}) / 2 = row_k, the row being
+        antisymmetric bit for bit, and it proves the range empty below
+        minus twice an offset's rounding at G's grid radius, as
+        ``range_from_sweep`` tests any row.  A translated rank is G's m-gon
+        plus d, the point d, or G's empty: its thresholds scale with G, not
+        with |d|, so its tag is G's at every |d| (ROADMAP item 14's collapse
+        spares it), and its error bound is the m-gon's before d is added,
+        the gap to G's disc, which adding d does not widen; adding d rounds
+        each vertex by eps |d|.
+        """
+        row, m, n = self.row, self.m, self.n
+        if 2 * k == n + 1:
+            return ConvexRegion.point(self.d), 0.0
+        radius = row[0] / 2.0  # G's grid radius, the same at every angle
+        if 2 * k > n + 1 and row[k - 1] < -2.0 * _solve_error(n, 2.0 * radius / np.cos(np.pi / m)):
+            return ConvexRegion.empty(), 0.0
+        region = regular_polygon(m, row[k - 1] / 2.0, 2.0 * radius or 1.0)
+        error = outer_error_bound(region, m)
+        if self.d:
+            region = ConvexRegion(region.kind, region.vertices + self.d)
+        return region, error
+
+
+class _OwnerTable(_RowSource):
+    """The rows 2 Re(e^{i theta_j} mu) sorted of a spectrum sweep (exactly
+    diagonal, exactly Hermitian or certified normal T).  With ``on_demand``
+    they are formed column by column as they are read; without, the sweep
+    holds them stacked, and reads the spectrum's table only for ``middle``.
+
+    Rows on demand.  Between two tie angles of mu, where two eigenvalues
+    project equally, each column of the sorted rows is one eigenvalue's
+    2 Re(e^{i theta} mu_o), so a sweep with m n >= ``ON_DEMAND_ROWS`` keeps
+    mu and forms a column only when it is read, whole or at chosen grid
+    indices.  Its table (``runs``), built at the first read, holds the tie
+    windows and one descending order of mu for each run of solved indices
+    between them, and column r at index j is 2 Re(e^{i theta_j} mu_o) for
+    the run's r-th owner o: the same product and doubling as the sorted
+    row's, so the same bits, wherever the computed projections keep their
+    exact order.  Each is within 2 eps |mu_a| of Re(c_j mu_a), c_j the
+    computed e^{i theta_j} (two products and a difference), so a pair keeps
+    its order wherever |Re(c_j (mu_a - mu_b))| exceeds
+    2 eps (|mu_a| + |mu_b|).  A pair's window is where that is at most four
+    times as much, widened by a grid step either way for the rounding of
+    the angles and of the tie's position; a cluster closer than that ties
+    at every angle and makes the window the whole grid.  Inside the
+    windows the rows are formed and sorted whole, as they are below
+    ``ON_DEMAND_ROWS``: there the table's fixed cost of some 60-90 us
+    outweighs the sort it saves (on 2 CPUs, n = 16 at m = 2048 takes
+    0.09 ms whole and 0.17 ms on demand; n = 32 takes 0.35 and 0.31 ms).
+    Rows are the same bits on either side of the rule.  A spectrum of
+    modulus 2^1022 or more could overflow, so it forms every row for
+    ``pencil_sweep`` to check; below that no value can.  The radius of a
+    sweep formed on demand reads column 0 beside each eigenvalue's peak
+    alone, 2h + 3 indices for each (seven up to m = 2^25,
+    ``_peak_indices``): each mu_i's projection peaks at -arg(mu_i), and an
+    angle more than h grid steps away lies below the peak's nearest grid
+    angle by more than rounding can bridge, so column 0's maximum over all
+    m is among those indices, the same bits.  A stacked sweep reads its
+    column whole, which costs less than finding the peaks.
+
+    The runs alternate, a gap first (it may be empty), then a window: the
+    tie windows, whose rows are formed and sorted whole, and the gaps
+    between them, over each of which one order of mu holds, found by one
+    argsort at the gap's first index.  theta and e^{i theta} are formed
+    only at the indices read: both are elementwise, so those are the bits
+    of the whole arrays' entries.
+    """
+
+    kind = "spectrum"
+
+    def __init__(self, m: int, mu: np.ndarray, on_demand: bool):
+        super().__init__(m, mu.size)
+        self.mu, self.on_demand = mu, on_demand
         self.columns = {}  # r -> column r at every solved index
+
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, ...]:
+        """The table: the windows' bounds, the runs' edges, every index
+        inside a window (ascending) and its sorted rows, and each run's
+        descending order of mu (a window's is never read)."""
+        m, mu, solved = self.m, self.mu, self.solved
         starts, stops = _tie_windows(mu, m, solved)
-        self.bounds = np.column_stack([starts, stops]).ravel()
-        self.edges = edges = np.concatenate([[0], self.bounds, [solved]])
-        self.lengths = np.diff(edges)
-        # every index inside a window, ascending, and its rows
+        bounds = np.column_stack([starts, stops]).ravel()
+        edges = np.concatenate([[0], bounds, [solved]])
         width = stops - starts
-        self.inside = np.repeat(starts - np.cumsum(width) + width, width) + np.arange(width.sum())
-        self.sorted = _sorted_rows(np.exp(1j * grid_angles(m, self.inside)), mu)
-        # each run's order at its first index (the last run may be empty);
-        # a window's order is never read, its rows being in ``sorted``
+        inside = np.repeat(starts - np.cumsum(width) + width, width) + np.arange(width.sum())
+        # each run's order at its first index (the last run may be empty)
         z = np.exp(1j * grid_angles(m, np.minimum(edges[:-1], solved - 1)))[:, None] * mu
-        self.order = np.argsort((z + z.conj()).real, axis=1)[:, ::-1]
+        return (bounds, edges, inside, _sorted_rows(np.exp(1j * grid_angles(m, inside)), mu),
+                np.argsort((z + z.conj()).real, axis=1)[:, ::-1])
 
     def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
         """Column r at the solved indices j, whose e^{i theta} are ``phases``,
         or at all of them (j None, ``phases`` every solved one), kept for
         later reads."""
+        bounds, edges, inside, rows, order = self.runs
         if j is None:
             if r not in self.columns:
                 # complex, as the product casts them anyway, so it fits in place
-                owners = np.repeat(self.mu[self.order[:, r]].astype(complex), self.lengths)
+                owners = np.repeat(self.mu[order[:, r]].astype(complex), np.diff(edges))
                 np.multiply(phases, owners, out=owners)
                 self.columns[r] = out = owners.real * 2.0
-                out[self.inside] = self.sorted[:, r]
+                out[inside] = rows[:, r]
             return self.columns[r]
-        run = np.searchsorted(self.bounds, j, side="right")
-        out = 2.0 * (phases * self.mu[self.order[run, r]]).real
+        run = np.searchsorted(bounds, j, side="right")
+        out = 2.0 * (phases * self.mu[order[run, r]]).real
         window = run % 2 == 1
         if window.any():
-            at = np.searchsorted(self.inside, j[window])
-            out[window] = self.sorted[at, r]
+            out[window] = rows[np.searchsorted(inside, j[window]), r]
         return out
 
-    def gaps(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The runs between the windows that hold an index: their first
-        indices, their ends (one past the last) and column r's owner on
-        each."""
-        keep = self.lengths[::2] > 0
-        return (self.edges[:-1:2][keep], self.edges[1::2][keep],
-                self.mu[self.order[::2, r][keep]])
+    def peaks(self) -> np.ndarray | None:
+        return _peak_indices(self.mu, self.m) if self.on_demand else None
+
+    def planes(self) -> np.ndarray:
+        """The tie planes.
+
+        Rank k's offset at theta is the k-th largest of Re(e^{i theta} mu_j),
+        and the order of those values changes only at the tie angles
+        pi/2 - arg(mu_i - mu_j) (mod pi).  Between two ties the k-th value
+        comes from one mu_j, so every rank-k plane of that run of grid
+        angles passes through mu_j, the run's apex (Li and Sze: for normal
+        T, Lambda_k is the intersection of these half-planes).  The sweep's
+        frame is built on the grid indices beside each tie angle and every
+        (m // 16)-th index (``_tie_planes``; 4 n (n - 1) + 16 at most at
+        m = 65536, against 65,536), worked out at the first rank that
+        reaches the geometry (P1's row-only sweeps never do).  A dropped
+        plane lies between two kept planes of its run, at most pi/8 apart,
+        all three through the apex, so the intersection of the kept planes
+        exceeds it by at most (1 + sec(pi/16)) times the rows' rounding,
+        plus O(eps N) for the angles: far below ``CLIP_EPS`` * bound, and a
+        computed region leaves a dropped plane by at most sec(pi/16) times
+        what it leaves the kept planes by, plus that.  A region tagged point
+        is the mean of its loop's vertices, which the dropped planes would
+        have moved, so ``range_from_sweep`` recomputes a point at 2k <= n
+        over all m planes.  ``support_samples`` and the strip test see all m
+        rows; Gaussian and uncertified sweeps keep every plane.  A rank's
+        tie planes, at most ``geometry.ONE_ROUND_PLANES`` of them (every
+        n <= 10 at any m), take one round of the geometry's pruning and go
+        to the deque scan (the ``geometry`` docstring).
+        """
+        return _tie_planes(self.mu, self.m)
+
+    def middle(self, sweep: PencilSweep, k: int, tol: float, norm: float) -> ConvexRegion | None:
+        """The middle rank read from the owners of column k - 1 on the gaps
+        between the tie windows, or None when they do not settle it.  Only
+        sweeps of m n >= ``ON_DEMAND_ROWS``, those formed on demand, are
+        tried, whether or not their rows have been read whole since: below
+        that the table costs more than the fit.
+
+        One owner mu_o on every gap: there the column is
+        2 Re(e^{i theta_j} mu_o), and on an even grid its upper half is the
+        solved half's column n - k = k - 1 negated, so halved it is
+        Re(e^{i theta_j} mu_o) bit for bit, with residual 0; only the window
+        rows are tested, and the point is mu_o when they fit within ``tol``.
+        For a Hermitian T, whose rows are 2 cos(theta) mu, the middle
+        eigenvalue owns the middle rank on both sides of the one tie angle
+        pi/2.
+
+        Two owners: the lines of two rows of the longest gap, up to a
+        quarter turn apart, meet at its owner, and the row in the middle of
+        the longest gap that another eigenvalue owns passes through that
+        one, so ``_rows_apart`` at those three indices finds them apart and
+        gives empty, with no fit, unless the third line passes near the
+        corner.
+        """
+        m = self.m
+        if m * self.n < ON_DEMAND_ROWS:
+            return None
+        _, edges, inside, rows, order = self.runs
+        keep = np.diff(edges)[::2] > 0
+        starts, stops = edges[:-1:2][keep], edges[1::2][keep]
+        owners = self.mu[order[::2, k - 1][keep]]
+        if not owners.size:
+            return None
+        if (owners == owners[0]).all():
+            fit = (np.exp(1j * grid_angles(m, inside)) * owners[0]).real
+            if np.abs(rows[:, k - 1] / 2.0 - fit).max(initial=0.0) <= tol:
+                return ConvexRegion.point(owners[0])
+            return None
+        a = np.argmax(stops - starts)
+        b = np.argmax(np.where(owners != owners[a], stops - starts, 0))
+        idx = np.array([starts[a], min(starts[a] + m // 4, stops[a] - 1), (starts[b] + stops[b]) // 2])
+        return ConvexRegion.empty() if _rows_apart(sweep, k, tol, norm, idx) else None
 
 
-class _PencilTable:
-    """The solved rows of a batch sweep, each pencil solved at the first
-    read of its index ("Batch rows on demand" in the module docstring):
-    ``rows`` holds them, ``done`` marks those solved."""
+class _PencilTable(_RowSource):
+    """The solved rows of a batch sweep, of any T neither graded nor
+    normal, each pencil solved at the first read of its index: ``rows``
+    holds them, ``done`` marks those solved.
 
-    def __init__(self, t: np.ndarray, solved: int):
+    Batch rows on demand.  A read at chosen indices sends the pencils
+    missing there to ``eig_hermitian_stack`` in one call, and a whole
+    column or ``eigenvalues`` every missing one.  Assembly and LAPACK work
+    pencil by pencil, so each row is the bits of the whole batch.
+    ``range_from_sweep`` reads a rank's offsets before the radius, so a rank
+    solves every pencil in one call and its radius reads them.  The radius
+    and ``column_maxima`` (DISC's columns in ``checks``) solve only the
+    pencils that certify a maximum (``maxima``).  A T with
+    n max |Re t_ij|, |Im t_ij| >= 2^1016 could overflow, so its pencils are
+    solved in ``pencil_sweep``, whose check sees its rows.
+    """
+
+    kind = "batch"
+
+    def __init__(self, m: int, t: np.ndarray):
+        super().__init__(m, t.shape[0])
         self.t = t
-        self.rows = np.empty((solved, t.shape[0]))
-        self.done = np.zeros(solved, dtype=bool)
+        self.rows = np.empty((self.solved, self.n))
+        self.done = np.zeros(self.solved, dtype=bool)
 
     def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
         """Column r at the solved indices j, whose e^{i theta} are ``phases``,
@@ -542,21 +637,76 @@ class _PencilTable:
             self.done[at] = True
         return self.rows[:, r] if j is None else self.rows[j, r]
 
+    def maxima(self, sweep: PencilSweep, rs: list[int]) -> list:
+        """``column_maxima`` from the pencils that a certified refinement
+        solves, as Mengi and Overton certify the numerical radius.
 
-class _TranslatedRow:
-    """The solved rows ``row`` + 2 Re(e^{i theta_j} d) of a graded sweep of
-    dI + G ("Translated graded rows" in the module docstring), formed at
-    the indices read: the same product and doubling as a spectrum sweep's
-    rows of the one eigenvalue d."""
+        Column r is g(theta) = lambda_{r+1}(H_theta) at the full circle's
+        grid angles, those past pi by the half-turn.  H_theta - H_theta' is
+        |e^{i theta} - e^{i theta'}| times a pencil, whose norm is at most
+        2w, w the numerical radius, so by Weyl
+        |g(theta) - g(theta')| <= 4w sin(|theta - theta'| / 2), and between
+        angles a and b, D radians apart, the concavity of sin gives
+            g <= (g_a + g_b) / 2 + 4w sin(D/4).
+        Every ``COARSE_STRIDE``-th pencil is solved first.  Every angle is
+        then within 16 pi/m of a solved one, so the support function's
+        bound gives 2w <= (max lambda_1 + e) / cos(16 pi/m).  A computed
+        value is within e = (8n + 16) eps N + the smallest normal of g at the
+        exact angle, where
+          8 n eps N is the solve's rounding (twice an offset's 4 n eps N,
+            the ``checks`` docstring's model), with
+            N = sqrt(2) n max |Re t_ij|, |Im t_ij| >= ||T||_F;
+          16 eps N is 2N times the computed angle's error of at most 8 eps
+            (an upper-half angle's is its solved row's);
+          the smallest normal covers underflow.
+        ``seen`` marks the full-circle indices read (J >= m/2 by the
+        half-turn).  An interval between two of them is dropped once the
+        bound plus 2e, for its ends' rounding and an unsolved value's, plus
+        8 eps N for evaluating the bound, is at most the best value found
+        for every column read.  The survivors are bisected level by level,
+        one call per level (four at most), and once intervals that no
+        bisection can drop (their ends' mean plus the rounding reaches the
+        best) span most of the grid, as when nothing prunes after the coarse
+        pass, the rest is solved in one call.  No unsolved value can then
+        pass the best, so it is the whole column's maximum, the same bits; a
+        maximum of zero, whose sign the read order could change, reads its
+        column whole.  Over 20 seeds a radius read solved a median of 78 of
+        360 pencils of a Gaussian n = 8 at m = 720, and 251 of 1024 of a
+        nilpotent n = 16 at m = 2048.  A hidden U* S_16 U, whose lambda_1 is
+        constant, prunes nothing and solves all 1024 in two calls.
+        """
+        m, n, solved = self.m, self.n, self.solved
+        if m < 4 * COARSE_STRIDE or self.done.all():
+            return [sweep.column(r).max() for r in rs]
+        cols = rs if 0 in rs else [0, *rs]  # column 0 bounds w
+        vals, seen = np.empty((len(cols), m)), np.zeros(m, dtype=bool)
 
-    def __init__(self, row: np.ndarray, d: complex):
-        self.row = row
-        self.d = d
+        def read(idx):  # the first column's read solves the pencils at idx in one call
+            vals[:, idx] = [sweep.column(r, idx) for r in cols]
+            seen[idx] = True
 
-    def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
-        """Column r at the solved indices j, whose e^{i theta} are ``phases``,
-        or at all of them (j None, ``phases`` every solved one)."""
-        return self.row[r] + 2.0 * (phases * self.d).real
+        coarse = np.arange(0, solved, COARSE_STRIDE)
+        read(coarse if solved == m else np.concatenate([coarse, coarse + m // 2]))
+        eps, norm = np.finfo(float).eps, np.sqrt(2.0) * n * _entry_max(self.t)
+        err = (8 * n + 16) * eps * norm + np.finfo(float).tiny
+        # 4w: every angle lies within 8 grid steps of a coarse one
+        reach = 2.0 * (vals[cols.index(0), seen].max() + err) / np.cos(COARSE_STRIDE * np.pi / m)
+        while True:
+            a = np.flatnonzero(seen)
+            b, va = np.append(a[1:], m), vals[:, a]
+            best = va.max(axis=1)
+            # the ends' mean plus the rounding, over the best value read
+            over = (va + vals[:, b % m]) / 2.0 + (2.0 * err + 8.0 * eps * norm) - best[:, None]
+            keep = (b - a > 1) & (over + reach * np.sin((np.pi / (2 * m)) * (b - a)) > 0).any(axis=0)
+            if not keep.any():
+                break
+            if 2 * (b - a - 1)[keep & (over > 0).any(axis=0)].sum() > m:
+                # intervals that no bisection can drop span most of the grid
+                return [sweep.column(r).max() for r in rs]
+            read((a + b)[keep] // 2)
+        # a maximum of zero reads its column whole, for the sign of the zero
+        best = dict(zip(cols, best))
+        return [best[r] if best[r] else sweep.column(r).max() for r in rs]
 
 
 def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
@@ -566,6 +716,7 @@ def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(m) if idx is None else np.asarray(idx)) / m
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as one ValueError
 def pencil_sweep(t, m: int | None) -> PencilSweep:
     """The eigenvalues of the ``resolve_angles(m)`` pencils of T, each
     batch of pencils solved in one eigensolve.
@@ -575,44 +726,30 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     negated and reversed, and only the first m/2 pencils are solved; odd m
     solves all m.  The rule is the same whatever T's field.
 
-    The solved rows skip LAPACK's batch when T has a spectrum mu that every
-    pencil shares an eigenbasis with: mu is T's diagonal when every
-    off-diagonal entry is zero (the rows are then the bits the batch would
-    return), ``eigvalsh(T)`` when T equals T* exactly (rows
-    2 cos(theta) mu), or ``_normal_spectrum(T)`` when that certifies T
-    normal within a pencil solve's rounding.  Row j is
-    2 Re(e^{i theta_j} mu) sorted; from ``ON_DEMAND_ROWS`` values up the
-    sweep keeps mu alone and forms a column when one is read (module
-    docstring, "Rows on demand"), the same bits.  A graded T
-    (``_is_graded``, tested before the normal certificate: a nonzero graded
-    T is nilpotent, never normal) sends the one pencil T + T* to
-    ``eig_hermitian_stack``, and every row is its spectrum r made
-    antisymmetric, (r - r[::-1]) / 2, which the sweep keeps as its one
-    ``row``.  A T that no test above takes, and whose pencils cannot
-    overflow, is dI + G when ``_graded_part`` finds a graded G: G + G* is
-    solved once and d kept as the sweep's ``translation`` (module
-    docstring, "Translated graded rows").  Any other T is kept, and its
-    pencils are solved when their rows are read (module docstring, "Batch
-    rows on demand"), or here when they could overflow.
-    Raises ValueError when the pencils overflow to a non-finite row.
+    The sweep's source (module docstring, "Row sources") is the first that
+    applies:
+      a spectrum mu that every pencil shares an eigenbasis with: T's
+        diagonal when every off-diagonal entry is zero (the rows are then
+        the bits the batch would return), or ``eigvalsh(T)`` when T equals
+        T* exactly (rows 2 cos(theta) mu).  Row j is 2 Re(e^{i theta_j} mu)
+        sorted, formed here below ``ON_DEMAND_ROWS`` values and from there
+        up when a column is read (``_OwnerTable``), the same bits;
+      a graded T (``_is_graded``; a nonzero graded T is nilpotent, never
+        normal): the one pencil T + T* goes to ``eig_hermitian_stack``, and
+        every row is its spectrum r made antisymmetric, (r - r[::-1]) / 2,
+        the sweep's one row (``_GradedRow``);
+      T = dI + G when ``_graded_part`` finds a graded G and T's pencils
+        cannot overflow: G + G* is solved once and d is the row's
+        translation;
+      ``_normal_spectrum(T)``'s mu, when it certifies T normal within a
+        pencil solve's rounding, as a spectrum above;
+      T itself, whose pencils are solved when their rows are read
+        (``_PencilTable``), or here when they could overflow.
+    All but a stacked spectrum sweep are given the angle count alone, and
+    form no grid-sized angle array until ``thetas`` is read.  Raises
+    ValueError when the pencils overflow to a non-finite row.
     """
-    t = as_matrix(t)
-    m = resolve_angles(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below as one ValueError
-        sweep = _sweep(t, m)
-    for given in (sweep._rows, sweep.row):
-        if given is not None and not np.isfinite(given).all():
-            raise ValueError("the pencils overflow: matrix entries too large")
-    return sweep
-
-
-def _sweep(t: np.ndarray, m: int) -> PencilSweep:
-    """The sweep of ``pencil_sweep``, by the paths its docstring lists: a
-    spectrum's (m, n) rows, or the spectrum left to be formed on demand, a
-    graded T's one row (G's and d for T = dI + G), or T with its pencils
-    solved on demand.  All but
-    the first are given the angle count alone, and form no grid-sized angle
-    array until ``thetas`` is read."""
+    t, m = as_matrix(t), resolve_angles(m)
     if not (t - np.diag(np.diagonal(t))).any():
         spectrum = np.diagonal(t)
     elif np.array_equal(t, t.conj().T):
@@ -620,17 +757,17 @@ def _sweep(t: np.ndarray, m: int) -> PencilSweep:
     elif _is_graded(t):
         return _graded_sweep(t, m)
     else:
+        # below this no pencil entry, eigenvalue or sum of two can
+        # overflow; above it every pencil is solved, for the check
+        small = t.shape[0] * _entry_max(t) < 2.0**1016
+        g = _graded_part(t) if small else None
+        if g is not None:
+            return _graded_sweep(g, m, t[0, 0])
         spectrum = _normal_spectrum(t)
         if spectrum is None:
-            # below this no pencil entry, eigenvalue or sum of two can
-            # overflow; above it every pencil is solved, for the check
-            small = t.shape[0] * _entry_max(t) < 2.0**1016
-            g = _graded_part(t) if small else None
-            if g is not None:
-                return _graded_sweep(g, m, t[0, 0])
             sweep = PencilSweep(m, matrix=t)
             if not small:
-                sweep.eigenvalues
+                _finite(sweep.eigenvalues)
             return sweep
     if m * spectrum.size >= ON_DEMAND_ROWS and np.abs(spectrum).max() < 2.0**1022:
         # below 2^1022, |2 Re(e^{i theta} mu)| <= 2 sqrt(2) |mu| cannot overflow
@@ -639,7 +776,14 @@ def _sweep(t: np.ndarray, m: int) -> PencilSweep:
     vals = _sorted_rows(np.exp(1j * thetas[:m if m % 2 else m // 2]), spectrum)
     if m % 2 == 0:
         vals = np.concatenate([vals, -vals[:, ::-1]])
-    return PencilSweep(thetas, vals, spectrum)
+    return PencilSweep(thetas, _finite(vals), spectrum)
+
+
+def _finite(rows: np.ndarray) -> np.ndarray:
+    """``rows``, once every entry is finite."""
+    if not np.isfinite(rows).all():
+        raise ValueError("the pencils overflow: matrix entries too large")
+    return rows
 
 
 def _graded_sweep(g: np.ndarray, m: int, d: complex = 0j) -> PencilSweep:
@@ -648,7 +792,7 @@ def _graded_sweep(g: np.ndarray, m: int, d: complex = 0j) -> PencilSweep:
     # halves first, so that a spectrum near the overflow threshold stays
     # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
     half = eig_hermitian_stack((g + g.conj().T)[None])[0] / 2.0
-    return PencilSweep(m, None, None, half - half[::-1], translation=d)
+    return PencilSweep(m, None, None, _finite(half - half[::-1]), translation=d)
 
 
 def _graded_part(t: np.ndarray) -> np.ndarray | None:
@@ -669,49 +813,6 @@ def _entry_max(t: np.ndarray) -> float:
     return float(max(np.abs(t.real).max(), np.abs(t.imag).max()))
 
 
-def _refined_maxima(sweep: PencilSweep, rs: list[int]) -> list:
-    """``column_maxima`` of a batch sweep, from the pencils that the
-    refinement of the module docstring ("Batch rows on demand") solves.
-
-    ``seen`` marks the full-circle indices read (J >= m/2 by the
-    half-turn); the interval between two of them is bisected while, for
-    some column, (v_a + v_b) / 2 + 4w sin(D/4) plus the rounding exceeds
-    the best value read.
-    """
-    m, n, table = sweep.angle_count, sweep.dim, sweep._table
-    if m < 4 * COARSE_STRIDE or table.done.all():
-        return [sweep.column(r).max() for r in rs]
-    cols = rs if 0 in rs else [0, *rs]  # column 0 bounds w
-    vals, seen = np.empty((len(cols), m)), np.zeros(m, dtype=bool)
-
-    def read(idx):  # the first column's read solves the pencils at idx in one call
-        vals[:, idx] = [sweep.column(r, idx) for r in cols]
-        seen[idx] = True
-
-    coarse = np.arange(0, sweep._solved, COARSE_STRIDE)
-    read(coarse if sweep._solved == m else np.concatenate([coarse, coarse + m // 2]))
-    eps, norm = np.finfo(float).eps, np.sqrt(2.0) * n * _entry_max(table.t)
-    err = (8 * n + 16) * eps * norm + np.finfo(float).tiny
-    # 4w: every angle lies within 8 grid steps of a coarse one
-    reach = 2.0 * (vals[cols.index(0), seen].max() + err) / np.cos(COARSE_STRIDE * np.pi / m)
-    while True:
-        a = np.flatnonzero(seen)
-        b, va = np.append(a[1:], m), vals[:, a]
-        best = va.max(axis=1)
-        # the ends' mean plus the rounding, over the best value read
-        over = (va + vals[:, b % m]) / 2.0 + (2.0 * err + 8.0 * eps * norm) - best[:, None]
-        keep = (b - a > 1) & (over + reach * np.sin((np.pi / (2 * m)) * (b - a)) > 0).any(axis=0)
-        if not keep.any():
-            break
-        if 2 * (b - a - 1)[keep & (over > 0).any(axis=0)].sum() > m:
-            # intervals that no bisection can drop span most of the grid
-            return [sweep.column(r).max() for r in rs]
-        read((a + b)[keep] // 2)
-    # a maximum of zero reads its column whole, for the sign of the zero
-    best = dict(zip(cols, best))
-    return [best[r] if best[r] else sweep.column(r).max() for r in rs]
-
-
 def _sorted_rows(phases: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """The rows 2 Re(e^{i theta} mu) at the given e^{i theta}, descending."""
     z = phases[:, None] * mu
@@ -719,8 +820,8 @@ def _sorted_rows(phases: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _tie_windows(mu: np.ndarray, m: int, solved: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rounding windows of mu's ties on the m-angle grid (module
-    docstring, "Rows on demand"), as disjoint index ranges
+    """The rounding windows of mu's ties on the m-angle grid
+    (``_OwnerTable``, "Rows on demand"), as disjoint index ranges
     [starts_i, stops_i) within 0 .. solved - 1, ascending.
 
     The pair (a, b) ties at u = (pi/2 - arg(a - b)) m / (2 pi) grid steps,
@@ -763,7 +864,7 @@ def _tie_windows(mu: np.ndarray, m: int, solved: int) -> tuple[np.ndarray, np.nd
 
 def _peak_indices(mu: np.ndarray, m: int) -> np.ndarray | None:
     """Grid indices of the whole m-angle grid beside each nonzero mu_i's
-    peak, where column 0 takes its largest value (module docstring, "Rows
+    peak, where column 0 takes its largest value (``_OwnerTable``, "Rows
     on demand"); None when a window would span half the grid or every
     mu_i is zero.
 
@@ -795,7 +896,7 @@ def _peak_indices(mu: np.ndarray, m: int) -> np.ndarray | None:
 def _tie_planes(mu: np.ndarray, m: int) -> np.ndarray:
     """The indices of the m-angle grid beside each tie angle of mu, plus
     every (m // 16)-th index: the planes that can bound a rank of the
-    spectrum rows 2 Re(e^{i theta} mu) sorted (see the module docstring).
+    spectrum rows 2 Re(e^{i theta} mu) sorted (``_OwnerTable.planes``).
 
     Re(e^{i theta} mu_i) = Re(e^{i theta} mu_j) at theta = pi/2 -
     arg(mu_i - mu_j), and the pair (j, i) gives theta + pi (mod 2 pi).
@@ -904,7 +1005,9 @@ def outer_error_bound(region: ConvexRegion, m: int) -> float:
 
     This is the exact Hausdorff gap between a disc centred at 0 and its
     m-angle circumscribed polygon, and an overestimate for a translated
-    disc.  It is not a bound for other shapes: for the ellipse-shaped
+    disc, which grows with the translation (a translated graded rank
+    passes its m-gon about 0: ``_GradedRow.region``).  It is not a bound
+    for other shapes: for the ellipse-shaped
     range of S_5 + b S_5* it is 3x (b = 0.5) to 39x (b = 0.95) below the
     true gap.
     """
@@ -940,11 +1043,12 @@ class RangeReport:
 def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     """Build the rank-k region from an existing pencil sweep.
 
-    A graded sweep's rank is read off its one row, plus its translation
-    (``_graded_region``, module docstring, "Graded ranks").  For any other
-    sweep and 2k > n + 1, the planes at theta and theta + pi bound the
-    strip lambda_{n+1-k} / 2 <= Re(e^{i theta} z) <= lambda_k / 2, both ends
-    from one row and so from one pencil.  Each end is within one offset's
+    A graded sweep's rank is read off its one row, plus its translation,
+    with the error bound of the untranslated region
+    (``_GradedRow.region``).  For any other sweep and 2k > n + 1, the
+    planes at theta and theta + pi bound the strip
+    lambda_{n+1-k} / 2 <= Re(e^{i theta} z) <= lambda_k / 2, both ends from
+    one row and so from one pencil.  Each end is within one offset's
     rounding of exact (``_solve_error`` at N = 2 w / cos(pi/m), w the grid
     radius, which bounds ||T||_2), so a row whose strip is narrower than
     minus twice that proves the range empty.  At 2k = n + 1 the strip has
@@ -953,17 +1057,18 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     intersects the planes at the sweep's ``planes`` in its angle frame,
     which every rank of one sweep shares: every plane, or for a sweep with
     a spectrum the tie planes, whose offsets alone are formed, with a point
-    recomputed over every plane (module docstring, "Tie planes").  The
-    report's ``support_samples`` hold all m offsets.
+    recomputed over every plane (``_OwnerTable.planes``).  The report's
+    ``support_samples`` hold all m offsets.
     """
     n = sweep.dim
     if not 1 <= k <= n:
         raise BadRankError(f"k must be in 1..{n}, got {k}")
     m = sweep.angle_count
-    if sweep.row is not None:
-        return _range_report(sweep, k, _graded_region(sweep, k))
+    graded = sweep.source.region(k)
+    if graded is not None:
+        return RangeReport(k, m, *graded, sweep)
     # rows are read before the radius, so that a batch sweep solves them in
-    # one call and its radius reads them (module docstring)
+    # one call and its radius reads them (``_PencilTable``)
     if 2 * k > n + 1:
         strip = ((sweep.column(k - 1) - sweep.column(n - k)) / 2.0).min()
     if 2 * k >= n + 1:
@@ -984,39 +1089,7 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
             # planes would have moved
             region = intersect_halfplanes(sweep.thetas, sweep.column(k - 1) / 2.0,
                                           sweep.region_bound)
-    return _range_report(sweep, k, region)
-
-
-def _range_report(sweep: PencilSweep, k: int, region: ConvexRegion) -> RangeReport:
-    m = sweep.angle_count
-    return RangeReport(k=k, angles=m, region=region,
-                       outer_error_bound=outer_error_bound(region, m), sweep=sweep)
-
-
-def _graded_region(sweep: PencilSweep, k: int) -> ConvexRegion:
-    """Rank k of a graded sweep of dI + G: d plus G's rank k, whose
-    thresholds scale with G (module docstring, "Graded ranks").
-
-    Every row of G is the one row, c_k its k-th entry halved.  At
-    2k = n + 1 the row's middle entry is h - h, exactly 0, so the range is
-    the point d (for d = 0, 0j: the bits the Fourier fit over the zero rows
-    gave).  For 2k > n + 1 the strip of every row is
-    (row_k - row_{n+1-k}) / 2 = row_k, the row being antisymmetric bit for
-    bit, and it proves the range empty below minus twice an offset's
-    rounding at G's grid radius, as ``range_from_sweep`` tests any row;
-    otherwise the region is the regular m-gon at c_k in G's bound.
-    """
-    row, m = sweep.row, sweep.angle_count
-    n = row.size
-    if 2 * k == n + 1:
-        return ConvexRegion.point(sweep.translation)
-    radius = row[0] / 2.0  # G's grid radius, the same at every angle
-    if 2 * k > n + 1 and row[k - 1] < -2.0 * _solve_error(n, 2.0 * radius / np.cos(np.pi / m)):
-        return ConvexRegion.empty()
-    region = regular_polygon(m, row[k - 1] / 2.0, 2.0 * radius or 1.0)
-    if sweep.translation:
-        region = ConvexRegion(region.kind, region.vertices + sweep.translation)
-    return region
+    return RangeReport(k, m, region, outer_error_bound(region, m), sweep)
 
 
 def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
@@ -1028,56 +1101,17 @@ def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
     tol = ``_row_tol`` at ``norm`` of Re(e^{i theta_j} z), and empty
     otherwise.  On an even grid e^{i theta_{j+m/2}} is -e^{i theta_j} up to
     rounding, so the solved angles' phases serve both halves.  The first
-    exit that settles it returns: the owners (``_owner_exit``), three rows
-    that no z fits (``_rows_apart``), then the Fourier fit over every row
-    (``_fourier_point``).
+    exit that settles it returns: the source's own (``_OwnerTable.middle``),
+    three rows that no z fits (``_rows_apart``), then the Fourier fit over
+    every row (``_fourier_point``).
     """
     tol = _row_tol(sweep.dim, norm)
-    region = _owner_exit(sweep, k, tol, norm)
+    region = sweep.source.middle(sweep, k, tol, norm)
     if region is not None:
         return region
     if _rows_apart(sweep, k, tol, norm):
         return ConvexRegion.empty()
     return _fourier_point(sweep, k, tol)
-
-
-def _owner_exit(sweep: PencilSweep, k: int, tol: float, norm: float) -> ConvexRegion | None:
-    """The middle rank of a spectrum sweep read from the owners of column
-    k - 1 on the runs between its tie windows, or None when they do not
-    settle it.  Only sweeps of m n >= ``ON_DEMAND_ROWS``, those formed on
-    demand, are tried, whether or not their rows have been read whole
-    since: below that the owner table costs more than the fit.
-
-    One owner mu_o on every run: outside the windows the column is
-    2 Re(e^{i theta_j} mu_o), and on an even grid its upper half is the
-    solved half's column n - k = k - 1 negated, so halved it is
-    Re(e^{i theta_j} mu_o) bit for bit, with residual 0; only the window
-    rows are tested, and the point is mu_o when they fit within ``tol``.
-    For a Hermitian T, whose rows are 2 cos(theta) mu, the middle
-    eigenvalue owns the middle rank on both sides of the one tie angle pi/2.
-
-    Two owners: the lines of two rows of the longest run, up to a quarter
-    turn apart, meet at its owner, and the row in the middle of the longest
-    run that another eigenvalue owns passes through that one, so
-    ``_rows_apart`` at those three indices finds them apart and gives
-    empty, with no fit, unless the third line passes near the corner.
-    """
-    m = sweep.angle_count
-    if sweep.spectrum is None or m * sweep.dim < ON_DEMAND_ROWS:
-        return None
-    table = sweep._table
-    starts, stops, owners = table.gaps(k - 1)
-    if not owners.size:
-        return None
-    if (owners == owners[0]).all():
-        fit = (np.exp(1j * grid_angles(m, table.inside)) * owners[0]).real
-        if np.abs(table.sorted[:, k - 1] / 2.0 - fit).max(initial=0.0) <= tol:
-            return ConvexRegion.point(owners[0])
-        return None
-    a = np.argmax(stops - starts)
-    b = np.argmax(np.where(owners != owners[a], stops - starts, 0))
-    idx = np.array([starts[a], min(starts[a] + m // 4, stops[a] - 1), (starts[b] + stops[b]) // 2])
-    return ConvexRegion.empty() if _rows_apart(sweep, k, tol, norm, idx) else None
 
 
 def _rows_apart(sweep: PencilSweep, k: int, tol: float, norm: float,
@@ -1123,7 +1157,7 @@ def _fourier_point(sweep: PencilSweep, k: int, tol: float) -> ConvexRegion:
     every offset is within ``tol`` of Re(e^{i theta_j} z)."""
     m = sweep.angle_count
     h = sweep.column(k - 1) / 2.0
-    phases = sweep._phases
+    phases = sweep.source.phases
     solved = phases.size
     first, second = h[:solved], h[solved:]
     z = 2.0 * np.sum((first - second if solved < m else first) * phases.conj()) / m

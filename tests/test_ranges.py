@@ -795,7 +795,7 @@ def test_graded_rows_match_full_grid_lapack(name, m, monkeypatch):
         t = s * inputs[name]
         sweep, sizes = _solved_pencils(t, m, monkeypatch)
         assert sizes == [1], s
-        assert sweep.row is not None and sweep.translation == t[0, 0], s
+        assert sweep.source.kind == "graded" and sweep.source.d == t[0, 0], s
         vals = sweep.eigenvalues
         assert vals.shape == (m, t.shape[0])
         assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(t.shape[0],
@@ -854,7 +854,7 @@ def test_graded_ranks_are_the_regular_m_gon(m, monkeypatch):
     for name, t in cases.items():
         for scale in (1e-8, 1.0, 1e8):
             sweep = pencil_sweep(scale * t, m)
-            assert sweep.row is not None and sweep._rows is None, name
+            assert sweep.source.kind == "graded" and sweep._rows is None, name
             every = ranges.PencilSweep(sweep.thetas, sweep.eigenvalues)
             bound = sweep.region_bound
             for k in range(1, t.shape[0] // 2 + 1):
@@ -863,7 +863,7 @@ def test_graded_ranks_are_the_regular_m_gon(m, monkeypatch):
                 want = range_from_sweep(every, k).region
                 assert got.kind == want.kind, (name, scale, k)
                 assert hausdorff(got, want) <= 1e-12 * bound, (name, scale, k)
-                if sweep.row[k - 1] > 1e-9 * bound:
+                if sweep.source.row[k - 1] > 1e-9 * bound:
                     assert got.kind == "polygon" and got.vertices.size == m, (name, k)
                     assert sent == [], (name, k)
                 else:  # zero up to the rounding of T + T*'s spectrum
@@ -896,7 +896,7 @@ def test_one_angle_frame_per_sweep(monkeypatch):
         built.clear()
         for k in (1, 2, 3):
             range_from_sweep(sweep, k)
-        if sweep.row is not None:
+        if sweep.source.kind == "graded":
             assert built == []
         else:
             assert built == [2048 if sweep.planes is None else sweep.planes.size]
@@ -1062,9 +1062,9 @@ def test_pencil_sweep_picks_its_rows_by_size_with_the_same_bits(m, monkeypatch):
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         for t in (np.diag(_spectrum("complex", n, rng)), _hidden_normal(n, rng), x + x.conj().T):
             sweep = pencil_sweep(t, m)
-            assert sweep.spectrum is not None
+            assert sweep.source.kind == "spectrum"
             assert (sweep._rows is None) == (m * n >= ranges.ON_DEMAND_ROWS), (n, m)
-            want = _dense_spectrum_rows(sweep.spectrum, m)
+            want = _dense_spectrum_rows(sweep.source.mu, m)
             assert sweep.eigenvalues.tobytes() == want.tobytes()
     assert solved == []
 
@@ -1105,7 +1105,7 @@ def test_windowed_radius_is_the_whole_column_maximum(m):
         sweep = ranges.PencilSweep(thetas, None, mu)
         got = sweep.numerical_radius()
         if mu.any():
-            assert sweep._table.columns == {} and "_phases" not in vars(sweep), family
+            assert sweep.source.columns == {} and "phases" not in vars(sweep.source), family
         want = ranges.PencilSweep(thetas, None, mu).column(0).max() / 2.0
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), family
 
@@ -1118,7 +1118,7 @@ def test_indexed_phases_are_the_whole_arrays_bits(m):
     rng = generator(3900 + m)
     thetas = grid_angles(m)
     sweep = ranges.PencilSweep(thetas, None, _spectrum("complex", 6, rng))
-    whole = sweep._phases
+    whole = sweep.source.phases
     solved = whole.size
     picks = [np.array([0]), np.array([solved - 1]), np.arange(3, 20), np.arange(solved)[::-7],
              rng.permutation(solved)[:1001], rng.integers(0, solved, size=64)]
@@ -1145,13 +1145,13 @@ def test_spectrum_ranks_form_only_their_tie_plane_offsets(monkeypatch):
     rng = generator(3400)
     m, n = 65536, 6
     sweep = pencil_sweep(np.diag(_spectrum("complex", n, rng)), m)
-    assert sweep._rows is None and "_table" not in vars(sweep)
+    assert sweep._rows is None and "runs" not in vars(sweep.source)
     rep = range_from_sweep(sweep, 2)
-    assert sweep._table.columns == {} and "_phases" not in vars(sweep)
-    want = _dense_spectrum_rows(sweep.spectrum, m)
+    assert sweep.source.columns == {} and "phases" not in vars(sweep.source)
+    want = _dense_spectrum_rows(sweep.source.mu, m)
     assert sweep.numerical_radius() == want[:, 0].max() / 2.0
     assert rep.support_samples[:, 1].tobytes() == (want[:, 1] / 2.0).tobytes()
-    assert set(sweep._table.columns) == {1, n - 2}
+    assert set(sweep.source.columns) == {1, n - 2}
 
 
 @pytest.mark.parametrize("m", [16, 17, 720, 721, 65536, 65537])
@@ -1185,6 +1185,46 @@ def test_structured_sweeps_form_no_angle_grid():
         for k, region in enumerate(regions, 1):
             want = range_from_sweep(every, k).region
             assert region.kind == want.kind, (t.shape, m, k)
+
+
+def _read_order_sweeps():
+    """(name, T, m) of each row source: a spectrum formed on demand
+    (m n >= ON_DEMAND_ROWS) and one stacked below that, a batch T, a graded
+    T and a translated graded T."""
+    rng = generator(3470)
+    mu = _spectrum("complex", 5, rng)
+    return [("on-demand", np.diag(mu), 16384), ("stacked", np.diag(mu), 720),
+            ("batch", random_matrix(5, rng), 720), ("graded", shift_matrix(5), 720),
+            ("translated", _jordan(5, 0.3 - 0.4j), 721)]
+
+
+@pytest.mark.parametrize("case", _read_order_sweeps(), ids=lambda case: case[0])
+def test_read_order_leaves_every_output_bit_for_bit(case):
+    # which reads a sweep makes is fixed by how it was built: a sweep whose
+    # eigenvalues are read first, one read ranks first and one read radius
+    # first give the same bytes for every rank's region and error bound,
+    # the radius and the column maxima
+    name, t, m = case
+    n = t.shape[0]
+    kind = {"on-demand": "spectrum", "stacked": "spectrum", "translated": "graded"}.get(name, name)
+
+    def outputs(sweep):
+        regions = [range_from_sweep(sweep, k) for k in range(1, n + 1)]
+        return ([(r.region.kind, r.region.vertices.tobytes(), _bits(r.outer_error_bound))
+                 for r in regions],
+                _bits(sweep.numerical_radius()), [_bits(v) for v in sweep.column_maxima(range(n))])
+
+    rows_first = pencil_sweep(t, m)
+    assert rows_first.source.kind == kind and (rows_first._rows is None) == (name != "stacked")
+    rows_first.eigenvalues
+    ranks_first = pencil_sweep(t, m)
+    want = outputs(ranks_first)
+    assert (ranks_first._rows is None) == (name != "stacked"), name  # no stack formed
+    assert outputs(rows_first) == want
+    radius_first = pencil_sweep(t, m)
+    radius_first.numerical_radius()
+    radius_first.column_maxima(range(n))
+    assert outputs(radius_first) == want
 
 
 # --- points at 2k = n + 1 --------------------------------------------------------
@@ -1280,10 +1320,10 @@ def test_middle_rank_reads_the_owner_eigenvalue():
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         for t in (np.diag(rng.normal(size=n)), x + x.conj().T):
             sweep = pencil_sweep(scale * t, m)
-            assert sweep._rows is None and sweep.spectrum is not None
+            assert sweep._rows is None and sweep.source.kind == "spectrum"
             region = range_from_sweep(sweep, 3).region
-            assert sweep._table.columns == {} and "_phases" not in vars(sweep)
-            middle = sweep.spectrum[np.argsort(sweep.spectrum.real)[2]]
+            assert sweep.source.columns == {} and "phases" not in vars(sweep.source)
+            middle = sweep.source.mu[np.argsort(sweep.source.mu.real)[2]]
             assert region.kind == "point"
             assert region.vertices.tobytes() == np.array([middle], complex).tobytes()
             norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
@@ -1332,7 +1372,7 @@ def test_owner_exit_never_disagrees_with_the_fit(m):
             k = (n + 1) // 2
             norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
             tol = _row_tol(n, norm)
-            region = ranges._owner_exit(sweep, k, tol, norm)
+            region = sweep.source.middle(sweep, k, tol, norm)
             assert region is not None, (n, kind)
             assert region.kind == ranges._fourier_point(sweep, k, tol).kind, (n, kind)
             fired += region.is_empty
@@ -1393,21 +1433,45 @@ def test_jordan_ranks_are_the_translated_m_gon(n, m, monkeypatch):
     assert sizes == [1] * len(lams) and sent == []
 
 
+def _graded_parts():
+    """S_5 and a weighted shift of n = 6, the graded parts G of the
+    translated inputs."""
+    weighted = _translated_graded_inputs()["weighted-scalar"]
+    return shift_matrix(5), weighted - weighted[0, 0] * np.eye(6)
+
+
 def test_far_translations_of_graded_t_keep_the_tag():
     # the tags of lam I + S_5 and of a weighted shift plus d are S_5's and
     # the weighted shift's at every |lam|: the m-gon's thresholds scale
-    # with G, not with |lam|
-    weighted = _translated_graded_inputs()["weighted-scalar"]
-    weighted = weighted - weighted[0, 0] * np.eye(6)
-    for g in (shift_matrix(5), weighted):
+    # with G, not with |lam|.  From |lam| = 1e15 the normal certificate
+    # accepts lam I + S_5, whose spectrum rows would make every rank a
+    # point; the graded part is found first
+    for g in _graded_parts():
         n = g.shape[0]
         want = [rank_k_range(g, k, 720).region.kind for k in range(1, n + 1)]
         assert want == ["polygon"] * (n // 2) + ["point"] * (n % 2) + ["empty"] * (n // 2)
-        for e in range(8, 13):
+        for e in range(8, 17):
             lam = 10.0**e * np.exp(0.7j)
             got = [rank_k_range(g + lam * np.eye(n), k, 720).region for k in range(1, n + 1)]
             assert [r.kind for r in got] == want, e
             assert got[0].vertices.size == 720, e
+
+
+def test_translated_graded_error_bound_is_the_graded_parts():
+    # a translated rank's outer_error_bound is that of G's m-gon before d
+    # is added, the gap to G's disc, bit for bit, where the m-gon's largest
+    # modulus would grow it with |d| (9.52e6 for S_5 at 1e12, against
+    # 8.24e-6 at 0)
+    for g in _graded_parts():
+        n = g.shape[0]
+        for k in range(1, n // 2 + 1):
+            want = rank_k_range(g, k, 720).outer_error_bound
+            assert 0 < want < 1e-4, k
+            for e in (-8, 0, 8, 12, 16):
+                lam = 10.0**e * np.exp(0.7j)
+                got = rank_k_range(g + lam * np.eye(n), k, 720)
+                assert got.region.kind == "polygon", (k, e)
+                assert got.outer_error_bound == want, (k, e)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -1436,14 +1500,14 @@ def test_middle_rank_exits_read_translated_graded_sweeps(m):
             for e in (-8, 0, 8):
                 d = 10.0 ** rng.uniform(-4, 4) * np.exp(2j * np.pi * rng.uniform())
                 sweep = pencil_sweep(10.0**e * (t + d * np.eye(n)), m)
-                assert sweep.translation, (n, e)
+                assert sweep.source.d, (n, e)
                 norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
                 tol = _row_tol(n, norm)
                 assert not ranges._rows_apart(sweep, k, tol, norm), (n, e)
                 fit = ranges._fourier_point(sweep, k, tol)
                 point = range_from_sweep(sweep, k).region
                 assert fit.kind == point.kind == "point", (n, e)
-                assert point.vertices[0] == sweep.translation
+                assert point.vertices[0] == sweep.source.d
                 assert abs(fit.vertices[0] - point.vertices[0]) <= tol, (n, e)
 
 
@@ -1480,7 +1544,7 @@ def test_two_by_two_offsets_are_the_elliptical_range(m):
         u = random_unitary(2, rng)
         for t in (np.diag(lam), u @ np.diag(lam) @ u.conj().T):
             sweep = pencil_sweep(t, m)
-            assert sweep.spectrum is not None
+            assert sweep.source.kind == "spectrum"
             assert (sweep._rows is None) == (m == 32768)
             rep = range_from_sweep(sweep, 1)
             want = _ellipse_support(lam, 0.0, rep.support_samples[:, 0])
@@ -1546,7 +1610,7 @@ def test_batch_maxima_are_the_full_solve_bits(name, m):
 def test_pencil_sweep_keeps_batch_t_for_its_reads():
     for name in ("gauss", "nilpotent", "real", "hidden-shift"):
         sweep = pencil_sweep(_batch_inputs()[name], 720)
-        assert sweep.matrix is not None and sweep._rows is None, name
+        assert sweep.source.kind == "batch" and sweep._rows is None, name
 
 
 def test_batch_radius_solves_a_fraction_of_the_pencils(monkeypatch):

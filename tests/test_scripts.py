@@ -72,7 +72,7 @@ def test_replay_battery_holds_translated_graded_cases():
     for kind, n, m, t in cases:
         d = t[0, 0]
         sweep = pencil_sweep(t, m)
-        assert sweep.row is not None and sweep.translation == d, (kind, n)
+        assert sweep.source.kind == "graded" and sweep.source.d == d, (kind, n)
         far = abs(d) / np.linalg.norm(t - d * np.eye(n), 2)
         assert (1e7 < far < 1e13) == (kind == "jordan-far"), (kind, n)
 
@@ -93,6 +93,7 @@ def test_bench_grid_script():
     assert set(cell["range_ms"]) == set(cell["samples_ms"]) == set(cell["tags"]) == {"1", "2", "3"}
     assert cell["samples_ms"]["1"] == min(a["samples_ms"]["1"], b["samples_ms"]["1"]) > 0
     assert cell["planes"] <= 4 * 5 * 4 + 16  # the diagonal's tie planes
+    assert cell["source"] == "spectrum"
     assert 0 < cell["sweep_ms"] == min(a["sweep_ms"], b["sweep_ms"])
     assert min(cell["frame_ms"], cell["cli_ms"]) > 0
     assert 0 < cell["json_ms"] == min(a["json_ms"], b["json_ms"])
@@ -102,6 +103,7 @@ def test_bench_grid_script():
     # the child process a grid run starts for each cell
     shift = bench_grid.child("shift", 4, 720, bench_grid.ROOT / "src")
     assert shift["planes"] == shift["frame_ms"] == 0  # graded ranks build no frame
+    assert shift["source"] == "graded"
     assert shift["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}  # k <= (n + 1)/2
     # the real Gaussian cells, which time the pencils a real T solves
     assert [c for c in bench_grid.cells() if c[0] == "gauss-real"] == [
@@ -110,7 +112,7 @@ def test_bench_grid_script():
     assert not np.iscomplexobj(t) and np.isclose(np.linalg.norm(t, 2), 1.0)
     real = bench_grid.run_cell("gauss-real", 8, 720, repeat=1)
     assert real["planes"] == 720 and set(real["tags"]) == {"1", "2", "3"}
-    assert real["sweep_ms"] > 0
+    assert real["sweep_ms"] > 0 and real["source"] == "batch"
     # the Jordan cells, lambda I + S_n: graded plus a scalar, so no frame
     assert [c for c in bench_grid.cells() if c[0] == "jordan"] == [
         ("jordan", 4, 720), ("jordan", 4, 2048), ("jordan", 8, 720), ("jordan", 8, 2048)]
@@ -118,7 +120,7 @@ def test_bench_grid_script():
     assert t[0, 0] and (np.diagonal(t) == t[0, 0]).all()
     assert np.isclose(np.linalg.norm(t, 2), 1.0)
     jordan = bench_grid.run_cell("jordan", 4, 720, repeat=1)
-    assert jordan["planes"] == jordan["frame_ms"] == 0
+    assert jordan["planes"] == jordan["frame_ms"] == 0 and jordan["source"] == "graded"
     assert jordan["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}
 
 
