@@ -38,8 +38,9 @@ cannot see.  A cell times, best of ``REPEAT`` in each round:
               load and region file included
 
 and records each rank's tag, the planes the frame holds (0 for a graded
-sweep), the sweep's row source (``graded``, ``spectrum`` or ``batch``, the
-``kind`` of ``PencilSweep.source``) and the peak RSS.
+sweep), the sweep's row source (``graded``, ``spectrum`` or ``batch``: the
+sweep's ``kind``, or its ``source``'s on a tree that keeps one there) and
+the peak RSS.
 The file also holds the numpy and Python versions, the CPU count and,
 with ``--tier1``, the wall time of the Tier-1 suite of the tree that
 ``--src`` belongs to.
@@ -131,7 +132,7 @@ def run_cell(kind, n, m, repeat=REPEAT):
             start = time.perf_counter()
             sweep = pencil_sweep(t, m)
             mid = time.perf_counter()
-            source = sweep.source.kind
+            source = getattr(sweep, "source", sweep).kind
             graded = source == "graded"  # its ranks are regular m-gons: no frame
             planes = 0 if graded else sweep.frame.size
             best["sweep"] = min(best["sweep"], mid - start)

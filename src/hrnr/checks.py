@@ -29,7 +29,7 @@ compares exact rows with cos(k pi/(n+1)), and HAAGERUP a row maximum with
 ||T||_2 cos(pi/(n+1)), under the same tolerance.  DISC's column maxima and
 HAAGERUP's radius come from one read of ``PencilSweep.column_maxima``: on
 a batch sweep, a certified refinement that solves only some pencils
-(``ranges._PencilTable.maxima``), and on every sweep
+(``ranges._BatchSweep.maxima``), and on every sweep
 the bits of the fully solved columns' maxima, so both checks read the
 same bits as from a whole solve.  DISC reads the first rank of each disc
 radius alone (ranks 1, r + 1, ...): a later rank of the same radius has
@@ -46,7 +46,7 @@ when a check compares a structured sweep with a solved one (P4's U*TU,
 for one, is not bitwise Hermitian).  No tolerance changed.  A large
 spectrum sweep (m n >= ``ranges.ON_DEMAND_ROWS``) forms a column of rows
 only when it is read, from one order of the eigenvalues per tie interval
-(``ranges._OwnerTable``); its rows are the bits of
+(``ranges._SpectrumSweep``); its rows are the bits of
 forming and sorting every row, so this model and every check read them
 unchanged, through ``PencilSweep.column``.
 
@@ -135,7 +135,7 @@ Region tolerance, for P6, the Hermitian oracle and SHIFT's radii:
 inside its planes relaxed by ``CLIP_EPS`` (a spectrum sweep's region,
 built on its tie planes only, leaves a dropped plane by at most
 sec(pi/16) times that, plus twice the rows' rounding: see
-``ranges._OwnerTable.planes``), and tagging it a point or a
+``ranges._SpectrumSweep.planes``), and tagging it a point or a
 segment moves it inward by less than ``POINT_DIAM`` or 4
 ``SEGMENT_THICKNESS`` (its area is below that thickness times its
 diameter; the segment's ends lie at least half the diameter apart).

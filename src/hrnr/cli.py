@@ -39,13 +39,6 @@ class UsageError(Exception):
     """Bad input at the CLI level (maps to exit code 2)."""
 
 
-def _load(path):
-    try:
-        return fileio.load_matrix(path)
-    except fileio.MatrixFileError as exc:
-        raise UsageError(str(exc))
-
-
 def _emit(text: str, out) -> None:
     if not out:
         sys.stdout.write(text)
@@ -58,7 +51,7 @@ def _emit(text: str, out) -> None:
 
 
 def cmd_range(args) -> int:
-    t = _load(args.input)
+    t = fileio.load_matrix(args.input)
     m = resolve_angles(args.angles)
     if not 1 <= args.k <= t.shape[0]:
         raise UsageError(f"k must be in 1..{t.shape[0]}, got {args.k}")
@@ -79,7 +72,7 @@ def cmd_range(args) -> int:
 
 
 def cmd_radius(args) -> int:
-    t = _load(args.input)
+    t = fileio.load_matrix(args.input)
     m = resolve_angles(args.angles)
     print(repr(pencil_sweep(t, m).numerical_radius()))
     return EXIT_OK
@@ -147,7 +140,7 @@ def cmd_verify_nilpotent(args) -> int:
 
 
 def cmd_verify_properties(args) -> int:
-    t = _load(args.input)
+    t = fileio.load_matrix(args.input)
     d = t.shape[0]
     if not 1 <= args.k <= d:
         raise UsageError(f"k must be in 1..{d}, got {args.k}")

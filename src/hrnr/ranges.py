@@ -11,23 +11,23 @@ One symmetry halves the eigensolves: H_{theta + pi} = -H_theta for every
 T, so an even grid of m angles solves m/2 pencils and fills the other
 rows by negating and reversing them; an odd grid solves all m.
 
-Row sources.  Each sweep reads its rows from one source, which
-``pencil_sweep`` picks by the symmetry T has; the source's docstring sets
-out its rows, and the source owns every read that only it can shorten:
-  ``_GradedRow``, one pencil solved, when T is graded (below), or T = dI + G
-    with G graded;
-  ``_OwnerTable``, no pencil solved, when T is normal: the rows come from
-    its spectrum mu (Li and Sze, Proc. AMS 136, 2008, give the tie
+Row sources.  ``pencil_sweep`` builds each sweep as one of three
+subclasses of ``PencilSweep``, picked by the symmetry T has and named for
+their ``kind``; each one's docstring sets out its rows, and each overrides
+every read that only it can shorten:
+  ``_GradedSweep``, one pencil solved, when T is graded (below), or
+    T = dI + G with G graded;
+  ``_SpectrumSweep``, no pencil solved, when T is normal: the rows come
+    from its spectrum mu (Li and Sze, Proc. AMS 136, 2008, give the tie
     planes);
-  ``_PencilTable``, the batch, for any other T: each pencil is solved when
-    its row is first read, and the radius solves only the pencils that
-    certify it (Mengi and Overton, IMA J. Numer. Anal. 25, 2005).
-A sweep given its (m, n) rows reads them, through ``_RowSource``, the
-three's base, which fills in the reads the three do not shorten: column
-maxima of whole columns, every grid plane, and no exit of its own.  Every
-source's columns on an even grid are folded by the one half-turn rule in
-``_RowSource.column``; only an untranslated graded row, the same at every
-angle, needs none.
+  ``_BatchSweep``, for any other T: each pencil is solved when its row is
+    first read, and the radius solves only the pencils that certify it
+    (Mengi and Overton, IMA J. Numer. Anal. 25, 2005).
+``PencilSweep`` itself is the sweep given its (m, n) rows, and holds the
+plain reads the three do not shorten: column maxima of whole columns,
+every grid plane, and no exit of its own.  Every sweep's columns on an even
+grid are folded by the one half-turn rule in ``PencilSweep.column``; only
+an untranslated graded row, the same at every angle, needs none.
 
 No pencil is solved when T is normal: then every pencil is diagonal in T's
 eigenbasis, with spectrum 2 Re(e^{i theta} mu_j) for T's eigenvalues mu.
@@ -55,16 +55,16 @@ graded sweep's ranks build none.
 
 Angles on demand.  A column read at chosen indices forms e^{i theta} at
 those alone, the bits of the whole array's entries (``np.exp`` is
-elementwise); only ``_fourier_point`` and reads of whole columns form every
-phase.  The angles are formed the same way: a sweep given its angle count
-alone, as every sweep but a stacked spectrum one is, forms 2 pi j / m at
-the indices j it reads alone (``grid_angles(m, idx)``, the whole grid's
-bits), and its ``thetas`` only when they are read.  ``range_from_sweep``
-forms a rank's offsets at ``planes`` only; ``support_samples`` and
-``eigenvalues`` (every column stacked) are formed when first read.  Which
-reads a sweep makes is fixed by how it was built, never by the order of
-its reads: a read from the stacked ``eigenvalues`` has the bits of the
-source's.
+elementwise); only ``_fourier_point``, reads of whole columns and a
+stacked spectrum sweep's rows form every solved angle's (``phases``).  The
+angles are formed the same way: every sweep is given its angle count alone,
+forms 2 pi j / m at the indices j it reads alone (``grid_angles(m, idx)``,
+the whole grid's bits), and forms its ``thetas`` only when they are read.
+``range_from_sweep`` forms a rank's offsets at ``planes`` only;
+``support_samples`` and ``eigenvalues`` (every column stacked) are formed
+when first read.  Which reads a sweep makes is fixed by how it was built,
+never by the order of its reads: a read from the stacked ``eigenvalues``
+has the bits of the sweep's own columns.
 
 For 2k > n + 1 the rank-k range is empty as soon as one row has
 lambda_k < lambda_{n+1-k} by more than its rounding, so the geometry runs
@@ -73,12 +73,12 @@ only when no row shows that.  At 2k = n + 1, lambda_k(H_{theta + pi}) =
 range is the one z on every line Re(e^{i theta} z) = h(theta), or empty:
 the point z when every offset of the row is within ``_row_tol`` of
 Re(e^{i theta_j} z), and empty otherwise, with no geometry, whatever the
-sweep (a graded sweep's is read off its row: ``_GradedRow.region``).
+sweep (a graded sweep's is read off its row: ``_GradedSweep.region``).
 Three exits settle it, the first that applies:
   the owners: on a sweep of a spectrum mu with m n >= ``ON_DEMAND_ROWS``,
     one eigenvalue mu_o may own rank k on every run between the tie
     windows, as the middle eigenvalue of a Hermitian T does; the point is
-    then mu_o, and two owners give empty (``_OwnerTable.middle``);
+    then mu_o, and two owners give empty (``_SpectrumSweep.middle``);
   three rows: no z within the tolerance of the lines at the grid indices
     0, m // 6 and m // 3, about 60 degrees apart, which a bound on the
     corner of two of them decides (``_rows_apart``); the full fit's
@@ -177,52 +177,50 @@ def pencil(t, theta: float) -> np.ndarray:
 class PencilSweep:
     """Eigenvalues of the pencil over a uniform angle grid.
 
+    ``PencilSweep(m, eigenvalues)`` is the sweep given its rows, and the
+    base of the three sweeps that ``pencil_sweep`` builds, each named for
+    its ``kind`` (module docstring, "Row sources"): n rows on an m-angle
+    grid, of which ``solved`` (m/2 on an even grid, all m on an odd one)
+    come from the sweep's ``values`` and the rest from the half-turn in
+    ``column``.  The reads here are the plain ones, which a sweep overrides
+    where it knows better: the radius's ``peaks``, the column ``maxima``,
+    the ``planes``, a rank's ``region`` read off the rows and a middle
+    rank's exit, ``middle``.
+
+    angle_count, dim
+        m and n.
     thetas
-        Grid angles 2*pi*j/m: given, or, for a sweep given their count m,
-        formed at the first read; the engine reads such a sweep's angles at
-        the indices it needs alone (``grid_angles(m, idx)``, the same bits).
+        Grid angles 2*pi*j/m, formed at the first read; the engine reads
+        the angles at the indices it needs alone (``grid_angles(m, idx)``,
+        the same bits).
     eigenvalues
         (m, n) array; row j holds the descending spectrum of H_{theta_j};
         twice ``numerical_radius()``, ``region_bound``, bounds and scales
         every rank-k region.  Given, or else the stack of every ``column``
-        at its first read.
-    source
-        Where the rows come from (module docstring, "Row sources"), built
-        from the constructor's arguments: ``_GradedRow`` for a graded T's
-        one ``row`` and its ``translation`` d, ``_OwnerTable`` for T's
-        eigenvalues ``spectrum`` (its rows formed on demand unless
-        ``eigenvalues`` are given too), ``_PencilTable`` for T itself,
-        keyword ``matrix``, and ``_RowSource`` for ``eigenvalues`` alone.
-        A column is read from ``eigenvalues`` once they are given or formed,
-        else from the source, which also gives the radius's ``peaks``, the
-        column ``maxima``, the ``planes``, a graded rank's ``region`` and a
-        middle rank's exit, ``middle``.
+        at its first read; once given or formed, every column is read from
+        it.
+    planes
+        The grid indices whose planes can bound a rank, ascending: a
+        spectrum sweep's tie planes (``_SpectrumSweep.planes``), else None,
+        every plane.
     """
 
-    def __init__(self, thetas: np.ndarray | int, eigenvalues: np.ndarray | None = None,
-                 spectrum: np.ndarray | None = None, row: np.ndarray | None = None,
-                 matrix: np.ndarray | None = None, translation: complex = 0j):
-        if np.ndim(thetas):
-            self.thetas = thetas
-            thetas = thetas.shape[0]
-        self.angle_count = m = int(thetas)
-        if row is not None:
-            self.source = _GradedRow(m, row, translation)
-        elif spectrum is not None:
-            self.source = _OwnerTable(m, spectrum, eigenvalues is None)
-        elif matrix is not None:
-            self.source = _PencilTable(m, matrix)
-        elif eigenvalues is not None:
-            self.source = _RowSource(m, eigenvalues.shape[1])
-        else:
-            raise ValueError("a sweep needs its rows, its spectrum, its one row or its matrix")
-        self.dim = self.source.n
-        self._rows = eigenvalues
+    planes = None
+
+    def __init__(self, m: int, eigenvalues: np.ndarray | None):
+        self.angle_count, self._rows = m, eigenvalues
+        self.solved = m if m % 2 else m // 2
+        self.dim = None if eigenvalues is None else eigenvalues.shape[1]
         self._maxima = {}  # r -> column r's maximum, once read
 
     @cached_property
     def thetas(self) -> np.ndarray:
         return grid_angles(self.angle_count)
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """e^{i theta_j} at every solved angle, for reads of a whole column."""
+        return np.exp(1j * grid_angles(self.angle_count, np.arange(self.solved)))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -233,82 +231,14 @@ class PencilSweep:
     def column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
         """Column r of ``eigenvalues`` (lambda_{r+1} at every grid angle), or
         its entries at the grid indices ``idx``: read from ``eigenvalues``
-        once they are given or formed, else formed by the source at those
-        indices alone."""
+        once they are given or formed, else from the sweep's
+        ``values(r, j, phases)`` at the solved indices j, whose e^{i theta}
+        are ``phases`` (j None: every solved index).  On an even grid row
+        j + m/2 is row j negated and reversed, so column r there is column
+        n - 1 - r of the solved half, negated."""
         if self._rows is not None:
             return self._rows[:, r] if idx is None else self._rows[:, r][idx]
-        return self.source.column(r, idx)
-
-    def numerical_radius(self) -> float:
-        """max_j lambda_1(H_{theta_j}) / 2: the numerical radius on this grid."""
-        return self._radius
-
-    @cached_property
-    def _radius(self) -> float:
-        # column 0 at the source's peaks, when it has them; a maximum that
-        # is not positive (every mu zero) reads it whole
-        idx = self.source.peaks()
-        if idx is not None:
-            top = self.column(0, idx).max()
-            if top > 0:
-                return float(top / 2.0)
-        return float(self.column_maxima([0])[0] / 2.0)
-
-    def column_maxima(self, rs) -> list:
-        """``column(r).max()`` for each r in ``rs``, the same bits, kept for
-        later reads; a batch sweep reads all of ``rs`` in one certified
-        refinement (``_PencilTable.maxima``)."""
-        new = [r for r in dict.fromkeys(rs) if r not in self._maxima]
-        if new:
-            self._maxima.update(zip(new, self.source.maxima(self, new)))
-        return [self._maxima[r] for r in rs]
-
-    @cached_property
-    def region_bound(self) -> float:
-        """The bound ``range_from_sweep`` passes the geometry: twice the
-        numerical radius, or 1 when every row is zero."""
-        return 2.0 * self.numerical_radius() or 1.0
-
-    @cached_property
-    def planes(self) -> np.ndarray | None:
-        """The grid indices whose planes can bound a rank, ascending: a
-        spectrum sweep's tie planes (``_OwnerTable.planes``), else None,
-        every plane."""
-        return self.source.planes()
-
-    @cached_property
-    def frame(self) -> AngleFrame:
-        """The :class:`~hrnr.geometry.AngleFrame` of the angles at ``planes``,
-        built at the first rank that reaches the geometry and shared by every
-        later one."""
-        planes = self.planes
-        return angle_frame(self.thetas if planes is None else grid_angles(self.angle_count, planes))
-
-
-class _RowSource:
-    """The rows of a sweep given them whole, and the base of the three
-    sources (module docstring, "Row sources"): n rows on an m-angle grid,
-    of which ``solved`` (m/2 on an even grid, all m on an odd one) come from
-    the source's ``values`` and the rest from the half-turn in ``column``.
-    Each read here is the plain one, which a source overrides where it
-    knows better."""
-
-    def __init__(self, m: int, n: int):
-        self.m, self.n = m, n
-        self.solved = m if m % 2 else m // 2
-
-    @cached_property
-    def phases(self) -> np.ndarray:
-        """e^{i theta_j} at every solved angle, for reads of a whole column."""
-        return np.exp(1j * grid_angles(self.m, np.arange(self.solved)))
-
-    def column(self, r: int, idx: np.ndarray | None) -> np.ndarray:
-        """Column r at every grid index, or at the grid indices ``idx``, from
-        the source's ``values(r, j, phases)`` at the solved indices j, whose
-        e^{i theta} are ``phases`` (j None: every solved index).  On an even
-        grid row j + m/2 is row j negated and reversed, so column r there is
-        column n - 1 - r of the solved half, negated."""
-        m, n, solved = self.m, self.n, self.solved
+        m, n, solved = self.angle_count, self.dim, self.solved
         if idx is None:
             if solved == m:
                 return self.values(r, None, self.phases)
@@ -322,35 +252,70 @@ class _RowSource:
         out[upper] = -self.values(n - 1 - r, j[upper], phases[upper])
         return out
 
+    def numerical_radius(self) -> float:
+        """max_j lambda_1(H_{theta_j}) / 2: the numerical radius on this grid."""
+        return self._radius
+
+    @cached_property
+    def _radius(self) -> float:
+        # column 0 at the sweep's peaks, when it has them; a maximum that
+        # is not positive (every mu zero) reads it whole
+        idx = self.peaks()
+        if idx is not None:
+            top = self.column(0, idx).max()
+            if top > 0:
+                return float(top / 2.0)
+        return float(self.column_maxima([0])[0] / 2.0)
+
+    def column_maxima(self, rs) -> list:
+        """``column(r).max()`` for each r in ``rs``, the same bits, kept for
+        later reads; a batch sweep reads all of ``rs`` in one certified
+        refinement (``_BatchSweep.maxima``)."""
+        new = [r for r in dict.fromkeys(rs) if r not in self._maxima]
+        if new:
+            self._maxima.update(zip(new, self.maxima(new)))
+        return [self._maxima[r] for r in rs]
+
+    @cached_property
+    def region_bound(self) -> float:
+        """The bound ``range_from_sweep`` passes the geometry: twice the
+        numerical radius, or 1 when every row is zero."""
+        return 2.0 * self.numerical_radius() or 1.0
+
+    @cached_property
+    def frame(self) -> AngleFrame:
+        """The :class:`~hrnr.geometry.AngleFrame` of the angles at ``planes``,
+        built at the first rank that reaches the geometry and shared by every
+        later one."""
+        planes = self.planes
+        return angle_frame(self.thetas if planes is None else grid_angles(self.angle_count, planes))
+
     def peaks(self) -> np.ndarray | None:
         """Grid indices that hold column 0's maximum, or None: read it whole."""
         return None
 
-    def maxima(self, sweep: PencilSweep, rs: list[int]) -> list:
-        """``sweep.column(r).max()`` for each r in ``rs``."""
-        return [sweep.column(r).max() for r in rs]
-
-    def planes(self) -> np.ndarray | None:
-        """The grid indices whose planes can bound a rank; None, every one."""
-        return None
+    def maxima(self, rs: list[int]) -> list:
+        """``column(r).max()`` for each r in ``rs``."""
+        return [self.column(r).max() for r in rs]
 
     def region(self, k: int) -> tuple[ConvexRegion, float] | None:
         """Rank k's region and error bound read off the rows, or None: the
         planes decide it."""
         return None
 
-    def middle(self, sweep: PencilSweep, k: int, tol: float, norm: float) -> ConvexRegion | None:
-        """The middle rank (2k = n + 1) by an exit of the source's own, or
+    def middle(self, k: int, tol: float, norm: float) -> ConvexRegion | None:
+        """The middle rank (2k = n + 1) by an exit of the sweep's own, or
         None: the rows decide it."""
         return None
 
 
-class _GradedRow(_RowSource):
-    """The one row of a graded sweep of dI + G, and its ranks.
+class _GradedSweep(PencilSweep):
+    """The sweep of dI + G for graded G, from its one row, and its ranks.
 
-    G is graded (module docstring), ``row`` is G's row (r - r[::-1]) / 2 and
-    ``d`` the translation, 0 for a graded T itself.  With d = 0 every row is
-    ``row``, and column r is row_r at every index, with no half-turn, whose
+    G is graded (module docstring); one solve of G + G*, whose spectrum r
+    gives ``row`` = (r - r[::-1]) / 2, serves every angle, and ``d`` is the
+    translation, 0 for a graded T itself.  With d = 0 every row is ``row``,
+    and column r is row_r at every index, with no half-turn, whose
     negation would turn a +0.0 entry into -0.0.
 
     Translated graded rows.  The same one solve serves T = dI + G, d != 0,
@@ -360,7 +325,7 @@ class _GradedRow(_RowSource):
     2 Re(e^{i theta_j} d), formed at the indices read: the same product and
     doubling as a spectrum sweep's rows of the one eigenvalue d.  An even
     grid's upper half is the half-turn of the solved one, as for every
-    source.  Such a T is tested before the normal certificate, which
+    sweep.  Such a T is tested before the normal certificate, which
     allows a pencil solve's rounding and so accepts it when |d| dwarfs G
     (from |d| = 1e15 for lambda I + S_5), where the spectrum rows could not
     tell G's disc from a point; the diagonal and Hermitian tests reject it.
@@ -372,20 +337,24 @@ class _GradedRow(_RowSource):
 
     kind = "graded"
 
-    def __init__(self, m: int, row: np.ndarray, d: complex):
-        super().__init__(m, row.size)
-        self.row, self.d = row, d
+    def __init__(self, m: int, g: np.ndarray, d: complex = 0j):
+        super().__init__(m, None)
+        # halves first, so that a spectrum near the overflow threshold stays
+        # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
+        half = eig_hermitian_stack((g + g.conj().T)[None])[0] / 2.0
+        self.row, self.d = _finite(half - half[::-1]), d
+        self.dim = self.row.size
 
-    def column(self, r: int, idx: np.ndarray | None) -> np.ndarray:
+    def column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
         if self.d:
             return super().column(r, idx)
-        return np.full(self.m if idx is None else np.shape(idx), self.row[r])
+        return np.full(self.angle_count if idx is None else np.shape(idx), self.row[r])
 
     def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
         return self.row[r] + 2.0 * (phases * self.d).real
 
     def peaks(self) -> np.ndarray | None:
-        return _peak_indices(np.array([self.d]), self.m)
+        return _peak_indices(np.array([self.d]), self.angle_count)
 
     def region(self, k: int) -> tuple[ConvexRegion, float]:
         """Rank k: d plus G's rank k, computed at G's bound, and the error
@@ -416,7 +385,7 @@ class _GradedRow(_RowSource):
         the gap to G's disc, which adding d does not widen; adding d rounds
         each vertex by eps |d|.
         """
-        row, m, n = self.row, self.m, self.n
+        row, m, n = self.row, self.angle_count, self.dim
         if 2 * k == n + 1:
             return ConvexRegion.point(self.d), 0.0
         radius = row[0] / 2.0  # G's grid radius, the same at every angle
@@ -429,11 +398,12 @@ class _GradedRow(_RowSource):
         return region, error
 
 
-class _OwnerTable(_RowSource):
-    """The rows 2 Re(e^{i theta_j} mu) sorted of a spectrum sweep (exactly
-    diagonal, exactly Hermitian or certified normal T).  With ``on_demand``
-    they are formed column by column as they are read; without, the sweep
-    holds them stacked, and reads the spectrum's table only for ``middle``.
+class _SpectrumSweep(PencilSweep):
+    """The sweep of the spectrum mu of an exactly diagonal, exactly
+    Hermitian or certified normal T: its rows are 2 Re(e^{i theta_j} mu)
+    sorted.  With ``on_demand`` they are formed column by column as they are
+    read; without, the sweep forms them stacked from its ``phases`` when it
+    is built, and reads the spectrum's table only for ``middle``.
 
     Rows on demand.  Between two tie angles of mu, where two eigenvalues
     project equally, each column of the sorted rows is one eigenvalue's
@@ -456,15 +426,16 @@ class _OwnerTable(_RowSource):
     outweighs the sort it saves (on 2 CPUs, n = 16 at m = 2048 takes
     0.09 ms whole and 0.17 ms on demand; n = 32 takes 0.35 and 0.31 ms).
     Rows are the same bits on either side of the rule.  A spectrum of
-    modulus 2^1022 or more could overflow, so it forms every row for
-    ``pencil_sweep`` to check; below that no value can.  The radius of a
-    sweep formed on demand reads column 0 beside each eigenvalue's peak
-    alone, 2h + 3 indices for each (seven up to m = 2^25,
-    ``_peak_indices``): each mu_i's projection peaks at -arg(mu_i), and an
-    angle more than h grid steps away lies below the peak's nearest grid
-    angle by more than rounding can bridge, so column 0's maximum over all
-    m is among those indices, the same bits.  A stacked sweep reads its
-    column whole, which costs less than finding the peaks.
+    modulus 2^1022 or more could overflow, so its sweep is stacked, and its
+    rows are checked as they are formed; below that no value can.  The
+    radius of a sweep formed on demand reads column 0 beside each
+    eigenvalue's peak alone, 2h + 3 indices for each (seven up to
+    m = 2^25, ``_peak_indices``): each mu_i's projection peaks at
+    -arg(mu_i), and an angle more than h grid steps away lies below the
+    peak's nearest grid angle by more than rounding can bridge, so column
+    0's maximum over all m is among those indices, the same bits.  A
+    stacked sweep reads its column whole, which costs less than finding the
+    peaks.
 
     The runs alternate, a gap first (it may be empty), then a window: the
     tie windows, whose rows are formed and sorted whole, and the gaps
@@ -477,16 +448,19 @@ class _OwnerTable(_RowSource):
     kind = "spectrum"
 
     def __init__(self, m: int, mu: np.ndarray, on_demand: bool):
-        super().__init__(m, mu.size)
-        self.mu, self.on_demand = mu, on_demand
+        super().__init__(m, None)
+        self.dim, self.mu, self.on_demand = mu.size, mu, on_demand
         self.columns = {}  # r -> column r at every solved index
+        if not on_demand:
+            rows = _sorted_rows(self.phases, mu)
+            self._rows = _finite(rows if m % 2 else np.concatenate([rows, -rows[:, ::-1]]))
 
     @cached_property
     def runs(self) -> tuple[np.ndarray, ...]:
         """The table: the windows' bounds, the runs' edges, every index
         inside a window (ascending) and its sorted rows, and each run's
         descending order of mu (a window's is never read)."""
-        m, mu, solved = self.m, self.mu, self.solved
+        m, mu, solved = self.angle_count, self.mu, self.solved
         starts, stops = _tie_windows(mu, m, solved)
         bounds = np.column_stack([starts, stops]).ravel()
         edges = np.concatenate([[0], bounds, [solved]])
@@ -518,8 +492,9 @@ class _OwnerTable(_RowSource):
         return out
 
     def peaks(self) -> np.ndarray | None:
-        return _peak_indices(self.mu, self.m) if self.on_demand else None
+        return _peak_indices(self.mu, self.angle_count) if self.on_demand else None
 
+    @cached_property
     def planes(self) -> np.ndarray:
         """The tie planes.
 
@@ -547,9 +522,9 @@ class _OwnerTable(_RowSource):
         n <= 10 at any m), take one round of the geometry's pruning and go
         to the deque scan (the ``geometry`` docstring).
         """
-        return _tie_planes(self.mu, self.m)
+        return _tie_planes(self.mu, self.angle_count)
 
-    def middle(self, sweep: PencilSweep, k: int, tol: float, norm: float) -> ConvexRegion | None:
+    def middle(self, k: int, tol: float, norm: float) -> ConvexRegion | None:
         """The middle rank read from the owners of column k - 1 on the gaps
         between the tie windows, or None when they do not settle it.  Only
         sweeps of m n >= ``ON_DEMAND_ROWS``, those formed on demand, are
@@ -572,8 +547,8 @@ class _OwnerTable(_RowSource):
         gives empty, with no fit, unless the third line passes near the
         corner.
         """
-        m = self.m
-        if m * self.n < ON_DEMAND_ROWS:
+        m = self.angle_count
+        if m * self.dim < ON_DEMAND_ROWS:
             return None
         _, edges, inside, rows, order = self.runs
         keep = np.diff(edges)[::2] > 0
@@ -589,13 +564,13 @@ class _OwnerTable(_RowSource):
         a = np.argmax(stops - starts)
         b = np.argmax(np.where(owners != owners[a], stops - starts, 0))
         idx = np.array([starts[a], min(starts[a] + m // 4, stops[a] - 1), (starts[b] + stops[b]) // 2])
-        return ConvexRegion.empty() if _rows_apart(sweep, k, tol, norm, idx) else None
+        return ConvexRegion.empty() if _rows_apart(self, k, tol, norm, idx) else None
 
 
-class _PencilTable(_RowSource):
-    """The solved rows of a batch sweep, of any T neither graded nor
-    normal, each pencil solved at the first read of its index: ``rows``
-    holds them, ``done`` marks those solved.
+class _BatchSweep(PencilSweep):
+    """The sweep of any T neither graded nor normal, each pencil solved at
+    the first read of its index: ``solved_rows`` holds the solved half's
+    rows, ``done`` marks those solved.
 
     Batch rows on demand.  A read at chosen indices sends the pencils
     missing there to ``eig_hermitian_stack`` in one call, and a whole
@@ -612,9 +587,9 @@ class _PencilTable(_RowSource):
     kind = "batch"
 
     def __init__(self, m: int, t: np.ndarray):
-        super().__init__(m, t.shape[0])
-        self.t = t
-        self.rows = np.empty((self.solved, self.n))
+        super().__init__(m, None)
+        self.dim, self.t = t.shape[0], t
+        self.solved_rows = np.empty((self.solved, self.dim))
         self.done = np.zeros(self.solved, dtype=bool)
 
     def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
@@ -633,11 +608,11 @@ class _PencilTable(_RowSource):
                 # and a temporary that stays in cache
                 block = stack[i:i + step]
                 block += block.conj().swapaxes(1, 2)
-            self.rows[at] = eig_hermitian_stack(stack)
+            self.solved_rows[at] = eig_hermitian_stack(stack)
             self.done[at] = True
-        return self.rows[:, r] if j is None else self.rows[j, r]
+        return self.solved_rows[:, r] if j is None else self.solved_rows[j, r]
 
-    def maxima(self, sweep: PencilSweep, rs: list[int]) -> list:
+    def maxima(self, rs: list[int]) -> list:
         """``column_maxima`` from the pencils that a certified refinement
         solves, as Mengi and Overton certify the numerical radius.
 
@@ -675,14 +650,14 @@ class _PencilTable(_RowSource):
         nilpotent n = 16 at m = 2048.  A hidden U* S_16 U, whose lambda_1 is
         constant, prunes nothing and solves all 1024 in two calls.
         """
-        m, n, solved = self.m, self.n, self.solved
+        m, n, solved = self.angle_count, self.dim, self.solved
         if m < 4 * COARSE_STRIDE or self.done.all():
-            return [sweep.column(r).max() for r in rs]
+            return [self.column(r).max() for r in rs]
         cols = rs if 0 in rs else [0, *rs]  # column 0 bounds w
         vals, seen = np.empty((len(cols), m)), np.zeros(m, dtype=bool)
 
         def read(idx):  # the first column's read solves the pencils at idx in one call
-            vals[:, idx] = [sweep.column(r, idx) for r in cols]
+            vals[:, idx] = [self.column(r, idx) for r in cols]
             seen[idx] = True
 
         coarse = np.arange(0, solved, COARSE_STRIDE)
@@ -702,11 +677,11 @@ class _PencilTable(_RowSource):
                 break
             if 2 * (b - a - 1)[keep & (over > 0).any(axis=0)].sum() > m:
                 # intervals that no bisection can drop span most of the grid
-                return [sweep.column(r).max() for r in rs]
+                return [self.column(r).max() for r in rs]
             read((a + b)[keep] // 2)
         # a maximum of zero reads its column whole, for the sign of the zero
         best = dict(zip(cols, best))
-        return [best[r] if best[r] else sweep.column(r).max() for r in rs]
+        return [best[r] if best[r] else self.column(r).max() for r in rs]
 
 
 def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
@@ -726,28 +701,29 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     negated and reversed, and only the first m/2 pencils are solved; odd m
     solves all m.  The rule is the same whatever T's field.
 
-    The sweep's source (module docstring, "Row sources") is the first that
+    The sweep (module docstring, "Row sources") is the first that
     applies:
       a spectrum mu that every pencil shares an eigenbasis with: T's
         diagonal when every off-diagonal entry is zero (the rows are then
         the bits the batch would return), or ``eigvalsh(T)`` when T equals
         T* exactly (rows 2 cos(theta) mu).  Row j is 2 Re(e^{i theta_j} mu)
-        sorted, formed here below ``ON_DEMAND_ROWS`` values and from there
-        up when a column is read (``_OwnerTable``), the same bits;
+        sorted, formed when the sweep is built below ``ON_DEMAND_ROWS``
+        values and from there up when a column is read, the same bits
+        (``_SpectrumSweep``);
       a graded T (``_is_graded``; a nonzero graded T is nilpotent, never
         normal): the one pencil T + T* goes to ``eig_hermitian_stack``, and
         every row is its spectrum r made antisymmetric, (r - r[::-1]) / 2,
-        the sweep's one row (``_GradedRow``);
+        the sweep's one row (``_GradedSweep``);
       T = dI + G when ``_graded_part`` finds a graded G and T's pencils
         cannot overflow: G + G* is solved once and d is the row's
         translation;
       ``_normal_spectrum(T)``'s mu, when it certifies T normal within a
         pencil solve's rounding, as a spectrum above;
       T itself, whose pencils are solved when their rows are read
-        (``_PencilTable``), or here when they could overflow.
-    All but a stacked spectrum sweep are given the angle count alone, and
-    form no grid-sized angle array until ``thetas`` is read.  Raises
-    ValueError when the pencils overflow to a non-finite row.
+        (``_BatchSweep``), or here when they could overflow.
+    Every sweep is given the angle count alone, and forms no grid-sized
+    angle array until ``thetas`` is read.  Raises ValueError when the
+    pencils overflow to a non-finite row.
     """
     t, m = as_matrix(t), resolve_angles(m)
     if not (t - np.diag(np.diagonal(t))).any():
@@ -755,28 +731,23 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     elif np.array_equal(t, t.conj().T):
         spectrum = np.linalg.eigvalsh(t)
     elif _is_graded(t):
-        return _graded_sweep(t, m)
+        return _GradedSweep(m, t)
     else:
         # below this no pencil entry, eigenvalue or sum of two can
         # overflow; above it every pencil is solved, for the check
         small = t.shape[0] * _entry_max(t) < 2.0**1016
         g = _graded_part(t) if small else None
         if g is not None:
-            return _graded_sweep(g, m, t[0, 0])
+            return _GradedSweep(m, g, t[0, 0])
         spectrum = _normal_spectrum(t)
         if spectrum is None:
-            sweep = PencilSweep(m, matrix=t)
+            sweep = _BatchSweep(m, t)
             if not small:
                 _finite(sweep.eigenvalues)
             return sweep
-    if m * spectrum.size >= ON_DEMAND_ROWS and np.abs(spectrum).max() < 2.0**1022:
-        # below 2^1022, |2 Re(e^{i theta} mu)| <= 2 sqrt(2) |mu| cannot overflow
-        return PencilSweep(m, None, spectrum)
-    thetas = grid_angles(m)  # formed once: the frame reads every angle too
-    vals = _sorted_rows(np.exp(1j * thetas[:m if m % 2 else m // 2]), spectrum)
-    if m % 2 == 0:
-        vals = np.concatenate([vals, -vals[:, ::-1]])
-    return PencilSweep(thetas, _finite(vals), spectrum)
+    # below 2^1022, |2 Re(e^{i theta} mu)| <= 2 sqrt(2) |mu| cannot overflow
+    on_demand = m * spectrum.size >= ON_DEMAND_ROWS and np.abs(spectrum).max() < 2.0**1022
+    return _SpectrumSweep(m, spectrum, on_demand)
 
 
 def _finite(rows: np.ndarray) -> np.ndarray:
@@ -784,15 +755,6 @@ def _finite(rows: np.ndarray) -> np.ndarray:
     if not np.isfinite(rows).all():
         raise ValueError("the pencils overflow: matrix entries too large")
     return rows
-
-
-def _graded_sweep(g: np.ndarray, m: int, d: complex = 0j) -> PencilSweep:
-    """The sweep of dI + G for graded G: one solve of G + G*, whose
-    spectrum r gives the row (r - r[::-1]) / 2."""
-    # halves first, so that a spectrum near the overflow threshold stays
-    # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
-    half = eig_hermitian_stack((g + g.conj().T)[None])[0] / 2.0
-    return PencilSweep(m, None, None, _finite(half - half[::-1]), translation=d)
 
 
 def _graded_part(t: np.ndarray) -> np.ndarray | None:
@@ -821,7 +783,7 @@ def _sorted_rows(phases: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def _tie_windows(mu: np.ndarray, m: int, solved: int) -> tuple[np.ndarray, np.ndarray]:
     """The rounding windows of mu's ties on the m-angle grid
-    (``_OwnerTable``, "Rows on demand"), as disjoint index ranges
+    (``_SpectrumSweep``, "Rows on demand"), as disjoint index ranges
     [starts_i, stops_i) within 0 .. solved - 1, ascending.
 
     The pair (a, b) ties at u = (pi/2 - arg(a - b)) m / (2 pi) grid steps,
@@ -864,7 +826,7 @@ def _tie_windows(mu: np.ndarray, m: int, solved: int) -> tuple[np.ndarray, np.nd
 
 def _peak_indices(mu: np.ndarray, m: int) -> np.ndarray | None:
     """Grid indices of the whole m-angle grid beside each nonzero mu_i's
-    peak, where column 0 takes its largest value (``_OwnerTable``, "Rows
+    peak, where column 0 takes its largest value (``_SpectrumSweep``, "Rows
     on demand"); None when a window would span half the grid or every
     mu_i is zero.
 
@@ -896,7 +858,7 @@ def _peak_indices(mu: np.ndarray, m: int) -> np.ndarray | None:
 def _tie_planes(mu: np.ndarray, m: int) -> np.ndarray:
     """The indices of the m-angle grid beside each tie angle of mu, plus
     every (m // 16)-th index: the planes that can bound a rank of the
-    spectrum rows 2 Re(e^{i theta} mu) sorted (``_OwnerTable.planes``).
+    spectrum rows 2 Re(e^{i theta} mu) sorted (``_SpectrumSweep.planes``).
 
     Re(e^{i theta} mu_i) = Re(e^{i theta} mu_j) at theta = pi/2 -
     arg(mu_i - mu_j), and the pair (j, i) gives theta + pi (mod 2 pi).
@@ -1006,7 +968,7 @@ def outer_error_bound(region: ConvexRegion, m: int) -> float:
     This is the exact Hausdorff gap between a disc centred at 0 and its
     m-angle circumscribed polygon, and an overestimate for a translated
     disc, which grows with the translation (a translated graded rank
-    passes its m-gon about 0: ``_GradedRow.region``).  It is not a bound
+    passes its m-gon about 0: ``_GradedSweep.region``).  It is not a bound
     for other shapes: for the ellipse-shaped
     range of S_5 + b S_5* it is 3x (b = 0.5) to 39x (b = 0.95) below the
     true gap.
@@ -1045,7 +1007,7 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
 
     A graded sweep's rank is read off its one row, plus its translation,
     with the error bound of the untranslated region
-    (``_GradedRow.region``).  For any other sweep and 2k > n + 1, the
+    (``_GradedSweep.region``).  For any other sweep and 2k > n + 1, the
     planes at theta and theta + pi bound the strip
     lambda_{n+1-k} / 2 <= Re(e^{i theta} z) <= lambda_k / 2, both ends from
     one row and so from one pencil.  Each end is within one offset's
@@ -1057,18 +1019,18 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     intersects the planes at the sweep's ``planes`` in its angle frame,
     which every rank of one sweep shares: every plane, or for a sweep with
     a spectrum the tie planes, whose offsets alone are formed, with a point
-    recomputed over every plane (``_OwnerTable.planes``).  The report's
+    recomputed over every plane (``_SpectrumSweep.planes``).  The report's
     ``support_samples`` hold all m offsets.
     """
     n = sweep.dim
     if not 1 <= k <= n:
         raise BadRankError(f"k must be in 1..{n}, got {k}")
     m = sweep.angle_count
-    graded = sweep.source.region(k)
+    graded = sweep.region(k)
     if graded is not None:
         return RangeReport(k, m, *graded, sweep)
     # rows are read before the radius, so that a batch sweep solves them in
-    # one call and its radius reads them (``_PencilTable``)
+    # one call and its radius reads them (``_BatchSweep``)
     if 2 * k > n + 1:
         strip = ((sweep.column(k - 1) - sweep.column(n - k)) / 2.0).min()
     if 2 * k >= n + 1:
@@ -1101,12 +1063,12 @@ def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
     tol = ``_row_tol`` at ``norm`` of Re(e^{i theta_j} z), and empty
     otherwise.  On an even grid e^{i theta_{j+m/2}} is -e^{i theta_j} up to
     rounding, so the solved angles' phases serve both halves.  The first
-    exit that settles it returns: the source's own (``_OwnerTable.middle``),
+    exit that settles it returns: the sweep's own (``_SpectrumSweep.middle``),
     three rows that no z fits (``_rows_apart``), then the Fourier fit over
     every row (``_fourier_point``).
     """
     tol = _row_tol(sweep.dim, norm)
-    region = sweep.source.middle(sweep, k, tol, norm)
+    region = sweep.middle(k, tol, norm)
     if region is not None:
         return region
     if _rows_apart(sweep, k, tol, norm):
@@ -1157,7 +1119,7 @@ def _fourier_point(sweep: PencilSweep, k: int, tol: float) -> ConvexRegion:
     every offset is within ``tol`` of Re(e^{i theta_j} z)."""
     m = sweep.angle_count
     h = sweep.column(k - 1) / 2.0
-    phases = sweep.source.phases
+    phases = sweep.phases
     solved = phases.size
     first, second = h[:solved], h[solved:]
     z = 2.0 * np.sum((first - second if solved < m else first) * phases.conj()) / m

@@ -792,7 +792,7 @@ def test_closing_front_pop_runs_on_a_tie_plane_set():
     assert block_runs(_active_chain, "if cut_away(corners[0], dq[-1]):",
                       lambda: out.append(range_from_sweep(sweep, 3).region))
     assert out[0].is_empty and normal_oracle(eigs, 3).is_empty
-    assert range_from_sweep(PencilSweep(sweep.thetas, sweep.eigenvalues), 3).region.is_empty
+    assert range_from_sweep(PencilSweep(65536, sweep.eigenvalues), 3).region.is_empty
 
 
 def rippled_planes(p, eps, phase, second=(0.0, 0, 0.0), m=720):

@@ -795,7 +795,7 @@ def test_graded_rows_match_full_grid_lapack(name, m, monkeypatch):
         t = s * inputs[name]
         sweep, sizes = _solved_pencils(t, m, monkeypatch)
         assert sizes == [1], s
-        assert sweep.source.kind == "graded" and sweep.source.d == t[0, 0], s
+        assert sweep.kind == "graded" and sweep.d == t[0, 0], s
         vals = sweep.eigenvalues
         assert vals.shape == (m, t.shape[0])
         assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(t.shape[0],
@@ -854,8 +854,8 @@ def test_graded_ranks_are_the_regular_m_gon(m, monkeypatch):
     for name, t in cases.items():
         for scale in (1e-8, 1.0, 1e8):
             sweep = pencil_sweep(scale * t, m)
-            assert sweep.source.kind == "graded" and sweep._rows is None, name
-            every = ranges.PencilSweep(sweep.thetas, sweep.eigenvalues)
+            assert sweep.kind == "graded" and sweep._rows is None, name
+            every = ranges.PencilSweep(m, sweep.eigenvalues)
             bound = sweep.region_bound
             for k in range(1, t.shape[0] // 2 + 1):
                 sent.clear()
@@ -863,7 +863,7 @@ def test_graded_ranks_are_the_regular_m_gon(m, monkeypatch):
                 want = range_from_sweep(every, k).region
                 assert got.kind == want.kind, (name, scale, k)
                 assert hausdorff(got, want) <= 1e-12 * bound, (name, scale, k)
-                if sweep.source.row[k - 1] > 1e-9 * bound:
+                if sweep.row[k - 1] > 1e-9 * bound:
                     assert got.kind == "polygon" and got.vertices.size == m, (name, k)
                     assert sent == [], (name, k)
                 else:  # zero up to the rounding of T + T*'s spectrum
@@ -896,7 +896,7 @@ def test_one_angle_frame_per_sweep(monkeypatch):
         built.clear()
         for k in (1, 2, 3):
             range_from_sweep(sweep, k)
-        if sweep.source.kind == "graded":
+        if sweep.kind == "graded":
             assert built == []
         else:
             assert built == [2048 if sweep.planes is None else sweep.planes.size]
@@ -943,7 +943,7 @@ def test_tie_planes_give_the_all_plane_region(seed, n, family, m):
     from hrnr.geometry import support
 
     sweep = pencil_sweep(np.diag(_spectrum(family, n, generator(seed))), m)
-    every = ranges.PencilSweep(sweep.thetas, sweep.eigenvalues)
+    every = ranges.PencilSweep(m, sweep.eigenvalues)
     dropped = np.setdiff1d(np.arange(m), sweep.planes)
     bound = 2.0 * sweep.numerical_radius() or 1.0
     for k in range(1, n + 1):
@@ -998,7 +998,7 @@ def test_normal_cluster_point_is_the_all_plane_point():
     mu = np.array([-0.546, 1.2827 + 0.2938j, 1.2827 - 0.2938j, 0.0987, 0.0987 + 1e-9])
     sweep = pencil_sweep(np.diag(mu), 720)
     got = range_from_sweep(sweep, 2).region
-    want = range_from_sweep(ranges.PencilSweep(sweep.thetas, sweep.eigenvalues), 2).region
+    want = range_from_sweep(ranges.PencilSweep(720, sweep.eigenvalues), 2).region
     assert got.kind == want.kind == "point"
     assert np.array_equal(got.vertices, want.vertices)
     assert abs(got.vertices[0] - 0.0987) <= 1e-9
@@ -1041,7 +1041,7 @@ def test_on_demand_columns_are_the_sorted_rows_bit_for_bit(family, m):
     for _ in range(4):
         mu = _on_demand_spectrum(family, int(rng.integers(2, 9)), rng)
         want = _dense_spectrum_rows(mu, m)
-        sweep = ranges.PencilSweep(grid_angles(m), None, mu)
+        sweep = ranges._SpectrumSweep(m, mu, True)
         idx = np.sort(rng.choice(m, size=min(m, 40), replace=False))
         for r in range(mu.size):
             assert sweep.column(r, idx).tobytes() == want[idx, r].tobytes(), r
@@ -1062,9 +1062,9 @@ def test_pencil_sweep_picks_its_rows_by_size_with_the_same_bits(m, monkeypatch):
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         for t in (np.diag(_spectrum("complex", n, rng)), _hidden_normal(n, rng), x + x.conj().T):
             sweep = pencil_sweep(t, m)
-            assert sweep.source.kind == "spectrum"
+            assert sweep.kind == "spectrum"
             assert (sweep._rows is None) == (m * n >= ranges.ON_DEMAND_ROWS), (n, m)
-            want = _dense_spectrum_rows(sweep.source.mu, m)
+            want = _dense_spectrum_rows(sweep.mu, m)
             assert sweep.eigenvalues.tobytes() == want.tobytes()
     assert solved == []
 
@@ -1099,14 +1099,13 @@ def test_windowed_radius_is_the_whole_column_maximum(m):
     # a sweep formed on demand reads column 0 beside each eigenvalue's peak
     # alone; the radius has the bits of column 0's maximum over all m
     rng = generator(3800 + m)
-    thetas = grid_angles(m)
     for family in RADIUS_SPECTRA:
         mu = _radius_spectrum(family, rng)
-        sweep = ranges.PencilSweep(thetas, None, mu)
+        sweep = ranges._SpectrumSweep(m, mu, True)
         got = sweep.numerical_radius()
         if mu.any():
-            assert sweep.source.columns == {} and "phases" not in vars(sweep.source), family
-        want = ranges.PencilSweep(thetas, None, mu).column(0).max() / 2.0
+            assert sweep.columns == {} and "phases" not in vars(sweep), family
+        want = ranges._SpectrumSweep(m, mu, True).column(0).max() / 2.0
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), family
 
 
@@ -1117,8 +1116,8 @@ def test_indexed_phases_are_the_whole_arrays_bits(m):
     # length, order or stride of the indices
     rng = generator(3900 + m)
     thetas = grid_angles(m)
-    sweep = ranges.PencilSweep(thetas, None, _spectrum("complex", 6, rng))
-    whole = sweep.source.phases
+    sweep = ranges._SpectrumSweep(m, _spectrum("complex", 6, rng), True)
+    whole = sweep.phases
     solved = whole.size
     picks = [np.array([0]), np.array([solved - 1]), np.arange(3, 20), np.arange(solved)[::-7],
              rng.permutation(solved)[:1001], rng.integers(0, solved, size=64)]
@@ -1145,13 +1144,13 @@ def test_spectrum_ranks_form_only_their_tie_plane_offsets(monkeypatch):
     rng = generator(3400)
     m, n = 65536, 6
     sweep = pencil_sweep(np.diag(_spectrum("complex", n, rng)), m)
-    assert sweep._rows is None and "runs" not in vars(sweep.source)
+    assert sweep._rows is None and "runs" not in vars(sweep)
     rep = range_from_sweep(sweep, 2)
-    assert sweep.source.columns == {} and "phases" not in vars(sweep.source)
-    want = _dense_spectrum_rows(sweep.source.mu, m)
+    assert sweep.columns == {} and "phases" not in vars(sweep)
+    want = _dense_spectrum_rows(sweep.mu, m)
     assert sweep.numerical_radius() == want[:, 0].max() / 2.0
     assert rep.support_samples[:, 1].tobytes() == (want[:, 1] / 2.0).tobytes()
-    assert set(sweep.source.columns) == {1, n - 2}
+    assert set(sweep.columns) == {1, n - 2}
 
 
 @pytest.mark.parametrize("m", [16, 17, 720, 721, 65536, 65537])
@@ -1180,15 +1179,15 @@ def test_structured_sweeps_form_no_angle_grid():
         regions = [range_from_sweep(sweep, k).region for k in range(1, sweep.dim + 1)]
         assert "thetas" not in vars(sweep), (t.shape, m)
         assert sweep.thetas.tobytes() == grid_angles(m).tobytes()
-        # the same regions as a sweep given its grid and its rows
-        every = ranges.PencilSweep(grid_angles(m), sweep.eigenvalues)
+        # the same regions as a sweep given its angle count and its rows
+        every = ranges.PencilSweep(m, sweep.eigenvalues)
         for k, region in enumerate(regions, 1):
             want = range_from_sweep(every, k).region
             assert region.kind == want.kind, (t.shape, m, k)
 
 
 def _read_order_sweeps():
-    """(name, T, m) of each row source: a spectrum formed on demand
+    """(name, T, m) of each kind of sweep: a spectrum formed on demand
     (m n >= ON_DEMAND_ROWS) and one stacked below that, a batch T, a graded
     T and a translated graded T."""
     rng = generator(3470)
@@ -1203,7 +1202,8 @@ def test_read_order_leaves_every_output_bit_for_bit(case):
     # which reads a sweep makes is fixed by how it was built: a sweep whose
     # eigenvalues are read first, one read ranks first and one read radius
     # first give the same bytes for every rank's region and error bound,
-    # the radius and the column maxima
+    # the radius and the column maxima; the plain sweep given those rows
+    # reads the same radius and column maxima
     name, t, m = case
     n = t.shape[0]
     kind = {"on-demand": "spectrum", "stacked": "spectrum", "translated": "graded"}.get(name, name)
@@ -1215,7 +1215,7 @@ def test_read_order_leaves_every_output_bit_for_bit(case):
                 _bits(sweep.numerical_radius()), [_bits(v) for v in sweep.column_maxima(range(n))])
 
     rows_first = pencil_sweep(t, m)
-    assert rows_first.source.kind == kind and (rows_first._rows is None) == (name != "stacked")
+    assert rows_first.kind == kind and (rows_first._rows is None) == (name != "stacked")
     rows_first.eigenvalues
     ranks_first = pencil_sweep(t, m)
     want = outputs(ranks_first)
@@ -1225,6 +1225,9 @@ def test_read_order_leaves_every_output_bit_for_bit(case):
     radius_first.numerical_radius()
     radius_first.column_maxima(range(n))
     assert outputs(radius_first) == want
+    given = ranges.PencilSweep(m, rows_first.eigenvalues)
+    assert _bits(given.numerical_radius()) == want[1], name
+    assert [_bits(v) for v in given.column_maxima(range(n))] == want[2], name
 
 
 # --- points at 2k = n + 1 --------------------------------------------------------
@@ -1320,10 +1323,10 @@ def test_middle_rank_reads_the_owner_eigenvalue():
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         for t in (np.diag(rng.normal(size=n)), x + x.conj().T):
             sweep = pencil_sweep(scale * t, m)
-            assert sweep._rows is None and sweep.source.kind == "spectrum"
+            assert sweep._rows is None and sweep.kind == "spectrum"
             region = range_from_sweep(sweep, 3).region
-            assert sweep.source.columns == {} and "phases" not in vars(sweep.source)
-            middle = sweep.source.mu[np.argsort(sweep.source.mu.real)[2]]
+            assert sweep.columns == {} and "phases" not in vars(sweep)
+            middle = sweep.mu[np.argsort(sweep.mu.real)[2]]
             assert region.kind == "point"
             assert region.vertices.tobytes() == np.array([middle], complex).tobytes()
             norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
@@ -1372,7 +1375,7 @@ def test_owner_exit_never_disagrees_with_the_fit(m):
             k = (n + 1) // 2
             norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
             tol = _row_tol(n, norm)
-            region = sweep.source.middle(sweep, k, tol, norm)
+            region = sweep.middle(k, tol, norm)
             assert region is not None, (n, kind)
             assert region.kind == ranges._fourier_point(sweep, k, tol).kind, (n, kind)
             fired += region.is_empty
@@ -1500,14 +1503,14 @@ def test_middle_rank_exits_read_translated_graded_sweeps(m):
             for e in (-8, 0, 8):
                 d = 10.0 ** rng.uniform(-4, 4) * np.exp(2j * np.pi * rng.uniform())
                 sweep = pencil_sweep(10.0**e * (t + d * np.eye(n)), m)
-                assert sweep.source.d, (n, e)
+                assert sweep.d, (n, e)
                 norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
                 tol = _row_tol(n, norm)
                 assert not ranges._rows_apart(sweep, k, tol, norm), (n, e)
                 fit = ranges._fourier_point(sweep, k, tol)
                 point = range_from_sweep(sweep, k).region
                 assert fit.kind == point.kind == "point", (n, e)
-                assert point.vertices[0] == sweep.source.d
+                assert point.vertices[0] == sweep.d
                 assert abs(fit.vertices[0] - point.vertices[0]) <= tol, (n, e)
 
 
@@ -1544,7 +1547,7 @@ def test_two_by_two_offsets_are_the_elliptical_range(m):
         u = random_unitary(2, rng)
         for t in (np.diag(lam), u @ np.diag(lam) @ u.conj().T):
             sweep = pencil_sweep(t, m)
-            assert sweep.source.kind == "spectrum"
+            assert sweep.kind == "spectrum"
             assert (sweep._rows is None) == (m == 32768)
             rep = range_from_sweep(sweep, 1)
             want = _ellipse_support(lam, 0.0, rep.support_samples[:, 0])
@@ -1596,7 +1599,7 @@ def test_batch_maxima_are_the_full_solve_bits(name, m):
             rows = np.concatenate([rows, -rows[:, ::-1]])
         n = t.shape[0]
         for radius_first in (True, False):
-            sweep = ranges.PencilSweep(m, matrix=as_matrix(t))
+            sweep = ranges._BatchSweep(m, as_matrix(t))
             if radius_first:
                 radius = sweep.numerical_radius()
             maxima = sweep.column_maxima(range(n))
@@ -1610,7 +1613,7 @@ def test_batch_maxima_are_the_full_solve_bits(name, m):
 def test_pencil_sweep_keeps_batch_t_for_its_reads():
     for name in ("gauss", "nilpotent", "real", "hidden-shift"):
         sweep = pencil_sweep(_batch_inputs()[name], 720)
-        assert sweep.source.kind == "batch" and sweep._rows is None, name
+        assert sweep.kind == "batch" and sweep._rows is None, name
 
 
 def test_batch_radius_solves_a_fraction_of_the_pencils(monkeypatch):
@@ -1650,7 +1653,7 @@ def test_batch_middle_rank_reads_only_its_rows(m, monkeypatch):
     monkeypatch.undo()
     assert sum(sizes) < _solved_count(m) // 2, sizes
     full = pencil_sweep(t, m)
-    want = range_from_sweep(ranges.PencilSweep(full.thetas, full.eigenvalues), 3).region
+    want = range_from_sweep(ranges.PencilSweep(m, full.eigenvalues), 3).region
     assert region.is_empty and want.is_empty
 
 

@@ -72,7 +72,7 @@ def test_replay_battery_holds_translated_graded_cases():
     for kind, n, m, t in cases:
         d = t[0, 0]
         sweep = pencil_sweep(t, m)
-        assert sweep.source.kind == "graded" and sweep.source.d == d, (kind, n)
+        assert sweep.kind == "graded" and sweep.d == d, (kind, n)
         far = abs(d) / np.linalg.norm(t - d * np.eye(n), 2)
         assert (1e7 < far < 1e13) == (kind == "jordan-far"), (kind, n)
 
@@ -85,7 +85,7 @@ def load_script(name):
     return module
 
 
-def test_bench_grid_script():
+def test_bench_grid_script(monkeypatch):
     bench_grid = load_script("bench_grid.py")
     a, b = (bench_grid.run_cell("normal-diag", 5, 65536, repeat=1) for _ in range(2))
     cell = bench_grid.best_of(a, b)
@@ -122,6 +122,22 @@ def test_bench_grid_script():
     jordan = bench_grid.run_cell("jordan", 4, 720, repeat=1)
     assert jordan["planes"] == jordan["frame_ms"] == 0 and jordan["source"] == "graded"
     assert jordan["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}
+    # a tree whose sweeps keep their row source's kind on a ``source``, as
+    # a parent tree may, reports that kind
+    from hrnr import ranges
+
+    class Shell:
+        kind = "shell"
+
+        def __init__(self, sweep):
+            self.sweep = self.source = sweep
+
+        def __getattr__(self, name):
+            return getattr(self.sweep, name)
+
+    build = ranges.pencil_sweep
+    monkeypatch.setattr(ranges, "pencil_sweep", lambda t, m: Shell(build(t, m)))
+    assert bench_grid.run_cell("shift", 4, 720, repeat=1)["source"] == "graded"
 
 
 def test_bench_grid_interleaves_two_trees(tmp_path, monkeypatch):
@@ -159,3 +175,13 @@ def test_bench_grid_interleaves_two_trees(tmp_path, monkeypatch):
     # a label without its own source tree is a usage error
     with pytest.raises(SystemExit):
         bench_grid.main(["old", "new", "--src", change])
+
+
+def test_code_lines_script(tmp_path):
+    # a docstring, a comment and a blank line are not code lines
+    (tmp_path / "mod.py").write_text('"""A module.\n\nIts docstring."""\n# a comment\n\n'
+                                     'x = 1\ndef f():\n    return x\n')
+    assert load_script("code_lines.py").code_lines((tmp_path / "mod.py").read_text()) == 3
+    proc = run_script("code_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "mod.py", "3", "total"]
