@@ -39,8 +39,7 @@ cannot see.  A cell times, best of ``REPEAT`` in each round:
 
 and records each rank's tag, the planes the frame holds (0 for a graded
 sweep), the sweep's row source (``graded``, ``spectrum`` or ``batch``: the
-sweep's ``kind``, or its ``source``'s on a tree that keeps one there) and
-the peak RSS.
+sweep's ``kind``) and the peak RSS.
 The file also holds the numpy and Python versions, the CPU count and,
 with ``--tier1``, the wall time of the Tier-1 suite of the tree that
 ``--src`` belongs to.
@@ -132,7 +131,7 @@ def run_cell(kind, n, m, repeat=REPEAT):
             start = time.perf_counter()
             sweep = pencil_sweep(t, m)
             mid = time.perf_counter()
-            source = getattr(sweep, "source", sweep).kind
+            source = sweep.kind
             graded = source == "graded"  # its ranks are regular m-gons: no frame
             planes = 0 if graded else sweep.frame.size
             best["sweep"] = min(best["sweep"], mid - start)

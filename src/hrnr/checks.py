@@ -579,9 +579,8 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def random_matrix(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * z
+def random_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,6 +13,12 @@ numpy's PCG64 stream seeded with ``--seed``, so runs reproduce exactly.
 ``range --out`` writes the region as JSON, or, for a path ending in
 ``.npz``, the same members (``fileio.region_to_obj``) with ``np.savez``.
 
+``range`` and ``radius`` call the library's entry points,
+``ranges.rank_k_range`` and ``ranges.numerical_radius``, on the angle count
+resolved here.  The library checks the rank, for ``verify-properties``
+too; its ``BadRankError`` is a ValueError, as is the CLI's own
+``UsageError``, and ``main`` maps every ValueError to exit 2.
+
 The argument parser is built once per process, at the first ``main`` call,
 and reused: parsing keeps no state in it, and each ``cmd_*`` function
 looks up the engine, ``fileio`` and ``checks`` functions it calls at call
@@ -27,16 +33,16 @@ import sys
 
 import numpy as np
 
-from . import checks, fileio, shifts
-from .ranges import VERIFY_ANGLES, pencil_sweep, range_from_sweep, resolve_angles
+from . import checks, fileio, ranges, shifts
+from .ranges import VERIFY_ANGLES, resolve_angles
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    """Bad input at the CLI level (maps to exit code 2)."""
+class UsageError(ValueError):
+    """Bad input at the CLI level (maps to exit code 2, as every ValueError)."""
 
 
 def _emit(text: str, out) -> None:
@@ -53,11 +59,9 @@ def _emit(text: str, out) -> None:
 def cmd_range(args) -> int:
     t = fileio.load_matrix(args.input)
     m = resolve_angles(args.angles)
-    if not 1 <= args.k <= t.shape[0]:
-        raise UsageError(f"k must be in 1..{t.shape[0]}, got {args.k}")
     if args.ref_radius is not None and not np.isfinite(args.ref_radius):
         raise UsageError(f"--ref-radius must be finite, got {args.ref_radius}")
-    report = range_from_sweep(pencil_sweep(t, m), args.k)
+    report = ranges.rank_k_range(t, args.k, m)
     obj = fileio.region_to_obj(report)
     if args.out and args.out.endswith(".npz"):
         try:
@@ -74,7 +78,7 @@ def cmd_range(args) -> int:
 def cmd_radius(args) -> int:
     t = fileio.load_matrix(args.input)
     m = resolve_angles(args.angles)
-    print(repr(pencil_sweep(t, m).numerical_radius()))
+    print(repr(ranges.numerical_radius(t, m)))
     return EXIT_OK
 
 
@@ -141,9 +145,6 @@ def cmd_verify_nilpotent(args) -> int:
 
 def cmd_verify_properties(args) -> int:
     t = fileio.load_matrix(args.input)
-    d = t.shape[0]
-    if not 1 <= args.k <= d:
-        raise UsageError(f"k must be in 1..{d}, got {args.k}")
     m = resolve_angles(args.angles)
     reports = checks.property_suite(t, args.k, m, checks.generator(args.seed))
     for rep in reports:
@@ -215,13 +216,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     # LinAlgError subclasses ValueError, so it must be caught first; every
-    # other hrnr input error (bad rank, shape, file, ...) is a ValueError,
-    # and numpy refuses an array too large to allocate, such as the grid of
-    # an angle count of 10^15, with a MemoryError before touching memory
+    # other input error (bad rank, shape, file, a UsageError, ...) is a
+    # ValueError, and numpy refuses an array too large to allocate, such as
+    # the grid of an angle count of 10^15, with a MemoryError before
+    # touching memory
     except np.linalg.LinAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

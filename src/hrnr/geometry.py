@@ -363,23 +363,9 @@ def _active_chain(thetas, cos_t, sin_t, cuts):
     dq: deque[int] = deque()
     # corners[j] is the corner of dq[j] and dq[j + 1]
     corners: deque = deque()
-
-    def corner(a, b):
-        # intersection of boundary lines a and b; None if (anti)parallel
-        det = sin_t[a] * cos_t[b] - cos_t[a] * sin_t[b]
-        if det < 1e-14 and det > -1e-14:
-            return None
-        return (
-            (-cuts[a] * sin_t[b] + cuts[b] * sin_t[a]) / det,
-            (-cuts[a] * cos_t[b] + cuts[b] * cos_t[a]) / det,
-        )
-
-    def cut_away(z, i):
-        return z is not None and z[0] * cos_t[i] - z[1] * sin_t[i] > cuts[i]
-
     half_turn = np.pi
     for i in range(m):
-        # cut_away(z, i), inlined: this loop runs once per plane
+        # _cuts(z, c, s, b), inlined: this loop runs once per plane
         c, s, b = cos_t[i], sin_t[i], cuts[i]
         while corners:
             z = corners[-1]
@@ -394,17 +380,19 @@ def _active_chain(thetas, cos_t, sin_t, cuts):
             dq.popleft()
             corners.popleft()
         if dq:
-            corners.append(corner(dq[-1], i))
+            a = dq[-1]
+            corners.append(_corner(cos_t[a], sin_t[a], cuts[a], c, s, b))
         dq.append(i)
     changed = True
     while changed and len(dq) >= 3:
         changed = False
-        if cut_away(corners[-1], dq[0]):
+        a, b = dq[0], dq[-1]
+        if _cuts(corners[-1], cos_t[a], sin_t[a], cuts[a]):
             dq.pop()
             corners.pop()
             changed = True
             continue
-        if cut_away(corners[0], dq[-1]):
+        if _cuts(corners[0], cos_t[b], sin_t[b], cuts[b]):
             dq.popleft()
             corners.popleft()
             changed = True
@@ -413,16 +401,39 @@ def _active_chain(thetas, cos_t, sin_t, cuts):
     return np.array(dq, dtype=np.intp)
 
 
+def _corner(ca, sa, ua, cb, sb, ub):
+    """The corner (x, y) of the boundary lines of two planes, given by their
+    cosines, sines and cuts as Python floats, with ``_corners``' expression;
+    None when it is not proper ((anti)parallel planes)."""
+    det = sa * cb - ca * sb
+    if -1e-14 < det < 1e-14:
+        return None
+    return (-ua * sb + ub * sa) / det, (-ua * cb + ub * ca) / det
+
+
+def _cuts(z, c, s, u):
+    """Whether the plane of cosine c, sine s and cut u cuts the corner z
+    (None, an improper corner, is never cut)."""
+    return z is not None and z[0] * c - z[1] * s > u
+
+
 def _corners(cos_t, sin_t, cuts, a, b):
     """Coordinates x, y of the corners of planes a[j] and b[j] (index
-    arrays or slices), with the scan's expression, and their determinants;
-    a corner whose determinant is below 1e-14 in modulus ((anti)parallel
-    planes) is not used."""
+    arrays or slices), and whether each is proper: a corner whose
+    determinant is below 1e-14 in modulus ((anti)parallel planes) is not
+    used."""
     det = sin_t[a] * cos_t[b] - cos_t[a] * sin_t[b]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (-cuts[a] * sin_t[b] + cuts[b] * sin_t[a]) / det
         y = (-cuts[a] * cos_t[b] + cuts[b] * cos_t[a]) / det
-    return x, y, det
+    return x, y, np.abs(det) >= 1e-14
+
+
+def _runs(mask):
+    """The maximal runs of True in ``mask``: their first indices and their
+    ends, one past their last."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return edges[::2], edges[1::2]
 
 
 def _unit_planes(frame, offsets, radius):
@@ -447,7 +458,7 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
     (pi/16 at most) do not undo.  So a plane's two neighbours are never more
     than a half-turn apart (up to the 1e-12 merge of equal directions).
     Plane p is implied when its neighbours a and b have a corner c
-    (``_corners``, |det| >= 1e-14) with h_p(c) <= cut_p + CLIP_EPS, where
+    (``_corners``, a proper one) with h_p(c) <= cut_p + CLIP_EPS, where
     h_p(z) = Re(e^{i theta_p} z).  When no plane is implied, the kept
     indices are returned: each plane cuts its neighbours' corner by more
     than CLIP_EPS, so the corners form a closed left-turning chain that
@@ -527,7 +538,7 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
     would allow 1.4e-9 at m = 2^16 before any wing.
 
     Certified chains.  When no plane is implied and, in that round, every
-    neighbour corner is also proper (|det| >= 1e-14), the corners of the
+    neighbour corner is also proper (``_corners``), the corners of the
     kept planes form a convex counter-clockwise loop that satisfies every
     kept plane, and every dropped plane holds it within e <= 1e-9 of its
     relaxed cut (above).  ``_classify`` keeps a point, segment or polygon
@@ -543,10 +554,10 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
     while True:
         # the kept planes in angle order, with a cyclic neighbour at each end
         th, c, s, cu = (np.concatenate([v[-1:], v, v[:1]]) for v in kept)
-        x, y, det = _corners(c, s, cu, slice(None, -2), slice(2, None))
-        implied = (np.abs(det) >= 1e-14) & (x * c[1:-1] - y * s[1:-1] <= cu[1:-1] + CLIP_EPS)
+        x, y, proper = _corners(c, s, cu, slice(None, -2), slice(2, None))
+        implied = proper & (x * c[1:-1] - y * s[1:-1] <= cu[1:-1] + CLIP_EPS)
         if not implied.any():
-            return keep, bool((np.abs(det) >= 1e-14).all())
+            return keep, bool(proper.all())
         sector = np.floor(th * (32 / np.pi))
         drop = _run_drops(th, c, s, cu, implied & (sector[1:-1] == sector[:-2]))
         if 4 * np.count_nonzero(drop) < keep.size:
@@ -554,28 +565,26 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
                                                     <= np.pi / 16))
             if np.count_nonzero(alternate) > np.count_nonzero(drop):
                 drop = alternate
-        if keep.size == thetas.size <= ONE_ROUND_PLANES:
-            # a small set that is not smooth: this round's drops, then the scan
-            stay = np.flatnonzero(~drop)
-            dq = _active_chain(*(v[stay].tolist() for v in kept))
-            return None if dq is None else keep[stay[dq]], False
-        if 16 * np.count_nonzero(drop) < keep.size:
+        small = keep.size == thetas.size <= ONE_ROUND_PLANES
+        if not small and 16 * np.count_nonzero(drop) < keep.size:
             # the round stalls: cut the crossing wings once, if that costs
             # less than the scan (a junction takes about 15 us of searches
             # and an array pass of 2 ns a plane, the scan 0.6 us a plane,
             # measured at 20 to 8192 planes), else scan
-            runs = np.count_nonzero(implied[1:] & ~implied[:-1]) + implied[0]
-            if wings and runs <= min(64, keep.size // 32):
-                drop = _wing_drops(*kept, implied, _wing_gap(thetas.size))
-            else:
-                drop = None
+            runs = _runs(implied)
+            if not wings or runs[0].size > min(64, keep.size // 32):
+                break
             wings = False
-            if drop is None or not drop.any():
-                dq = _active_chain(*(v.tolist() for v in kept))
-                return None if dq is None else keep[dq], False
+            drop = _wing_drops(*kept, *runs, _wing_gap(thetas.size))
+            if not drop.any():
+                break
         stay = np.flatnonzero(~drop)
         keep = keep[stay]
         kept = tuple(v[stay] for v in kept)
+        if small:  # a small set that is not smooth: this round's drops, then the scan
+            break
+    dq = _active_chain(*(v.tolist() for v in kept))
+    return None if dq is None else keep[dq], False
 
 
 def _run_drops(th, c, s, cu, run):
@@ -590,12 +599,11 @@ def _run_drops(th, c, s, cu, run):
     a sector, the planes would leave a gap wider than pi/2.
     """
     # run j holds planes first[j] .. end[j] - 1; A is entry first[j], B end[j] + 1
-    edges = np.flatnonzero(np.concatenate(([False], run)) != np.concatenate((run, [False])))
-    first, end = edges[::2], edges[1::2]
+    first, end = _runs(run)
     if not first.size:
         return run
-    x, y, det = _corners(c, s, cu, first, end + 1)
-    ok = (np.abs(det) >= 1e-14) & (np.mod(th[end + 1] - th[first], TWO_PI) <= np.pi / 16)
+    x, y, proper = _corners(c, s, cu, first, end + 1)
+    ok = proper & (np.mod(th[end + 1] - th[first], TWO_PI) <= np.pi / 16)
     # each plane's run: the last that starts at or before it (-1 before the first)
     bounds = np.concatenate(([0], first, [run.size]))
     r = np.repeat(np.arange(-1, first.size), bounds[1:] - bounds[:-1])
@@ -611,27 +619,27 @@ def _wing_gap(size):
     return min(2.0 * np.arccos(min(chained / 1e-9, 1.0)), 15 * np.pi / 16)
 
 
-def _wing_drops(th, c, s, cu, implied, cap):
+def _wing_drops(th, c, s, cu, first, end, cap):
     """The drops of a wing round over the kept planes (no cyclic padding).
 
-    Each maximal run of ``implied`` planes (cyclic) is a junction between
-    the kept planes before it (its left wing, back to the previous run)
-    and after it (its right wing).  Along a wing, in angle order, the
-    corners (i, i + 1) move one way along every plane within a half-turn,
-    so a plane cuts them on one side of the point where its line crosses
-    the wing, and two exponential-plus-binary searches find that point:
-    from b, the right wing's first plane, the last left corner that b
-    does not cut gives a, the facet whose edge holds the crossing; from
-    that a, the first right corner that a does not cut gives b.  They
-    alternate until (a, b) is fixed, O(log m) per junction.  When b cuts
-    the whole left wing, or a the whole right wing, or a kept plane cuts
-    the corner C of a and b by more than CLIP_EPS, a wing beyond the
+    Each maximal run of implied planes, ``first[j]`` .. ``end[j]`` - 1
+    (``_runs``; cyclic), is a junction between the kept planes before it
+    (its left wing, back to the previous run) and after it (its right wing).
+    Along a wing, in angle order, the corners (i, i + 1) move one way along
+    every plane within a half-turn, so a plane cuts them on one side of the
+    point where its line crosses the wing, and two exponential-plus-binary
+    searches find that point: from b, the right wing's first plane, the last
+    left corner that b does not cut gives a, the facet whose edge holds the
+    crossing; from that a, the first right corner that a does not cut gives
+    b.  They alternate until (a, b) is fixed, O(log m) per junction.  When b
+    cuts the whole left wing, or a the whole right wing, or a kept plane
+    cuts the corner C of a and b by more than CLIP_EPS, a wing beyond the
     neighbouring run on that side (the side of the plane that cuts C most)
     crosses this one instead: the two runs and the wing between them merge
     into one junction (cyclically), and the search restarts.
 
     A junction's drops are the planes strictly between a and b that hold C
-    exactly, h_p(C) <= cut_p, when C is proper (|det| >= 1e-14), no kept
+    exactly, h_p(C) <= cut_p, when C is proper (``_corners``), no kept
     plane cuts it by more than CLIP_EPS (so it is a vertex of the kept
     planes, on the edges of a and b), a and b are at most ``cap`` apart,
     the planes beside them leave a's and b's neighbours within a
@@ -639,25 +647,20 @@ def _wing_drops(th, c, s, cu, implied, cap):
     junction's drops.
     """
     n = th.size
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], implied, [False]))))
-    first, end = edges[::2].tolist(), edges[1::2].tolist()
-    if len(first) > 1 and implied[0] and implied[-1]:  # the run across the seam
+    first, end = first.tolist(), end.tolist()
+    if len(first) > 1 and first[0] == 0 and end[-1] == n:  # the run across the seam
         first, end = first[1:], end[1:-1] + [end[0] + n]
     # Python floats of single planes: the searches read O(log n) of them
     T, C, S, U = (v.item for v in (th, c, s, cu))
 
     def corner(a, b):
-        ca, sa, ua, cb, sb, ub = C(a % n), S(a % n), U(a % n), C(b % n), S(b % n), U(b % n)
-        det = sa * cb - ca * sb
-        if -1e-14 < det < 1e-14:
-            return None
-        return (-ua * sb + ub * sa) / det, (-ua * cb + ub * ca) / det
+        a, b = a % n, b % n
+        return _corner(C(a), S(a), U(a), C(b), S(b), U(b))
 
     def beyond(p, i):
         # plane p cuts the corner of planes i and i + 1
-        z = corner(i, i + 1)
         p %= n
-        return z is not None and z[0] * C(p) - z[1] * S(p) > U(p)
+        return _cuts(corner(i, i + 1), C(p), S(p), U(p))
 
     def gap(a, b):
         return (T(b % n) - T(a % n)) % TWO_PI
@@ -758,12 +761,12 @@ def _unit_region(planes, dq, certified=False) -> ConvexRegion:
     that ``_facet_planes`` certified skips that check: no plane can cut
     its region by more than the chained bound of its docstring, which the
     wing rule's gap cap keeps within 1e-9.  Scanned chains, and chains with
-    a neighbour corner below the 1e-14 determinant guard, are checked."""
+    a neighbour corner that is not proper (``_corners``), are checked."""
     all_t, cos_t, sin_t, cuts = planes
     if dq is None:
         return ConvexRegion.empty()
-    x, y, det = _corners(cos_t, sin_t, cuts, dq, _next(dq))
-    if (np.abs(det) < 1e-14).any():
+    x, y, proper = _corners(cos_t, sin_t, cuts, dq, _next(dq))
+    if not proper.all():
         return ConvexRegion.empty()
     verts = x + 1j * y
     if not np.isfinite(verts).all():

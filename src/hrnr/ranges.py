@@ -183,7 +183,8 @@ class PencilSweep:
     grid, of which ``solved`` (m/2 on an even grid, all m on an odd one)
     come from the sweep's ``values`` and the rest from the half-turn in
     ``column``.  The reads here are the plain ones, which a sweep overrides
-    where it knows better: the radius's ``peaks``, the column ``maxima``,
+    where it knows better: the column ``maxima``, of which column 0's, twice
+    the numerical radius, is read at the sweep's ``peaks`` when it has them,
     the ``planes``, a rank's ``region`` read off the rows and a middle
     rank's exit, ``middle``.
 
@@ -254,17 +255,6 @@ class PencilSweep:
 
     def numerical_radius(self) -> float:
         """max_j lambda_1(H_{theta_j}) / 2: the numerical radius on this grid."""
-        return self._radius
-
-    @cached_property
-    def _radius(self) -> float:
-        # column 0 at the sweep's peaks, when it has them; a maximum that
-        # is not positive (every mu zero) reads it whole
-        idx = self.peaks()
-        if idx is not None:
-            top = self.column(0, idx).max()
-            if top > 0:
-                return float(top / 2.0)
         return float(self.column_maxima([0])[0] / 2.0)
 
     def column_maxima(self, rs) -> list:
@@ -295,8 +285,12 @@ class PencilSweep:
         return None
 
     def maxima(self, rs: list[int]) -> list:
-        """``column(r).max()`` for each r in ``rs``."""
-        return [self.column(r).max() for r in rs]
+        """``column(r).max()`` for each r in ``rs``; column 0's is read at the
+        sweep's ``peaks`` when it has them, unless the maximum there is not
+        positive (every mu zero), which reads it whole."""
+        idx = self.peaks() if 0 in rs else None
+        top = 0.0 if idx is None else self.column(0, idx).max()
+        return [top if r == 0 and top > 0 else self.column(r).max() for r in rs]
 
     def region(self, k: int) -> tuple[ConvexRegion, float] | None:
         """Rank k's region and error bound read off the rows, or None: the
@@ -940,7 +934,7 @@ def _normal_spectrum(t: np.ndarray) -> np.ndarray | None:
     Frobenius norm is at most sqrt(n) times that, and N <= ||T||_F.
     """
     n = t.shape[0]
-    e = np.frexp(max(np.abs(t.real).max(), np.abs(t.imag).max()))[1]
+    e = np.frexp(_entry_max(t))[1]
     x = np.ldexp(t.real, -e) + 1j * np.ldexp(t.imag, -e)
     budget = _solve_error(n, 1.0)
     commutator = x @ x.conj().T - x.conj().T @ x

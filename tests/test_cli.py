@@ -371,7 +371,7 @@ def test_shift_command_roundtrip(tmp_path):
         assert main(["shift", "--n", str(n), "--out", str(out)]) == 0
         assert out.read_bytes() == per_entry(shift_matrix(n)).encode("utf-8"), n
     for scale in (1e-8, 1.0, 1e8):
-        t = checks.random_matrix(5, checks.generator(3), scale)
+        t = scale * checks.random_matrix(5, checks.generator(3))
         assert fileio.dumps_json(fileio.matrix_to_obj(t)) == per_entry(t), scale
 
 

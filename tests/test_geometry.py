@@ -739,6 +739,20 @@ def test_classify_replaces_a_reversing_spike_by_the_hull():
     assert np.array_equal(out[0].vertices, [0, 1, 1 + 1j, 1j])
 
 
+@pytest.mark.parametrize("loop, square", [
+    (np.tile(np.array([0, 1, 1 + 1j, 1j]), 2), [0, 1, 1 + 1j, 1j]),
+    (np.array([0, 2, 2 + 2j, 1 + 1j, 2j]), [0, 2, 2 + 2j, 2j]),
+], ids=["wound-twice", "dented"])
+def test_classify_falls_back_to_the_hull(loop, square):
+    # a unit square wound twice turns by 4 pi, and a pentagon dented in to
+    # the centre of its square turns right there: each is its hull
+    out = []
+    assert block_runs(geometry._classify, "if (turns <= 0).any() or turns.sum() >= 3 * np.pi:",
+                      lambda: out.append(geometry._classify(loop)))
+    assert out[0].kind == "polygon"
+    assert np.array_equal(out[0].vertices, square)
+
+
 def test_classify_sends_a_loop_pruned_below_three_vertices_back():
     # a sliver triangle 2e-13 high, wound 30000 times: thick enough by area
     # (3e-9 over a diameter of 1), but each vertex lies within CLIP_EPS of
@@ -769,7 +783,7 @@ def test_scanned_antiparallel_neighbours_give_empty():
     dq = full_scan(planes)
     assert planes[0][dq].tolist() == [0.0, np.pi, 1.5 * np.pi]
     out = []
-    assert block_runs(_unit_region, "if (np.abs(det) < 1e-14).any():",
+    assert block_runs(_unit_region, "if not proper.all():",
                       lambda: out.append(_unit_region(planes, dq)))
     assert out[0].is_empty
 
@@ -789,7 +803,7 @@ def test_closing_front_pop_runs_on_a_tie_plane_set():
     eigs /= np.abs(eigs).max()
     sweep = pencil_sweep(np.diag(eigs), 65536)
     out = []
-    assert block_runs(_active_chain, "if cut_away(corners[0], dq[-1]):",
+    assert block_runs(_active_chain, "if _cuts(corners[0], cos_t[b], sin_t[b], cuts[b]):",
                       lambda: out.append(range_from_sweep(sweep, 3).region))
     assert out[0].is_empty and normal_oracle(eigs, 3).is_empty
     assert range_from_sweep(PencilSweep(65536, sweep.eigenvalues), 3).region.is_empty

@@ -105,6 +105,21 @@ def test_bad_rank_rejected():
         rank_k_range(shift_matrix(4), 5, 64)
 
 
+@pytest.mark.parametrize("t, kind", [
+    (shift_matrix(4), "graded"),
+    (np.diag([1.0, 2j, -1.0, 0.5]), "spectrum"),
+    (random_matrix(4, generator(11)), "batch"),
+])
+def test_range_from_sweep_rejects_a_bad_rank(t, kind):
+    # the engine's own check, whose text ``hrnr range`` and
+    # ``hrnr verify-properties`` print
+    sweep = pencil_sweep(t, 64)
+    assert sweep.kind == kind
+    for k in (0, 5):
+        with pytest.raises(BadRankError, match=rf"^k must be in 1\.\.4, got {k}$"):
+            range_from_sweep(sweep, k)
+
+
 def test_report_metadata():
     rep = rank_k_range(shift_matrix(3), 1, 64)
     assert rep.k == 1 and rep.angles == 64

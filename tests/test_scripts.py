@@ -85,7 +85,7 @@ def load_script(name):
     return module
 
 
-def test_bench_grid_script(monkeypatch):
+def test_bench_grid_script():
     bench_grid = load_script("bench_grid.py")
     a, b = (bench_grid.run_cell("normal-diag", 5, 65536, repeat=1) for _ in range(2))
     cell = bench_grid.best_of(a, b)
@@ -122,22 +122,6 @@ def test_bench_grid_script(monkeypatch):
     jordan = bench_grid.run_cell("jordan", 4, 720, repeat=1)
     assert jordan["planes"] == jordan["frame_ms"] == 0 and jordan["source"] == "graded"
     assert jordan["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}
-    # a tree whose sweeps keep their row source's kind on a ``source``, as
-    # a parent tree may, reports that kind
-    from hrnr import ranges
-
-    class Shell:
-        kind = "shell"
-
-        def __init__(self, sweep):
-            self.sweep = self.source = sweep
-
-        def __getattr__(self, name):
-            return getattr(self.sweep, name)
-
-    build = ranges.pencil_sweep
-    monkeypatch.setattr(ranges, "pencil_sweep", lambda t, m: Shell(build(t, m)))
-    assert bench_grid.run_cell("shift", 4, 720, repeat=1)["source"] == "graded"
 
 
 def test_bench_grid_interleaves_two_trees(tmp_path, monkeypatch):
