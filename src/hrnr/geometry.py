@@ -256,8 +256,6 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
     prune's survivors need not be the extremes.
     """
     loop = _dedupe(verts)
-    if loop.size == 0:
-        return ConvexRegion.empty()
     diam = float(np.hypot(np.ptp(loop.real), np.ptp(loop.imag)))
     if diam < POINT_DIAM:
         return ConvexRegion.point(loop.mean())
@@ -635,8 +633,13 @@ def _wing_drops(th, c, s, cu, first, end, cap):
     cuts the whole left wing, or a the whole right wing, or a kept plane
     cuts the corner C of a and b by more than CLIP_EPS, a wing beyond the
     neighbouring run on that side (the side of the plane that cuts C most)
-    crosses this one instead: the two runs and the wing between them merge
-    into one junction (cyclically), and the search restarts.
+    crosses this one instead.  If no pair has used that run yet (the next
+    run, or at the first junction the last one), the two runs and the wing
+    between them merge into one junction (cyclically), and the search
+    restarts.  Otherwise the junction is left uncut, and its planes go on
+    to the later rounds or the deque scan, which are exact on any plane
+    set; so no pair is ever undone, and each pair's drops hold on their
+    own, since no kept plane cuts its C.
 
     A junction's drops are the planes strictly between a and b that hold C
     exactly, h_p(C) <= cut_p, when C is proper (``_corners``), no kept
@@ -665,7 +668,7 @@ def _wing_drops(th, c, s, cu, first, end, cap):
     def gap(a, b):
         return (T(b % n) - T(a % n)) % TWO_PI
 
-    pairs, j = [], 0  # (the run's first plane, a, b) of each junction cut
+    pairs, j = [], 0  # (a, b) of each junction cut
     while j < len(first):
         lo = end[j - 1] - (n if j == 0 else 0)  # left wing lo .. first[j] - 1
         hi = first[j + 1] if j + 1 < len(first) else first[0] + n  # right wing .. hi - 1
@@ -684,34 +687,21 @@ def _wing_drops(th, c, s, cu, first, end, cap):
             if out[q] > CLIP_EPS:
                 q = b + (q - b) % n
                 side = 1 if q - b < a + n - q else -1
-        if side == 1 and len(first) > 1:  # take in the next run
-            if j + 1 < len(first):
-                del first[j + 1], end[j]
-            else:  # the first one, across the ends of the list
-                end[j] = end[0] + n
-                if pairs and pairs[0][0] == first[0]:
-                    pairs.pop(0)
-                del first[0], end[0]
-                j -= 1
+        if side == 1 and j + 1 < len(first):  # take in the next run
+            del first[j + 1], end[j]
             continue
-        if side == -1 and len(first) > 1:  # join the previous run
-            if j > 0:
-                del first[j], end[j - 1]
-                j -= 1
-                if pairs and pairs[-1][0] == first[j]:
-                    pairs.pop()
-            else:  # the last one, which no pair holds yet
-                first[0] = first[-1] - n
-                del first[-1], end[-1]
+        if side == -1 and j == 0 and len(first) > 1:  # take in the last run
+            first[0] = first[-1] - n
+            del first[-1], end[-1]
             continue
         if not (side or z is None or gap(a, b) > cap or gap(a - 1, b) >= np.pi
-                or gap(a, b + 1) >= np.pi or (pairs and a <= pairs[-1][2])):
-            pairs.append((first[j], a, b))
+                or gap(a, b + 1) >= np.pi or (pairs and a <= pairs[-1][1])):
+            pairs.append((a, b))
         j += 1
-    if len(pairs) > 1 and pairs[-1][2] >= pairs[0][1] + n:
+    if len(pairs) > 1 and pairs[-1][1] >= pairs[0][0] + n:
         pairs.pop()
     drop = np.zeros(n, dtype=bool)
-    for _, a, b in pairs:
+    for a, b in pairs:
         x, y = corner(a, b)
         p = np.arange(a + 1, b) % n
         drop[p] = x * c[p] - y * s[p] <= cu[p]

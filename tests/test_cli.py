@@ -421,6 +421,45 @@ def test_verify_nilpotent_large_shift_passes(capsys):
     assert code == 0, capsys.readouterr().out
 
 
+def failing_report(property_id, note=""):
+    return checks.PropertyReport(property_id, False, 2.5e-3, 1e-9, "d41d8cd9", note)
+
+
+def test_verify_shift_mismatches_exit_1(monkeypatch, capsys):
+    # the CLI looks check_shift up at call time: a report that fails at
+    # n = 3 is printed as a mismatch line, with its note
+    calls = []
+
+    def check_shift(n, m):
+        calls.append((n, m))
+        if n == 3:
+            return failing_report("S_3 k=2", "closed form missed")
+        return checks.PropertyReport(f"S_{n}", True, 0.0, 1e-9, "0", "")
+
+    monkeypatch.setattr(checks, "check_shift", check_shift)
+    assert main(["verify-shift", "--max-n", "4", "--angles", "720"]) == 1
+    assert calls == [(2, 720), (3, 720), (4, 720)]
+    assert capsys.readouterr().out == (
+        "1 mismatches:\n"
+        "  S_3 k=2   FAIL  discrepancy=2.500e-03  tolerance=1.000e-09  [d41d8cd9]"
+        "  closed form missed\n")
+
+
+def test_verify_nilpotent_violations_exit_1(monkeypatch, capsys):
+    # a failing report from check_nilpotent on every trial: one line per
+    # trial, the note-free report's line ending at its digest
+    monkeypatch.setattr(checks, "check_nilpotent", lambda t, m: [
+        checks.PropertyReport("dilation", True, 0.0, 1e-9, "0", "equality"),
+        failing_report("disc")])
+    code = main(["verify-nilpotent", "--n", "4", "--trials", "2", "--seed", "7",
+                 "--angles", "512"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "2 violations (seed 7):\n"
+        "  trial 0: disc      FAIL  discrepancy=2.500e-03  tolerance=1.000e-09  [d41d8cd9]\n"
+        "  trial 1: disc      FAIL  discrepancy=2.500e-03  tolerance=1.000e-09  [d41d8cd9]\n")
+
+
 def test_verify_nilpotent_usage_errors():
     assert main(["verify-nilpotent", "--trials", "0"]) == 2
     assert main(["verify-nilpotent", "--n", "4", "--r-hint", "9"]) == 2

@@ -675,14 +675,19 @@ def test_certified_chains_pass_the_emptiness_check_on_sweeps():
     assert certified >= 50
 
 
+def replay_battery():
+    """The cases (kind, n, m, T) of ``scripts/replay_engine.py``'s battery."""
+    spec = importlib.util.spec_from_file_location("replay_engine", REPLAY_SCRIPT)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    return replay.battery()
+
+
 def test_wing_cut_leaves_the_normal_toeplitz_replay_case():
     # the replay's normal tridiagonal Toeplitz n = 12 cases (tie planes of a
     # spectrum sweep, k = 1..n): a wing cut with a relaxed drop test moved
     # one of these regions by 6.5e-10 * bound; here each rank is the scan's
-    spec = importlib.util.spec_from_file_location("replay_engine", REPLAY_SCRIPT)
-    replay = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(replay)
-    cases = [(m, t) for kind, n, m, t in replay.battery() if (kind, n) == ("normal-toeplitz", 12)]
+    cases = [(m, t) for kind, n, m, t in replay_battery() if (kind, n) == ("normal-toeplitz", 12)]
     assert [m for m, _ in cases] == [2048, 8192]
     for m, t in cases:
         sweep = pencil_sweep(t, m)
@@ -710,23 +715,47 @@ def test_plane_filter_keeps_planes_that_cut_a_relaxed_corner():
 
 def block_runs(func, condition, call):
     """Whether the first line of the block under ``condition`` (a line of
-    ``func``'s source, stripped) runs during ``call()``."""
+    ``func``'s source, stripped) runs during ``call()``.  Every event also
+    goes on to the trace function installed before, so that an outer line
+    trace (a coverage run) sees the lines run inside the call."""
     lines, first = inspect.getsourcelines(func)
     target = first + [line.strip() for line in lines].index(condition) + 1
     code, hit = func.__code__, []
+    previous = sys.gettrace()
 
-    def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == target:
-            hit.append(target)
+    def chained(outer, ours):
+        # the frame's local trace: ours (in func's frames) and the outer one's
+        def local(frame, event, arg):
+            nonlocal outer
+            if ours and event == "line" and frame.f_lineno == target:
+                hit.append(target)
+            if outer is not None:
+                outer = outer(frame, event, arg)
+            return local if ours or outer is not None else None
         return local
 
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    def start(frame, event, arg):
+        outer = None if previous is None else previous(frame, event, arg)
+        ours = frame.f_code is code
+        return chained(outer, ours) if ours or outer is not None else None
+
+    sys.settrace(start)
     try:
         call()
     finally:
         sys.settrace(previous)
     return bool(hit)
+
+
+def test_block_runs_passes_every_event_to_the_outer_trace():
+    # one block_runs inside another: the outer one sees the line that the
+    # inner one pins, as a whole-suite line trace must
+    loop = np.array([0, 1, 1 + 1j, 0.5 + 0.2j, 1j])
+    condition = "if (turns <= 0).any() or turns.sum() >= 3 * np.pi:"
+    inner = []
+    assert block_runs(geometry._classify, condition, lambda: inner.append(
+        block_runs(geometry._classify, condition, lambda: geometry._classify(loop))))
+    assert inner == [True]
 
 
 def test_classify_replaces_a_reversing_spike_by_the_hull():
@@ -819,21 +848,42 @@ def rippled_planes(p, eps, phase, second=(0.0, 0, 0.0), m=720):
     return unit_planes(thetas, offsets, 4.0)
 
 
+def swallowtail_planes(m, k):
+    """The planes of rank k of the replay battery's Gaussian swallowtail
+    n = 6 at m angles."""
+    t = next(t for kind, n, mm, t in replay_battery()
+             if (kind, n, mm) == ("gauss-swallowtail", 6, m))
+    return sweep_planes(t, k, m)
+
+
 @pytest.mark.parametrize("planes, condition", [
     pytest.param(lambda: sweep_planes(np.random.default_rng(127).normal(size=(8, 8)), 4, 720),
-                 "if len(pairs) > 1 and pairs[-1][2] >= pairs[0][1] + n:", id="seam-pair"),
-    pytest.param(lambda: rippled_planes(10, 0.002, np.pi / 2), "if j > 0:", id="previous-run"),
-    pytest.param(lambda: rippled_planes(11, 0.2, 2.9, (0.15, 7, 4.0)),
-                 "else:  # the first one, across the ends of the list", id="run-across-ends"),
+                 "if len(pairs) > 1 and pairs[-1][1] >= pairs[0][0] + n:", id="seam-pair"),
+    pytest.param(lambda: rippled_planes(10, 0.002, np.pi / 2), None, id="previous-run"),
+    pytest.param(lambda: rippled_planes(11, 0.2, 2.9, (0.15, 7, 4.0)), None, id="run-across-ends"),
+    pytest.param(lambda: swallowtail_planes(16384, 3),
+                 "if side == 1 and j + 1 < len(first):  # take in the next run", id="next-run"),
+    pytest.param(lambda: swallowtail_planes(8192, 3),
+                 "if side == -1 and j == 0 and len(first) > 1:  # take in the last run",
+                 id="last-run"),
 ])
 def test_wing_round_merges_keep_the_full_scan_region(planes, condition):
-    # the last junction's pair reaching past the first one's, a junction
-    # that joins the previous run, and the last junction taking in the
-    # first run across the ends of the list: each keeps the scan's region
+    # the last junction's pair reaching past the first one's; two ripples
+    # whose crossings lie beyond a run that a pair may hold (the previous
+    # run, and the first run across the ends of the list), so those
+    # junctions are left uncut and the scan takes their planes; and the
+    # replay's swallowtails, where a junction takes in the next run and the
+    # first junction the last run: each keeps the scan's region
     planes = planes()
     out = []
-    assert block_runs(geometry._wing_drops, condition,
-                      lambda: out.append(_facet_planes(*planes)))
+
+    def call():
+        out.append(_facet_planes(*planes))
+
+    if condition is None:
+        call()
+    else:
+        assert block_runs(geometry._wing_drops, condition, call)
     ours = _unit_region(planes, *out[0])
     full = _unit_region(planes, full_scan(planes))
     assert ours.kind == full.kind

@@ -1397,6 +1397,27 @@ def test_owner_exit_never_disagrees_with_the_fit(m):
     assert fired >= 6
 
 
+def test_middle_rank_declines_when_the_tie_windows_cover_the_grid(monkeypatch):
+    # diag(1, 1 + 4 eps, -0.3 + 0.8i) at m = 32768, formed on demand: the
+    # two near-equal eigenvalues tie on one window, [0, 16384), the whole
+    # solved half, so no gap is left to own rank 2 and the sweep's exit
+    # declines; the Fourier fit decides, with the stacked rows' bits
+    fits = []
+    fit = ranges._fourier_point
+    monkeypatch.setattr(ranges, "_fourier_point", lambda *args: fits.append(1) or fit(*args))
+    m = 32768
+    sweep = pencil_sweep(np.diag([1, 1 + 4 * np.finfo(float).eps, -0.3 + 0.8j]), m)
+    assert sweep.kind == "spectrum" and sweep._rows is None
+    region = range_from_sweep(sweep, 2).region
+    assert fits == [1]
+    assert sweep.runs[1].tolist() == [0, 0, 16384, 16384]
+    norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
+    assert sweep.middle(2, _row_tol(3, norm), norm) is None
+    want = range_from_sweep(ranges.PencilSweep(m, sweep.eigenvalues), 2).region
+    assert region.kind == want.kind == "point"
+    assert region.vertices.tobytes() == want.vertices.tobytes()
+
+
 # --- translated graded sweeps: dI + G ----------------------------------------
 
 @pytest.mark.parametrize("m", [16, 17, 720, 2048])
