@@ -10,14 +10,16 @@ Hermitian diagonal at n = 5), and a real Gaussian at n = 8 on 720 and
 which is neither graded nor normal and so solves as many pencils as a
 complex one, and Jordan blocks lambda I + S_n at n = 4 and 8 on 720 and
 2048 angles (``jordan``, lambda a complex normal draw), a graded T plus a
-scalar, whose sweep solves one pencil.  Every matrix has spectral norm 1 and
-is drawn from a fixed seed.  Each cell runs in a child process of its own,
-so that its peak RSS is its own, with one BLAS thread unless the
-environment sets another count.  The grid runs ``ROUNDS`` times, each
-cell in a fresh child every round, and every time kept is the best over
-all rounds: on a shared host the speed of small Python calls drifts by
-up to 2x over seconds to minutes, which best-of-repeat within one child
-cannot see.  A cell times, best of ``REPEAT`` in each round:
+scalar, whose sweep solves one pencil, and Gaussians at n = 32 on 720
+and 2048 angles and at n = 64 on 720, the large-n batch sweeps.  Every
+matrix has spectral norm 1 and is drawn from a fixed seed.  Each cell
+runs in a child process of its own, so that its peak RSS is its own, with
+one BLAS thread unless the environment sets another count.  The grid runs
+``ROUNDS`` times, each cell in a fresh child every round, and every time
+kept is the best over all rounds: on a shared host the speed of small
+Python calls drifts by up to 2x over seconds to minutes, which
+best-of-repeat within one child cannot see.  A cell times, best of
+``REPEAT`` in each round:
 
   sweep_ms    ``pencil_sweep(T, m)``; a batch sweep (T neither graded nor
               normal) solves its pencils when their rows are read, so
@@ -77,6 +79,7 @@ DIAGONAL_CELLS = (("normal-diag", 5, 65536), ("normal-diag", 6, 65536),
 REAL_CELLS = (("gauss-real", 8, 720), ("gauss-real", 8, 2048))
 JORDAN_CELLS = (("jordan", 4, 720), ("jordan", 4, 2048), ("jordan", 8, 720),
                 ("jordan", 8, 2048))
+LARGE_CELLS = (("gauss", 32, 720), ("gauss", 32, 2048), ("gauss", 64, 720))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SEED = 1
 REPEAT = ROUNDS = 5
@@ -86,7 +89,7 @@ def cells():
     """(kind, n, m) of every cell, in order."""
     grid = [(kind, n, m) for kind in KINDS for n in (4, 8, 16) for m in (720, 2048)]
     return (grid + list(SMOOTH_CELLS) + list(DIAGONAL_CELLS) + list(REAL_CELLS)
-            + list(JORDAN_CELLS))
+            + list(JORDAN_CELLS) + list(LARGE_CELLS))
 
 
 def matrix(kind, n):

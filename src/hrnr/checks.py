@@ -376,9 +376,10 @@ def normal_oracle(eigs, k: int) -> ConvexRegion:
         raise ValueError(f"k must be in 1..{n}")
     i, j = np.triu_indices(n, 1)
     diff = eigs[i] - eigs[j]
-    ties = np.pi / 2 - np.angle(diff[diff != 0])
-    axes = np.arange(4) * (np.pi / 2)
-    ends = np.unique(np.mod(np.concatenate([ties, ties + np.pi, axes]), TWO_PI))
+    # the tie angles and two axes; the half-turn below adds the other two
+    ties = np.append(np.pi / 2 - np.angle(diff[diff != 0]), [0.0, np.pi / 2])
+    ends = np.sort(np.mod(np.concatenate([ties, ties + np.pi]), TWO_PI))
+    ends = ends[np.append(True, ends[1:] != ends[:-1])]  # np.unique's, without numpy.ma
     thetas = np.concatenate([ends, ends + np.diff(ends, append=ends[0] + TWO_PI) / 2.0])
     offsets = np.sort((np.exp(1j * thetas)[:, None] * eigs).real, axis=1)[:, n - k]
     return intersect_halfplanes(thetas, offsets, bound=float(np.abs(eigs).max()) or 1.0)

@@ -207,8 +207,10 @@ def _prune_collinear(verts: np.ndarray) -> np.ndarray:
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain hull, CCW; degenerate inputs give 1 or 2 points."""
-    # np.unique sorts complex values by real part, then imaginary part
-    pts = np.unique(np.asarray(points, dtype=np.complex128))
+    # np.unique's values, without its import of numpy.ma: sorted by real
+    # part, then imaginary part, the first of equal ones (0.0, -0.0) kept
+    pts = np.sort(np.asarray(points, dtype=np.complex128), kind="stable")
+    pts = pts[np.append(True, pts[1:] != pts[:-1])]
     if pts.size <= 2:
         return pts
 

@@ -248,7 +248,8 @@ class PencilSweep:
         idx = np.asarray(idx)
         upper, j = idx >= solved, idx % solved
         phases = np.exp(1j * grid_angles(m, j))  # elementwise: the bits of ``phases`` at j
-        # column r at every j first, so that a batch sweep solves in one call
+        # column r at every j first, so that a batch sweep solves each missing
+        # pencil in one pass of its blocks
         out = self.values(r, j, phases)
         out[upper] = -self.values(n - 1 - r, j[upper], phases[upper])
         return out
@@ -566,14 +567,16 @@ class _BatchSweep(PencilSweep):
     the first read of its index: ``solved_rows`` holds the solved half's
     rows, ``done`` marks those solved.
 
-    Batch rows on demand.  A read at chosen indices sends the pencils
-    missing there to ``eig_hermitian_stack`` in one call, and a whole
-    column or ``eigenvalues`` every missing one.  Assembly and LAPACK work
-    pencil by pencil, so each row is the bits of the whole batch.
-    ``range_from_sweep`` reads a rank's offsets before the radius, so a rank
-    solves every pencil in one call and its radius reads them.  The radius
-    and ``column_maxima`` (DISC's columns in ``checks``) solve only the
-    pencils that certify a maximum (``maxima``).  A T with
+    Batch rows on demand, 256 KB at a time.  A read at chosen indices
+    solves the pencils missing there, and a whole column or ``eigenvalues``
+    every missing one, in blocks of max(1, 2^14 // n^2) pencils: each block
+    is formed from its phases, made Hermitian in place and sent to
+    ``eig_hermitian_stack``, so no (m/2, n, n) stack is ever formed.
+    Assembly and LAPACK work pencil by pencil, so each row is the bits of
+    one whole-batch solve.  ``range_from_sweep`` reads a rank's offsets
+    before the radius, so a rank solves every pencil and its radius reads
+    them.  The radius and ``column_maxima`` (DISC's columns in ``checks``)
+    solve only the pencils that certify a maximum (``maxima``).  A T with
     n max |Re t_ij|, |Im t_ij| >= 2^1016 could overflow, so its pencils are
     solved in ``pencil_sweep``, whose check sees its rows.
     """
@@ -589,20 +592,19 @@ class _BatchSweep(PencilSweep):
     def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
         """Column r at the solved indices j, whose e^{i theta} are ``phases``,
         or at all of them (j None, ``phases`` every solved one); the pencils
-        not yet solved among them go to one ``eig_hermitian_stack`` call,
-        looked up at the call."""
+        not yet solved among them are formed and solved 256 KB of pencils
+        at a time, looked up at the call."""
         keep = ~(self.done if j is None else self.done[j])
         if keep.any():
             at, first = ((np.flatnonzero(keep), slice(None)) if j is None
                          else np.unique(j[keep], return_index=True))
-            stack = phases[keep][first][:, None, None] * self.t
-            step = max(1, 2**14 // self.t.size)
+            phases, step = phases[keep][first], max(1, 2**14 // self.t.size)
             for i in range(0, at.size, step):
-                # in place, 256 KB at a time: one stack fewer at the peak,
-                # and a temporary that stays in cache
-                block = stack[i:i + step]
+                # one block at a time, made Hermitian in place: no stack of
+                # every pencil, and a temporary that stays in cache
+                block = phases[i:i + step, None, None] * self.t
                 block += block.conj().swapaxes(1, 2)
-            self.solved_rows[at] = eig_hermitian_stack(stack)
+                self.solved_rows[at[i:i + step]] = eig_hermitian_stack(block)
             self.done[at] = True
         return self.solved_rows[:, r] if j is None else self.solved_rows[j, r]
 
@@ -633,16 +635,16 @@ class _BatchSweep(PencilSweep):
         bound plus 2e, for its ends' rounding and an unsolved value's, plus
         8 eps N for evaluating the bound, is at most the best value found
         for every column read.  The survivors are bisected level by level,
-        one call per level (four at most), and once intervals that no
+        one read per level (four at most), and once intervals that no
         bisection can drop (their ends' mean plus the rounding reaches the
         best) span most of the grid, as when nothing prunes after the coarse
-        pass, the rest is solved in one call.  No unsolved value can then
+        pass, the rest is solved in one read.  No unsolved value can then
         pass the best, so it is the whole column's maximum, the same bits; a
         maximum of zero, whose sign the read order could change, reads its
         column whole.  Over 20 seeds a radius read solved a median of 78 of
         360 pencils of a Gaussian n = 8 at m = 720, and 251 of 1024 of a
         nilpotent n = 16 at m = 2048.  A hidden U* S_16 U, whose lambda_1 is
-        constant, prunes nothing and solves all 1024 in two calls.
+        constant, prunes nothing and solves all 1024 in two reads.
         """
         m, n, solved = self.angle_count, self.dim, self.solved
         if m < 4 * COARSE_STRIDE or self.done.all():
@@ -650,7 +652,7 @@ class _BatchSweep(PencilSweep):
         cols = rs if 0 in rs else [0, *rs]  # column 0 bounds w
         vals, seen = np.empty((len(cols), m)), np.zeros(m, dtype=bool)
 
-        def read(idx):  # the first column's read solves the pencils at idx in one call
+        def read(idx):  # the first column's read solves the pencils at idx
             vals[:, idx] = [self.column(r, idx) for r in cols]
             seen[idx] = True
 
@@ -687,8 +689,8 @@ def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as one ValueError
 def pencil_sweep(t, m: int | None) -> PencilSweep:
-    """The eigenvalues of the ``resolve_angles(m)`` pencils of T, each
-    batch of pencils solved in one eigensolve.
+    """The eigenvalues of the ``resolve_angles(m)`` pencils of T, a batch
+    of pencils solved 256 KB at a time.
 
     H_{theta + pi} = -H_theta, so lambda_i(H_{theta + pi}) =
     -lambda_{n+1-i}(H_theta).  For even m, row j + m/2 is therefore row j
@@ -1024,7 +1026,7 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     if graded is not None:
         return RangeReport(k, m, *graded, sweep)
     # rows are read before the radius, so that a batch sweep solves them in
-    # one call and its radius reads them (``_BatchSweep``)
+    # one pass of its blocks and its radius reads them (``_BatchSweep``)
     if 2 * k > n + 1:
         strip = ((sweep.column(k - 1) - sweep.column(n - k)) / 2.0).min()
     if 2 * k >= n + 1:

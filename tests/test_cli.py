@@ -513,6 +513,22 @@ def test_verify_properties_tiny_non_normal_gets_no_normal_oracle(tmp_path, capsy
     assert "NORMAL" not in capsys.readouterr().out
 
 
+def test_verify_properties_on_a_normal_leaves_numpy_ma_unimported(tmp_path):
+    # the NORMAL check's oracle and the hull dedupe without np.unique, whose
+    # call without index outputs imports numpy.ma (numpy 2.4)
+    rng = np.random.Generator(np.random.PCG64(3))
+    q = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+    t = q @ np.diag(rng.normal(size=5) + 1j * rng.normal(size=5)) @ q.conj().T
+    path = write_matrix(tmp_path, "normal.json", t)
+    script = ("import sys\nfrom hrnr.cli import main\n"
+              "code = main(['verify-properties', '--input', sys.argv[1], '--k', '2'])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, path], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=REPO_SRC))
+    assert "NORMAL    pass" in proc.stdout, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
+
+
 def test_verify_properties_sweeps_each_input_once(tmp_path, monkeypatch, capsys):
     rng = np.random.Generator(np.random.PCG64(5))
     t = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))

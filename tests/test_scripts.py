@@ -108,6 +108,9 @@ def test_bench_grid_script():
     # the real Gaussian cells, which time the pencils a real T solves
     assert [c for c in bench_grid.cells() if c[0] == "gauss-real"] == [
         ("gauss-real", 8, 720), ("gauss-real", 8, 2048)]
+    # the large-n Gaussian cells, whose batch sweeps solve 256 KB of pencils at a time
+    assert [c for c in bench_grid.cells() if c[0] == "gauss" and c[1] >= 32] == [
+        ("gauss", 32, 720), ("gauss", 32, 2048), ("gauss", 64, 720)]
     t = bench_grid.matrix("gauss-real", 8)
     assert not np.iscomplexobj(t) and np.isclose(np.linalg.norm(t, 2), 1.0)
     real = bench_grid.run_cell("gauss-real", 8, 720, repeat=1)
