@@ -26,7 +26,13 @@ complex and real: Jordan blocks lambda I + S_n with lambda near 0
 (``jordan``) or 1e8 to 1e12 from it (``jordan-far``), and weighted shifts
 plus a scalar (``graded-scalar``); rank k of each is d plus the graded
 part's, a polygon for 2k <= n, the point d at 2k = n + 1 and empty
-beyond.  Every other case runs ``pencil_sweep``
+beyond.  A ninth appends the ``extreme-`` stratum: Gaussian, Hermitian,
+diagonal, hidden normal, graded (a weighted shift) and Jordan T at n = 5,
+each complex and real, scaled to unit spectral norm and then by 2^-1060,
+2^-1040 (subnormal entries), 2^1014 and 2^1020 (pencils near overflow);
+its labels carry the scale.  A read that raises ValueError (pencils that
+overflow in T's units) is dumped as the tag ``error``, a NaN radius,
+bound or rows.  Every case runs ``pencil_sweep``
 once and ``range_from_sweep`` for every k = 1..n, and only then reads
 the sweep's rows, so that the ranks of a sweep that forms its rows on
 demand run as they do in ``hrnr range``.  Before the ranks, each case
@@ -44,8 +50,8 @@ kind, among the calls whose old run did not reach the scan, and among
 those that neither run scanned, leaving out graded sweeps, whose m rows
 are one row and whose ranks are regular m-gons), every
 tag change, the worst Hausdorff distance over the geometry's bound, the
-worst row or doubled radius difference over ``checks._row_tol``, and on
-each side the calls
+worst row or doubled radius difference over ``checks._row_tol`` (or the
+smallest subnormal, where that underflows), and on each side the calls
 that reached the scan, their planes in all, the most in one call and the
 calls whose scan got more than m/16 planes, and the same totals and most
 for the emptiness check.
@@ -67,6 +73,8 @@ KINDS = ("shift", "gauss", "herm", "normal", "nilpotent")  # then the diagonals
 DIMS = (2, 3, 5, 8, 12, 16)
 GRIDS = (720, 2048, 8192)
 HAUSDORFF_TOL = 1e-11  # per unit bound
+EXTREME_KINDS = ("gauss", "herm", "diag", "normal", "graded", "jordan")
+EXTREME_EXPONENTS = (-1060, -1040, 1014, 1020)
 
 
 def battery(limit=None):
@@ -143,12 +151,52 @@ def battery(limit=None):
                 m = GRIDS[len(cases) % len(GRIDS)]
                 t = translated_graded(rng, kind, n, real)
                 cases.append((kind, n, m, 10.0 ** rng.uniform(-8, 8) * t))
+    rng = np.random.default_rng(2018)
+    for kind in EXTREME_KINDS:
+        for e in EXTREME_EXPONENTS:
+            for real in (False, True):
+                t = extreme(rng, kind, 5, real)
+                t = np.ldexp(1.0, e) * (t / np.linalg.norm(t, 2))
+                cases.append((f"extreme-{kind}", 5, GRIDS[len(cases) % len(GRIDS)], t))
     return cases[:limit]
 
 
 def ranks(kind, n):
     """The ranks a case replays: 2 and 3 for the swallowtails, else 1..n."""
     return range(2, 4) if kind.endswith("swallowtail") else range(1, n + 1)
+
+
+def extreme(rng, kind, n, real):
+    """One input of the extreme-scale stratum, before its scaling."""
+    g = rng.normal(size=(n, n)) + (0 if real else 1j * rng.normal(size=(n, n)))
+    if kind == "herm":
+        return g + g.conj().T
+    if kind == "diag":
+        return np.diag(g[0])
+    if kind == "normal":
+        return placed_normal(rng, kind, n, real)
+    if kind == "graded":
+        return graded(rng, "graded-shift", n, real)
+    if kind == "jordan":
+        return translated_graded(rng, kind, n, real)
+    return g
+
+
+def attempt(read, fallback):
+    """``read()``, or ``fallback`` when the engine raises ValueError: the
+    pencils overflow in T's units."""
+    try:
+        return read()
+    except ValueError:
+        return fallback
+
+
+class Unbuilt:
+    """Stands in for a sweep whose construction raised ValueError (as an
+    older tree's did for pencils that may overflow): every read raises it."""
+
+    def __getattr__(self, name):
+        raise ValueError(f"no sweep to read {name} from")
 
 
 def placed_normal(rng, kind, n, real):
@@ -245,6 +293,7 @@ def toeplitz(rng, n, real):
 
 def dump(path, limit):
     from hrnr import geometry
+    from hrnr.geometry import ConvexRegion
     from hrnr.ranges import pencil_sweep, range_from_sweep
 
     scanned, checked = [], []
@@ -260,21 +309,23 @@ def dump(path, limit):
         return support_candidates(region, thetas, *args)
 
     geometry._active_chain, geometry._support_candidates = counted_scan, counted_check
+    error = ConvexRegion("error", np.zeros(0, complex))
     sweeps, calls, rows, verts = [], [], {}, []
     for i, (kind, n, m, t) in enumerate(battery(limit)):
-        radius = pencil_sweep(t, m).numerical_radius()
-        sweep = pencil_sweep(t, m)
+        radius = attempt(lambda: pencil_sweep(t, m).numerical_radius(), np.nan)
+        sweep = attempt(lambda: pencil_sweep(t, m), Unbuilt())
         real = not np.imag(t).any()  # a shift is real in either draw
         sweeps.append((kind, real, n, m, np.linalg.norm(t, 2), radius))
         for k in ranks(kind, n):
             scanned.clear()
             checked.clear()
-            region = range_from_sweep(sweep, k).region
-            calls.append((i, k, region.kind, sweep.region_bound, sum(scanned), sum(checked)))
+            region = attempt(lambda: range_from_sweep(sweep, k).region, error)
+            bound = attempt(lambda: sweep.region_bound, np.nan)
+            calls.append((i, k, region.kind, bound, sum(scanned), sum(checked)))
             verts.append(region.vertices)
         # read after the ranks: reading the rows forms them all, and a sweep
         # that forms its rows on demand would then run its ranks on them
-        rows[f"rows{i}"] = sweep.eigenvalues
+        rows[f"rows{i}"] = attempt(lambda: sweep.eigenvalues, np.full((m, n), np.nan))
     geometry._active_chain, geometry._support_candidates = active_chain, support_candidates
     arrays = dict(zip(("kind", "real", "n", "m", "norm", "radius"), map(np.array, zip(*sweeps))))
     arrays.update(zip(("call_case", "call_k", "call_tag", "call_bound", "call_scanned",
@@ -295,7 +346,10 @@ def compare(old_path, new_path):
 
     def label(case):
         real = " real" if new["real"][case] else ""
-        return f"{new['kind'][case]}{real} n={new['n'][case]} m={new['m'][case]}"
+        # an extreme case's T has the norm 2^e, to rounding
+        extreme = new["kind"][case].startswith("extreme")
+        scale = f" 2^{np.log2(new['norm'][case]):.0f}" if extreme else ""
+        return f"{new['kind'][case]}{real}{scale} n={new['n'][case]} m={new['m'][case]}"
 
     # real T, or kind -> [identical sweeps, sweeps, identical calls, calls]
     same = {False: [0, 0, 0, 0], True: [0, 0, 0, 0]}
@@ -316,7 +370,9 @@ def compare(old_path, new_path):
             tally[0] += a.tobytes() == b.tobytes()
             tally[1] += 1
         radius = 2.0 * abs(old["radius"][i] - new["radius"][i])
-        diff = max(np.abs(a - b).max(), radius) / _row_tol(int(n), float(norm))
+        # at a subnormal norm the tolerance underflows: count smallest subnormals
+        tol = max(_row_tol(int(n), float(norm)), np.finfo(float).smallest_subnormal)
+        diff = max(np.abs(a - b).max(), radius) / tol
         worst_row = max(worst_row, (float(diff), label(i)), key=lambda w: w[0])
     for c, (case, k) in enumerate(zip(new["call_case"], new["call_k"])):
         regions = []
@@ -336,7 +392,7 @@ def compare(old_path, new_path):
                 plain[1] += 1
         if a.kind != b.kind:
             tag_changes.append(f"{label(case)} k={k}: {a.kind} -> {b.kind}")
-        elif not a.is_empty:
+        elif a.vertices.size:  # neither empty nor an error
             h = hausdorff(a, b) / new["call_bound"][c]
             worst_h = max(worst_h, (float(h), f"{label(case)} k={k}"), key=lambda w: w[0])
     radii = np.count_nonzero(old["radius"].view(np.uint64) == new["radius"].view(np.uint64))

@@ -35,6 +35,15 @@ same bits as from a whole solve.  DISC reads the first rank of each disc
 radius alone (ranks 1, r + 1, ...): a later rank of the same radius has
 its column below, so its excess is no larger, and the report is the same.
 
+Scale.  Every check reads a sweep in T's units.  ``pencil_sweep`` sweeps
+X = T / 2^p at unit size (``linalg.unit_scale``) and scales its reads of
+rows, maxima, bounds and regions back by 2^p, exactly away from
+underflow: the model above holds for X's rows with N / 2^p for N, and so
+for T's.  The tolerances here take their norms (||T||_2 and the like) in
+T's units; ``linalg.is_hermitian`` and ``is_normal``, which pick the
+oracle, take theirs at unit size, where no square of an entry can
+overflow and one that underflows lies far below the norms' rounding.
+
 Structured rows.  ``pencil_sweep`` solves no pencil for an exactly
 diagonal or exactly Hermitian T.  A diagonal T's rows are the bits the
 pencil path would give, so the model above holds unchanged.  A Hermitian
@@ -159,7 +168,7 @@ import numpy as np
 
 from .geometry import (CLIP_EPS, POINT_DIAM, SEGMENT_THICKNESS, TWO_PI, ConvexRegion,
                        _convex_hull, excess, hausdorff, intersect_halfplanes)
-from .linalg import as_matrix, is_hermitian
+from .linalg import as_matrix, is_hermitian, unit_scale
 from .ranges import ROW_TOL, PencilSweep, RangeReport, _row_tol, pencil_sweep, range_from_sweep
 from .shifts import build_dilation, rho, shift_matrix, shift_radius
 
@@ -555,9 +564,12 @@ def is_normal(t) -> bool:
     ``C = T - (tr T / n) I``, a rule that holds or fails alike for
     ``a T + b I`` at every ``a != 0`` and ``b``.  On uncentred T a large
     ``b`` would swamp both sides, and the commutator would be lost to
-    rounding."""
-    t = as_matrix(t)
-    c = t - (np.trace(t) / t.shape[0]) * np.eye(t.shape[0])
+    rounding.  T is centred at unit size, where its trace cannot
+    overflow, and C is brought to unit size too (``linalg.unit_scale``), so
+    neither side overflows, nor underflows short of the rounding, at any
+    scale of T."""
+    x = unit_scale(t)[0]
+    c = unit_scale(x - (np.trace(x) / x.shape[0]) * np.eye(x.shape[0]))[0]
     commutator = c @ c.conj().T - c.conj().T @ c
     return bool(np.linalg.norm(commutator) <= NORMAL_RTOL * np.linalg.norm(c) ** 2)
 

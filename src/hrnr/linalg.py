@@ -35,6 +35,34 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def entry_max(a) -> float:
+    """The largest |real part| or |imaginary part| of the entries of A, c:
+    sqrt(2) n c >= ||A||_F, and a pencil's entries and eigenvalues are at
+    most 8 n c."""
+    return float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+
+
+def unit_scale(a) -> tuple[np.ndarray, int]:
+    """``as_matrix(a)`` at unit size, X = 2^-p A, and the exponent p: the
+    one scale rule of the package.
+
+    p is the exponent of ``entry_max(A)`` (0 for A = 0), so X's largest
+    real or imaginary part lies in [1/2, 1).  Scaling by a power of two is
+    exact but for entries that fall below the smallest normal number,
+    about 2^-1022 of X's largest, so a scale-invariant rule computed on X
+    holds or fails alike for s A at every scale s > 0 that A's entries can
+    represent: no norm, eigenvalue or product of X can overflow, and what
+    underflows is below 2^-1022 of X's scale, lost to rounding against it
+    anyway.  ``ranges.pencil_sweep`` sweeps X and scales what it reports
+    back by 2^p; ``is_hermitian`` and ``checks.is_normal`` take their norms
+    on X.
+    """
+    m = as_matrix(a)
+    p = int(np.frexp(entry_max(m))[1])
+    # each real and imaginary part, signed zeros kept
+    return np.ldexp(np.ascontiguousarray(m).view(float), -p).view(complex), p
+
+
 def eig_hermitian_stack(stack) -> np.ndarray:
     """Eigenvalues of a stack of Hermitian matrices, from LAPACK.
 
@@ -63,8 +91,10 @@ def eig_hermitian_stack(stack) -> np.ndarray:
 def is_hermitian(h) -> bool:
     """Whether ``||H - H*||_F <= 1e-12 ||H||_F``.
 
-    The rule is purely relative, so it holds or fails alike for ``s H`` at
-    every scale ``s > 0``.
+    The rule is purely relative and is taken on H at unit size
+    (``unit_scale``), where neither norm can overflow and ||H - H*||_F
+    underflows only far below the tolerance, so it holds or fails alike
+    for ``s H`` at every scale ``s > 0``.
     """
-    h = as_matrix(h)
+    h = unit_scale(h)[0]
     return bool(np.linalg.norm(h - h.conj().T) <= HERMITIAN_RTOL * np.linalg.norm(h))

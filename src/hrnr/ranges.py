@@ -25,9 +25,10 @@ every read that only it can shorten:
     (Mengi and Overton, IMA J. Numer. Anal. 25, 2005).
 ``PencilSweep`` itself is the sweep given its (m, n) rows, and holds the
 plain reads the three do not shorten: column maxima of whole columns,
-every grid plane, and no exit of its own.  Every sweep's columns on an even
-grid are folded by the one half-turn rule in ``PencilSweep.column``; only
-an untranslated graded row, the same at every angle, needs none.
+every grid plane, a rank's region from the planes, and no exit of its
+own.  Every sweep's columns on an even grid are folded by the one
+half-turn rule in ``PencilSweep.unit_column``; only an untranslated graded
+row, the same at every angle, needs none.
 
 No pencil is solved when T is normal: then every pencil is diagonal in T's
 eigenbasis, with spectrum 2 Re(e^{i theta} mu_j) for T's eigenvalues mu.
@@ -48,6 +49,18 @@ row (r - r[::-1]) / 2 is so bit for bit, so the half-turn rule holds
 exactly.  Such a sweep keeps that one row and forms the m rows only when
 ``eigenvalues`` is read.
 
+One scale rule.  ``pencil_sweep`` sweeps X = 2^-p T, T brought to unit
+size by an exact power of two (``linalg.unit_scale``), so no pencil
+entry, eigenvalue, row or vertex of X can overflow, and nothing of X's
+scale is subnormal, whatever T's scale.  Every sweep and
+``range_from_sweep`` work in these sweep units, and what leaves the
+module is scaled back by 2^p once, in ``_t_units``: the eigenvalue reads
+``column``, ``eigenvalues`` and ``column_maxima`` (and so
+``numerical_radius`` and ``support_samples``), ``region_bound``, and a
+report's vertices and ``outer_error_bound``.  A value that is not finite
+in T's units raises ValueError at that read.  2^q T has the X of T, so its
+results are 2^q times T's, bit for bit, short of underflow in T's units.
+
 A sweep owns its grid's angle frame (``PencilSweep.frame``): the geometry's
 sort and merge of the angles and their cosines and sines are computed at
 the first rank that reaches the geometry and reused by every other; a
@@ -60,7 +73,7 @@ stacked spectrum sweep's rows form every solved angle's (``phases``).  The
 angles are formed the same way: every sweep is given its angle count alone,
 forms 2 pi j / m at the indices j it reads alone (``grid_angles(m, idx)``,
 the whole grid's bits), and forms its ``thetas`` only when they are read.
-``range_from_sweep`` forms a rank's offsets at ``planes`` only;
+A rank (``PencilSweep.region``) forms its offsets at ``planes`` only;
 ``support_samples`` and ``eigenvalues`` (every column stacked) are formed
 when first read.  Which reads a sweep makes is fixed by how it was built,
 never by the order of its reads: a read from the stacked ``eigenvalues``
@@ -109,7 +122,7 @@ import numpy as np
 
 from .geometry import (AngleFrame, ConvexRegion, angle_frame, intersect_halfplanes,
                        regular_polygon)
-from .linalg import as_matrix, eig_hermitian_stack
+from .linalg import as_matrix, eig_hermitian_stack, entry_max, unit_scale
 
 # Default angle counts: range, radius and verify-properties; verify-shift
 # and verify-nilpotent.
@@ -169,8 +182,7 @@ def pencil(t, theta: float) -> np.ndarray:
     assembled from the identical floating-point products as the (i, j)
     entry conjugated.
     """
-    t = as_matrix(t)
-    p = np.exp(1j * float(theta)) * t
+    p = np.exp(1j * float(theta)) * as_matrix(t)
     return p + p.conj().T
 
 
@@ -182,14 +194,20 @@ class PencilSweep:
     its ``kind`` (module docstring, "Row sources"): n rows on an m-angle
     grid, of which ``solved`` (m/2 on an even grid, all m on an odd one)
     come from the sweep's ``values`` and the rest from the half-turn in
-    ``column``.  The reads here are the plain ones, which a sweep overrides
-    where it knows better: the column ``maxima``, of which column 0's, twice
-    the numerical radius, is read at the sweep's ``peaks`` when it has them,
-    the ``planes``, a rank's ``region`` read off the rows and a middle
-    rank's exit, ``middle``.
+    ``unit_column``.  The reads here are the plain ones, which a sweep
+    overrides where it knows better: the column ``maxima``, of which column
+    0's, twice the numerical radius, is read at the sweep's ``peaks`` when
+    it has them, the ``planes``, a rank's ``region`` (from the planes, or a
+    graded sweep's read off its row) and a middle rank's exit, ``middle``.
+    All of them, and the ``unit_`` reads, are in sweep units, those of
+    X = T / 2^``scale`` (module docstring, "One scale rule"); ``column``,
+    ``eigenvalues``, ``column_maxima``, ``numerical_radius`` and
+    ``region_bound`` are in T's.
 
     angle_count, dim
         m and n.
+    scale
+        p: the sweep's rows are those of T / 2^p (0 for given rows).
     thetas
         Grid angles 2*pi*j/m, formed at the first read; the engine reads
         the angles at the indices it needs alone (``grid_angles(m, idx)``,
@@ -197,9 +215,9 @@ class PencilSweep:
     eigenvalues
         (m, n) array; row j holds the descending spectrum of H_{theta_j};
         twice ``numerical_radius()``, ``region_bound``, bounds and scales
-        every rank-k region.  Given, or else the stack of every ``column``
-        at its first read; once given or formed, every column is read from
-        it.
+        every rank-k region.  Read in T's units; the stack itself, in sweep
+        units, is given, or else formed from every ``unit_column`` at the
+        first read, and once given or formed every column is read from it.
     planes
         The grid indices whose planes can bound a rank, ascending: a
         spectrum sweep's tie planes (``_SpectrumSweep.planes``), else None,
@@ -209,7 +227,7 @@ class PencilSweep:
     planes = None
 
     def __init__(self, m: int, eigenvalues: np.ndarray | None):
-        self.angle_count, self._rows = m, eigenvalues
+        self.angle_count, self._rows, self.scale = m, eigenvalues, 0
         self.solved = m if m % 2 else m // 2
         self.dim = None if eigenvalues is None else eigenvalues.shape[1]
         self._maxima = {}  # r -> column r's maximum, once read
@@ -226,13 +244,17 @@ class PencilSweep:
     @property
     def eigenvalues(self) -> np.ndarray:
         if self._rows is None:
-            self._rows = np.column_stack([self.column(r) for r in range(self.dim)])
-        return self._rows
+            self._rows = np.column_stack([self.unit_column(r) for r in range(self.dim)])
+        return _t_units(self._rows, self.scale)
 
     def column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
-        """Column r of ``eigenvalues`` (lambda_{r+1} at every grid angle), or
-        its entries at the grid indices ``idx``: read from ``eigenvalues``
-        once they are given or formed, else from the sweep's
+        """``unit_column(r, idx)`` in T's units."""
+        return _t_units(self.unit_column(r, idx), self.scale)
+
+    def unit_column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
+        """Column r of the rows (lambda_{r+1} at every grid angle), or its
+        entries at the grid indices ``idx``, in sweep units: read from the
+        stacked rows once they are given or formed, else from the sweep's
         ``values(r, j, phases)`` at the solved indices j, whose e^{i theta}
         are ``phases`` (j None: every solved index).  On an even grid row
         j + m/2 is row j negated and reversed, so column r there is column
@@ -259,8 +281,12 @@ class PencilSweep:
         return float(self.column_maxima([0])[0] / 2.0)
 
     def column_maxima(self, rs) -> list:
-        """``column(r).max()`` for each r in ``rs``, the same bits, kept for
-        later reads; a batch sweep reads all of ``rs`` in one certified
+        """``column(r).max()`` for each r in ``rs``, the same bits."""
+        return list(_t_units(np.array(self.unit_maxima(rs), dtype=float), self.scale))
+
+    def unit_maxima(self, rs) -> list:
+        """``unit_column(r).max()`` for each r in ``rs``, the same bits, kept
+        for later reads; a batch sweep reads all of ``rs`` in one certified
         refinement (``_BatchSweep.maxima``)."""
         new = [r for r in dict.fromkeys(rs) if r not in self._maxima]
         if new:
@@ -268,10 +294,16 @@ class PencilSweep:
         return [self._maxima[r] for r in rs]
 
     @cached_property
+    def unit_bound(self) -> float:
+        """The bound a rank's ``region`` passes the geometry, in sweep units:
+        column 0's maximum, twice the numerical radius, or 1 when every row
+        is zero."""
+        return float(self.unit_maxima([0])[0]) or 1.0
+
+    @property
     def region_bound(self) -> float:
-        """The bound ``range_from_sweep`` passes the geometry: twice the
-        numerical radius, or 1 when every row is zero."""
-        return 2.0 * self.numerical_radius() or 1.0
+        """``unit_bound`` in T's units."""
+        return float(_t_units(self.unit_bound, self.scale))
 
     @cached_property
     def frame(self) -> AngleFrame:
@@ -286,17 +318,54 @@ class PencilSweep:
         return None
 
     def maxima(self, rs: list[int]) -> list:
-        """``column(r).max()`` for each r in ``rs``; column 0's is read at the
-        sweep's ``peaks`` when it has them, unless the maximum there is not
-        positive (every mu zero), which reads it whole."""
+        """``unit_column(r).max()`` for each r in ``rs``; column 0's is read
+        at the sweep's ``peaks`` when it has them, unless the maximum there
+        is not positive (every mu zero), which reads it whole."""
         idx = self.peaks() if 0 in rs else None
-        top = 0.0 if idx is None else self.column(0, idx).max()
-        return [top if r == 0 and top > 0 else self.column(r).max() for r in rs]
+        top = 0.0 if idx is None else self.unit_column(0, idx).max()
+        return [top if r == 0 and top > 0 else self.unit_column(r).max() for r in rs]
 
-    def region(self, k: int) -> tuple[ConvexRegion, float] | None:
-        """Rank k's region and error bound read off the rows, or None: the
-        planes decide it."""
-        return None
+    def region(self, k: int) -> tuple[ConvexRegion, float]:
+        """Rank k's region and its ``outer_error_bound``, in sweep units.
+
+        For 2k > n + 1, the planes at theta and theta + pi bound the strip
+        lambda_{n+1-k} / 2 <= Re(e^{i theta} z) <= lambda_k / 2, both ends
+        from one row and so from one pencil.  Each end is within one
+        offset's rounding of exact (``_solve_error`` at N = 2 w / cos(pi/m),
+        w the grid radius, which bounds ||T||_2), so a row whose strip is
+        narrower than minus twice that proves the range empty.  At
+        2k = n + 1 the strip has width zero, and the range is a point or
+        empty, read off the row (``_point_or_empty``).  Otherwise, and for
+        2k <= n, the geometry intersects the planes at the sweep's
+        ``planes`` in its angle frame, which every rank of one sweep
+        shares: every plane, or for a sweep with a spectrum the tie planes,
+        whose offsets alone are formed, with a point recomputed over every
+        plane (``_SpectrumSweep.planes``).
+        """
+        m, n = self.angle_count, self.dim
+        # rows are read before the radius, so that a batch sweep solves them in
+        # one pass of its blocks and its radius reads them (``_BatchSweep``)
+        if 2 * k > n + 1:
+            strip = ((self.unit_column(k - 1) - self.unit_column(n - k)) / 2.0).min()
+        if 2 * k >= n + 1:
+            norm = self.unit_bound / np.cos(np.pi / m)
+        if 2 * k == n + 1:
+            region = _point_or_empty(self, k, norm)
+        elif 2 * k > n + 1 and strip < -2.0 * _solve_error(n, norm):
+            region = ConvexRegion.empty()
+        else:
+            # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
+            # square never cuts it; all-zero offsets fit any bound
+            planes = self.planes
+            offsets = self.unit_column(k - 1, planes) / 2.0
+            thetas = self.thetas if planes is None else grid_angles(m, planes)
+            region = intersect_halfplanes(thetas, offsets, self.unit_bound, frame=self.frame)
+            if region.kind == "point" and planes is not None:
+                # a point is the mean of the loop's vertices, which the dropped
+                # planes would have moved
+                region = intersect_halfplanes(self.thetas, self.unit_column(k - 1) / 2.0,
+                                              self.unit_bound)
+        return region, outer_error_bound(region, m)
 
     def middle(self, k: int, tol: float, norm: float) -> ConvexRegion | None:
         """The middle rank (2k = n + 1) by an exit of the sweep's own, or
@@ -334,15 +403,12 @@ class _GradedSweep(PencilSweep):
 
     def __init__(self, m: int, g: np.ndarray, d: complex = 0j):
         super().__init__(m, None)
-        # halves first, so that a spectrum near the overflow threshold stays
-        # finite; elsewhere this is (r - r[::-1]) / 2 bit for bit
-        half = eig_hermitian_stack((g + g.conj().T)[None])[0] / 2.0
-        self.row, self.d = _finite(half - half[::-1]), d
-        self.dim = self.row.size
+        r = eig_hermitian_stack((g + g.conj().T)[None])[0]
+        self.row, self.d, self.dim = (r - r[::-1]) / 2.0, d, r.size
 
-    def column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
+    def unit_column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
         if self.d:
-            return super().column(r, idx)
+            return super().unit_column(r, idx)
         return np.full(self.angle_count if idx is None else np.shape(idx), self.row[r])
 
     def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
@@ -373,7 +439,7 @@ class _GradedSweep(PencilSweep):
         every row is (row_k - row_{n+1-k}) / 2 = row_k, the row being
         antisymmetric bit for bit, and it proves the range empty below
         minus twice an offset's rounding at G's grid radius, as
-        ``range_from_sweep`` tests any row.  A translated rank is G's m-gon
+        ``PencilSweep.region`` tests any row.  A translated rank is G's m-gon
         plus d, the point d, or G's empty: its thresholds scale with G, not
         with |d|, so its tag is G's at every |d| (ROADMAP item 14's collapse
         spares it), and its error bound is the m-gon's before d is added,
@@ -383,10 +449,10 @@ class _GradedSweep(PencilSweep):
         row, m, n = self.row, self.angle_count, self.dim
         if 2 * k == n + 1:
             return ConvexRegion.point(self.d), 0.0
-        radius = row[0] / 2.0  # G's grid radius, the same at every angle
-        if 2 * k > n + 1 and row[k - 1] < -2.0 * _solve_error(n, 2.0 * radius / np.cos(np.pi / m)):
+        # row[0] is twice G's grid radius, the same at every angle
+        if 2 * k > n + 1 and row[k - 1] < -2.0 * _solve_error(n, row[0] / np.cos(np.pi / m)):
             return ConvexRegion.empty(), 0.0
-        region = regular_polygon(m, row[k - 1] / 2.0, 2.0 * radius or 1.0)
+        region = regular_polygon(m, row[k - 1] / 2.0, row[0] or 1.0)
         error = outer_error_bound(region, m)
         if self.d:
             region = ConvexRegion(region.kind, region.vertices + self.d)
@@ -396,9 +462,10 @@ class _GradedSweep(PencilSweep):
 class _SpectrumSweep(PencilSweep):
     """The sweep of the spectrum mu of an exactly diagonal, exactly
     Hermitian or certified normal T: its rows are 2 Re(e^{i theta_j} mu)
-    sorted.  With ``on_demand`` they are formed column by column as they are
-    read; without, the sweep forms them stacked from its ``phases`` when it
-    is built, and reads the spectrum's table only for ``middle``.
+    sorted.  With m n >= ``ON_DEMAND_ROWS``, or ``on_demand`` given, they
+    are formed column by column as they are read; else the sweep forms them
+    stacked from its ``phases`` when it is built, and reads the spectrum's
+    table only for ``middle``.
 
     Rows on demand.  Between two tie angles of mu, where two eigenvalues
     project equally, each column of the sorted rows is one eigenvalue's
@@ -420,12 +487,10 @@ class _SpectrumSweep(PencilSweep):
     ``ON_DEMAND_ROWS``: there the table's fixed cost of some 60-90 us
     outweighs the sort it saves (on 2 CPUs, n = 16 at m = 2048 takes
     0.09 ms whole and 0.17 ms on demand; n = 32 takes 0.35 and 0.31 ms).
-    Rows are the same bits on either side of the rule.  A spectrum of
-    modulus 2^1022 or more could overflow, so its sweep is stacked, and its
-    rows are checked as they are formed; below that no value can.  The
-    radius of a sweep formed on demand reads column 0 beside each
-    eigenvalue's peak alone, 2h + 3 indices for each (seven up to
-    m = 2^25, ``_peak_indices``): each mu_i's projection peaks at
+    Rows are the same bits on either side of the rule.  The radius of a
+    sweep formed on demand reads column 0 beside each eigenvalue's peak
+    alone, 2h + 3 indices for each (seven up to m = 2^25,
+    ``_peak_indices``): each mu_i's projection peaks at
     -arg(mu_i), and an angle more than h grid steps away lies below the
     peak's nearest grid angle by more than rounding can bridge, so column
     0's maximum over all m is among those indices, the same bits.  A
@@ -442,13 +507,13 @@ class _SpectrumSweep(PencilSweep):
 
     kind = "spectrum"
 
-    def __init__(self, m: int, mu: np.ndarray, on_demand: bool):
+    def __init__(self, m: int, mu: np.ndarray, on_demand: bool = False):
         super().__init__(m, None)
-        self.dim, self.mu, self.on_demand = mu.size, mu, on_demand
+        self.dim, self.mu, self.on_demand = mu.size, mu, on_demand or m * mu.size >= ON_DEMAND_ROWS
         self.columns = {}  # r -> column r at every solved index
-        if not on_demand:
+        if not self.on_demand:
             rows = _sorted_rows(self.phases, mu)
-            self._rows = _finite(rows if m % 2 else np.concatenate([rows, -rows[:, ::-1]]))
+            self._rows = rows if m % 2 else np.concatenate([rows, -rows[:, ::-1]])
 
     @cached_property
     def runs(self) -> tuple[np.ndarray, ...]:
@@ -510,7 +575,7 @@ class _SpectrumSweep(PencilSweep):
         computed region leaves a dropped plane by at most sec(pi/16) times
         what it leaves the kept planes by, plus that.  A region tagged point
         is the mean of its loop's vertices, which the dropped planes would
-        have moved, so ``range_from_sweep`` recomputes a point at 2k <= n
+        have moved, so ``PencilSweep.region`` recomputes a point at 2k <= n
         over all m planes.  ``support_samples`` and the strip test see all m
         rows; Gaussian and uncertified sweeps keep every plane.  A rank's
         tie planes, at most ``geometry.ONE_ROUND_PLANES`` of them (every
@@ -573,12 +638,10 @@ class _BatchSweep(PencilSweep):
     is formed from its phases, made Hermitian in place and sent to
     ``eig_hermitian_stack``, so no (m/2, n, n) stack is ever formed.
     Assembly and LAPACK work pencil by pencil, so each row is the bits of
-    one whole-batch solve.  ``range_from_sweep`` reads a rank's offsets
-    before the radius, so a rank solves every pencil and its radius reads
+    one whole-batch solve.  A rank (``PencilSweep.region``) reads its
+    offsets before the radius, so a rank solves every pencil and its radius reads
     them.  The radius and ``column_maxima`` (DISC's columns in ``checks``)
-    solve only the pencils that certify a maximum (``maxima``).  A T with
-    n max |Re t_ij|, |Im t_ij| >= 2^1016 could overflow, so its pencils are
-    solved in ``pencil_sweep``, whose check sees its rows.
+    solve only the pencils that certify a maximum (``maxima``).
     """
 
     kind = "batch"
@@ -648,17 +711,17 @@ class _BatchSweep(PencilSweep):
         """
         m, n, solved = self.angle_count, self.dim, self.solved
         if m < 4 * COARSE_STRIDE or self.done.all():
-            return [self.column(r).max() for r in rs]
+            return [self.unit_column(r).max() for r in rs]
         cols = rs if 0 in rs else [0, *rs]  # column 0 bounds w
         vals, seen = np.empty((len(cols), m)), np.zeros(m, dtype=bool)
 
         def read(idx):  # the first column's read solves the pencils at idx
-            vals[:, idx] = [self.column(r, idx) for r in cols]
+            vals[:, idx] = [self.unit_column(r, idx) for r in cols]
             seen[idx] = True
 
         coarse = np.arange(0, solved, COARSE_STRIDE)
         read(coarse if solved == m else np.concatenate([coarse, coarse + m // 2]))
-        eps, norm = np.finfo(float).eps, np.sqrt(2.0) * n * _entry_max(self.t)
+        eps, norm = np.finfo(float).eps, np.sqrt(2.0) * n * entry_max(self.t)
         err = (8 * n + 16) * eps * norm + np.finfo(float).tiny
         # 4w: every angle lies within 8 grid steps of a coarse one
         reach = 2.0 * (vals[cols.index(0), seen].max() + err) / np.cos(COARSE_STRIDE * np.pi / m)
@@ -673,11 +736,11 @@ class _BatchSweep(PencilSweep):
                 break
             if 2 * (b - a - 1)[keep & (over > 0).any(axis=0)].sum() > m:
                 # intervals that no bisection can drop span most of the grid
-                return [self.column(r).max() for r in rs]
+                return [self.unit_column(r).max() for r in rs]
             read((a + b)[keep] // 2)
         # a maximum of zero reads its column whole, for the sign of the zero
         best = dict(zip(cols, best))
-        return [best[r] if best[r] else self.column(r).max() for r in rs]
+        return [best[r] if best[r] else self.unit_column(r).max() for r in rs]
 
 
 def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
@@ -687,10 +750,11 @@ def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(m) if idx is None else np.asarray(idx)) / m
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as one ValueError
 def pencil_sweep(t, m: int | None) -> PencilSweep:
     """The eigenvalues of the ``resolve_angles(m)`` pencils of T, a batch
-    of pencils solved 256 KB at a time.
+    of pencils solved 256 KB at a time, swept at unit size: the sweep is
+    that of X = T / 2^p, p its ``scale`` (``linalg.unit_scale``), and every
+    test below is made on X.
 
     H_{theta + pi} = -H_theta, so lambda_i(H_{theta + pi}) =
     -lambda_{n+1-i}(H_theta).  For even m, row j + m/2 is therefore row j
@@ -710,47 +774,42 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
         normal): the one pencil T + T* goes to ``eig_hermitian_stack``, and
         every row is its spectrum r made antisymmetric, (r - r[::-1]) / 2,
         the sweep's one row (``_GradedSweep``);
-      T = dI + G when ``_graded_part`` finds a graded G and T's pencils
-        cannot overflow: G + G* is solved once and d is the row's
-        translation;
+      T = dI + G when ``_graded_part`` finds a graded G: G + G* is solved
+        once and d is the row's translation;
       ``_normal_spectrum(T)``'s mu, when it certifies T normal within a
         pencil solve's rounding, as a spectrum above;
       T itself, whose pencils are solved when their rows are read
-        (``_BatchSweep``), or here when they could overflow.
+        (``_BatchSweep``).
     Every sweep is given the angle count alone, and forms no grid-sized
-    angle array until ``thetas`` is read.  Raises ValueError when the
-    pencils overflow to a non-finite row.
+    angle array until ``thetas`` is read.  A read whose value is not finite
+    in T's units raises ValueError (``_t_units``).
     """
-    t, m = as_matrix(t), resolve_angles(m)
-    if not (t - np.diag(np.diagonal(t))).any():
-        spectrum = np.diagonal(t)
-    elif np.array_equal(t, t.conj().T):
-        spectrum = np.linalg.eigvalsh(t)
-    elif _is_graded(t):
-        return _GradedSweep(m, t)
+    (x, scale), m = unit_scale(t), resolve_angles(m)
+    if not (x - np.diag(np.diagonal(x))).any():
+        sweep = _SpectrumSweep(m, np.diagonal(x))
+    elif np.array_equal(x, x.conj().T):
+        sweep = _SpectrumSweep(m, np.linalg.eigvalsh(x))
+    elif _is_graded(x):
+        sweep = _GradedSweep(m, x)
+    elif (g := _graded_part(x)) is not None:
+        sweep = _GradedSweep(m, g, x[0, 0])
+    elif (mu := _normal_spectrum(x)) is not None:
+        sweep = _SpectrumSweep(m, mu)
     else:
-        # below this no pencil entry, eigenvalue or sum of two can
-        # overflow; above it every pencil is solved, for the check
-        small = t.shape[0] * _entry_max(t) < 2.0**1016
-        g = _graded_part(t) if small else None
-        if g is not None:
-            return _GradedSweep(m, g, t[0, 0])
-        spectrum = _normal_spectrum(t)
-        if spectrum is None:
-            sweep = _BatchSweep(m, t)
-            if not small:
-                _finite(sweep.eigenvalues)
-            return sweep
-    # below 2^1022, |2 Re(e^{i theta} mu)| <= 2 sqrt(2) |mu| cannot overflow
-    on_demand = m * spectrum.size >= ON_DEMAND_ROWS and np.abs(spectrum).max() < 2.0**1022
-    return _SpectrumSweep(m, spectrum, on_demand)
+        sweep = _BatchSweep(m, x)
+    sweep.scale = scale
+    return sweep
 
 
-def _finite(rows: np.ndarray) -> np.ndarray:
-    """``rows``, once every entry is finite."""
-    if not np.isfinite(rows).all():
+def _t_units(x, scale: int, out: np.ndarray | None = None):
+    """``x``, in sweep units, in T's: x 2^scale, exact unless it underflows,
+    written to ``out`` if given.  Raises ValueError when a value is not
+    finite there."""
+    with np.errstate(over="ignore"):  # reported as the one ValueError
+        x = np.ldexp(x, scale, out=out)
+    if not np.isfinite(x).all():
         raise ValueError("the pencils overflow: matrix entries too large")
-    return rows
+    return x
 
 
 def _graded_part(t: np.ndarray) -> np.ndarray | None:
@@ -762,13 +821,6 @@ def _graded_part(t: np.ndarray) -> np.ndarray | None:
     g = t.copy()
     np.fill_diagonal(g, 0.0)
     return g if _is_graded(g) else None
-
-
-def _entry_max(t: np.ndarray) -> float:
-    """The largest |real part| or |imaginary part| of T's entries, c:
-    sqrt(2) n c >= ||T||_F, and a pencil's entries and eigenvalues are at
-    most 8 n c."""
-    return float(max(np.abs(t.real).max(), np.abs(t.imag).max()))
 
 
 def _sorted_rows(phases: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -928,25 +980,23 @@ def _normal_spectrum(t: np.ndarray) -> np.ndarray | None:
         they run (2^-63 on x86-64; where it is a double, the model's own);
       2 eps N for rounding e^{i theta} and Re(e^{i theta} mu).
     mu is returned only when c <= 4 n eps N, a pencil solve's own cost
-    (``_solve_error``).  T is scaled by a power of two first, exactly, so
-    no product below overflows.  A commutator test rejects T that cannot
+    (``_solve_error``).  T is at unit size (``pencil_sweep``), so no product
+    below overflows.  A commutator test rejects T that cannot
     pass before ``eig`` runs: an accepted T is within 2c of a normal
     matrix, so ||TT* - T*T||_2 <= 8 c N to first order, and forming it adds
     the model's 2 sqrt(2) n eps N^2, in all at most 9 (4 n eps) N^2; the
     Frobenius norm is at most sqrt(n) times that, and N <= ||T||_F.
     """
     n = t.shape[0]
-    e = np.frexp(_entry_max(t))[1]
-    x = np.ldexp(t.real, -e) + 1j * np.ldexp(t.imag, -e)
     budget = _solve_error(n, 1.0)
-    commutator = x @ x.conj().T - x.conj().T @ x
-    if np.linalg.norm(commutator) > 9.0 * np.sqrt(n) * budget * np.linalg.norm(x) ** 2:
+    commutator = t @ t.conj().T - t.conj().T @ t
+    if np.linalg.norm(commutator) > 9.0 * np.sqrt(n) * budget * np.linalg.norm(t) ** 2:
         return None
     try:
-        q = np.linalg.qr(np.linalg.eig(x)[1])[0].astype(np.clongdouble)
+        q = np.linalg.qr(np.linalg.eig(t)[1])[0].astype(np.clongdouble)
     except np.linalg.LinAlgError:
         return None
-    r = q.conj().T @ (x.astype(np.clongdouble) @ q)
+    r = q.conj().T @ (t.astype(np.clongdouble) @ q)
     mu = np.diagonal(r).astype(np.complex128)
     norm = np.abs(mu).max()
     off = np.linalg.norm((r - np.diag(mu)).astype(np.complex128), 2)
@@ -954,7 +1004,7 @@ def _normal_spectrum(t: np.ndarray) -> np.ndarray | None:
     product = 2.0 * np.sqrt(2.0) * n * np.finfo(np.longdouble).eps
     if not off + (eta + product + 2.0 * np.finfo(float).eps) * norm <= budget * norm:
         return None
-    return np.ldexp(mu.real, e) + 1j * np.ldexp(mu.imag, e)
+    return mu
 
 
 def outer_error_bound(region: ConvexRegion, m: int) -> float:
@@ -1001,53 +1051,20 @@ class RangeReport:
 def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     """Build the rank-k region from an existing pencil sweep.
 
-    A graded sweep's rank is read off its one row, plus its translation,
-    with the error bound of the untranslated region
-    (``_GradedSweep.region``).  For any other sweep and 2k > n + 1, the
-    planes at theta and theta + pi bound the strip
-    lambda_{n+1-k} / 2 <= Re(e^{i theta} z) <= lambda_k / 2, both ends from
-    one row and so from one pencil.  Each end is within one offset's
-    rounding of exact (``_solve_error`` at N = 2 w / cos(pi/m), w the grid
-    radius, which bounds ||T||_2), so a row whose strip is narrower than
-    minus twice that proves the range empty.  At 2k = n + 1 the strip has
-    width zero, and the range is a point or empty, read off the row
-    (``_point_or_empty``).  Otherwise, and for 2k <= n, the geometry
-    intersects the planes at the sweep's ``planes`` in its angle frame,
-    which every rank of one sweep shares: every plane, or for a sweep with
-    a spectrum the tie planes, whose offsets alone are formed, with a point
-    recomputed over every plane (``_SpectrumSweep.planes``).  The report's
-    ``support_samples`` hold all m offsets.
+    The sweep's ``region(k)`` gives the region and its error bound in
+    sweep units: a graded sweep's read off its one row, plus its
+    translation, with the error bound of the untranslated region
+    (``_GradedSweep.region``), and any other's from its rows and planes
+    (``PencilSweep.region``).  Both are scaled back to T's units here, the
+    region's vertices in place, so a rank forms no new array for them.
+    The report's ``support_samples`` hold all m offsets, in T's units.
     """
-    n = sweep.dim
-    if not 1 <= k <= n:
-        raise BadRankError(f"k must be in 1..{n}, got {k}")
-    m = sweep.angle_count
-    graded = sweep.region(k)
-    if graded is not None:
-        return RangeReport(k, m, *graded, sweep)
-    # rows are read before the radius, so that a batch sweep solves them in
-    # one pass of its blocks and its radius reads them (``_BatchSweep``)
-    if 2 * k > n + 1:
-        strip = ((sweep.column(k - 1) - sweep.column(n - k)) / 2.0).min()
-    if 2 * k >= n + 1:
-        norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
-    if 2 * k == n + 1:
-        region = _point_or_empty(sweep, k, norm)
-    elif 2 * k > n + 1 and strip < -2.0 * _solve_error(n, norm):
-        region = ConvexRegion.empty()
-    else:
-        # the grid polygon lies within w sec(pi/m) <= 1.02 w of 0, so the
-        # square never cuts it; all-zero offsets fit any bound
-        planes = sweep.planes
-        offsets = sweep.column(k - 1, planes) / 2.0
-        thetas = sweep.thetas if planes is None else grid_angles(m, planes)
-        region = intersect_halfplanes(thetas, offsets, sweep.region_bound, frame=sweep.frame)
-        if region.kind == "point" and planes is not None:
-            # a point is the mean of the loop's vertices, which the dropped
-            # planes would have moved
-            region = intersect_halfplanes(sweep.thetas, sweep.column(k - 1) / 2.0,
-                                          sweep.region_bound)
-    return RangeReport(k, m, region, outer_error_bound(region, m), sweep)
+    if not 1 <= k <= sweep.dim:
+        raise BadRankError(f"k must be in 1..{sweep.dim}, got {k}")
+    region, error = sweep.region(k)
+    parts = region.vertices.view(float)  # each real and imaginary part
+    _t_units(parts, sweep.scale, parts)
+    return RangeReport(k, sweep.angle_count, region, float(_t_units(error, sweep.scale)), sweep)
 
 
 def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
@@ -1097,7 +1114,7 @@ def _rows_apart(sweep: PencilSweep, k: int, tol: float, norm: float,
         idx = np.array([0, m // 6, m // 3])
     phases = np.exp(1j * grid_angles(m, idx))
     (ca, cb, cc), (sa, sb, sc) = phases.real, phases.imag
-    ha, hb, hc = sweep.column(k - 1, idx) / 2.0
+    ha, hb, hc = sweep.unit_column(k - 1, idx) / 2.0
     det = sa * cb - ca * sb
     eps_n = np.finfo(float).eps * norm
     t = tol + 4.0 * eps_n
@@ -1114,9 +1131,8 @@ def _fourier_point(sweep: PencilSweep, k: int, tol: float) -> ConvexRegion:
     z = (2/m) sum_j h_j e^{-i theta_j}, and the range is the point z when
     every offset is within ``tol`` of Re(e^{i theta_j} z)."""
     m = sweep.angle_count
-    h = sweep.column(k - 1) / 2.0
-    phases = sweep.phases
-    solved = phases.size
+    h = sweep.unit_column(k - 1) / 2.0
+    phases, solved = sweep.phases, sweep.solved
     first, second = h[:solved], h[solved:]
     z = 2.0 * np.sum((first - second if solved < m else first) * phases.conj()) / m
     fit = (phases * z).real

@@ -20,6 +20,7 @@ from hrnr.checks import (
     generator,
     haagerup_bound_check,
     hermitian_oracle,
+    is_normal,
     nilpotent_instance,
     normal_eigenvalues,
     normal_oracle,
@@ -476,6 +477,19 @@ def test_normality_rule_is_translation_invariant(c):
     eigs = pentagon_eigs()
     got = np.sort_complex(normal_eigenvalues(np.diag(eigs) + c * np.eye(5)))
     assert np.abs(got - np.sort_complex(eigs + c)).max() <= 1e-12 * max(1.0, abs(c))
+
+
+@pytest.mark.parametrize("e", [-700, 0, 700])
+def test_normality_rule_holds_at_every_scale(e):
+    # ||CC* - C*C||_F and ||C||_F^2 square C's entries twice over, so a
+    # Gaussian passed as normal from about 2^+-256 on; the rule is taken at
+    # unit size, so the verdicts are those at scale 1
+    rng = generator(88)
+    u = random_unitary(4, rng)
+    for t, normal in ((random_matrix(4, rng), False), (shift_matrix(4), False),
+                      (u.conj().T @ np.diag(SPECTRUM.tolist() + [0.5]) @ u, True),
+                      (np.diag(SPECTRUM) + 1e9 * np.eye(3), True)):
+        assert is_normal(2.0**e * t) == normal, t
 
 
 @pytest.mark.parametrize("s", SCALES)

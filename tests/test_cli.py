@@ -103,6 +103,17 @@ def test_overflowing_pencils_exit_2(tmp_path, capsys, t, command):
     assert capsys.readouterr().err == "error: the pencils overflow: matrix entries too large\n"
 
 
+@pytest.mark.parametrize("s", [1e200, 1e-200])
+def test_verify_properties_at_far_scales_exits_0(tmp_path, capsys, s):
+    # the Hermitian and normality tests square the entries, which at 1e+-200
+    # overflowed or underflowed and passed a Gaussian as Hermitian, whose
+    # oracle then failed: "HERMITIAN FAIL" and exit 1 on a correct input
+    path = write_matrix(tmp_path, "far.json", s * checks.random_matrix(4, checks.generator(5)))
+    assert main(["verify-properties", "--k", "1", "--input", path]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[0] for line in out.splitlines()] == ["P1", "P2", "P3", "P4", "P5", "P6"]
+
+
 # one (matrix, k) per region tag
 TAG_CASES = {
     "polygon": (shift_matrix(4), 1),

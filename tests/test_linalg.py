@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrnr.checks import check_hermitian_oracle, direct_sum
-from hrnr.linalg import DimensionError, as_matrix, eig_hermitian_stack
+from hrnr.linalg import DimensionError, as_matrix, eig_hermitian_stack, is_hermitian, unit_scale
 from hrnr.ranges import pencil_sweep, range_from_sweep
 from hrnr.shifts import build_dilation, shift_matrix
 
@@ -130,6 +130,41 @@ def test_eig_rejects_non_hermitian_at_every_scale(scale):
     # refuse a tiny non-Hermitian input rather than answer for its triangle
     with pytest.raises(ValueError, match="not Hermitian"):
         _oracle_on(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("e", [-700, 0, 700])
+def test_is_hermitian_holds_at_every_scale(e):
+    # both Frobenius norms square the entries, which overflow or underflow
+    # beyond about 2^+-512, where a Gaussian passed as Hermitian; taken at
+    # unit size the verdicts are those at scale 1
+    rng = np.random.Generator(np.random.PCG64(31))
+    for n in (1, 3, 6):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert is_hermitian(2.0**e * (g + g.conj().T)), n
+        assert is_hermitian(2.0**e * g) == (n == 1 and not g.imag.any()), n
+        assert is_hermitian(2.0**e * np.triu(g, 1)) == (n == 1), n
+
+
+@pytest.mark.parametrize("t, p", [
+    (np.zeros((2, 2)), 0),
+    (np.diag([0.75, -0.5j]), 0),
+    (np.diag([1.0, -3.0]), 2),
+    (1e300 * np.eye(2), 997),
+    (5e-324 * np.eye(1), -1073),
+    (np.array([[0.0, -0.0], [1e-320j, -2.0**-1030]]), -1029),
+], ids=["zero", "unit", "two", "huge", "smallest", "subnormal"])
+def test_unit_scale_is_an_exact_power_of_two(t, p):
+    # X = 2^-p T with X's largest real or imaginary part in [1/2, 1), each
+    # part scaled exactly, signed zeros kept; the transpose is read as given
+    x, got = unit_scale(t)
+    assert got == p and x.dtype == complex and x.shape == t.shape
+    t = as_matrix(t)
+    for part in ("real", "imag"):
+        back = np.ldexp(getattr(x, part), p)
+        assert back.tobytes() == getattr(t, part).tobytes(), part
+    assert unit_scale(t.T)[0].tobytes() == np.ascontiguousarray(x.T).tobytes()
+    if t.any():
+        assert 0.5 <= max(np.abs(x.real).max(), np.abs(x.imag).max()) < 1.0
 
 
 def test_eig_deterministic():

@@ -333,32 +333,34 @@ def test_far_translations_keep_the_tag():
     assert not lost, lost
 
 
-SUBNORMAL_DEFECT = ("subnormal offsets carry fewer than 53 significant bits, so they miss the "
-                    "geometry's 1e-9 relative checks and the range comes back empty; sweeping "
-                    "T scaled to unit size by a power of four would mend it (ROADMAP item 14)")
-
-
 @pytest.mark.parametrize("k", [1, 2])
-def test_near_subnormal_scalar_is_its_point(k):
-    # c I_2's rank-k range is the point c; at 1e-310 the offsets are
-    # subnormal, yet the tag holds
-    region = rank_k_range(1e-310 * np.eye(2), k, 720).region
-    assert region.kind == "point" and abs(region.vertices[0] - 1e-310) < 0.5e-310
-
-
-@pytest.mark.xfail(strict=True, reason=SUBNORMAL_DEFECT)
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("c", [1e-315, 1e-320, 5e-324])
-def test_subnormal_scalar_is_its_point(c, k):
-    # today every one of these is empty
+@pytest.mark.parametrize("c", [1e-310, 1e-315, 1e-320, 5e-324])
+def test_near_subnormal_scalar_is_its_point(c, k):
+    # c I_2's rank-k range is the point c; its offsets in T's units are
+    # subnormal, down to the smallest, yet the sweep at unit size keeps the
+    # tag
     region = rank_k_range(c * np.eye(2), k, 720).region
-    assert region.kind == "point" and abs(region.vertices[0] - c) < 0.5 * c
+    assert region.kind == "point" and abs(region.vertices[0] - c) <= 0.5 * c
 
 
-@pytest.mark.xfail(strict=True, reason=SUBNORMAL_DEFECT)
 def test_subnormal_diagonal_is_its_segment():
-    # Lambda_1 of diag(5e-324, 1e-323) is the segment between them; today empty
+    # Lambda_1 of diag(5e-324, 1e-323) is the segment between them
     assert rank_k_range(np.diag([5e-324, 1e-323]), 1, 720).region.kind == "segment"
+
+
+@pytest.mark.parametrize("e", [-1060, 0, 1014, 1016, 1020])
+def test_point_ranges_hold_at_extreme_scales(e):
+    # rank 2 of 2^e diag(1, 2, 3) is the point 2^(e+1), and rank 2 of the
+    # Jordan block 2^e ((0.5 + 0.5i) I + S_3) the point 2^e (0.5 + 0.5i),
+    # which stays on the graded path at every scale.  Swept at T's own size
+    # the Fourier fit's sum over the rows overflowed at 2^1014, and the
+    # Jordan block left the graded path from 2^1016: both came back empty
+    region = rank_k_range(2.0**e * np.diag([1.0, 2.0, 3.0]), 2, 720).region
+    assert region.kind == "point" and region.vertices[0] == 2.0 ** (e + 1)
+    jordan = 2.0**e * ((0.5 + 0.5j) * np.eye(3) + shift_matrix(3))
+    report = rank_k_range(jordan, 2, 720)
+    assert report.sweep.kind == "graded"
+    assert report.region.kind == "point" and report.region.vertices[0] == 2.0**e * (0.5 + 0.5j)
 
 
 ROTATION_DEFECT = ("a normal T's segment comes back a polygon when the segment's normal lies off "
@@ -853,7 +855,7 @@ def test_graded_rows_match_full_grid_lapack(name, m, monkeypatch):
         t = s * inputs[name]
         sweep, sizes = _solved_pencils(t, m, monkeypatch)
         assert sizes == [1], s
-        assert sweep.kind == "graded" and sweep.d == t[0, 0], s
+        assert sweep.kind == "graded" and _in_t_units(sweep.d, sweep) == t[0, 0], s
         vals = sweep.eigenvalues
         assert vals.shape == (m, t.shape[0])
         assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(t.shape[0],
@@ -881,7 +883,7 @@ def test_shift_ranges_from_the_graded_rows(n):
             assert region.kind == "point" and abs(region.vertices[0]) <= 1e-12 * bound, k
             # read off the row with no fit, in the bits of the fit over
             # the zero rows: 0j, whose zeros are both positive
-            fit = ranges._fourier_point(sweep, k, _row_tol(n, bound))
+            fit = ranges._fourier_point(sweep, k, _row_tol(n, sweep.unit_bound))
             assert region.vertices.tobytes() == fit.vertices.tobytes() == bytes(16)
         else:
             assert region.kind == ("polygon" if 2 * k < n + 1 else "empty"), k
@@ -916,12 +918,13 @@ def test_graded_ranks_are_the_regular_m_gon(m, monkeypatch):
             every = ranges.PencilSweep(m, sweep.eigenvalues)
             bound = sweep.region_bound
             for k in range(1, t.shape[0] // 2 + 1):
+                c_k = _in_t_units(sweep.row[k - 1], sweep)[0]
                 sent.clear()
                 got = range_from_sweep(sweep, k).region
                 want = range_from_sweep(every, k).region
                 assert got.kind == want.kind, (name, scale, k)
                 assert hausdorff(got, want) <= 1e-12 * bound, (name, scale, k)
-                if sweep.row[k - 1] > 1e-9 * bound:
+                if c_k > 1e-9 * bound:
                     assert got.kind == "polygon" and got.vertices.size == m, (name, k)
                     assert sent == [], (name, k)
                 else:  # zero up to the rounding of T + T*'s spectrum
@@ -1074,6 +1077,16 @@ def _dense_spectrum_rows(mu, m):
     return vals if m % 2 else np.concatenate([vals, -vals[:, ::-1]])
 
 
+def _in_t_units(values, sweep):
+    """Values in a sweep's units (those of T / 2^scale, as its ``mu``, ``d``,
+    ``row`` and engine reads) in T's: each real and imaginary part times
+    2^scale, as the sweep scales its reads back."""
+    values = np.atleast_1d(values)
+    if values.dtype == complex:
+        return np.ldexp(values.view(float), sweep.scale).view(complex)
+    return np.ldexp(values, sweep.scale)
+
+
 ON_DEMAND_SPECTRA = SPECTRA + ("cluster13", "cluster16", "one")
 
 
@@ -1122,7 +1135,7 @@ def test_pencil_sweep_picks_its_rows_by_size_with_the_same_bits(m, monkeypatch):
             sweep = pencil_sweep(t, m)
             assert sweep.kind == "spectrum"
             assert (sweep._rows is None) == (m * n >= ranges.ON_DEMAND_ROWS), (n, m)
-            want = _dense_spectrum_rows(sweep.mu, m)
+            want = _in_t_units(_dense_spectrum_rows(sweep.mu, m), sweep)
             assert sweep.eigenvalues.tobytes() == want.tobytes()
     assert solved == []
 
@@ -1187,11 +1200,18 @@ def test_indexed_phases_are_the_whole_arrays_bits(m):
 
 
 def test_overflowing_spectrum_rows_still_raise():
-    # a spectrum at or above 2^1022 forms every row, so the overflow check
-    # sees them on both sides of the size rule
+    # a spectrum is swept at unit size, so its rows are formed on either
+    # side of the size rule; the first read of a row that overflows in T's
+    # units raises, whole or at chosen indices
     for m in (720, 65536):
+        sweep = pencil_sweep(np.diag([1.7e308, -1.7e308j]), m)
+        assert (sweep._rows is None) == (m == 65536)
         with pytest.raises(ValueError, match="overflow"):
-            pencil_sweep(np.diag([1.7e308, -1.7e308j]), m)
+            sweep.numerical_radius()
+        with pytest.raises(ValueError, match="overflow"):
+            sweep.column(0, np.array([m // 8]))
+        with pytest.raises(ValueError, match="overflow"):
+            range_from_sweep(sweep, 1).support_samples
 
 
 def test_spectrum_ranks_form_only_their_tie_plane_offsets(monkeypatch):
@@ -1205,7 +1225,7 @@ def test_spectrum_ranks_form_only_their_tie_plane_offsets(monkeypatch):
     assert sweep._rows is None and "runs" not in vars(sweep)
     rep = range_from_sweep(sweep, 2)
     assert sweep.columns == {} and "phases" not in vars(sweep)
-    want = _dense_spectrum_rows(sweep.mu, m)
+    want = _in_t_units(_dense_spectrum_rows(sweep.mu, m), sweep)
     assert sweep.numerical_radius() == want[:, 0].max() / 2.0
     assert rep.support_samples[:, 1].tobytes() == (want[:, 1] / 2.0).tobytes()
     assert set(sweep.columns) == {1, n - 2}
@@ -1361,7 +1381,7 @@ def test_three_row_exit_never_disagrees_with_the_fit(m):
             b = 10.0 ** rng.uniform(-4, 4) * np.exp(2j * np.pi * rng.uniform())
             b = 0.0 if rng.uniform() < 0.3 else b * np.linalg.norm(t, 2)
             sweep = pencil_sweep(10.0 ** rng.uniform(-8, 8) * (t + b * np.eye(n)), m)
-            norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
+            norm = sweep.unit_bound / np.cos(np.pi / m)
             tol = _row_tol(n, norm)
             if ranges._rows_apart(sweep, k, tol, norm):
                 fired += 1
@@ -1386,8 +1406,9 @@ def test_middle_rank_reads_the_owner_eigenvalue():
             assert sweep.columns == {} and "phases" not in vars(sweep)
             middle = sweep.mu[np.argsort(sweep.mu.real)[2]]
             assert region.kind == "point"
-            assert region.vertices.tobytes() == np.array([middle], complex).tobytes()
-            norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
+            want = _in_t_units(np.array([middle], complex), sweep)
+            assert region.vertices.tobytes() == want.tobytes()
+            norm = sweep.unit_bound / np.cos(np.pi / m)
             fit = ranges._fourier_point(sweep, 3, _row_tol(n, norm))
             assert fit.kind == "point"
             assert abs(fit.vertices[0] - middle) <= _row_tol(n, norm)
@@ -1412,7 +1433,7 @@ def test_two_owner_middle_rank_exits_before_the_fit(monkeypatch):
         sweep = pencil_sweep(np.diag(scale * TWO_OWNER_DIAGONAL), 65536)
         assert range_from_sweep(sweep, 3).region.is_empty, scale
         assert fits == [], scale
-        norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / 65536)
+        norm = sweep.unit_bound / np.cos(np.pi / 65536)
         assert fit(sweep, 3, _row_tol(5, norm)).is_empty, scale
 
 
@@ -1431,7 +1452,7 @@ def test_owner_exit_never_disagrees_with_the_fit(m):
                 mu = 0.3 + np.exp(2j * np.pi * rng.uniform()) * rng.normal(size=n)
             sweep = pencil_sweep(np.diag(10.0 ** rng.uniform(-8, 8) * mu), m)
             k = (n + 1) // 2
-            norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
+            norm = sweep.unit_bound / np.cos(np.pi / m)
             tol = _row_tol(n, norm)
             region = sweep.middle(k, tol, norm)
             assert region is not None, (n, kind)
@@ -1454,7 +1475,7 @@ def test_middle_rank_declines_when_the_tie_windows_cover_the_grid(monkeypatch):
     region = range_from_sweep(sweep, 2).region
     assert fits == [1]
     assert sweep.runs[1].tolist() == [0, 0, 16384, 16384]
-    norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
+    norm = sweep.unit_bound / np.cos(np.pi / m)
     assert sweep.middle(2, _row_tol(3, norm), norm) is None
     want = range_from_sweep(ranges.PencilSweep(m, sweep.eigenvalues), 2).region
     assert region.kind == want.kind == "point"
@@ -1583,14 +1604,16 @@ def test_middle_rank_exits_read_translated_graded_sweeps(m):
                 d = 10.0 ** rng.uniform(-4, 4) * np.exp(2j * np.pi * rng.uniform())
                 sweep = pencil_sweep(10.0**e * (t + d * np.eye(n)), m)
                 assert sweep.d, (n, e)
-                norm = 2.0 * sweep.numerical_radius() / np.cos(np.pi / m)
+                norm = sweep.unit_bound / np.cos(np.pi / m)
                 tol = _row_tol(n, norm)
                 assert not ranges._rows_apart(sweep, k, tol, norm), (n, e)
                 fit = ranges._fourier_point(sweep, k, tol)
-                point = range_from_sweep(sweep, k).region
+                point = sweep.region(k)[0]  # in sweep units, as the fit
                 assert fit.kind == point.kind == "point", (n, e)
                 assert point.vertices[0] == sweep.d
                 assert abs(fit.vertices[0] - point.vertices[0]) <= tol, (n, e)
+                got = range_from_sweep(sweep, k).region.vertices
+                assert got.tobytes() == _in_t_units([sweep.d], sweep).tobytes(), (n, e)
 
 
 # --- closed forms and Li-Sze ---------------------------------------------------------
@@ -1772,16 +1795,22 @@ def test_batch_column_read_stays_within_a_few_blocks(n, m):
     assert peak < 1.5 * 2**20, peak / 2**20
 
 
-def test_batch_t_that_may_overflow_is_solved_whole():
-    # a T whose pencils could overflow has every row solved in pencil_sweep:
-    # LAPACK fails on the overflowed pencils (LinAlgError is a ValueError),
-    # and finite ones are checked there
+def test_batch_t_that_may_overflow_raises_at_the_read():
+    # a batch T is swept at unit size whatever its scale, its pencils solved
+    # on demand; the first read of a row that overflows in T's units raises,
+    # and a read of finite rows does not
     g = random_matrix(3, generator(67))
-    with pytest.raises(ValueError):
-        pencil_sweep(1e308 * g / np.abs(g).max(), 720)
-    assert pencil_sweep(4e307 * g / np.abs(g).max(), 720)._rows is not None
-    # just below the threshold the pencils stay on demand, and finite
+    for s in (1e308, 4e307, 2.0**1015 / 3):
+        sweep = pencil_sweep(s * g / np.abs(g).max(), 720)
+        assert sweep.kind == "batch" and sweep._rows is None and sweep.done.sum() == 0, s
+    sweep = pencil_sweep(1e308 * g / np.abs(g).max(), 720)
+    with pytest.raises(ValueError, match="overflow"):
+        sweep.numerical_radius()
+    with pytest.raises(ValueError, match="overflow"):
+        sweep.column(0)
+    assert np.isfinite(sweep.column(1, np.arange(3))).all()
+    # 2^1015 / 3 of a T whose largest part is 1: every row finite
     t = 2.0**1015 / 3 * g / max(np.abs(g.real).max(), np.abs(g.imag).max())
     sweep = pencil_sweep(t, 720)
-    assert sweep._rows is None and np.isfinite(sweep.numerical_radius())
+    assert np.isfinite(sweep.numerical_radius()) and sweep._rows is None
     assert np.isfinite(sweep.eigenvalues).all()

@@ -62,8 +62,9 @@ def test_replay_engine_script(tmp_path):
 
 def test_replay_battery_holds_translated_graded_cases():
     # the replay's last cases are graded T plus a scalar, each taking the
-    # graded path with its diagonal as the translation; jordan-far's
-    # lambda lies 1e8..1e12 times S_n's norm from 0
+    # graded path with its diagonal as the translation (in sweep units, at
+    # unit size); jordan-far's lambda lies 1e8..1e12 times S_n's norm from 0
+    from hrnr.linalg import unit_scale
     from hrnr.ranges import pencil_sweep
 
     kinds = ("jordan", "jordan-far", "graded-scalar")
@@ -72,7 +73,7 @@ def test_replay_battery_holds_translated_graded_cases():
     for kind, n, m, t in cases:
         d = t[0, 0]
         sweep = pencil_sweep(t, m)
-        assert sweep.kind == "graded" and sweep.d == d, (kind, n)
+        assert sweep.kind == "graded" and sweep.d == unit_scale(t)[0][0, 0], (kind, n)
         far = abs(d) / np.linalg.norm(t - d * np.eye(n), 2)
         assert (1e7 < far < 1e13) == (kind == "jordan-far"), (kind, n)
 
