@@ -128,7 +128,8 @@ def run_cell(kind, n, m, repeat=REPEAT):
     with tempfile.TemporaryDirectory() as work:
         path, out = os.path.join(work, "t.json"), os.path.join(work, "range.json")
         npz = os.path.join(work, "range.npz")
-        fileio.save_matrix(path, t)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(fileio.dumps_json(fileio.matrix_to_obj(t)))
         argv = ["range", "--input", path, "--k", "1", "--angles", str(m), "--out", out]
         for _ in range(repeat):
             start = time.perf_counter()

@@ -11,7 +11,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hrnr.fileio import save_svg
+from hrnr.fileio import region_svg
 from hrnr.ranges import rank_k_range
 from hrnr.shifts import shift_matrix, shift_radius
 
@@ -27,7 +27,7 @@ def main():
         radius = shift_radius(n, k)
         closed = "empty" if radius is None else "disc" if radius else "point"
         path = outdir / f"shift_n{n}_k{k}.svg"
-        save_svg(path, report.region, ref_radius=radius or None)
+        path.write_text(region_svg(report.region, ref_radius=radius or None), encoding="utf-8")
         print(f"{path}  tag={report.region.kind:8s} closed-form={closed}"
               + (f" radius={radius:.6f}" if radius else ""))
 

@@ -12,7 +12,7 @@ indent=2)`` gives for the equivalent nested lists: a text with a ``%r``
 slot for each float, which one ``%`` pass fills with the floats' reprs
 (no template is parsed field by field, as ``str.format`` would).  A
 region's ``support_samples`` repeat the m grid angles 2 pi j / m of its
-sweep (``ranges.grid_angles``), whose text never changes, so an array
+sweep (``geometry.grid_angles``), whose text never changes, so an array
 whose first column is that grid, bit for bit (``-0.0 == 0.0`` but their
 texts differ), is written from a text template made once per m, with the
 angles in it and a ``%r`` slot per offset; the templates, one string
@@ -35,8 +35,8 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import ConvexRegion
-from .ranges import RangeReport, grid_angles
+from .geometry import ConvexRegion, grid_angles
+from .ranges import RangeReport
 
 
 class MatrixFileError(ValueError):
@@ -103,11 +103,6 @@ def load_matrix(path) -> np.ndarray:
     except (OSError, json.JSONDecodeError) as exc:
         raise MatrixFileError(f"cannot read matrix file {path}: {exc}") from exc
     return obj_to_matrix(obj)
-
-
-def save_matrix(path, t: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(matrix_to_obj(t)))
 
 
 def region_to_obj(report: RangeReport) -> dict:
@@ -241,8 +236,3 @@ def region_svg(region: ConvexRegion, ref_radius: float | None = None) -> str:
                      'fill="#666" font-size="16">empty</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def save_svg(path, region: ConvexRegion, ref_radius: float | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(region_svg(region, ref_radius))

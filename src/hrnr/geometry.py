@@ -836,42 +836,44 @@ def intersect_halfplanes(thetas, offsets, bound: float,
     return ConvexRegion(region.kind, verts)
 
 
+def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
+    """The m angles 2 pi j / m, j = 0..m-1, of every pencil sweep and
+    regular m-gon, or those at the integer grid indices ``idx`` alone: the
+    expression is elementwise, so they are the bits of the whole array's
+    entries."""
+    return 2.0 * np.pi * (np.arange(m) if idx is None else np.asarray(idx)) / m
+
+
 def regular_polygon(m: int, offset: float, bound: float) -> ConvexRegion:
     """``intersect_halfplanes`` of the m grid planes Re(e^{i theta_j} z) <=
-    ``offset``, theta_j = 2 pi j / m, for ``offset`` <= ``bound`` / 2: the
-    regular m-gon about 0 whose vertices are u sec(pi/m) e^{i (2j + 1) pi/m}
-    times R = ``bound``, u = offset / R + CLIP_EPS (the relaxed cut).  The
-    square, 1.02 R / 2 at most from 0 away, cuts none.
-    Where each vertex lies more than 2 CLIP_EPS from its neighbours'
-    chord, u sec(pi/m) (1 - cos(2 pi/m)) > 2 CLIP_EPS, every plane is a
-    facet and no vertex is pruned as collinear, so that loop is the scan's
-    up to rounding.  Closer than that (zero and negative offsets among
-    them) the rounds would drop planes and ``_prune_collinear``'s walk
-    would merge a dense loop's vertices, so the planes go to
-    ``intersect_halfplanes``.
-
-    The loop is returned as a polygon without ``_classify`` when its
-    circumradius rho = u sec(pi/m) is at least twice ``POINT_DIAM`` and
-    ``SEGMENT_THICKNESS``: for m >= 3 the diagonal of its bounding box,
-    ``_classify``'s diameter, is at least 2 rho and its area over that at
-    least 0.56 rho, so neither collapse applies.  Nor does any other pass
-    change the loop: its sides, 2 rho sin(pi/m), exceed the 2 CLIP_EPS /
-    sin(pi/m) that the chord distance implies, far above ``_dedupe``'s
-    1e-13; no vertex is within CLIP_EPS of its neighbours' chord; every
-    turn is 2 pi/m > 0 and they sum to 2 pi; and the loop runs
-    counter-clockwise.  ``_classify`` would so return the loop itself, the
-    same bits.  A smaller m-gon is classified."""
+    ``offset``, theta_j = 2 pi j / m (``grid_angles``), for ``offset`` <=
+    ``bound`` / 2: the regular m-gon about 0 whose vertices are
+    rho e^{i (2j + 1) pi/m} times R = ``bound``, rho = u sec(pi/m) and
+    u = offset / R + CLIP_EPS (the relaxed cut).  The square, 1.02 R / 2 at
+    most from 0 away, cuts none.  Two cases:
+      the loop in closed form, when each vertex lies more than 2 CLIP_EPS
+        from its neighbours' chord, rho (1 - cos(2 pi/m)) > 2 CLIP_EPS, and
+        rho is at least twice ``POINT_DIAM`` and ``SEGMENT_THICKNESS``.
+        Then every plane is a facet and no vertex is pruned as collinear,
+        so the loop is the scan's up to rounding, and no pass of
+        ``_classify`` changes it: for m >= 3 the diagonal of its bounding
+        box, its diameter, is at least 2 rho and its area over that at
+        least 0.56 rho, so neither collapse applies; its sides,
+        2 rho sin(pi/m), exceed the 2 CLIP_EPS / sin(pi/m) that the chord
+        distance implies, far above ``_dedupe``'s 1e-13; every turn is
+        2 pi/m > 0 and they sum to 2 pi; and the loop runs
+        counter-clockwise.  So it is returned as a polygon, unclassified;
+      ``intersect_halfplanes`` of the m planes otherwise: a dense loop
+        (zero and negative offsets among them), whose rounds would drop
+        planes and whose vertices ``_prune_collinear``'s walk would merge,
+        and a loop small enough to collapse to a point or a segment."""
     if not offset <= bound / 2.0:
         raise ValueError("a regular polygon needs offset <= bound / 2")
     radius = (offset / bound + CLIP_EPS) / np.cos(np.pi / m)
-    if radius * (1.0 - np.cos(2.0 * np.pi / m)) <= 2.0 * CLIP_EPS:
-        thetas = 2.0 * np.pi * np.arange(m) / m
-        return intersect_halfplanes(thetas, np.full(m, float(offset)), bound)
-    loop = radius * _regular_directions(m)
-    if radius >= 2.0 * max(POINT_DIAM, SEGMENT_THICKNESS):
-        return ConvexRegion("polygon", loop * bound)
-    region = _classify(loop)
-    return ConvexRegion(region.kind, region.vertices * bound)
+    if (radius * (1.0 - np.cos(2.0 * np.pi / m)) <= 2.0 * CLIP_EPS
+            or radius < 2.0 * max(POINT_DIAM, SEGMENT_THICKNESS)):
+        return intersect_halfplanes(grid_angles(m), np.full(m, float(offset)), bound)
+    return ConvexRegion("polygon", radius * _regular_directions(m) * bound)
 
 
 @functools.lru_cache(maxsize=4)

@@ -15,11 +15,12 @@ Row sources.  ``pencil_sweep`` builds each sweep as one of three
 subclasses of ``PencilSweep``, picked by the symmetry T has and named for
 their ``kind``; each one's docstring sets out its rows, and each overrides
 every read that only it can shorten:
-  ``_GradedSweep``, one pencil solved, when T is graded (below), or
-    T = dI + G with G graded;
+  ``_GradedSweep``, one pencil solved, when T = dI + G with G graded
+    (below), d = 0 included: one test, ``_graded_part``, finds G and d;
   ``_SpectrumSweep``, no pencil solved, when T is normal: the rows come
     from its spectrum mu (Li and Sze, Proc. AMS 136, 2008, give the tie
-    planes);
+    planes), formed on demand or stacked by one rule, m n against
+    ``ON_DEMAND_ROWS``, which every read of the sweep follows;
   ``_BatchSweep``, for any other T: each pencil is solved when its row is
     first read, and the radius solves only the pencils that certify it
     (Mengi and Overton, IMA J. Numer. Anal. 25, 2005).
@@ -120,7 +121,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import (AngleFrame, ConvexRegion, angle_frame, intersect_halfplanes,
+from .geometry import (AngleFrame, ConvexRegion, angle_frame, grid_angles, intersect_halfplanes,
                        regular_polygon)
 from .linalg import as_matrix, eig_hermitian_stack, entry_max, unit_scale
 
@@ -401,7 +402,7 @@ class _GradedSweep(PencilSweep):
 
     kind = "graded"
 
-    def __init__(self, m: int, g: np.ndarray, d: complex = 0j):
+    def __init__(self, m: int, g: np.ndarray, d: complex):
         super().__init__(m, None)
         r = eig_hermitian_stack((g + g.conj().T)[None])[0]
         self.row, self.d, self.dim = (r - r[::-1]) / 2.0, d, r.size
@@ -427,9 +428,9 @@ class _GradedSweep(PencilSweep):
         0 circumscribed about the disc of radius c_k (for S_n,
         cos(k pi/(n+1)), up to the bound's scale).
         ``geometry.regular_polygon`` builds it in closed form, with no angle
-        frame and no pruning, and returns the loop as it is unless it is
-        small enough for the geometry's classification to change it, which
-        then runs; c_k = 0, to rounding, gives the point 0.  The vertices
+        frame and no pruning, unless it is dense or small enough for the
+        geometry's classification to change it, when the m planes go to
+        ``intersect_halfplanes``; c_k = 0, to rounding, gives the point 0.  The vertices
         are those of the scan's corners up to rounding: within
         1.2e-13 * bound of the intersection of the m planes at m <= 8192,
         and 9e-13 at 65536, where the scan's corner of planes 2 pi/m apart
@@ -462,10 +463,11 @@ class _GradedSweep(PencilSweep):
 class _SpectrumSweep(PencilSweep):
     """The sweep of the spectrum mu of an exactly diagonal, exactly
     Hermitian or certified normal T: its rows are 2 Re(e^{i theta_j} mu)
-    sorted.  With m n >= ``ON_DEMAND_ROWS``, or ``on_demand`` given, they
-    are formed column by column as they are read; else the sweep forms them
-    stacked from its ``phases`` when it is built, and reads the spectrum's
-    table only for ``middle``.
+    sorted.  With m n >= ``ON_DEMAND_ROWS`` (``on_demand``) they are formed
+    column by column as they are read; else the sweep forms them stacked
+    from its ``phases`` when it is built.  Every read that depends on the
+    rule reads ``on_demand``: ``peaks``, and ``middle``, which reads the
+    spectrum's table.
 
     Rows on demand.  Between two tie angles of mu, where two eigenvalues
     project equally, each column of the sorted rows is one eigenvalue's
@@ -507,9 +509,9 @@ class _SpectrumSweep(PencilSweep):
 
     kind = "spectrum"
 
-    def __init__(self, m: int, mu: np.ndarray, on_demand: bool = False):
+    def __init__(self, m: int, mu: np.ndarray):
         super().__init__(m, None)
-        self.dim, self.mu, self.on_demand = mu.size, mu, on_demand or m * mu.size >= ON_DEMAND_ROWS
+        self.dim, self.mu, self.on_demand = mu.size, mu, m * mu.size >= ON_DEMAND_ROWS
         self.columns = {}  # r -> column r at every solved index
         if not self.on_demand:
             rows = _sorted_rows(self.phases, mu)
@@ -587,9 +589,9 @@ class _SpectrumSweep(PencilSweep):
     def middle(self, k: int, tol: float, norm: float) -> ConvexRegion | None:
         """The middle rank read from the owners of column k - 1 on the gaps
         between the tie windows, or None when they do not settle it.  Only
-        sweeps of m n >= ``ON_DEMAND_ROWS``, those formed on demand, are
-        tried, whether or not their rows have been read whole since: below
-        that the table costs more than the fit.
+        sweeps formed on demand (``on_demand``) are tried, whether or not
+        their rows have been read whole since: below ``ON_DEMAND_ROWS`` the
+        table costs more than the fit.
 
         One owner mu_o on every gap: there the column is
         2 Re(e^{i theta_j} mu_o), and on an even grid its upper half is the
@@ -607,9 +609,9 @@ class _SpectrumSweep(PencilSweep):
         gives empty, with no fit, unless the third line passes near the
         corner.
         """
-        m = self.angle_count
-        if m * self.dim < ON_DEMAND_ROWS:
+        if not self.on_demand:
             return None
+        m = self.angle_count
         _, edges, inside, rows, order = self.runs
         keep = np.diff(edges)[::2] > 0
         starts, stops = edges[:-1:2][keep], edges[1::2][keep]
@@ -743,13 +745,6 @@ class _BatchSweep(PencilSweep):
         return [best[r] if best[r] else self.unit_column(r).max() for r in rs]
 
 
-def grid_angles(m: int, idx: np.ndarray | None = None) -> np.ndarray:
-    """The m angles 2 pi j / m, j = 0..m-1, of every sweep, or those at the
-    integer grid indices ``idx`` alone: the expression is elementwise, so
-    they are the bits of the whole array's entries."""
-    return 2.0 * np.pi * (np.arange(m) if idx is None else np.asarray(idx)) / m
-
-
 def pencil_sweep(t, m: int | None) -> PencilSweep:
     """The eigenvalues of the ``resolve_angles(m)`` pencils of T, a batch
     of pencils solved 256 KB at a time, swept at unit size: the sweep is
@@ -770,12 +765,11 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
         sorted, formed when the sweep is built below ``ON_DEMAND_ROWS``
         values and from there up when a column is read, the same bits
         (``_SpectrumSweep``);
-      a graded T (``_is_graded``; a nonzero graded T is nilpotent, never
-        normal): the one pencil T + T* goes to ``eig_hermitian_stack``, and
-        every row is its spectrum r made antisymmetric, (r - r[::-1]) / 2,
-        the sweep's one row (``_GradedSweep``);
-      T = dI + G when ``_graded_part`` finds a graded G: G + G* is solved
-        once and d is the row's translation;
+      T = dI + G, when ``_graded_part`` finds a graded G (d = 0 for a
+        graded T, which is nilpotent, never normal, unless zero): the one
+        pencil G + G* goes to ``eig_hermitian_stack``, every row is its
+        spectrum r made antisymmetric, (r - r[::-1]) / 2, the sweep's one
+        row, and d is the row's translation (``_GradedSweep``);
       ``_normal_spectrum(T)``'s mu, when it certifies T normal within a
         pencil solve's rounding, as a spectrum above;
       T itself, whose pencils are solved when their rows are read
@@ -789,10 +783,10 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
         sweep = _SpectrumSweep(m, np.diagonal(x))
     elif np.array_equal(x, x.conj().T):
         sweep = _SpectrumSweep(m, np.linalg.eigvalsh(x))
-    elif _is_graded(x):
-        sweep = _GradedSweep(m, x)
     elif (g := _graded_part(x)) is not None:
-        sweep = _GradedSweep(m, g, x[0, 0])
+        # + 0.0 makes a zero d +0j, as -S_n's -0.0 diagonal would not be, and
+        # leaves any other d bit for bit
+        sweep = _GradedSweep(m, g, x[0, 0] + 0.0)
     elif (mu := _normal_spectrum(x)) is not None:
         sweep = _SpectrumSweep(m, mu)
     else:
@@ -813,10 +807,10 @@ def _t_units(x, scale: int, out: np.ndarray | None = None):
 
 
 def _graded_part(t: np.ndarray) -> np.ndarray | None:
-    """G = T - dI when every diagonal entry of T equals one d != 0 and G,
-    T with its diagonal zeroed (exactly), is graded; else None."""
+    """G = T - dI when every diagonal entry of T equals one d, 0 included,
+    and G, T with its diagonal set to +0.0, is graded; else None."""
     diag = np.diagonal(t)
-    if not diag[0] or (diag != diag[0]).any():
+    if (diag != diag[0]).any():
         return None
     g = t.copy()
     np.fill_diagonal(g, 0.0)

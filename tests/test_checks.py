@@ -140,6 +140,18 @@ def test_affine_positive_scale_matches_the_grid_angle_formula():
                 assert check_affine(t, report, a, b) == grid_angle_affine(t, report, a, b)
 
 
+def test_affine_translates_at_the_scale_of_t():
+    # property_suite draws P1's b at T's scale: P1's tolerance over s ||G||_2
+    # is the same at every scale s, and T is not lost to rounding against b
+    g = random_square(4, 46)
+    ratios = []
+    for s in (1e-200, 1.0, 1e200):
+        p1 = property_suite(s * g, 2, M, generator(47))[0]
+        assert p1.property_id == "P1" and p1.passed, (s, p1)
+        ratios.append(p1.tolerance / (s * np.linalg.norm(g, 2)))
+    assert max(ratios) <= 1.01 * min(ratios), ratios
+
+
 # --- P2 adjoint ------------------------------------------------------------------
 
 def test_adjoint_hermitian_fixed_by_reflection():
@@ -176,6 +188,43 @@ def test_direct_sum_random_pair():
     t, s = random_square(3, 41), random_square(3, 42)
     rep = check_direct_sum(t, s, base(t, 1), base(s, 1))
     assert rep.passed, rep
+
+
+def test_direct_sum_is_an_equality():
+    # T (+) S's rank-k row is the k-th largest of T's and S's rows merged,
+    # within the row tolerance both ways.  Given the report of a compression
+    # of S in place of S's, whose rows lie below S's, T (+) S's rows lie
+    # above the merged ones: the one-sided inclusion passes that, P3 does not
+    t, s = random_square(3, 43), random_square(4, 44)
+    v = random_isometry(4, 3, generator(45))
+    for k in (1, 2, 3):
+        bt = base(t, k)
+        assert check_direct_sum(t, s, bt, base(s, k)).passed, k
+        compressed = base(v.conj().T @ s @ v, k)
+        rep = check_direct_sum(t, s, bt, compressed)
+        whole = pencil_sweep(checks.direct_sum(t, s), M).column(k - 1) / 2.0
+        one_sided = np.maximum(bt.support_samples[:, 1], compressed.support_samples[:, 1]) - whole
+        assert one_sided.max() <= rep.tolerance, k
+        assert not rep.passed, k
+
+
+def test_direct_sum_reads_the_first_k_columns_only(monkeypatch):
+    # the k-th largest of T's and S's merged rows is that of their first k
+    # columns: P3 forms no whole stack of rows on a sweep formed on demand,
+    # and reports what the whole merged rows give
+    monkeypatch.setattr(ranges, "ON_DEMAND_ROWS", 0)
+    rng = generator(46)
+    t = np.diag(rng.normal(size=5) + 1j * rng.normal(size=5))
+    s = np.diag(rng.normal(size=4) + 1j * rng.normal(size=4))
+    for k in (1, 2, 3):
+        bt, bs = base(t, k), base(s, k)
+        assert bt.sweep.on_demand and bs.sweep.on_demand
+        rep = check_direct_sum(t, s, bt, bs)
+        assert bt.sweep._rows is None and bs.sweep._rows is None, k
+        merged = np.hstack([bt.sweep.eigenvalues, bs.sweep.eigenvalues])
+        want = np.sort(merged, axis=1)[:, -k] / 2.0
+        whole = pencil_sweep(checks.direct_sum(t, s), M).column(k - 1) / 2.0
+        assert rep.discrepancy == np.abs(whole - want).max(), k
 
 
 # --- P4 unitary -------------------------------------------------------------------
@@ -555,6 +604,16 @@ def test_dilation_accepts_what_the_contraction_gate_accepts():
     assert dilation.discrepancy > RESIDUAL_TOL * 3
     # a contraction keeps the per-dimension tolerance
     assert check_nilpotent(shift_matrix(3), 2048)[0].tolerance == RESIDUAL_TOL * 3
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_disc_tolerance_is_the_row_tolerance(n):
+    # DISC compares exact column maxima with the disc radii, so a contraction
+    # c S_n gets the row tolerance, 17 n eps ||T||_2, not a fixed 5e-6
+    for c in (1e-3, 0.37, 1.0):
+        disc = check_nilpotent(c * shift_matrix(n), 2048)[1]
+        assert disc.passed, (c, disc)
+        assert disc.tolerance < 100 * n * np.finfo(float).eps, (c, disc)
 
 
 def test_nilpotent_suite_rejects_non_contraction():

@@ -18,7 +18,8 @@ REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 
 def write_matrix(tmp_path, name, t):
     path = tmp_path / name
-    fileio.save_matrix(path, np.asarray(t, dtype=complex))
+    path.write_text(fileio.dumps_json(fileio.matrix_to_obj(np.asarray(t, dtype=complex))),
+                    encoding="utf-8")
     return str(path)
 
 

@@ -933,25 +933,41 @@ def test_classify_keeps_a_dense_regular_loop():
 def test_regular_polygon_skips_classify_with_its_bytes(m, monkeypatch):
     # a regular m-gon well clear of the point and segment collapses, and
     # whose vertices lie more than 2 CLIP_EPS from their neighbours' chords,
-    # is returned without _classify: the bytes _classify would return
+    # is returned without _classify: the bytes _classify would return.  A
+    # dense or a small one is the intersection of its m planes, bit for bit.
+    # A small one that is not dense (only m = 16 and 17 here) is also
+    # _classify's collapse of the closed-form loop, of the same kind: a point
+    # or a polygon to rounding, a segment within the loop's diameter, as a
+    # round loop's segment may lie along any of its diameters
     classify, calls = geometry._classify, []
     monkeypatch.setattr(geometry, "_classify", lambda v: calls.append(1) or classify(v))
-    skipped = 0
+    skipped = small = 0
     for bound in (1.0, 3.7e-8, 2.5e7):
         for offset in 10.0 ** np.linspace(-12, np.log10(0.5), 60) * bound:
             radius = (offset / bound + CLIP_EPS) / np.cos(np.pi / m)
             calls.clear()
             got = geometry.regular_polygon(m, offset, bound)
-            if radius * (1.0 - np.cos(2.0 * np.pi / m)) <= 2.0 * CLIP_EPS:
-                continue  # the planes go to intersect_halfplanes
+            dense = radius * (1.0 - np.cos(2.0 * np.pi / m)) <= 2.0 * CLIP_EPS
+            if dense or radius < 2.0 * max(geometry.POINT_DIAM, geometry.SEGMENT_THICKNESS):
+                want = intersect_halfplanes(geometry.grid_angles(m), np.full(m, offset), bound)
+                assert got.kind == want.kind, (bound, offset)
+                assert got.vertices.tobytes() == want.vertices.tobytes(), (bound, offset)
+                if not dense:
+                    old = classify(radius * geometry._regular_directions(m))
+                    assert got.kind == old.kind, (bound, offset)
+                    tol = 2.0 * radius if old.kind == "segment" else 1e-12
+                    assert hausdorff(got, ConvexRegion(old.kind, old.vertices * bound)) \
+                        <= tol * bound, (bound, offset)
+                    small += 1
+                continue
             want = classify(radius * geometry._regular_directions(m))
             assert got.kind == want.kind, (bound, offset)
             assert got.vertices.tobytes() == (want.vertices * bound).tobytes(), (bound, offset)
-            if radius >= 2.0 * max(geometry.POINT_DIAM, geometry.SEGMENT_THICKNESS):
-                assert calls == [], (bound, offset)
-                assert got.vertices.size == m
-                skipped += 1
+            assert calls == [], (bound, offset)
+            assert got.vertices.size == m
+            skipped += 1
     assert skipped >= 3 * 15
+    assert (small > 0) == (m in (16, 17))
 
 
 def prune_reference(verts):

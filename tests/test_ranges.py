@@ -1104,15 +1104,17 @@ def _on_demand_spectrum(family, n, rng):
 
 @pytest.mark.parametrize("family", ON_DEMAND_SPECTRA)
 @pytest.mark.parametrize("m", [16, 17, 720, 721, 2048, 8192])
-def test_on_demand_columns_are_the_sorted_rows_bit_for_bit(family, m):
+def test_on_demand_columns_are_the_sorted_rows_bit_for_bit(family, m, monkeypatch):
     # every column, whole or at scattered indices, and the stacked
     # eigenvalues of a sweep that forms its rows on demand are the bits of
     # forming and sorting every row, ties, clusters and all
+    monkeypatch.setattr(ranges, "ON_DEMAND_ROWS", 0)
     rng = generator(3200 + m)
     for _ in range(4):
         mu = _on_demand_spectrum(family, int(rng.integers(2, 9)), rng)
         want = _dense_spectrum_rows(mu, m)
-        sweep = ranges._SpectrumSweep(m, mu, True)
+        sweep = ranges._SpectrumSweep(m, mu)
+        assert sweep.on_demand
         idx = np.sort(rng.choice(m, size=min(m, 40), replace=False))
         for r in range(mu.size):
             assert sweep.column(r, idx).tobytes() == want[idx, r].tobytes(), r
@@ -1166,28 +1168,65 @@ def _radius_spectrum(family, rng):
 
 
 @pytest.mark.parametrize("m", [16, 17, 720, 721, 65536, 65537, 2**20, 2**20 + 1])
-def test_windowed_radius_is_the_whole_column_maximum(m):
+def test_windowed_radius_is_the_whole_column_maximum(m, monkeypatch):
     # a sweep formed on demand reads column 0 beside each eigenvalue's peak
     # alone; the radius has the bits of column 0's maximum over all m
+    monkeypatch.setattr(ranges, "ON_DEMAND_ROWS", 0)
     rng = generator(3800 + m)
     for family in RADIUS_SPECTRA:
         mu = _radius_spectrum(family, rng)
-        sweep = ranges._SpectrumSweep(m, mu, True)
+        sweep = ranges._SpectrumSweep(m, mu)
         got = sweep.numerical_radius()
         if mu.any():
             assert sweep.columns == {} and "phases" not in vars(sweep), family
-        want = ranges._SpectrumSweep(m, mu, True).column(0).max() / 2.0
+        want = ranges._SpectrumSweep(m, mu).column(0).max() / 2.0
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), family
 
 
+def test_negated_shift_keeps_a_plus_zero_translation():
+    # -S_n's diagonal is -0.0, and its graded sweep's translation d is that
+    # zero; its middle rank is the point +0j, as S_n's is, not -0 - 0j
+    for n in (3, 5, 7):
+        for sign in (1.0, -1.0):
+            report = rank_k_range(sign * shift_matrix(n), (n + 1) // 2, 720)
+            assert report.sweep.kind == "graded" and report.region.kind == "point"
+            assert not report.region.vertices.view(np.uint64).any(), (n, sign)
+
+
+@pytest.mark.parametrize("m", [720, 721, 2048])
+def test_toeplitz_rows_are_their_closed_form_and_not_its_mirror(m):
+    # T = a S_n + b S_n* + d I has H_theta = c S_n + conj(c) S_n* +
+    # 2 Re(e^{i theta} d) I, c = e^{i theta} a + e^{-i theta} conj(b), so its
+    # rank-k offset is cos(k pi/(n+1)) |c| + Re(e^{i theta} d), a form that
+    # is not rotation invariant; with theta -> -theta inside |c| it misses
+    # every rank whose cosine is not zero
+    rng = generator(4900 + m)
+    for n in range(3, 9):
+        a, b, d = rng.normal(size=3) + 1j * rng.normal(size=3)
+        s = shift_matrix(n)
+        t = a * s + b * s.conj().T + d * np.eye(n)
+        sweep = pencil_sweep(t, m)
+        tol = _row_tol(n, np.linalg.norm(t, 2))
+        phase = np.exp(1j * sweep.thetas)
+        for k in range(1, n + 1):
+            got = sweep.column(k - 1) / 2.0
+            cos, shift = np.cos(k * np.pi / (n + 1)), (phase * d).real
+            want = cos * np.abs(phase * a + phase.conj() * np.conj(b)) + shift
+            mirror = cos * np.abs(phase.conj() * a + phase * np.conj(b)) + shift
+            assert np.abs(got - want).max() <= tol, (n, k)
+            if 2 * k != n + 1:
+                assert np.abs(got - mirror).max() > 1e6 * tol, (n, k)
+
+
 @pytest.mark.parametrize("m", [720, 2048, 8192, 65536, 65537])
-def test_indexed_phases_are_the_whole_arrays_bits(m):
+def test_indexed_phases_are_the_whole_arrays_bits(m, monkeypatch):
     # columns read at chosen indices form e^{i theta} there alone: np.exp
     # is elementwise, so those are the whole array's bits, whatever the
     # length, order or stride of the indices
+    monkeypatch.setattr(ranges, "ON_DEMAND_ROWS", 0)
     rng = generator(3900 + m)
     thetas = grid_angles(m)
-    sweep = ranges._SpectrumSweep(m, _spectrum("complex", 6, rng), True)
+    sweep = ranges._SpectrumSweep(m, _spectrum("complex", 6, rng))
     whole = sweep.phases
     solved = whole.size
     picks = [np.array([0]), np.array([solved - 1]), np.arange(3, 20), np.arange(solved)[::-7],
