@@ -41,20 +41,25 @@ does, so that a batch sweep's radius runs its refinement rather than
 reading rows a rank has solved.  A dump holds each case's radius, sweep
 rows and each call's tag, vertices, the number of planes
 that reached the geometry's deque scan (``geometry._active_chain``) and
-the number of planes its emptiness check tested (0 when it did not run).
+the number of planes its emptiness check tested (0 when it did not run),
+and the call's region again in sweep units (``sweep.region(k)``, read
+after the call) with the sweep's ``unit_bound``: at the extreme scales
+the vertices in T's units are subnormal, with a few significant bits, so
+distances are measured in sweep units.
 
 ``--compare`` reads two dumps of the same battery, typically one made
-against a parent tree with ``--src`` and one against the current tree,
-and prints the radii and the calls that are byte-identical (for complex and real T, per
-kind, among the calls whose old run did not reach the scan, and among
-those that neither run scanned, leaving out graded sweeps, whose m rows
-are one row and whose ranks are regular m-gons), every
-tag change, the worst Hausdorff distance over the geometry's bound, the
-worst row or doubled radius difference over ``checks._row_tol`` (or the
-smallest subnormal, where that underflows), and on each side the calls
-that reached the scan, their planes in all, the most in one call and the
-calls whose scan got more than m/16 planes, and the same totals and most
-for the emptiness check.
+against a parent tree with ``--src`` and one against the current tree
+(both by this script, which dumps the regions in sweep units), and
+prints the radii and the calls that are byte-identical (for complex and
+real T, per kind, among the calls whose old run did not reach the scan,
+and among those that neither run scanned, leaving out graded sweeps,
+whose m rows are one row and whose ranks are regular m-gons), every tag
+change, the worst Hausdorff distance over the geometry's bound, both in
+sweep units, the worst row or doubled radius difference over
+``checks._row_tol`` (or the smallest subnormal, where that underflows),
+and on each side the calls that reached the scan, their planes in all,
+the most in one call and the calls whose scan got more than m/16 planes,
+and the same totals and most for the emptiness check.
 It exits 1 when a tag changes, a row difference exceeds its tolerance or
 a Hausdorff distance exceeds 1e-11 times the bound.
 
@@ -310,7 +315,7 @@ def dump(path, limit):
 
     geometry._active_chain, geometry._support_candidates = counted_scan, counted_check
     error = ConvexRegion("error", np.zeros(0, complex))
-    sweeps, calls, rows, verts = [], [], {}, []
+    sweeps, calls, rows, verts, unit_verts = [], [], {}, [], []
     for i, (kind, n, m, t) in enumerate(battery(limit)):
         radius = attempt(lambda: pencil_sweep(t, m).numerical_radius(), np.nan)
         sweep = attempt(lambda: pencil_sweep(t, m), Unbuilt())
@@ -321,17 +326,21 @@ def dump(path, limit):
             checked.clear()
             region = attempt(lambda: range_from_sweep(sweep, k).region, error)
             bound = attempt(lambda: sweep.region_bound, np.nan)
-            calls.append((i, k, region.kind, bound, sum(scanned), sum(checked)))
+            calls.append((i, k, region.kind, bound, sum(scanned), sum(checked),
+                          attempt(lambda: sweep.unit_bound, np.nan)))
             verts.append(region.vertices)
+            unit_verts.append(attempt(lambda: sweep.region(k)[0], error).vertices)
         # read after the ranks: reading the rows forms them all, and a sweep
         # that forms its rows on demand would then run its ranks on them
         rows[f"rows{i}"] = attempt(lambda: sweep.eigenvalues, np.full((m, n), np.nan))
     geometry._active_chain, geometry._support_candidates = active_chain, support_candidates
     arrays = dict(zip(("kind", "real", "n", "m", "norm", "radius"), map(np.array, zip(*sweeps))))
     arrays.update(zip(("call_case", "call_k", "call_tag", "call_bound", "call_scanned",
-                       "call_checked"), map(np.array, zip(*calls))))
+                       "call_checked", "call_unit_bound"), map(np.array, zip(*calls))))
     arrays["call_vstart"] = np.cumsum([0] + [v.size for v in verts])
-    np.savez(path, vertices=np.concatenate(verts), **arrays, **rows)
+    arrays["call_unit_vstart"] = np.cumsum([0] + [v.size for v in unit_verts])
+    np.savez(path, vertices=np.concatenate(verts), unit_vertices=np.concatenate(unit_verts),
+             **arrays, **rows)
     print(f"{len(sweeps)} sweeps, {len(calls)} calls -> {path}")
 
 
@@ -374,12 +383,14 @@ def compare(old_path, new_path):
         tol = max(_row_tol(int(n), float(norm)), np.finfo(float).smallest_subnormal)
         diff = max(np.abs(a - b).max(), radius) / tol
         worst_row = max(worst_row, (float(diff), label(i)), key=lambda w: w[0])
+
+    def region(dumped, c, unit=""):
+        start = dumped[f"call_{unit}vstart"]
+        return ConvexRegion(str(dumped["call_tag"][c]),
+                            dumped[f"{unit}vertices"][start[c]:start[c + 1]])
+
     for c, (case, k) in enumerate(zip(new["call_case"], new["call_k"])):
-        regions = []
-        for dumped in (old, new):
-            lo, hi = dumped["call_vstart"][c], dumped["call_vstart"][c + 1]
-            regions.append(ConvexRegion(str(dumped["call_tag"][c]), dumped["vertices"][lo:hi]))
-        a, b = regions
+        a, b = region(old, c), region(new, c)
         identical = a.kind == b.kind and a.vertices.tobytes() == b.vertices.tobytes()
         for tally in tallies(case):
             tally[2] += identical
@@ -393,7 +404,8 @@ def compare(old_path, new_path):
         if a.kind != b.kind:
             tag_changes.append(f"{label(case)} k={k}: {a.kind} -> {b.kind}")
         elif a.vertices.size:  # neither empty nor an error
-            h = hausdorff(a, b) / new["call_bound"][c]
+            h = hausdorff(region(old, c, "unit_"), region(new, c, "unit_"))
+            h /= new["call_unit_bound"][c]
             worst_h = max(worst_h, (float(h), f"{label(case)} k={k}"), key=lambda w: w[0])
     radii = np.count_nonzero(old["radius"].view(np.uint64) == new["radius"].view(np.uint64))
     print(f"radii byte-identical: {radii}/{new['radius'].size}")
@@ -415,7 +427,7 @@ def compare(old_path, new_path):
     print(f"tag changes: {len(tag_changes)}")
     for line in tag_changes:
         print(f"  {line}")
-    print(f"worst hausdorff / bound: {worst_h[0]:.3e} ({worst_h[1]})")
+    print(f"worst hausdorff / bound, in sweep units: {worst_h[0]:.3e} ({worst_h[1]})")
     print(f"worst row or radius difference / row tolerance: {worst_row[0]:.3e} ({worst_row[1]})")
     return 1 if tag_changes or worst_row[0] > 1.0 or worst_h[0] > HAUSDORFF_TOL else 0
 

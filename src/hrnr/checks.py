@@ -192,7 +192,6 @@ from .shifts import build_dilation, rho, shift_matrix, shift_radius
 
 UNITARY_TOL = 1e-10
 REGION_SLACK = max(4.0 * SEGMENT_THICKNESS, POINT_DIAM) + 2.0 * CLIP_EPS  # per unit bound
-RADIUS_TOL = 5e-6  # a shift range's polygon moduli against its disc radius
 RESIDUAL_TOL = 1e-10  # dilation residuals, per dimension
 NORMAL_RTOL = 1e-10  # ||CC* - C*C||_F / ||C||_F^2, C = T - (tr T / n) I
 
@@ -466,12 +465,13 @@ def check_shift(n: int, m: int) -> PropertyReport:
     """Every rank k of S_n against its closed form, from one m-angle sweep.
 
     S_n's pencil spectrum does not depend on theta, so every offset row
-    must equal cos(k pi/(n+1)); the discrepancy is the worst row deviation,
-    within the row tolerance.  The region must carry the closed form's tag,
-    and a disc of radius r (a point: r = 0) must reach a largest modulus in
-    [r, r sec(pi/m)], the circumscribed m-gon's, widened by ``REGION_SLACK``
-    times the geometry's bound on each side; a miss makes the discrepancy
-    infinite."""
+    must equal cos(k pi/(n+1)), exactly 0 at the middle rank 2k = n + 1
+    (as ``shift_radius`` has it: S_1 = [0] has a row tolerance of 0); the
+    discrepancy is the worst row deviation, within the row tolerance.  The
+    region must carry the closed form's tag, and a disc of radius r (a
+    point: r = 0) must reach a largest modulus in [r, r sec(pi/m)], the
+    circumscribed m-gon's, widened by ``REGION_SLACK`` times the geometry's
+    bound on each side; a miss makes the discrepancy infinite."""
     t = shift_matrix(n)
     sweep = pencil_sweep(t, m)
     tol = _row_tol(n, np.linalg.norm(t, 2))
@@ -480,7 +480,8 @@ def check_shift(n: int, m: int) -> PropertyReport:
     misses = []
     for k in range(1, n + 1):
         rep = range_from_sweep(sweep, k)
-        row = np.abs(rep.support_samples[:, 1] - np.cos(k * np.pi / (n + 1))).max()
+        closed = 0.0 if 2 * k == n + 1 else np.cos(k * np.pi / (n + 1))
+        row = np.abs(rep.support_samples[:, 1] - closed).max()
         if row > tol:
             misses.append(f"k={k}: row deviation {row:.2e}")
         worst = max(worst, row)

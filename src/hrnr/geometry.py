@@ -52,14 +52,17 @@ stayed within 2e-12 * bound of a scan over every plane, and wing rounds
 within 1e-12 * bound of a scan of the planes they were given.  The
 relaxed corner of two planes whose normals are g apart lies
 CLIP_EPS * bound / cos(g / 2) outside the exact one.  ``_classify`` then
-collapses regions thinner than 1e-9 * bound.  Planes that bound only a
-line give that line's chord of the square, as they should: the edge
-planes of a sliver triangle of three nearly collinear points are two
-bit-identical planes and a third antiparallel to them with the opposite
-offset (to 3 ulps), so their exact intersection, unrelaxed, is a strip
-4e-20 wide about the points' line, whose chord of the square lies O(bound)
-from the segment the points span (pinned by an expected-failure test that
-asks for the segment).
+collapses regions thinner than 1e-9 * bound, and drops the vertices that
+lie within CLIP_EPS * bound of their neighbours' chord in array rounds,
+alternate ones of each run as the planes drop: on a convex loop a vertex
+dropped in R rounds lies within R * CLIP_EPS * bound of the loop left.
+Planes that bound only a line give that line's chord of the square, as
+they should: the edge planes of a sliver triangle of three nearly
+collinear points are two bit-identical planes and a third antiparallel
+to them with the opposite offset (to 3 ulps), so their exact
+intersection, unrelaxed, is a strip 4e-20 wide about the points' line,
+whose chord of the square lies O(bound) from the segment the points span
+(pinned by an expected-failure test that asks for the segment).
 """
 
 from __future__ import annotations
@@ -161,48 +164,34 @@ def _dedupe(verts: np.ndarray) -> np.ndarray:
     return verts[keep]
 
 
-def _collinear(a, b, c) -> bool:
-    """b lies within CLIP_EPS of the chord a-c (|cross| / |c - a|)."""
-    e1 = b - a
-    e2 = c - b
-    return abs(e1.real * e2.imag - e1.imag * e2.real) <= CLIP_EPS * abs(c - a)
-
-
 def _prune_collinear(verts: np.ndarray) -> np.ndarray:
-    """Drop vertices within CLIP_EPS of their neighbours' chord.
+    """Drop vertices within CLIP_EPS of their neighbours' chord, in rounds.
 
-    Sequential stack walk: removing one vertex re-evaluates its
-    neighbours, so a dense run of nearly coincident vertices collapses to
-    its extremes instead of vanishing outright.  An array pass first tests
-    every cyclic triple with ``_collinear``'s arithmetic (``np.hypot`` is
-    the libm ``hypot`` that ``abs`` of a complex calls); when none is
-    collinear the walk would keep every vertex, so the loop is returned as
-    it is.  The walk runs on Python complex values.
+    Each round flags every vertex b whose current neighbours a and c hold
+    it within CLIP_EPS of their line, |(b - a) x (c - b)| <= CLIP_EPS
+    |c - a|, and drops the flagged vertices at alternate positions within
+    each run of them (``_alternate_drops``), so that both neighbours of a
+    dropped vertex stay in its round.  Rounds repeat until no vertex is
+    flagged or fewer than 3 are left; a loop with no flagged vertex is
+    returned as it is.  On a convex loop a chord lies within d of the loop
+    left when both its ends do, so a vertex dropped in R rounds lies within
+    R CLIP_EPS of it: a dense arc thins out by halves rather than
+    collapsing.  A vertex within CLIP_EPS of a neighbour is flagged (up to
+    rounding), since (b - a) x (c - b) = (b - a) x (c - a), of modulus at
+    most |b - a| |c - a|, and likewise for c: no two vertices of a
+    returned loop of 3 or more lie within ``_dedupe``'s 1e-13 of each
+    other.
     """
-    if verts.size < 3:
-        return verts
-    e1 = verts - _prev(verts)
-    e2 = _next(e1)
-    chord = _next(verts) - _prev(verts)
-    cross = np.abs(e1.real * e2.imag - e1.imag * e2.real)
-    if not (cross <= CLIP_EPS * np.hypot(chord.real, chord.imag)).any():
-        return verts
-    out: list[complex] = []
-    for z in verts.tolist():
-        out.append(z)
-        while len(out) >= 3 and _collinear(out[-3], out[-2], out[-1]):
-            del out[-2]
-    # seam: the loop wraps, so the first/last vertices need the same test
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        if _collinear(out[-2], out[-1], out[0]):
-            del out[-1]
-            changed = True
-        if len(out) >= 3 and _collinear(out[-1], out[0], out[1]):
-            del out[0]
-            changed = True
-    return np.array(out, dtype=np.complex128)
+    while verts.size >= 3:
+        e1 = verts - _prev(verts)
+        e2 = _next(e1)
+        chord = _next(verts) - _prev(verts)
+        cross = np.abs(e1.real * e2.imag - e1.imag * e2.real)
+        flagged = cross <= CLIP_EPS * np.hypot(chord.real, chord.imag)
+        if not flagged.any():
+            break
+        verts = verts[~_alternate_drops(flagged)]
+    return verts
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -248,14 +237,16 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
     thickness (area / diameter) is below 1e-9 is a segment: relaxed cut
     lines over noisy offsets leave slivers of width around the relaxation,
     never exactly zero, so thickness rather than raw area is the robust
-    degeneracy test.  A pruned loop that turns right anywhere, or winds
-    more than once, is not convex: where many nearly parallel cut lines
-    meet, rounding can leave a reversing micro-spike or a vertex cluster
-    that winds twice.  Such a loop is replaced by its convex hull, so that
-    supporting-vertex searches over the edge normals stay exact.  A loop
-    that pruning leaves with fewer than 3 vertices is a segment, whose ends
-    are sought on the whole loop: on a loop that revisits its vertices the
-    prune's survivors need not be the extremes.
+    degeneracy test.  The vertices within CLIP_EPS of their neighbours'
+    chord drop in rounds (``_prune_collinear``), and with them every vertex
+    within CLIP_EPS of a neighbour.  A pruned loop that turns right
+    anywhere, or winds more than once, is not convex: where many nearly
+    parallel cut lines meet, rounding can leave a reversing micro-spike or
+    a vertex cluster that winds twice.  Such a loop is replaced by its
+    convex hull, so that supporting-vertex searches over the edge normals
+    stay exact.  A loop that pruning leaves with fewer than 3 vertices is a
+    segment, whose ends are sought on the whole loop: on a loop that
+    revisits its vertices the prune's survivors need not be the extremes.
     """
     loop = _dedupe(verts)
     diam = float(np.hypot(np.ptp(loop.real), np.ptp(loop.imag)))
@@ -264,12 +255,12 @@ def _classify(verts: np.ndarray) -> ConvexRegion:
     area2 = _signed_area2(loop)
     if loop.size < 3 or abs(area2) / 2.0 < SEGMENT_THICKNESS * diam:
         return _segment(loop)
-    verts = _dedupe(_prune_collinear(loop if area2 > 0 else loop[::-1]))
+    verts = _prune_collinear(loop if area2 > 0 else loop[::-1])
     if verts.size >= 3:
         edges = _next(verts) - verts
         turns = np.angle(_next(edges) * np.conj(edges))
         if (turns <= 0).any() or turns.sum() >= 3 * np.pi:
-            verts = _dedupe(_prune_collinear(_convex_hull(verts)))
+            verts = _prune_collinear(_convex_hull(verts))
     if verts.size < 3:
         return _segment(loop)
     return ConvexRegion.polygon(verts)
@@ -482,14 +473,14 @@ def _facet_planes(thetas, cos_t, sin_t, cuts):
     with the square's, took 4 rounds on a hidden normal n = 8 at m = 720).
     The round comes first because a scan of every plane keeps each bundle
     of relaxed planes through one vertex, whose cut lines wrap an arc of
-    radius CLIP_EPS about it, and ``_classify``'s collinear walk then picks
-    a point of the arc: 1.2e-12 * bound from the rounds' vertex in the
-    replay, against 2.2e-13 after the round's drops.  The rule looks at the
-    planes passed alone: applied to the planes a later round leaves, it
-    took the wing round's place on a swallowtail's seam pair, which then
-    left the full scan's region, and a scan of those planes whole at 2^16
-    planes kept a vertex 2e-12 * bound from its neighbour that the rounds
-    drop.
+    radius CLIP_EPS about it, and ``_classify``'s collinear pruning then
+    keeps points of the arc: 1.2e-12 * bound from the rounds' vertex in the
+    replay (with an earlier, sequential pruning), against 2.2e-13 after the
+    round's drops.  The rule looks at the planes passed alone: applied to
+    the planes a later round leaves, it took the wing round's place on a
+    swallowtail's seam pair, which then left the full scan's region, and a
+    scan of those planes whole at 2^16 planes kept a vertex 2e-12 * bound
+    from its neighbour that the rounds drop.
 
     Wing rule.  For k >= 2 the offsets lambda_k / 2 are not a support
     function: their envelope, the k-th branch of Kippenhahn's
@@ -865,7 +856,7 @@ def regular_polygon(m: int, offset: float, bound: float) -> ConvexRegion:
         counter-clockwise.  So it is returned as a polygon, unclassified;
       ``intersect_halfplanes`` of the m planes otherwise: a dense loop
         (zero and negative offsets among them), whose rounds would drop
-        planes and whose vertices ``_prune_collinear``'s walk would merge,
+        planes and whose vertices ``_prune_collinear``'s rounds would thin,
         and a loop small enough to collapse to a point or a segment."""
     if not offset <= bound / 2.0:
         raise ValueError("a regular polygon needs offset <= bound / 2")

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from hrnr.checks import (
-    RADIUS_TOL,
     RESIDUAL_TOL,
     check_adjoint,
     check_affine,
@@ -34,6 +33,7 @@ from hrnr.ranges import pencil, pencil_sweep, range_from_sweep
 from hrnr.shifts import build_dilation, kth_of_replicated, shift_matrix
 
 ANGLES = 2048
+RADIUS_TOL = 5e-6  # a shift range's polygon moduli against its disc radius
 SEED = 20240
 
 

@@ -688,6 +688,15 @@ def test_shift_suite_passes_and_counts_every_rank():
     assert rep.discrepancy <= 5e-6
 
 
+@pytest.mark.parametrize("m", [64, 2048])
+def test_shift_suite_passes_on_the_zero_shift(m):
+    # S_1 = [0]: its one rank is the middle rank, 2k = n + 1, whose closed
+    # form is exactly 0 (shift_radius's point), at a row tolerance of 0
+    rep = check_shift(1, m)
+    assert rep.passed and rep.note == ""
+    assert rep.discrepancy == 0.0
+
+
 def test_shift_suite_sees_a_disc_2e_6_too_large(monkeypatch):
     # the m-gon reaches r sec(pi/2048) = r (1 + 1.2e-6); a region 2e-6 larger
     # than the engine's leaves that bracket, though it stays within 5e-6 of r

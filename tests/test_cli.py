@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from hrnr import checks, cli, fileio
-from hrnr.checks import RADIUS_TOL
 from hrnr.cli import main
 from hrnr.geometry import ConvexRegion, regular_polygon
 from hrnr.ranges import pencil_sweep, range_from_sweep
 from hrnr.shifts import shift_matrix, shift_radius
 
+RADIUS_TOL = 5e-6  # a shift range's polygon moduli against its disc radius
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 

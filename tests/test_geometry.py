@@ -796,7 +796,7 @@ def test_classify_sends_a_loop_pruned_below_three_vertices_back():
 
 def test_classify_finds_a_wound_sliver_segment_from_the_whole_loop():
     # the same sliver walked 0, 1, apex: on a loop that revisits its
-    # vertices the prune's stack walk keeps 0 and the apex, and a segment
+    # vertices the prune's rounds keep 0 and the apex, and a segment
     # taken from those survivors lost the end at 1
     loop = np.tile(np.array([0, 1, 0.5 + 2e-13j]), 30000)
     region = geometry._classify(loop)
@@ -910,10 +910,6 @@ def test_sliver_triangle_edges_give_their_segment():
     assert hausdorff(region, ConvexRegion.segment(pts[1], pts[2])) <= 1e-9 * bound
 
 
-@pytest.mark.xfail(strict=True, reason="_prune_collinear's walk measures each new middle vertex "
-                   "against a chord grown from a fixed anchor, and a vertex one step from the "
-                   "chord's end is always within CLIP_EPS of it, so a dense convex loop "
-                   "collapses to 3 vertices 7.7e-9 away")
 def test_classify_keeps_a_dense_regular_loop():
     # the regular 65,536-gon of circumradius 1.09e-8: vertices 1e-12 apart,
     # each some 5e-17 from its neighbours' chord.  Classified, it should stay
@@ -970,27 +966,42 @@ def test_regular_polygon_skips_classify_with_its_bytes(m, monkeypatch):
     assert (small > 0) == (m in (16, 17))
 
 
-def prune_reference(verts):
-    """The collinear walk on numpy scalars, with no array pre-test."""
-    def collinear(a, b, c):
-        e1, e2 = b - a, c - b
-        return abs(e1.real * e2.imag - e1.imag * e2.real) <= 1e-12 * abs(c - a)
+def pruned_in_rounds(loop):
+    """``_prune_collinear(loop)`` and the number of rounds it ran (one
+    ``_alternate_drops`` call a round)."""
+    rounds, alternate = [], geometry._alternate_drops
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_alternate_drops", lambda flagged: rounds.append(1)
+                   or alternate(flagged))
+        pruned = _prune_collinear(loop)
+    return pruned, len(rounds)
 
-    out = []
-    for z in verts:
-        out.append(z)
-        while len(out) >= 3 and collinear(out[-3], out[-2], out[-1]):
-            del out[-2]
-    changed = True
-    while changed and len(out) >= 3:
-        changed = False
-        if collinear(out[-2], out[-1], out[0]):
-            del out[-1]
-            changed = True
-        if len(out) >= 3 and collinear(out[-1], out[0], out[1]):
-            del out[0]
-            changed = True
-    return np.array(out, dtype=np.complex128)
+
+def collinear_flags(verts):
+    """Whether each vertex lies within CLIP_EPS of its neighbours' chord."""
+    a, c = np.roll(verts, 1), np.roll(verts, -1)
+    e1, e2 = verts - a, c - verts
+    return np.abs(e1.real * e2.imag - e1.imag * e2.real) <= CLIP_EPS * np.abs(c - a)
+
+
+def check_pruned_in_rounds(loop):
+    """The pruned loop, after checking that it is a subsequence of ``loop``
+    in which no vertex is flagged, and that every dropped vertex lies
+    within R CLIP_EPS of its boundary after R rounds."""
+    pruned, rounds = pruned_in_rounds(loop)
+    assert pruned.size < 3 or not collinear_flags(pruned).any()
+    kept, j = [], 0
+    for z in pruned.tolist():
+        while loop[j] != z:
+            j += 1
+        kept.append(j)
+        j += 1
+    dropped = np.delete(loop, kept)
+    assert (rounds == 0) == (dropped.size == 0)
+    if dropped.size and pruned.size >= 3:
+        gap = np.abs(signed_distance(dropped, ConvexRegion.polygon(pruned))).max()
+        assert gap <= rounds * CLIP_EPS, (gap, rounds)
+    return pruned
 
 
 def test_prune_collinear_fast_path_and_runs():
@@ -1008,21 +1019,67 @@ def test_prune_collinear_fast_path_and_runs():
     assert pruned.size == 4
     assert np.array_equal(pruned[[0, 2, 3]], square[[0, 2, 3]])
     assert abs(pruned[1] - (1 + 1j)) <= 1e-13
-    # the same vertices, bit for bit, as the walk on numpy scalars, also on
-    # loops whose triples sit near the threshold: small 1024-gons (a vertex
-    # lies 5.3e-8 * 1.9e-5 = 1e-12 from its neighbours' chord at the middle
-    # radius) and runs with perpendicular noise
-    rng = np.random.Generator(np.random.PCG64(3))
     # its second vertex lies exactly CLIP_EPS from its neighbours' chord
     at_threshold = np.array([-1, -1e-12j, 1, 2j])
     assert _prune_collinear(at_threshold).size == 3
+    # the rounds' contract, also on loops whose triples sit near the
+    # threshold: small 1024-gons (a vertex lies 5.3e-8 * 1.9e-5 = 1e-12 from
+    # its neighbours' chord at the middle radius) and runs with
+    # perpendicular noise
+    rng = np.random.Generator(np.random.PCG64(3))
     loops = [polygon, with_run, with_cluster, at_threshold]
     for radius, noise in [(3e-8, 3e-13), (5.3e-8, 1e-12), (1e-7, 3e-12)]:
         loops.append(radius * np.exp(2j * np.pi * np.arange(1024) / 1024))
         loops.append(np.concatenate([square[:1], run + noise * rng.normal(size=run.size),
                                      square[1:]]))
     for loop in loops:
-        assert np.array_equal(_prune_collinear(loop), prune_reference(loop))
+        check_pruned_in_rounds(loop)
+
+
+def convex_loop_with_runs(seed):
+    """A convex counter-clockwise loop at a unit-frame scale 1e-8..1: a
+    polygon inscribed in a circle, with some of its edges replaced by runs
+    that bulge out by at most 2 CLIP_EPS, some of its corners by clusters
+    on an arc of radius at most 3e-13 tangent to both edges, and some of
+    its edges by dense arcs of a circle through their ends."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    scale = 10.0 ** rng.uniform(-8, 0)
+    n = int(rng.integers(3, 10))
+    angles = np.sort(rng.uniform(0, 2 * np.pi, n))
+    if (np.diff(angles, append=angles[0] + 2 * np.pi) < 0.05).any():
+        angles = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    corners = scale * np.exp(1j * angles)
+    loop = []
+    for z, w, u in zip(np.roll(corners, 1), corners, np.roll(corners, -1)):
+        edge = (w - z) / abs(w - z)
+        kind = rng.integers(4)
+        if kind == 1:  # a run from z to w, bulging out by a parabola
+            t = np.sort(rng.uniform(0, 1, rng.integers(1, 60)))
+            loop.extend(z + t * (w - z) - 4j * edge * rng.uniform(0, 2e-12) * t * (1 - t))
+        elif kind == 2:  # dense arc from z to w, its circle's centre inside
+            k = int(rng.integers(10, 2000))
+            half = abs(w - z) / 2
+            radius = half / np.sin(rng.uniform(1e-6, 0.5))
+            centre = (z + w) / 2 + 1j * edge * np.sqrt(radius**2 - half**2)
+            start, end = np.angle(z - centre), np.angle(w - centre)
+            turn = np.mod(end - start + np.pi, 2 * np.pi) - np.pi
+            loop.extend(centre + radius * np.exp(1j * (start + turn * np.arange(1, k) / k)))
+        elif kind == 3:  # the corner w cut by an arc tangent to both edges
+            a0 = np.angle(-1j * edge)
+            turn = np.mod(np.angle(-1j * (u - w)) - a0, 2 * np.pi)
+            radius = rng.uniform(0, 3e-13)
+            centre = w - radius / np.cos(turn / 2) * np.exp(1j * (a0 + turn / 2))
+            loop.extend(centre + radius * np.exp(1j * np.linspace(a0, a0 + turn,
+                                                                   rng.integers(2, 7))))
+            continue
+        loop.append(w)
+    return np.array(loop)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_prune_collinear_rounds_on_convex_loops(seed):
+    check_pruned_in_rounds(convex_loop_with_runs(seed))
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -45,6 +45,12 @@ def test_replay_engine_script(tmp_path):
     assert "real T byte-identical: 3/3 sweeps, 6/6 calls" in proc.stdout
     assert "radii byte-identical: 4/4" in proc.stdout  # each of a fresh sweep
     assert "tag changes: 0" in proc.stdout
+    # distances are taken between the regions in sweep units, over the
+    # sweep's unit bound, both dumped with each call
+    assert "worst hausdorff / bound, in sweep units: 0.000e+00" in proc.stdout
+    dumped = np.load(dump)
+    assert dumped["call_unit_bound"].size == dumped["call_unit_vstart"].size - 1 == 8
+    assert dumped["unit_vertices"].size == dumped["call_unit_vstart"][-1]
     # how many planes reached the deque scan, per side
     assert "calls the old run did not scan, byte-identical:" in proc.stdout
     assert "calls neither run scanned, graded sweeps aside, byte-identical:" in proc.stdout

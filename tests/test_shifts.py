@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hrnr.checks import RADIUS_TOL, generator, nilpotent_instance, random_nilpotent_contraction
+from hrnr.checks import generator, nilpotent_instance, random_nilpotent_contraction
 from hrnr.linalg import eig_hermitian_stack
 from hrnr.ranges import BadRankError, pencil, pencil_sweep, range_from_sweep
 from hrnr.shifts import (
@@ -17,6 +17,8 @@ from hrnr.shifts import (
     shift_matrix,
     shift_radius,
 )
+
+RADIUS_TOL = 5e-6  # a shift range's polygon moduli against its disc radius
 
 
 # --- shift_matrix ------------------------------------------------------------
