@@ -10,8 +10,12 @@ Hermitian diagonal at n = 5), and a real Gaussian at n = 8 on 720 and
 which is neither graded nor normal and so solves as many pencils as a
 complex one, and Jordan blocks lambda I + S_n at n = 4 and 8 on 720 and
 2048 angles (``jordan``, lambda a complex normal draw), a graded T plus a
-scalar, whose sweep solves one pencil, and Gaussians at n = 32 on 720
-and 2048 angles and at n = 64 on 720, the large-n batch sweeps.  Every
+scalar, whose sweep solves one pencil, Gaussians at n = 32 on 720 and
+2048 angles and at n = 64 on 720, the large-n batch sweeps, and
+ROADMAP.md's Jordan direct sum J = ((1 + 0.5i) I + S_3) (+)
+(-0.7i I + S_3) (+) (0.4 I + S_2) at n = 8 on 720 and 2048 angles
+(``direct-sum``), whose sweep solves one pencil per block, of size 3, 3
+and 2, where a batch would solve m/2 of size 8.  Every
 matrix has spectral norm 1 and is drawn from a fixed seed.  Each cell
 runs in a child process of its own, so that its peak RSS is its own, with
 one BLAS thread unless the environment sets another count.  The grid runs
@@ -26,8 +30,8 @@ best-of-repeat within one child cannot see.  A cell times, best of
               its solve falls in range_ms
   radius_ms   ``numerical_radius()`` on a second, fresh sweep: what
               ``hrnr radius`` reads after the sweep
-  frame_ms    ``PencilSweep.frame`` on that fresh sweep; 0 for a graded
-              sweep (a shift's), whose ranks read no frame
+  frame_ms    ``PencilSweep.frame`` on that fresh sweep; 0 for discs
+              about one centre (a shift's), whose ranks read no frame
   range_ms    ``range_from_sweep(sweep, k)`` for k = 1..min(n, 3), frame built
   samples_ms  the first read of each of those reports' ``support_samples``,
               which a sweep that forms its rows on demand forms then
@@ -39,9 +43,10 @@ best-of-repeat within one child cannot see.  A cell times, best of
   cli_ms      ``hrnr range --k 1 --angles m`` through ``cli.main``, file
               load and region file included
 
-and records each rank's tag, the planes the frame holds (0 for a graded
-sweep), the sweep's row source (``graded``, ``spectrum`` or ``batch``: the
-sweep's ``kind``) and the peak RSS.
+and records each rank's tag, the planes the frame holds (0 for discs
+about one centre), the sweep's row source (``disc`` or ``batch``: the
+sweep's ``kind``; ``graded`` and ``spectrum`` in older trees) and the
+peak RSS.
 The file also holds the numpy and Python versions, the CPU count and,
 with ``--tier1``, the wall time of the Tier-1 suite of the tree that
 ``--src`` belongs to.
@@ -80,6 +85,7 @@ REAL_CELLS = (("gauss-real", 8, 720), ("gauss-real", 8, 2048))
 JORDAN_CELLS = (("jordan", 4, 720), ("jordan", 4, 2048), ("jordan", 8, 720),
                 ("jordan", 8, 2048))
 LARGE_CELLS = (("gauss", 32, 720), ("gauss", 32, 2048), ("gauss", 64, 720))
+SUM_CELLS = (("direct-sum", 8, 720), ("direct-sum", 8, 2048))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SEED = 1
 REPEAT = ROUNDS = 5
@@ -89,12 +95,12 @@ def cells():
     """(kind, n, m) of every cell, in order."""
     grid = [(kind, n, m) for kind in KINDS for n in (4, 8, 16) for m in (720, 2048)]
     return (grid + list(SMOOTH_CELLS) + list(DIAGONAL_CELLS) + list(REAL_CELLS)
-            + list(JORDAN_CELLS) + list(LARGE_CELLS))
+            + list(JORDAN_CELLS) + list(LARGE_CELLS) + list(SUM_CELLS))
 
 
 def matrix(kind, n):
     """The cell's matrix at spectral norm 1, from its own seeded stream."""
-    rng = np.random.default_rng([SEED, (*KINDS, "jordan").index(kind.split("-")[0]), n])
+    rng = np.random.default_rng([SEED, (*KINDS, "jordan", "direct").index(kind.split("-")[0]), n])
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     if kind == "shift":
         t = np.eye(n, k=-1, dtype=complex)
@@ -111,6 +117,9 @@ def matrix(kind, n):
         t = g.real
     elif kind == "jordan":
         t = g[0, 0] * np.eye(n) + np.eye(n, k=-1)
+    elif kind == "direct-sum":  # J, at n = 8: no entry joins two blocks
+        t = np.diag(np.repeat([1 + 0.5j, -0.7j, 0.4], (3, 3, 2)))
+        t += np.diag([1, 1, 0, 1, 1, 0, 1], -1)
     else:
         t = g
     return t / np.linalg.norm(t, 2)
@@ -136,7 +145,9 @@ def run_cell(kind, n, m, repeat=REPEAT):
             sweep = pencil_sweep(t, m)
             mid = time.perf_counter()
             source = sweep.kind
-            graded = source == "graded"  # its ranks are regular m-gons: no frame
+            # discs about one centre, a graded sweep in older trees: their
+            # ranks are regular m-gons, with no frame
+            graded = getattr(sweep, "centre", None) is not None or source == "graded"
             planes = 0 if graded else sweep.frame.size
             best["sweep"] = min(best["sweep"], mid - start)
             best["frame"] = min(best["frame"], 0.0 if graded else time.perf_counter() - mid)

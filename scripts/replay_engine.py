@@ -30,9 +30,15 @@ beyond.  A ninth appends the ``extreme-`` stratum: Gaussian, Hermitian,
 diagonal, hidden normal, graded (a weighted shift) and Jordan T at n = 5,
 each complex and real, scaled to unit spectral norm and then by 2^-1060,
 2^-1040 (subnormal entries), 2^1014 and 2^1020 (pencils near overflow);
-its labels carry the scale.  A read that raises ValueError (pencils that
-overflow in T's units) is dumped as the tag ``error``, a NaN radius,
-bound or rows.  Every case runs ``pencil_sweep``
+its labels carry the scale.  A tenth appends the ``direct-sum`` stratum,
+whose sweeps solve one pencil per block, at n in {5, 8, 12}, each complex
+and real, scaled by 10^e with e drawn from [-8, 8]: Jordan direct sums
+with distinct eigenvalues (blocks of 3 and 2 at n = 5; 3, 3 and 2 at
+n = 8, the complex one ROADMAP.md's J = ((1 + 0.5i) I + S_3) (+)
+(-0.7i I + S_3) (+) (0.4 I + S_2); 4, 3, 3 and 2 at n = 12), then a
+diagonal of n // 2 entries (+) a weighted shift plus a scalar.  A read
+that raises ValueError (pencils that overflow in T's units) is dumped as
+the tag ``error``, a NaN radius, bound or rows.  Every case runs ``pencil_sweep``
 once and ``range_from_sweep`` for every k = 1..n, and only then reads
 the sweep's rows, so that the ranks of a sweep that forms its rows on
 demand run as they do in ``hrnr range``.  Before the ranks, each case
@@ -80,6 +86,8 @@ GRIDS = (720, 2048, 8192)
 HAUSDORFF_TOL = 1e-11  # per unit bound
 EXTREME_KINDS = ("gauss", "herm", "diag", "normal", "graded", "jordan")
 EXTREME_EXPONENTS = (-1060, -1040, 1014, 1020)
+SUM_BLOCKS = {5: (3, 2), 8: (3, 3, 2), 12: (4, 3, 3, 2)}  # n -> the Jordan blocks' sizes
+J_EIGENVALUES = (1 + 0.5j, -0.7j, 0.4)  # of the n = 8 complex Jordan sum
 
 
 def battery(limit=None):
@@ -163,6 +171,13 @@ def battery(limit=None):
                 t = extreme(rng, kind, 5, real)
                 t = np.ldexp(1.0, e) * (t / np.linalg.norm(t, 2))
                 cases.append((f"extreme-{kind}", 5, GRIDS[len(cases) % len(GRIDS)], t))
+    rng = np.random.default_rng(2019)
+    for jordan in (True, False):
+        for n in SUM_BLOCKS:
+            for real in (False, True):
+                m = GRIDS[len(cases) % len(GRIDS)]
+                t = block_sum(rng, jordan, n, real)
+                cases.append(("direct-sum", n, m, 10.0 ** rng.uniform(-8, 8) * t))
     return cases[:limit]
 
 
@@ -262,6 +277,29 @@ def translated_graded(rng, kind, n, real):
         d *= 10.0 ** rng.uniform(8, 12) / abs(d)
     g = graded(rng, "graded-shift", n, real) if kind == "graded-scalar" else shift_matrix(n)
     return g + d * np.eye(n)
+
+
+def block_sum(rng, jordan, n, real):
+    """A direct sum of Jordan blocks lambda_i I + S_p of the sizes
+    ``SUM_BLOCKS[n]`` with distinct lambda_i (J's at n = 8 for complex T),
+    or diag(d_1 .. d_p) (+) (lambda I + a weighted shift), p = n // 2."""
+    from functools import reduce
+
+    from hrnr.checks import direct_sum
+    from hrnr.shifts import shift_matrix
+
+    def draw(*shape):
+        return rng.normal(size=shape) + (0 if real else 1j * rng.normal(size=shape))
+
+    if jordan:
+        sizes = SUM_BLOCKS[n]
+        lams = J_EIGENVALUES if n == 8 and not real else draw(len(sizes))
+        t = reduce(direct_sum, (lam * np.eye(p) + shift_matrix(p) for lam, p in zip(lams, sizes)))
+    else:
+        p = n // 2
+        t = direct_sum(np.diag(draw(p)), graded(rng, "graded-shift", n - p, real)
+                       + draw() * np.eye(n - p))
+    return t.real if real else t  # direct_sum's sums are complex
 
 
 def hidden_normal(rng, n, real, gap):

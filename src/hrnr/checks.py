@@ -62,20 +62,50 @@ T's units; ``linalg.is_hermitian`` and ``is_normal``, which pick the
 oracle, take theirs at unit size, where no square of an entry can
 overflow and one that underflows lies far below the norms' rounding.
 
-Structured rows.  ``pencil_sweep`` solves no pencil for an exactly
-diagonal or exactly Hermitian T.  A diagonal T's rows are the bits the
+Disc rows.  ``pencil_sweep`` solves no pencil for an exactly diagonal or
+exactly Hermitian T, and one per block for a direct sum of graded blocks
+plus scalars (``ranges._discs``): each row is the list
+rho_i + 2 Re(e^{i theta} c_i) sorted.  A diagonal T's rows are the bits the
 pencil path would give, so the model above holds unchanged.  A Hermitian
 T's rows are 2 cos(theta) lambda_i(T): ``eigvalsh`` is exact for a T moved
 by n eps ||T||_2, which moves an offset by |cos theta| n eps N, and
 rounding cos theta and the product adds 2 eps N.  That is at most
 3 n eps N, below the pencil solve's 4, so ``ROW_TOL`` stays certified
-when a check compares a structured sweep with a solved one (P4's U*TU,
-for one, is not bitwise Hermitian).  No tolerance changed.  A large
-spectrum sweep (m n >= ``ranges.ON_DEMAND_ROWS``) forms a column of rows
-only when it is read, from one order of the eigenvalues per tie interval
-(``ranges._SpectrumSweep``); its rows are the bits of
-forming and sorting every row, so this model and every check read them
-unchanged, through ``PencilSweep.column``.
+when a check compares a disc sweep with a solved one (P4's U*TU, for one,
+is not bitwise Hermitian).  A block d I + G with G graded
+(``ranges._is_graded``: integers g with g_i - g_j = 1 wherever g_ij != 0,
+as for S_n and weighted shifts; G is the block with its diagonal zeroed,
+exactly) has H_theta = D H_0(G) D* + 2 Re(e^{i theta} d) I, D unitary, so
+its rows are the spectrum r of G + G*, solved once, made antisymmetric,
+(r - r[::-1]) / 2, plus 2 Re(e^{i theta_j} d) at the computed angle, the
+row's own (see Angles); the similarity holds at every theta, the computed
+grid angles included.  With w_G = ||G + G*||_2 / 2, G's numerical radius,
+in offset units: G + G* is formed exactly, as no nonzero entry of a graded
+G meets a nonzero transposed one; ``eigvalsh`` moves an offset by
+n eps w_G, and the symmetrisation's subtraction of halves by eps w_G;
+rounding e^{i theta_j} and Re(e^{i theta_j} d) costs 2 eps |d|, as for
+normal rows (the doubling is exact); and adding the two rounds once, by
+eps (w_G + |d|).  So such an offset is within (n + 2) eps w_G + 3 eps |d|.
+W(dI + G) = d + W(G), and W(G) is a disc about 0 (G is similar to
+e^{i theta} G), so ||dI + G||_2 >= |d| + w_G, and for N at least that
+norm, w_G <= N - |d|: the bound is at most max(n + 2, 3) eps N.  A direct
+sum's pencils are its blocks' pencils side by side, and its norm the
+largest of theirs, so for N >= ||T||_2 each block of size n_i has its
+offsets within max(n_i + 2, 3) eps N, a block whose G is 0 (scalars,
+rho = 0) within 2 eps N, and the sorted union, which moves no value by
+more than the largest perturbation, within max(n + 2, 3) eps N <=
+4 n eps N, the pencil solve's own cost, at every n >= 1.  ``ROW_TOL``
+stays 17, and every sum above holds.  P1 on such a T (|a| T + b' I, the
+same blocks plus b') so compares two disc sweeps, as P1 on a normal T
+compares two normal-certified ones; P4 and P5 (U*TU and V*TV, solved
+pencil by pencil) and the full-grid LAPACK comparisons in the tests
+(``test_graded_rows_match_full_grid_lapack``,
+``test_direct_sum_rows_match_full_grid_lapack``) stay the independent
+checks of disc rows.  A disc sweep with m n >= ``ranges.ON_DEMAND_ROWS``
+forms a column of rows only when it is read, from one order of the discs
+per tie interval (``ranges._DiscSweep``); its rows are the bits of forming
+and sorting every row, so this model and every check read them unchanged,
+through ``PencilSweep.column``.
 
 Normal rows.  Any other T has its rows from mu = diag(R), R = Q*TQ and Q
 the QR of ``eig``'s eigenvectors, when ``ranges._normal_spectrum``
@@ -102,43 +132,6 @@ full-grid LAPACK comparisons in the tests
 reference, which solve every pencil; criterion 6 still compares the
 engine's grid regions with the oracle on exact eigenvalues.
 
-Graded rows.  A graded T (``ranges._is_graded``: integers g with
-g_i - g_j = 1 wherever t_ij != 0, as for S_n and weighted shifts) has
-every pencil unitarily similar to H_0 = T + T*, so ``pencil_sweep``
-solves that one pencil and gives every row its spectrum r as
-(r - r[::-1]) / 2, with no angle term.  Forming T + T* moves each entry by
-at most eps (|t_ij| + |t_ji|), a third of a pencil's assembly, and
-``eigvalsh`` costs what it does above, so an offset moves by at most
-(2 sqrt(n) + 2 n) / 2 <= 2 n eps N.  The symmetrisation averages r_i and
--r_{n+1-i}, both that close to the same exact value, and rounds one
-subtraction of halves of modulus at most N: at most eps N more.  The
-similarity holds at every theta, the computed grid angles included, so
-no row carries the angle error of the next paragraph.  A graded row is
-thus within 3 n eps N, below the pencil solve's 4, and ``ROW_TOL`` stays
-17.  The independent check of graded rows is the full-grid LAPACK
-comparison in the tests (``test_graded_rows_match_full_grid_lapack``).
-
-Translated graded rows.  T = dI + G, d != 0 and G graded (the diagonal
-zeroed, exactly: ``ranges._graded_part``), as a Jordan block lambda I + S_n,
-has H_theta(T) = H_theta(G) + 2 Re(e^{i theta} d) I, and its row j is G's
-row r plus 2 Re(e^{i theta_j} d) at the computed angle, the row's own (see
-Angles).  With w_G = ||G + G*||_2 / 2, G's numerical radius, in offset
-units: G + G* is formed exactly, as no nonzero entry of a graded G meets
-a nonzero transposed one; ``eigvalsh`` moves an offset by n eps w_G, and
-the symmetrisation's subtraction of halves by eps w_G; rounding
-e^{i theta_j} and Re(e^{i theta_j} d) costs 2 eps |d|, as for normal rows
-(the doubling is exact); and adding the two rounds once, by
-eps (w_G + |d|).  So a translated offset is within
-(n + 2) eps w_G + 3 eps |d|.  W(T) = d + W(G), and W(G) is a disc about 0
-(G is similar to e^{i theta} G), so ||T||_2 >= w(T) = |d| + w_G, and for
-N >= ||T||_2, w_G <= N - |d|: the bound is at most max(n + 2, 3) eps N,
-within the pencil solve's 4 n eps N at every n >= 1.  ``ROW_TOL`` stays
-17, and every sum above holds.  P1 on a graded T (|a| T + b' I, a graded T
-plus a scalar) so compares two graded sweeps, as P1 on a normal T
-compares two normal-certified ones; P4 and P5 (U*TU and V*TV, solved
-pencil by pencil) and the full-grid LAPACK comparison in the tests stay
-the independent checks of graded rows, translated or not.
-
 Angles.  Row j of every sweep, whatever T's field, is the spectrum of a
 pencil at the computed angle fl(2 pi j / m), or on an even grid follows
 exactly from row j - m/2 by the half-turn (negated and reversed).  So
@@ -159,10 +152,10 @@ grid, measured at most 3.7 (n = 1) and 3.5 (n = 2), and P2 at most 5.9
 
 Region tolerance, for P6, the Hermitian oracle and SHIFT's radii:
 ``REGION_SLACK`` times the bound the geometry ran at.  A region lies
-inside its planes relaxed by ``CLIP_EPS`` (a spectrum sweep's region,
-built on its tie planes only, leaves a dropped plane by at most
-sec(pi/16) times that, plus twice the rows' rounding: see
-``ranges._SpectrumSweep.planes``), and tagging it a point or a
+inside its planes relaxed by ``CLIP_EPS`` (the region of discs of
+radius 0, built on their tie planes only, leaves a dropped plane by at
+most sec(pi/16) times that, plus twice the rows' rounding: see
+``ranges._DiscSweep.planes``), and tagging it a point or a
 segment moves it inward by less than ``POINT_DIAM`` or 4
 ``SEGMENT_THICKNESS`` (its area is below that thickness times its
 diameter; the segment's ends lie at least half the diameter apart).

@@ -17,8 +17,8 @@ whose first column is that grid, bit for bit (``-0.0 == 0.0`` but their
 texts differ), is written from a text template made once per m, with the
 angles in it and a ``%r`` slot per offset; the templates, one string
 each, of the ``GRID_TEXT_CACHE`` angle counts used last are kept.  An
-offset column of one float, bit for bit (every rank of a graded sweep,
-whose m offsets are one number), takes one ``repr``, put in every slot
+offset column of one float, bit for bit (every rank of a graded T's
+sweep, whose m offsets are one number), takes one ``repr``, put in every slot
 with ``str.replace``: no float text contains ``%``.
 
 The same members go to ``.npz`` files as they are, through ``np.savez``:

@@ -30,8 +30,8 @@ The planes are the caller's: ``ranges.range_from_sweep`` passes every
 grid plane of a batch sweep, but of a sweep from a spectrum (diagonal,
 Hermitian or certified normal T) only the planes beside its tie angles
 and every (m // 16)-th one, whose intersection the dropped planes cannot
-cut by more than the rows' rounding (the ``ranges`` docstring's "Tie
-planes"), and a graded sweep's ranks, whose m planes share one offset,
+cut by more than the rows' rounding (``ranges._DiscSweep.planes``), and
+the ranks of discs about one centre, whose m planes share one offset,
 are the regular m-gons of ``regular_polygon``; the oracles in ``checks``
 pass their own angles.  The pruning, the emptiness check and every bound
 below concern the planes passed.

@@ -11,44 +11,51 @@ One symmetry halves the eigensolves: H_{theta + pi} = -H_theta for every
 T, so an even grid of m angles solves m/2 pencils and fills the other
 rows by negating and reversing them; an odd grid solves all m.
 
-Row sources.  ``pencil_sweep`` builds each sweep as one of three
+Row sources.  ``pencil_sweep`` builds each sweep as one of two
 subclasses of ``PencilSweep``, picked by the symmetry T has and named for
 their ``kind``; each one's docstring sets out its rows, and each overrides
 every read that only it can shorten:
-  ``_GradedSweep``, one pencil solved, when T = dI + G with G graded
-    (below), d = 0 included: one test, ``_graded_part``, finds G and d;
-  ``_SpectrumSweep``, no pencil solved, when T is normal: the rows come
-    from its spectrum mu (Li and Sze, Proc. AMS 136, 2008, give the tie
-    planes), formed on demand or stacked by one rule, m n against
+  ``_DiscSweep``, when T's rows are a list of discs (below): no pencil
+    solved for a normal T, and one per group of a direct sum of graded
+    blocks plus scalars, found by one test, ``_discs``; its rows are
+    formed on demand or stacked by one rule, m n against
     ``ON_DEMAND_ROWS``, which every read of the sweep follows;
   ``_BatchSweep``, for any other T: each pencil is solved when its row is
     first read, and the radius solves only the pencils that certify it
     (Mengi and Overton, IMA J. Numer. Anal. 25, 2005).
 ``PencilSweep`` itself is the sweep given its (m, n) rows, and holds the
-plain reads the three do not shorten: column maxima of whole columns,
+plain reads the two do not shorten: column maxima of whole columns,
 every grid plane, a rank's region from the planes, and no exit of its
 own.  Every sweep's columns on an even grid are folded by the one
-half-turn rule in ``PencilSweep.unit_column``; only an untranslated graded
-row, the same at every angle, needs none.
+half-turn rule in ``PencilSweep.unit_column``; only discs that all sit
+at 0, whose rows are the same at every angle, need none.
 
-No pencil is solved when T is normal: then every pencil is diagonal in T's
-eigenbasis, with spectrum 2 Re(e^{i theta} mu_j) for T's eigenvalues mu.
-mu is the diagonal itself when T is exactly diagonal, one ``eigvalsh`` of
-T when T is exactly Hermitian, and otherwise the diagonal of Q*TQ, Q an
-orthonormal basis from ``eig``, when a certificate shows that T is normal
-to within the rounding of one pencil solve.  The solved rows are those
-values sorted, and the same symmetry fills the rest.
-
-One pencil is solved when T is graded: when integers g have g_i - g_j = 1
-wherever t_ij != 0, as for the shift S_n, its transpose, weighted shifts,
-their direct sums and [[0, A], [0, 0]].  Then D = diag(e^{i g theta})
-gives D T D* = e^{i theta} T, so H_theta = D H_0 D*, and every row is the
-spectrum r of H_0 = T + T*.  The similarity of T and e^{i theta} T is the
-symmetry behind the rank-k range of S_n, a disc of radius cos(k pi/(n+1))
-about 0.  r is symmetric about 0 (H_pi = -H_0 is similar to H_0), and the
-row (r - r[::-1]) / 2 is so bit for bit, so the half-turn rule holds
-exactly.  Such a sweep keeps that one row and forms the m rows only when
-``eigenvalues`` is read.
+Discs.  Row j of a disc sweep is the n values rho_i + 2 Re(e^{i theta_j}
+c_i) sorted, twice the support function of the disc of radius rho_i / 2
+about c_i, for two symmetries:
+  T normal: every pencil is diagonal in T's eigenbasis, with spectrum
+    2 Re(e^{i theta} mu_i) for T's eigenvalues mu, so rho = 0 and c = mu
+    (Li and Sze, Proc. AMS 136, 2008, give the tie planes).  mu is one
+    ``eigvalsh`` of T when T is exactly Hermitian, and otherwise the
+    diagonal of Q*TQ, Q an orthonormal basis from ``eig``, when a
+    certificate shows that T is normal to within the rounding of one
+    pencil solve (``_normal_spectrum``);
+  T = dI + G with G graded: integers g have g_i - g_j = 1 wherever
+    g_ij != 0, as for the shift S_n, its transpose, weighted shifts,
+    their direct sums and [[0, A], [0, 0]].  Then D = diag(e^{i g theta})
+    gives D G D* = e^{i theta} G, so H_theta = D H_0(G) D* +
+    2 Re(e^{i theta} d) I, and rho is the spectrum r of G + G* made
+    antisymmetric, (r - r[::-1]) / 2, bit for bit, with every c_i = d.
+    The similarity of S_n and e^{i theta} S_n is the symmetry behind the
+    rank-k range of S_n, a disc of radius cos(k pi/(n+1)) about 0.
+A direct sum's pencil spectrum is the union of its blocks', so the lists
+of its blocks join into one: ``_discs`` groups T's indices by their
+diagonal entry and, when no entry of T joins two groups and each group's
+G is graded, solves each group's G + G* once, and none for a G of 0 (each
+entry of a diagonal T), whose rho is 0.  A Jordan matrix with distinct
+eigenvalues so solves one pencil per eigenvalue, of its block's size.
+rho = 0 is stored as -0.0, which adds exactly (x + -0.0 is x for every x,
+-0.0 included), so those rows are the bits of 2 Re(e^{i theta} c) alone.
 
 One scale rule.  ``pencil_sweep`` sweeps X = 2^-p T, T brought to unit
 size by an exact power of two (``linalg.unit_scale``), so no pencil
@@ -64,13 +71,13 @@ results are 2^q times T's, bit for bit, short of underflow in T's units.
 
 A sweep owns its grid's angle frame (``PencilSweep.frame``): the geometry's
 sort and merge of the angles and their cosines and sines are computed at
-the first rank that reaches the geometry and reused by every other; a
-graded sweep's ranks build none.
+the first rank that reaches the geometry and reused by every other; the
+ranks of discs about one centre build none.
 
 Angles on demand.  A column read at chosen indices forms e^{i theta} at
 those alone, the bits of the whole array's entries (``np.exp`` is
 elementwise); only ``_fourier_point``, reads of whole columns and a
-stacked spectrum sweep's rows form every solved angle's (``phases``).  The
+stacked disc sweep's rows form every solved angle's (``phases``).  The
 angles are formed the same way: every sweep is given its angle count alone,
 forms 2 pi j / m at the indices j it reads alone (``grid_angles(m, idx)``,
 the whole grid's bits), and forms its ``thetas`` only when they are read.
@@ -87,12 +94,12 @@ only when no row shows that.  At 2k = n + 1, lambda_k(H_{theta + pi}) =
 range is the one z on every line Re(e^{i theta} z) = h(theta), or empty:
 the point z when every offset of the row is within ``_row_tol`` of
 Re(e^{i theta_j} z), and empty otherwise, with no geometry, whatever the
-sweep (a graded sweep's is read off its row: ``_GradedSweep.region``).
-Three exits settle it, the first that applies:
-  the owners: on a sweep of a spectrum mu with m n >= ``ON_DEMAND_ROWS``,
-    one eigenvalue mu_o may own rank k on every run between the tie
-    windows, as the middle eigenvalue of a Hermitian T does; the point is
-    then mu_o, and two owners give empty (``_SpectrumSweep.middle``);
+sweep (that of discs about one centre is read off its row:
+``_DiscSweep.region``).  Three exits settle it, the first that applies:
+  the owners: on a disc sweep formed on demand, one disc (mu_o, rho 0)
+    may own rank k on every run between the tie windows, as the middle
+    eigenvalue of a Hermitian T does; the point is then mu_o, and two
+    owners give empty (``_DiscSweep.middle``);
   three rows: no z within the tolerance of the lines at the grid indices
     0, m // 6 and m // 3, about 60 degrees apart, which a bound on the
     corner of two of them decides (``_rows_apart``); the full fit's
@@ -135,8 +142,8 @@ ANGLES_ENV_VAR = "HRNR_ANGLES"
 
 ROW_TOL = 17.0  # offset rows, in units of n * eps * N; see the checks docstring
 
-# A spectrum sweep with m * n at least this forms its rows on demand; below
-# it, forming and sorting every row costs no more than the owner table.
+# A disc sweep with m * n at least this forms its rows on demand; below it,
+# forming and sorting every row costs no more than the owner table.
 ON_DEMAND_ROWS = 2**16
 
 # A batch sweep's maxima first solve every COARSE_STRIDE-th pencil.
@@ -191,15 +198,16 @@ class PencilSweep:
     """Eigenvalues of the pencil over a uniform angle grid.
 
     ``PencilSweep(m, eigenvalues)`` is the sweep given its rows, and the
-    base of the three sweeps that ``pencil_sweep`` builds, each named for
+    base of the two sweeps that ``pencil_sweep`` builds, each named for
     its ``kind`` (module docstring, "Row sources"): n rows on an m-angle
     grid, of which ``solved`` (m/2 on an even grid, all m on an odd one)
     come from the sweep's ``values`` and the rest from the half-turn in
     ``unit_column``.  The reads here are the plain ones, which a sweep
     overrides where it knows better: the column ``maxima``, of which column
     0's, twice the numerical radius, is read at the sweep's ``peaks`` when
-    it has them, the ``planes``, a rank's ``region`` (from the planes, or a
-    graded sweep's read off its row) and a middle rank's exit, ``middle``.
+    it has them, the ``planes``, a rank's ``region`` (from the planes, or
+    for discs about one centre read off their row) and a middle rank's
+    exit, ``middle``.
     All of them, and the ``unit_`` reads, are in sweep units, those of
     X = T / 2^``scale`` (module docstring, "One scale rule"); ``column``,
     ``eigenvalues``, ``column_maxima``, ``numerical_radius`` and
@@ -220,8 +228,8 @@ class PencilSweep:
         units, is given, or else formed from every ``unit_column`` at the
         first read, and once given or formed every column is read from it.
     planes
-        The grid indices whose planes can bound a rank, ascending: a
-        spectrum sweep's tie planes (``_SpectrumSweep.planes``), else None,
+        The grid indices whose planes can bound a rank, ascending: the tie
+        planes of discs of radius 0 (``_DiscSweep.planes``), else None,
         every plane.
     """
 
@@ -339,9 +347,9 @@ class PencilSweep:
         empty, read off the row (``_point_or_empty``).  Otherwise, and for
         2k <= n, the geometry intersects the planes at the sweep's
         ``planes`` in its angle frame, which every rank of one sweep
-        shares: every plane, or for a sweep with a spectrum the tie planes,
-        whose offsets alone are formed, with a point recomputed over every
-        plane (``_SpectrumSweep.planes``).
+        shares: every plane, or for discs of radius 0 the tie planes, whose
+        offsets alone are formed, with a point recomputed over every plane
+        (``_DiscSweep.planes``).
         """
         m, n = self.angle_count, self.dim
         # rows are read before the radius, so that a batch sweep solves them in
@@ -374,201 +382,130 @@ class PencilSweep:
         return None
 
 
-class _GradedSweep(PencilSweep):
-    """The sweep of dI + G for graded G, from its one row, and its ranks.
+class _DiscSweep(PencilSweep):
+    """The sweep of a list of discs (module docstring, "Discs"): row j is
+    rho_i + 2 Re(e^{i theta_j} c_i) sorted, from the arrays ``rho`` and
+    ``c``, rho = -0.0 for a disc of radius 0.  With m n >= ``ON_DEMAND_ROWS``
+    (``on_demand``), or when every disc has the one ``centre`` c_0 and some
+    disc a radius (a graded T plus a scalar: ``region``), its columns are
+    formed as they are read; else the sweep forms its rows stacked from its
+    ``phases`` when it is built.  Every read that depends on the rule reads
+    ``on_demand``: ``peaks``, and ``middle``, which reads the discs' table.
 
-    G is graded (module docstring); one solve of G + G*, whose spectrum r
-    gives ``row`` = (r - r[::-1]) / 2, serves every angle, and ``d`` is the
-    translation, 0 for a graded T itself.  With d = 0 every row is ``row``,
-    and column r is row_r at every index, with no half-turn, whose
-    negation would turn a +0.0 entry into -0.0.
-
-    Translated graded rows.  The same one solve serves T = dI + G, d != 0,
-    as the Jordan block lambda I + S_n and a weighted shift plus a scalar:
-    G is T with its diagonal zeroed, exactly, and H_theta(T) = H_theta(G) +
-    2 Re(e^{i theta} d) I, so column r at index j is row_r +
-    2 Re(e^{i theta_j} d), formed at the indices read: the same product and
-    doubling as a spectrum sweep's rows of the one eigenvalue d.  An even
-    grid's upper half is the half-turn of the solved one, as for every
-    sweep.  Such a T is tested before the normal certificate, which
-    allows a pencil solve's rounding and so accepts it when |d| dwarfs G
-    (from |d| = 1e15 for lambda I + S_5), where the spectrum rows could not
-    tell G's disc from a point; the diagonal and Hermitian tests reject it.
-    The ``checks`` docstring bounds these rows within a pencil solve's.
-    Column 0 is fl(r_0 + x_j), x_j = 2 Re(e^{i theta_j} d), monotone in x_j,
-    so the radius reads it beside the one peak of x (``_peak_indices``),
-    the same bits as the whole column's maximum.
-    """
-
-    kind = "graded"
-
-    def __init__(self, m: int, g: np.ndarray, d: complex):
-        super().__init__(m, None)
-        r = eig_hermitian_stack((g + g.conj().T)[None])[0]
-        self.row, self.d, self.dim = (r - r[::-1]) / 2.0, d, r.size
-
-    def unit_column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
-        if self.d:
-            return super().unit_column(r, idx)
-        return np.full(self.angle_count if idx is None else np.shape(idx), self.row[r])
-
-    def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
-        return self.row[r] + 2.0 * (phases * self.d).real
-
-    def peaks(self) -> np.ndarray | None:
-        return _peak_indices(np.array([self.d]), self.angle_count)
-
-    def region(self, k: int) -> tuple[ConvexRegion, float]:
-        """Rank k: d plus G's rank k, computed at G's bound, and the error
-        bound of G's region.
-
-        Graded ranks.  Every rank-k plane of G has the one offset
-        c_k = row_k / 2, so for 2k <= n its region is the intersection of
-        the m grid planes Re(e^{i theta_j} z) <= c_k, the regular m-gon about
-        0 circumscribed about the disc of radius c_k (for S_n,
-        cos(k pi/(n+1)), up to the bound's scale).
-        ``geometry.regular_polygon`` builds it in closed form, with no angle
-        frame and no pruning, unless it is dense or small enough for the
-        geometry's classification to change it, when the m planes go to
-        ``intersect_halfplanes``; c_k = 0, to rounding, gives the point 0.  The vertices
-        are those of the scan's corners up to rounding: within
-        1.2e-13 * bound of the intersection of the m planes at m <= 8192,
-        and 9e-13 at 65536, where the scan's corner of planes 2 pi/m apart
-        loses that much.  At 2k = n + 1 the row's middle entry is h - h,
-        exactly 0, so the range is the point d (for d = 0, 0j: the bits the
-        Fourier fit over the zero rows gave).  For 2k > n + 1 the strip of
-        every row is (row_k - row_{n+1-k}) / 2 = row_k, the row being
-        antisymmetric bit for bit, and it proves the range empty below
-        minus twice an offset's rounding at G's grid radius, as
-        ``PencilSweep.region`` tests any row.  A translated rank is G's m-gon
-        plus d, the point d, or G's empty: its thresholds scale with G, not
-        with |d|, so its tag is G's at every |d| (ROADMAP item 14's collapse
-        spares it), and its error bound is the m-gon's before d is added,
-        the gap to G's disc, which adding d does not widen; adding d rounds
-        each vertex by eps |d|.
-        """
-        row, m, n = self.row, self.angle_count, self.dim
-        if 2 * k == n + 1:
-            return ConvexRegion.point(self.d), 0.0
-        # row[0] is twice G's grid radius, the same at every angle
-        if 2 * k > n + 1 and row[k - 1] < -2.0 * _solve_error(n, row[0] / np.cos(np.pi / m)):
-            return ConvexRegion.empty(), 0.0
-        region = regular_polygon(m, row[k - 1] / 2.0, row[0] or 1.0)
-        error = outer_error_bound(region, m)
-        if self.d:
-            region = ConvexRegion(region.kind, region.vertices + self.d)
-        return region, error
-
-
-class _SpectrumSweep(PencilSweep):
-    """The sweep of the spectrum mu of an exactly diagonal, exactly
-    Hermitian or certified normal T: its rows are 2 Re(e^{i theta_j} mu)
-    sorted.  With m n >= ``ON_DEMAND_ROWS`` (``on_demand``) they are formed
-    column by column as they are read; else the sweep forms them stacked
-    from its ``phases`` when it is built.  Every read that depends on the
-    rule reads ``on_demand``: ``peaks``, and ``middle``, which reads the
-    spectrum's table.
-
-    Rows on demand.  Between two tie angles of mu, where two eigenvalues
-    project equally, each column of the sorted rows is one eigenvalue's
-    2 Re(e^{i theta} mu_o), so a sweep with m n >= ``ON_DEMAND_ROWS`` keeps
-    mu and forms a column only when it is read, whole or at chosen grid
-    indices.  Its table (``runs``), built at the first read, holds the tie
-    windows and one descending order of mu for each run of solved indices
-    between them, and column r at index j is 2 Re(e^{i theta_j} mu_o) for
-    the run's r-th owner o: the same product and doubling as the sorted
-    row's, so the same bits, wherever the computed projections keep their
-    exact order.  Each is within 2 eps |mu_a| of Re(c_j mu_a), c_j the
-    computed e^{i theta_j} (two products and a difference), so a pair keeps
-    its order wherever |Re(c_j (mu_a - mu_b))| exceeds
-    2 eps (|mu_a| + |mu_b|).  A pair's window is where that is at most four
-    times as much, widened by a grid step either way for the rounding of
-    the angles and of the tie's position; a cluster closer than that ties
-    at every angle and makes the window the whole grid.  Inside the
-    windows the rows are formed and sorted whole, as they are below
+    Rows on demand.  Between two tie angles, where two discs' values
+    rho_a + 2 Re(e^{i theta} c_a) meet, each column of the sorted rows is
+    one disc's, so such a sweep keeps rho and c and forms a column only
+    when it is read, whole or at chosen grid indices.  Its table
+    (``runs``), built at the first read, holds the tie windows and one
+    descending order of the discs for each run of solved indices between
+    them, and column r at index j is rho_o + 2 Re(e^{i theta_j} c_o) for
+    the run's r-th owner o: the same product, doubling and sum as the
+    sorted row's, so the same bits, wherever the computed values keep
+    their exact order.  Each is within e_a = 6 eps |c_a| + eps |rho_a| of
+    exact, c_j the computed e^{i theta_j}: 4 eps |c_a| for the two products
+    and the difference, and eps |rho_a + 2 Re(c_j c_a)| for the sum.  So a
+    pair keeps its order wherever |rho_a - rho_b + 2 Re(c_j (c_a - c_b))|
+    exceeds e_a + e_b.  A pair's window (``_tie_windows``) is where half of
+    that difference is at most tol = 8 eps (|c_a| + |c_b| + |rho_a| +
+    |rho_b|), over twice (e_a + e_b) / 2 (four times at rho = 0), widened
+    by a grid step either way for the rounding of the angles and of the
+    tie's position; a pair that comes within tol of tangency, or a cluster
+    closer than tol, makes the window the whole grid.  Discs with
+    bit-identical c never swap: their values are fl(rho + x) for one x,
+    monotone in rho, so within a group the owners keep the order of rho,
+    which ``_discs`` stores descending and a stable sort keeps; discs
+    about one centre so have one run and no window, and read their columns
+    with no table.  Inside the windows
+    the rows are formed and sorted whole, as they are below
     ``ON_DEMAND_ROWS``: there the table's fixed cost of some 60-90 us
     outweighs the sort it saves (on 2 CPUs, n = 16 at m = 2048 takes
     0.09 ms whole and 0.17 ms on demand; n = 32 takes 0.35 and 0.31 ms).
     Rows are the same bits on either side of the rule.  The radius of a
-    sweep formed on demand reads column 0 beside each eigenvalue's peak
-    alone, 2h + 3 indices for each (seven up to m = 2^25,
-    ``_peak_indices``): each mu_i's projection peaks at
-    -arg(mu_i), and an angle more than h grid steps away lies below the
-    peak's nearest grid angle by more than rounding can bridge, so column
-    0's maximum over all m is among those indices, the same bits.  A
-    stacked sweep reads its column whole, which costs less than finding the
-    peaks.
+    sweep formed on demand reads column 0 beside each disc's peak alone
+    (``_peak_indices``), the same bits as the whole column's maximum.  A
+    stacked sweep reads its column whole, which costs less than finding
+    the peaks.  When the one centre is 0, column r is rho_r at every index,
+    with no half-turn, whose negation would turn a +0.0 entry into -0.0.
 
     The runs alternate, a gap first (it may be empty), then a window: the
     tie windows, whose rows are formed and sorted whole, and the gaps
-    between them, over each of which one order of mu holds, found by one
-    argsort at the gap's first index.  theta and e^{i theta} are formed
+    between them, over each of which one order of the discs holds, found
+    by one sort at the gap's first index.  theta and e^{i theta} are formed
     only at the indices read: both are elementwise, so those are the bits
     of the whole arrays' entries.
     """
 
-    kind = "spectrum"
+    kind = "disc"
 
-    def __init__(self, m: int, mu: np.ndarray):
+    def __init__(self, m: int, rho: np.ndarray, c: np.ndarray):
         super().__init__(m, None)
-        self.dim, self.mu, self.on_demand = mu.size, mu, m * mu.size >= ON_DEMAND_ROWS
+        self.dim, self.rho, self.c = c.size, rho, c
+        self.centre = c[0] if (c == c[0]).all() and rho.any() else None
+        self.on_demand = self.centre is not None or m * c.size >= ON_DEMAND_ROWS
         self.columns = {}  # r -> column r at every solved index
         if not self.on_demand:
-            rows = _sorted_rows(self.phases, mu)
+            rows = _sorted_rows(self.phases, rho, c)
             self._rows = rows if m % 2 else np.concatenate([rows, -rows[:, ::-1]])
+
+    def unit_column(self, r: int, idx: np.ndarray | None = None) -> np.ndarray:
+        if self.centre != 0:  # None != 0: every sweep but one of discs about 0
+            return super().unit_column(r, idx)
+        return np.full(self.angle_count if idx is None else np.shape(idx), self.rho[r])
 
     @cached_property
     def runs(self) -> tuple[np.ndarray, ...]:
         """The table: the windows' bounds, the runs' edges, every index
         inside a window (ascending) and its sorted rows, and each run's
-        descending order of mu (a window's is never read)."""
-        m, mu, solved = self.angle_count, self.mu, self.solved
-        starts, stops = _tie_windows(mu, m, solved)
+        descending order of the discs (a window's is never read)."""
+        m, rho, c, solved = self.angle_count, self.rho, self.c, self.solved
+        starts, stops = _tie_windows(rho, c, m, solved)
         bounds = np.column_stack([starts, stops]).ravel()
         edges = np.concatenate([[0], bounds, [solved]])
         width = stops - starts
         inside = np.repeat(starts - np.cumsum(width) + width, width) + np.arange(width.sum())
         # each run's order at its first index (the last run may be empty)
-        z = np.exp(1j * grid_angles(m, np.minimum(edges[:-1], solved - 1)))[:, None] * mu
-        return (bounds, edges, inside, _sorted_rows(np.exp(1j * grid_angles(m, inside)), mu),
-                np.argsort((z + z.conj()).real, axis=1)[:, ::-1])
+        z = np.exp(1j * grid_angles(m, np.minimum(edges[:-1], solved - 1)))[:, None] * c
+        return (bounds, edges, inside, _sorted_rows(np.exp(1j * grid_angles(m, inside)), rho, c),
+                np.argsort(-((z + z.conj()).real + rho), axis=1, kind="stable"))
 
     def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
         """Column r at the solved indices j, whose e^{i theta} are ``phases``,
         or at all of them (j None, ``phases`` every solved one), kept for
         later reads."""
+        if self.centre is not None:  # one run, in the order of rho: no table
+            return self.rho[r] + 2.0 * (phases * self.centre).real
         bounds, edges, inside, rows, order = self.runs
         if j is None:
             if r not in self.columns:
                 # complex, as the product casts them anyway, so it fits in place
-                owners = np.repeat(self.mu[order[:, r]].astype(complex), np.diff(edges))
+                owners = np.repeat(self.c[order[:, r]].astype(complex), np.diff(edges))
                 np.multiply(phases, owners, out=owners)
                 self.columns[r] = out = owners.real * 2.0
+                out += np.repeat(self.rho[order[:, r]], np.diff(edges))
                 out[inside] = rows[:, r]
             return self.columns[r]
         run = np.searchsorted(bounds, j, side="right")
-        out = 2.0 * (phases * self.mu[order[run, r]]).real
+        out = self.rho[order[run, r]] + 2.0 * (phases * self.c[order[run, r]]).real
         window = run % 2 == 1
-        if window.any():
-            out[window] = rows[np.searchsorted(inside, j[window]), r]
+        out[window] = rows[np.searchsorted(inside, j[window]), r]
         return out
 
     def peaks(self) -> np.ndarray | None:
-        return _peak_indices(self.mu, self.angle_count) if self.on_demand else None
+        return _peak_indices(self.rho, self.c, self.angle_count) if self.on_demand else None
 
     @cached_property
-    def planes(self) -> np.ndarray:
-        """The tie planes.
+    def planes(self) -> np.ndarray | None:
+        """The tie planes when every rho is 0, else None: every plane.
 
-        Rank k's offset at theta is the k-th largest of Re(e^{i theta} mu_j),
-        and the order of those values changes only at the tie angles
-        pi/2 - arg(mu_i - mu_j) (mod pi).  Between two ties the k-th value
-        comes from one mu_j, so every rank-k plane of that run of grid
-        angles passes through mu_j, the run's apex (Li and Sze: for normal
-        T, Lambda_k is the intersection of these half-planes).  The sweep's
-        frame is built on the grid indices beside each tie angle and every
-        (m // 16)-th index (``_tie_planes``; 4 n (n - 1) + 16 at most at
-        m = 65536, against 65,536), worked out at the first rank that
+        Rank k's offset at theta is then the k-th largest of
+        Re(e^{i theta} c_j), and the order of those values changes only at
+        the tie angles pi/2 - arg(c_i - c_j) (mod pi).  Between two ties the
+        k-th value comes from one c_j, so every rank-k plane of that run of
+        grid angles passes through c_j, the run's apex (Li and Sze: for
+        normal T, Lambda_k is the intersection of these half-planes).  The
+        sweep's frame is built on the grid indices beside each tie angle and
+        every (m // 16)-th index (``_tie_planes``; 4 n (n - 1) + 16 at most
+        at m = 65536, against 65,536), worked out at the first rank that
         reaches the geometry (P1's row-only sweeps never do).  A dropped
         plane lies between two kept planes of its run, at most pi/8 apart,
         all three through the apex, so the intersection of the kept planes
@@ -579,12 +516,13 @@ class _SpectrumSweep(PencilSweep):
         is the mean of its loop's vertices, which the dropped planes would
         have moved, so ``PencilSweep.region`` recomputes a point at 2k <= n
         over all m planes.  ``support_samples`` and the strip test see all m
-        rows; Gaussian and uncertified sweeps keep every plane.  A rank's
-        tie planes, at most ``geometry.ONE_ROUND_PLANES`` of them (every
-        n <= 10 at any m), take one round of the geometry's pruning and go
-        to the deque scan (the ``geometry`` docstring).
+        rows.  A run owned by a disc with rho > 0 is an arc, whose every
+        plane is a facet, so discs of positive radius keep every plane.  A
+        rank's tie planes, at most ``geometry.ONE_ROUND_PLANES`` of them
+        (every n <= 10 at any m), take one round of the geometry's pruning
+        and go to the deque scan (the ``geometry`` docstring).
         """
-        return _tie_planes(self.mu, self.angle_count)
+        return None if self.rho.any() else _tie_planes(self.rho, self.c, self.angle_count)
 
     def middle(self, k: int, tol: float, norm: float) -> ConvexRegion | None:
         """The middle rank read from the owners of column k - 1 on the gaps
@@ -593,21 +531,23 @@ class _SpectrumSweep(PencilSweep):
         their rows have been read whole since: below ``ON_DEMAND_ROWS`` the
         table costs more than the fit.
 
-        One owner mu_o on every gap: there the column is
-        2 Re(e^{i theta_j} mu_o), and on an even grid its upper half is the
+        One owner (c_o, rho_o = 0) on every gap: there the column is
+        2 Re(e^{i theta_j} c_o), and on an even grid its upper half is the
         solved half's column n - k = k - 1 negated, so halved it is
-        Re(e^{i theta_j} mu_o) bit for bit, with residual 0; only the window
-        rows are tested, and the point is mu_o when they fit within ``tol``.
+        Re(e^{i theta_j} c_o) bit for bit, with residual 0; only the window
+        rows are tested, and the point is c_o when they fit within ``tol``.
         For a Hermitian T, whose rows are 2 cos(theta) mu, the middle
         eigenvalue owns the middle rank on both sides of the one tie angle
         pi/2.
 
-        Two owners: the lines of two rows of the longest gap, up to a
-        quarter turn apart, meet at its owner, and the row in the middle of
-        the longest gap that another eigenvalue owns passes through that
-        one, so ``_rows_apart`` at those three indices finds them apart and
-        gives empty, with no fit, unless the third line passes near the
-        corner.
+        Otherwise ``_rows_apart`` tests three rows: two of the longest gap,
+        up to a quarter turn apart, and the one in the middle of the longest
+        gap whose owner has another c (of the first gap when none has).
+        With two owners at rho = 0 the first two lines meet at one owner and
+        the third passes through the other, so the test gives empty, with
+        no fit, unless the third line passes near the corner; an owner with
+        rho != 0 is a circle's support function, no line's, and the test
+        reads it the same way.
         """
         if not self.on_demand:
             return None
@@ -615,22 +555,69 @@ class _SpectrumSweep(PencilSweep):
         _, edges, inside, rows, order = self.runs
         keep = np.diff(edges)[::2] > 0
         starts, stops = edges[:-1:2][keep], edges[1::2][keep]
-        owners = self.mu[order[::2, k - 1][keep]]
-        if not owners.size:
+        owner = order[::2, k - 1][keep]
+        if not owner.size:
             return None
-        if (owners == owners[0]).all():
-            fit = (np.exp(1j * grid_angles(m, inside)) * owners[0]).real
+        c = self.c[owner]
+        if (c == c[0]).all() and not self.rho[owner].any():
+            fit = (np.exp(1j * grid_angles(m, inside)) * c[0]).real
             if np.abs(rows[:, k - 1] / 2.0 - fit).max(initial=0.0) <= tol:
-                return ConvexRegion.point(owners[0])
+                return ConvexRegion.point(c[0])
             return None
         a = np.argmax(stops - starts)
-        b = np.argmax(np.where(owners != owners[a], stops - starts, 0))
+        b = np.argmax(np.where(c != c[a], stops - starts, 0))
         idx = np.array([starts[a], min(starts[a] + m // 4, stops[a] - 1), (starts[b] + stops[b]) // 2])
         return ConvexRegion.empty() if _rows_apart(self, k, tol, norm, idx) else None
 
+    def region(self, k: int) -> tuple[ConvexRegion, float]:
+        """Rank k, and its error bound: for discs about one ``centre`` d,
+        d plus the rank k of discs about 0, computed at their own bound,
+        and that region's error bound; any other's from its rows and
+        planes (``PencilSweep.region``).
+
+        One centre.  Every rank-k plane of discs about 0 has the one offset
+        h_k = rho_k / 2, so for 2k <= n its region is the intersection of
+        the m grid planes Re(e^{i theta_j} z) <= h_k, the regular m-gon about
+        0 circumscribed about the disc of radius h_k (for S_n,
+        cos(k pi/(n+1)), up to the bound's scale).
+        ``geometry.regular_polygon`` builds it in closed form, with no angle
+        frame and no pruning, unless it is dense or small enough for the
+        geometry's classification to change it, when the m planes go to
+        ``intersect_halfplanes``; h_k = 0, to rounding, gives the point 0.  The vertices
+        are those of the scan's corners up to rounding: within
+        1.2e-13 * bound of the intersection of the m planes at m <= 8192,
+        and 9e-13 at 65536, where the scan's corner of planes 2 pi/m apart
+        loses that much.  At 2k = n + 1 the row's middle entry is h - h,
+        exactly 0, so the range is the point d
+        (for d = 0, 0j: the bits the Fourier fit over the zero rows gave).
+        For 2k > n + 1 the strip of every row is (rho_k - rho_{n+1-k}) / 2 =
+        rho_k, rho being antisymmetric bit for bit, and it proves the range
+        empty below minus twice an offset's rounding at the discs' grid
+        radius, as ``PencilSweep.region`` tests any row.  A translated rank
+        is the m-gon plus d, the point d, or empty: its thresholds scale
+        with rho, not with |d|, so its tag is G's at every |d| (ROADMAP item
+        14's collapse spares it), and its error bound is the m-gon's before
+        d is added, the gap to G's disc, which adding d does not widen;
+        adding d rounds each vertex by eps |d|.
+        """
+        if self.centre is None:
+            return super().region(k)
+        rho, m, n, d = self.rho, self.angle_count, self.dim, self.centre
+        if 2 * k == n + 1:
+            # + 0.0 makes a zero d +0j, as -S_n's -0.0 diagonal would not be
+            return ConvexRegion.point(d + 0.0), 0.0
+        # rho[0] is twice the grid radius of the discs about 0, at every angle
+        if 2 * k > n + 1 and rho[k - 1] < -2.0 * _solve_error(n, rho[0] / np.cos(np.pi / m)):
+            return ConvexRegion.empty(), 0.0
+        region = regular_polygon(m, rho[k - 1] / 2.0, rho[0] or 1.0)
+        error = outer_error_bound(region, m)
+        if d:
+            region = ConvexRegion(region.kind, region.vertices + d)
+        return region, error
+
 
 class _BatchSweep(PencilSweep):
-    """The sweep of any T neither graded nor normal, each pencil solved at
+    """The sweep of any T whose rows are no list of discs, each pencil solved at
     the first read of its index: ``solved_rows`` holds the solved half's
     rows, ``done`` marks those solved.
 
@@ -756,41 +743,27 @@ def pencil_sweep(t, m: int | None) -> PencilSweep:
     negated and reversed, and only the first m/2 pencils are solved; odd m
     solves all m.  The rule is the same whatever T's field.
 
-    The sweep (module docstring, "Row sources") is the first that
-    applies:
-      a spectrum mu that every pencil shares an eigenbasis with: T's
-        diagonal when every off-diagonal entry is zero (the rows are then
-        the bits the batch would return), or ``eigvalsh(T)`` when T equals
-        T* exactly (rows 2 cos(theta) mu).  Row j is 2 Re(e^{i theta_j} mu)
-        sorted, formed when the sweep is built below ``ON_DEMAND_ROWS``
-        values and from there up when a column is read, the same bits
-        (``_SpectrumSweep``);
-      T = dI + G, when ``_graded_part`` finds a graded G (d = 0 for a
-        graded T, which is nilpotent, never normal, unless zero): the one
-        pencil G + G* goes to ``eig_hermitian_stack``, every row is its
-        spectrum r made antisymmetric, (r - r[::-1]) / 2, the sweep's one
-        row, and d is the row's translation (``_GradedSweep``);
+    The sweep (module docstring, "Row sources") is a ``_DiscSweep`` of
+    ``_discs(X)`` when X's rows are a list of discs, the one structure
+    test, which finds, in turn:
+      a direct sum of graded blocks plus scalars: a diagonal T's entries,
+        with no solve (the rows are then the bits the batch would return),
+        and rho from one ``eig_hermitian_stack`` of each group's G + G*
+        made antisymmetric, (r - r[::-1]) / 2, about the group's entry; a
+        graded T is one group about 0;
+      the spectrum ``eigvalsh(T)`` when T equals T* exactly (rows
+        2 cos(theta) mu), at rho = 0;
       ``_normal_spectrum(T)``'s mu, when it certifies T normal within a
-        pencil solve's rounding, as a spectrum above;
-      T itself, whose pencils are solved when their rows are read
-        (``_BatchSweep``).
+        pencil solve's rounding, at rho = 0.
+    Any other T is a ``_BatchSweep``, whose pencils are solved when their
+    rows are read.
     Every sweep is given the angle count alone, and forms no grid-sized
     angle array until ``thetas`` is read.  A read whose value is not finite
     in T's units raises ValueError (``_t_units``).
     """
     (x, scale), m = unit_scale(t), resolve_angles(m)
-    if not (x - np.diag(np.diagonal(x))).any():
-        sweep = _SpectrumSweep(m, np.diagonal(x))
-    elif np.array_equal(x, x.conj().T):
-        sweep = _SpectrumSweep(m, np.linalg.eigvalsh(x))
-    elif (g := _graded_part(x)) is not None:
-        # + 0.0 makes a zero d +0j, as -S_n's -0.0 diagonal would not be, and
-        # leaves any other d bit for bit
-        sweep = _GradedSweep(m, g, x[0, 0] + 0.0)
-    elif (mu := _normal_spectrum(x)) is not None:
-        sweep = _SpectrumSweep(m, mu)
-    else:
-        sweep = _BatchSweep(m, x)
+    discs = _discs(x)
+    sweep = _BatchSweep(m, x) if discs is None else _DiscSweep(m, *discs)
     sweep.scale = scale
     return sweep
 
@@ -806,50 +779,89 @@ def _t_units(x, scale: int, out: np.ndarray | None = None):
     return x
 
 
-def _graded_part(t: np.ndarray) -> np.ndarray | None:
-    """G = T - dI when every diagonal entry of T equals one d, 0 included,
-    and G, T with its diagonal set to +0.0, is graded; else None."""
-    diag = np.diagonal(t)
-    if (diag != diag[0]).any():
-        return None
-    g = t.copy()
-    np.fill_diagonal(g, 0.0)
-    return g if _is_graded(g) else None
+def _discs(t: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rho, c), one disc per index, when T's rows are a list of discs
+    (module docstring, "Discs"), else None: the one structure test.
 
-
-def _sorted_rows(phases: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """The rows 2 Re(e^{i theta} mu) at the given e^{i theta}, descending."""
-    z = phases[:, None] * mu
-    return np.sort((z + z.conj()).real, axis=1)[:, ::-1]
-
-
-def _tie_windows(mu: np.ndarray, m: int, solved: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rounding windows of mu's ties on the m-angle grid
-    (``_SpectrumSweep``, "Rows on demand"), as disjoint index ranges
-    [starts_i, stops_i) within 0 .. solved - 1, ascending.
-
-    The pair (a, b) ties at u = (pi/2 - arg(a - b)) m / (2 pi) grid steps,
-    and the ordered pair (b, a) half a turn on.  Its window is where
-    |Re(e^{i theta}(a - b))| <= tol = 8 eps (|a| + |b|), four times what can
-    swap the two computed projections, plus a few subnormals for their
-    underflow, within asin(tol / |a - b|) <= (pi/2) tol / |a - b| of the
-    tie: h = (tol / |a - b|) m / 4 steps, widened to the indices
-    floor(u - h) - 1 .. floor(u + h) + 2.  A pair that ties at every angle
-    (tol >= |a - b|) makes the window every index; a pair of bit-identical
-    eigenvalues has identical rows and none.  Windows are merged as
-    ranges, so the cost is O(n^2 log n) however wide they are.
+    T's indices are grouped by their diagonal entry, c_i = t_ii.  When G, T
+    with its diagonal set to +0.0, joins no two groups and is graded
+    (``_is_graded``, and so on each group), T is a direct sum of graded
+    blocks plus scalars: each group whose G is not 0 solves its G + G*
+    once, and its rho, (r - r[::-1]) / 2, descending, goes to its indices
+    in order; every other rho is -0.0.  One group (a graded T plus a
+    scalar) so solves the one pencil of G as a whole, and a diagonal T
+    none.  Otherwise rho = -0.0 and c is the spectrum: ``eigvalsh(T)`` when
+    T equals T* exactly, or ``_normal_spectrum(T)``'s when it certifies T
+    normal; else None.  No Hermitian T other than a diagonal one passes
+    the first test (t_ij and t_ji are both nonzero), and no graded G other
+    than 0 is normal (it is nilpotent).
     """
-    n = mu.size
-    bits = np.ascontiguousarray(mu).view(np.uint64).reshape(n, -1)
-    distinct = ~(bits[:, None] == bits[None, :]).all(axis=2).ravel()
-    d = np.subtract.outer(mu, mu).ravel()[distinct]
-    size = np.add.outer(np.abs(mu), np.abs(mu)).ravel()[distinct]
-    tol = 8.0 * np.finfo(float).eps * size + 8.0 * np.finfo(float).smallest_subnormal
+    c = np.diagonal(t)
+    g = t - np.diag(c)
+    nz = g != 0
+    if (nz & (c[:, None] != c)).any() or (nz.any() and not _is_graded(g)):
+        mu = np.linalg.eigvalsh(t) if np.array_equal(t, t.conj().T) else _normal_spectrum(t)
+        return None if mu is None else (np.full(c.size, -0.0), mu)
+    rho = np.full(c.size, -0.0)
+    # the diagonal values of the groups with an entry (a set compares them by value)
+    for value in set(c[nz.any(axis=0) | nz.any(axis=1)].tolist()):
+        idx = np.flatnonzero(c == value)
+        block = g[idx][:, idx]
+        r = eig_hermitian_stack((block + block.conj().T)[None])[0]
+        rho[idx] = (r - r[::-1]) / 2.0
+    return rho, c
+
+
+def _sorted_rows(phases: np.ndarray, rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rows rho + 2 Re(e^{i theta} c) at the given e^{i theta}, descending."""
+    z = phases[:, None] * c
+    return np.sort((z + z.conj()).real + rho, axis=1)[:, ::-1]
+
+
+def _ties(rho: np.ndarray, c: np.ndarray, m: int, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """The index range [lo, hi), as floats, of each tie of two discs with c
+    not bit for bit equal on the m-angle grid, within
+    tol = slack (eps (|c_a| + |c_b| + |rho_a| + |rho_b|) + smallest
+    subnormal) of it; lo and hi are NaN where no range is bounded.
+
+    The ordered pair (a, b) ties where Re(e^{i theta}(c_a - c_b)) =
+    (rho_b - rho_a) / 2 = s, at u = (acos(s / |c_a - c_b|) - arg(c_a - c_b))
+    m / (2 pi) grid steps, and (b, a) at the other root (for rho_a = rho_b,
+    pi/2 - arg(c_a - c_b) and half a turn on).  The values are within tol of
+    each other where cos lies within t = tol / |c_a - c_b| of
+    sigma = s / |c_a - c_b|, within t / sqrt(1 - (|sigma| + t)^2) radians of
+    the tie, which h = t (m / 4) / sqrt(1 - (|sigma| + t)^2) steps bounds,
+    widened to the indices floor(u - h) - 1 .. floor(u + h) + 2.  A pair
+    that comes within tol of tangency (|sigma| + t >= 1), as a cluster
+    does, gets NaN; one whose values stay more than tol apart
+    (|sigma| - t > 1), as discs of equal c and unequal rho, gets none.
+    """
+    bits = np.ascontiguousarray(c).view(np.uint64).reshape(c.size, -1)
+    d, s = np.subtract.outer(c, c).ravel(), np.subtract.outer(rho, rho).ravel() / -2.0
+    size = np.add.outer(np.abs(c) + np.abs(rho), np.abs(c) + np.abs(rho)).ravel()
+    tol = slack * (np.finfo(float).eps * size + np.finfo(float).smallest_subnormal)
+    keep = ~(bits[:, None] == bits[None, :]).all(axis=2).ravel() & ~(np.abs(s) - tol > np.abs(d))
+    d, s, tol = d[keep], s[keep], tol[keep]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = tol / np.abs(d)
-    u = (np.pi / 2 - np.angle(d)) * (m / (2.0 * np.pi))
-    lo = np.floor(u - ratio * (m / 4.0)) - 1
-    hi = np.floor(u + ratio * (m / 4.0)) + 3
+        ratio, sigma = tol / np.abs(d), s / np.abs(d)
+        u = (np.arccos(sigma) - np.angle(d)) * (m / (2.0 * np.pi))
+        h = ratio / np.sqrt(1.0 - (np.abs(sigma) + ratio) ** 2) * (m / 4.0)
+    return np.floor(u - h) - 1, np.floor(u + h) + 3
+
+
+def _tie_windows(rho: np.ndarray, c: np.ndarray, m: int,
+                 solved: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rounding windows of the discs' ties on the m-angle grid
+    (``_DiscSweep``, "Rows on demand"), as disjoint index ranges
+    [starts_i, stops_i) within 0 .. solved - 1, ascending: those of
+    ``_ties`` at slack 8, over twice what can swap two computed values
+    (four times at rho = 0), plus a few subnormals for their underflow.  A
+    range that is not bounded, or spans the grid, makes the window every
+    index; a pair of bit-identical c has identical rows or never swaps,
+    and gives none.  Windows are merged as ranges, so the cost is
+    O(n^2 log n) however wide they are.
+    """
+    lo, hi = _ties(rho, c, m, 8.0)
     if not (hi - lo < m).all():
         return np.array([0]), np.array([solved])
     shift = np.floor(lo / m) * m  # each window starts in 0 .. m - 1; one past m wraps
@@ -866,53 +878,50 @@ def _tie_windows(mu: np.ndarray, m: int, solved: int) -> tuple[np.ndarray, np.nd
     return lo[first], reach[np.r_[first[1:] - 1, lo.size - 1]]
 
 
-def _peak_indices(mu: np.ndarray, m: int) -> np.ndarray | None:
-    """Grid indices of the whole m-angle grid beside each nonzero mu_i's
-    peak, where column 0 takes its largest value (``_SpectrumSweep``, "Rows
-    on demand"); None when a window would span half the grid or every
-    mu_i is zero.
+def _peak_indices(rho: np.ndarray, c: np.ndarray, m: int) -> np.ndarray | None:
+    """Grid indices of the whole m-angle grid beside each disc's peak,
+    where column 0 takes its largest value (``_DiscSweep``, "Rows on
+    demand"); None when a window would span half the grid or every c_i is
+    zero.
 
-    2 Re(e^{i theta} mu_i) peaks at theta = -arg(mu_i), u = -arg(mu_i) m /
-    (2 pi) grid steps, and its computed values there are within
-    tol = 8 eps |mu_i| + 8 subnormals of exact, as in ``_tie_windows``, and
-    so are those of an even grid's upper half, the solved half's negated,
-    at their own angles.  The nearest grid angle is at most pi/m from the peak, and an
-    angle delta = 4 pi/m + sqrt(4 tol / |mu_i|) from it or more lies below
-    that by |mu_i| (delta^2 - (pi/m)^2), to first order, which is more than
-    4 tol: no rounding can lift it to the top.  So the indices within
-    h = 2 + sqrt(4 tol / |mu_i|) m / (2 pi) steps of u hold column 0's
-    maximum over all m: 2h + 3 at most for each eigenvalue, seven up to
-    m = 2^25 at |mu_i| >= 1e-300.  Zero eigenvalues, whose values are all
-    zero, give none.
+    rho_i + 2 Re(e^{i theta} c_i) peaks at theta = -arg(c_i), u = -arg(c_i)
+    m / (2 pi) grid steps, and its computed values there are within
+    tol = 8 eps (|c_i| + |rho_i|) + 8 subnormals of exact, as in
+    ``_tie_windows``, and so are those of an even grid's upper half, the
+    solved half's negated, at their own angles.  The nearest grid angle is
+    at most pi/m from the peak, and an angle delta = 4 pi/m +
+    sqrt(4 tol / |c_i|) from it or more lies below that by
+    |c_i| (delta^2 - (pi/m)^2), to first order, which is more than 4 tol:
+    no rounding can lift it to the top.  So the indices within
+    h = 2 + sqrt(4 tol / |c_i|) m / (2 pi) steps of u hold column 0's
+    maximum over all m: 2h + 3 at most for each disc, seven up to m = 2^25
+    at |c_i| >= 1e-300 and rho_i = 0.  A disc with c_i = 0 is the same at
+    every angle: h = 0 reads it beside index 0.
     """
-    mu = mu[mu != 0]
-    if not mu.size:
+    if not c.any():
         return None
-    tol = 8.0 * np.finfo(float).eps * np.abs(mu) + 8.0 * np.finfo(float).smallest_subnormal
-    h = 2.0 + np.sqrt(4.0 * tol / np.abs(mu)) * (m / (2.0 * np.pi))
+    size, tiny = np.abs(c), np.finfo(float).smallest_subnormal
+    tol = 8.0 * np.finfo(float).eps * (size + np.abs(rho)) + 8.0 * tiny
+    with np.errstate(divide="ignore"):
+        h = np.where(size > 0, 2.0 + np.sqrt(4.0 * tol / size) * (m / (2.0 * np.pi)), 0.0)
     if not (h < m / 4).all():
         return None
-    lo = np.floor(-np.angle(mu) * (m / (2.0 * np.pi)) - h).astype(np.intp)
+    lo = np.floor(-np.angle(c) * (m / (2.0 * np.pi)) - h).astype(np.intp)
     steps = np.arange(int(np.ceil(2.0 * h.max())) + 2)
     return ((lo[:, None] + steps) % m).ravel()
 
 
-def _tie_planes(mu: np.ndarray, m: int) -> np.ndarray:
-    """The indices of the m-angle grid beside each tie angle of mu, plus
-    every (m // 16)-th index: the planes that can bound a rank of the
-    spectrum rows 2 Re(e^{i theta} mu) sorted (``_SpectrumSweep.planes``).
-
-    Re(e^{i theta} mu_i) = Re(e^{i theta} mu_j) at theta = pi/2 -
-    arg(mu_i - mu_j), and the pair (j, i) gives theta + pi (mod 2 pi).
-    Indices floor(u) - 1 .. floor(u) + 2, u = theta m / (2 pi), keep the
-    planes either side of the tie even where the rounding of u crosses a
-    grid index.  Equal eigenvalues project equally at every angle, so their
-    order never changes, and give none.
+def _tie_planes(rho: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
+    """The indices of the m-angle grid beside each tie of the discs, plus
+    every (m // 16)-th index: the planes that can bound a rank of rows at
+    rho = 0 (``_DiscSweep.planes``).  Indices floor(u) - 1 .. floor(u) + 2,
+    u a tie of ``_ties`` at slack 0, keep the planes either side of the tie
+    even where the rounding of u crosses a grid index.  Equal c project
+    equally at every angle, so their order never changes, and give none.
     """
-    d = np.subtract.outer(mu, mu).ravel()
-    u = np.floor((np.pi / 2 - np.angle(d[d != 0])) * (m / (2.0 * np.pi))).astype(np.intp)
+    lo = _ties(rho, c, m, 0.0)[0]
     keep = np.zeros(m, dtype=bool)
-    keep[(u[:, None] + np.arange(-1, 3)) % m] = True
+    keep[(lo[np.isfinite(lo), None].astype(np.intp) + np.arange(4)) % m] = True
     keep[::m // 16] = True
     return np.flatnonzero(keep)
 
@@ -1007,8 +1016,8 @@ def outer_error_bound(region: ConvexRegion, m: int) -> float:
 
     This is the exact Hausdorff gap between a disc centred at 0 and its
     m-angle circumscribed polygon, and an overestimate for a translated
-    disc, which grows with the translation (a translated graded rank
-    passes its m-gon about 0: ``_GradedSweep.region``).  It is not a bound
+    disc, which grows with the translation (discs about one centre pass
+    their m-gon about 0: ``_DiscSweep.region``).  It is not a bound
     for other shapes: for the ellipse-shaped
     range of S_5 + b S_5* it is 3x (b = 0.5) to 39x (b = 0.95) below the
     true gap.
@@ -1023,7 +1032,7 @@ class RangeReport:
     """Result of a rank-k range computation.
 
     support_samples is an (m, 2) array of (theta_j, lambda_k(H_theta_j)/2)
-    pairs: all m supporting half-plane offsets, of which a spectrum sweep's
+    pairs: all m supporting half-plane offsets, of which a disc sweep's
     geometry uses only the sweep's ``planes``.  It is read from ``sweep``
     at its first use.
     """
@@ -1046,9 +1055,9 @@ def range_from_sweep(sweep: PencilSweep, k: int) -> RangeReport:
     """Build the rank-k region from an existing pencil sweep.
 
     The sweep's ``region(k)`` gives the region and its error bound in
-    sweep units: a graded sweep's read off its one row, plus its
-    translation, with the error bound of the untranslated region
-    (``_GradedSweep.region``), and any other's from its rows and planes
+    sweep units: that of discs about one centre read off their one row,
+    plus the centre, with the error bound of the untranslated region
+    (``_DiscSweep.region``), and any other's from its rows and planes
     (``PencilSweep.region``).  Both are scaled back to T's units here, the
     region's vertices in place, so a rank forms no new array for them.
     The report's ``support_samples`` hold all m offsets, in T's units.
@@ -1070,7 +1079,7 @@ def _point_or_empty(sweep: PencilSweep, k: int, norm: float) -> ConvexRegion:
     tol = ``_row_tol`` at ``norm`` of Re(e^{i theta_j} z), and empty
     otherwise.  On an even grid e^{i theta_{j+m/2}} is -e^{i theta_j} up to
     rounding, so the solved angles' phases serve both halves.  The first
-    exit that settles it returns: the sweep's own (``_SpectrumSweep.middle``),
+    exit that settles it returns: the sweep's own (``_DiscSweep.middle``),
     three rows that no z fits (``_rows_apart``), then the Fourier fit over
     every row (``_fourier_point``).
     """

@@ -190,6 +190,23 @@ def test_direct_sum_random_pair():
     assert rep.passed, rep
 
 
+@pytest.mark.parametrize("t", [shift_matrix(4), 0.3j * np.eye(3) + shift_matrix(3)],
+                         ids=["shift", "jordan"])
+def test_direct_sum_with_itself_is_one_group(t, monkeypatch):
+    # T (+) T has one diagonal value, so the engine sweeps it as one group:
+    # one solve of the 2n x 2n G + G*, never a merge of two blocks' rows,
+    # which would compare the engine's merge with P3's own
+    n = t.shape[0]
+    reports = [base(t, k) for k in range(1, n + 1)]
+    shapes = []
+    solve = ranges.eig_hermitian_stack
+    monkeypatch.setattr(ranges, "eig_hermitian_stack",
+                        lambda stack: shapes.append(stack.shape) or solve(stack))
+    for rep in reports:
+        assert check_direct_sum(t, t, rep, rep).passed, rep.k
+    assert shapes == [(1, 2 * n, 2 * n)] * n
+
+
 def test_direct_sum_is_an_equality():
     # T (+) S's rank-k row is the k-th largest of T's and S's rows merged,
     # within the row tolerance both ways.  Given the report of a compression

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrnr import geometry, ranges
-from hrnr.checks import (generator, montecarlo_range, property_suite, random_matrix,
+from hrnr.checks import (direct_sum, generator, montecarlo_range, property_suite, random_matrix,
                          random_unitary)
 from hrnr.geometry import ConvexRegion, hausdorff
-from hrnr.linalg import as_matrix, eig_hermitian_stack
+from hrnr.linalg import as_matrix, eig_hermitian_stack, unit_scale
 from hrnr.ranges import (
     BadRankError,
     _row_tol,
@@ -108,8 +109,8 @@ def test_bad_rank_rejected():
 
 
 @pytest.mark.parametrize("t, kind", [
-    (shift_matrix(4), "graded"),
-    (np.diag([1.0, 2j, -1.0, 0.5]), "spectrum"),
+    (shift_matrix(4), "disc"),
+    (np.diag([1.0, 2j, -1.0, 0.5]), "disc"),
     (random_matrix(4, generator(11)), "batch"),
 ])
 def test_range_from_sweep_rejects_a_bad_rank(t, kind):
@@ -359,7 +360,7 @@ def test_point_ranges_hold_at_extreme_scales(e):
     assert region.kind == "point" and region.vertices[0] == 2.0 ** (e + 1)
     jordan = 2.0**e * ((0.5 + 0.5j) * np.eye(3) + shift_matrix(3))
     report = rank_k_range(jordan, 2, 720)
-    assert report.sweep.kind == "graded"
+    assert report.sweep.centre is not None
     assert report.region.kind == "point" and report.region.vertices[0] == 2.0**e * (0.5 + 0.5j)
 
 
@@ -832,14 +833,16 @@ def test_grading_is_found_exactly():
         assert ranges._is_graded(as_matrix(t)), name
     for name, t in _ungraded_inputs().items():
         assert not ranges._is_graded(as_matrix(t)), name
-    # a nonzero diagonal is one number d plus a graded G, or is not graded
+    # a nonzero diagonal is one number d plus a graded G, one group of
+    # discs about d, or is not graded: an entry that joins two diagonal
+    # values is not a direct sum
     for name, t in _translated_graded_inputs().items():
-        g = ranges._graded_part(as_matrix(t))
-        assert g is not None and (t - g == t[0, 0] * np.eye(len(t))).all(), name
+        rho, c = ranges._discs(as_matrix(t))
+        assert (c == t[0, 0]).all() and rho.any(), name
     unequal = _jordan(4, 0.5)
     unequal[3, 3] = np.nextafter(0.5, 1.0)
     for t in (unequal, _corner_shift(5) + np.eye(5), *_ungraded_inputs().values()):
-        assert ranges._graded_part(as_matrix(t)) is None
+        assert ranges._discs(as_matrix(t)) is None
 
 
 @pytest.mark.parametrize("m", [720, 721, 2048])
@@ -855,7 +858,7 @@ def test_graded_rows_match_full_grid_lapack(name, m, monkeypatch):
         t = s * inputs[name]
         sweep, sizes = _solved_pencils(t, m, monkeypatch)
         assert sizes == [1], s
-        assert sweep.kind == "graded" and _in_t_units(sweep.d, sweep) == t[0, 0], s
+        assert _in_t_units(sweep.centre, sweep) == t[0, 0], s
         vals = sweep.eigenvalues
         assert vals.shape == (m, t.shape[0])
         assert np.abs(vals - _full_grid_rows(t, m)).max() <= _row_tol(t.shape[0],
@@ -914,11 +917,11 @@ def test_graded_ranks_are_the_regular_m_gon(m, monkeypatch):
     for name, t in cases.items():
         for scale in (1e-8, 1.0, 1e8):
             sweep = pencil_sweep(scale * t, m)
-            assert sweep.kind == "graded" and sweep._rows is None, name
+            assert sweep.centre is not None and sweep._rows is None, name
             every = ranges.PencilSweep(m, sweep.eigenvalues)
             bound = sweep.region_bound
             for k in range(1, t.shape[0] // 2 + 1):
-                c_k = _in_t_units(sweep.row[k - 1], sweep)[0]
+                c_k = _in_t_units(sweep.rho[k - 1], sweep)[0]
                 sent.clear()
                 got = range_from_sweep(sweep, k).region
                 want = range_from_sweep(every, k).region
@@ -957,7 +960,7 @@ def test_one_angle_frame_per_sweep(monkeypatch):
         built.clear()
         for k in (1, 2, 3):
             range_from_sweep(sweep, k)
-        if sweep.kind == "graded":
+        if getattr(sweep, "centre", None) is not None:
             assert built == []
         else:
             assert built == [2048 if sweep.planes is None else sweep.planes.size]
@@ -1078,8 +1081,8 @@ def _dense_spectrum_rows(mu, m):
 
 
 def _in_t_units(values, sweep):
-    """Values in a sweep's units (those of T / 2^scale, as its ``mu``, ``d``,
-    ``row`` and engine reads) in T's: each real and imaginary part times
+    """Values in a sweep's units (those of T / 2^scale, as its ``c``,
+    ``centre``, ``rho`` and engine reads) in T's: each real and imaginary part times
     2^scale, as the sweep scales its reads back."""
     values = np.atleast_1d(values)
     if values.dtype == complex:
@@ -1102,6 +1105,12 @@ def _on_demand_spectrum(family, n, rng):
     return _spectrum("complex", 1, rng) if family == "one" else _spectrum(family, n, rng)
 
 
+def _spectrum_sweep(m, mu):
+    """The disc sweep of a spectrum mu, as a normal T's: radius 0 (-0.0)
+    about each mu_i."""
+    return ranges._DiscSweep(m, np.full(mu.size, -0.0), mu)
+
+
 @pytest.mark.parametrize("family", ON_DEMAND_SPECTRA)
 @pytest.mark.parametrize("m", [16, 17, 720, 721, 2048, 8192])
 def test_on_demand_columns_are_the_sorted_rows_bit_for_bit(family, m, monkeypatch):
@@ -1113,7 +1122,7 @@ def test_on_demand_columns_are_the_sorted_rows_bit_for_bit(family, m, monkeypatc
     for _ in range(4):
         mu = _on_demand_spectrum(family, int(rng.integers(2, 9)), rng)
         want = _dense_spectrum_rows(mu, m)
-        sweep = ranges._SpectrumSweep(m, mu)
+        sweep = _spectrum_sweep(m, mu)
         assert sweep.on_demand
         idx = np.sort(rng.choice(m, size=min(m, 40), replace=False))
         for r in range(mu.size):
@@ -1135,9 +1144,9 @@ def test_pencil_sweep_picks_its_rows_by_size_with_the_same_bits(m, monkeypatch):
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         for t in (np.diag(_spectrum("complex", n, rng)), _hidden_normal(n, rng), x + x.conj().T):
             sweep = pencil_sweep(t, m)
-            assert sweep.kind == "spectrum"
+            assert sweep.kind == "disc" and not sweep.rho.any()
             assert (sweep._rows is None) == (m * n >= ranges.ON_DEMAND_ROWS), (n, m)
-            want = _in_t_units(_dense_spectrum_rows(sweep.mu, m), sweep)
+            want = _in_t_units(_dense_spectrum_rows(sweep.c, m), sweep)
             assert sweep.eigenvalues.tobytes() == want.tobytes()
     assert solved == []
 
@@ -1175,11 +1184,11 @@ def test_windowed_radius_is_the_whole_column_maximum(m, monkeypatch):
     rng = generator(3800 + m)
     for family in RADIUS_SPECTRA:
         mu = _radius_spectrum(family, rng)
-        sweep = ranges._SpectrumSweep(m, mu)
+        sweep = _spectrum_sweep(m, mu)
         got = sweep.numerical_radius()
         if mu.any():
             assert sweep.columns == {} and "phases" not in vars(sweep), family
-        want = ranges._SpectrumSweep(m, mu).column(0).max() / 2.0
+        want = _spectrum_sweep(m, mu).column(0).max() / 2.0
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), family
 
 
@@ -1189,7 +1198,7 @@ def test_negated_shift_keeps_a_plus_zero_translation():
     for n in (3, 5, 7):
         for sign in (1.0, -1.0):
             report = rank_k_range(sign * shift_matrix(n), (n + 1) // 2, 720)
-            assert report.sweep.kind == "graded" and report.region.kind == "point"
+            assert report.sweep.centre == 0 and report.region.kind == "point"
             assert not report.region.vertices.view(np.uint64).any(), (n, sign)
 
 
@@ -1226,7 +1235,7 @@ def test_indexed_phases_are_the_whole_arrays_bits(m, monkeypatch):
     monkeypatch.setattr(ranges, "ON_DEMAND_ROWS", 0)
     rng = generator(3900 + m)
     thetas = grid_angles(m)
-    sweep = ranges._SpectrumSweep(m, _spectrum("complex", 6, rng))
+    sweep = _spectrum_sweep(m, _spectrum("complex", 6, rng))
     whole = sweep.phases
     solved = whole.size
     picks = [np.array([0]), np.array([solved - 1]), np.arange(3, 20), np.arange(solved)[::-7],
@@ -1264,7 +1273,7 @@ def test_spectrum_ranks_form_only_their_tie_plane_offsets(monkeypatch):
     assert sweep._rows is None and "runs" not in vars(sweep)
     rep = range_from_sweep(sweep, 2)
     assert sweep.columns == {} and "phases" not in vars(sweep)
-    want = _in_t_units(_dense_spectrum_rows(sweep.mu, m), sweep)
+    want = _in_t_units(_dense_spectrum_rows(sweep.c, m), sweep)
     assert sweep.numerical_radius() == want[:, 0].max() / 2.0
     assert rep.support_samples[:, 1].tobytes() == (want[:, 1] / 2.0).tobytes()
     assert set(sweep.columns) == {1, n - 2}
@@ -1323,7 +1332,7 @@ def test_read_order_leaves_every_output_bit_for_bit(case):
     # reads the same radius and column maxima
     name, t, m = case
     n = t.shape[0]
-    kind = {"on-demand": "spectrum", "stacked": "spectrum", "translated": "graded"}.get(name, name)
+    kind = "batch" if name == "batch" else "disc"
 
     def outputs(sweep):
         regions = [range_from_sweep(sweep, k) for k in range(1, n + 1)]
@@ -1440,10 +1449,10 @@ def test_middle_rank_reads_the_owner_eigenvalue():
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         for t in (np.diag(rng.normal(size=n)), x + x.conj().T):
             sweep = pencil_sweep(scale * t, m)
-            assert sweep._rows is None and sweep.kind == "spectrum"
+            assert sweep._rows is None and sweep.kind == "disc" and not sweep.rho.any()
             region = range_from_sweep(sweep, 3).region
             assert sweep.columns == {} and "phases" not in vars(sweep)
-            middle = sweep.mu[np.argsort(sweep.mu.real)[2]]
+            middle = sweep.c[np.argsort(sweep.c.real)[2]]
             assert region.kind == "point"
             want = _in_t_units(np.array([middle], complex), sweep)
             assert region.vertices.tobytes() == want.tobytes()
@@ -1510,7 +1519,7 @@ def test_middle_rank_declines_when_the_tie_windows_cover_the_grid(monkeypatch):
     monkeypatch.setattr(ranges, "_fourier_point", lambda *args: fits.append(1) or fit(*args))
     m = 32768
     sweep = pencil_sweep(np.diag([1, 1 + 4 * np.finfo(float).eps, -0.3 + 0.8j]), m)
-    assert sweep.kind == "spectrum" and sweep._rows is None
+    assert sweep.kind == "disc" and sweep._rows is None
     region = range_from_sweep(sweep, 2).region
     assert fits == [1]
     assert sweep.runs[1].tolist() == [0, 0, 16384, 16384]
@@ -1573,6 +1582,130 @@ def test_jordan_ranks_are_the_translated_m_gon(n, m, monkeypatch):
                 assert region.is_empty, (lam, k)
         sweep.numerical_radius()
     assert sizes == [1] * len(lams) and sent == []
+
+
+# --- direct sums: one list of discs ---------------------------------------------
+
+def _direct_sum(*blocks):
+    return functools.reduce(direct_sum, blocks)
+
+
+def _direct_sum_inputs():
+    """Direct sums of graded blocks plus scalars, whose diagonal values
+    differ between blocks, with their blocks' sizes: ROADMAP.md's J,
+    a real Jordan sum with a 1 x 1 block, a diagonal (+) a weighted shift
+    plus a scalar, S_3 (+) a scalar, and a point inside a Jordan block's
+    disc, whose pair never ties."""
+    rng = generator(77)
+    weighted = _weighted_shift(rng.normal(size=3) + 1j * rng.normal(size=3))
+    return {
+        "J": (_direct_sum(_jordan(3, 1 + 0.5j), _jordan(3, -0.7j), _jordan(2, 0.4)), [3, 3, 2]),
+        "jordan-real": (_direct_sum(_jordan(3, 0.9), _jordan(2, -0.4), _jordan(1, 0.1)).real,
+                        [3, 2]),
+        "diagonal-weighted": (_direct_sum(np.diag([0.3 + 0.2j, -1.1j]),
+                                          weighted + 0.5 * np.eye(4)), [4]),
+        "shift-scalar": (_direct_sum(shift_matrix(3), 0.6 * np.eye(1)), [3]),
+        "nested": (_direct_sum(_jordan(4, 0.0), 0.05j * np.eye(1)), [4]),
+    }
+
+
+def _pencil_sizes(monkeypatch):
+    """Spy on the sweep's eigensolver: the list it returns collects the
+    (count, size) of every stack of pencils sent to LAPACK."""
+    shapes = []
+
+    def spy(stack):
+        shapes.append(stack.shape[:2])
+        return eig_hermitian_stack(stack)
+
+    monkeypatch.setattr(ranges, "eig_hermitian_stack", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("m", [720, 721, 2048])
+@pytest.mark.parametrize("name", sorted(_direct_sum_inputs()))
+def test_direct_sum_rows_match_full_grid_lapack(name, m, monkeypatch):
+    # a direct sum of graded blocks plus scalars is one list of discs: each
+    # block with an off-diagonal entry solves its G + G* once, no pencil is
+    # larger than a block, and every row is within the row tolerance of a
+    # full-grid solve of T, at every scale
+    t, blocks = _direct_sum_inputs()[name]
+    for s in (1e-8, 1.0, 1e8):
+        shapes = _pencil_sizes(monkeypatch)
+        sweep = pencil_sweep(s * t, m)
+        vals = sweep.eigenvalues
+        monkeypatch.undo()
+        assert sweep.kind == "disc" and sweep.centre is None, s
+        assert sorted(shapes) == sorted((1, size) for size in blocks), s
+        assert np.abs(vals - _full_grid_rows(s * t, m)).max() <= _row_tol(
+            t.shape[0], np.linalg.norm(s * t, 2)), s
+        assert (np.diff(vals, axis=1) <= 0).all()
+
+
+@pytest.mark.parametrize("m", [720, 2048, 65536])
+@pytest.mark.parametrize("name", sorted(_direct_sum_inputs()))
+def test_direct_sum_ranks_are_the_batch_ranks(name, m):
+    # every rank of the discs' sweep, which hands the geometry every grid
+    # plane, has the tag of the batch sweep of the same T and lies within
+    # 1e-11 * bound of its region; so does its numerical radius
+    t = _direct_sum_inputs()[name][0]
+    sweep = pencil_sweep(t, m)
+    assert sweep.kind == "disc"
+    batch = ranges._BatchSweep(m, unit_scale(t)[0])
+    batch.scale = sweep.scale
+    bound = batch.region_bound
+    assert abs(sweep.numerical_radius() - batch.numerical_radius()) <= _row_tol(
+        t.shape[0], np.linalg.norm(t, 2))
+    for k in range(1, t.shape[0] + 1):
+        got, want = range_from_sweep(sweep, k).region, range_from_sweep(batch, k).region
+        assert got.kind == want.kind, k
+        if not want.is_empty:
+            assert hausdorff(got, want) <= 1e-11 * bound, k
+
+
+@pytest.mark.parametrize("m", [720, 721])
+@pytest.mark.parametrize("e", [-14, -16, -17])
+def test_discs_about_one_centre_keep_the_order_of_rho(e, m):
+    # d I + 10^e S_5 with G near or below the rounding of d: at some angles
+    # two discs' values round to one float, and the owners read from the
+    # first index must keep rho's order there, so that every row descends
+    # and is the sorted rows' bits at every angle
+    t = (0.3 + 0.4j) * np.eye(5) + 10.0**e * shift_matrix(5)
+    sweep = pencil_sweep(t, m)
+    assert sweep.centre is not None
+    solved = m if m % 2 else m // 2
+    z = np.exp(1j * grid_angles(m)[:solved])[:, None] * sweep.c
+    want = np.sort((z + z.conj()).real + sweep.rho, axis=1)[:, ::-1]
+    want = want if m % 2 else np.concatenate([want, -want[:, ::-1]])
+    assert sweep.eigenvalues.tobytes() == _in_t_units(want, sweep).tobytes()
+    assert (np.diff(sweep.eigenvalues, axis=1) <= 0).all()
+
+
+@pytest.mark.parametrize("m", [720, 721, 65536])
+@pytest.mark.parametrize("gap", [0.0, 1e-15, -1e-15, 1e-12, 1e-9, -1e-9])
+def test_discs_near_tangency_keep_their_rows(gap, m, monkeypatch):
+    # S_3's disc of radius cos(pi/4) about 0 and the point mu, |mu| that
+    # radius times 1 + gap: the pair's values rho_a + 2 Re(e^{i theta} c_a)
+    # touch, or nearly, at one angle, where no window can be bounded
+    # simply.  Formed on demand or stacked, the rows are the same bits and
+    # within the row tolerance of a full-grid solve; so are those of two
+    # Jordan blocks whose discs touch
+    mu = np.cos(np.pi / 4) * (1.0 + gap) * np.exp(0.3j)
+    cases = (_direct_sum(shift_matrix(3), mu * np.eye(1)),
+             _direct_sum(_jordan(3, 0.0), _jordan(3, 2.0 * mu)))
+    for t in cases:
+        stacked = pencil_sweep(t, m).eigenvalues
+        monkeypatch.setattr(ranges, "ON_DEMAND_ROWS", 0)
+        sweep = pencil_sweep(t, m)
+        assert sweep.on_demand and sweep.rho.any()
+        idx = np.arange(0, m, 7)
+        for r in range(t.shape[0]):
+            assert sweep.column(r, idx).tobytes() == stacked[idx, r].tobytes(), r
+        assert sweep.eigenvalues.tobytes() == stacked.tobytes()
+        monkeypatch.undo()
+        if m < 65536:
+            assert np.abs(stacked - _full_grid_rows(t, m)).max() <= _row_tol(
+                t.shape[0], np.linalg.norm(t, 2))
 
 
 def _graded_parts():
@@ -1642,17 +1775,17 @@ def test_middle_rank_exits_read_translated_graded_sweeps(m):
             for e in (-8, 0, 8):
                 d = 10.0 ** rng.uniform(-4, 4) * np.exp(2j * np.pi * rng.uniform())
                 sweep = pencil_sweep(10.0**e * (t + d * np.eye(n)), m)
-                assert sweep.d, (n, e)
+                assert sweep.centre, (n, e)
                 norm = sweep.unit_bound / np.cos(np.pi / m)
                 tol = _row_tol(n, norm)
                 assert not ranges._rows_apart(sweep, k, tol, norm), (n, e)
                 fit = ranges._fourier_point(sweep, k, tol)
                 point = sweep.region(k)[0]  # in sweep units, as the fit
                 assert fit.kind == point.kind == "point", (n, e)
-                assert point.vertices[0] == sweep.d
+                assert point.vertices[0] == sweep.centre
                 assert abs(fit.vertices[0] - point.vertices[0]) <= tol, (n, e)
                 got = range_from_sweep(sweep, k).region.vertices
-                assert got.tobytes() == _in_t_units([sweep.d], sweep).tobytes(), (n, e)
+                assert got.tobytes() == _in_t_units([sweep.centre], sweep).tobytes(), (n, e)
 
 
 # --- closed forms and Li-Sze ---------------------------------------------------------
@@ -1688,7 +1821,7 @@ def test_two_by_two_offsets_are_the_elliptical_range(m):
         u = random_unitary(2, rng)
         for t in (np.diag(lam), u @ np.diag(lam) @ u.conj().T):
             sweep = pencil_sweep(t, m)
-            assert sweep.kind == "spectrum"
+            assert sweep.kind == "disc" and not sweep.rho.any()
             assert (sweep._rows is None) == (m == 32768)
             rep = range_from_sweep(sweep, 1)
             want = _ellipse_support(lam, 0.0, rep.support_samples[:, 0])

@@ -79,9 +79,36 @@ def test_replay_battery_holds_translated_graded_cases():
     for kind, n, m, t in cases:
         d = t[0, 0]
         sweep = pencil_sweep(t, m)
-        assert sweep.kind == "graded" and sweep.d == unit_scale(t)[0][0, 0], (kind, n)
+        assert sweep.kind == "disc" and sweep.centre == unit_scale(t)[0][0, 0], (kind, n)
         far = abs(d) / np.linalg.norm(t - d * np.eye(n), 2)
         assert (1e7 < far < 1e13) == (kind == "jordan-far"), (kind, n)
+
+
+def test_direct_sum_cases_solve_one_pencil_per_block(monkeypatch):
+    # the replay's direct-sum stratum and bench_grid's direct-sum cells are
+    # disc sweeps: each solves one pencil per block with an off-diagonal
+    # entry, of that block's size, never an n x n pencil
+    from hrnr import ranges
+    from hrnr.ranges import pencil_sweep
+
+    replay = load_script("replay_engine.py")
+    cases = [case for case in replay.battery() if case[0] == "direct-sum"]
+    assert [(n, np.isrealobj(t)) for _, n, _, t in cases] == [
+        (n, real) for _ in range(2) for n in (5, 8, 12) for real in (False, True)]
+    cases.append(("direct-sum", 8, 720, load_script("bench_grid.py").matrix("direct-sum", 8)))
+    shapes = []
+    solve = ranges.eig_hermitian_stack
+    monkeypatch.setattr(ranges, "eig_hermitian_stack",
+                        lambda stack: shapes.append(stack.shape[:2]) or solve(stack))
+    for i, (_, n, m, t) in enumerate(cases):
+        shapes.clear()
+        sweep = pencil_sweep(t, m)
+        sweep.eigenvalues
+        sweep.numerical_radius()
+        assert sweep.kind == "disc" and sweep.centre is None, i
+        jordan = i < 6 or i == 12
+        want = replay.SUM_BLOCKS[n] if jordan else (n - n // 2,)
+        assert sorted(shapes) == sorted((1, p) for p in want), i
 
 
 def load_script(name):
@@ -100,7 +127,7 @@ def test_bench_grid_script():
     assert set(cell["range_ms"]) == set(cell["samples_ms"]) == set(cell["tags"]) == {"1", "2", "3"}
     assert cell["samples_ms"]["1"] == min(a["samples_ms"]["1"], b["samples_ms"]["1"]) > 0
     assert cell["planes"] <= 4 * 5 * 4 + 16  # the diagonal's tie planes
-    assert cell["source"] == "spectrum"
+    assert cell["source"] == "disc"
     assert 0 < cell["sweep_ms"] == min(a["sweep_ms"], b["sweep_ms"])
     assert min(cell["frame_ms"], cell["cli_ms"]) > 0
     assert 0 < cell["json_ms"] == min(a["json_ms"], b["json_ms"])
@@ -110,7 +137,7 @@ def test_bench_grid_script():
     # the child process a grid run starts for each cell
     shift = bench_grid.child("shift", 4, 720, bench_grid.ROOT / "src")
     assert shift["planes"] == shift["frame_ms"] == 0  # graded ranks build no frame
-    assert shift["source"] == "graded"
+    assert shift["source"] == "disc"
     assert shift["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}  # k <= (n + 1)/2
     # the real Gaussian cells, which time the pencils a real T solves
     assert [c for c in bench_grid.cells() if c[0] == "gauss-real"] == [
@@ -130,8 +157,15 @@ def test_bench_grid_script():
     assert t[0, 0] and (np.diagonal(t) == t[0, 0]).all()
     assert np.isclose(np.linalg.norm(t, 2), 1.0)
     jordan = bench_grid.run_cell("jordan", 4, 720, repeat=1)
-    assert jordan["planes"] == jordan["frame_ms"] == 0 and jordan["source"] == "graded"
+    assert jordan["planes"] == jordan["frame_ms"] == 0 and jordan["source"] == "disc"
     assert jordan["tags"] == {"1": "polygon", "2": "polygon", "3": "empty"}
+    # the direct-sum cells, ROADMAP.md's Jordan sum J: three blocks about
+    # distinct eigenvalues, whose discs hand the geometry every plane
+    assert [c for c in bench_grid.cells() if c[0] == "direct-sum"] == [
+        ("direct-sum", 8, 720), ("direct-sum", 8, 2048)]
+    t = bench_grid.matrix("direct-sum", 8)
+    assert np.isclose(np.linalg.norm(t, 2), 1.0)
+    assert (np.diagonal(t) == np.repeat(np.diagonal(t)[[0, 3, 6]], (3, 3, 2))).all()
 
 
 def test_bench_grid_interleaves_two_trees(tmp_path, monkeypatch):
