@@ -43,7 +43,12 @@ best-of-repeat within one child cannot see.  A cell times, best of
   cli_ms      ``hrnr range --k 1 --angles m`` through ``cli.main``, file
               load and region file included
 
-and records each rank's tag, the planes the frame holds (0 for discs
+with ``cpu_ms`` beside range_ms and cli_ms, keyed by rank and ``cli``:
+the same spans in CPU time of the child (``time.process_time``), best of
+all repeats too, which a busy host's waits for a CPU do not enter.  ``minflt`` holds each rank's minor
+page faults (``ru_minflt`` of ``getrusage(RUSAGE_SELF)`` around its
+``range_from_sweep``), the fewest over all repeats.  A cell records each
+rank's tag, the planes the frame holds (0 for discs
 about one centre), the sweep's row source (``disc`` or ``batch``: the
 sweep's ``kind``; ``graded`` and ``spectrum`` in older trees) and the
 peak RSS.
@@ -133,7 +138,8 @@ def run_cell(kind, n, m, repeat=REPEAT):
     t = matrix(kind, n)
     ks = range(1, min(n, 3) + 1)
     best = {"sweep": np.inf, "radius": np.inf, "frame": np.inf, "json": np.inf, "npz": np.inf,
-            "cli": np.inf, **{k: np.inf for k in ks}, **{("samples", k): np.inf for k in ks}}
+            "cli": np.inf, "cpu": np.inf, **{k: np.inf for k in ks},
+            **{(part, k): np.inf for part in ("samples", "cpu", "minflt") for k in ks}}
     with tempfile.TemporaryDirectory() as work:
         path, out = os.path.join(work, "t.json"), os.path.join(work, "range.json")
         npz = os.path.join(work, "range.npz")
@@ -157,9 +163,12 @@ def run_cell(kind, n, m, repeat=REPEAT):
             best["radius"] = min(best["radius"], time.perf_counter() - start)
             tags, reports = {}, {}
             for k in ks:
+                faults, cpu = minor_faults(), time.process_time()
                 start = time.perf_counter()
                 reports[k] = report = range_from_sweep(sweep, k)
                 mid = time.perf_counter()
+                best["cpu", k] = min(best["cpu", k], time.process_time() - cpu)
+                best["minflt", k] = min(best["minflt", k], minor_faults() - faults)
                 report.support_samples
                 best[k] = min(best[k], mid - start)
                 best["samples", k] = min(best["samples", k], time.perf_counter() - mid)
@@ -170,19 +179,27 @@ def run_cell(kind, n, m, repeat=REPEAT):
             start = time.perf_counter()
             np.savez(npz, **fileio.region_to_obj(reports[1]))
             best["npz"] = min(best["npz"], time.perf_counter() - start)
-            start = time.perf_counter()
+            cpu, start = time.process_time(), time.perf_counter()
             if cli.main(argv) != 0:
                 raise RuntimeError(f"hrnr {' '.join(argv)} failed")
             best["cli"] = min(best["cli"], time.perf_counter() - start)
+            best["cpu"] = min(best["cpu"], time.process_time() - cpu)
     ms = {key: round(1e3 * value, 3) for key, value in best.items()}
     return {"kind": kind, "n": n, "m": m, "sweep_ms": ms["sweep"], "radius_ms": ms["radius"],
             "frame_ms": ms["frame"],
             "range_ms": {str(k): ms[k] for k in ks},
             "samples_ms": {str(k): ms["samples", k] for k in ks}, "json_ms": ms["json"],
             "npz_ms": ms["npz"], "cli_ms": ms["cli"],
+            "cpu_ms": {**{str(k): ms["cpu", k] for k in ks}, "cli": ms["cpu"]},
+            "minflt": {str(k): int(best["minflt", k]) for k in ks},
             "tags": {str(k): tag for k, tag in tags.items()}, "planes": int(planes),
             "source": source,
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
+
+
+def minor_faults():
+    """The minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def child(kind, n, m, src):
@@ -196,12 +213,12 @@ def child(kind, n, m, src):
 
 
 def best_of(a, b):
-    """Two records of one cell merged: the smaller of each time, the larger
-    peak RSS."""
+    """Two records of one cell merged: the smaller of each time and fault
+    count, the larger peak RSS."""
     out = dict(a)
     for key in ("sweep_ms", "radius_ms", "frame_ms", "json_ms", "npz_ms", "cli_ms"):
         out[key] = min(a[key], b[key])
-    for key in ("range_ms", "samples_ms"):
+    for key in ("range_ms", "samples_ms", "cpu_ms", "minflt"):
         out[key] = {k: min(v, b[key][k]) for k, v in a[key].items()}
     out["peak_rss_mb"] = max(a["peak_rss_mb"], b["peak_rss_mb"])
     return out
@@ -265,7 +282,8 @@ def main(argv=None):
             print(f"{rec['kind']} n={rec['n']} m={rec['m']}: sweep {rec['sweep_ms']} ms, "
                   f"radius {rec['radius_ms']} ms, frame {rec['frame_ms']} ms, "
                   f"range {rec['range_ms']} ms, samples {rec['samples_ms']} ms, "
-                  f"json {rec['json_ms']} ms, npz {rec['npz_ms']} ms, cli {rec['cli_ms']} ms")
+                  f"json {rec['json_ms']} ms, npz {rec['npz_ms']} ms, cli {rec['cli_ms']} ms, "
+                  f"cpu {rec['cpu_ms']} ms, minflt {rec['minflt']}")
         result = header(label) | {"cells": records}
         if args.tier1:
             result["tier1_s"], result["tier1_summary"] = tier1(src)

@@ -55,7 +55,12 @@ G is graded, solves each group's G + G* once, and none for a G of 0 (each
 entry of a diagonal T), whose rho is 0.  A Jordan matrix with distinct
 eigenvalues so solves one pencil per eigenvalue, of its block's size.
 rho = 0 is stored as -0.0, which adds exactly (x + -0.0 is x for every x,
--0.0 included), so those rows are the bits of 2 Re(e^{i theta} c) alone.
+-0.0 included), so those rows are the bits of 2 Re(e^{i theta} c) alone,
+and a whole column read of discs all of radius 0 skips the add.  Where
+two discs' values meet, at a tie angle, the order of the rows changes; a
+disc sweep works out its ties once (``_DiscSweep.ties``, O(n^2)), and
+reads from that one pass both the rounding windows of its rows on demand
+and, when every rho is 0, its tie planes.
 
 One scale rule.  ``pencil_sweep`` sweeps X = 2^-p T, T brought to unit
 size by an exact power of two (``linalg.unit_scale``), so no pencil
@@ -409,8 +414,11 @@ class _DiscSweep(PencilSweep):
     that difference is at most tol = 8 eps (|c_a| + |c_b| + |rho_a| +
     |rho_b|), over twice (e_a + e_b) / 2 (four times at rho = 0), widened
     by a grid step either way for the rounding of the angles and of the
-    tie's position; a pair that comes within tol of tangency, or a cluster
-    closer than tol, makes the window the whole grid.  Discs with
+    tie's position: floor(u - h) - 1 .. floor(u + h) + 2 for the pair's
+    tie position u and half-width h, from the sweep's one pass over its
+    ties (``ties``), which its tie planes read too; a pair that comes
+    within tol of tangency, or a cluster closer than tol, makes the window
+    the whole grid.  Discs with
     bit-identical c never swap: their values are fl(rho + x) for one x,
     monotone in rho, so within a group the owners keep the order of rho,
     which ``_discs`` stores descending and a stable sort keeps; discs
@@ -453,19 +461,26 @@ class _DiscSweep(PencilSweep):
         return np.full(self.angle_count if idx is None else np.shape(idx), self.rho[r])
 
     @cached_property
+    def ties(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each ordered pair's tie position u and half-width h, in grid
+        steps (``_ties``): the one evaluation ``runs`` and ``planes`` read."""
+        return _ties(self.rho, self.c, self.angle_count)
+
+    @cached_property
     def runs(self) -> tuple[np.ndarray, ...]:
-        """The table: the windows' bounds, the runs' edges, every index
-        inside a window (ascending) and its sorted rows, and each run's
-        descending order of the discs (a window's is never read)."""
+        """The table: the runs' edges (the windows' bounds between 0 and
+        ``solved``), every index inside a window (ascending) and its sorted
+        rows, and each run's descending order of the discs (a window's is
+        never read)."""
         m, rho, c, solved = self.angle_count, self.rho, self.c, self.solved
-        starts, stops = _tie_windows(rho, c, m, solved)
-        bounds = np.column_stack([starts, stops]).ravel()
-        edges = np.concatenate([[0], bounds, [solved]])
+        u, h = self.ties
+        starts, stops = _tie_windows(np.floor(u - h) - 1, np.floor(u + h) + 3, m, solved)
+        edges = np.concatenate([[0], np.column_stack([starts, stops]).ravel(), [solved]])
         width = stops - starts
         inside = np.repeat(starts - np.cumsum(width) + width, width) + np.arange(width.sum())
         # each run's order at its first index (the last run may be empty)
         z = np.exp(1j * grid_angles(m, np.minimum(edges[:-1], solved - 1)))[:, None] * c
-        return (bounds, edges, inside, _sorted_rows(np.exp(1j * grid_angles(m, inside)), rho, c),
+        return (edges, inside, _sorted_rows(np.exp(1j * grid_angles(m, inside)), rho, c),
                 np.argsort(-((z + z.conj()).real + rho), axis=1, kind="stable"))
 
     def values(self, r: int, j: np.ndarray | None, phases: np.ndarray) -> np.ndarray:
@@ -474,17 +489,18 @@ class _DiscSweep(PencilSweep):
         later reads."""
         if self.centre is not None:  # one run, in the order of rho: no table
             return self.rho[r] + 2.0 * (phases * self.centre).real
-        bounds, edges, inside, rows, order = self.runs
+        edges, inside, rows, order = self.runs
         if j is None:
             if r not in self.columns:
                 # complex, as the product casts them anyway, so it fits in place
                 owners = np.repeat(self.c[order[:, r]].astype(complex), np.diff(edges))
                 np.multiply(phases, owners, out=owners)
                 self.columns[r] = out = owners.real * 2.0
-                out += np.repeat(self.rho[order[:, r]], np.diff(edges))
+                if self.rho.any():  # else every rho is -0.0, which adds nothing
+                    out += np.repeat(self.rho[order[:, r]], np.diff(edges))
                 out[inside] = rows[:, r]
             return self.columns[r]
-        run = np.searchsorted(bounds, j, side="right")
+        run = np.searchsorted(edges[1:-1], j, side="right")
         out = self.rho[order[run, r]] + 2.0 * (phases * self.c[order[run, r]]).real
         window = run % 2 == 1
         out[window] = rows[np.searchsorted(inside, j[window]), r]
@@ -503,10 +519,17 @@ class _DiscSweep(PencilSweep):
         k-th value comes from one c_j, so every rank-k plane of that run of
         grid angles passes through c_j, the run's apex (Li and Sze: for
         normal T, Lambda_k is the intersection of these half-planes).  The
-        sweep's frame is built on the grid indices beside each tie angle and
-        every (m // 16)-th index (``_tie_planes``; 4 n (n - 1) + 16 at most
-        at m = 65536, against 65,536), worked out at the first rank that
-        reaches the geometry (P1's row-only sweeps never do).  A dropped
+        sweep's frame is built on the grid indices floor(u) - 1 .. floor(u)
+        + 2 beside each finite tie position u of ``ties`` and every
+        (m // 16)-th index, ascending and each once (4 n (n - 1) + 16 at
+        most at m = 65536, against 65,536), worked out at the first rank
+        that reaches the geometry (P1's row-only sweeps never do).  These
+        are read from the pass the windows read: at rho = 0 every pair of
+        distinct c is kept and u is the tie angle itself, whatever the
+        slack, so the planes either side of the tie are kept even where the
+        rounding of u crosses a grid index, and a pair whose half-width is
+        NaN (a cluster) still gives its planes.  Equal c project equally at
+        every angle, so their order never changes, and give none.  A dropped
         plane lies between two kept planes of its run, at most pi/8 apart,
         all three through the apex, so the intersection of the kept planes
         exceeds it by at most (1 + sec(pi/16)) times the rows' rounding,
@@ -522,7 +545,12 @@ class _DiscSweep(PencilSweep):
         (every n <= 10 at any m), take one round of the geometry's pruning
         and go to the deque scan (the ``geometry`` docstring).
         """
-        return None if self.rho.any() else _tie_planes(self.rho, self.c, self.angle_count)
+        if self.rho.any():
+            return None
+        m, u = self.angle_count, self.ties[0]
+        near = np.floor(u[np.isfinite(u), None]).astype(np.intp) - 1 + np.arange(4)
+        # with an index output, np.unique does not import numpy.ma (numpy 2.4)
+        return np.unique(np.r_[near.ravel() % m, 0:m:m // 16], return_index=True)[0]
 
     def middle(self, k: int, tol: float, norm: float) -> ConvexRegion | None:
         """The middle rank read from the owners of column k - 1 on the gaps
@@ -552,7 +580,7 @@ class _DiscSweep(PencilSweep):
         if not self.on_demand:
             return None
         m = self.angle_count
-        _, edges, inside, rows, order = self.runs
+        edges, inside, rows, order = self.runs
         keep = np.diff(edges)[::2] > 0
         starts, stops = edges[:-1:2][keep], edges[1::2][keep]
         owner = order[::2, k - 1][keep]
@@ -818,11 +846,12 @@ def _sorted_rows(phases: np.ndarray, rho: np.ndarray, c: np.ndarray) -> np.ndarr
     return np.sort((z + z.conj()).real + rho, axis=1)[:, ::-1]
 
 
-def _ties(rho: np.ndarray, c: np.ndarray, m: int, slack: float) -> tuple[np.ndarray, np.ndarray]:
-    """The index range [lo, hi), as floats, of each tie of two discs with c
-    not bit for bit equal on the m-angle grid, within
-    tol = slack (eps (|c_a| + |c_b| + |rho_a| + |rho_b|) + smallest
-    subnormal) of it; lo and hi are NaN where no range is bounded.
+def _ties(rho: np.ndarray, c: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tie position u and half-width h, in grid steps of the m-angle
+    grid, of each ordered pair of discs with c not bit for bit equal: the
+    two values lie within tol = 8 (eps (|c_a| + |c_b| + |rho_a| + |rho_b|) +
+    smallest subnormal) of each other at most h steps from u.  h is NaN
+    where no such range is bounded, and u too where c_a - c_b is 0.
 
     The ordered pair (a, b) ties where Re(e^{i theta}(c_a - c_b)) =
     (rho_b - rho_a) / 2 = s, at u = (acos(s / |c_a - c_b|) - arg(c_a - c_b))
@@ -830,38 +859,40 @@ def _ties(rho: np.ndarray, c: np.ndarray, m: int, slack: float) -> tuple[np.ndar
     pi/2 - arg(c_a - c_b) and half a turn on).  The values are within tol of
     each other where cos lies within t = tol / |c_a - c_b| of
     sigma = s / |c_a - c_b|, within t / sqrt(1 - (|sigma| + t)^2) radians of
-    the tie, which h = t (m / 4) / sqrt(1 - (|sigma| + t)^2) steps bounds,
-    widened to the indices floor(u - h) - 1 .. floor(u + h) + 2.  A pair
+    the tie, which h = t (m / 4) / sqrt(1 - (|sigma| + t)^2) bounds.  A pair
     that comes within tol of tangency (|sigma| + t >= 1), as a cluster
     does, gets NaN; one whose values stay more than tol apart
-    (|sigma| - t > 1), as discs of equal c and unequal rho, gets none.
+    (|sigma| - t > 1), as discs of equal c and unequal rho, gets none.  At
+    rho = 0, s = 0 keeps every pair, as tol = 0 would, and u is the tie
+    angle itself.
     """
     bits = np.ascontiguousarray(c).view(np.uint64).reshape(c.size, -1)
     d, s = np.subtract.outer(c, c).ravel(), np.subtract.outer(rho, rho).ravel() / -2.0
     size = np.add.outer(np.abs(c) + np.abs(rho), np.abs(c) + np.abs(rho)).ravel()
-    tol = slack * (np.finfo(float).eps * size + np.finfo(float).smallest_subnormal)
+    tol = 8.0 * (np.finfo(float).eps * size + np.finfo(float).smallest_subnormal)
     keep = ~(bits[:, None] == bits[None, :]).all(axis=2).ravel() & ~(np.abs(s) - tol > np.abs(d))
     d, s, tol = d[keep], s[keep], tol[keep]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio, sigma = tol / np.abs(d), s / np.abs(d)
         u = (np.arccos(sigma) - np.angle(d)) * (m / (2.0 * np.pi))
         h = ratio / np.sqrt(1.0 - (np.abs(sigma) + ratio) ** 2) * (m / 4.0)
-    return np.floor(u - h) - 1, np.floor(u + h) + 3
+    return u, h
 
 
-def _tie_windows(rho: np.ndarray, c: np.ndarray, m: int,
+def _tie_windows(lo: np.ndarray, hi: np.ndarray, m: int,
                  solved: int) -> tuple[np.ndarray, np.ndarray]:
     """The rounding windows of the discs' ties on the m-angle grid
     (``_DiscSweep``, "Rows on demand"), as disjoint index ranges
-    [starts_i, stops_i) within 0 .. solved - 1, ascending: those of
-    ``_ties`` at slack 8, over twice what can swap two computed values
-    (four times at rho = 0), plus a few subnormals for their underflow.  A
-    range that is not bounded, or spans the grid, makes the window every
-    index; a pair of bit-identical c has identical rows or never swaps,
-    and gives none.  Windows are merged as ranges, so the cost is
-    O(n^2 log n) however wide they are.
+    [starts_i, stops_i) within 0 .. solved - 1, ascending, from each pair's
+    range [lo, hi) of indices, as floats: floor(u - h) - 1 .. floor(u + h)
+    + 2 for ``_ties``, whose tol is over twice what can swap two computed
+    values (four times at rho = 0), plus a few subnormals for their
+    underflow, widened by a grid step either way.  A range that is not
+    bounded, or spans the grid, makes the window every index; a pair of
+    bit-identical c has identical rows or never swaps, and gives none.
+    Windows are merged as ranges, so the cost is O(n^2 log n) however wide
+    they are.
     """
-    lo, hi = _ties(rho, c, m, 8.0)
     if not (hi - lo < m).all():
         return np.array([0]), np.array([solved])
     shift = np.floor(lo / m) * m  # each window starts in 0 .. m - 1; one past m wraps
@@ -870,12 +901,10 @@ def _tie_windows(rho: np.ndarray, c: np.ndarray, m: int,
     lo = np.concatenate([lo, np.zeros(wrap.sum(), np.intp)])
     hi = np.minimum(np.concatenate([np.minimum(hi, m), hi[wrap] - m]), solved)
     keep = lo < hi
-    if not keep.any():
-        return lo[keep], hi[keep]
     order = np.argsort(lo[keep])
     lo, reach = lo[keep][order], np.maximum.accumulate(hi[keep][order])
-    first = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
-    return lo[first], reach[np.r_[first[1:] - 1, lo.size - 1]]
+    first = np.flatnonzero(lo > np.r_[-1, reach[:-1]])  # every lo is >= 0
+    return lo[first], np.r_[reach[first[1:] - 1], reach[-1:]]
 
 
 def _peak_indices(rho: np.ndarray, c: np.ndarray, m: int) -> np.ndarray | None:
@@ -909,21 +938,6 @@ def _peak_indices(rho: np.ndarray, c: np.ndarray, m: int) -> np.ndarray | None:
     lo = np.floor(-np.angle(c) * (m / (2.0 * np.pi)) - h).astype(np.intp)
     steps = np.arange(int(np.ceil(2.0 * h.max())) + 2)
     return ((lo[:, None] + steps) % m).ravel()
-
-
-def _tie_planes(rho: np.ndarray, c: np.ndarray, m: int) -> np.ndarray:
-    """The indices of the m-angle grid beside each tie of the discs, plus
-    every (m // 16)-th index: the planes that can bound a rank of rows at
-    rho = 0 (``_DiscSweep.planes``).  Indices floor(u) - 1 .. floor(u) + 2,
-    u a tie of ``_ties`` at slack 0, keep the planes either side of the tie
-    even where the rounding of u crosses a grid index.  Equal c project
-    equally at every angle, so their order never changes, and give none.
-    """
-    lo = _ties(rho, c, m, 0.0)[0]
-    keep = np.zeros(m, dtype=bool)
-    keep[(lo[np.isfinite(lo), None].astype(np.intp) + np.arange(4)) % m] = True
-    keep[::m // 16] = True
-    return np.flatnonzero(keep)
 
 
 def _is_graded(t: np.ndarray) -> bool:

@@ -8,11 +8,10 @@ import pytest
 
 from hrnr import checks, cli, fileio
 from hrnr.cli import main
-from hrnr.geometry import ConvexRegion, regular_polygon
-from hrnr.ranges import pencil_sweep, range_from_sweep
+from hrnr.geometry import CLIP_EPS, ConvexRegion, regular_polygon
+from hrnr.ranges import _row_tol, pencil_sweep, range_from_sweep
 from hrnr.shifts import shift_matrix, shift_radius
 
-RADIUS_TOL = 5e-6  # a shift range's polygon moduli against its disc radius
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -322,7 +321,11 @@ def test_readme_pipeline(tmp_path, monkeypatch):
     obj = json.loads(text)
     assert obj["tag"] == "polygon" and len(obj["support_samples"]) == 2048
     radius = max(abs(complex(re, im)) for re, im in obj["vertices"])
-    assert abs(radius - shift_radius(5, 2)) <= RADIUS_TOL
+    # the certified bracket of a centred disc (tests/test_ranges.py): S_5 has
+    # norm 1, so its rows, and the geometry's bound, are at most 2
+    want, tol = shift_radius(5, 2), _row_tol(5, 1.0)
+    outer = obj["outer_error_bound"] + CLIP_EPS * 2.0
+    assert want - tol <= radius <= want + outer + tol
     assert lines(fileio.dumps_json(obj)) == lines(text)
     assert "stroke-dasharray" in (tmp_path / "region.svg").read_text()
 

@@ -24,7 +24,6 @@ from hrnr.ranges import (
 )
 from hrnr.shifts import shift_matrix
 
-RADIUS_TOL = 5e-6
 
 
 # --- pencil -----------------------------------------------------------------
@@ -55,14 +54,18 @@ def test_pencil_always_hermitian():
 # --- rank_k_range -----------------------------------------------------------
 
 def test_shift3_rank1_is_quarter_cosine_disc():
+    # the certified bracket of a centred disc: every offset within the row
+    # tolerance of the radius, and the polygon's moduli too, up to its outer
+    # error bound and the geometry's relaxed cut above it
     rep = rank_k_range(shift_matrix(3), 1, 2048)
     assert rep.region.kind == "polygon"
-    rho = np.cos(np.pi / 4)
-    assert abs(rep.region.max_modulus() - rho) < RADIUS_TOL
-    assert abs(rep.min_support() - rho) < RADIUS_TOL
+    rho, tol = np.cos(np.pi / 4), _row_tol(3, 1.0)
+    outer = rep.outer_error_bound + geometry.CLIP_EPS * rep.sweep.region_bound
+    assert rho - tol <= rep.region.max_modulus() <= rho + outer + tol
+    assert abs(rep.min_support() - rho) <= tol
     # disc: support is the same in every direction
     offsets = rep.support_samples[:, 1]
-    assert offsets.max() - offsets.min() < RADIUS_TOL
+    assert offsets.max() - offsets.min() <= 2.0 * tol
 
 
 def test_shift4_rank3_empty():
@@ -138,7 +141,7 @@ def test_report_metadata():
 @pytest.mark.parametrize("n", [2, 3, 7, 12])
 def test_radius_of_shift(n):
     got = numerical_radius(shift_matrix(n), 2048)
-    assert abs(got - np.cos(np.pi / (n + 1))) < RADIUS_TOL
+    assert abs(got - np.cos(np.pi / (n + 1))) <= _row_tol(n, 1.0)
 
 
 def test_radius_hermitian_is_spectral():
@@ -150,7 +153,7 @@ def test_radius_scales_linearly():
     base = numerical_radius(shift_matrix(3), 512)
     scaled = numerical_radius(0.7 * shift_matrix(3), 512)
     assert abs(scaled - 0.7 * base) < 1e-12
-    assert abs(scaled - 0.7 * np.cos(np.pi / 4)) < RADIUS_TOL
+    assert abs(scaled - 0.7 * np.cos(np.pi / 4)) <= _row_tol(3, 0.7)
 
 
 def test_radius_nondecreasing_in_nested_grids():
@@ -1028,22 +1031,23 @@ def test_tie_planes_give_the_all_plane_region(seed, n, family, m):
 def test_tie_planes_reach_the_geometry_only_on_spectrum_sweeps(monkeypatch):
     # at m = 65536 a diagonal n = 6 sends at most 4 n (n - 1) + 16 planes;
     # a Gaussian sweep sends all m, a graded one none (its ranks are regular
-    # m-gons), and P1's row-only sweeps never work out the index set
+    # m-gons), and P1's row-only sweeps never work out the index set.  A
+    # sweep evaluates its ties once, for its windows and its tie planes alike
     from hrnr.checks import check_affine
 
     sent, ties = [], []
-    intersect, tie_planes = ranges.intersect_halfplanes, ranges._tie_planes
+    intersect, find_ties = ranges.intersect_halfplanes, ranges._ties
     monkeypatch.setattr(ranges, "intersect_halfplanes",
                         lambda thetas, *args, **kw: sent.append(len(thetas))
                         or intersect(thetas, *args, **kw))
-    monkeypatch.setattr(ranges, "_tie_planes",
-                        lambda *args: ties.append(args) or tie_planes(*args))
+    monkeypatch.setattr(ranges, "_ties", lambda *args: ties.append(args) or find_ties(*args))
     rng = generator(26)
     m, n = 65536, 6
     sweep = pencil_sweep(np.diag(rng.normal(size=n) + 1j * rng.normal(size=n)), m)
     for k in (1, 2):
         range_from_sweep(sweep, k)
     assert len(sent) == 2 and max(sent) <= 4 * n * (n - 1) + 16
+    assert "runs" in vars(sweep) and len(ties) == 1
     sent.clear()
     for t in (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), shift_matrix(5)):
         range_from_sweep(pencil_sweep(t, m), 1)
@@ -1053,6 +1057,85 @@ def test_tie_planes_reach_the_geometry_only_on_spectrum_sweeps(monkeypatch):
     assert len(ties) == 2
     check_affine(t, base, 2.0 - 1.0j, 0.5 + 0.25j)
     assert len(ties) == 2
+
+
+def _two_slack_ties(rho, c, m, slack):
+    """Each ordered pair's index range [lo, hi) at the given slack, by the
+    floor formulas of the tree that evaluated the ties twice: slack 8 for
+    the windows, slack 0 (whose lo is floor(u) - 1) for the tie planes."""
+    bits = np.ascontiguousarray(c).view(np.uint64).reshape(c.size, -1)
+    d, s = np.subtract.outer(c, c).ravel(), np.subtract.outer(rho, rho).ravel() / -2.0
+    size = np.add.outer(np.abs(c) + np.abs(rho), np.abs(c) + np.abs(rho)).ravel()
+    tol = slack * (np.finfo(float).eps * size + np.finfo(float).smallest_subnormal)
+    keep = ~(bits[:, None] == bits[None, :]).all(axis=2).ravel() & ~(np.abs(s) - tol > np.abs(d))
+    d, s, tol = d[keep], s[keep], tol[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio, sigma = tol / np.abs(d), s / np.abs(d)
+        u = (np.arccos(sigma) - np.angle(d)) * (m / (2.0 * np.pi))
+        h = ratio / np.sqrt(1.0 - (np.abs(sigma) + ratio) ** 2) * (m / 4.0)
+    return np.floor(u - h) - 1, np.floor(u + h) + 3
+
+
+def _mask_tie_planes(rho, c, m):
+    """The tie planes marked in an m-sized mask, from the slack-0 ranges."""
+    lo = _two_slack_ties(rho, c, m, 0.0)[0]
+    keep = np.zeros(m, dtype=bool)
+    keep[(lo[np.isfinite(lo), None].astype(np.intp) + np.arange(4)) % m] = True
+    keep[::m // 16] = True
+    return np.flatnonzero(keep)
+
+
+def _tie_case(name):
+    """A disc sweep's matrix: a spectrum, a cluster, one eigenvalue or a
+    mixed list of discs (rho != 0 beside distinct c)."""
+    rng = generator(52)
+    mu = rng.normal(size=5) + 1j * rng.normal(size=5)
+    mu /= np.abs(mu).max()
+    if name == "real":
+        mu = mu.real
+    elif name.startswith("cluster"):
+        mu[1] = mu[0] + float(name[len("cluster"):])
+    elif name == "one":
+        return np.diag(mu[:1])
+    elif name == "scalar":
+        return mu[0] * np.eye(4)
+    elif name == "jordan-sum":  # ROADMAP.md's J: three blocks about distinct eigenvalues
+        t = np.diag(np.repeat([1 + 0.5j, -0.7j, 0.4], (3, 3, 2)))
+        return t + np.diag([1, 1, 0, 1, 1, 0, 1], -1)
+    elif name == "diag-graded":  # a diagonal (+) a weighted shift plus a scalar
+        return direct_sum(np.diag(mu[:3]), 0.2j * np.eye(3) + np.diag([0.5, 1.5], -1))
+    return np.diag(mu)
+
+
+@pytest.mark.parametrize("m", [16, 17, 720, 721, 65536, 2**20 + 1])
+@pytest.mark.parametrize("name", ["complex", "real", "cluster1e-13", "cluster1e-16", "one",
+                                  "scalar", "jordan-sum", "diag-graded"])
+def test_one_tie_pass_gives_the_two_slack_windows_and_planes(name, m):
+    # one evaluation of the ties gives the windows of the slack-8 ranges
+    # and, at rho = 0, the planes of the slack-0 ones, bit for bit: at rho = 0
+    # both slacks keep the same pairs, and the slack-0 half-width is 0
+    sweep = pencil_sweep(_tie_case(name), m)
+    assert sweep.kind == "disc" and sweep.centre is None
+    rho, c, solved = sweep.rho, sweep.c, sweep.solved
+    starts, stops = ranges._tie_windows(*_two_slack_ties(rho, c, m, 8.0), m, solved)
+    want = np.concatenate([[0], np.column_stack([starts, stops]).ravel(), [solved]])
+    got = sweep.runs[0]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    if name.startswith("cluster") or name in ("one", "scalar"):
+        assert not rho.any()
+    if name == "cluster1e-16":  # a NaN half-width: the window is every solved index
+        assert got.tolist() == [0, 0, solved, solved]
+    if rho.any():
+        assert name in ("jordan-sum", "diag-graded") and sweep.planes is None
+    else:
+        want = _mask_tie_planes(rho, c, m)
+        assert sweep.planes.dtype == want.dtype and np.array_equal(sweep.planes, want)
+
+
+def test_tie_windows_of_ranges_all_past_the_solved_half():
+    # ranges that lie in an even grid's unsolved upper half leave no window
+    starts, stops = ranges._tie_windows(np.array([9.0, 10.0]), np.array([12.0, 16.0]), 16, 8)
+    assert starts.dtype == stops.dtype == np.intp and starts.size == stops.size == 0
 
 
 def test_normal_cluster_point_is_the_all_plane_point():
@@ -1522,7 +1605,7 @@ def test_middle_rank_declines_when_the_tie_windows_cover_the_grid(monkeypatch):
     assert sweep.kind == "disc" and sweep._rows is None
     region = range_from_sweep(sweep, 2).region
     assert fits == [1]
-    assert sweep.runs[1].tolist() == [0, 0, 16384, 16384]
+    assert sweep.runs[0].tolist() == [0, 0, 16384, 16384]
     norm = sweep.unit_bound / np.cos(np.pi / m)
     assert sweep.middle(2, _row_tol(3, norm), norm) is None
     want = range_from_sweep(ranges.PencilSweep(m, sweep.eigenvalues), 2).region

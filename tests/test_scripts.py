@@ -130,6 +130,14 @@ def test_bench_grid_script():
     assert cell["source"] == "disc"
     assert 0 < cell["sweep_ms"] == min(a["sweep_ms"], b["sweep_ms"])
     assert min(cell["frame_ms"], cell["cli_ms"]) > 0
+    # CPU time beside the ranks' and the CLI's wall times, and each rank's
+    # minor page faults, merged as the fewest
+    assert set(cell["cpu_ms"]) == {"1", "2", "3", "cli"} and set(cell["minflt"]) == {"1", "2", "3"}
+    for k in ("1", "2", "3", "cli"):
+        assert cell["cpu_ms"][k] == min(a["cpu_ms"][k], b["cpu_ms"][k]) > 0
+    for k in ("1", "2", "3"):
+        assert cell["minflt"][k] == min(a["minflt"][k], b["minflt"][k]) >= 0
+        assert isinstance(cell["minflt"][k], int)
     assert 0 < cell["json_ms"] == min(a["json_ms"], b["json_ms"])
     assert 0 < cell["npz_ms"] == min(a["npz_ms"], b["npz_ms"])
     assert 0 < cell["radius_ms"] == min(a["radius_ms"], b["radius_ms"])
@@ -199,7 +207,10 @@ def test_bench_grid_interleaves_two_trees(tmp_path, monkeypatch):
         assert result["label"] == label and result["rounds"] == bench_grid.ROUNDS
         for cell, rec in zip(grid, result["cells"]):
             assert (rec["kind"], rec["n"], rec["m"]) == cell
-            assert rec["cli_ms"] == min(r["cli_ms"] for c, s, r in runs if (c, s) == (cell, src))
+            mine = [r for c, s, r in runs if (c, s) == (cell, src)]
+            assert rec["cli_ms"] == min(r["cli_ms"] for r in mine)
+            assert rec["cpu_ms"]["cli"] == min(r["cpu_ms"]["cli"] for r in mine)
+            assert rec["minflt"]["1"] == min(r["minflt"]["1"] for r in mine)
     # a label without its own source tree is a usage error
     with pytest.raises(SystemExit):
         bench_grid.main(["old", "new", "--src", change])
